@@ -168,7 +168,7 @@ mod tests {
             sim.start_flow(spec(s[0], s[2], 500.0, 1, tag(0, 0)));
             sim.start_flow(spec(s[3], s[2], 1_500.0, 1, tag(0, 1)));
             let mut done = sim.run_to_idle();
-            done.sort_by(|a, b| (a.spec.app.0, a.spec.tag).cmp(&(b.spec.app.0, b.spec.tag)));
+            done.sort_by_key(|a| (a.spec.app.0, a.spec.tag));
             done.iter().map(|d| (d.spec.tag, d.finished)).collect()
         }
         let a = run(CoflowSincroniaFabric::new());

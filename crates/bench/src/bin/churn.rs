@@ -9,7 +9,7 @@
 //! set), measures:
 //!
 //! - **incremental** — a warmed controller handles the epoch's
-//!   destroy/create events; dirty-port tracking, warm-started Eq. 2
+//!   destroy/create events; dirty-port tracking, memoized Eq. 2
 //!   solves, and queue-reprogramming diffs confine the work to ports
 //!   whose application set changed.
 //! - **from-scratch** — a cold controller over the post-churn live set

@@ -94,9 +94,8 @@ impl ChurnBench {
     }
 
     /// A controller with every application registered and the live set
-    /// preloaded, warmed by one full recompute (programmed state, memo
-    /// caches, and warm-start seeds all populated — the steady state an
-    /// epoch starts from).
+    /// preloaded, warmed by one full recompute (programmed state and
+    /// memo caches populated — the steady state an epoch starts from).
     pub fn warm_controller(&self) -> CentralController {
         let mut c = self.cold_controller(&self.live);
         c.recompute_all();

@@ -61,6 +61,16 @@ struct ConnInfo {
     links: Vec<LinkId>,
 }
 
+/// Entries [`CentralController`]'s per-application-set memo may carry
+/// into an epoch. Under churn nearly every solve meets a member set not
+/// seen before, so an uncapped memo grows by a few hundred bytes per
+/// event for as long as the controller runs, and all a hit saves is one
+/// closed-form solve. What the memo is for — the many ports of *one*
+/// epoch that share a member set — is untouched: eviction happens only
+/// between epochs, and the cap is more than two cold epochs of the
+/// paper's 1,944-server fabric (~7 k distinct sets each).
+const WEIGHT_CACHE_CAP: usize = 1 << 14;
+
 /// The centralized Saba controller.
 #[derive(Debug, Clone)]
 pub struct CentralController {
@@ -80,7 +90,9 @@ pub struct CentralController {
     /// apps' (immutable) models. Entries naming an application are
     /// purged when it deregisters (its id could be rebound to a
     /// different workload); registrations leave the cache intact — a
-    /// fresh id cannot appear in any existing key.
+    /// fresh id cannot appear in any existing key. Bounded: an epoch
+    /// that starts with more than [`WEIGHT_CACHE_CAP`] entries starts
+    /// with none.
     weight_cache: HashMap<Vec<AppId>, Vec<f64>>,
     /// Clustered-solve memo for large ports, keyed by the (PL, member
     /// count) profile — many core ports share one profile. Valid only
@@ -92,8 +104,6 @@ pub struct CentralController {
     /// Last configuration emitted per port, for reprogramming diffs.
     /// Ports absent from the map run the default single-queue config.
     programmed: HashMap<u32, PortQueueConfig>,
-    /// Previous per-application weights per port — warm seeds.
-    last_weights: HashMap<u32, (Vec<AppId>, Vec<f64>)>,
     /// Assigner generation the queue mapper was last built against.
     mapper_generation: u64,
     /// Set when a registration changed the published centroid set while
@@ -136,7 +146,6 @@ impl CentralController {
             cluster_cache: HashMap::new(),
             surrogates: HashMap::new(),
             programmed: HashMap::new(),
-            last_weights: HashMap::new(),
             mapper_generation: 0,
             sweep_pending: false,
             solver_threads: 1,
@@ -181,12 +190,12 @@ impl CentralController {
     /// least 1; 1 — the default — keeps the fully serial path).
     ///
     /// The parallel path is *bit-identical* to the serial one: each
-    /// missing memo-cache entry is an independent solve (weights depend
-    /// only on the port's application set and its warm seed, both fixed
-    /// before the batch starts), workers fill a per-thread
-    /// [`SolveScratch`], and results are merged into the caches in the
-    /// deterministic first-occurrence order the serial sweep would have
-    /// produced. Stats counters also match exactly.
+    /// missing memo-cache entry is an independent solve (weights are a
+    /// pure function of the port's application set or PL profile),
+    /// workers fill a per-thread [`SolveScratch`], and results are
+    /// merged into the caches in the deterministic first-occurrence
+    /// order the serial sweep would have produced. Stats counters also
+    /// match exactly.
     pub fn set_solver_threads(&mut self, threads: usize) {
         self.solver_threads = threads.max(1);
     }
@@ -306,9 +315,7 @@ impl CentralController {
     /// With no registered application of that workload the table is
     /// updated and no port is touched. A model identical to the current
     /// table entry is a structural no-op (no caches purged, no solves,
-    /// no updates) — warm-started Eq. 2 re-solves can wobble in the
-    /// last ULP, so without this guard an unchanged refit could emit
-    /// spurious one-ULP reprogramming diffs.
+    /// no updates).
     pub fn update_model(&mut self, model: &SensitivityModel) -> Vec<SwitchUpdate> {
         if self.table.get(&model.workload) == Some(model) {
             return Vec::new();
@@ -491,6 +498,12 @@ impl CentralController {
             emitted: 0,
         };
         self.stats.ports_dirty += links.len() as u64;
+        // Evict between epochs only: within one, the prewarm below and
+        // the sweep must see the same cache, and serial and parallel
+        // runs reach this point with identical contents.
+        if self.weight_cache.len() > WEIGHT_CACHE_CAP {
+            self.weight_cache.clear();
+        }
         // Parallel phase: solve every missing memo-cache entry up front,
         // so the serial per-port sweep below runs on pure cache hits.
         // Each prewarmed key is hit at least once in the sweep (by the
@@ -542,24 +555,21 @@ impl CentralController {
 
     /// Gathers the memo-cache misses of one reprogramming batch and
     /// solves them concurrently (the tentpole of the scale-out work):
-    /// the member set and warm seed of every dirty port are collected
-    /// serially, the solves for keys not yet cached run on
+    /// the member set of every dirty port is collected serially, the
+    /// solves for keys not yet cached run on
     /// [`saba_math::parallel_map_with`] workers with per-thread
     /// [`SolveScratch`] pools, and results land in the caches in
     /// first-occurrence order. Returns the number of solves performed so
     /// the caller can reconcile the hit/solve counters.
     ///
-    /// Determinism argument: within a batch, `last_weights` (the seed
-    /// source) is only mutated by the per-port sweep *after* this phase,
-    /// and each port's entry is keyed by its own link id — so every seed
-    /// read here equals what the serial sweep would have read. `solve_from`
-    /// certifies warm results against the cold KKT point, so values are
+    /// Determinism argument: every solve is a pure function of its key —
+    /// the exact dual solve reads nothing but the members' surrogates,
+    /// and the clustered problems are solved cold — so values are
     /// independent of scratch state and scheduling.
     fn prewarm_weight_caches(&mut self, links: &[LinkId]) -> u64 {
         enum PrewarmJob {
             Exact {
                 apps: Vec<AppId>,
-                seed: Option<Vec<f64>>,
             },
             Clustered {
                 profile: Vec<(usize, u32)>,
@@ -580,16 +590,8 @@ impl CentralController {
                 if self.weight_cache.contains_key(&apps) || queued_sets.contains(&apps) {
                     continue;
                 }
-                // Same warm seed the serial path would build for the
-                // first port carrying this application set.
-                let seed: Option<Vec<f64>> = self.last_weights.get(&link.0).map(|(pa, pw)| {
-                    let fair = self.cfg.c_saba / apps.len() as f64;
-                    apps.iter()
-                        .map(|a| pa.iter().position(|x| x == a).map_or(fair, |i| pw[i]))
-                        .collect()
-                });
                 queued_sets.insert(apps.clone());
-                jobs.push(PrewarmJob::Exact { apps, seed });
+                jobs.push(PrewarmJob::Exact { apps });
             } else {
                 let groups = self.cluster_groups(&apps);
                 let profile = cluster_profile(&groups);
@@ -615,7 +617,7 @@ impl CentralController {
             self.solver_threads,
             SolveScratch::new,
             |scratch, j| match &jobs[j] {
-                PrewarmJob::Exact { apps, seed } => {
+                PrewarmJob::Exact { apps } => {
                     let surrogate_refs: Vec<&ModelSurrogate> =
                         apps.iter().map(|a| &surrogates[a]).collect();
                     port_weights_from_surrogates(
@@ -623,7 +625,6 @@ impl CentralController {
                         c_saba,
                         min_weight,
                         protect,
-                        seed.as_deref(),
                         scratch,
                     )
                     .expect("non-empty feasible weight problem")
@@ -638,7 +639,7 @@ impl CentralController {
         let n = jobs.len() as u64;
         for (job, w) in jobs.into_iter().zip(solved) {
             match job {
-                PrewarmJob::Exact { apps, .. } => {
+                PrewarmJob::Exact { apps } => {
                     self.weight_cache.insert(apps, w);
                 }
                 PrewarmJob::Clustered { profile, .. } => {
@@ -680,7 +681,6 @@ impl CentralController {
     fn port_config(&mut self, link: LinkId) -> PortQueueConfig {
         let apps: Vec<AppId> = self.link_apps.members(link).collect();
         if apps.is_empty() {
-            self.last_weights.remove(&link.0);
             return PortQueueConfig::default();
         }
         // Eq. 2 over the applications at this port (memoized by set).
@@ -700,23 +700,11 @@ impl CentralController {
                     self.stats.eq2_solves += 1;
                     let surrogate_refs: Vec<&ModelSurrogate> =
                         apps.iter().map(|a| &self.surrogates[a]).collect();
-                    // Warm seed: the port's previous-epoch weights,
-                    // matched by application id; newcomers start at the
-                    // fair share. `solve_from` certifies the warm result
-                    // against the cold KKT point, so the memoized value
-                    // is identical either way.
-                    let seed: Option<Vec<f64>> = self.last_weights.get(&link.0).map(|(pa, pw)| {
-                        let fair = self.cfg.c_saba / apps.len() as f64;
-                        apps.iter()
-                            .map(|a| pa.iter().position(|x| x == a).map_or(fair, |i| pw[i]))
-                            .collect()
-                    });
                     let w = port_weights_from_surrogates(
                         &surrogate_refs,
                         self.cfg.c_saba,
                         self.cfg.min_weight,
                         self.cfg.protect_fraction,
-                        seed.as_deref(),
                         &mut self.scratch,
                     )
                     .expect("non-empty feasible weight problem");
@@ -727,8 +715,6 @@ impl CentralController {
         } else {
             self.clustered_port_weights(&apps)
         };
-        self.last_weights
-            .insert(link.0, (apps.clone(), weights.clone()));
 
         // PLs present at this port and the hierarchy level that fits the
         // queue budget.
@@ -1213,6 +1199,106 @@ mod tests {
             updates.is_empty(),
             "identical refit must diff away: {updates:?}"
         );
+    }
+
+    #[test]
+    fn churned_state_equals_a_fresh_controller_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        // Eq. 2 over a port's surrogates is a pure function of its
+        // member set, so a controller that churned its way to a live set
+        // programs exactly what one built from that set would.
+        let topo = Topology::single_switch(8, saba_sim::LINK_56G_BPS);
+        let s = topo.servers();
+        let names = ["LR", "PR", "Sort", "SQL"];
+        for seed in 0..4u64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let napps = rng.gen_range(6..=24u32);
+            let fresh = || {
+                let mut c = CentralController::new(ControllerConfig::default(), table(), &topo);
+                for i in 0..napps {
+                    c.register(AppId(i), names[i as usize % names.len()])
+                        .unwrap();
+                }
+                c
+            };
+            let mut churned = fresh();
+            let mut live: Vec<(u32, NodeId, NodeId, u64)> = Vec::new();
+            for tag in 0..300u64 {
+                if live.is_empty() || rng.gen_bool(0.6) {
+                    let app = rng.gen_range(0..napps);
+                    let src = rng.gen_range(0..s.len());
+                    let dst = (src + rng.gen_range(1..s.len())) % s.len();
+                    churned
+                        .conn_create(AppId(app), s[src], s[dst], tag)
+                        .unwrap();
+                    live.push((app, s[src], s[dst], tag));
+                } else {
+                    let (app, .., tag) = live.swap_remove(rng.gen_range(0..live.len()));
+                    churned.conn_destroy(AppId(app), tag).unwrap();
+                }
+            }
+            assert!(churned.stats().eq2_solves > 50, "the churn must solve");
+            let mut scratch = fresh();
+            for &(app, src, dst, tag) in &live {
+                scratch.preload_connection(AppId(app), src, dst, tag);
+            }
+            assert_eq!(
+                churned.recompute_all(),
+                scratch.recompute_all(),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn memo_eviction_is_invisible() {
+        use rand::{Rng, SeedableRng};
+        // Enough churn to overflow the memo: the serial and the
+        // parallel controller must evict at the same epoch
+        // (equal updates and counters throughout), and the end state
+        // must still be what a fresh controller computes.
+        let topo = Topology::single_switch(16, saba_sim::LINK_56G_BPS);
+        let s = topo.servers();
+        let names = ["LR", "PR", "Sort", "SQL"];
+        let fresh = || {
+            let mut c = CentralController::new(ControllerConfig::default(), table(), &topo);
+            for i in 0..30u32 {
+                c.register(AppId(i), names[i as usize % names.len()])
+                    .unwrap();
+            }
+            c
+        };
+        let (mut serial, mut par) = (fresh(), fresh());
+        par.set_solver_threads(2);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(12);
+        let mut live: Vec<(u32, NodeId, NodeId, u64)> = Vec::new();
+        let mut tag = 0u64;
+        while serial.stats().eq2_solves <= 5 * WEIGHT_CACHE_CAP as u64 / 4 {
+            if live.len() < 60 || (live.len() < 120 && rng.gen_bool(0.5)) {
+                let app = rng.gen_range(0..30u32);
+                let src = rng.gen_range(0..s.len());
+                let dst = (src + rng.gen_range(1..s.len())) % s.len();
+                tag += 1;
+                assert_eq!(
+                    serial.conn_create(AppId(app), s[src], s[dst], tag).unwrap(),
+                    par.conn_create(AppId(app), s[src], s[dst], tag).unwrap()
+                );
+                live.push((app, s[src], s[dst], tag));
+            } else {
+                let (app, .., tag) = live.swap_remove(rng.gen_range(0..live.len()));
+                assert_eq!(
+                    serial.conn_destroy(AppId(app), tag).unwrap(),
+                    par.conn_destroy(AppId(app), tag).unwrap()
+                );
+            }
+            assert!(serial.weight_cache.len() <= WEIGHT_CACHE_CAP + 2 * s.len());
+        }
+        assert_eq!(serial.stats(), par.stats());
+        let mut scratch = fresh();
+        for &(app, src, dst, tag) in &live {
+            scratch.preload_connection(AppId(app), src, dst, tag);
+        }
+        assert_eq!(serial.recompute_all(), scratch.recompute_all());
     }
 
     #[test]

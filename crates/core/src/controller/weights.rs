@@ -3,13 +3,19 @@
 //! Given the sensitivity models of the applications sending flows to a
 //! switch output port, find the weights minimizing the total predicted
 //! slowdown subject to `Σ wᵢ = C_saba`. The paper uses NLopt's SLSQP;
-//! we use `saba-math`'s native projected-Newton solver over convex
-//! quadratic surrogates of the fitted models, with a starvation-
-//! protection floor on every application's share (see
-//! [`crate::controller::ControllerConfig::protect_fraction`]).
+//! we solve over convex quadratic surrogates of the fitted models, which
+//! `saba-math`'s exact dual solve handles in closed form — the answer is
+//! a pure function of the member set, so the centralized path carries no
+//! warm seeds — with a starvation-protection floor on every
+//! application's share (see
+//! [`crate::controller::ControllerConfig::protect_fraction`]). PL
+//! centroids (the distributed flavour) are raw coefficient vectors;
+//! those of degree 3 take the iterative solver, warm-started.
 
 use crate::sensitivity::SensitivityModel;
-use saba_math::{polyfit, solve_from, OptimizeError, Polynomial, SolveScratch, WeightProblem};
+use saba_math::{
+    polyfit, solve_dual, solve_from, OptimizeError, Polynomial, SolveScratch, WeightProblem,
+};
 
 /// A model's precomputed solver inputs: the convex quadratic surrogate
 /// and the saturation point it is anchored at. Both depend only on the
@@ -84,28 +90,19 @@ pub fn port_weights_protected(
         .map(|m| ModelSurrogate::of(m, c_saba))
         .collect();
     let refs: Vec<&ModelSurrogate> = surrogates.iter().collect();
-    port_weights_from_surrogates(
-        &refs,
-        c_saba,
-        min_weight,
-        protect,
-        None,
-        &mut SolveScratch::new(),
-    )
+    port_weights_from_surrogates(&refs, c_saba, min_weight, protect, &mut SolveScratch::new())
 }
 
-/// [`port_weights_protected`] over precomputed surrogates, with an
-/// optional warm seed (the port's previous-epoch weights) and
-/// caller-owned scratch. This is the entry point the incremental
-/// controllers use: surrogates come from their per-application cache,
-/// and the seed lets `solve_from` skip the cold multi-start when the
-/// port's mix changed only slightly.
+/// [`port_weights_protected`] over precomputed surrogates with
+/// caller-owned scratch. This is the entry point the central controller
+/// uses: surrogates come from its per-application cache and are read in
+/// place by the exact dual solve. Only the non-convex fallback surrogate
+/// (a fit that failed) sends a port to the iterative solver.
 pub fn port_weights_from_surrogates(
     surrogates: &[&ModelSurrogate],
     c_saba: f64,
     min_weight: f64,
     protect: f64,
-    seed: Option<&[f64]>,
     scratch: &mut SolveScratch,
 ) -> Result<Vec<f64>, OptimizeError> {
     assert!(c_saba > 0.0 && c_saba <= 1.0, "C_saba must be in (0, 1]");
@@ -115,20 +112,21 @@ pub fn port_weights_from_surrogates(
     if surrogates.len() == 1 {
         return Ok(vec![c_saba]);
     }
+    const BALANCE_REG: f64 = 0.1;
     let floor = protective_floor(surrogates.len(), c_saba, min_weight, protect);
+    let borrowed = surrogates.iter().map(|s| (&s.surrogate, s.saturation));
+    if let Some(w) = solve_dual(borrowed, c_saba, floor, c_saba, BALANCE_REG, scratch) {
+        return Ok(w);
+    }
     let problem = WeightProblem {
         models: surrogates.iter().map(|s| s.surrogate.clone()).collect(),
         domain_floors: surrogates.iter().map(|s| s.saturation).collect(),
         capacity: c_saba,
         min_weight: floor,
         max_weight: c_saba,
-        balance_reg: 0.1,
+        balance_reg: BALANCE_REG,
     };
-    match seed {
-        Some(seed) => solve_from(&problem, seed, scratch),
-        None => saba_math::minimize_weights_scratch(&problem, scratch),
-    }
-    .map(|s| s.weights)
+    saba_math::minimize_weights_scratch(&problem, scratch).map(|s| s.weights)
 }
 
 /// Fits a convex quadratic to the model's predictions over `[sat, hi]`.
@@ -228,10 +226,12 @@ pub fn centroid_weights_protected(
 }
 
 /// [`centroid_weights_protected`] with an optional warm seed and
-/// caller-owned scratch. `solve_from` verifies curvature before trusting
-/// the seed — raw centroid polynomials are not always convex — and falls
-/// back to the cold path whenever the warm answer cannot be certified,
-/// so warm and cold callers always observe the same weights.
+/// caller-owned scratch. Degree-2 convex centroid mixes are solved
+/// exactly and the seed is ignored. Otherwise `solve_from` verifies
+/// curvature before trusting the seed — raw centroid polynomials are not
+/// always convex — and falls back to the cold path whenever the warm
+/// answer cannot be certified, so warm and cold callers always observe
+/// the same weights.
 pub fn centroid_weights_warm(
     centroids: &[Vec<f64>],
     c_saba: f64,

@@ -36,8 +36,8 @@ pub use fit::{polyfit, r_squared, FitError, PolyFit};
 pub use hierarchical::{Dendrogram, Merge};
 pub use kmeans::{kmeans, KMeansConfig, KMeansResult};
 pub use optimize::{
-    minimize_weights, minimize_weights_scratch, solve_from, OptimizeError, SolveScratch,
-    WeightProblem, WeightSolution,
+    minimize_weights, minimize_weights_scratch, solve_dual, solve_from, OptimizeError,
+    SolveScratch, WeightProblem, WeightSolution,
 };
 pub use parallel::{default_threads, parallel_map, parallel_map_with};
 pub use poly::Polynomial;

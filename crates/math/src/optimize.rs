@@ -7,17 +7,26 @@
 //!
 //! where `Dᵢ` is application *i*'s polynomial sensitivity model and `wᵢ`
 //! its bandwidth share at a switch output port. The paper uses NLopt's
-//! SLSQP; we implement the same class of method natively:
+//! SLSQP. Two native methods cover the problem, selected by the input's
+//! own degree and curvature:
 //!
-//! 1. a **projected-Newton / SQP** iteration exploiting the separable
-//!    structure (diagonal Hessian + one linear constraint ⇒ closed-form
-//!    KKT step), with Armijo backtracking and bound clamping, and
-//! 2. a **projected-gradient** safeguard for iterations where the local
-//!    Hessian is not positive, so non-convex fitted polynomials are
-//!    handled too.
+//! - **Strictly convex quadratics** (every model of degree ≤ 2 with
+//!   positive curvature once the regularizer is added — the controllers'
+//!   surrogates) are solved *exactly* by [`solve_dual`]: each marginal
+//!   `Dᵢ′` is piecewise linear and increasing, so `wᵢ(λ)` is closed-form
+//!   and the multiplier of `Σwᵢ = C` follows from a breakpoint search.
+//!   No starts, no line search, no history.
+//! - **Everything else** (cubic fits, non-convex models) takes the
+//!   iterative path:
+//!   1. a **projected-Newton / SQP** iteration exploiting the separable
+//!      structure (diagonal Hessian + one linear constraint ⇒ closed-form
+//!      KKT step), with Armijo backtracking and bound clamping, and
+//!   2. a **projected-gradient** safeguard for iterations where the
+//!      local Hessian is not positive, so non-convex fitted polynomials
+//!      are handled too.
 //!
-//! The solution is polished by projecting onto the capped simplex, so the
-//! equality constraint holds to machine precision.
+//!   Its solution is polished by projecting onto the capped simplex, so
+//!   the equality constraint holds to machine precision.
 
 use crate::poly::Polynomial;
 use std::fmt;
@@ -154,18 +163,24 @@ const WARM_ACCEPT_TOL: f64 = 1e-8;
 
 /// Reusable buffers for repeated Eq. 2 solves.
 ///
-/// The controllers solve one [`WeightProblem`] per dirty port per epoch;
-/// under churn the problems are small but frequent, and the per-solve
-/// allocations (gradient, trial point, seed) dominate once the descent
-/// itself warm-starts in one or two Newton steps. Mirrors the
-/// `SharingScratch` pattern used by the fabric's max-min sharing loop:
-/// the caller owns one scratch and threads it through every solve.
+/// The controllers solve one Eq. 2 problem per dirty port per epoch;
+/// under churn the problems are small but frequent, and per-solve
+/// allocations would dominate both the exact dual solve (a few hundred
+/// flops) and a warm-started descent (one or two Newton steps). Mirrors
+/// the `SharingScratch` pattern used by the fabric's max-min sharing
+/// loop: the caller owns one scratch and threads it through every
+/// solve; no result depends on what an earlier solve left in it.
 #[derive(Debug, Clone, Default)]
 pub struct SolveScratch {
     grad: Vec<f64>,
     trial: Vec<f64>,
     seed: Vec<f64>,
     hess: Vec<f64>,
+    dir: Vec<f64>,
+    /// Free-face coordinate indices of the active-set polish.
+    free: Vec<usize>,
+    curv: Curvature,
+    dual: DualPorts,
 }
 
 impl SolveScratch {
@@ -174,13 +189,66 @@ impl SolveScratch {
         Self::default()
     }
 
-    fn resize(&mut self, n: usize) {
-        self.grad.clear();
-        self.grad.resize(n, 0.0);
-        self.trial.clear();
-        self.trial.resize(n, 0.0);
-        self.hess.clear();
-        self.hess.resize(n, 0.0);
+    /// Sizes the iterative path's buffers for `problem` and derives its
+    /// second-derivative coefficients, once per solve.
+    fn load(&mut self, problem: &WeightProblem) {
+        let n = problem.models.len();
+        for buf in [
+            &mut self.grad,
+            &mut self.trial,
+            &mut self.hess,
+            &mut self.dir,
+        ] {
+            buf.clear();
+            buf.resize(n, 0.0);
+        }
+        self.curv.load(&problem.models);
+    }
+}
+
+/// Second-derivative coefficients of a problem's models, flattened:
+/// `coeffs[starts[i]..starts[i + 1]]` holds model `i`'s
+/// `k·(k−1)·c_k` for `k ≥ 2`, lowest degree first.
+#[derive(Debug, Clone, Default)]
+struct Curvature {
+    coeffs: Vec<f64>,
+    starts: Vec<usize>,
+}
+
+impl Curvature {
+    fn load(&mut self, models: &[Polynomial]) {
+        self.coeffs.clear();
+        self.starts.clear();
+        self.starts.push(0);
+        for m in models {
+            // The products are formed as differentiating twice forms
+            // them, `(c_k·k)·(k−1)`, so values match `derivative()` bit
+            // for bit.
+            self.coeffs.extend(
+                m.coeffs()
+                    .iter()
+                    .enumerate()
+                    .skip(2)
+                    .map(|(k, &c)| c * k as f64 * (k - 1) as f64),
+            );
+            self.starts.push(self.coeffs.len());
+        }
+    }
+
+    fn of(&self, i: usize) -> &[f64] {
+        &self.coeffs[self.starts[i]..self.starts[i + 1]]
+    }
+
+    /// `Dᵢ″(x)`, accumulated in ascending powers (the order
+    /// `Polynomial::eval_derivative` uses).
+    fn at(&self, i: usize, x: f64) -> f64 {
+        let mut result = 0.0;
+        let mut pow = 1.0;
+        for &c in self.of(i) {
+            result += c * pow;
+            pow *= x;
+        }
+        result
     }
 }
 
@@ -211,8 +279,22 @@ pub fn minimize_weights_scratch(
     scratch: &mut SolveScratch,
 ) -> Result<WeightSolution, OptimizeError> {
     let (lo, hi, cap) = validate(problem)?;
+    if let Some(sol) = dual_solution(problem, scratch) {
+        return Ok(sol);
+    }
+    scratch.load(problem);
+    minimize_iterative(problem, lo, hi, cap, scratch)
+}
+
+/// The cold iterative solve; `scratch` is already loaded for `problem`.
+fn minimize_iterative(
+    problem: &WeightProblem,
+    lo: f64,
+    hi: f64,
+    cap: f64,
+    scratch: &mut SolveScratch,
+) -> Result<WeightSolution, OptimizeError> {
     let n = problem.models.len();
-    scratch.resize(n);
 
     // Two starts, each polished by projected-Newton descent:
     //
@@ -241,7 +323,9 @@ pub fn minimize_weights_scratch(
 
 /// Solves Eq. 2 warm-started from a previous epoch's weights.
 ///
-/// The seed (typically last epoch's solution for a port whose
+/// Problems [`solve_dual`] covers are solved exactly and the seed is
+/// ignored — their answer is a pure function of the problem. Otherwise
+/// the seed (typically last epoch's solution for a port whose
 /// application set changed slightly) is projected onto the feasible set
 /// and descended from directly, skipping the cold path's two starts and
 /// its greedy water-fill. The result is accepted only when it carries a
@@ -260,14 +344,17 @@ pub fn solve_from(
     scratch: &mut SolveScratch,
 ) -> Result<WeightSolution, OptimizeError> {
     let (lo, hi, cap) = validate(problem)?;
+    if let Some(sol) = dual_solution(problem, scratch) {
+        return Ok(sol);
+    }
+    scratch.load(problem);
     let n = problem.models.len();
     if seed.len() != n
         || seed.iter().any(|w| !w.is_finite())
-        || !strongly_convex_on(problem, lo, hi)
+        || !strongly_convex_on(problem, &scratch.curv, lo, hi)
     {
-        return minimize_weights_scratch(problem, scratch);
+        return minimize_iterative(problem, lo, hi, cap, scratch);
     }
-    scratch.resize(n);
     scratch.seed.clear();
     scratch.seed.extend_from_slice(seed);
     let mut start = std::mem::take(&mut scratch.seed);
@@ -294,41 +381,268 @@ pub fn solve_from(
     if pg < WARM_ACCEPT_TOL {
         return Ok(sol);
     }
-    minimize_weights_scratch(problem, scratch)
+    minimize_iterative(problem, lo, hi, cap, scratch)
 }
 
 fn validate(problem: &WeightProblem) -> Result<(f64, f64, f64), OptimizeError> {
-    let n = problem.models.len();
+    let (lo, hi, cap) = (problem.min_weight, problem.max_weight, problem.capacity);
+    check_bounds(problem.models.len(), lo, hi, cap)?;
+    Ok((lo, hi, cap))
+}
+
+fn check_bounds(n: usize, lo: f64, hi: f64, cap: f64) -> Result<(), OptimizeError> {
     if n == 0 {
         return Err(OptimizeError::Empty);
     }
-    let (lo, hi, cap) = (problem.min_weight, problem.max_weight, problem.capacity);
     if !(lo.is_finite() && hi.is_finite() && cap.is_finite()) || lo < 0.0 || hi < lo {
         return Err(OptimizeError::Infeasible);
     }
     if n as f64 * lo > cap + 1e-12 || (n as f64) * hi < cap - 1e-12 {
         return Err(OptimizeError::Infeasible);
     }
-    Ok((lo, hi, cap))
+    Ok(())
 }
 
+/// Curvature below which a marginal does not count as strictly
+/// increasing — for the warm path's uniqueness certificate and for
+/// [`solve_dual`]'s qualifying test alike.
+const MIN_CURVATURE: f64 = 1e-9;
+
 /// Whether every model (plus the balance regularizer) has strictly
-/// positive curvature across the feasible box, sampled on a coarse grid.
-/// True for the controllers' convex quadratic surrogates; raw fitted
-/// cubics can dip, in which case warm solves are not provably unique and
-/// [`solve_from`] defers to the cold path.
-fn strongly_convex_on(problem: &WeightProblem, lo: f64, hi: f64) -> bool {
+/// positive curvature across the feasible box. Up to degree 3 the second
+/// derivative is linear, so the box's two ends decide; higher degrees
+/// are sampled on a coarse grid. True for convexified centroid mixes;
+/// raw fitted cubics can dip, in which case warm solves are not provably
+/// unique and [`solve_from`] defers to the cold path.
+fn strongly_convex_on(problem: &WeightProblem, curv: &Curvature, lo: f64, hi: f64) -> bool {
     const GRID: usize = 9;
     let span = (hi - lo).max(0.0);
-    problem.models.iter().enumerate().all(|(i, m)| {
+    (0..problem.models.len()).all(|i| {
         let floor = problem.floor(i);
-        let second = m.derivative().derivative();
-        (0..=GRID).all(|k| {
+        let second = curv.of(i);
+        let stride = if second.len() <= 2 { GRID } else { 1 };
+        (0..=GRID).step_by(stride).all(|k| {
             let x = (lo + span * k as f64 / GRID as f64).max(floor);
-            let c = second.eval(x) + 2.0 * problem.balance_reg;
-            c.is_finite() && c > 1e-9
+            let c =
+                second.iter().rev().fold(0.0, |acc, &c| acc * x + c) + 2.0 * problem.balance_reg;
+            c.is_finite() && c > MIN_CURVATURE
         })
     })
+}
+
+/// The exact path of [`minimize_weights_scratch`] and [`solve_from`]:
+/// `None` when `problem` does not qualify for [`solve_dual`].
+fn dual_solution(problem: &WeightProblem, scratch: &mut SolveScratch) -> Option<WeightSolution> {
+    let models = (0..problem.models.len()).map(|i| (&problem.models[i], problem.floor(i)));
+    let weights = solve_dual(
+        models,
+        problem.capacity,
+        problem.min_weight,
+        problem.max_weight,
+        problem.balance_reg,
+        scratch,
+    )?;
+    Some(WeightSolution {
+        objective: problem.objective(&weights),
+        weights,
+        iterations: 0,
+    })
+}
+
+/// Solves Eq. 2 **exactly** over borrowed models when the problem is
+/// separable strictly convex quadratic, and returns `None` — take
+/// [`minimize_weights_scratch`], which also owns error reporting — when
+/// it is not.
+///
+/// `models` yields each application's polynomial with its domain floor.
+/// The problem qualifies when every model has degree ≤ 2 and
+/// `2·c₂ + 2·balance_reg > 0`, and either `balance_reg > 0` or no floor
+/// lies above `min_weight` (below its floor a model is linear, so only
+/// the regularizer keeps the marginal increasing there). Then each
+/// marginal
+///
+/// ```text
+///   gᵢ(w) = Dᵢ′(max(w, floorᵢ)) + 2ε·(w − C/n)
+/// ```
+///
+/// is piecewise linear and strictly increasing, `wᵢ(λ) =
+/// clamp(gᵢ⁻¹(λ), lo, hi)` is closed-form, and `Σᵢ wᵢ(λ)` is piecewise
+/// linear and non-decreasing with at most `3n` kinks. The unique KKT
+/// point is found by a binary search over the sorted kinks for the
+/// segment on which the sum crosses `C`, and solving that linear segment
+/// for `λ`: `O(n log n)`, no starts, no line search, no projection, and
+/// a result that depends on nothing but the problem.
+///
+/// # Examples
+///
+/// ```
+/// use saba_math::{solve_dual, Polynomial, SolveScratch};
+///
+/// let steep = Polynomial::new(vec![6.0, -8.0, 3.0]);
+/// let flat = Polynomial::new(vec![1.5, -0.8, 0.3]);
+/// let w = solve_dual(
+///     [(&steep, 0.0), (&flat, 0.0)],
+///     1.0,
+///     0.01,
+///     1.0,
+///     0.0,
+///     &mut SolveScratch::new(),
+/// )
+/// .expect("convex quadratics qualify");
+/// // The marginals −8 + 6·w₀ and −0.8 + 0.6·w₁ cannot meet on the
+/// // simplex, so the flat model sits on its lower bound.
+/// assert_eq!(w[1], 0.01);
+/// assert!((w[0] - 0.99).abs() < 1e-15);
+/// ```
+pub fn solve_dual<'a, I>(
+    models: I,
+    capacity: f64,
+    min_weight: f64,
+    max_weight: f64,
+    balance_reg: f64,
+    scratch: &mut SolveScratch,
+) -> Option<Vec<f64>>
+where
+    I: IntoIterator<Item = (&'a Polynomial, f64)>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let models = models.into_iter();
+    check_bounds(models.len(), min_weight, max_weight, capacity).ok()?;
+    scratch
+        .dual
+        .gather(models, capacity, min_weight, max_weight, balance_reg)
+        .then(|| scratch.dual.solve(capacity, min_weight, max_weight))
+}
+
+/// The qualifying problem [`solve_dual`] works on, one array per
+/// quantity: coordinate `i`'s marginal is `icpt[i] + slope[i]·w` at or
+/// above its domain floor and `icpt_below[i] + slope_below·w` under it,
+/// the two meeting at the marginal value `kink[i]` (`−∞` when the floor
+/// is not above the lower bound, so the lower piece is never selected).
+#[derive(Debug, Clone, Default)]
+struct DualPorts {
+    icpt: Vec<f64>,
+    slope: Vec<f64>,
+    icpt_below: Vec<f64>,
+    kink: Vec<f64>,
+    slope_below: f64,
+    /// Multiplier values at which some `wᵢ(λ)` changes piece.
+    breaks: Vec<f64>,
+}
+
+impl DualPorts {
+    /// Reads `(c₁, c₂, floor)` of every model in one pass; `false` as
+    /// soon as one does not qualify. Bounds are already checked.
+    fn gather<'a>(
+        &mut self,
+        models: impl ExactSizeIterator<Item = (&'a Polynomial, f64)>,
+        cap: f64,
+        lo: f64,
+        hi: f64,
+        reg: f64,
+    ) -> bool {
+        for buf in [
+            &mut self.icpt,
+            &mut self.slope,
+            &mut self.icpt_below,
+            &mut self.kink,
+            &mut self.breaks,
+        ] {
+            buf.clear();
+        }
+        let pull = 2.0 * reg * (cap / models.len() as f64);
+        let slope_below = 2.0 * reg;
+        self.slope_below = slope_below;
+        for (model, floor) in models {
+            let c = model.coeffs();
+            let c1 = c.get(1).copied().unwrap_or(0.0);
+            let c2 = c.get(2).copied().unwrap_or(0.0);
+            let slope = 2.0 * c2 + slope_below;
+            let kinked = floor > lo;
+            let qualifies = c.len() <= 3
+                && c1.is_finite()
+                && floor.is_finite()
+                && slope.is_finite()
+                && slope > MIN_CURVATURE
+                && (!kinked || slope_below > MIN_CURVATURE);
+            if !qualifies {
+                return false;
+            }
+            let icpt = c1 - pull;
+            let icpt_below = c1 + 2.0 * c2 * floor - pull;
+            let marginal = |w: f64| {
+                if w >= floor {
+                    icpt + slope * w
+                } else {
+                    icpt_below + slope_below * w
+                }
+            };
+            self.breaks.push(marginal(lo));
+            self.breaks.push(marginal(hi));
+            let kink = if kinked {
+                self.breaks.push(marginal(floor));
+                marginal(floor)
+            } else {
+                f64::NEG_INFINITY
+            };
+            self.kink.push(kink);
+            self.icpt.push(icpt);
+            self.slope.push(slope);
+            self.icpt_below.push(icpt_below);
+        }
+        true
+    }
+
+    /// `(intercept, slope)` of the piece of `gᵢ` that `lam` selects.
+    fn piece(&self, i: usize, lam: f64) -> (f64, f64) {
+        if lam >= self.kink[i] {
+            (self.icpt[i], self.slope[i])
+        } else {
+            (self.icpt_below[i], self.slope_below)
+        }
+    }
+
+    /// `wᵢ(λ) = clamp(gᵢ⁻¹(λ), lo, hi)`.
+    fn weight(&self, i: usize, lam: f64, lo: f64, hi: f64) -> f64 {
+        let (icpt, slope) = self.piece(i, lam);
+        ((lam - icpt) / slope).clamp(lo, hi)
+    }
+
+    /// The KKT point of the gathered problem.
+    fn solve(&mut self, cap: f64, lo: f64, hi: f64) -> Vec<f64> {
+        let n = self.icpt.len();
+        self.breaks.sort_unstable_by(f64::total_cmp);
+        let total = |lam: f64| -> f64 { (0..n).map(|i| self.weight(i, lam, lo, hi)).sum() };
+
+        // Σw(λ) is non-decreasing and linear between consecutive breaks:
+        // find the first break at which it reaches the capacity and
+        // interpolate on the segment that ends there. The two outer
+        // cases are the all-pinned corners `n·lo = C` and `n·hi = C`.
+        let k = self.breaks.partition_point(|&b| total(b) < cap);
+        let lam = if k == 0 || k == self.breaks.len() {
+            self.breaks[k.min(self.breaks.len() - 1)]
+        } else {
+            let (l0, l1) = (self.breaks[k - 1], self.breaks[k]);
+            let (s0, s1) = (total(l0), total(l1));
+            l0 + (cap - s0) / (s1 - s0) * (l1 - l0)
+        };
+        let mut w: Vec<f64> = (0..n).map(|i| self.weight(i, lam, lo, hi)).collect();
+
+        // `λ` carries rounding error, which a flat marginal amplifies in
+        // `w`. One Newton step in `w`-space along the segment absorbs it:
+        // every free marginal moves by the same amount, so stationarity
+        // is kept while the sum returns to the capacity.
+        let free = |x: f64| x > lo && x < hi;
+        let give = |i: usize| 1.0 / self.piece(i, lam).1;
+        let residual = cap - w.iter().sum::<f64>();
+        let total_give: f64 = (0..n).filter(|&i| free(w[i])).map(give).sum();
+        if residual != 0.0 && total_give > 0.0 {
+            for (i, x) in w.iter_mut().enumerate().filter(|(_, x)| free(**x)) {
+                *x = (*x + residual * give(i) / total_give).clamp(lo, hi);
+            }
+        }
+        w
+    }
 }
 
 /// Greedy capacity assignment with chunked lookahead: starting from the
@@ -392,8 +706,14 @@ fn descend(
     cap: f64,
     scratch: &mut SolveScratch,
 ) -> Result<WeightSolution, OptimizeError> {
-    let grad = &mut scratch.grad;
-    let trial = &mut scratch.trial;
+    let SolveScratch {
+        grad,
+        trial,
+        hess,
+        dir,
+        curv,
+        ..
+    } = &mut *scratch;
     let mut iterations = 0;
     let mut f_cur = problem.objective(&w);
     if !f_cur.is_finite() {
@@ -410,15 +730,16 @@ fn descend(
         // Newton-SQP direction on the equality constraint: for a separable
         // objective the KKT system has a closed form. Fall back to the
         // plain projected-gradient direction when curvature is unusable.
-        let mut dir =
-            newton_direction(problem, &w, grad).unwrap_or_else(|| gradient_direction(grad));
+        if !newton_direction(problem, curv, &w, grad, hess, dir) {
+            gradient_direction(grad, dir);
+        }
 
         // Project the trial point, not the direction: step, project, test.
         let accept_tol = 1e-10 * (1.0 + f_cur.abs());
         let mut step = 1.0;
         let mut improved = false;
         for _ in 0..14 {
-            for ((t, &x), &d) in trial.iter_mut().zip(&w).zip(&dir) {
+            for ((t, &x), &d) in trial.iter_mut().zip(&w).zip(dir.iter()) {
                 *t = x + step * d;
             }
             project_capped_simplex(trial, cap, lo, hi);
@@ -437,10 +758,10 @@ fn descend(
         if !improved {
             // Try the pure gradient direction once before declaring
             // convergence (the Newton step may point uphill near bounds).
-            dir = gradient_direction(grad);
+            gradient_direction(grad, dir);
             let mut step = 1.0;
             for _ in 0..14 {
-                for ((t, &x), &d) in trial.iter_mut().zip(&w).zip(&dir) {
+                for ((t, &x), &d) in trial.iter_mut().zip(&w).zip(dir.iter()) {
                     *t = x + step * d;
                 }
                 project_capped_simplex(trial, cap, lo, hi);
@@ -486,14 +807,13 @@ fn descend(
 ///
 /// Backtracking descent stalls within `accept_tol` of the optimum — a
 /// few parts in 1e-6 — because near-optimal steps no longer clear the
-/// Armijo test. On problems with positive diagonal curvature (the
-/// controllers' quadratic surrogates, and convexified centroid mixes)
-/// the face step is *exact*: once the active set settles, one step lands
-/// on the unique KKT point to machine precision. That precision is what
-/// lets warm-started solves ([`solve_from`]) and cold solves agree to
-/// far better than the 1e-6 conformance tolerance. Silently does nothing
-/// when curvature is unusable (non-convex fitted cubics keep the plain
-/// descent result).
+/// Armijo test. On problems with positive diagonal curvature
+/// (convexified centroid mixes) the face step is *exact*: once the
+/// active set settles, one step lands on the unique KKT point to machine
+/// precision. That precision is what lets warm-started solves
+/// ([`solve_from`]) and cold solves agree to far better than the 1e-6
+/// conformance tolerance. Silently does nothing when curvature is
+/// unusable (non-convex fitted cubics keep the plain descent result).
 fn polish_active_set(
     problem: &WeightProblem,
     w: &mut [f64],
@@ -509,48 +829,44 @@ fn polish_active_set(
     if n == 0 {
         return;
     }
+    let SolveScratch {
+        grad,
+        trial,
+        hess,
+        free,
+        curv,
+        ..
+    } = scratch;
+    let open = |x: f64| x > lo + EDGE && x < hi - EDGE;
+    // Multiplier of the equality constraint estimated over `over`.
+    fn multiplier(over: impl Iterator<Item = usize> + Clone, grad: &[f64], hess: &[f64]) -> f64 {
+        let inv_sum: f64 = over.clone().map(|i| 1.0 / hess[i]).sum();
+        -over.map(|i| grad[i] / hess[i]).sum::<f64>() / inv_sum
+    }
     for _ in 0..ROUNDS {
-        problem.gradient(w, &mut scratch.grad);
-        let mut curvature_ok = true;
-        for (i, (hv, &x)) in scratch.hess.iter_mut().zip(w.iter()).enumerate() {
-            let second = problem.models[i]
-                .derivative()
-                .eval_derivative(x.max(problem.floor(i)))
-                + 2.0 * problem.balance_reg;
+        problem.gradient(w, grad);
+        for (i, (hv, &x)) in hess.iter_mut().zip(w.iter()).enumerate() {
+            let second = curv.at(i, x.max(problem.floor(i))) + 2.0 * problem.balance_reg;
             if !(second.is_finite() && second > 1e-12) {
-                curvature_ok = false;
-                break;
+                return;
             }
             *hv = second;
-        }
-        if !curvature_ok {
-            return;
         }
 
         // Free set: strictly interior coordinates, plus bound coordinates
         // whose multiplier sign says they want to move inward. The
         // multiplier estimate ν comes from the interior coordinates (or
         // all of them when everything is pinned).
-        let interior: Vec<usize> = (0..n)
-            .filter(|&i| w[i] > lo + EDGE && w[i] < hi - EDGE)
-            .collect();
-        let all: Vec<usize>;
-        let estimate_over: &[usize] = if interior.is_empty() {
-            all = (0..n).collect();
-            &all
+        free.clear();
+        free.extend((0..n).filter(|&i| open(w[i])));
+        let nu = if free.is_empty() {
+            multiplier(0..n, grad, hess)
         } else {
-            &interior
+            multiplier(free.iter().copied(), grad, hess)
         };
-        let inv_sum: f64 = estimate_over.iter().map(|&i| 1.0 / scratch.hess[i]).sum();
-        let nu = -estimate_over
-            .iter()
-            .map(|&i| scratch.grad[i] / scratch.hess[i])
-            .sum::<f64>()
-            / inv_sum;
-        let mut free: Vec<usize> = interior;
         for (i, &x) in w.iter().enumerate() {
-            let wants_up = x <= lo + EDGE && scratch.grad[i] + nu < -GRAD_TOL;
-            let wants_down = x >= hi - EDGE && scratch.grad[i] + nu > GRAD_TOL;
+            let wants_up = x <= lo + EDGE && grad[i] + nu < -GRAD_TOL;
+            let wants_down = x >= hi - EDGE && grad[i] + nu > GRAD_TOL;
             if wants_up || wants_down {
                 free.push(i);
             }
@@ -560,19 +876,14 @@ fn polish_active_set(
         }
 
         // Exact Newton step on the free face.
-        let inv_sum: f64 = free.iter().map(|&i| 1.0 / scratch.hess[i]).sum();
-        let nu = -free
-            .iter()
-            .map(|&i| scratch.grad[i] / scratch.hess[i])
-            .sum::<f64>()
-            / inv_sum;
-        scratch.trial.clear();
-        scratch.trial.extend_from_slice(w);
+        let nu = multiplier(free.iter().copied(), grad, hess);
+        trial.clear();
+        trial.extend_from_slice(w);
         let mut moved = 0.0f64;
-        for &i in &free {
-            let d = (-scratch.grad[i] - nu) / scratch.hess[i];
+        for &i in free.iter() {
+            let d = (-grad[i] - nu) / hess[i];
             moved = moved.max(d.abs());
-            scratch.trial[i] = (w[i] + d).clamp(lo, hi);
+            trial[i] = (w[i] + d).clamp(lo, hi);
         }
         // Clamping can break the equality constraint; push the residual
         // back into coordinates the step left strictly interior, and
@@ -580,29 +891,27 @@ fn polish_active_set(
         // correction too (the objective is decreasing in total weight,
         // so an infeasible over-capacity point must never reach the
         // acceptance test).
-        let err = cap - scratch.trial.iter().sum::<f64>();
+        let err = cap - trial.iter().sum::<f64>();
         if err.abs() > 0.0 {
-            let open: Vec<usize> = free
-                .iter()
-                .copied()
-                .filter(|&i| scratch.trial[i] > lo + EDGE && scratch.trial[i] < hi - EDGE)
-                .collect();
-            if !open.is_empty() {
-                let share = err / open.len() as f64;
-                for i in open {
-                    scratch.trial[i] = (scratch.trial[i] + share).clamp(lo, hi);
+            let still_open = free.iter().filter(|&&i| open(trial[i])).count();
+            if still_open > 0 {
+                let share = err / still_open as f64;
+                for &i in free.iter() {
+                    if open(trial[i]) {
+                        trial[i] = (trial[i] + share).clamp(lo, hi);
+                    }
                 }
             }
-            let residue = cap - scratch.trial.iter().sum::<f64>();
+            let residue = cap - trial.iter().sum::<f64>();
             if residue.abs() > 1e-12 * (1.0 + cap.abs()) {
-                project_capped_simplex(&mut scratch.trial, cap, lo, hi);
+                project_capped_simplex(trial, cap, lo, hi);
             }
         }
-        let f_trial = problem.objective(&scratch.trial);
+        let f_trial = problem.objective(trial);
         if !f_trial.is_finite() || f_trial > *f_cur + 1e-11 * (1.0 + f_cur.abs()) {
             return;
         }
-        w.copy_from_slice(&scratch.trial);
+        w.copy_from_slice(trial);
         *f_cur = f_trial;
         if moved < 1e-14 {
             return;
@@ -610,42 +919,46 @@ fn polish_active_set(
     }
 }
 
-/// Closed-form equality-constrained Newton step for a separable objective.
+/// Closed-form equality-constrained Newton step for a separable
+/// objective, written into `dir` (`h` receives the diagonal Hessian).
 ///
 /// Solves `[H 1; 1ᵀ 0] [d; ν] = [−g; 0]` with diagonal `H`; returns
-/// `None` when any second derivative is non-positive (direction would not
-/// be a descent direction of a convex model).
-fn newton_direction(problem: &WeightProblem, w: &[f64], grad: &[f64]) -> Option<Vec<f64>> {
-    let n = w.len();
-    let mut h = vec![0.0; n];
+/// `false` when any second derivative is non-positive (direction would
+/// not be a descent direction of a convex model).
+fn newton_direction(
+    problem: &WeightProblem,
+    curv: &Curvature,
+    w: &[f64],
+    grad: &[f64],
+    h: &mut [f64],
+    dir: &mut [f64],
+) -> bool {
     for (i, (hv, &x)) in h.iter_mut().zip(w).enumerate() {
-        let floor = problem.domain_floors.get(i).copied().unwrap_or(0.0);
         // Below the floor the extension is linear (zero curvature); use
         // the curvature at the floor so the step still trades capacity
         // smoothly.
-        let second = problem.models[i].derivative().eval_derivative(x.max(floor))
-            + 2.0 * problem.balance_reg;
+        let second = curv.at(i, x.max(problem.floor(i))) + 2.0 * problem.balance_reg;
         if !(second.is_finite() && second > 1e-12) {
-            return None;
+            return false;
         }
         *hv = second;
     }
     let inv_sum: f64 = h.iter().map(|&v| 1.0 / v).sum();
-    let weighted: f64 = grad.iter().zip(&h).map(|(&g, &hv)| g / hv).sum();
+    let weighted: f64 = grad.iter().zip(h.iter()).map(|(&g, &hv)| g / hv).sum();
     let nu = -weighted / inv_sum;
-    Some(
-        grad.iter()
-            .zip(&h)
-            .map(|(&g, &hv)| (-g - nu) / hv)
-            .collect(),
-    )
+    for ((d, &g), &hv) in dir.iter_mut().zip(grad).zip(h.iter()) {
+        *d = (-g - nu) / hv;
+    }
+    true
 }
 
 /// Steepest-descent direction projected onto the constraint null space
 /// (`Σ dᵢ = 0`): subtract the mean gradient.
-fn gradient_direction(grad: &[f64]) -> Vec<f64> {
+fn gradient_direction(grad: &[f64], dir: &mut [f64]) {
     let mean = grad.iter().sum::<f64>() / grad.len() as f64;
-    grad.iter().map(|&g| mean - g).collect()
+    for (d, &g) in dir.iter_mut().zip(grad) {
+        *d = mean - g;
+    }
 }
 
 /// Euclidean projection of `v` onto `{w : Σw = cap, lo ≤ wᵢ ≤ hi}`.
@@ -678,13 +991,12 @@ pub fn project_capped_simplex(v: &mut [f64], cap: f64, lo: f64, hi: f64) {
     // Polish any residual constraint error into unclamped coordinates.
     let err = cap - v.iter().sum::<f64>();
     if err.abs() > 0.0 {
-        let free: Vec<usize> = (0..v.len())
-            .filter(|&i| v[i] > lo + 1e-12 && v[i] < hi - 1e-12)
-            .collect();
-        if !free.is_empty() {
-            let share = err / free.len() as f64;
-            for i in free {
-                v[i] = (v[i] + share).clamp(lo, hi);
+        let free = |x: f64| x > lo + 1e-12 && x < hi - 1e-12;
+        let count = v.iter().filter(|&&x| free(x)).count();
+        if count > 0 {
+            let share = err / count as f64;
+            for x in v.iter_mut().filter(|x| free(**x)) {
+                *x = (*x + share).clamp(lo, hi);
             }
         }
     }
@@ -812,6 +1124,78 @@ mod tests {
         for &x in &v {
             assert!(close(x, 0.25, 1e-9));
         }
+    }
+
+    #[test]
+    fn dual_lands_on_hand_solved_interior_optimum() {
+        // −6 + 5·w₀ = −3 + 3·(1 − w₀)  ⇒  w₀ = 3/4.
+        let a = Polynomial::new(vec![5.0, -6.0, 2.5]);
+        let b = Polynomial::new(vec![3.0, -3.0, 1.5]);
+        let sol = minimize_weights(&WeightProblem::new(vec![a, b], 1.0)).unwrap();
+        assert_eq!(sol.iterations, 0, "convex quadratics are solved directly");
+        assert!(close(sol.weights[0], 0.75, 1e-15), "{:?}", sol.weights);
+        assert!(close(sol.weights[1], 0.25, 1e-15), "{:?}", sol.weights);
+    }
+
+    #[test]
+    fn dual_follows_the_linear_extension_below_a_floor() {
+        // ε = ½, C/n = ½. Model 0 has its floor at 0.6, so for w₀ < 0.6
+        // its marginal is −4 + 2·0.6 + (w₀ − ½) = −3.3 + w₀; model 1's is
+        // −3.5 + 2·w₁ + (w₁ − ½) = −4 + 3·w₁. Equal marginals on
+        // w₀ + w₁ = 1 give 4·w₀ = 2.3, i.e. w₀ = 0.575 — under the
+        // floor, where the quadratic piece alone would say 7/12.
+        let problem = WeightProblem {
+            domain_floors: vec![0.6, 0.0],
+            balance_reg: 0.5,
+            ..WeightProblem::new(
+                vec![
+                    Polynomial::new(vec![5.0, -4.0, 1.0]),
+                    Polynomial::new(vec![4.0, -3.5, 1.0]),
+                ],
+                1.0,
+            )
+        };
+        let sol = minimize_weights(&problem).unwrap();
+        assert_eq!(sol.iterations, 0);
+        assert!(close(sol.weights[0], 0.575, 1e-15), "{:?}", sol.weights);
+        assert!(close(sol.weights[1], 0.425, 1e-15), "{:?}", sol.weights);
+    }
+
+    #[test]
+    fn dual_handles_the_all_pinned_corner() {
+        let m = Polynomial::new(vec![4.0, -5.0, 2.0]);
+        let mut p = WeightProblem::new(vec![m.clone(), m.clone(), m.clone(), m], 1.0);
+        p.min_weight = 0.25; // n·lo = C: the feasible set is one point.
+        let sol = minimize_weights(&p).unwrap();
+        assert_eq!(sol.iterations, 0);
+        assert_eq!(sol.weights, vec![0.25; 4]);
+    }
+
+    #[test]
+    fn dual_declines_what_it_cannot_solve_exactly() {
+        let convex = Polynomial::new(vec![2.0, -1.5, 0.8]);
+        let mut scratch = SolveScratch::new();
+        let mut declined = |models: Vec<Polynomial>, floor: f64, reg: f64| {
+            let borrowed = models.iter().map(|m| (m, floor));
+            let direct = solve_dual(borrowed, 1.0, 0.01, 1.0, reg, &mut scratch);
+            let problem = WeightProblem {
+                domain_floors: vec![floor; models.len()],
+                balance_reg: reg,
+                ..WeightProblem::new(models, 1.0)
+            };
+            direct.is_none() && minimize_weights(&problem).unwrap().iterations > 0
+        };
+        let cubic = Polynomial::new(vec![4.0, -10.0, 12.0, -5.0]);
+        assert!(declined(vec![cubic, convex.clone()], 0.0, 0.1), "cubic");
+        let concave = Polynomial::new(vec![2.0, -1.0, -0.5]);
+        assert!(
+            declined(vec![concave, convex.clone()], 0.0, 0.1),
+            "c₂ + ε < 0"
+        );
+        // Below a floor only the regularizer keeps the marginal rising.
+        assert!(declined(vec![convex.clone(), convex.clone()], 0.2, 0.0));
+        assert!(!declined(vec![convex.clone(), convex.clone()], 0.2, 0.1));
+        assert!(!declined(vec![convex.clone(), convex], 0.005, 0.0));
     }
 
     #[test]

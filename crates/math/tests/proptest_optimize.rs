@@ -2,7 +2,10 @@
 //! surface: domain floors, balance regularization, bounds.
 
 use proptest::prelude::*;
-use saba_math::{minimize_weights, solve_from, Polynomial, SolveScratch, WeightProblem};
+use saba_math::{
+    minimize_weights, minimize_weights_scratch, solve_dual, solve_from, Polynomial, SolveScratch,
+    WeightProblem,
+};
 
 /// A convex decreasing quadratic `c0 − a·x + b·x²` with `a ≥ 2b` so it
 /// is decreasing on [0, 1].
@@ -262,5 +265,290 @@ proptest! {
         let a = minimize_weights(&problem).unwrap();
         let b = minimize_weights(&problem).unwrap();
         prop_assert_eq!(a.weights, b.weights);
+    }
+}
+
+// ------------------------------------------------ the exact dual solve
+
+/// A random problem `solve_dual` qualifies for: 1–64 strictly convex
+/// quadratics; domain floors below the lower bound, between the bounds
+/// and above the upper bound; a regularizer that is absent (floors then
+/// stay under the lower bound), tiny, or ordinary; and every so often
+/// the all-pinned corner `n·lo = C`.
+fn arb_qualifying() -> impl Strategy<Value = WeightProblem> {
+    (
+        prop::collection::vec((0.5f64..10.0, 0.05f64..3.0, 0u8..4, 0.0f64..1.0), 1..=64),
+        50u32..=100,
+        0u8..4,
+        0.01f64..2.0,
+        0u8..8,
+    )
+        .prop_map(|(apps, cap_pct, reg_kind, reg, pin)| {
+            let n = apps.len();
+            let cap = cap_pct as f64 / 100.0;
+            let balance_reg = match reg_kind {
+                0 => 0.0,
+                1 => 1e-7,
+                _ => reg,
+            };
+            let lo = if pin == 0 {
+                cap / n as f64
+            } else {
+                (0.02f64).min(cap / (2.0 * n as f64))
+            };
+            let domain_floors = apps
+                .iter()
+                .map(|&(.., kind, u)| match kind {
+                    _ if balance_reg == 0.0 => lo * u,
+                    0 => lo * u,
+                    1 | 2 => lo + (cap - lo) * u,
+                    _ => cap + 1.0 + u,
+                })
+                .collect();
+            WeightProblem {
+                models: apps
+                    .iter()
+                    .map(|&(a, c2, ..)| Polynomial::new(vec![1.0 + a, -a, c2]))
+                    .collect(),
+                domain_floors,
+                capacity: cap,
+                min_weight: lo,
+                max_weight: cap,
+                balance_reg,
+            }
+        })
+}
+
+/// The same mathematical problem with a zero cubic term on every model:
+/// stored degree 3 does not qualify, so this is how a test obtains the
+/// iterative solver's answer to a qualifying problem.
+fn iterative_twin(p: &WeightProblem) -> WeightProblem {
+    let mut twin = p.clone();
+    for m in &mut twin.models {
+        let mut c = m.coeffs().to_vec();
+        c.resize(4, 0.0);
+        *m = Polynomial::new(c);
+    }
+    twin
+}
+
+/// `gᵢ(wᵢ)`: the marginal of coordinate `i`, regularizer included.
+fn marginal(p: &WeightProblem, i: usize, w: f64) -> f64 {
+    let mean = p.capacity / p.models.len() as f64;
+    p.models[i].eval_derivative(w.max(p.domain_floors[i])) + 2.0 * p.balance_reg * (w - mean)
+}
+
+/// Largest violation of the KKT conditions of Eq. 2 at `w`: free
+/// coordinates share one marginal `λ`, coordinates pinned low have
+/// marginals ≥ `λ`, coordinates pinned high have marginals ≤ `λ`.
+fn kkt_residual(p: &WeightProblem, w: &[f64]) -> f64 {
+    let (lo, hi) = (p.min_weight, p.max_weight);
+    let g: Vec<f64> = (0..w.len()).map(|i| marginal(p, i, w[i])).collect();
+    let free: Vec<f64> = (0..w.len())
+        .filter(|&i| w[i] > lo && w[i] < hi)
+        .map(|i| g[i])
+        .collect();
+    let pinned_hi = (0..w.len()).filter(|&i| w[i] >= hi).map(|i| g[i]);
+    let pinned_lo = (0..w.len()).filter(|&i| w[i] <= lo).map(|i| g[i]);
+    // Without a free coordinate any λ between the two pinned groups
+    // certifies the point: take the lowest one that suits the high group.
+    let (lam_min, lam_max) = if free.is_empty() {
+        let lam = pinned_hi.clone().fold(f64::NEG_INFINITY, f64::max);
+        (lam, lam)
+    } else {
+        (
+            free.iter().copied().fold(f64::INFINITY, f64::min),
+            free.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        )
+    };
+    let spread = if free.is_empty() {
+        0.0
+    } else {
+        lam_max - lam_min
+    };
+    let over = pinned_hi.map(|gi| gi - lam_min);
+    let under = pinned_lo.map(|gi| lam_max - gi);
+    over.chain(under).fold(spread, f64::max)
+}
+
+proptest! {
+    /// The dual solve's certificate, from first principles: KKT to
+    /// 1e-12, the capacity constraint to rounding, bounds exactly.
+    #[test]
+    fn dual_solution_is_the_kkt_point(problem in arb_qualifying()) {
+        let n = problem.models.len();
+        let sol = minimize_weights(&problem).unwrap();
+        prop_assert_eq!(sol.iterations, 0, "qualifying problems take the direct path");
+        let (lo, hi, cap) = (problem.min_weight, problem.max_weight, problem.capacity);
+        for &w in &sol.weights {
+            prop_assert!(w >= lo && w <= hi, "{w} outside [{lo}, {hi}]");
+        }
+        let total: f64 = sol.weights.iter().sum();
+        prop_assert!(
+            (total - cap).abs() <= n as f64 * f64::EPSILON * cap,
+            "sum {total:e} vs capacity {cap:e} at n = {n}"
+        );
+        let r = kkt_residual(&problem, &sol.weights);
+        prop_assert!(r <= 1e-12, "KKT residual {r:e}: {:?}", sol.weights);
+        prop_assert_eq!(sol.objective, problem.objective(&sol.weights));
+    }
+
+    /// Never worse than the iterative solver, and on the same point.
+    #[test]
+    fn dual_matches_the_iterative_solver(problem in arb_qualifying()) {
+        let direct = minimize_weights(&problem).unwrap();
+        let twin = iterative_twin(&problem);
+        let iterative = minimize_weights(&twin).unwrap();
+        prop_assert!(iterative.iterations > 0, "the twin must reach the iterative path");
+        prop_assert!(
+            direct.objective <= iterative.objective + 1e-12 * (1.0 + iterative.objective.abs()),
+            "direct {} vs iterative {}",
+            direct.objective,
+            iterative.objective
+        );
+        // Strong convexity ties the distance between the two answers to
+        // the objective the iterative solver left on the table:
+        // f(w) − f(w*) ≥ (μ/2)·‖w − w*‖², μ the flattest marginal slope.
+        let (lo, eps) = (problem.min_weight, problem.balance_reg);
+        let kinked = |i: usize| problem.domain_floors[i] > lo;
+        let n = problem.models.len();
+        let mu = (0..n)
+            .map(|i| {
+                let above = 2.0 * problem.models[i].coeffs()[2] + 2.0 * eps;
+                if kinked(i) { above.min(2.0 * eps) } else { above }
+            })
+            .fold(f64::INFINITY, f64::min);
+        let slack = (iterative.objective - direct.objective).max(0.0)
+            + 1e-12 * (1.0 + iterative.objective.abs());
+        let dist2: f64 = direct
+            .weights
+            .iter()
+            .zip(&iterative.weights)
+            .map(|(d, it)| (d - it) * (d - it))
+            .sum();
+        prop_assert!(dist2 <= 2.0 * slack / mu, "‖Δw‖² = {dist2:e}, slack {slack:e}, μ {mu:e}");
+        // Where the optimum sits on the quadratic pieces alone, the
+        // iterative solver's face-Newton polish is exact too. (Under a
+        // domain floor it steps with the curvature *at* the floor, and
+        // stalls inside its Armijo tolerance up to 1e-2 away.)
+        if (0..n).all(|i| !kinked(i) || direct.weights[i] >= problem.domain_floors[i]) {
+            for (i, (&d, &it)) in direct.weights.iter().zip(&iterative.weights).enumerate() {
+                prop_assert!((d - it).abs() <= 1e-5, "weight {i}: direct {d} vs iterative {it}");
+            }
+        }
+    }
+
+    /// A pure function of the problem: scratch history and seeds leave
+    /// no trace, bit for bit.
+    #[test]
+    fn dual_is_history_free(
+        problem in arb_qualifying(),
+        other in arb_qualifying(),
+        seed in prop::collection::vec(-1.0f64..2.0, 1..=64),
+    ) {
+        let fresh = minimize_weights(&problem).unwrap();
+        let mut scratch = SolveScratch::new();
+        minimize_weights_scratch(&other, &mut scratch).unwrap();
+        minimize_weights_scratch(&iterative_twin(&other), &mut scratch).unwrap();
+        let reused = minimize_weights_scratch(&problem, &mut scratch).unwrap();
+        prop_assert_eq!(&fresh, &reused);
+        let n = problem.models.len();
+        let seed: Vec<f64> = seed.iter().copied().cycle().take(n).collect();
+        for seed in [seed, vec![], vec![f64::NAN; n]] {
+            let seeded = solve_from(&problem, &seed, &mut scratch).unwrap();
+            prop_assert_eq!(&fresh, &seeded);
+        }
+        let borrowed = solve_dual(
+            problem.models.iter().zip(problem.domain_floors.iter().copied()),
+            problem.capacity,
+            problem.min_weight,
+            problem.max_weight,
+            problem.balance_reg,
+            &mut scratch,
+        );
+        prop_assert_eq!(Some(&fresh.weights), borrowed.as_ref());
+    }
+
+    /// Permuting the applications permutes the weights.
+    #[test]
+    fn dual_is_permutation_equivariant(problem in arb_qualifying(), shift in 1usize..64) {
+        let n = problem.models.len();
+        let rotated = WeightProblem {
+            models: (0..n).map(|i| problem.models[(i + shift) % n].clone()).collect(),
+            domain_floors: (0..n).map(|i| problem.domain_floors[(i + shift) % n]).collect(),
+            ..problem.clone()
+        };
+        let a = minimize_weights(&problem).unwrap();
+        let b = minimize_weights(&rotated).unwrap();
+        for i in 0..n {
+            let (x, y) = (a.weights[(i + shift) % n], b.weights[i]);
+            prop_assert!((x - y).abs() <= 1e-14, "position {i}: {x} vs {y}");
+        }
+    }
+
+    /// Identical models split the capacity evenly, exactly at the mean.
+    #[test]
+    fn dual_splits_identical_models_evenly(
+        n in 1usize..=64,
+        a in 0.5f64..10.0,
+        c2 in 0.05f64..3.0,
+        reg in 0.0f64..2.0,
+    ) {
+        let problem = WeightProblem {
+            balance_reg: reg,
+            min_weight: 0.0,
+            ..WeightProblem::new(vec![Polynomial::new(vec![1.0 + a, -a, c2]); n], 1.0)
+        };
+        let sol = minimize_weights(&problem).unwrap();
+        prop_assert_eq!(sol.iterations, 0);
+        for &w in &sol.weights {
+            prop_assert!((w - 1.0 / n as f64).abs() <= 1e-15, "{:?}", sol.weights);
+        }
+    }
+
+    /// What does not qualify reaches the iterative path: a floor above
+    /// the lower bound with no regularizer, non-positive curvature, and
+    /// a cubic — each on an otherwise qualifying problem.
+    #[test]
+    fn non_qualifying_inputs_take_the_iterative_path(
+        problem in arb_qualifying(),
+        which in 0usize..64,
+        cubic in 0.01f64..0.5,
+    ) {
+        let n = problem.models.len();
+        prop_assume!(n >= 2 && problem.min_weight < problem.capacity / n as f64);
+        let i = which % n;
+        let c = problem.models[i].coeffs().to_vec();
+        let mut scratch = SolveScratch::new();
+        let mut refused = |p: &WeightProblem| -> Result<(), String> {
+            let borrowed = solve_dual(
+                p.models.iter().zip(p.domain_floors.iter().copied()),
+                p.capacity,
+                p.min_weight,
+                p.max_weight,
+                p.balance_reg,
+                &mut scratch,
+            );
+            if borrowed.is_some() {
+                return Err("solve_dual accepted it".into());
+            }
+            match minimize_weights(p) {
+                Ok(sol) if sol.iterations > 0 => Ok(()),
+                other => Err(format!("not solved iteratively: {other:?}")),
+            }
+        };
+
+        let mut floored = problem.clone();
+        floored.balance_reg = 0.0;
+        floored.domain_floors[i] = 0.5 * (floored.min_weight + floored.max_weight);
+        prop_assert_eq!(refused(&floored), Ok(()), "floor above lo, no regularizer");
+
+        let mut concave = problem.clone();
+        concave.models[i] = Polynomial::new(vec![c[0], c[1], -problem.balance_reg]);
+        prop_assert_eq!(refused(&concave), Ok(()), "c2 + eps = 0");
+
+        let mut degree3 = problem.clone();
+        degree3.models[i] = Polynomial::new(vec![c[0], c[1], c[2], cubic]);
+        prop_assert_eq!(refused(&degree3), Ok(()), "cubic");
     }
 }

@@ -17,7 +17,7 @@ use crate::spec::JobPlan;
 use saba_sim::engine::{CompletedFlow, FabricModel, FlowSpec, Simulation};
 use saba_sim::ids::{AppId, NodeId, ServiceLevel};
 use saba_telemetry::TelemetrySink;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Connection-lifecycle events, mirroring the Saba library's
@@ -564,14 +564,17 @@ where
             }
             saba_sim::engine::Event::FlowsCompleted { flows, .. } => {
                 // Group completions by owning job, preserving batching.
-                let mut by_app: HashMap<AppId, Vec<CompletedFlow>> = HashMap::new();
+                // Jobs are served in index order: their connection
+                // events reach the controller in the order they are
+                // drained, and a hash map's walk differs run to run.
+                let mut by_job: BTreeMap<usize, Vec<CompletedFlow>> = BTreeMap::new();
                 for f in flows {
-                    by_app.entry(f.spec.app).or_default().push(f);
-                }
-                for (app, batch) in by_app {
                     let idx = *app_to_idx
-                        .get(&app)
-                        .unwrap_or_else(|| panic!("flow for unknown app {app}"));
+                        .get(&f.spec.app)
+                        .unwrap_or_else(|| panic!("flow for unknown app {}", f.spec.app));
+                    by_job.entry(idx).or_default().push(f);
+                }
+                for (idx, batch) in by_job {
                     jobs[idx].on_flows_completed(sim, &batch);
                     drain!(jobs[idx]);
                 }
@@ -738,6 +741,56 @@ mod tests {
         // Comm phase is contended: 1 s solo becomes 2 s => 7 s total each.
         for t in &times {
             assert!((t - 7.0).abs() < 0.01, "time {t}");
+        }
+    }
+
+    #[test]
+    fn simultaneous_completions_reach_the_controller_in_job_order() {
+        // Eight identical jobs over the same servers finish their
+        // shuffles in one engine event. The controller hears of them
+        // through `on_conn`, so the order of that stream — and with it
+        // every weight decision and completion time downstream — must
+        // not depend on a hash map's per-instance random state.
+        let run = || {
+            let spec = two_stage_spec();
+            let mut sim = sim4();
+            let servers = sim.topo().servers().to_vec();
+            let mut jobs: Vec<JobRuntime> = (0..8u32)
+                .map(|i| {
+                    JobRuntime::new(
+                        AppId(7 * i % 8),
+                        ServiceLevel(0),
+                        servers.clone(),
+                        spec.profile_plan(),
+                        u64::from(i) << 32,
+                    )
+                })
+                .collect();
+            let mut seen = Vec::new();
+            let times = run_jobs(&mut sim, &mut jobs, |_, ev| seen.push(ev.clone())).unwrap();
+            let bits: Vec<u64> = times.iter().map(|t| t.to_bits()).collect();
+            (seen, bits)
+        };
+        let (first, first_times) = run();
+        // Batches are served in job-index order, whatever the app ids.
+        let destroyed: Vec<u32> = first
+            .iter()
+            .filter_map(|ev| match ev {
+                ConnEvent::Destroyed { app, .. } => Some(app.0),
+                _ => None,
+            })
+            .collect();
+        let mut by_job: Vec<u32> = (0..8u32).flat_map(|i| [7 * i % 8; 4]).collect();
+        assert_eq!(destroyed, by_job, "one batch of four per job, in job order");
+        by_job.dedup();
+        assert_eq!(by_job.len(), 8);
+        for _ in 0..4 {
+            let (again, again_times) = run();
+            assert_eq!(first, again, "connection-event stream must repeat exactly");
+            assert_eq!(
+                first_times, again_times,
+                "completion times must repeat bitwise"
+            );
         }
     }
 
