@@ -122,24 +122,12 @@ impl Controller {
     }
 
     fn on_event(&mut self, ev: &ConnEvent) -> Vec<saba_core::controller::SwitchUpdate> {
-        let result = match (&mut *self, ev) {
-            (Controller::None, _) => return Vec::new(),
-            (Controller::Central(c), ConnEvent::Created { app, src, dst, tag }) => {
-                c.conn_create(*app, *src, *dst, *tag)
-            }
-            (Controller::Central(c), ConnEvent::Destroyed { app, tag, .. }) => {
-                c.conn_destroy(*app, *tag)
-            }
-            (Controller::Central(c), ConnEvent::JobCompleted { app, .. }) => c.deregister(*app),
-            (Controller::Distributed(c), ConnEvent::Created { app, src, dst, tag }) => {
-                c.conn_create(*app, *src, *dst, *tag)
-            }
-            (Controller::Distributed(c), ConnEvent::Destroyed { app, tag, .. }) => {
-                c.conn_destroy(*app, *tag)
-            }
-            (Controller::Distributed(c), ConnEvent::JobCompleted { app, .. }) => c.deregister(*app),
-        };
-        result.expect("controller accepts events for registered jobs")
+        match self {
+            Controller::None => return Vec::new(),
+            Controller::Central(c) => c.on_event(ev),
+            Controller::Distributed(c) => c.on_event(ev),
+        }
+        .expect("controller accepts events for registered jobs")
     }
 }
 

@@ -221,8 +221,10 @@ pub fn record_refits<S: TelemetrySink>(t: f64, refits: &[Refit], sink: &mut S) {
 mod tests {
     use super::*;
     use saba_core::profiler::{to_slowdowns, Profiler, ProfilerConfig};
-    use saba_core::{CentralController, ControllerConfig, DistributedController, MappingDb};
-    use saba_sim::ids::AppId;
+    use saba_core::{
+        CentralController, Controller, ControllerConfig, DistributedController, MappingDb, Policy,
+    };
+    use saba_sim::ids::{AppId, NodeId};
     use saba_sim::topology::{SpineLeafConfig, Topology};
     use saba_workload::streaming_workloads;
     use saba_workload::synthetic::SyntheticConfig;
@@ -383,30 +385,18 @@ mod tests {
 
         let topo = Topology::spine_leaf(&SpineLeafConfig::tiny(2));
         let servers = topo.servers().to_vec();
-        let ctl_cfg = ControllerConfig::default();
-        let db = MappingDb::build(&table, 16, 1);
-        let mut central = CentralController::new(ctl_cfg.clone(), table.clone(), &topo);
-        let mut dist = DistributedController::new(ctl_cfg.clone(), db.clone(), &topo, 4);
-        let mut conns: Vec<(AppId, u32, u32, u64)> = Vec::new();
-        for (i, s) in streams.iter().enumerate() {
-            let app = AppId(i as u32);
-            central.register(app, s.name()).unwrap();
-            dist.register(app, s.name()).unwrap();
-            for k in 0..3u64 {
+        let mut conns: Vec<(AppId, NodeId, NodeId, u64)> = Vec::new();
+        for i in 0..streams.len() {
+            for k in 0..3usize {
                 let (a, b) = (
-                    servers[(2 * i + k as usize) % servers.len()],
-                    servers[servers.len() - 1 - (i + k as usize) % (servers.len() / 2)],
+                    servers[(2 * i + k) % servers.len()],
+                    servers[servers.len() - 1 - (i + k) % (servers.len() / 2)],
                 );
-                if a == b {
-                    continue;
+                if a != b {
+                    conns.push((AppId(i as u32), a, b, (i as u64) << 8 | k as u64));
                 }
-                let tag = (i as u64) << 8 | k;
-                central.preload_connection(app, a, b, tag);
-                dist.conn_create(app, a, b, tag).unwrap();
-                conns.push((app, a.0, b.0, tag));
             }
         }
-        central.recompute_all();
 
         // Drifted demand at t = 5000 s: live samples from the drifted
         // plan, scored against the frozen profile-time models.
@@ -422,30 +412,47 @@ mod tests {
             assert!(refit.refit_error < refit.error, "refit must improve");
         }
 
-        // Push through both flavours' incremental paths.
-        for refit in &refits {
-            central.update_model(&refit.model);
-            dist.update_model(&refit.model);
-        }
+        // Incremental vs scratch at 1e-6, both flavours: the live
+        // controller absorbs the refits through its incremental path; a
+        // scratch controller replays the same logical history (original
+        // table, same registrations, connections preloaded, same
+        // refits) and must land on the same switch state.
+        let ctl_cfg = ControllerConfig::default();
+        let db = MappingDb::build(&table, 16, 1);
+        let names: Vec<&str> = streams.iter().map(|s| s.name()).collect();
+        let models: Vec<&SensitivityModel> = refits.iter().map(|r| &r.model).collect();
+        round_trip(&names, &conns, &models, || {
+            CentralController::new(ctl_cfg.clone(), table.clone(), &topo)
+        });
+        round_trip(&names, &conns, &models, || {
+            DistributedController::new(ctl_cfg.clone(), db.clone(), &topo, 4)
+        });
+    }
 
-        // Incremental vs scratch at 1e-6, both flavours: a scratch
-        // controller replays the same logical history (original table,
-        // same registrations and connections, same refits) and must
-        // land on the same switch state.
-        let mut central2 = CentralController::new(ctl_cfg.clone(), table.clone(), &topo);
-        let mut dist2 = DistributedController::new(ctl_cfg, db, &topo, 4);
-        for (i, s) in streams.iter().enumerate() {
-            central2.register(AppId(i as u32), s.name()).unwrap();
-            dist2.register(AppId(i as u32), s.name()).unwrap();
+    fn round_trip<P: Policy>(
+        workloads: &[&str],
+        conns: &[(AppId, NodeId, NodeId, u64)],
+        refits: &[&SensitivityModel],
+        fresh: impl Fn() -> Controller<P>,
+    ) {
+        let registered = || {
+            let mut c = fresh();
+            for (i, name) in workloads.iter().enumerate() {
+                c.register(AppId(i as u32), name).unwrap();
+            }
+            c
+        };
+        let mut live = registered();
+        for &(app, a, b, tag) in conns {
+            live.conn_create(app, a, b, tag).unwrap();
         }
-        for &(app, a, b, tag) in &conns {
-            use saba_sim::ids::NodeId;
-            central2.preload_connection(app, NodeId(a), NodeId(b), tag);
-            dist2.conn_create(app, NodeId(a), NodeId(b), tag).unwrap();
+        let mut scratch = registered();
+        for &(app, a, b, tag) in conns {
+            scratch.preload_connection(app, a, b, tag);
         }
-        for refit in &refits {
-            central2.update_model(&refit.model);
-            dist2.update_model(&refit.model);
+        for model in refits {
+            live.update_model(model);
+            scratch.update_model(model);
         }
         let close = |x: &[f64], y: &[f64]| {
             x.len() == y.len()
@@ -453,26 +460,22 @@ mod tests {
                     .zip(y)
                     .all(|(a, b)| (a - b).abs() <= 1e-6 * a.abs().max(b.abs()).max(1.0))
         };
-        for (live, scratch) in [
-            (central.recompute_all(), central2.recompute_all()),
-            (dist.recompute_all(), dist2.recompute_all()),
-        ] {
-            assert_eq!(live.len(), scratch.len());
-            for (u, v) in live.iter().zip(&scratch) {
-                assert_eq!(u.link, v.link);
-                assert_eq!(
-                    u.config.sl_to_queue, v.config.sl_to_queue,
-                    "link {}",
-                    u.link.0
-                );
-                assert!(
-                    close(&u.config.weights, &v.config.weights),
-                    "link {}: {:?} vs {:?}",
-                    u.link.0,
-                    u.config.weights,
-                    v.config.weights
-                );
-            }
+        let (live, scratch) = (live.recompute_all(), scratch.recompute_all());
+        assert_eq!(live.len(), scratch.len());
+        for (u, v) in live.iter().zip(&scratch) {
+            assert_eq!(u.link, v.link);
+            assert_eq!(
+                u.config.sl_to_queue, v.config.sl_to_queue,
+                "link {}",
+                u.link.0
+            );
+            assert!(
+                close(&u.config.weights, &v.config.weights),
+                "link {}: {:?} vs {:?}",
+                u.link.0,
+                u.config.weights,
+                v.config.weights
+            );
         }
     }
 }

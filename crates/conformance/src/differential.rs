@@ -18,6 +18,7 @@ use saba_baselines::{
 };
 use saba_core::controller::central::CentralController;
 use saba_core::controller::distributed::{DistributedController, MappingDb};
+use saba_core::controller::epoch::{Controller, Policy};
 use saba_core::controller::{ControllerConfig, SwitchUpdate};
 use saba_sim::engine::{FabricModel, FlowSpec, Simulation};
 use saba_sim::ids::{AppId, NodeId, ServiceLevel};
@@ -42,49 +43,44 @@ pub const CENTRAL_DIST_WEIGHT_TOL: f64 = 0.18;
 /// (pure floating-point reassociation noise).
 const BUNDLING_RTOL: f64 = 1e-6;
 
+/// Drives one controller design through the scenario's churn and
+/// returns it with its budget-checked full recompute.
+fn churned<P: Policy>(
+    flavour: &str,
+    sc: &ControlScenario,
+    servers: &[NodeId],
+    mut c: Controller<P>,
+) -> Result<(Controller<P>, Vec<SwitchUpdate>), String> {
+    for app in 0..sc.napps as u32 {
+        c.register(AppId(app), &ControlScenario::workload_name(app as usize))
+            .map_err(|e| format!("{flavour} register {app}: {e:?}"))?;
+    }
+    for (i, &(app, src, dst)) in sc.conns.iter().enumerate() {
+        c.conn_create(AppId(app), servers[src], servers[dst], i as u64)
+            .map_err(|e| format!("{flavour} conn {i}: {e:?}"))?;
+    }
+    for &i in &sc.destroys {
+        c.conn_destroy(AppId(sc.conns[i].0), i as u64)
+            .map_err(|e| format!("{flavour} destroy {i}: {e:?}"))?;
+    }
+    let updates = c.recompute_all();
+    check_weight_budget(&updates, c.config().c_saba)?;
+    Ok((c, updates))
+}
+
 /// Drives both controller designs through the same churn sequence and
 /// diffs the per-application weights on every port.
 pub fn central_vs_distributed(sc: &ControlScenario) -> Result<(), String> {
     let table = sc.table();
     let topo = sc.topology();
     let cfg = ControllerConfig::default();
-    let mut central = CentralController::new(cfg.clone(), table.clone(), &topo);
+    let servers = topo.servers();
     let db = MappingDb::build(&table, cfg.num_pls, cfg.seed);
-    let mut dist = DistributedController::new(cfg.clone(), db, &topo, 2);
+    let central = CentralController::new(cfg.clone(), table, &topo);
+    let (central, cu) = churned("central", sc, servers, central)?;
+    let dist = DistributedController::new(cfg, db, &topo, 2);
+    let (dist, du) = churned("distributed", sc, servers, dist)?;
 
-    let servers = topo.servers().to_vec();
-    let mut dist_sl: BTreeMap<u32, ServiceLevel> = BTreeMap::new();
-    for app in 0..sc.napps as u32 {
-        let wl = ControlScenario::workload_name(app as usize);
-        central
-            .register(AppId(app), &wl)
-            .map_err(|e| format!("central register {app}: {e:?}"))?;
-        let sl = dist
-            .register(AppId(app), &wl)
-            .map_err(|e| format!("distributed register {app}: {e:?}"))?;
-        dist_sl.insert(app, sl);
-    }
-    for (i, &(app, src, dst)) in sc.conns.iter().enumerate() {
-        let (src, dst) = (servers[src], servers[dst]);
-        central
-            .conn_create(AppId(app), src, dst, i as u64)
-            .map_err(|e| format!("central conn {i}: {e:?}"))?;
-        dist.conn_create(AppId(app), src, dst, i as u64)
-            .map_err(|e| format!("distributed conn {i}: {e:?}"))?;
-    }
-    for &i in &sc.destroys {
-        let app = sc.conns[i].0;
-        central
-            .conn_destroy(AppId(app), i as u64)
-            .map_err(|e| format!("central destroy {i}: {e:?}"))?;
-        dist.conn_destroy(AppId(app), i as u64)
-            .map_err(|e| format!("distributed destroy {i}: {e:?}"))?;
-    }
-
-    let cu = central.recompute_all();
-    let du = dist.recompute_all();
-    check_weight_budget(&cu, cfg.c_saba)?;
-    check_weight_budget(&du, cfg.c_saba)?;
     let cmap = by_link(&cu);
     let dmap = by_link(&du);
     if cmap.keys().ne(dmap.keys()) {
@@ -97,18 +93,11 @@ pub fn central_vs_distributed(sc: &ControlScenario) -> Result<(), String> {
 
     for (&link, c) in &cmap {
         let d = &dmap[&link];
-        for &app in dist_sl.keys() {
-            let Some(csl) = central.sl_of(AppId(app)) else {
+        for app in central.apps_at(saba_sim::ids::LinkId(link)) {
+            let (Some(csl), Some(dsl)) = (central.sl_of(app), dist.sl_of(app)) else {
                 continue;
             };
-            if !central
-                .apps_at(saba_sim::ids::LinkId(link))
-                .contains(&AppId(app))
-            {
-                continue;
-            }
             let cw = c.weights[c.sl_to_queue[csl.0 as usize] as usize];
-            let dsl = dist_sl[&app];
             let dw = d.weights[d.sl_to_queue[dsl.0 as usize] as usize];
             if (cw - dw).abs() > CENTRAL_DIST_WEIGHT_TOL {
                 return Err(format!(

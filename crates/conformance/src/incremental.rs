@@ -19,10 +19,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use saba_core::controller::central::CentralController;
 use saba_core::controller::distributed::{DistributedController, MappingDb};
+use saba_core::controller::epoch::{Controller, Policy};
 use saba_core::controller::{ControllerConfig, SwitchUpdate};
 use saba_core::fabric::PortQueueConfig;
 use saba_core::sensitivity::{SensitivityModel, SensitivityTable};
-use saba_sim::ids::AppId;
+use saba_sim::ids::{AppId, NodeId};
 use saba_sim::topology::Topology;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -219,106 +220,92 @@ pub fn diff_switch_states_at(
 
 /// Applies one epoch's emitted updates to the accumulated switch state
 /// (the last configuration each port received, reverts included).
-fn apply_updates(programmed: &mut BTreeMap<u32, PortQueueConfig>, updates: &[SwitchUpdate]) {
+pub(crate) fn apply_updates(
+    programmed: &mut BTreeMap<u32, PortQueueConfig>,
+    updates: &[SwitchUpdate],
+) {
     for u in updates {
         programmed.insert(u.link.0, u.config.clone());
     }
 }
 
-/// Drives the churn script through both controller flavours, replaying
-/// each prefix against a from-scratch controller after every event.
+/// Drives the churn script through one controller flavour, replaying
+/// each prefix against a from-scratch controller after every event:
+/// same registration order (hence, on the central flavour's online
+/// clusterer, the same PL assignments — the distributed PL map lives in
+/// the shared offline database), the live connections preloaded, one
+/// recompute.
+fn churn_vs_scratch<P: Policy>(
+    flavour: &str,
+    rtol: f64,
+    sc: &ChurnScript,
+    servers: &[NodeId],
+    fresh: impl Fn() -> Controller<P>,
+) -> Result<(), String> {
+    let registered = |what: &str| -> Result<Controller<P>, String> {
+        let mut c = fresh();
+        for app in 0..sc.napps as u32 {
+            c.register(AppId(app), &ChurnScript::workload_name(app as usize))
+                .map_err(|e| format!("{flavour} {what} register {app}: {e}"))?;
+        }
+        Ok(c)
+    };
+    let c_saba = ControllerConfig::default().c_saba;
+    let mut inc = registered("incremental")?;
+    // Switch state accumulated from the incremental updates alone.
+    let mut programmed: BTreeMap<u32, PortQueueConfig> = BTreeMap::new();
+    let mut live: Vec<(u32, usize, usize, u64)> = Vec::new();
+
+    for (step, ev) in sc.events.iter().enumerate() {
+        let updates = match *ev {
+            ChurnEvent::Create { app, src, dst, tag } => {
+                live.push((app, src, dst, tag));
+                inc.conn_create(AppId(app), servers[src], servers[dst], tag)
+                    .map_err(|e| format!("{flavour} create step {step}: {e}"))?
+            }
+            ChurnEvent::Destroy { app, tag } => {
+                live.retain(|&(.., t)| t != tag);
+                inc.conn_destroy(AppId(app), tag)
+                    .map_err(|e| format!("{flavour} destroy step {step}: {e}"))?
+            }
+        };
+        check_weight_budget(&updates, c_saba)?;
+        apply_updates(&mut programmed, &updates);
+
+        let mut scratch = registered("scratch")?;
+        for &(app, src, dst, tag) in &live {
+            scratch.preload_connection(AppId(app), servers[src], servers[dst], tag);
+        }
+        let solved = scratch.recompute_all();
+        check_weight_budget(&solved, c_saba)?;
+        for app in (0..sc.napps as u32).map(AppId) {
+            if inc.sl_of(app) != scratch.sl_of(app) {
+                return Err(format!(
+                    "[{flavour}] step {step}: app {app} PL diverges: {:?} incremental vs {:?} scratch",
+                    inc.sl_of(app),
+                    scratch.sl_of(app)
+                ));
+            }
+        }
+        diff_switch_states_at(rtol, flavour, step, &programmed, &solved)?;
+    }
+    Ok(())
+}
+
+/// Runs the incremental-vs-scratch differential over both controller
+/// flavours: [`CENTRAL_RTOL`] central, [`INCREMENTAL_RTOL`] distributed.
 pub fn incremental_vs_scratch(sc: &ChurnScript) -> Result<(), String> {
     let table = sc.table();
     let topo = sc.topology();
     let cfg = ControllerConfig::default();
-    let servers = topo.servers().to_vec();
+    let servers = topo.servers();
     let db = MappingDb::build(&table, cfg.num_pls, cfg.seed);
-
-    let mut central = CentralController::new(cfg.clone(), table.clone(), &topo);
-    let mut dist = DistributedController::new(cfg.clone(), db.clone(), &topo, 2);
-    for app in 0..sc.napps as u32 {
-        let wl = ChurnScript::workload_name(app as usize);
-        central
-            .register(AppId(app), &wl)
-            .map_err(|e| format!("central register {app}: {e}"))?;
-        dist.register(AppId(app), &wl)
-            .map_err(|e| format!("distributed register {app}: {e}"))?;
-    }
-
-    // Switch state accumulated from the incremental updates alone.
-    let mut central_programmed: BTreeMap<u32, PortQueueConfig> = BTreeMap::new();
-    let mut dist_programmed: BTreeMap<u32, PortQueueConfig> = BTreeMap::new();
-    let mut live: Vec<(u32, usize, usize, u64)> = Vec::new();
-
-    for (step, ev) in sc.events.iter().enumerate() {
-        let (cu, du) = match *ev {
-            ChurnEvent::Create { app, src, dst, tag } => {
-                live.push((app, src, dst, tag));
-                let cu = central
-                    .conn_create(AppId(app), servers[src], servers[dst], tag)
-                    .map_err(|e| format!("central create step {step}: {e}"))?;
-                let du = dist
-                    .conn_create(AppId(app), servers[src], servers[dst], tag)
-                    .map_err(|e| format!("distributed create step {step}: {e}"))?;
-                (cu, du)
-            }
-            ChurnEvent::Destroy { app, tag } => {
-                live.retain(|&(.., t)| t != tag);
-                let cu = central
-                    .conn_destroy(AppId(app), tag)
-                    .map_err(|e| format!("central destroy step {step}: {e}"))?;
-                let du = dist
-                    .conn_destroy(AppId(app), tag)
-                    .map_err(|e| format!("distributed destroy step {step}: {e}"))?;
-                (cu, du)
-            }
-        };
-        check_weight_budget(&cu, cfg.c_saba)?;
-        check_weight_budget(&du, cfg.c_saba)?;
-        apply_updates(&mut central_programmed, &cu);
-        apply_updates(&mut dist_programmed, &du);
-
-        // From-scratch central: same registration order (hence the same
-        // PL assignments), live connections preloaded, one recompute.
-        let mut fresh = CentralController::new(cfg.clone(), table.clone(), &topo);
-        for app in 0..sc.napps as u32 {
-            fresh
-                .register(AppId(app), &ChurnScript::workload_name(app as usize))
-                .map_err(|e| format!("scratch register {app}: {e}"))?;
-        }
-        for &(app, src, dst, tag) in &live {
-            fresh.preload_connection(AppId(app), servers[src], servers[dst], tag);
-        }
-        let scratch = fresh.recompute_all();
-        check_weight_budget(&scratch, cfg.c_saba)?;
-        for app in 0..sc.napps as u32 {
-            if central.sl_of(AppId(app)) != fresh.sl_of(AppId(app)) {
-                return Err(format!(
-                    "step {step}: app {app} PL diverges: {:?} incremental vs {:?} scratch",
-                    central.sl_of(AppId(app)),
-                    fresh.sl_of(AppId(app))
-                ));
-            }
-        }
-        diff_switch_states_at(CENTRAL_RTOL, "central", step, &central_programmed, &scratch)?;
-
-        // From-scratch distributed: the PL map lives in the shared
-        // offline database, so a replayed controller is state-identical.
-        let mut dfresh = DistributedController::new(cfg.clone(), db.clone(), &topo, 2);
-        for app in 0..sc.napps as u32 {
-            dfresh
-                .register(AppId(app), &ChurnScript::workload_name(app as usize))
-                .map_err(|e| format!("scratch dist register {app}: {e}"))?;
-        }
-        for &(app, src, dst, tag) in &live {
-            dfresh
-                .conn_create(AppId(app), servers[src], servers[dst], tag)
-                .map_err(|e| format!("scratch dist create: {e}"))?;
-        }
-        let dscratch = dfresh.recompute_all();
-        diff_switch_states("distributed", step, &dist_programmed, &dscratch)?;
-    }
-    Ok(())
+    churn_vs_scratch("central", CENTRAL_RTOL, sc, servers, || {
+        CentralController::new(cfg.clone(), table.clone(), &topo)
+    })?;
+    churn_vs_scratch("distributed", INCREMENTAL_RTOL, sc, servers, || {
+        DistributedController::new(cfg.clone(), db.clone(), &topo, 2)
+    })
 }
 
 #[cfg(test)]

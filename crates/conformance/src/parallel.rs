@@ -6,7 +6,7 @@
 //! accumulated switch state, the epoch scopes, and every stats counter
 //! must be **bit-identical** — not merely tolerance-close — to the
 //! single-threaded path, at any thread count. This suite drives the
-//! same seeded churn script through both controller flavours at
+//! same seeded churn script through each controller flavour at
 //! several thread counts in lockstep and compares each epoch's output
 //! with exact (`==`) equality; a single reordered floating-point
 //! reduction anywhere in the parallel merge shows up as a failure
@@ -15,8 +15,9 @@
 use crate::incremental::{ChurnEvent, ChurnScript};
 use saba_core::controller::central::CentralController;
 use saba_core::controller::distributed::{DistributedController, MappingDb};
+use saba_core::controller::epoch::{Controller, Policy};
 use saba_core::controller::{ControllerConfig, SwitchUpdate};
-use saba_sim::ids::AppId;
+use saba_sim::ids::{AppId, NodeId};
 
 /// Thread counts exercised by the differential: the serial baseline,
 /// the smallest parallel configuration, and an oversubscribed one
@@ -46,117 +47,87 @@ fn diff_exact(
     Ok(())
 }
 
-/// Drives the churn script through both controller flavours at every
+/// Drives the churn script through one controller flavour at every
 /// thread count of [`THREAD_COUNTS`] in lockstep, requiring exact
 /// equality of every epoch's updates, the epoch scopes, and the final
 /// stats counters against the single-threaded baseline. Ends with a
 /// forced full recompute, which exercises the parallel prewarm on the
 /// widest dirty set.
-pub fn parallel_vs_serial(sc: &ChurnScript) -> Result<(), String> {
-    let table = sc.table();
-    let topo = sc.topology();
-    let cfg = ControllerConfig::default();
-    let servers = topo.servers().to_vec();
-    let db = MappingDb::build(&table, cfg.num_pls, cfg.seed);
-
-    let mut centrals: Vec<CentralController> = THREAD_COUNTS
+fn lockstep<P: Policy>(
+    flavour: &str,
+    sc: &ChurnScript,
+    servers: &[NodeId],
+    fresh: impl Fn() -> Controller<P>,
+) -> Result<(), String> {
+    let mut ctls: Vec<Controller<P>> = THREAD_COUNTS
         .iter()
         .map(|&t| {
-            let mut c = CentralController::new(cfg.clone(), table.clone(), &topo);
+            let mut c = fresh();
             c.set_solver_threads(t);
             c
         })
         .collect();
-    let mut dists: Vec<DistributedController> = THREAD_COUNTS
-        .iter()
-        .map(|&t| {
-            let mut d = DistributedController::new(cfg.clone(), db.clone(), &topo, 2);
-            d.set_solver_threads(t);
-            d
-        })
-        .collect();
     for app in 0..sc.napps as u32 {
         let wl = ChurnScript::workload_name(app as usize);
-        for c in &mut centrals {
+        for c in &mut ctls {
             c.register(AppId(app), &wl)
-                .map_err(|e| format!("central register {app}: {e}"))?;
-        }
-        for d in &mut dists {
-            d.register(AppId(app), &wl)
-                .map_err(|e| format!("distributed register {app}: {e}"))?;
+                .map_err(|e| format!("{flavour} register {app}: {e}"))?;
         }
     }
 
     for (step, ev) in sc.events.iter().enumerate() {
-        let mut cu: Vec<Vec<SwitchUpdate>> = Vec::with_capacity(centrals.len());
-        let mut du: Vec<Vec<SwitchUpdate>> = Vec::with_capacity(dists.len());
-        for (c, d) in centrals.iter_mut().zip(&mut dists) {
-            match *ev {
-                ChurnEvent::Create { app, src, dst, tag } => {
-                    cu.push(
-                        c.conn_create(AppId(app), servers[src], servers[dst], tag)
-                            .map_err(|e| format!("central create step {step}: {e}"))?,
-                    );
-                    du.push(
-                        d.conn_create(AppId(app), servers[src], servers[dst], tag)
-                            .map_err(|e| format!("distributed create step {step}: {e}"))?,
-                    );
-                }
-                ChurnEvent::Destroy { app, tag } => {
-                    cu.push(
-                        c.conn_destroy(AppId(app), tag)
-                            .map_err(|e| format!("central destroy step {step}: {e}"))?,
-                    );
-                    du.push(
-                        d.conn_destroy(AppId(app), tag)
-                            .map_err(|e| format!("distributed destroy step {step}: {e}"))?,
-                    );
-                }
-            }
+        let mut out: Vec<Vec<SwitchUpdate>> = Vec::with_capacity(ctls.len());
+        for c in &mut ctls {
+            out.push(match *ev {
+                ChurnEvent::Create { app, src, dst, tag } => c
+                    .conn_create(AppId(app), servers[src], servers[dst], tag)
+                    .map_err(|e| format!("{flavour} create step {step}: {e}"))?,
+                ChurnEvent::Destroy { app, tag } => c
+                    .conn_destroy(AppId(app), tag)
+                    .map_err(|e| format!("{flavour} destroy step {step}: {e}"))?,
+            });
         }
         for (k, &t) in THREAD_COUNTS.iter().enumerate().skip(1) {
-            diff_exact("central", t, step, &cu[0], &cu[k])?;
-            diff_exact("distributed", t, step, &du[0], &du[k])?;
-            if centrals[k].last_epoch() != centrals[0].last_epoch() {
+            diff_exact(flavour, t, step, &out[0], &out[k])?;
+            if ctls[k].last_epoch() != ctls[0].last_epoch() {
                 return Err(format!(
-                    "[central] step {step}: {t}-thread epoch scope {:?} vs serial {:?}",
-                    centrals[k].last_epoch(),
-                    centrals[0].last_epoch()
-                ));
-            }
-            if dists[k].last_epoch() != dists[0].last_epoch() {
-                return Err(format!(
-                    "[distributed] step {step}: {t}-thread epoch scope {:?} vs serial {:?}",
-                    dists[k].last_epoch(),
-                    dists[0].last_epoch()
+                    "[{flavour}] step {step}: {t}-thread epoch scope {:?} vs serial {:?}",
+                    ctls[k].last_epoch(),
+                    ctls[0].last_epoch()
                 ));
             }
         }
     }
 
     // Forced full recompute: the widest prewarm batch of the run.
-    let cr: Vec<Vec<SwitchUpdate>> = centrals.iter_mut().map(|c| c.recompute_all()).collect();
-    let dr: Vec<Vec<SwitchUpdate>> = dists.iter_mut().map(|d| d.recompute_all()).collect();
-    let last = sc.events.len();
+    let full: Vec<Vec<SwitchUpdate>> = ctls.iter_mut().map(|c| c.recompute_all()).collect();
+    let what = format!("{flavour} recompute");
     for (k, &t) in THREAD_COUNTS.iter().enumerate().skip(1) {
-        diff_exact("central recompute", t, last, &cr[0], &cr[k])?;
-        diff_exact("distributed recompute", t, last, &dr[0], &dr[k])?;
-        if centrals[k].stats() != centrals[0].stats() {
+        diff_exact(&what, t, sc.events.len(), &full[0], &full[k])?;
+        if ctls[k].stats() != ctls[0].stats() {
             return Err(format!(
-                "[central] {t}-thread stats {:?} vs serial {:?}",
-                centrals[k].stats(),
-                centrals[0].stats()
-            ));
-        }
-        if dists[k].stats() != dists[0].stats() {
-            return Err(format!(
-                "[distributed] {t}-thread stats {:?} vs serial {:?}",
-                dists[k].stats(),
-                dists[0].stats()
+                "[{flavour}] {t}-thread stats {:?} vs serial {:?}",
+                ctls[k].stats(),
+                ctls[0].stats()
             ));
         }
     }
     Ok(())
+}
+
+/// Runs the parallel-vs-serial lockstep over both controller flavours.
+pub fn parallel_vs_serial(sc: &ChurnScript) -> Result<(), String> {
+    let table = sc.table();
+    let topo = sc.topology();
+    let cfg = ControllerConfig::default();
+    let servers = topo.servers();
+    let db = MappingDb::build(&table, cfg.num_pls, cfg.seed);
+    lockstep("central", sc, servers, || {
+        CentralController::new(cfg.clone(), table.clone(), &topo)
+    })?;
+    lockstep("distributed", sc, servers, || {
+        DistributedController::new(cfg.clone(), db.clone(), &topo, 2)
+    })
 }
 
 #[cfg(test)]

@@ -30,21 +30,22 @@
 //! refits reducing prediction error, and the incremental-vs-scratch
 //! diff clean on both flavours.
 
-use crate::incremental::diff_switch_states;
+use crate::incremental::{apply_updates, diff_switch_states};
 use crate::oracles::{check_model_monotonicity, check_weight_budget};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use saba_baselines::{CoflowSincroniaFabric, SincroniaFabric};
-use saba_cluster::reprofile::{Reprofiler, ReprofilerConfig};
+use saba_cluster::reprofile::{Refit, Reprofiler, ReprofilerConfig};
 use saba_core::controller::central::CentralController;
 use saba_core::controller::distributed::{DistributedController, MappingDb};
-use saba_core::controller::{ControllerConfig, SwitchUpdate};
+use saba_core::controller::epoch::{Controller, Policy};
+use saba_core::controller::ControllerConfig;
 use saba_core::fabric::PortQueueConfig;
 use saba_core::profiler::{to_slowdowns, Profiler, ProfilerConfig};
-use saba_core::sensitivity::SensitivityModel;
+use saba_core::sensitivity::{SensitivityModel, SensitivityTable};
 use saba_faults::injector::FaultInjector;
 use saba_sim::engine::{Event, FabricModel, FlowSpec, Simulation};
-use saba_sim::ids::{AppId, ServiceLevel};
+use saba_sim::ids::{AppId, NodeId, ServiceLevel};
 use saba_sim::topology::{SpineLeafConfig, Topology};
 use saba_telemetry::Recorder;
 use saba_workload::synthetic::SyntheticConfig;
@@ -394,10 +395,114 @@ fn scenario_reprofiler() -> Reprofiler {
     })
 }
 
-fn apply(programmed: &mut BTreeMap<u32, PortQueueConfig>, updates: &[SwitchUpdate]) {
-    for u in updates {
-        programmed.insert(u.link.0, u.config.clone());
+/// One controller flavour absorbing re-profiling rounds: registers
+/// `workloads` (application `i` runs `workloads[i]`), loads `conns`
+/// (`(app, src, dst, tag)`), requires a bit-identical model push to
+/// emit zero updates (the no-op epoch), then pushes each round's refits
+/// through the incremental path and diffs the accumulated switch state
+/// against a from-scratch replay of the same logical history —
+/// original table, same registrations, the refit history replayed, the
+/// connections preloaded, one recompute.
+fn absorb_refits<P: Policy>(
+    flavour: &str,
+    fresh: impl Fn() -> Controller<P>,
+    workloads: &[&str],
+    table: &SensitivityTable,
+    conns: &[(u32, NodeId, NodeId, u64)],
+    rounds: &[Vec<SensitivityModel>],
+) -> Result<(), String> {
+    let registered = |what: &str| -> Result<Controller<P>, String> {
+        let mut c = fresh();
+        for (i, name) in workloads.iter().enumerate() {
+            c.register(AppId(i as u32), name)
+                .map_err(|e| format!("{flavour} {what} register {i}: {e:?}"))?;
+        }
+        Ok(c)
+    };
+    let mut inc = registered("incremental")?;
+    let c_saba = inc.config().c_saba;
+    let mut programmed: BTreeMap<u32, PortQueueConfig> = BTreeMap::new();
+    for &(app, src, dst, tag) in conns {
+        let updates = inc
+            .conn_create(AppId(app), src, dst, tag)
+            .map_err(|e| format!("{flavour} conn {tag}: {e:?}"))?;
+        apply_updates(&mut programmed, &updates);
     }
+    for name in workloads {
+        let model = table.get(name).expect("profiled");
+        let updates = inc.update_model(model);
+        if !updates.is_empty() {
+            return Err(format!(
+                "{flavour} emitted {} update(s) for an identical {name} model",
+                updates.len()
+            ));
+        }
+    }
+    let mut history: Vec<&SensitivityModel> = Vec::new();
+    for (step, refits) in rounds.iter().enumerate() {
+        for model in refits {
+            let updates = inc.update_model(model);
+            check_weight_budget(&updates, c_saba)?;
+            apply_updates(&mut programmed, &updates);
+            history.push(model);
+        }
+        let mut scratch = registered("scratch")?;
+        for model in &history {
+            scratch.update_model(model);
+        }
+        for &(app, src, dst, tag) in conns {
+            scratch.preload_connection(AppId(app), src, dst, tag);
+        }
+        diff_switch_states(
+            &format!("{flavour}-reprofile"),
+            step,
+            &programmed,
+            &scratch.recompute_all(),
+        )?;
+    }
+    Ok(())
+}
+
+/// Runs [`absorb_refits`] over both controller flavours (`shards`
+/// link shards on the distributed one).
+fn absorb_refits_on_both(
+    topo: &Topology,
+    shards: usize,
+    workloads: &[&str],
+    table: &SensitivityTable,
+    conns: &[(u32, NodeId, NodeId, u64)],
+    rounds: &[Vec<SensitivityModel>],
+) -> Result<(), String> {
+    let cfg = ControllerConfig::default();
+    let db = MappingDb::build(table, cfg.num_pls, cfg.seed);
+    absorb_refits(
+        "central",
+        || CentralController::new(cfg.clone(), table.clone(), topo),
+        workloads,
+        table,
+        conns,
+        rounds,
+    )?;
+    absorb_refits(
+        "distributed",
+        || DistributedController::new(cfg.clone(), db.clone(), topo, shards),
+        workloads,
+        table,
+        conns,
+        rounds,
+    )
+}
+
+/// Checks one accepted refit: it must explain the live window better
+/// than the frozen model and stay monotone in bandwidth.
+fn check_refit(refit: &Refit) -> Result<(), String> {
+    if refit.refit_error >= refit.error {
+        return Err(format!(
+            "refit of {} worsens the live error ({} -> {})",
+            refit.model.workload, refit.error, refit.refit_error
+        ));
+    }
+    check_model_monotonicity(&refit.model).map_err(|e| format!("refit model not monotone: {e}"))
 }
 
 /// **Re-profiling invariants**: no-op under tolerance (bit-identical
@@ -413,7 +518,8 @@ pub fn check_reprofile(sc: &ReprofileScript) -> Result<(), String> {
         .map_err(|e| format!("profiling failed: {e:?}"))?;
 
     // (a) No-op under tolerance: the profiled samples themselves must
-    // not trip a refit…
+    // not trip a refit (and, in `absorb_refits`, pushing a bit-identical
+    // model through either flavour must emit zero updates).
     let mut quiet = scenario_reprofiler();
     for s in &streams {
         let model = table.get(s.name()).expect("just profiled");
@@ -427,131 +533,38 @@ pub fn check_reprofile(sc: &ReprofileScript) -> Result<(), String> {
         ));
     }
 
-    let topo = Topology::single_switch(sc.servers, 100.0);
-    let cfg = ControllerConfig::default();
-    let servers = topo.servers().to_vec();
-    let db = MappingDb::build(&table, cfg.num_pls, cfg.seed);
-    let mut central = CentralController::new(cfg.clone(), table.clone(), &topo);
-    let mut dist = DistributedController::new(cfg.clone(), db.clone(), &topo, 2);
-    for (i, s) in streams.iter().enumerate() {
-        central
-            .register(AppId(i as u32), s.name())
-            .map_err(|e| format!("central register {i}: {e:?}"))?;
-        dist.register(AppId(i as u32), s.name())
-            .map_err(|e| format!("distributed register {i}: {e:?}"))?;
-    }
-    let mut central_prog: BTreeMap<u32, PortQueueConfig> = BTreeMap::new();
-    let mut dist_prog: BTreeMap<u32, PortQueueConfig> = BTreeMap::new();
-    for (i, &(app, src, dst)) in sc.conns.iter().enumerate() {
-        let cu = central
-            .conn_create(AppId(app), servers[src], servers[dst], i as u64)
-            .map_err(|e| format!("central conn {i}: {e:?}"))?;
-        let du = dist
-            .conn_create(AppId(app), servers[src], servers[dst], i as u64)
-            .map_err(|e| format!("distributed conn {i}: {e:?}"))?;
-        apply(&mut central_prog, &cu);
-        apply(&mut dist_prog, &du);
-    }
-
-    // …and pushing a bit-identical model through either flavour must
-    // emit zero updates (the no-op epoch).
-    for s in &streams {
-        let model = table.get(s.name()).expect("profiled").clone();
-        let cu = central.update_model(&model);
-        if !cu.is_empty() {
-            return Err(format!(
-                "central emitted {} update(s) for an identical {} model",
-                cu.len(),
-                s.name()
-            ));
-        }
-        let du = dist.update_model(&model);
-        if !du.is_empty() {
-            return Err(format!(
-                "distributed emitted {} update(s) for an identical {} model",
-                du.len(),
-                s.name()
-            ));
-        }
-    }
-
-    // (b)+(c): drift rounds. Live samples from the drifted specs feed
-    // the re-profiler; accepted refits are checked and pushed through
-    // both flavours, then each flavour's accumulated state is diffed
-    // against a from-scratch replay of the same logical history.
+    // (b) Drift rounds: live samples from the drifted specs feed the
+    // re-profiler; every accepted refit is checked.
     let mut live_table = table.clone();
     let mut rp = scenario_reprofiler();
-    let mut history: Vec<SensitivityModel> = Vec::new();
+    let mut rounds: Vec<Vec<SensitivityModel>> = Vec::new();
     for (step, &t) in sc.times.iter().enumerate() {
         for s in &streams {
             let live =
                 to_slowdowns(&profiler.measure_samples(s.name(), &s.spec_at(t).profile_plan()));
             rp.observe_series(s.name(), &live);
         }
+        let mut round = Vec::new();
         for refit in rp.poll(&live_table) {
-            if refit.refit_error >= refit.error {
-                return Err(format!(
-                    "step {step}: refit of {} worsens the live error ({} -> {})",
-                    refit.model.workload, refit.error, refit.refit_error
-                ));
-            }
-            check_model_monotonicity(&refit.model)
-                .map_err(|e| format!("step {step}: refit model not monotone: {e}"))?;
+            check_refit(&refit).map_err(|e| format!("step {step}: {e}"))?;
             live_table.insert(refit.model.clone());
-            let cu = central.update_model(&refit.model);
-            let du = dist.update_model(&refit.model);
-            check_weight_budget(&cu, cfg.c_saba)?;
-            check_weight_budget(&du, cfg.c_saba)?;
-            apply(&mut central_prog, &cu);
-            apply(&mut dist_prog, &du);
-            history.push(refit.model.clone());
+            round.push(refit.model);
         }
-
-        // From-scratch central: original table, same registrations,
-        // the refit history replayed, live connections preloaded.
-        let mut fresh = CentralController::new(cfg.clone(), table.clone(), &topo);
-        for (i, s) in streams.iter().enumerate() {
-            fresh
-                .register(AppId(i as u32), s.name())
-                .map_err(|e| format!("scratch central register {i}: {e:?}"))?;
-        }
-        for m in &history {
-            fresh.update_model(m);
-        }
-        for (i, &(app, src, dst)) in sc.conns.iter().enumerate() {
-            fresh.preload_connection(AppId(app), servers[src], servers[dst], i as u64);
-        }
-        diff_switch_states(
-            "central-reprofile",
-            step,
-            &central_prog,
-            &fresh.recompute_all(),
-        )?;
-
-        // From-scratch distributed: same offline database replica, the
-        // same refit pushes, the same connections.
-        let mut dfresh = DistributedController::new(cfg.clone(), db.clone(), &topo, 2);
-        for (i, s) in streams.iter().enumerate() {
-            dfresh
-                .register(AppId(i as u32), s.name())
-                .map_err(|e| format!("scratch dist register {i}: {e:?}"))?;
-        }
-        for m in &history {
-            dfresh.update_model(m);
-        }
-        for (i, &(app, src, dst)) in sc.conns.iter().enumerate() {
-            dfresh
-                .conn_create(AppId(app), servers[src], servers[dst], i as u64)
-                .map_err(|e| format!("scratch dist conn {i}: {e:?}"))?;
-        }
-        diff_switch_states(
-            "distributed-reprofile",
-            step,
-            &dist_prog,
-            &dfresh.recompute_all(),
-        )?;
+        rounds.push(round);
     }
-    Ok(())
+
+    // (c) Both flavours absorb the rounds through their incremental
+    // paths and match a from-scratch replay after each.
+    let topo = Topology::single_switch(sc.servers, 100.0);
+    let servers = topo.servers();
+    let conns: Vec<(u32, NodeId, NodeId, u64)> = sc
+        .conns
+        .iter()
+        .enumerate()
+        .map(|(i, &(app, src, dst))| (app, servers[src], servers[dst], i as u64))
+        .collect();
+    let names: Vec<&str> = streams.iter().map(|s| s.name()).collect();
+    absorb_refits_on_both(&topo, 2, &names, &table, &conns, &rounds)
 }
 
 /// The headline re-profiling experiment, run once per driver
@@ -577,39 +590,19 @@ pub fn reprofile_demo() -> Result<String, String> {
         .map_err(|e| format!("profiling failed: {e:?}"))?;
 
     let topo = Topology::spine_leaf(&SpineLeafConfig::paper());
-    let servers = topo.servers().to_vec();
+    let servers = topo.servers();
     let n = servers.len();
-    let cfg = ControllerConfig::default();
-    let db = MappingDb::build(&table, cfg.num_pls, cfg.seed);
-    let mut central = CentralController::new(cfg.clone(), table.clone(), &topo);
-    let mut dist = DistributedController::new(cfg.clone(), db.clone(), &topo, 8);
-    let mut central_prog: BTreeMap<u32, PortQueueConfig> = BTreeMap::new();
-    let mut dist_prog: BTreeMap<u32, PortQueueConfig> = BTreeMap::new();
-    let mut conns: Vec<(u32, usize, usize, u64)> = Vec::new();
-    for (i, s) in streams.iter().enumerate() {
-        central
-            .register(AppId(i as u32), s.name())
-            .map_err(|e| format!("central register {i}: {e:?}"))?;
-        dist.register(AppId(i as u32), s.name())
-            .map_err(|e| format!("distributed register {i}: {e:?}"))?;
-        // Six connections per app, scattered across pods with a fixed
-        // stride so paths cross leaf and spine tiers.
+    // Six connections per app, scattered across pods with a fixed
+    // stride so paths cross leaf and spine tiers.
+    let mut conns: Vec<(u32, NodeId, NodeId, u64)> = Vec::new();
+    for i in 0..streams.len() {
         for k in 0..6usize {
             let src = (i * 487 + k * 211) % n;
             let mut dst = (i * 131 + k * 613 + 997) % n;
             if dst == src {
                 dst = (dst + 1) % n;
             }
-            let tag = (i * 100 + k) as u64;
-            let cu = central
-                .conn_create(AppId(i as u32), servers[src], servers[dst], tag)
-                .map_err(|e| format!("central conn: {e:?}"))?;
-            let du = dist
-                .conn_create(AppId(i as u32), servers[src], servers[dst], tag)
-                .map_err(|e| format!("distributed conn: {e:?}"))?;
-            apply(&mut central_prog, &cu);
-            apply(&mut dist_prog, &du);
-            conns.push((i as u32, src, dst, tag));
+            conns.push((i as u32, servers[src], servers[dst], (i * 100 + k) as u64));
         }
     }
 
@@ -624,50 +617,15 @@ pub fn reprofile_demo() -> Result<String, String> {
     if refits.is_empty() {
         return Err("seeded streaming drift tripped no refit".into());
     }
-    let (mut err_before, mut err_after) = (0.0, 0.0);
     for refit in &refits {
-        if refit.refit_error >= refit.error {
-            return Err(format!(
-                "refit of {} worsens the live error ({} -> {})",
-                refit.model.workload, refit.error, refit.refit_error
-            ));
-        }
-        check_model_monotonicity(&refit.model)?;
-        err_before += refit.error;
-        err_after += refit.refit_error;
-        let cu = central.update_model(&refit.model);
-        let du = dist.update_model(&refit.model);
-        check_weight_budget(&cu, cfg.c_saba)?;
-        check_weight_budget(&du, cfg.c_saba)?;
-        apply(&mut central_prog, &cu);
-        apply(&mut dist_prog, &du);
+        check_refit(refit)?;
     }
-    err_before /= refits.len() as f64;
-    err_after /= refits.len() as f64;
+    let mean = |f: fn(&Refit) -> f64| refits.iter().map(f).sum::<f64>() / refits.len() as f64;
+    let (err_before, err_after) = (mean(|r| r.error), mean(|r| r.refit_error));
 
-    // From-scratch replay on the same fabric, both flavours.
-    let mut fresh = CentralController::new(cfg.clone(), table.clone(), &topo);
-    let mut dfresh = DistributedController::new(cfg.clone(), db, &topo, 8);
-    for (i, s) in streams.iter().enumerate() {
-        fresh
-            .register(AppId(i as u32), s.name())
-            .map_err(|e| format!("scratch central register {i}: {e:?}"))?;
-        dfresh
-            .register(AppId(i as u32), s.name())
-            .map_err(|e| format!("scratch dist register {i}: {e:?}"))?;
-    }
-    for refit in &refits {
-        fresh.update_model(&refit.model);
-        dfresh.update_model(&refit.model);
-    }
-    for &(app, src, dst, tag) in &conns {
-        fresh.preload_connection(AppId(app), servers[src], servers[dst], tag);
-        dfresh
-            .conn_create(AppId(app), servers[src], servers[dst], tag)
-            .map_err(|e| format!("scratch dist conn: {e:?}"))?;
-    }
-    diff_switch_states("central-demo", 0, &central_prog, &fresh.recompute_all())?;
-    diff_switch_states("distributed-demo", 0, &dist_prog, &dfresh.recompute_all())?;
+    let names: Vec<&str> = streams.iter().map(|s| s.name()).collect();
+    let round: Vec<SensitivityModel> = refits.iter().map(|r| r.model.clone()).collect();
+    absorb_refits_on_both(&topo, 8, &names, &table, &conns, &[round])?;
 
     Ok(format!(
         "reprofile demo: {} servers, {} refit(s), mean live error {:.3} -> {:.3}, \

@@ -1,4 +1,4 @@
-//! The distributed controller (§5.4).
+//! The distributed policy (§5.4): link shards over an offline database.
 //!
 //! Eq. 2 is separable per output port, so the controller's logic can be
 //! sharded: each shard owns a group of switches and maintains only the
@@ -14,20 +14,22 @@
 //! A connection create is sent to the shard owning the first switch on
 //! the path, which configures its own links and *forwards* the request
 //! to the shard owning the next hop, and so on (§5.4); the forward
-//! count is surfaced in [`DistStats`].
+//! count is surfaced in [`EpochStats::forwards`]. The epoch machinery
+//! itself lives in [`super::epoch`]; the shards are a partition of its
+//! one link index.
+//!
+//! [`EpochStats::forwards`]: super::epoch::EpochStats::forwards
 
+use crate::controller::epoch::{Controller, Policy};
 use crate::controller::queuemap::QueueMapper;
 use crate::controller::weights::centroid_weights_warm;
-use crate::controller::{ControllerConfig, ControllerError, EpochInfo, SwitchUpdate};
-use crate::fabric::PortQueueConfig;
-use crate::sensitivity::{padded_coeffs, SensitivityTable};
+use crate::controller::{ControllerConfig, ControllerError};
+use crate::sensitivity::{padded_coeffs, SensitivityModel, SensitivityTable};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use saba_math::{kmeans, KMeansConfig, SolveScratch};
-use saba_sim::ids::{AppId, LinkId, NodeId, ServiceLevel};
-use saba_sim::routing::{LinkMembers, Routes};
+use saba_sim::ids::{AppId, LinkId};
 use saba_sim::topology::Topology;
-use saba_telemetry::{EventKind, Histogram, TelemetrySink};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
@@ -215,69 +217,28 @@ struct MappingDbWire {
     centroids: Vec<(usize, Vec<f64>)>,
 }
 
-/// Distributed-controller counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct DistStats {
-    /// Connection requests forwarded between shards (§5.4 "communicating
-    /// with the next controller on the path").
-    pub forwards: u64,
-    /// Ports reprogrammed.
-    pub ports_reconfigured: u64,
-    /// Eq. 2 solves performed (over PL centroids).
-    pub eq2_solves: u64,
-    /// Ports visited across all epochs (dirty-set sizes summed).
-    pub ports_dirty: u64,
-    /// Eq. 2 solves avoided by the PL-set memo cache's fast path.
-    pub solves_skipped: u64,
-    /// `SwitchUpdate`s suppressed because the recomputed configuration
-    /// matched what the port already runs.
-    pub queue_updates_diffed: u64,
-}
+/// The distributed Saba controller: link shards over a shared offline
+/// [`MappingDb`].
+pub type DistributedController = Controller<Distributed>;
 
-/// Per-shard state: a refcounted link → PL-set index for owned links
-/// only (only entries for links the shard owns are ever populated).
-#[derive(Debug, Clone, Default)]
-struct Shard {
-    links: LinkMembers<usize>,
-}
-
-/// The distributed Saba controller: a set of shards over a shared
-/// offline [`MappingDb`].
+/// The distributed flavour's [`Policy`].
 #[derive(Debug, Clone)]
-pub struct DistributedController {
-    cfg: ControllerConfig,
+pub struct Distributed {
     db: MappingDb,
-    topo: Topology,
-    routes: Routes,
-    shards: Vec<Shard>,
     /// Shard owning each link.
     link_shard: Vec<usize>,
+    num_shards: usize,
     apps: BTreeMap<AppId, usize>,
-    conns: HashMap<(AppId, u64), Vec<LinkId>>,
     /// Eq. 2 solutions memoized by the PL set. Centroids are fixed by
-    /// the offline database except when a re-profiled model moves one
-    /// ([`Self::update_model`]), which purges every entry naming the
-    /// moved PL.
+    /// the offline database except when a re-profiled model moves one,
+    /// which purges every entry naming the moved PL.
     weight_cache: HashMap<Vec<usize>, Vec<f64>>,
-    /// Last configuration emitted per occupied port; absence means the
-    /// switch still runs its factory default. Event-path epochs diff
-    /// against this to suppress no-op updates.
-    programmed: HashMap<u32, PortQueueConfig>,
     /// Previous-epoch (PL set, weights) per port — warm seeds for the
     /// next solve at that port.
     last_weights: HashMap<u32, (Vec<usize>, Vec<f64>)>,
-    /// Worker threads for independent per-port Eq. 2 solves (1 = serial).
-    solver_threads: usize,
-    scratch: SolveScratch,
-    last_epoch: EpochInfo,
-    stats: DistStats,
-    solve_timing: bool,
-    last_solve_secs: f64,
-    solve_secs_total: f64,
-    solve_hist: Histogram,
 }
 
-impl DistributedController {
+impl Controller<Distributed> {
     /// Creates `num_shards` shards over `topo`, each owning the output
     /// ports of a contiguous group of nodes.
     ///
@@ -287,140 +248,58 @@ impl DistributedController {
     pub fn new(cfg: ControllerConfig, db: MappingDb, topo: &Topology, num_shards: usize) -> Self {
         cfg.validate();
         assert!(num_shards >= 1, "need at least one shard");
-        let routes = Routes::compute(topo);
-        let link_shard: Vec<usize> = (0..topo.num_links())
-            .map(|l| {
-                let from = topo.link(LinkId(l as u32)).from;
-                from.0 as usize % num_shards
-            })
+        let link_shard = (0..topo.num_links())
+            .map(|l| topo.link(LinkId(l as u32)).from.0 as usize % num_shards)
             .collect();
-        Self {
-            cfg,
+        let policy = Distributed {
             db,
-            topo: topo.clone(),
-            routes,
-            shards: vec![
-                Shard {
-                    links: LinkMembers::new(topo.num_links()),
-                };
-                num_shards
-            ],
             link_shard,
+            num_shards,
             apps: BTreeMap::new(),
-            conns: HashMap::new(),
             weight_cache: HashMap::new(),
-            programmed: HashMap::new(),
             last_weights: HashMap::new(),
-            solver_threads: 1,
-            scratch: SolveScratch::new(),
-            last_epoch: EpochInfo::default(),
-            stats: DistStats::default(),
-            solve_timing: false,
-            last_solve_secs: 0.0,
-            solve_secs_total: 0.0,
-            solve_hist: Histogram::new(),
-        }
+        };
+        Self::with_policy(cfg, topo, policy)
     }
 
-    /// Enables wall-clock timing of every reprogramming batch (one
-    /// sample per shard-local solve) for the Fig. 12 overhead study.
-    pub fn enable_solve_timing(&mut self) {
-        self.solve_timing = true;
+    /// Applications currently registered, ascending by id.
+    pub fn apps(&self) -> Vec<AppId> {
+        self.policy.apps.keys().copied().collect()
     }
+}
 
-    /// Sets the number of worker threads used for the independent
-    /// per-port centroid solves of a reprogramming batch (clamped to at
-    /// least 1; 1 — the default — keeps the fully serial path). As in
-    /// the centralized design, the parallel path is bit-identical to the
-    /// serial one: missing PL-set cache entries are independent solves,
-    /// merged in first-occurrence order, with matching stats counters.
-    pub fn set_solver_threads(&mut self, threads: usize) {
-        self.solver_threads = threads.max(1);
-    }
+impl Policy for Distributed {
+    type Member = usize;
+    type Key = Vec<usize>;
 
-    /// Wall-clock seconds of the most recent timed reprogramming batch.
-    pub fn last_solve_secs(&self) -> f64 {
-        self.last_solve_secs
-    }
-
-    /// Total wall-clock seconds across all timed batches; diff around a
-    /// call sequence to time it (e.g. one `recompute_all`).
-    pub fn solve_secs_total(&self) -> f64 {
-        self.solve_secs_total
-    }
-
-    /// Distribution of per-batch solve times (empty until
-    /// [`Self::enable_solve_timing`]).
-    pub fn solve_histogram(&self) -> &Histogram {
-        &self.solve_hist
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> DistStats {
-        self.stats
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Registers an application: a pure database lookup, no clustering
-    /// (that happened offline).
-    pub fn register(
+    /// A pure database lookup, no clustering (that happened offline).
+    fn register(
         &mut self,
+        _cfg: &ControllerConfig,
         app: AppId,
         workload: &str,
-    ) -> Result<ServiceLevel, ControllerError> {
-        if self.apps.contains_key(&app) {
-            return Err(ControllerError::AlreadyRegistered(app));
-        }
+    ) -> Result<usize, ControllerError> {
         let pl = self
             .db
             .pl_of(workload)
             .ok_or_else(|| ControllerError::UnknownWorkload(workload.to_string()))?;
         self.apps.insert(app, pl);
-        Ok(ServiceLevel(pl as u8))
+        Ok(pl)
     }
 
-    /// Deregisters an application and drops its remaining connections.
-    /// All affected ports are reprogrammed in one epoch, so a port
-    /// crossed by several of the application's connections is visited
-    /// once, not once per connection.
-    pub fn deregister(&mut self, app: AppId) -> Result<Vec<SwitchUpdate>, ControllerError> {
-        let pl = self
-            .apps
-            .remove(&app)
-            .ok_or(ControllerError::UnknownApp(app))?;
-        let leftover: Vec<(AppId, u64)> = self
-            .conns
-            .keys()
-            .filter(|(a, _)| *a == app)
-            .copied()
-            .collect();
-        let mut dirty = Vec::new();
-        for key in leftover {
-            let links = self.conns.remove(&key).expect("key just enumerated");
-            dirty.extend(self.release(pl, &links));
-        }
-        Ok(self.reprogram(dirty))
+    fn unregister(&mut self, app: AppId) {
+        self.apps.remove(&app);
     }
 
-    /// Pushes a re-fitted sensitivity model through the distributed
-    /// design: the shared database replaces the workload's clustering
-    /// point and recomputes its PL centroid (the PL itself is sticky,
-    /// §6). When the centroid moved, memoized Eq. 2 solutions naming
-    /// that PL are purged — the one event that can invalidate the PL-set
-    /// cache — and every Saba-carrying port is revisited in one
-    /// incremental epoch; because the PL hierarchy was rebuilt, even
-    /// ports without the refit PL can map queues differently, and the
-    /// configuration diff suppresses the ones that did not. Unknown
-    /// workloads and refits that leave the centroid in place touch
-    /// nothing.
-    pub fn update_model(
-        &mut self,
-        model: &crate::sensitivity::SensitivityModel,
-    ) -> Vec<SwitchUpdate> {
+    /// The shared database replaces the workload's clustering point and
+    /// recomputes its PL centroid. When the centroid moved, memoized
+    /// solutions naming that PL are purged — the one event that can
+    /// invalidate the PL-set cache — and, because the PL hierarchy was
+    /// rebuilt, even ports without the refit PL can map queues
+    /// differently: every PL's ports are revisited and the diff
+    /// suppresses the ones that did not change. Unknown workloads and
+    /// refits that leave the centroid in place touch nothing.
+    fn update_model(&mut self, _cfg: &ControllerConfig, model: &SensitivityModel) -> Vec<usize> {
         let Some(pl) = self.db.pl_of(&model.workload) else {
             return Vec::new();
         };
@@ -428,408 +307,105 @@ impl DistributedController {
             return Vec::new();
         }
         self.weight_cache.retain(|pls, _| !pls.contains(&pl));
-        let mut dirty: Vec<LinkId> = Vec::new();
-        for shard in &self.shards {
-            dirty.extend(shard.links.occupied_links());
-        }
-        self.reprogram(dirty)
+        self.db.centroids().iter().map(|(p, _)| *p).collect()
     }
 
-    fn pl_of_app(&self, app: AppId) -> usize {
-        *self
-            .apps
-            .get(&app)
-            .expect("connection implies registration")
+    fn member(&self, app: AppId) -> Option<usize> {
+        self.apps.get(&app).copied()
     }
 
-    /// Creates a connection: the request travels shard to shard along
-    /// the path (§5.4), each shard configuring the links it owns.
-    pub fn conn_create(
-        &mut self,
-        app: AppId,
-        src: NodeId,
-        dst: NodeId,
-        tag: u64,
-    ) -> Result<Vec<SwitchUpdate>, ControllerError> {
-        let pl = *self
-            .apps
-            .get(&app)
-            .ok_or(ControllerError::UnknownApp(app))?;
-        let links = self
-            .routes
-            .path(&self.topo, src, dst, tag)
-            .ok_or(ControllerError::Unreachable { src, dst })?;
-        // Count inter-shard forwards: one per shard transition on the path.
-        let mut prev_shard: Option<usize> = None;
-        let mut dirty = Vec::new();
-        for &l in &links {
-            let shard_idx = self.link_shard[l.0 as usize];
-            if prev_shard.is_some_and(|p| p != shard_idx) {
-                self.stats.forwards += 1;
-            }
-            prev_shard = Some(shard_idx);
-            if self.shards[shard_idx].links.add(l, pl) {
-                dirty.push(l); // PL set at this port changed.
-            }
-        }
-        self.conns.insert((app, tag), links);
-        Ok(self.reprogram(dirty))
+    fn pl(&self, pl: usize) -> usize {
+        pl
     }
 
-    /// Destroys a connection.
-    pub fn conn_destroy(
-        &mut self,
-        app: AppId,
-        tag: u64,
-    ) -> Result<Vec<SwitchUpdate>, ControllerError> {
-        let links = self
-            .conns
-            .remove(&(app, tag))
-            .ok_or(ControllerError::UnknownConnection(tag))?;
-        let pl = self.pl_of_app(app);
-        let dirty = self.release(pl, &links);
-        Ok(self.reprogram(dirty))
+    fn mapper(&self) -> &QueueMapper {
+        self.db.mapper()
     }
 
-    /// Drops one connection's refcounts and returns the links whose PL
-    /// set changed (the caller batches them into one epoch).
-    fn release(&mut self, pl: usize, links: &[LinkId]) -> Vec<LinkId> {
-        let mut dirty = Vec::new();
-        for &l in links {
-            let shard_idx = self.link_shard[l.0 as usize];
-            if self.shards[shard_idx].links.remove(l, pl) {
-                dirty.push(l);
-            }
-        }
-        dirty
+    fn cached(&self, present: &[usize], _pls: &[usize]) -> Option<&Vec<f64>> {
+        self.weight_cache.get(present)
     }
 
-    fn note_batch_secs(&mut self, secs: f64) {
-        self.last_solve_secs = secs;
-        self.solve_secs_total += secs;
-        self.solve_hist.record(secs);
+    fn key(&self, present: &[usize], _pls: &[usize]) -> Vec<usize> {
+        present.to_vec()
     }
 
-    fn reprogram(&mut self, links: Vec<LinkId>) -> Vec<SwitchUpdate> {
-        if !self.solve_timing {
-            return self.reprogram_batch(links, false);
-        }
-        let t0 = std::time::Instant::now();
-        let updates = self.reprogram_batch(links, false);
-        self.note_batch_secs(t0.elapsed().as_secs_f64());
-        updates
-    }
-
-    /// Computes configurations for `links` (deduplicated, in id order).
-    /// With `force` (the recovery recompute paths) every configuration
-    /// is emitted unconditionally; otherwise the diff against the last
-    /// programmed state suppresses no-op updates. As in the centralized
-    /// design, the diff keys on the (occupancy, config) pair so that an
-    /// occupied port whose computed configuration equals the factory
-    /// default is still programmed on first touch.
-    fn reprogram_batch(&mut self, mut links: Vec<LinkId>, force: bool) -> Vec<SwitchUpdate> {
-        links.sort_unstable_by_key(|l| l.0);
-        links.dedup();
-        self.last_epoch = EpochInfo {
-            full: force,
-            dirty: links.len() as u32,
-            emitted: 0,
-        };
-        self.stats.ports_dirty += links.len() as u64;
-        // Parallel phase: solve missing PL-set cache entries up front so
-        // the serial sweep below runs on pure cache hits; the counter
-        // compensation at the end keeps stats bit-identical to a
-        // single-threaded run (see the centralized controller).
-        let prewarmed = if self.solver_threads > 1 {
-            self.prewarm_weight_cache(&links)
-        } else {
-            0
-        };
-        let mut updates = Vec::with_capacity(links.len());
-        for link in links {
-            let config = self.port_config(link);
-            let shard_idx = self.link_shard[link.0 as usize];
-            let occupied = !self.shards[shard_idx].links.is_empty(link);
-            if !force {
-                let unchanged = if occupied {
-                    self.programmed.get(&link.0) == Some(&config)
-                } else {
-                    !self.programmed.contains_key(&link.0)
-                };
-                if unchanged {
-                    self.stats.queue_updates_diffed += 1;
-                    continue;
-                }
-            }
-            if occupied {
-                self.programmed.insert(link.0, config.clone());
-            } else {
-                self.programmed.remove(&link.0);
-            }
-            self.stats.ports_reconfigured += 1;
-            updates.push(SwitchUpdate { link, config });
-        }
-        if prewarmed > 0 {
-            debug_assert!(self.stats.solves_skipped >= prewarmed);
-            self.stats.solves_skipped -= prewarmed;
-            self.stats.eq2_solves += prewarmed;
-        }
-        self.last_epoch.emitted = updates.len() as u32;
-        updates
-    }
-
-    /// Collects the PL-set cache misses of one batch and solves them
-    /// concurrently on [`saba_math::parallel_map_with`] workers with
-    /// per-thread [`SolveScratch`] pools, inserting results in
-    /// first-occurrence order. Returns the number of solves performed.
-    /// Seeds read here equal what the serial sweep would read: within a
-    /// batch `last_weights` is only mutated by the sweep after this
-    /// phase, keyed by each port's own link id.
-    fn prewarm_weight_cache(&mut self, links: &[LinkId]) -> u64 {
-        struct Job {
-            present: Vec<usize>,
-            centroids: Vec<Vec<f64>>,
-            seed: Option<Vec<f64>>,
-        }
-        let mut jobs: Vec<Job> = Vec::new();
-        let mut queued: std::collections::HashSet<Vec<usize>> = std::collections::HashSet::new();
-        for &link in links {
-            let shard_idx = self.link_shard[link.0 as usize];
-            let present: Vec<usize> = self.shards[shard_idx].links.members(link).collect();
-            if present.is_empty()
-                || self.weight_cache.contains_key(&present)
-                || queued.contains(&present)
-            {
-                continue;
-            }
-            let centroids: Vec<Vec<f64>> = present
+    /// Eq. 2 over the centroid model of each PL present (coarser than
+    /// the centralized per-application solve).
+    fn solve(
+        &self,
+        cfg: &ControllerConfig,
+        present: &Vec<usize>,
+        link: LinkId,
+        scratch: &mut SolveScratch,
+    ) -> Vec<f64> {
+        let centroids: Vec<Vec<f64>> = present
+            .iter()
+            .map(|&pl| {
+                let (_, centroid) = self
+                    .db
+                    .centroids()
+                    .iter()
+                    .find(|(p, _)| *p == pl)
+                    .expect("present PL exists in the DB");
+                centroid.clone()
+            })
+            .collect();
+        // Warm seed: the port's previous-epoch weights, matched by PL;
+        // newly arrived PLs start at the fair share. `solve_from`
+        // certifies the warm result against the cold KKT point, so the
+        // memoized value is identical either way.
+        let seed: Option<Vec<f64>> = self.last_weights.get(&link.0).map(|(pp, pw)| {
+            let fair = cfg.c_saba / present.len() as f64;
+            present
                 .iter()
-                .map(|&pl| {
-                    self.db
-                        .centroids()
-                        .iter()
-                        .find(|(p, _)| *p == pl)
-                        .expect("present PL exists in the DB")
-                        .1
-                        .clone()
-                })
-                .collect();
-            let seed: Option<Vec<f64>> = self.last_weights.get(&link.0).map(|(pp, pw)| {
-                let fair = self.cfg.c_saba / present.len() as f64;
-                present
-                    .iter()
-                    .map(|pl| pp.iter().position(|x| x == pl).map_or(fair, |i| pw[i]))
-                    .collect()
-            });
-            queued.insert(present.clone());
-            jobs.push(Job {
-                present,
-                centroids,
-                seed,
-            });
-        }
-        if jobs.is_empty() {
-            return 0;
-        }
-        let (c_saba, min_weight, protect) = (
-            self.cfg.c_saba,
-            self.cfg.min_weight,
-            self.cfg.protect_fraction,
-        );
-        let solved: Vec<Vec<f64>> = saba_math::parallel_map_with(
-            jobs.len(),
-            self.solver_threads,
-            SolveScratch::new,
-            |scratch, j| {
-                let job = &jobs[j];
-                centroid_weights_warm(
-                    &job.centroids,
-                    c_saba,
-                    min_weight,
-                    protect,
-                    job.seed.as_deref(),
-                    scratch,
-                )
-                .expect("non-empty feasible weight problem")
-            },
-        );
-        let n = jobs.len() as u64;
-        for (job, w) in jobs.into_iter().zip(solved) {
-            self.weight_cache.insert(job.present, w);
-        }
-        n
+                .map(|pl| pp.iter().position(|x| x == pl).map_or(fair, |i| pw[i]))
+                .collect()
+        });
+        centroid_weights_warm(
+            &centroids,
+            cfg.c_saba,
+            cfg.min_weight,
+            cfg.protect_fraction,
+            seed.as_deref(),
+            scratch,
+        )
+        .expect("non-empty feasible weight problem")
     }
 
-    /// The scope of the most recent reprogramming epoch (for
-    /// [`Self::recompute_all`], the last shard's batch).
-    pub fn last_epoch(&self) -> EpochInfo {
-        self.last_epoch
+    fn store(&mut self, present: Vec<usize>, weights: Vec<f64>) {
+        self.weight_cache.insert(present, weights);
     }
 
-    /// Records the most recent epoch's scope into a telemetry sink:
-    /// one [`EventKind::EpochScope`] trace event at simulated time `t`.
-    /// Guarded on [`TelemetrySink::enabled`], so a [`NullSink`] caller
-    /// pays nothing.
-    ///
-    /// [`NullSink`]: saba_telemetry::NullSink
-    pub fn record_epoch<S: TelemetrySink>(&self, t: f64, sink: &mut S) {
-        if !sink.enabled() {
-            return;
-        }
-        let e = self.last_epoch;
-        sink.record(
-            t,
-            EventKind::EpochScope {
-                full: e.full,
-                dirty: u64::from(e.dirty),
-                emitted: u64::from(e.emitted),
-            },
-        );
-    }
-
-    /// Applications currently registered, ascending by id.
-    pub fn apps(&self) -> Vec<AppId> {
-        self.apps.keys().copied().collect()
-    }
-
-    /// Live connection keys, sorted (the backing map is unordered).
-    pub fn conn_keys(&self) -> Vec<(AppId, u64)> {
-        let mut keys: Vec<_> = self.conns.keys().copied().collect();
-        keys.sort_unstable();
-        keys
-    }
-
-    /// Whether `(app, tag)` is a live connection.
-    pub fn has_conn(&self, app: AppId, tag: u64) -> bool {
-        self.conns.contains_key(&(app, tag))
-    }
-
-    /// The shard owning `link`.
-    pub fn shard_of_link(&self, link: LinkId) -> usize {
-        self.link_shard[link.0 as usize]
-    }
-
-    /// Recomputes the configuration of every Saba-carrying port owned
-    /// by `shard` — a recovered shard re-deriving its switch state from
-    /// its connection counts (its peers kept serving; only its links
-    /// went stale).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn recompute_shard(&mut self, shard: usize) -> Vec<SwitchUpdate> {
-        assert!(shard < self.shards.len(), "shard {shard} out of range");
-        let links: Vec<LinkId> = self.shards[shard].links.occupied_links().collect();
-        if !self.solve_timing {
-            return self.reprogram_batch(links, true);
-        }
-        let t0 = std::time::Instant::now();
-        let updates = self.reprogram_batch(links, true);
-        self.note_batch_secs(t0.elapsed().as_secs_f64());
-        updates
-    }
-
-    /// Recomputes every Saba-carrying port across all shards (full
-    /// fabric re-derivation after a total outage).
-    pub fn recompute_all(&mut self) -> Vec<SwitchUpdate> {
-        let mut all = Vec::new();
-        for s in 0..self.shards.len() {
-            all.extend(self.recompute_shard(s));
-        }
-        all
-    }
-
-    /// Port configuration from PL-granularity state: Eq. 2 over the
-    /// centroid model of each PL present (coarser than the centralized
-    /// per-application solve).
-    fn port_config(&mut self, link: LinkId) -> PortQueueConfig {
-        let shard_idx = self.link_shard[link.0 as usize];
-        let present: Vec<usize> = self.shards[shard_idx].links.members(link).collect();
-        if present.is_empty() {
-            self.last_weights.remove(&link.0);
-            return PortQueueConfig::default();
-        }
-        let pl_weights = match self.weight_cache.get(&present) {
-            Some(w) => {
-                self.stats.solves_skipped += 1;
-                w.clone()
-            }
-            None => {
-                let centroid_vecs: Vec<Vec<f64>> = present
-                    .iter()
-                    .map(|&pl| {
-                        self.db
-                            .centroids()
-                            .iter()
-                            .find(|(p, _)| *p == pl)
-                            .expect("present PL exists in the DB")
-                            .1
-                            .clone()
-                    })
-                    .collect();
-                self.stats.eq2_solves += 1;
-                // Warm seed: the port's previous-epoch weights, matched
-                // by PL; newly arrived PLs start at the fair share.
-                // `solve_from` certifies the warm result against the
-                // cold KKT point, so the memoized value is identical
-                // either way.
-                let seed: Option<Vec<f64>> = self.last_weights.get(&link.0).map(|(pp, pw)| {
-                    let fair = self.cfg.c_saba / present.len() as f64;
-                    present
-                        .iter()
-                        .map(|pl| pp.iter().position(|x| x == pl).map_or(fair, |i| pw[i]))
-                        .collect()
-                });
-                let w = centroid_weights_warm(
-                    &centroid_vecs,
-                    self.cfg.c_saba,
-                    self.cfg.min_weight,
-                    self.cfg.protect_fraction,
-                    seed.as_deref(),
-                    &mut self.scratch,
-                )
-                .expect("non-empty feasible weight problem");
-                self.weight_cache.insert(present.clone(), w.clone());
-                w
-            }
-        };
+    fn settle(
+        &mut self,
+        link: LinkId,
+        present: &[usize],
+        _: &[usize],
+        solved: Vec<f64>,
+    ) -> Vec<f64> {
         self.last_weights
-            .insert(link.0, (present.clone(), pl_weights.clone()));
+            .insert(link.0, (present.to_vec(), solved.clone()));
+        solved
+    }
 
-        let pm = self
-            .db
-            .mapper()
-            .map_port(&present, self.cfg.queues_per_port);
-        let mut qweights = vec![0.0; pm.groups.len()];
-        for (&pl, &w) in present.iter().zip(&pl_weights) {
-            let q = pm
-                .groups
-                .iter()
-                .position(|g| g.contains(&pl))
-                .expect("every present PL is in a group");
-            qweights[q] += w;
-        }
-        let mut sl_to_queue = pm.sl_to_queue;
-        if self.cfg.c_saba < 1.0 {
-            qweights.push(1.0 - self.cfg.c_saba);
-            let reserved_q = (qweights.len() - 1) as u8;
-            let active: Vec<usize> = self.db.mapper().pls().to_vec();
-            for (sl, q) in sl_to_queue.iter_mut().enumerate().take(ServiceLevel::COUNT) {
-                if !active.contains(&sl) {
-                    *q = reserved_q;
-                }
-            }
-        }
-        for w in &mut qweights {
-            *w = w.max(1e-6);
-        }
-        PortQueueConfig::new(sl_to_queue, qweights)
+    fn vacate(&mut self, link: LinkId) {
+        self.last_weights.remove(&link.0);
+    }
+
+    fn num_shards(&self) -> usize {
+        self.num_shards
+    }
+
+    fn shard_of(&self, link: LinkId) -> usize {
+        self.link_shard[link.0 as usize]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::PortQueueConfig;
     use crate::profiler::{Profiler, ProfilerConfig};
     use saba_sim::topology::SpineLeafConfig;
     use saba_workload::catalog;
@@ -930,22 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn second_conn_of_same_app_does_not_reprogram() {
-        let t = table();
-        let db = MappingDb::build(&t, 16, 1);
-        let topo = Topology::single_switch(4, saba_sim::LINK_56G_BPS);
-        let mut c = DistributedController::new(ControllerConfig::default(), db, &topo, 2);
-        c.register(AppId(0), "LR").unwrap();
-        let s = topo.servers();
-        assert!(!c.conn_create(AppId(0), s[0], s[1], 1).unwrap().is_empty());
-        // Same app, same path: the PL set at every port is unchanged, so
-        // the epoch has an empty dirty set and emits nothing.
-        let updates = c.conn_create(AppId(0), s[0], s[1], 2).unwrap();
-        assert!(updates.is_empty());
-        assert_eq!(c.last_epoch(), EpochInfo::default());
-    }
-
-    #[test]
     fn recompute_shard_reproduces_live_state() {
         let t = table();
         let db = MappingDb::build(&t, 16, 1);
@@ -977,24 +537,6 @@ mod tests {
         seen.dedup();
         assert_eq!(before, seen.len(), "no port recomputed twice");
         assert_eq!(seen.len(), live.len());
-    }
-
-    #[test]
-    fn solve_timing_records_one_sample_per_shard_batch() {
-        let t = table();
-        let db = MappingDb::build(&t, 16, 1);
-        let topo = Topology::single_switch(4, saba_sim::LINK_56G_BPS);
-        let mut c = DistributedController::new(ControllerConfig::default(), db, &topo, 2);
-        c.register(AppId(0), "LR").unwrap();
-        let s = topo.servers();
-        c.conn_create(AppId(0), s[0], s[1], 1).unwrap();
-        assert_eq!(c.solve_histogram().count(), 0, "timing defaults off");
-
-        c.enable_solve_timing();
-        c.recompute_all();
-        // recompute_all reprograms shard by shard: one sample each.
-        assert_eq!(c.solve_histogram().count(), c.num_shards() as u64);
-        assert!(c.solve_secs_total() > 0.0);
     }
 
     #[test]
@@ -1085,50 +627,5 @@ mod tests {
         let db = MappingDb::build(&table(), 16, 7);
         let mut full = MappingDb::from_json(&db.to_json()).unwrap();
         assert!(full.update_coeffs("LR", &[9.0, -2.0, 0.5]).is_some());
-    }
-
-    #[test]
-    fn parallel_solver_matches_serial_bit_for_bit() {
-        let t = table();
-        let db = MappingDb::build(&t, 16, 1);
-        let topo = Topology::spine_leaf(&SpineLeafConfig::tiny(2));
-        let mut serial =
-            DistributedController::new(ControllerConfig::default(), db.clone(), &topo, 4);
-        let mut par = DistributedController::new(ControllerConfig::default(), db, &topo, 4);
-        par.set_solver_threads(8);
-        let servers = topo.servers();
-        let workloads = catalog();
-        for (i, w) in workloads.iter().enumerate() {
-            let i = i as u32;
-            assert_eq!(
-                serial.register(AppId(i), &w.name).unwrap(),
-                par.register(AppId(i), &w.name).unwrap()
-            );
-            // Cross-pod paths touch several shards per batch.
-            let (a, b) = (
-                servers[i as usize % servers.len()],
-                servers[servers.len() - 1 - (i as usize % (servers.len() / 2))],
-            );
-            let tag = u64::from(i) + 1;
-            assert_eq!(
-                serial.conn_create(AppId(i), a, b, tag).unwrap(),
-                par.conn_create(AppId(i), a, b, tag).unwrap(),
-                "conn {i}"
-            );
-        }
-        for i in (0..workloads.len() as u32).step_by(2) {
-            assert_eq!(
-                serial.conn_destroy(AppId(i), u64::from(i) + 1).unwrap(),
-                par.conn_destroy(AppId(i), u64::from(i) + 1).unwrap()
-            );
-        }
-        // Per-shard recovery recomputes exercise the prewarm under `force`.
-        for s in 0..serial.num_shards() {
-            assert_eq!(serial.recompute_shard(s), par.recompute_shard(s));
-        }
-        assert_eq!(serial.recompute_all(), par.recompute_all());
-        let (ss, ps) = (serial.stats(), par.stats());
-        assert_eq!(ss, ps, "stats must match the serial path exactly");
-        assert!(ss.eq2_solves > 0 && ss.solves_skipped > 0);
     }
 }

@@ -1,20 +1,23 @@
 //! The Saba controller (§5): bandwidth calculation, application → PL →
 //! queue mapping, and switch orchestration.
 //!
-//! Two designs are provided, per §5.4:
+//! §5.4 describes one per-port computation whose state is either held
+//! globally or sharded by switch group. The code follows: one generic
+//! [`epoch::Controller`] runs the dirty-set → solve → map → diff epoch,
+//! and the two designs are policies over it:
 //!
-//! - [`central::CentralController`] — one controller with global state:
-//!   exact per-application Eq. 2 solves, online application-to-PL
-//!   clustering updated on every register/deregister, per-port
-//!   PL-to-queue mapping re-chosen on every connection event.
-//! - [`distributed::DistributedController`] — per-switch-group shards
-//!   that fetch a *profile-time* application-to-PL mapping and PL
-//!   hierarchy from a shared [`distributed::MappingDb`] and solve Eq. 2
-//!   over PL centroids rather than exact per-application models — the
+//! - [`central::CentralController`] — global state: exact
+//!   per-application Eq. 2 solves, online application-to-PL clustering
+//!   updated on every register/deregister.
+//! - [`distributed::DistributedController`] — link shards that fetch a
+//!   *profile-time* application-to-PL mapping and PL hierarchy from a
+//!   shared [`distributed::MappingDb`] and solve Eq. 2 over PL
+//!   centroids rather than exact per-application models — the
 //!   accuracy/scalability trade-off §8.4 study 7 quantifies (≈4 %).
 
 pub mod central;
 pub mod distributed;
+pub mod epoch;
 pub mod plmap;
 pub mod queuemap;
 pub mod weights;
@@ -141,6 +144,8 @@ pub enum ControllerError {
     },
     /// The connection id is unknown.
     UnknownConnection(u64),
+    /// The application already holds a live connection with this id.
+    DuplicateConnection(u64),
     /// All priority levels are exhausted and no compatible one exists.
     NoPlAvailable,
 }
@@ -162,6 +167,9 @@ impl fmt::Display for ControllerError {
                 write!(f, "no route from {src} to {dst}")
             }
             ControllerError::UnknownConnection(t) => write!(f, "unknown connection tag {t}"),
+            ControllerError::DuplicateConnection(t) => {
+                write!(f, "connection tag {t} is already live")
+            }
             ControllerError::NoPlAvailable => write!(f, "no priority level available"),
         }
     }

@@ -34,6 +34,7 @@ pub mod sensitivity;
 
 pub use controller::central::CentralController;
 pub use controller::distributed::{DistributedController, MappingDb};
+pub use controller::epoch::{Controller, EpochStats, Policy};
 pub use controller::{ControllerConfig, ControllerError, SwitchUpdate};
 pub use fabric::{PortQueueConfig, SabaFabric};
 pub use library::{SabaLib, Transport};

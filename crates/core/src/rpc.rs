@@ -222,6 +222,7 @@ impl ControllerError {
             ControllerError::AlreadyRegistered(_) => ErrorCode::AlreadyRegistered,
             ControllerError::Unreachable { .. } => ErrorCode::Unreachable,
             ControllerError::UnknownConnection(_) => ErrorCode::UnknownConnection,
+            ControllerError::DuplicateConnection(_) => ErrorCode::Malformed,
             ControllerError::NoPlAvailable => ErrorCode::NoPlAvailable,
         }
     }

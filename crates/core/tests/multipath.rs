@@ -4,6 +4,8 @@
 //! path the fabric hashes the flow onto.
 
 use saba_core::controller::central::CentralController;
+use saba_core::controller::distributed::{DistributedController, MappingDb};
+use saba_core::controller::epoch::{Controller, Policy};
 use saba_core::controller::ControllerConfig;
 use saba_core::profiler::{Profiler, ProfilerConfig};
 use saba_core::sensitivity::SensitivityTable;
@@ -23,22 +25,39 @@ fn table() -> SensitivityTable {
     .expect("profiling succeeds")
 }
 
+fn config(multipath: bool) -> ControllerConfig {
+    ControllerConfig {
+        multipath,
+        ..Default::default()
+    }
+}
+
+fn central(multipath: bool, topo: &Topology) -> CentralController {
+    CentralController::new(config(multipath), table(), topo)
+}
+
+/// `ControllerConfig::multipath` is "shared by both designs": the
+/// distributed flavour used to ignore it and always charge the single
+/// static-ECMP path.
+fn distributed(multipath: bool, topo: &Topology) -> DistributedController {
+    let db = MappingDb::build(&table(), 16, 1);
+    DistributedController::new(config(multipath), db, topo, 4)
+}
+
 #[test]
 fn multipath_programs_every_equal_cost_port() {
+    every_equal_cost_port_is_programmed(central);
+    every_equal_cost_port_is_programmed(distributed);
+}
+
+fn every_equal_cost_port_is_programmed<P: Policy>(fresh: fn(bool, &Topology) -> Controller<P>) {
     let topo = Topology::spine_leaf(&SpineLeafConfig::tiny(2));
     let routes = Routes::compute(&topo);
     let servers = topo.servers().to_vec();
     let (src, dst) = (servers[0], servers[servers.len() - 1]);
 
     let mk = |multipath: bool| {
-        let mut c = CentralController::new(
-            ControllerConfig {
-                multipath,
-                ..Default::default()
-            },
-            table(),
-            &topo,
-        );
+        let mut c = fresh(multipath, &topo);
         c.register(AppId(0), "LR").expect("registers");
         c.conn_create(AppId(0), src, dst, 42).expect("creates")
     };
@@ -63,16 +82,14 @@ fn multipath_programs_every_equal_cost_port() {
 
 #[test]
 fn multipath_teardown_restores_all_ports() {
+    teardown_restores_all_ports(central);
+    teardown_restores_all_ports(distributed);
+}
+
+fn teardown_restores_all_ports<P: Policy>(fresh: fn(bool, &Topology) -> Controller<P>) {
     let topo = Topology::spine_leaf(&SpineLeafConfig::tiny(2));
     let servers = topo.servers().to_vec();
-    let mut c = CentralController::new(
-        ControllerConfig {
-            multipath: true,
-            ..Default::default()
-        },
-        table(),
-        &topo,
-    );
+    let mut c = fresh(true, &topo);
     c.register(AppId(0), "LR").expect("registers");
     let created = c
         .conn_create(AppId(0), servers[0], servers[servers.len() - 1], 1)
@@ -93,18 +110,15 @@ fn multipath_teardown_restores_all_ports() {
 
 #[test]
 fn single_switch_multipath_equals_single_path() {
-    // With one path there is nothing extra to program.
+    one_path_has_nothing_extra_to_program(central);
+    one_path_has_nothing_extra_to_program(distributed);
+}
+
+fn one_path_has_nothing_extra_to_program<P: Policy>(fresh: fn(bool, &Topology) -> Controller<P>) {
     let topo = Topology::single_switch(4, saba_sim::LINK_56G_BPS);
     let servers = topo.servers().to_vec();
     let mk = |multipath: bool| {
-        let mut c = CentralController::new(
-            ControllerConfig {
-                multipath,
-                ..Default::default()
-            },
-            table(),
-            &topo,
-        );
+        let mut c = fresh(multipath, &topo);
         c.register(AppId(0), "LR").expect("registers");
         c.conn_create(AppId(0), servers[0], servers[1], 7)
             .expect("creates")

@@ -24,6 +24,7 @@
 use crate::injector::ControlAction;
 use saba_core::controller::central::CentralController;
 use saba_core::controller::distributed::{DistributedController, MappingDb};
+use saba_core::controller::epoch::EpochStats;
 use saba_core::controller::{ControllerConfig, ControllerError, SwitchUpdate};
 use saba_core::sensitivity::SensitivityTable;
 use saba_sim::ids::{AppId, NodeId, ServiceLevel};
@@ -57,32 +58,6 @@ pub struct ResilienceStats {
     pub last_recovery_micros: u64,
 }
 
-/// The incremental-epoch counters shared by both controller flavours,
-/// summed across crash incarnations (a central recovery rebuilds the
-/// controller cold, so the dying incarnation's counts are archived at
-/// that point — same lifecycle as the solve histogram).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EpochCounters {
-    /// Ports visited across all reprogramming epochs.
-    pub ports_dirty: u64,
-    /// Eq. 2 solves performed (cache misses plus parallel prewarms).
-    pub eq2_solves: u64,
-    /// Eq. 2 solves avoided by the memo caches' fast path.
-    pub solves_skipped: u64,
-    /// `SwitchUpdate`s suppressed by the programmed-state diff.
-    pub queue_updates_diffed: u64,
-}
-
-impl EpochCounters {
-    /// Fraction of Eq. 2 lookups answered from the memo caches
-    /// (`skipped / (skipped + solved)`), the service tier's
-    /// `controller.prewarm_hit_rate` gauge. `None` before any lookup.
-    pub fn cache_hit_rate(&self) -> Option<f64> {
-        let total = self.solves_skipped + self.eq2_solves;
-        (total > 0).then(|| self.solves_skipped as f64 / total as f64)
-    }
-}
-
 /// Why [`ResilientController::try_register`] failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TryRegisterError {
@@ -101,6 +76,18 @@ impl From<ControllerError> for TryRegisterError {
 enum Inner {
     Central(Box<CentralController>),
     Distributed(Box<DistributedController>),
+}
+
+/// Evaluates `$body` with `$c` bound to whichever flavour is inside:
+/// everything but construction and recovery is the shared surface of
+/// [`saba_core::controller::epoch::Controller`].
+macro_rules! with_inner {
+    ($inner:expr, $c:ident => $body:expr) => {
+        match $inner {
+            Inner::Central($c) => $body,
+            Inner::Distributed($c) => $body,
+        }
+    };
 }
 
 /// A crash-survivable facade over either controller flavour.
@@ -131,33 +118,17 @@ pub struct ResilientController {
     /// Solve samples from controller incarnations that a crash
     /// replaced; [`Self::solve_histogram`] merges the live one in.
     solve_hist_archive: Histogram,
-    /// Epoch counters from replaced incarnations;
+    /// Counters from replaced incarnations (a central recovery rebuilds
+    /// the controller cold — same lifecycle as the solve histogram);
     /// [`Self::epoch_counters`] adds the live ones in.
-    epoch_archive: EpochCounters,
+    epoch_archive: EpochStats,
 }
 
 impl ResilientController {
     /// Wraps a fresh centralized controller.
     pub fn central(cfg: ControllerConfig, table: SensitivityTable, topo: &Topology) -> Self {
         let inner = CentralController::new(cfg.clone(), table.clone(), topo);
-        Self {
-            inner: Inner::Central(Box::new(inner)),
-            cfg,
-            table: Some(table),
-            topo: topo.clone(),
-            down: false,
-            down_shards: BTreeSet::new(),
-            registrations: Vec::new(),
-            live_conns: BTreeMap::new(),
-            sls: BTreeMap::new(),
-            stats: ResilienceStats::default(),
-            sink: SharedRecorder::default(),
-            clock: 0.0,
-            solve_timing: false,
-            solver_threads: 1,
-            solve_hist_archive: Histogram::new(),
-            epoch_archive: EpochCounters::default(),
-        }
+        Self::wrap(Inner::Central(Box::new(inner)), cfg, Some(table), topo)
     }
 
     /// Wraps a fresh distributed controller with `num_shards` shards.
@@ -168,10 +139,19 @@ impl ResilientController {
         num_shards: usize,
     ) -> Self {
         let inner = DistributedController::new(cfg.clone(), db, topo, num_shards);
+        Self::wrap(Inner::Distributed(Box::new(inner)), cfg, None, topo)
+    }
+
+    fn wrap(
+        inner: Inner,
+        cfg: ControllerConfig,
+        table: Option<SensitivityTable>,
+        topo: &Topology,
+    ) -> Self {
         Self {
-            inner: Inner::Distributed(Box::new(inner)),
+            inner,
             cfg,
-            table: None,
+            table,
             topo: topo.clone(),
             down: false,
             down_shards: BTreeSet::new(),
@@ -184,7 +164,7 @@ impl ResilientController {
             solve_timing: false,
             solver_threads: 1,
             solve_hist_archive: Histogram::new(),
-            epoch_archive: EpochCounters::default(),
+            epoch_archive: EpochStats::default(),
         }
     }
 
@@ -193,10 +173,7 @@ impl ResilientController {
     /// too, and [`Self::solve_histogram`] spans all incarnations.
     pub fn enable_solve_timing(&mut self) {
         self.solve_timing = true;
-        match &mut self.inner {
-            Inner::Central(c) => c.enable_solve_timing(),
-            Inner::Distributed(c) => c.enable_solve_timing(),
-        }
+        with_inner!(&mut self.inner, c => c.enable_solve_timing());
     }
 
     /// Sets the Eq. 2 solver thread count on the inner controller.
@@ -205,10 +182,7 @@ impl ResilientController {
     /// single solver thread.
     pub fn set_solver_threads(&mut self, threads: usize) {
         self.solver_threads = threads.max(1);
-        match &mut self.inner {
-            Inner::Central(c) => c.set_solver_threads(threads),
-            Inner::Distributed(c) => c.set_solver_threads(threads),
-        }
+        with_inner!(&mut self.inner, c => c.set_solver_threads(threads));
     }
 
     /// The configured Eq. 2 solver thread count.
@@ -220,43 +194,16 @@ impl ResilientController {
     /// Diagnostics only (`wall.` metrics) — nondeterministic.
     pub fn solve_histogram(&self) -> Histogram {
         let mut hist = self.solve_hist_archive.clone();
-        let live = match &self.inner {
-            Inner::Central(c) => c.solve_histogram(),
-            Inner::Distributed(c) => c.solve_histogram(),
-        };
-        hist.merge(live);
+        hist.merge(with_inner!(&self.inner, c => c.solve_histogram()));
         hist
     }
 
-    /// Incremental-epoch counters (dirty ports visited, Eq. 2 solves
+    /// The controller's counters (dirty ports visited, Eq. 2 solves
     /// skipped by the memo caches, updates suppressed by the
-    /// programmed-state diff) across all controller incarnations.
-    pub fn epoch_counters(&self) -> EpochCounters {
+    /// programmed-state diff, …) summed across all incarnations.
+    pub fn epoch_counters(&self) -> EpochStats {
         let mut e = self.epoch_archive;
-        let (dirty, solved, skipped, diffed) = match &self.inner {
-            Inner::Central(c) => {
-                let s = c.stats();
-                (
-                    s.ports_dirty,
-                    s.eq2_solves,
-                    s.solves_skipped,
-                    s.queue_updates_diffed,
-                )
-            }
-            Inner::Distributed(c) => {
-                let s = c.stats();
-                (
-                    s.ports_dirty,
-                    s.eq2_solves,
-                    s.solves_skipped,
-                    s.queue_updates_diffed,
-                )
-            }
-        };
-        e.ports_dirty += dirty;
-        e.eq2_solves += solved;
-        e.solves_skipped += skipped;
-        e.queue_updates_diffed += diffed;
+        e += with_inner!(&self.inner, c => c.stats());
         e
     }
 
@@ -352,10 +299,7 @@ impl ResilientController {
         if self.down {
             return Err(TryRegisterError::Down);
         }
-        let sl = match &mut self.inner {
-            Inner::Central(c) => c.register(app, workload)?,
-            Inner::Distributed(c) => c.register(app, workload)?,
-        };
+        let sl = with_inner!(&mut self.inner, c => c.register(app, workload))?;
         self.registrations.push((app, workload.to_string()));
         self.sls.insert(app, sl);
         Ok(sl)
@@ -373,30 +317,12 @@ impl ResilientController {
             self.log_event(ev);
             return Vec::new();
         }
-        let result = match (&mut self.inner, ev) {
-            (Inner::Central(c), ConnEvent::Created { app, src, dst, tag }) => {
-                c.conn_create(*app, *src, *dst, *tag)
-            }
-            (Inner::Central(c), ConnEvent::Destroyed { app, tag, .. }) => {
-                c.conn_destroy(*app, *tag)
-            }
-            (Inner::Central(c), ConnEvent::JobCompleted { app, .. }) => c.deregister(*app),
-            (Inner::Distributed(c), ConnEvent::Created { app, src, dst, tag }) => {
-                c.conn_create(*app, *src, *dst, *tag)
-            }
-            (Inner::Distributed(c), ConnEvent::Destroyed { app, tag, .. }) => {
-                c.conn_destroy(*app, *tag)
-            }
-            (Inner::Distributed(c), ConnEvent::JobCompleted { app, .. }) => c.deregister(*app),
-        };
-        let updates = result.expect("controller accepts events for registered jobs");
+        let updates = with_inner!(&mut self.inner, c => c.on_event(ev))
+            .expect("controller accepts events for registered jobs");
         self.log_event(ev);
         if self.sink.enabled() {
             let t = self.clock;
-            match &self.inner {
-                Inner::Central(c) => c.record_epoch(t, &mut self.sink),
-                Inner::Distributed(c) => c.record_epoch(t, &mut self.sink),
-            }
+            with_inner!(&self.inner, c => c.record_epoch(t, &mut self.sink));
         }
         self.filter_updates(updates)
     }
@@ -423,13 +349,11 @@ impl ResilientController {
         if self.down_shards.is_empty() {
             return updates;
         }
-        let Inner::Distributed(c) = &self.inner else {
-            return updates;
-        };
         let before = updates.len();
+        let (inner, down) = (&self.inner, &self.down_shards);
         let kept: Vec<SwitchUpdate> = updates
             .into_iter()
-            .filter(|u| !self.down_shards.contains(&c.shard_of_link(u.link)))
+            .filter(|u| !down.contains(&with_inner!(inner, c => c.shard_of_link(u.link))))
             .collect();
         self.stats.updates_suppressed += (before - kept.len()) as u64;
         kept
@@ -466,81 +390,68 @@ impl ResilientController {
         self.down = false;
         let apps_before = self.stats.replayed_registrations;
         let conns_before = self.stats.replayed_connections;
-        let updates = if matches!(self.inner, Inner::Central(_)) {
-            let table = self.table.clone().expect("central flavour keeps its table");
-            let mut fresh = CentralController::new(self.cfg.clone(), table, &self.topo);
-            if let Inner::Central(old) = &self.inner {
-                let s = old.stats();
-                self.epoch_archive.ports_dirty += s.ports_dirty;
-                self.epoch_archive.eq2_solves += s.eq2_solves;
-                self.epoch_archive.solves_skipped += s.solves_skipped;
-                self.epoch_archive.queue_updates_diffed += s.queue_updates_diffed;
-            }
-            if self.solver_threads > 1 {
+        let updates = match &mut self.inner {
+            Inner::Central(old) => {
+                let table = self.table.clone().expect("central flavour keeps its table");
+                let mut fresh = CentralController::new(self.cfg.clone(), table, &self.topo);
+                self.epoch_archive += old.stats();
                 fresh.set_solver_threads(self.solver_threads);
-            }
-            if self.solve_timing {
-                if let Inner::Central(old) = &self.inner {
+                if self.solve_timing {
                     self.solve_hist_archive.merge(old.solve_histogram());
+                    fresh.enable_solve_timing();
                 }
-                fresh.enable_solve_timing();
-            }
-            for (app, workload) in &self.registrations {
-                let sl = fresh
-                    .register(*app, workload)
-                    .expect("replay of a previously accepted registration");
-                self.sls.insert(*app, sl);
-                self.stats.replayed_registrations += 1;
-            }
-            for (&(app, tag), &(src, dst)) in &self.live_conns {
-                fresh.preload_connection(app, src, dst, tag);
-                self.stats.replayed_connections += 1;
-            }
-            let updates = fresh.recompute_all();
-            self.inner = Inner::Central(Box::new(fresh));
-            updates
-        } else {
-            match &mut self.inner {
-                Inner::Distributed(c) => {
-                    // The distributed flavour's solver state survives the
-                    // crash (replicated mapping DB + per-shard logs), but
-                    // events that arrived while down were only recorded in
-                    // the ground-truth log, never applied. Reconcile the
-                    // inner controller with the log before re-deriving
-                    // port programs: drop apps whose jobs completed during
-                    // the outage (their connections go with them), drop
-                    // connections destroyed during it, then replay the
-                    // registrations and connections it never saw.
-                    for app in c.apps() {
-                        if !self.registrations.iter().any(|(a, _)| *a == app) {
-                            c.deregister(app).expect("app enumerated from inner");
-                        }
-                    }
-                    for (app, tag) in c.conn_keys() {
-                        if !self.live_conns.contains_key(&(app, tag)) {
-                            c.conn_destroy(app, tag)
-                                .expect("conn enumerated from inner");
-                        }
-                    }
-                    for (app, workload) in &self.registrations {
-                        if !c.apps().contains(app) {
-                            let sl = c
-                                .register(*app, workload)
-                                .expect("replay of a previously accepted registration");
-                            self.sls.insert(*app, sl);
-                            self.stats.replayed_registrations += 1;
-                        }
-                    }
-                    for (&(app, tag), &(src, dst)) in &self.live_conns {
-                        if !c.has_conn(app, tag) {
-                            c.conn_create(app, src, dst, tag)
-                                .expect("replay of a logged connection");
-                            self.stats.replayed_connections += 1;
-                        }
-                    }
-                    c.recompute_all()
+                for (app, workload) in &self.registrations {
+                    let sl = fresh
+                        .register(*app, workload)
+                        .expect("replay of a previously accepted registration");
+                    self.sls.insert(*app, sl);
+                    self.stats.replayed_registrations += 1;
                 }
-                Inner::Central(_) => unreachable!(),
+                for (&(app, tag), &(src, dst)) in &self.live_conns {
+                    fresh.preload_connection(app, src, dst, tag);
+                    self.stats.replayed_connections += 1;
+                }
+                **old = fresh;
+                old.recompute_all()
+            }
+            Inner::Distributed(c) => {
+                // The distributed flavour's solver state survives the
+                // crash (replicated mapping DB + per-shard logs), but
+                // events that arrived while down were only recorded in
+                // the ground-truth log, never applied. Reconcile the
+                // inner controller with the log before re-deriving
+                // port programs: drop apps whose jobs completed during
+                // the outage (their connections go with them), drop
+                // connections destroyed during it, then replay the
+                // registrations and connections it never saw.
+                for app in c.apps() {
+                    if !self.registrations.iter().any(|(a, _)| *a == app) {
+                        c.deregister(app).expect("app enumerated from inner");
+                    }
+                }
+                for (app, tag) in c.conn_keys() {
+                    if !self.live_conns.contains_key(&(app, tag)) {
+                        c.conn_destroy(app, tag)
+                            .expect("conn enumerated from inner");
+                    }
+                }
+                for (app, workload) in &self.registrations {
+                    if !c.apps().contains(app) {
+                        let sl = c
+                            .register(*app, workload)
+                            .expect("replay of a previously accepted registration");
+                        self.sls.insert(*app, sl);
+                        self.stats.replayed_registrations += 1;
+                    }
+                }
+                for (&(app, tag), &(src, dst)) in &self.live_conns {
+                    if !c.has_conn(app, tag) {
+                        c.conn_create(app, src, dst, tag)
+                            .expect("replay of a logged connection");
+                        self.stats.replayed_connections += 1;
+                    }
+                }
+                c.recompute_all()
             }
         };
         self.stats.recoveries += 1;
@@ -586,10 +497,7 @@ impl ResilientController {
             return Vec::new();
         }
         let started = Instant::now();
-        let updates = match &mut self.inner {
-            Inner::Distributed(c) => c.recompute_shard(shard),
-            Inner::Central(_) => unreachable!("central flavour never records down shards"),
-        };
+        let updates = with_inner!(&mut self.inner, c => c.recompute_shard(shard));
         self.stats.recoveries += 1;
         self.stats.last_recovery_micros = started.elapsed().as_micros() as u64;
         if self.sink.enabled() {
@@ -795,10 +703,7 @@ mod tests {
         assert!(!full.is_empty());
 
         fn shard_of(c: &ResilientController, u: &SwitchUpdate) -> usize {
-            match &c.inner {
-                Inner::Distributed(d) => d.shard_of_link(u.link),
-                Inner::Central(_) => unreachable!(),
-            }
+            with_inner!(&c.inner, d => d.shard_of_link(u.link))
         }
 
         c.crash_shard(0);

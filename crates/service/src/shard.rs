@@ -9,7 +9,8 @@
 
 use crate::wal::{DurableLog, ReplayState, ScanReport};
 use saba_core::controller::central::CentralController;
-use saba_core::controller::distributed::MappingDb;
+use saba_core::controller::distributed::{DistributedController, MappingDb};
+use saba_core::controller::epoch::{Controller, EpochStats, Policy};
 use saba_core::controller::{ControllerConfig, SwitchUpdate};
 use saba_core::fabric::PortQueueConfig;
 use saba_core::rpc::{Envelope, ErrorCode, Request, Response};
@@ -73,56 +74,51 @@ impl ShardSpec {
     /// only live registrations would diverge from any controller that
     /// lived through tenant departures.
     pub fn scratch_solve(&self, records: &[Request]) -> Vec<SwitchUpdate> {
-        macro_rules! replay_history {
-            ($fresh:expr) => {
-                for req in records {
-                    match req {
-                        Request::AppRegister { app, workload } => {
-                            $fresh
-                                .register(*app, workload)
-                                .expect("replay of an acked registration");
-                        }
-                        Request::ConnCreate { app, src, dst, tag } => {
-                            $fresh
-                                .conn_create(*app, *src, *dst, *tag)
-                                .expect("replay of an acked connection");
-                        }
-                        Request::ConnDestroy { app, tag } => {
-                            $fresh
-                                .conn_destroy(*app, *tag)
-                                .expect("replay of an acked destroy");
-                        }
-                        Request::AppDeregister { app } => {
-                            $fresh
-                                .deregister(*app)
-                                .expect("replay of an acked deregister");
-                        }
-                        // Read-only; never enters the log.
-                        Request::MetricsDump => {}
-                    }
-                }
-            };
-        }
         match self.flavour {
-            Flavour::Central => {
-                let mut fresh =
-                    CentralController::new(self.cfg.clone(), self.table.clone(), &self.topo);
-                replay_history!(fresh);
-                fresh.recompute_all()
-            }
+            Flavour::Central => replay_history(
+                CentralController::new(self.cfg.clone(), self.table.clone(), &self.topo),
+                records,
+            ),
             Flavour::Distributed(inner) => {
                 let db = MappingDb::build(&self.table, self.cfg.num_pls, self.cfg.seed);
-                let mut fresh = saba_core::controller::distributed::DistributedController::new(
-                    self.cfg.clone(),
-                    db,
-                    &self.topo,
-                    inner,
-                );
-                replay_history!(fresh);
-                fresh.recompute_all()
+                replay_history(
+                    DistributedController::new(self.cfg.clone(), db, &self.topo, inner),
+                    records,
+                )
             }
         }
     }
+}
+
+/// Replays acked `records` through `fresh` and solves the result.
+fn replay_history<P: Policy>(mut fresh: Controller<P>, records: &[Request]) -> Vec<SwitchUpdate> {
+    for req in records {
+        match req {
+            Request::AppRegister { app, workload } => {
+                fresh
+                    .register(*app, workload)
+                    .expect("replay of an acked registration");
+            }
+            Request::ConnCreate { app, src, dst, tag } => {
+                fresh
+                    .conn_create(*app, *src, *dst, *tag)
+                    .expect("replay of an acked connection");
+            }
+            Request::ConnDestroy { app, tag } => {
+                fresh
+                    .conn_destroy(*app, *tag)
+                    .expect("replay of an acked destroy");
+            }
+            Request::AppDeregister { app } => {
+                fresh
+                    .deregister(*app)
+                    .expect("replay of an acked deregister");
+            }
+            // Read-only; never enters the log.
+            Request::MetricsDump => {}
+        }
+    }
+    fresh.recompute_all()
 }
 
 /// Consistent tenant→shard assignment.
@@ -374,9 +370,9 @@ impl Shard {
         self.solver_threads
     }
 
-    /// Incremental-epoch counters of the live controller (all zero
-    /// while the shard is dead — a takeover rebuilds them from replay).
-    pub fn epoch_counters(&self) -> saba_faults::control::EpochCounters {
+    /// Counters of the live controller (all zero while the shard is
+    /// dead — a takeover rebuilds them from replay).
+    pub fn epoch_counters(&self) -> EpochStats {
         self.ctrl
             .as_ref()
             .map(|c| c.epoch_counters())
