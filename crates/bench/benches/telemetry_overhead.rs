@@ -30,7 +30,7 @@ use saba_sim::ids::{AppId, ServiceLevel};
 use saba_sim::topology::Topology;
 use saba_telemetry::{Recorder, SharedRecorder, TelemetrySink};
 use saba_workload::catalog;
-use saba_workload::churn::{ChurnOp, ChurnTrace, ChurnTraceConfig};
+use saba_workload::churn::{ChurnTrace, ChurnTraceConfig};
 
 const FLOWS: usize = 4096;
 
@@ -84,7 +84,6 @@ fn drive_service(table: &SensitivityTable, sink: SharedRecorder, tag: &str) -> u
     let servers = spec.topo.servers().to_vec();
     let cfg = ServiceConfig {
         shards: 2,
-        admission: None,
         ..ServiceConfig::new(&dir)
     };
     let mut svc = AllocationService::open(spec, cfg).expect("service opens");
@@ -101,26 +100,7 @@ fn drive_service(table: &SensitivityTable, sink: SharedRecorder, tag: &str) -> u
     let mut acked = 0u64;
     let mut clock = 0.0;
     for (step, op) in trace.take(SERVICE_OPS).enumerate() {
-        let req = match op {
-            ChurnOp::Register { app, workload } => Request::AppRegister {
-                app: AppId(app),
-                workload,
-            },
-            ChurnOp::ConnCreate { app, src, dst, tag } => Request::ConnCreate {
-                app: AppId(app),
-                src: servers[src as usize % servers.len()],
-                dst: servers[dst as usize % servers.len()],
-                tag,
-            },
-            ChurnOp::ConnDestroy { app, tag } => Request::ConnDestroy {
-                app: AppId(app),
-                tag,
-            },
-            ChurnOp::Deregister { app } => Request::AppDeregister { app: AppId(app) },
-            ChurnOp::DemandShift { .. } => {
-                unreachable!("demand_shift disabled in telemetry benches")
-            }
-        };
+        let req = Request::from_churn(&op, &servers).expect("demand_shift disabled here");
         if !matches!(
             svc.submit(&Envelope::new(step as u64, req)),
             Response::Error { .. }

@@ -36,11 +36,11 @@ use saba_core::sensitivity::SensitivityTable;
 use saba_faults::schedule::{FaultKind, FaultSchedule, FaultSpec, ScheduleConfig};
 use saba_service::service::{AllocationService, ServiceConfig, ServiceStats};
 use saba_service::shard::{Flavour, ShardSpec};
-use saba_sim::ids::AppId;
+use saba_service::{MONOTONE_COUNTERS, REQUIRED_FAMILIES};
 use saba_sim::topology::{SpineLeafConfig, Topology};
-use saba_telemetry::{validate_jsonl, Recorder, SharedRecorder};
+use saba_telemetry::{check_scrapes, validate_jsonl, Recorder, SharedRecorder};
 use saba_workload::catalog;
-use saba_workload::churn::{ChurnOp, ChurnTrace, ChurnTraceConfig};
+use saba_workload::churn::{ChurnTrace, ChurnTraceConfig};
 use std::collections::BTreeMap;
 use std::fs;
 
@@ -201,7 +201,6 @@ fn service_drill(
     let servers = spec.topo.servers().to_vec();
     let cfg = ServiceConfig {
         shards: 2,
-        admission: None,
         ..ServiceConfig::new(&dir)
     };
     let mut svc = AllocationService::open(spec, cfg).expect("service opens");
@@ -231,26 +230,7 @@ fn service_drill(
     let mut page1 = String::new();
     let mut clock = 0.0;
     for (step, op) in trace.take(OPS).enumerate() {
-        let req = match op {
-            ChurnOp::Register { app, workload } => Request::AppRegister {
-                app: AppId(app),
-                workload,
-            },
-            ChurnOp::ConnCreate { app, src, dst, tag } => Request::ConnCreate {
-                app: AppId(app),
-                src: servers[src as usize % servers.len()],
-                dst: servers[dst as usize % servers.len()],
-                tag,
-            },
-            ChurnOp::ConnDestroy { app, tag } => Request::ConnDestroy {
-                app: AppId(app),
-                tag,
-            },
-            ChurnOp::Deregister { app } => Request::AppDeregister { app: AppId(app) },
-            ChurnOp::DemandShift { .. } => {
-                unreachable!("demand_shift disabled in observe drives")
-            }
-        };
+        let req = Request::from_churn(&op, &servers).expect("demand_shift disabled here");
         let resp = svc.submit(&Envelope::new(step as u64, req));
         assert!(
             !matches!(resp, Response::Error { .. }),
@@ -277,14 +257,6 @@ fn service_drill(
     let stats = svc.stats();
     let _ = fs::remove_dir_all(&dir);
     (jsonl, (page1, page2), programmed, stats)
-}
-
-/// Pulls the value of a label-free `name value` sample line from an
-/// exposition page.
-fn sample_value(page: &str, family: &str) -> Option<f64> {
-    page.lines()
-        .find(|l| l.starts_with(family) && l[family.len()..].starts_with(' '))
-        .and_then(|l| l[family.len() + 1..].parse().ok())
 }
 
 /// The service-path telemetry contract, in smoke form.
@@ -315,18 +287,7 @@ fn service_smoke(table: &SensitivityTable) {
     // 3. Exposition: required families present, counters monotone
     //    across the two scrapes.
     let (p1, p2) = &pages_a;
-    for family in [
-        "# TYPE service_requests_total counter",
-        "# TYPE wal_group_commit_size summary",
-        "# TYPE wal_bytes_appended gauge",
-    ] {
-        assert!(p2.contains(family), "final scrape is missing '{family}'");
-    }
-    for counter in ["service_requests_total", "service_metrics_dumps_total"] {
-        let a = sample_value(p1, counter).expect("counter in first scrape");
-        let b = sample_value(p2, counter).expect("counter in final scrape");
-        assert!(b > a, "'{counter}' must be strictly monotone: {a} then {b}");
-    }
+    check_scrapes(p1, p2, &REQUIRED_FAMILIES, &MONOTONE_COUNTERS).unwrap_or_else(|e| panic!("{e}"));
 
     // 4. Null-sink no-regression: the untraced twin ends in the exact
     //    same programmed state with the same counters.

@@ -41,9 +41,10 @@ use saba_service::net::{TcpServiceServer, TcpTransport};
 use saba_service::runtime::{RuntimeConfig, ServiceRuntime};
 use saba_service::service::{AllocationService, ServiceConfig};
 use saba_service::shard::{Flavour, ShardSpec};
+use saba_service::{MONOTONE_COUNTERS, REQUIRED_FAMILIES};
 use saba_sim::ids::{AppId, NodeId};
 use saba_sim::topology::Topology;
-use saba_telemetry::{Recorder, SharedRecorder};
+use saba_telemetry::{check_scrapes, Recorder, SharedRecorder};
 use saba_workload::churn::{ChurnOp, ChurnTrace, ChurnTraceConfig};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -71,24 +72,7 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 fn to_request(op: &ChurnOp, servers: &[NodeId]) -> Request {
-    match op {
-        ChurnOp::Register { app, workload } => Request::AppRegister {
-            app: AppId(*app),
-            workload: workload.clone(),
-        },
-        ChurnOp::ConnCreate { app, src, dst, tag } => Request::ConnCreate {
-            app: AppId(*app),
-            src: servers[*src as usize % servers.len()],
-            dst: servers[*dst as usize % servers.len()],
-            tag: *tag,
-        },
-        ChurnOp::ConnDestroy { app, tag } => Request::ConnDestroy {
-            app: AppId(*app),
-            tag: *tag,
-        },
-        ChurnOp::Deregister { app } => Request::AppDeregister { app: AppId(*app) },
-        ChurnOp::DemandShift { .. } => unreachable!("demand_shift disabled in service drives"),
-    }
+    Request::from_churn(op, servers).expect("demand_shift disabled in service drives")
 }
 
 /// One deterministic drill pass: seeded churn, a mid-stream shard
@@ -105,7 +89,6 @@ fn drill_once(
     let cfg = ServiceConfig {
         shards: 3,
         sync_every: 8,
-        admission: None,
         heartbeat: HeartbeatConfig {
             interval: 0.5,
             window: 2.0,
@@ -367,13 +350,6 @@ fn soak(table: &SensitivityTable, ops: usize, shards: usize, clients: usize) -> 
     }
 }
 
-/// Pulls the value of a label-free `family value` sample line.
-fn sample_value(page: &str, family: &str) -> Option<f64> {
-    page.lines()
-        .find(|l| l.starts_with(family) && l[family.len()..].starts_with(' '))
-        .and_then(|l| l[family.len() + 1..].parse().ok())
-}
-
 /// The exposition check CI's scrape step runs: a real TCP server over
 /// the threaded runtime, a burst of churn, then two `MetricsDump`
 /// scrapes over the wire. Required families must be present and the
@@ -408,28 +384,12 @@ fn scrape_check(table: &SensitivityTable) {
 
     churn(&mut client, 0, 8);
     let page1 = client.dump_metrics().expect("first scrape");
-    for family in [
-        "# TYPE service_requests_total counter",
-        "# TYPE service_metrics_dumps_total counter",
-        "# TYPE wall_op_latency summary",
-        "# TYPE wal_group_commit_size summary",
-        "# TYPE wal_bytes_appended gauge",
-    ] {
-        assert!(
-            page1.contains(family),
-            "scrape missing '{family}':\n{page1}"
-        );
-    }
     churn(&mut client, 1, 8);
     let page2 = client.dump_metrics().expect("second scrape");
-    for counter in ["service_requests_total", "service_metrics_dumps_total"] {
-        let a = sample_value(&page1, counter).expect("counter in first scrape");
-        let b = sample_value(&page2, counter).expect("counter in second scrape");
-        assert!(
-            b > a,
-            "'{counter}' must be strictly monotone across scrapes: {a} then {b}"
-        );
-    }
+    // Both drivers' families, plus the threaded one's wall latency.
+    let mut required = REQUIRED_FAMILIES.to_vec();
+    required.push("# TYPE wall_op_latency summary");
+    check_scrapes(&page1, &page2, &required, &MONOTONE_COUNTERS).unwrap_or_else(|e| panic!("{e}"));
     server.stop();
     rt.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

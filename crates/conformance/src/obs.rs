@@ -24,8 +24,9 @@ use saba_core::controller::ControllerConfig;
 use saba_core::rpc::{Envelope, Request, Response};
 use saba_service::service::{AllocationService, ServiceConfig, ServiceStats};
 use saba_service::shard::{Flavour, ShardSpec};
+use saba_service::{MONOTONE_COUNTERS, REQUIRED_FAMILIES};
 use saba_sim::ids::AppId;
-use saba_telemetry::{validate_jsonl, Recorder, SharedRecorder};
+use saba_telemetry::{check_scrapes, validate_jsonl, Recorder, SharedRecorder};
 use std::path::PathBuf;
 
 /// Solver-thread counts every drill is repeated at; the exports must
@@ -69,7 +70,6 @@ fn run_drill(
     };
     let cfg = ServiceConfig {
         shards: 2,
-        admission: None,
         ..ServiceConfig::new(&dir)
     };
     let mut svc = AllocationService::open(spec, cfg).map_err(|e| format!("open service: {e}"))?;
@@ -153,22 +153,6 @@ fn run_drill(
         pages: (page1, page2),
     })
 }
-
-/// Pulls the value of a `name value` sample line from an exposition
-/// page (first series of the family, label-free form).
-fn sample_value(page: &str, family: &str) -> Option<f64> {
-    page.lines()
-        .find(|l| l.starts_with(family) && l[family.len()..].starts_with(' '))
-        .and_then(|l| l[family.len() + 1..].parse().ok())
-}
-
-/// Families every post-churn scrape must expose.
-const REQUIRED_FAMILIES: [&str; 4] = [
-    "# TYPE service_requests_total counter",
-    "# TYPE service_registrations_acked_total counter",
-    "# TYPE wal_group_commit_size summary",
-    "# TYPE wal_bytes_appended gauge",
-];
 
 /// Checks the span tree of one traced export: shape (via
 /// `validate_jsonl`), per-RPC coverage, and RPC→epoch linkage.
@@ -274,22 +258,7 @@ pub fn service_observability(sc: &ChurnScript) -> Result<(), String> {
 
     // Exposition: required families present, counters monotone.
     let (p1, p2) = &base.pages;
-    for family in REQUIRED_FAMILIES {
-        if !p2.contains(family) {
-            return Err(format!("final scrape is missing '{family}'"));
-        }
-    }
-    for counter in ["service_requests_total", "service_metrics_dumps_total"] {
-        let a = sample_value(p1, counter)
-            .ok_or_else(|| format!("first scrape has no '{counter}' sample"))?;
-        let b = sample_value(p2, counter)
-            .ok_or_else(|| format!("final scrape has no '{counter}' sample"))?;
-        if b <= a {
-            return Err(format!(
-                "'{counter}' is not strictly monotone across scrapes: {a} then {b}"
-            ));
-        }
-    }
+    check_scrapes(p1, p2, &REQUIRED_FAMILIES, &MONOTONE_COUNTERS)?;
 
     // Observer effect: the untraced twin ends in the exact same state.
     let untraced = run_drill(sc, 1, false, "off")?;

@@ -20,6 +20,7 @@ use crate::controller::ControllerError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use saba_sim::ids::{AppId, NodeId, ServiceLevel};
 use saba_telemetry::span::TraceContext;
+use saba_workload::churn::ChurnOp;
 use std::fmt;
 
 /// The protocol version stamped on (and required of) every frame.
@@ -66,6 +67,57 @@ pub enum Request {
     /// Scrape the service's metrics registry as a Prometheus-style
     /// text page. Read-only: never logged, never routed to a shard.
     MetricsDump,
+}
+
+impl Request {
+    /// The tenant a request acts for — the shard-routing and admission
+    /// key. `None` for the tenant-less [`Request::MetricsDump`].
+    pub fn tenant(&self) -> Option<AppId> {
+        match self {
+            Request::AppRegister { app, .. }
+            | Request::ConnCreate { app, .. }
+            | Request::ConnDestroy { app, .. }
+            | Request::AppDeregister { app } => Some(*app),
+            Request::MetricsDump => None,
+        }
+    }
+
+    /// The operation's name, as span ops (`rpc.<op>`) and metric
+    /// labels (`op=<op>`) spell it.
+    pub fn op(&self) -> &'static str {
+        match self {
+            Request::AppRegister { .. } => "register",
+            Request::ConnCreate { .. } => "conn_create",
+            Request::ConnDestroy { .. } => "conn_destroy",
+            Request::AppDeregister { .. } => "deregister",
+            Request::MetricsDump => "metrics_dump",
+        }
+    }
+
+    /// The request a synthetic churn op stands for, its server indices
+    /// wrapped onto `servers`. `None` for demand shifts — a
+    /// workload-plane signal with no control-plane call.
+    pub fn from_churn(op: &ChurnOp, servers: &[NodeId]) -> Option<Self> {
+        let server = |i: u32| servers[i as usize % servers.len()];
+        Some(match op {
+            ChurnOp::Register { app, workload } => Request::AppRegister {
+                app: AppId(*app),
+                workload: workload.clone(),
+            },
+            ChurnOp::ConnCreate { app, src, dst, tag } => Request::ConnCreate {
+                app: AppId(*app),
+                src: server(*src),
+                dst: server(*dst),
+                tag: *tag,
+            },
+            ChurnOp::ConnDestroy { app, tag } => Request::ConnDestroy {
+                app: AppId(*app),
+                tag: *tag,
+            },
+            ChurnOp::Deregister { app } => Request::AppDeregister { app: AppId(*app) },
+            ChurnOp::DemandShift { .. } => return None,
+        })
+    }
 }
 
 /// A request wrapped with a client-chosen idempotency id.

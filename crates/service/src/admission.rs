@@ -1,12 +1,15 @@
 //! Edge admission: per-tenant token-bucket rate limiting.
 //!
-//! The gateway runs every state-changing request through its tenant's
-//! bucket before it reaches a shard. A rejected request gets a
-//! *retryable* [`saba_core::rpc::ErrorCode::RateLimited`] error with a
-//! suggested backoff, so a well-behaved client slows down instead of
-//! hammering a shard that is already saturated. Buckets refill on the
-//! service's logical clock (simulated seconds), which keeps admission
-//! decisions deterministic under replayed traces.
+//! The front ([`crate::front::Front::admit`]) runs every state-changing
+//! request through its tenant's bucket before it reaches a shard — on
+//! the in-process path and on the TCP path alike. A rejected request
+//! gets a *retryable* [`saba_core::rpc::ErrorCode::RateLimited`] error
+//! with a suggested backoff, so a well-behaved client slows down
+//! instead of hammering a shard that is already saturated. Buckets
+//! refill on the clock the driver passes in — logical seconds under
+//! the deterministic driver, which keeps admission decisions
+//! reproducible under replayed traces; wall seconds under the threaded
+//! one.
 
 use std::collections::HashMap;
 

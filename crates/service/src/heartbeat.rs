@@ -1,11 +1,14 @@
 //! The heartbeat/failover plane.
 //!
-//! Shards emit heartbeats; the [`Supervisor`] tracks the last beat it
-//! saw from each and declares a shard **dead** once the gap exceeds
-//! the missed-beat window. Detection is purely clock-driven — the
-//! supervisor works identically on the deterministic logical clock
-//! (in-process drills) and on wall time (the threaded runtime), which
-//! is what lets the failover regression assert exact detection times.
+//! The [`Supervisor`] tracks the last sign of life it was told of from
+//! each shard and declares a shard **dead** once the gap exceeds the
+//! missed-beat window. Detection is purely clock-driven, and the clock
+//! is the caller's: the one supervisor inside [`crate::front::Front`]
+//! runs on logical seconds under the in-process driver (which is what
+//! lets the failover regression assert exact detection times) and on
+//! wall seconds under the threaded one, whose probe loop reports a
+//! beat for every worker that echoed, made progress or had a full
+//! queue.
 
 use std::collections::BTreeSet;
 
@@ -67,11 +70,6 @@ impl Supervisor {
         }
     }
 
-    /// The configured cadence/window.
-    pub fn cfg(&self) -> HeartbeatConfig {
-        self.cfg
-    }
-
     /// Records a heartbeat from `shard` at time `t`. Beats from a
     /// shard already declared dead are ignored — a late straggler must
     /// not cancel a takeover that is already underway; the shard
@@ -101,11 +99,6 @@ impl Supervisor {
     pub fn revive(&mut self, shard: usize, t: f64) {
         self.dead.remove(&shard);
         self.last_beat[shard] = t;
-    }
-
-    /// Shards currently considered dead.
-    pub fn dead(&self) -> impl Iterator<Item = usize> + '_ {
-        self.dead.iter().copied()
     }
 
     /// True if `shard` is currently considered dead.

@@ -1,5 +1,5 @@
 //! `saba-service`: the Saba control plane as a long-running,
-//! multi-tenant allocation **service** (ROADMAP item 4).
+//! multi-tenant allocation **service** (DESIGN.md §13).
 //!
 //! The in-sim library/RPC layer of `saba-core` answers one question —
 //! *what should the fabric do right now* — but a datacenter control
@@ -11,34 +11,40 @@
 //! * [`wal`] — a durable registration log: append-only, CRC-framed
 //!   records (the wire form of each acked operation), fsync batching
 //!   (group commit), torn-write-tolerant recovery, and compaction to
-//!   minimal snapshots.
+//!   snapshots that keep the tenant history.
 //! * [`shard`] — the sharded service tier: tenants are consistently
 //!   assigned to shards, each shard drives one incremental-epoch
-//!   [`saba_faults::ResilientController`] (either flavour) and speaks
-//!   the hardened `saba_core::rpc` protocol.
-//! * [`heartbeat`] — the failover plane: shards beat on the logical
-//!   clock, a supervisor declares a shard dead after a missed-beat
-//!   window, and a standby takes over by replaying the durable log —
-//!   zero acked registrations lost.
-//! * [`admission`] — edge admission: per-tenant token buckets push
-//!   back with *retryable* error codes before overload reaches a
-//!   shard.
-//! * [`service`] — the deterministic in-process assembly of all four
-//!   (the form the conformance drills and seeded-telemetry smoke
-//!   tests run), plus a [`service::ServiceClient`] implementing
-//!   `saba_core::library::Transport` so an unmodified `SabaLib` runs
-//!   its Fig. 7 lifecycle against the service.
-//! * [`runtime`] — the threaded deployment: one worker thread per
-//!   shard behind bounded mpsc queues (backpressure → `ShardBusy`),
-//!   a wall-clock supervisor thread, and standby takeover that
-//!   re-spawns a worker from the durable log.
-//! * [`net`] — a real `std::net` TCP front door speaking the same
-//!   length-prefixed frames as the in-process paths.
+//!   [`saba_faults::ResilientController`] (either flavour), speaks the
+//!   hardened `saba_core::rpc` protocol, and owns its log's I/O —
+//!   group commit, compaction, recovery by replay.
+//! * [`front`] — the one I/O-free core every request crosses: the
+//!   pre-admission scrape answer, edge admission, shard routing, the
+//!   post-batch metrics/trace pass, liveness and failover accounting.
+//!   It is driven two ways:
+//!   * [`service`] — on a caller-advanced logical clock with shards
+//!     called directly: deterministic, the form the conformance drills
+//!     and seeded-telemetry smoke tests run, plus a
+//!     [`service::ServiceClient`] implementing
+//!     `saba_core::library::Transport` so an unmodified `SabaLib` runs
+//!     its Fig. 7 lifecycle against the service;
+//!   * [`runtime`] — on wall time with one worker thread per shard
+//!     behind bounded mpsc queues (backpressure → `ShardBusy`), a
+//!     probing supervisor thread, and standby workers that re-open
+//!     the durable log.
+//! * [`heartbeat`] — the front's liveness detector: a supervisor
+//!   declares a shard dead after a missed-beat window on whichever
+//!   clock its driver keeps.
+//! * [`admission`] — the front's edge admission: per-tenant token
+//!   buckets push back with *retryable* error codes before overload
+//!   reaches a shard.
+//! * [`net`] — a real `std::net` TCP front door for [`runtime`],
+//!   speaking the same length-prefixed frames as the in-process paths.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod admission;
+pub mod front;
 pub mod heartbeat;
 pub mod net;
 pub mod runtime;
@@ -47,9 +53,10 @@ pub mod shard;
 pub mod wal;
 
 pub use admission::{Admission, AdmissionCfgError, Admit, TokenBucketCfg};
+pub use front::{FailoverReport, Front, ServiceConfig, MONOTONE_COUNTERS, REQUIRED_FAMILIES};
 pub use heartbeat::{HeartbeatConfig, Supervisor};
 pub use net::{TcpServiceServer, TcpTransport};
 pub use runtime::{RuntimeConfig, RuntimeReport, ServiceRuntime};
-pub use service::{AllocationService, FailoverReport, ServiceClient, ServiceConfig};
+pub use service::{AllocationService, ServiceClient};
 pub use shard::{Flavour, Shard, ShardMap, ShardSpec, TakeoverReport};
 pub use wal::{DurableLog, ReplayState, ScanReport};

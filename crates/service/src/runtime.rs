@@ -1,105 +1,67 @@
-//! The threaded (wall-clock) service runtime.
+//! The threaded (wall-clock) driver of the service front.
 //!
-//! One OS thread per shard, each owning its [`Shard`] outright (the
-//! shard is built *inside* the worker thread — nothing crosses the
-//! boundary but messages). Requests arrive over bounded channels, so
-//! a saturated worker pushes back with [`ErrorCode::ShardBusy`]
-//! instead of queueing unboundedly; the worker drains its queue into
-//! batches, so one fsync covers every request that arrived while the
-//! previous batch was being applied (group commit under load).
+//! [`ServiceRuntime`] drives [`crate::front::Front`] on wall time — the
+//! seconds since it started — with one OS thread per shard, each
+//! owning its [`Shard`] outright (the shard is built *inside* the
+//! worker thread — nothing crosses the boundary but messages).
+//! Admitted requests reach a worker over a bounded channel, so a
+//! saturated worker pushes back with [`ErrorCode::ShardBusy`] instead
+//! of queueing unboundedly; the worker drains its queue into batches,
+//! so one fsync covers every request that arrived while the previous
+//! batch was being applied (group commit under load).
 //!
-//! A wall-clock supervisor thread probes every worker each interval.
-//! A *crashed* worker is detected instantly — its channel receiver
-//! dies with the thread, so the probe sees a disconnect. A worker
-//! that merely fails to answer within the window may just be busy
-//! (probes are FIFO behind queued requests, so under sustained load
-//! the probe reply waits out a full queue drain): the supervisor
-//! consults a per-shard progress counter the worker bumps each batch,
-//! and only declares death after several consecutive silent probes
-//! with **zero progress** — a genuinely wedged worker. Either way a
-//! dead shard gets a **standby worker** spawned from the same durable
-//! log — the service keeps answering for that shard's tenants with
-//! zero acked registrations lost.
+//! A supervisor thread probes every worker each [`PROBE`] interval and
+//! reports what it saw to the front. A *crashed* worker is seen at
+//! once — its channel receiver died with the thread, so the probe
+//! finds a disconnect — and replaced on the spot. Otherwise a worker
+//! shows life by a full queue (busy, not dead), by echoing a probe, or
+//! by applying a batch (probes are FIFO behind queued requests, so
+//! under sustained load the echo waits out a queue drain); the front's
+//! supervisor declares dead only a worker that showed none for the
+//! whole window — genuinely wedged. Either way a dead shard gets a
+//! **standby worker** that opens the same durable log, and the service
+//! keeps answering for that shard's tenants with zero acked
+//! registrations lost.
 //!
-//! Wall-clock latency measurements stay inside the worker and are
-//! reported under `wall.*` metric names only, per the repo's
-//! determinism convention: traces stay deterministic, wall time never
-//! enters them.
+//! The front's sink here is a bare metrics [`Registry`] — the recording
+//! sink of the logical driver is `!Send` — so the front's counters and
+//! the shards' WAL families land on the scraped page, while its trace
+//! pass (spans, per-tenant SLO latencies, crash events) has nothing to
+//! record into and is not driven. Wall-clock measurements are reported
+//! under `wall.*` metric names only, per the repo's determinism
+//! convention.
 
+use crate::front::{Front, Route};
+use crate::heartbeat::HeartbeatConfig;
 use crate::shard::{Shard, ShardMap, ShardSpec, ShardStats, TakeoverReport};
 use saba_core::library::Transport;
 use saba_core::rpc::{Envelope, ErrorCode, Request, Response};
-use saba_sim::ids::AppId;
-use saba_telemetry::{expose, Histogram, Registry};
-use std::path::PathBuf;
+use saba_telemetry::{Histogram, Registry};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Deployment knobs of the threaded runtime.
-#[derive(Debug, Clone)]
-pub struct RuntimeConfig {
-    /// Number of shard workers.
-    pub shards: usize,
-    /// Seed of the tenant→shard map.
-    pub map_seed: u64,
-    /// Fsync batching bound (see [`crate::wal::DurableLog`]).
-    pub sync_every: usize,
-    /// Compaction trigger in records; `0` disables.
-    pub compact_threshold: u64,
-    /// Bounded queue depth per worker; a full queue is `ShardBusy`.
-    pub queue_depth: usize,
-    /// Largest batch a worker drains before syncing and replying.
-    pub batch_max: usize,
-    /// Supervisor probe interval.
-    pub probe_interval: Duration,
-    /// How long one probe waits for its echo before counting a strike.
-    pub probe_window: Duration,
-    /// Consecutive silent probes with zero batch progress before a
-    /// worker is declared wedged. (A crashed worker is detected
-    /// immediately via its disconnected channel, regardless.)
-    pub probe_strikes: u32,
-    /// Directory holding the per-shard durable logs.
-    pub log_dir: PathBuf,
-}
+/// Deployment knobs of the threaded runtime: the shared service config.
+pub use crate::front::ServiceConfig as RuntimeConfig;
 
-impl RuntimeConfig {
-    /// Defaults sized for tests: small queues, fast failover.
-    pub fn new(log_dir: impl Into<PathBuf>) -> Self {
-        Self {
-            shards: 4,
-            map_seed: 0x5aba,
-            sync_every: 32,
-            compact_threshold: 4096,
-            queue_depth: 256,
-            batch_max: 64,
-            probe_interval: Duration::from_millis(20),
-            probe_window: Duration::from_millis(250),
-            probe_strikes: 5,
-            log_dir: log_dir.into(),
-        }
-    }
-}
+/// The wall-clock probe cadence and silence window: a worker is probed
+/// every 20 ms and declared wedged after 1.35 s without a sign of life.
+const PROBE: HeartbeatConfig = HeartbeatConfig {
+    interval: 0.02,
+    window: 1.35,
+};
 
-/// Verdict of a single supervisor probe.
-enum Probe {
-    /// Echoed promptly, or its queue is full (busy, not dead).
-    Alive,
-    /// No echo within the window — busy or wedged; the supervisor
-    /// decides using the shard's progress counter.
-    Silent,
-    /// Channel disconnected: the worker thread is gone.
-    Dead,
-}
+/// How long a caller waits for its shard's reply.
+const REPLY_TIMEOUT: Duration = Duration::from_secs(2);
 
 enum WorkerMsg {
     /// A request; the worker replies on the provided channel once the
     /// operation is durable.
     Call(Envelope, Sender<Response>),
-    /// Health probe; a live worker echoes promptly.
-    Beat(Sender<()>),
+    /// Health probe; a live worker echoes by bumping its pulse.
+    Beat,
     /// Fault injection: die without cleanup, exactly like a crash —
     /// queued requests and the dedup cache are lost with the thread.
     Kill,
@@ -123,121 +85,166 @@ pub struct WorkerReport {
     pub batches: u64,
 }
 
-struct Router {
-    senders: Mutex<Vec<SyncSender<WorkerMsg>>>,
-    /// Batches applied per shard, bumped by the owning worker. Lets
-    /// the supervisor tell *busy* (progressing, probe echo stuck in
-    /// the queue) from *wedged* (silent and frozen).
-    progress: Vec<Arc<AtomicU64>>,
-    map: ShardMap,
-    failovers: AtomicU64,
-    /// Wall-clock metrics hub shared by workers and the supervisor.
-    /// Everything wall-derived lands under `wall.*` names, per the
-    /// repo's determinism convention; the deterministic twin keeps an
-    /// entirely separate registry inside its telemetry sink.
-    hub: Arc<Mutex<Registry>>,
+/// What callers, workers and the supervisor share behind one lock.
+struct Shared {
+    /// The front, its sink the metrics hub: deterministic counts under
+    /// the names the logical driver uses, wall-derived ones under
+    /// `wall.*`.
+    front: Front<Registry>,
+    senders: Vec<SyncSender<WorkerMsg>>,
+    /// Shards promoted so far, in promotion order.
+    replaced: Vec<usize>,
 }
 
-fn worker_loop(
-    shard_id: usize,
-    spec: ShardSpec,
+struct Hub {
     cfg: RuntimeConfig,
-    rx: Receiver<WorkerMsg>,
-    progress: Arc<AtomicU64>,
-    hub: Arc<Mutex<Registry>>,
-) {
-    let (mut shard, scan) = match Shard::open(shard_id, spec, &cfg.log_dir, cfg.sync_every) {
-        Ok(ok) => ok,
-        Err(_) => return, // unreachable log dir: the supervisor will respawn
-    };
-    let takeover = scan;
-    let mut wall_latency = Histogram::new();
-    let mut batches = 0u64;
-    let mut pending_ctrl: Vec<WorkerMsg> = Vec::new();
-    'main: loop {
-        let first = if let Some(msg) = pending_ctrl.pop() {
-            msg
-        } else {
-            match rx.recv() {
-                Ok(msg) => msg,
-                Err(_) => break 'main, // runtime dropped: exit quietly
-            }
+    spec: ShardSpec,
+    started: Instant,
+    shared: Mutex<Shared>,
+    /// Signs of life per shard — batches applied plus probes echoed —
+    /// bumped by the owning worker. Lets the supervisor tell *busy*
+    /// (progressing, echo stuck in the queue) from *wedged*.
+    pulse: Vec<AtomicU64>,
+}
+
+impl Hub {
+    /// The driver's clock: seconds since the runtime started.
+    fn now(&self) -> f64 {
+        self.started.elapsed().as_secs_f64()
+    }
+
+    fn shared(&self) -> MutexGuard<'_, Shared> {
+        self.shared
+            .lock()
+            .expect("no thread panics while holding the service lock")
+    }
+
+    /// Spawns a worker for `shard` on the shard's durable log; a
+    /// `standby` reports its promotion once its replay is done.
+    fn spawn_worker(self: &Arc<Self>, shard: usize, standby: bool) -> SyncSender<WorkerMsg> {
+        let (tx, rx) = mpsc::sync_channel(self.cfg.queue_depth);
+        let hub = self.clone();
+        std::thread::Builder::new()
+            .name(format!("saba-shard-{shard}"))
+            .spawn(move || hub.worker_loop(shard, standby, rx))
+            .expect("spawn shard worker");
+        tx
+    }
+
+    fn worker_loop(&self, shard_id: usize, standby: bool, rx: Receiver<WorkerMsg>) {
+        let cfg = &self.cfg;
+        let Ok((mut shard, takeover)) =
+            Shard::open(shard_id, self.spec.clone(), &cfg.log_dir, cfg.sync_every)
+        else {
+            return; // unreachable log dir: the supervisor will respawn
         };
-        match first {
-            WorkerMsg::Kill => return,
-            WorkerMsg::Shutdown(tx) => {
-                // Every batch already group-committed; nothing to sync.
-                let _ = tx.send(WorkerReport {
-                    shard: shard_id,
-                    stats: shard.stats(),
-                    takeover,
-                    wall_latency,
-                    batches,
-                });
+        if standby {
+            let mut shared = self.shared();
+            shared
+                .front
+                .promoted(shard_id, self.now(), takeover.clone(), &[]);
+            shared.replaced.push(shard_id);
+        }
+        let latency_name = format!("wall.op_latency/shard={shard_id}");
+        let mut wall_latency = Histogram::new();
+        let mut batches = 0u64;
+        let mut pending_ctrl: Option<WorkerMsg> = None;
+        loop {
+            let first = match pending_ctrl.take() {
+                Some(msg) => msg,
+                None => match rx.recv() {
+                    Ok(msg) => msg,
+                    Err(_) => return, // runtime dropped: exit quietly
+                },
+            };
+            match first {
+                WorkerMsg::Kill => return,
+                WorkerMsg::Shutdown(tx) => {
+                    // Every batch already group-committed; nothing to sync.
+                    let _ = tx.send(WorkerReport {
+                        shard: shard_id,
+                        stats: shard.stats(),
+                        takeover,
+                        wall_latency,
+                        batches,
+                    });
+                    return;
+                }
+                WorkerMsg::Beat => {
+                    self.pulse[shard_id].fetch_add(1, Ordering::Relaxed);
+                }
+                WorkerMsg::Call(env, tx) => {
+                    // Drain whatever arrived behind this call into one
+                    // batch (one fsync); control messages wait their turn.
+                    let (mut envs, mut replies) = (vec![env], vec![tx]);
+                    while envs.len() < cfg.batch_max {
+                        match rx.try_recv() {
+                            Ok(WorkerMsg::Call(e, t)) => {
+                                envs.push(e);
+                                replies.push(t);
+                            }
+                            Ok(ctrl) => {
+                                pending_ctrl = Some(ctrl);
+                                break;
+                            }
+                            Err(_) => break,
+                        }
+                    }
+                    let before = shard.stats();
+                    let t0 = Instant::now();
+                    let resps = shard.handle_batch(&envs);
+                    let per_op = t0.elapsed().as_secs_f64() / envs.len() as f64;
+                    batches += 1;
+                    self.pulse[shard_id].fetch_add(1, Ordering::Relaxed);
+                    for (tx, resp) in replies.into_iter().zip(resps) {
+                        let _ = tx.send(resp); // caller may have timed out
+                    }
+                    // Publish after the acks — a scrape must never
+                    // delay a caller.
+                    let mut shared = self.shared();
+                    shared.front.batch_done(&mut shard, before);
+                    for _ in 0..envs.len() {
+                        wall_latency.record(per_op);
+                        shared.front.sink.observe(&latency_name, per_op);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The supervisor: every probe interval, gather each worker's sign
+    /// of life, replace the crashed ones at once and the ones the
+    /// front declares wedged.
+    fn supervise(self: &Arc<Self>, stop: &AtomicBool) {
+        let mut seen: Vec<u64> = vec![0; self.pulse.len()];
+        loop {
+            std::thread::sleep(Duration::from_secs_f64(PROBE.interval));
+            if stop.load(Ordering::Relaxed) {
                 return;
             }
-            WorkerMsg::Beat(tx) => {
-                let _ = tx.send(());
+            let (now, t0) = (self.now(), Instant::now());
+            let mut shared = self.shared();
+            let (mut alive, mut dead) = (Vec::new(), Vec::new());
+            for (shard, seen) in seen.iter_mut().enumerate() {
+                let pulse = self.pulse[shard].load(Ordering::Relaxed);
+                match shared.senders[shard].try_send(WorkerMsg::Beat) {
+                    // The receiver died with the worker thread: a crash.
+                    Err(TrySendError::Disconnected(_)) => dead.push(shard),
+                    // A full queue is a *busy* worker, not a dead one.
+                    Err(TrySendError::Full(_)) => alive.push(shard),
+                    Ok(()) if pulse != *seen => alive.push(shard),
+                    Ok(()) => {}
+                }
+                *seen = pulse;
             }
-            WorkerMsg::Call(env, tx) => {
-                // Drain whatever arrived behind this call into one
-                // batch (one fsync); control messages wait their turn.
-                let mut batch = vec![(env, tx)];
-                while batch.len() < cfg.batch_max {
-                    match rx.try_recv() {
-                        Ok(WorkerMsg::Call(e, t)) => batch.push((e, t)),
-                        Ok(ctrl) => {
-                            pending_ctrl.push(ctrl);
-                            break;
-                        }
-                        Err(_) => break,
-                    }
-                }
-                let envs: Vec<Envelope> = batch.iter().map(|(e, _)| e.clone()).collect();
-                let t0 = Instant::now();
-                let resps = shard.handle_batch(&envs);
-                let per_op = t0.elapsed().as_secs_f64() / envs.len() as f64;
-                for _ in 0..envs.len() {
-                    wall_latency.record(per_op);
-                }
-                batches += 1;
-                progress.fetch_add(1, Ordering::Relaxed);
-                for ((_, tx), resp) in batch.into_iter().zip(resps) {
-                    let _ = tx.send(resp); // caller may have timed out
-                }
-                // Publish this batch into the shared hub (after the
-                // acks — a scrape must never delay a caller):
-                // wall-clock latency under `wall.*`, WAL progress
-                // (counts, not durations) under the same names the
-                // deterministic twin uses.
-                let groups = shard.take_wal_group_sizes();
-                {
-                    let mut hub = hub.lock().unwrap();
-                    for _ in 0..envs.len() {
-                        hub.observe(&format!("wall.op_latency/shard={shard_id}"), per_op);
-                    }
-                    if groups.count() > 0 {
-                        hub.merge_histogram(
-                            &format!("wal.group_commit_size/shard={shard_id}"),
-                            &groups,
-                        );
-                    }
-                    hub.set_gauge(
-                        &format!("wal.bytes_appended/shard={shard_id}"),
-                        shard.log().bytes_appended() as f64,
-                    );
-                    hub.set_gauge(
-                        &format!("wal.records_appended/shard={shard_id}"),
-                        shard.log().appended() as f64,
-                    );
-                    hub.set_gauge(
-                        &format!("wal.fsyncs/shard={shard_id}"),
-                        shard.log().syncs() as f64,
-                    );
-                }
-                if cfg.compact_threshold > 0 {
-                    let _ = shard.maybe_compact(cfg.compact_threshold);
-                }
+            dead.extend(shared.front.tick(now, alive, &[]));
+            for shard in dead {
+                // Route new traffic to a standby on the same log.
+                shared.senders[shard] = self.spawn_worker(shard, true);
+                // MTTR as this loop sees it: from the fatal probe to
+                // new traffic being routed at the standby.
+                let mttr = t0.elapsed().as_secs_f64();
+                shared.front.sink.observe("wall.failover_mttr", mttr);
             }
         }
     }
@@ -245,14 +252,9 @@ fn worker_loop(
 
 /// The running threaded service.
 pub struct ServiceRuntime {
-    cfg: RuntimeConfig,
-    spec: ShardSpec,
-    router: Arc<Router>,
+    hub: Arc<Hub>,
     supervisor: Mutex<Option<JoinHandle<()>>>,
     stop: Arc<AtomicBool>,
-    /// Reports from workers replaced by failover (killed workers
-    /// report nothing — they died).
-    replaced: Arc<Mutex<Vec<usize>>>,
 }
 
 /// Final runtime summary returned by [`ServiceRuntime::shutdown`].
@@ -264,245 +266,100 @@ pub struct RuntimeReport {
     pub failovers: u64,
 }
 
-fn spawn_worker(
-    shard_id: usize,
-    spec: ShardSpec,
-    cfg: RuntimeConfig,
-    progress: Arc<AtomicU64>,
-    hub: Arc<Mutex<Registry>>,
-) -> SyncSender<WorkerMsg> {
-    let (tx, rx) = mpsc::sync_channel(cfg.queue_depth);
-    std::thread::Builder::new()
-        .name(format!("saba-shard-{shard_id}"))
-        .spawn(move || worker_loop(shard_id, spec, cfg, rx, progress, hub))
-        .expect("spawn shard worker");
-    tx
-}
-
 impl ServiceRuntime {
     /// Starts the workers and the supervisor.
     pub fn start(spec: ShardSpec, cfg: RuntimeConfig) -> std::io::Result<Self> {
         std::fs::create_dir_all(&cfg.log_dir)?;
-        let progress: Vec<Arc<AtomicU64>> = (0..cfg.shards)
-            .map(|_| Arc::new(AtomicU64::new(0)))
-            .collect();
-        let hub = Arc::new(Mutex::new(Registry::new()));
-        let senders: Vec<SyncSender<WorkerMsg>> = (0..cfg.shards)
-            .map(|id| {
-                spawn_worker(
-                    id,
-                    spec.clone(),
-                    cfg.clone(),
-                    progress[id].clone(),
-                    hub.clone(),
-                )
-            })
-            .collect();
-        let router = Arc::new(Router {
-            senders: Mutex::new(senders),
-            progress,
-            map: ShardMap::new(cfg.shards, cfg.map_seed),
-            failovers: AtomicU64::new(0),
-            hub,
+        let front = Front::new(cfg.shards, PROBE, cfg.admission, Registry::new())
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+        let hub = Arc::new(Hub {
+            pulse: (0..cfg.shards).map(|_| AtomicU64::new(0)).collect(),
+            shared: Mutex::new(Shared {
+                front,
+                senders: Vec::new(),
+                replaced: Vec::new(),
+            }),
+            started: Instant::now(),
+            spec,
+            cfg,
         });
+        let senders = (0..hub.cfg.shards).map(|id| hub.spawn_worker(id, false));
+        let senders: Vec<_> = senders.collect();
+        hub.shared().senders = senders;
         let stop = Arc::new(AtomicBool::new(false));
-        let replaced = Arc::new(Mutex::new(Vec::new()));
         let supervisor = {
-            let router = router.clone();
-            let stop = stop.clone();
-            let replaced = replaced.clone();
-            let spec = spec.clone();
-            let cfg = cfg.clone();
+            let (hub, stop) = (hub.clone(), stop.clone());
             std::thread::Builder::new()
                 .name("saba-supervisor".into())
-                .spawn(move || {
-                    // Per shard: progress at the last verdict, and
-                    // consecutive silent probes without progress.
-                    let mut seen: Vec<(u64, u32)> = router
-                        .progress
-                        .iter()
-                        .map(|p| (p.load(Ordering::Relaxed), 0))
-                        .collect();
-                    while !stop.load(Ordering::Relaxed) {
-                        std::thread::sleep(cfg.probe_interval);
-                        for (shard, verdict) in seen.iter_mut().enumerate() {
-                            if stop.load(Ordering::Relaxed) {
-                                return;
-                            }
-                            let progress = &router.progress[shard];
-                            let t0 = Instant::now();
-                            match Self::probe(&router, shard, cfg.probe_window) {
-                                Probe::Alive => {
-                                    router.hub.lock().unwrap().observe(
-                                        &format!("wall.probe_rtt/shard={shard}"),
-                                        t0.elapsed().as_secs_f64(),
-                                    );
-                                    *verdict = (progress.load(Ordering::Relaxed), 0);
-                                    continue;
-                                }
-                                Probe::Silent => {
-                                    // Busy or wedged? Progress since
-                                    // the last verdict means busy.
-                                    let now = progress.load(Ordering::Relaxed);
-                                    if now != verdict.0 {
-                                        *verdict = (now, 0);
-                                        continue;
-                                    }
-                                    verdict.1 += 1;
-                                    if verdict.1 < cfg.probe_strikes {
-                                        continue;
-                                    }
-                                }
-                                Probe::Dead => {}
-                            }
-                            // Dead: spawn a standby from the durable
-                            // log and route new traffic to it.
-                            let tx = spawn_worker(
-                                shard,
-                                spec.clone(),
-                                cfg.clone(),
-                                progress.clone(),
-                                router.hub.clone(),
-                            );
-                            router.senders.lock().unwrap()[shard] = tx;
-                            router.failovers.fetch_add(1, Ordering::Relaxed);
-                            replaced.lock().unwrap().push(shard);
-                            {
-                                // MTTR as this loop sees it: from the
-                                // probe that returned the fatal
-                                // verdict to new traffic being routed
-                                // at the standby.
-                                let mut hub = router.hub.lock().unwrap();
-                                hub.inc("service.failovers", 1);
-                                hub.observe("wall.failover_mttr", t0.elapsed().as_secs_f64());
-                            }
-                            *verdict = (progress.load(Ordering::Relaxed), 0);
-                        }
-                    }
-                })
+                .spawn(move || hub.supervise(&stop))
                 .expect("spawn supervisor")
         };
         Ok(Self {
-            cfg,
-            spec,
-            router,
+            hub,
             supervisor: Mutex::new(Some(supervisor)),
             stop,
-            replaced,
         })
-    }
-
-    /// One liveness probe of `shard`'s worker.
-    fn probe(router: &Router, shard: usize, window: Duration) -> Probe {
-        let sender = router.senders.lock().unwrap()[shard].clone();
-        let (tx, rx) = mpsc::channel();
-        match sender.try_send(WorkerMsg::Beat(tx)) {
-            Ok(()) => match rx.recv_timeout(window) {
-                Ok(()) => Probe::Alive,
-                // The echo is FIFO behind queued requests; silence
-                // within one window is not death on its own.
-                Err(_) => Probe::Silent,
-            },
-            // A full queue is a *busy* worker, not a dead one.
-            Err(TrySendError::Full(_)) => Probe::Alive,
-            // The receiver died with the worker thread: a crash.
-            Err(TrySendError::Disconnected(_)) => Probe::Dead,
-        }
     }
 
     /// The tenant→shard map.
     pub fn shard_map(&self) -> ShardMap {
-        self.router.map
+        self.hub.shared().front.shard_map()
     }
 
     /// Standby takeovers so far.
     pub fn failovers(&self) -> u64 {
-        self.router.failovers.load(Ordering::Relaxed)
+        self.hub.shared().front.failovers()
     }
 
     /// Kills shard `s`'s worker thread, crash-style. The supervisor
-    /// will notice within the probe window and spawn a standby.
+    /// will notice at its next probe and spawn a standby.
     pub fn kill_shard(&self, s: usize) {
-        let sender = self.router.senders.lock().unwrap()[s].clone();
+        let sender = self.hub.shared().senders[s].clone();
         let _ = sender.send(WorkerMsg::Kill);
     }
 
     /// One request/response round trip. Backpressure and failover
     /// surface as retryable errors; the caller owns backoff policy
-    /// (or uses [`Self::call_with_retries`]).
+    /// (or uses [`Self::call_with_retries`]). Scrapes are answered by
+    /// the front and never enter a shard queue, so a wedged worker
+    /// cannot block observability.
     pub fn call(&self, env: Envelope) -> Response {
-        // Scrapes never enter a shard queue: the hub is answered
-        // here, so a wedged worker cannot block observability.
-        if matches!(env.request, Request::MetricsDump) {
-            return self.dump_metrics();
-        }
-        Self::route(
-            &self.router,
-            env,
-            self.cfg.probe_window.max(Duration::from_secs(2)),
-        )
-    }
-
-    /// Renders the wall-clock metrics hub as a Prometheus text page.
-    /// The dump counter is bumped before rendering, so the page that
-    /// comes back already includes this scrape — two consecutive
-    /// scrapes always show a strictly increasing count.
-    pub fn dump_metrics(&self) -> Response {
-        let mut hub = self.router.hub.lock().unwrap();
-        hub.inc("service.metrics_dumps", 1);
-        Response::Metrics { text: expose(&hub) }
-    }
-
-    /// A point-in-time snapshot of the wall-clock metrics hub.
-    pub fn metrics_registry(&self) -> Registry {
-        self.router.hub.lock().unwrap().clone()
-    }
-
-    fn route(router: &Router, env: Envelope, reply_timeout: Duration) -> Response {
-        let tenant = match &env.request {
-            Request::AppRegister { app, .. }
-            | Request::ConnCreate { app, .. }
-            | Request::ConnDestroy { app, .. }
-            | Request::AppDeregister { app } => *app,
-            // Intercepted in `call`; a raw route of a dump is a
-            // protocol error, same as the shard's own verdict.
-            Request::MetricsDump => {
-                return Response::Error {
-                    code: ErrorCode::Malformed,
-                    message: "metrics dump is not a shard operation".into(),
-                }
+        let (shard, sender) = {
+            let mut shared = self.hub.shared();
+            match shared.front.admit(&env, self.hub.now()) {
+                Route::Reply(resp) => return resp,
+                Route::Shard(shard) => (shard, shared.senders[shard].clone()),
             }
         };
-        let shard = router.map.shard_of(AppId(tenant.0));
-        let sender = router.senders.lock().unwrap()[shard].clone();
         let (tx, rx) = mpsc::channel();
-        match sender.try_send(WorkerMsg::Call(env, tx)) {
-            Ok(()) => {
-                router.hub.lock().unwrap().inc("service.requests", 1);
-                match rx.recv_timeout(reply_timeout) {
-                    Ok(resp) => resp,
-                    Err(RecvTimeoutError::Timeout) => Response::Error {
-                        code: ErrorCode::Timeout,
-                        message: format!("shard {shard} did not reply in time"),
-                    },
-                    Err(RecvTimeoutError::Disconnected) => Response::Error {
-                        code: ErrorCode::FailingOver,
-                        message: format!("shard {shard} died mid-request"),
-                    },
-                }
-            }
-            Err(TrySendError::Full(_)) => {
-                router.hub.lock().unwrap().inc("service.shard_busy", 1);
-                Response::Error {
-                    code: ErrorCode::ShardBusy,
-                    message: format!("shard {shard} admission queue is full"),
-                }
-            }
-            Err(TrySendError::Disconnected(_)) => Response::Error {
-                code: ErrorCode::FailingOver,
-                message: format!("shard {shard} is down, standby coming up"),
+        let (code, message) = match sender.try_send(WorkerMsg::Call(env, tx)) {
+            Ok(()) => match rx.recv_timeout(REPLY_TIMEOUT) {
+                Ok(resp) => return resp,
+                Err(RecvTimeoutError::Timeout) => (ErrorCode::Timeout, "did not reply in time"),
+                Err(RecvTimeoutError::Disconnected) => (ErrorCode::FailingOver, "died mid-request"),
             },
+            Err(TrySendError::Full(_)) => {
+                self.hub.shared().front.sink.inc("service.shard_busy", 1);
+                (ErrorCode::ShardBusy, "admission queue is full")
+            }
+            Err(TrySendError::Disconnected(_)) => {
+                (ErrorCode::FailingOver, "is down, standby coming up")
+            }
+        };
+        Response::Error {
+            code,
+            message: format!("shard {shard} {message}"),
         }
+    }
+
+    /// Renders the metrics hub as a Prometheus text page.
+    pub fn dump_metrics(&self) -> Response {
+        self.hub.shared().front.dump_metrics()
+    }
+
+    /// A point-in-time snapshot of the metrics hub.
+    pub fn metrics_registry(&self) -> Registry {
+        self.hub.shared().front.sink.clone()
     }
 
     /// [`Self::call`] with client-side retry: retryable errors back
@@ -544,7 +401,7 @@ impl ServiceRuntime {
         if let Some(h) = self.supervisor.lock().unwrap().take() {
             let _ = h.join();
         }
-        let senders = self.router.senders.lock().unwrap().clone();
+        let senders = self.hub.shared().senders.clone();
         let mut workers = Vec::new();
         for sender in senders {
             let (tx, rx) = mpsc::channel();
@@ -556,23 +413,23 @@ impl ServiceRuntime {
         }
         RuntimeReport {
             workers,
-            failovers: self.router.failovers.load(Ordering::Relaxed),
+            failovers: self.failovers(),
         }
     }
 
     /// The runtime's config (tests size their traffic from it).
     pub fn cfg(&self) -> &RuntimeConfig {
-        &self.cfg
+        &self.hub.cfg
     }
 
     /// The shard build spec.
     pub fn spec(&self) -> &ShardSpec {
-        &self.spec
+        &self.hub.spec
     }
 
     /// Shards replaced by the supervisor so far, in replacement order.
     pub fn replaced_shards(&self) -> Vec<usize> {
-        self.replaced.lock().unwrap().clone()
+        self.hub.shared().replaced.clone()
     }
 }
 
@@ -600,6 +457,7 @@ mod tests {
     use saba_core::controller::ControllerConfig;
     use saba_core::profiler::{Profiler, ProfilerConfig};
     use saba_core::sensitivity::SensitivityTable;
+    use saba_sim::ids::AppId;
     use saba_sim::topology::Topology;
     use saba_workload::catalog;
 
@@ -732,58 +590,46 @@ mod tests {
         rt.shutdown();
     }
 
+    /// Workers publish per batch, after the acks: by the time a call
+    /// returns its shard's batch may still be unpublished, but the
+    /// next call on the same shard queues behind that publication.
     #[test]
-    fn metrics_dump_scrapes_wall_metrics_monotonically() {
+    fn workers_publish_wall_and_wal_families_into_the_scraped_hub() {
         let rt = Arc::new(ServiceRuntime::start(spec(), fresh_cfg("scrape")).unwrap());
         let servers = rt.spec().topo.servers().to_vec();
-        let r = rt.call_with_retries(
-            env(
-                1,
-                Request::AppRegister {
-                    app: AppId(0),
-                    workload: "LR".into(),
-                },
-            ),
-            8,
-            Duration::from_millis(10),
-        );
+        let r = rt.call(env(
+            1,
+            Request::AppRegister {
+                app: AppId(0),
+                workload: "LR".into(),
+            },
+        ));
         assert!(matches!(r, Response::Registered { .. }));
         for i in 0..8u64 {
-            let r = rt.call_with_retries(
-                env(
-                    2 + i,
-                    Request::ConnCreate {
-                        app: AppId(0),
-                        src: servers[0],
-                        dst: servers[1],
-                        tag: i,
-                    },
-                ),
-                8,
-                Duration::from_millis(10),
-            );
+            let r = rt.call(env(
+                2 + i,
+                Request::ConnCreate {
+                    app: AppId(0),
+                    src: servers[0],
+                    dst: servers[1],
+                    tag: i,
+                },
+            ));
             assert_eq!(r, Response::Ack);
         }
         let page = match rt.call(env(100, Request::MetricsDump)) {
             Response::Metrics { text } => text,
             other => panic!("expected a metrics page, got {other:?}"),
         };
-        // The worker publishes per-batch, so the families must be
-        // present by the time the last ack came back.
         assert!(page.contains("# TYPE wall_op_latency summary"), "{page}");
         assert!(page.contains("# TYPE wal_group_commit_size summary"));
         assert!(page.contains("# TYPE wal_bytes_appended gauge"));
-        assert!(page.contains("service_requests_total"));
-        assert!(page.contains("service_metrics_dumps_total 1\n"));
-        let page2 = match rt.call(env(101, Request::MetricsDump)) {
-            Response::Metrics { text } => text,
-            other => panic!("expected a metrics page, got {other:?}"),
-        };
-        assert!(page2.contains("service_metrics_dumps_total 2\n"));
+        assert!(page.contains("service_requests_total 9\n"), "{page}");
+        assert!(page.contains("service_registrations_acked_total 1\n"));
         // The registry snapshot agrees with the rendered page.
         let reg = rt.metrics_registry();
-        assert_eq!(reg.counter("service.metrics_dumps"), 2);
-        assert!(reg.counter("service.requests") >= 9);
+        assert_eq!(reg.counter("service.metrics_dumps"), 1);
+        assert_eq!(reg.counter("service.requests"), 9);
         rt.shutdown();
     }
 

@@ -1,120 +1,29 @@
-//! The deterministic in-process allocation service.
+//! The logical-clock driver of the service front.
 //!
-//! [`AllocationService`] assembles the four planes — edge admission,
-//! the sharded controller tier, the durable logs, and the heartbeat
-//! supervisor — on a single logical clock. Everything is
-//! deterministic: the same envelope sequence and the same `tick`
-//! schedule produce byte-identical telemetry exports, which is what
-//! the smoke gate asserts. The threaded/TCP deployment in
-//! [`crate::runtime`] and [`crate::net`] wraps the same shards; this
-//! type is the form the drills and differential tests drive.
+//! [`AllocationService`] drives [`crate::front::Front`] on a clock the
+//! caller advances ([`AllocationService::tick`]) and hands batches to
+//! shards it owns by direct call. Everything is deterministic: the
+//! same envelope sequence and the same `tick` schedule produce
+//! byte-identical telemetry exports, which is what the smoke gate
+//! asserts. This is the form the drills and differential tests drive;
+//! [`crate::runtime`] drives the same front on wall time.
 
-use crate::admission::{Admission, Admit, TokenBucketCfg};
-use crate::heartbeat::{HeartbeatConfig, Supervisor};
-use crate::shard::{Shard, ShardMap, ShardSpec, TakeoverReport};
+pub use crate::front::{FailoverReport, ServiceConfig, ServiceStats};
+use crate::front::{Front, Route};
+use crate::shard::{Shard, ShardMap, ShardSpec};
 use saba_core::controller::SwitchUpdate;
 use saba_core::library::Transport;
-use saba_core::rpc::{Envelope, ErrorCode, Request, Response};
+use saba_core::rpc::{Envelope, Request, Response};
 use saba_faults::injector::ControlAction;
-use saba_telemetry::{expose, EventKind, JsonValue, Registry, SharedRecorder, TelemetrySink};
+use saba_telemetry::{Registry, SharedRecorder};
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::path::PathBuf;
 use std::rc::Rc;
-
-/// Deployment shape of an [`AllocationService`].
-#[derive(Debug, Clone)]
-pub struct ServiceConfig {
-    /// Number of shards (service workers).
-    pub shards: usize,
-    /// Seed of the tenant→shard map.
-    pub map_seed: u64,
-    /// Fsync batching: appends per forced sync (group commit bound).
-    pub sync_every: usize,
-    /// Compact a shard's log once it grows this many records past the
-    /// last compaction; `0` disables compaction.
-    pub compact_threshold: u64,
-    /// Heartbeat cadence and declare-dead window.
-    pub heartbeat: HeartbeatConfig,
-    /// Per-tenant edge admission policy; `None` admits everything.
-    pub admission: Option<TokenBucketCfg>,
-    /// Directory holding the per-shard durable logs.
-    pub log_dir: PathBuf,
-}
-
-impl ServiceConfig {
-    /// A config with service defaults, logging under `log_dir`.
-    pub fn new(log_dir: impl Into<PathBuf>) -> Self {
-        Self {
-            shards: 4,
-            map_seed: 0x5aba,
-            sync_every: 32,
-            compact_threshold: 4096,
-            heartbeat: HeartbeatConfig::default(),
-            admission: Some(TokenBucketCfg::default()),
-            log_dir: log_dir.into(),
-        }
-    }
-}
-
-/// What one standby takeover did.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FailoverReport {
-    /// The shard that failed over.
-    pub shard: usize,
-    /// Logical time the supervisor declared it dead.
-    pub detected_at: f64,
-    /// What the standby's log replay found.
-    pub takeover: TakeoverReport,
-}
-
-/// Aggregated service counters (admission + all shards).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Requests admitted past the edge.
-    pub admitted: u64,
-    /// Requests rejected by the edge rate limiter.
-    pub rate_limited: u64,
-    /// Registrations durably acked.
-    pub registrations_acked: u64,
-    /// Connection creates durably acked.
-    pub conn_creates_acked: u64,
-    /// Retries absorbed by shard dedup caches.
-    pub dedup_hits: u64,
-    /// Standby takeovers completed.
-    pub failovers: u64,
-    /// Log compactions across all shards.
-    pub compactions: u64,
-}
 
 /// The in-process, logically-clocked allocation service.
 pub struct AllocationService {
-    cfg: ServiceConfig,
-    map: ShardMap,
+    front: Front<SharedRecorder>,
     shards: Vec<Shard>,
-    supervisor: Supervisor,
-    admission: Admission,
-    sink: SharedRecorder,
     clock: f64,
-    failovers: u64,
-    /// Logical time each in-flight request id was first submitted —
-    /// the SLO latency of an operation runs from here to its durable
-    /// (definitive) response, spanning retries. Only maintained while
-    /// a sink is attached.
-    first_seen: HashMap<u64, f64>,
-    requests_submitted: u64,
-    snap_seq: u64,
-    ticks: u64,
-}
-
-fn op_label(req: &Request) -> &'static str {
-    match req {
-        Request::AppRegister { .. } => "register",
-        Request::ConnCreate { .. } => "conn_create",
-        Request::ConnDestroy { .. } => "conn_destroy",
-        Request::AppDeregister { .. } => "deregister",
-        Request::MetricsDump => "metrics_dump",
-    }
 }
 
 impl AllocationService {
@@ -122,25 +31,15 @@ impl AllocationService {
     /// each replaying whatever its durable log already holds.
     pub fn open(spec: ShardSpec, cfg: ServiceConfig) -> std::io::Result<Self> {
         std::fs::create_dir_all(&cfg.log_dir)?;
-        let mut shards = Vec::with_capacity(cfg.shards);
-        for id in 0..cfg.shards {
-            let (shard, _) = Shard::open(id, spec.clone(), &cfg.log_dir, cfg.sync_every)?;
-            shards.push(shard);
-        }
+        let shards = (0..cfg.shards)
+            .map(|id| Ok(Shard::open(id, spec.clone(), &cfg.log_dir, cfg.sync_every)?.0))
+            .collect::<std::io::Result<_>>()?;
+        let sink = SharedRecorder::off();
         Ok(Self {
-            map: ShardMap::new(cfg.shards, cfg.map_seed),
-            supervisor: Supervisor::new(cfg.shards, cfg.heartbeat, 0.0),
-            admission: Admission::new(cfg.admission)
+            front: Front::new(cfg.shards, cfg.heartbeat, cfg.admission, sink)
                 .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?,
             shards,
-            cfg,
-            sink: SharedRecorder::off(),
             clock: 0.0,
-            failovers: 0,
-            first_seen: HashMap::new(),
-            requests_submitted: 0,
-            snap_seq: 0,
-            ticks: 0,
         })
     }
 
@@ -150,7 +49,7 @@ impl AllocationService {
         for shard in &mut self.shards {
             shard.set_sink(sink.clone());
         }
-        self.sink = sink;
+        self.front.sink = sink;
     }
 
     /// Sets the Eq. 2 solver thread count on every shard's controller.
@@ -162,21 +61,22 @@ impl AllocationService {
         }
     }
 
-    /// A snapshot of the deterministic twin's metric registry (empty
-    /// when no sink is attached). The `MetricsDump` RPC's exposition
-    /// page is rendered from exactly this.
+    /// A snapshot of the metric registry (empty when no sink is
+    /// attached). The `MetricsDump` RPC's exposition page is rendered
+    /// from exactly this.
     pub fn metrics_registry(&self) -> Registry {
-        self.sink.extract().map(|r| r.registry).unwrap_or_default()
+        let registry = self.front.sink.with(|rec| rec.registry.clone());
+        registry.unwrap_or_default()
     }
 
     /// The tenant→shard map.
     pub fn shard_map(&self) -> ShardMap {
-        self.map
+        self.front.shard_map()
     }
 
     /// The shard owning tenant `app` (by the consistent map).
     pub fn shard_of(&self, app: u32) -> usize {
-        self.map.shard_of(saba_sim::ids::AppId(app))
+        self.shard_map().shard_of(saba_sim::ids::AppId(app))
     }
 
     /// Direct access to a shard (differential tests diff its
@@ -190,188 +90,38 @@ impl AllocationService {
         self.clock
     }
 
-    fn tenant_of(req: &Request) -> u32 {
-        match req {
-            Request::AppRegister { app, .. }
-            | Request::ConnCreate { app, .. }
-            | Request::ConnDestroy { app, .. }
-            | Request::AppDeregister { app } => app.0,
-            Request::MetricsDump => 0,
-        }
-    }
-
     /// Submits one envelope at the current logical time.
     pub fn submit(&mut self, env: &Envelope) -> Response {
         self.submit_batch(std::slice::from_ref(env)).pop().unwrap()
     }
 
-    /// Submits a batch: the edge admits or rejects each envelope, the
+    /// Submits a batch: the front admits or answers each envelope, the
     /// admitted ones are grouped per shard and handled under one group
     /// commit each, and responses come back in submission order.
     pub fn submit_batch(&mut self, envs: &[Envelope]) -> Vec<Response> {
         let mut out: Vec<Option<Response>> = vec![None; envs.len()];
-        let mut per_shard: Vec<Vec<(usize, Envelope)>> = vec![Vec::new(); self.shards.len()];
-        let traced = self.sink.enabled();
-        let mut newly_seen: Vec<bool> = vec![false; envs.len()];
+        let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (i, env) in envs.iter().enumerate() {
-            // Metrics dumps are read-only: answered from the registry
-            // before admission, never logged, routed, or spanned.
-            if matches!(env.request, Request::MetricsDump) {
-                self.sink.inc("service.metrics_dumps", 1);
-                out[i] = Some(Response::Metrics {
-                    text: expose(&self.metrics_registry()),
-                });
-                continue;
-            }
-            if traced {
-                newly_seen[i] = !self.first_seen.contains_key(&env.request_id);
-                self.first_seen.entry(env.request_id).or_insert(self.clock);
-            }
-            let tenant = Self::tenant_of(&env.request);
-            match self.admission.try_admit(tenant, self.clock) {
-                Admit::Ok => {
-                    self.sink.inc("service.admitted", 1);
-                    let shard = self.map.shard_of(saba_sim::ids::AppId(tenant));
-                    per_shard[shard].push((i, env.clone()));
-                }
-                Admit::RateLimited { retry_after } => {
-                    self.sink.inc("service.rate_limited", 1);
-                    out[i] = Some(Response::Error {
-                        code: ErrorCode::RateLimited,
-                        message: format!(
-                            "tenant {tenant} over rate; retry after {retry_after:.6}s"
-                        ),
-                    });
-                }
+            match self.front.admit(env, self.clock) {
+                Route::Reply(resp) => out[i] = Some(resp),
+                Route::Shard(shard) => per_shard[shard].push(i),
             }
         }
-        for (shard_id, work) in per_shard.into_iter().enumerate() {
+        for (shard, work) in self.shards.iter_mut().zip(per_shard) {
             if work.is_empty() {
                 continue;
             }
-            let batch: Vec<Envelope> = work.iter().map(|(_, e)| e.clone()).collect();
-            let before = self.shards[shard_id].stats();
-            let resps = self.shards[shard_id].handle_batch(&batch);
-            let after = self.shards[shard_id].stats();
-            self.sink.inc(
-                "service.registrations_acked",
-                after.registrations_acked - before.registrations_acked,
-            );
-            self.sink.inc(
-                "service.conn_creates_acked",
-                after.conn_creates_acked - before.conn_creates_acked,
-            );
-            if traced {
-                if let Some(rate) = self.shards[shard_id].epoch_counters().cache_hit_rate() {
-                    self.sink.gauge(
-                        &format!("controller.prewarm_hit_rate/shard={shard_id}"),
-                        rate,
-                    );
-                }
-            }
-            for ((i, _), resp) in work.into_iter().zip(resps) {
+            let batch: Vec<Envelope> = work.iter().map(|&i| envs[i].clone()).collect();
+            let before = shard.stats();
+            let resps = shard.handle_batch(&batch);
+            self.front.batch_done(shard, before);
+            for (i, resp) in work.into_iter().zip(resps) {
                 out[i] = Some(resp);
             }
         }
-        if traced {
-            self.record_request_spans(envs, &out, &newly_seen);
-        }
-        self.sink.inc("service.requests", envs.len() as u64);
-        self.requests_submitted += envs.len() as u64;
-        out.into_iter()
-            .map(|r| r.expect("every slot filled"))
-            .collect()
-    }
-
-    /// The post-batch trace pass: one root `rpc.request` span per
-    /// *first* submission of a request id (retries reuse the id and
-    /// must not mint a duplicate span), and one SLO latency sample per
-    /// *definitive* response — measured on the logical clock from the
-    /// id's first submission, so a retried operation's latency covers
-    /// the whole retry window.
-    fn record_request_spans(
-        &mut self,
-        envs: &[Envelope],
-        out: &[Option<Response>],
-        newly_seen: &[bool],
-    ) {
-        for (i, env) in envs.iter().enumerate() {
-            if matches!(env.request, Request::MetricsDump) {
-                continue;
-            }
-            let resp = out[i].as_ref().expect("every slot filled");
-            let tenant = Self::tenant_of(&env.request);
-            let shard = self.map.shard_of(saba_sim::ids::AppId(tenant));
-            if newly_seen[i] {
-                let ctx = env.ctx();
-                let t = self.clock;
-                self.sink.record(
-                    t,
-                    EventKind::Span {
-                        trace: ctx.trace_id,
-                        span: ctx.span_id,
-                        parent: ctx.parent_id,
-                        op: "rpc.request".to_string(),
-                        tenant,
-                        shard: shard as i64,
-                        ok: !matches!(resp, Response::Error { .. }),
-                        dur: 0.0,
-                    },
-                );
-            }
-            let definitive = match resp {
-                Response::Error { code, .. } => !code.is_retryable(),
-                _ => true,
-            };
-            if definitive {
-                if let Some(t0) = self.first_seen.remove(&env.request_id) {
-                    let dur = self.clock - t0;
-                    self.sink.observe(
-                        &format!(
-                            "service.op_latency/op={},shard={shard},tenant={tenant}",
-                            op_label(&env.request)
-                        ),
-                        dur,
-                    );
-                }
-            }
-        }
-    }
-
-    /// Emits one periodic operational snapshot: an `ops_snapshot`
-    /// trace event plus a flight-recorder capture of the aggregated
-    /// counters. Deterministic — keyed by snapshot sequence number and
-    /// the logical request count, never wall clock.
-    fn ops_snapshot(&mut self, reason: &str) {
-        if !self.sink.enabled() {
-            return;
-        }
-        self.snap_seq += 1;
-        let t = self.clock;
-        self.sink.record(
-            t,
-            EventKind::OpsSnapshot {
-                seq: self.snap_seq,
-                requests: self.requests_submitted,
-            },
-        );
-        let stats = self.stats();
-        let state = JsonValue::obj(vec![
-            ("admitted", JsonValue::Num(stats.admitted as f64)),
-            ("rate_limited", JsonValue::Num(stats.rate_limited as f64)),
-            (
-                "registrations_acked",
-                JsonValue::Num(stats.registrations_acked as f64),
-            ),
-            (
-                "conn_creates_acked",
-                JsonValue::Num(stats.conn_creates_acked as f64),
-            ),
-            ("dedup_hits", JsonValue::Num(stats.dedup_hits as f64)),
-            ("failovers", JsonValue::Num(stats.failovers as f64)),
-            ("compactions", JsonValue::Num(stats.compactions as f64)),
-        ]);
-        self.sink.snapshot(t, reason, state);
+        let out: Vec<Response> = out.into_iter().map(|r| r.expect("slot filled")).collect();
+        self.front.answered(envs, &out, self.clock);
+        out
     }
 
     /// Kills a shard: its controller and unacked in-flight state are
@@ -379,12 +129,7 @@ impl AllocationService {
     /// the same way a real one would — the shard stops beating.
     pub fn kill_shard(&mut self, shard: usize) {
         self.shards[shard].kill();
-        self.sink.record(
-            self.clock,
-            EventKind::ControllerCrash {
-                shard: shard as i64,
-            },
-        );
+        self.front.crashed(shard, self.clock);
     }
 
     /// Applies a fault-schedule action to the service tier.
@@ -395,115 +140,60 @@ impl AllocationService {
     /// RPC-degradation actions are a no-op here: lossy transport is
     /// exercised by `saba-faults`' own harness.
     pub fn apply(&mut self, action: &ControlAction) -> std::io::Result<Vec<FailoverReport>> {
-        match action {
-            ControlAction::CrashController => {
-                for s in 0..self.shards.len() {
-                    self.kill_shard(s);
-                }
-                Ok(Vec::new())
-            }
-            ControlAction::CrashShard(s) => {
-                self.kill_shard(s % self.shards.len());
-                Ok(Vec::new())
-            }
-            ControlAction::RecoverController => {
-                let dead: Vec<usize> = (0..self.shards.len())
-                    .filter(|&s| self.shards[s].is_dead())
-                    .collect();
-                dead.into_iter().map(|s| self.fail_over(s)).collect()
-            }
-            ControlAction::RecoverShard(s) => {
-                let s = s % self.shards.len();
-                if self.shards[s].is_dead() {
-                    Ok(vec![self.fail_over(s)?])
-                } else {
-                    Ok(Vec::new())
-                }
-            }
-            ControlAction::RpcDegradeStart { .. } | ControlAction::RpcDegradeEnd => Ok(Vec::new()),
-        }
-    }
-
-    fn fail_over(&mut self, shard: usize) -> std::io::Result<FailoverReport> {
-        let takeover = self.shards[shard].take_over()?;
-        self.shards[shard].set_sink(self.sink.clone());
-        self.shards[shard].set_clock(self.clock);
-        self.supervisor.revive(shard, self.clock);
-        self.failovers += 1;
-        self.sink.inc("service.failovers", 1);
-        self.sink.record(
-            self.clock,
-            EventKind::ControllerRecover {
-                shard: shard as i64,
-                replayed_apps: takeover.registrations as u64,
-                replayed_conns: takeover.live_conns as u64,
-            },
+        let n = self.shards.len();
+        let targets = match action {
+            ControlAction::CrashController | ControlAction::RecoverController => 0..n,
+            ControlAction::CrashShard(s) | ControlAction::RecoverShard(s) => s % n..s % n + 1,
+            ControlAction::RpcDegradeStart { .. } | ControlAction::RpcDegradeEnd => 0..0,
+        };
+        let crash = matches!(
+            action,
+            ControlAction::CrashController | ControlAction::CrashShard(_)
         );
-        self.ops_snapshot("failover");
-        Ok(FailoverReport {
-            shard,
-            detected_at: self.clock,
-            takeover,
-        })
-    }
-
-    /// Advances the logical clock: live shards beat, the supervisor
-    /// sweeps for missed windows, and every shard it newly declares
-    /// dead gets an immediate standby takeover from its durable log.
-    /// Compaction triggers also run here. Returns completed failovers.
-    pub fn tick(&mut self, now: f64) -> std::io::Result<Vec<FailoverReport>> {
-        self.clock = now;
-        self.ticks += 1;
-        if self.ticks.is_multiple_of(16) {
-            self.ops_snapshot("ops");
-        }
-        for shard in &mut self.shards {
-            shard.set_clock(now);
-            if !shard.is_dead() {
-                self.supervisor.beat(shard.id, now);
-            }
-        }
         let mut reports = Vec::new();
-        for shard in self.supervisor.scan(now) {
-            reports.push(self.fail_over(shard)?);
-        }
-        if self.cfg.compact_threshold > 0 {
-            for s in 0..self.shards.len() {
-                if !self.shards[s].is_dead()
-                    && self.shards[s].maybe_compact(self.cfg.compact_threshold)?
-                {
-                    self.sink.inc("service.compactions", 1);
-                }
+        for s in targets {
+            if crash {
+                self.kill_shard(s);
+            } else if self.shards[s].is_dead() {
+                reports.push(self.fail_over(s)?);
             }
         }
         Ok(reports)
     }
 
+    /// Promotes a standby for `shard` in place: the same shard slot
+    /// re-opens its log and replays it.
+    fn fail_over(&mut self, shard: usize) -> std::io::Result<FailoverReport> {
+        let takeover = self.shards[shard].take_over()?;
+        let report = self
+            .front
+            .promoted(shard, self.clock, takeover, &self.shards);
+        Ok(report)
+    }
+
+    /// Advances the logical clock: live shards beat, the front sweeps
+    /// for missed windows, and every shard it newly declares dead gets
+    /// an immediate standby takeover from its durable log. Returns
+    /// completed failovers.
+    pub fn tick(&mut self, now: f64) -> std::io::Result<Vec<FailoverReport>> {
+        self.clock = now;
+        for shard in &mut self.shards {
+            shard.set_clock(now);
+        }
+        let alive = self.shards.iter().filter(|s| !s.is_dead()).map(|s| s.id);
+        let dead = self.front.tick(now, alive, &self.shards);
+        dead.into_iter().map(|s| self.fail_over(s)).collect()
+    }
+
     /// Drains switch updates from every shard, in shard order.
     pub fn drain_updates(&mut self) -> Vec<SwitchUpdate> {
-        let mut out = Vec::new();
-        for shard in &mut self.shards {
-            out.extend(shard.drain_updates());
-        }
-        out
+        let shards = self.shards.iter_mut();
+        shards.flat_map(Shard::drain_updates).collect()
     }
 
     /// Aggregated counters.
     pub fn stats(&self) -> ServiceStats {
-        let mut s = ServiceStats {
-            admitted: self.admission.admitted(),
-            rate_limited: self.admission.rejected(),
-            failovers: self.failovers,
-            ..ServiceStats::default()
-        };
-        for shard in &self.shards {
-            let st = shard.stats();
-            s.registrations_acked += st.registrations_acked;
-            s.conn_creates_acked += st.conn_creates_acked;
-            s.dedup_hits += st.dedup_hits;
-            s.compactions += st.compactions;
-        }
-        s
+        self.front.stats(&self.shards)
     }
 }
 
@@ -546,6 +236,7 @@ mod tests {
     use saba_core::controller::ControllerConfig;
     use saba_core::library::SabaLib;
     use saba_core::profiler::{Profiler, ProfilerConfig};
+    use saba_core::rpc::ErrorCode;
     use saba_core::sensitivity::SensitivityTable;
     use saba_sim::ids::AppId;
     use saba_sim::topology::Topology;
@@ -574,10 +265,7 @@ mod tests {
     fn fresh_cfg(name: &str) -> ServiceConfig {
         let dir = std::env::temp_dir().join(format!("saba-svc-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        ServiceConfig {
-            admission: None,
-            ..ServiceConfig::new(dir)
-        }
+        ServiceConfig::new(dir)
     }
 
     fn env(id: u64, request: Request) -> Envelope {
@@ -616,46 +304,6 @@ mod tests {
         ));
         assert_eq!(create, Response::Ack);
         assert_eq!(svc.stats().registrations_acked, 16);
-    }
-
-    #[test]
-    fn rate_limit_rejects_with_retryable_code() {
-        let cfg = ServiceConfig {
-            admission: Some(TokenBucketCfg {
-                rate: 10.0,
-                burst: 2.0,
-            }),
-            ..fresh_cfg("ratelimit")
-        };
-        let mut svc = AllocationService::open(spec(), cfg).unwrap();
-        let envs: Vec<Envelope> = (0..4u64)
-            .map(|i| {
-                env(
-                    i,
-                    Request::ConnCreate {
-                        app: AppId(1),
-                        src: saba_sim::ids::NodeId(0),
-                        dst: saba_sim::ids::NodeId(1),
-                        tag: i,
-                    },
-                )
-            })
-            .collect();
-        let resps = svc.submit_batch(&envs);
-        let limited: Vec<_> = resps
-            .iter()
-            .filter(|r| {
-                matches!(
-                    r,
-                    Response::Error {
-                        code: ErrorCode::RateLimited,
-                        ..
-                    }
-                )
-            })
-            .collect();
-        assert_eq!(limited.len(), 2, "{resps:?}");
-        assert_eq!(svc.stats().rate_limited, 2);
     }
 
     #[test]
@@ -706,7 +354,7 @@ mod tests {
         );
         // The supervisor detects the death within the window (+ one
         // beat of scan granularity) and the standby replays the log.
-        let window = svc.supervisor_window();
+        let window = ServiceConfig::new("").heartbeat.window;
         let mut reports = Vec::new();
         let mut t = 5.0;
         while reports.is_empty() && t < 20.0 {
@@ -747,11 +395,5 @@ mod tests {
         lib.saba_conn_destroy(conn).unwrap();
         lib.saba_app_deregister().unwrap();
         assert_eq!(svc.borrow().stats().registrations_acked, 1);
-    }
-
-    impl AllocationService {
-        fn supervisor_window(&self) -> f64 {
-            self.cfg.heartbeat.window
-        }
     }
 }

@@ -19,7 +19,7 @@ use saba_faults::control::{ResilientController, TryRegisterError};
 use saba_sim::ids::{AppId, ServiceLevel};
 use saba_sim::topology::Topology;
 use saba_telemetry::span::TraceContext;
-use saba_telemetry::{EventKind, SharedRecorder, TelemetrySink};
+use saba_telemetry::{EventKind, Registry, SharedRecorder, TelemetrySink};
 use saba_workload::runtime::ConnEvent;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -211,25 +211,9 @@ pub struct Shard {
 /// Salt deriving the `controller.epoch` span under a shard span.
 const EPOCH_SPAN_SALT: u64 = 0xE90C;
 
-fn op_name(req: &Request) -> &'static str {
-    match req {
-        Request::AppRegister { .. } => "rpc.register",
-        Request::ConnCreate { .. } => "rpc.conn_create",
-        Request::ConnDestroy { .. } => "rpc.conn_destroy",
-        Request::AppDeregister { .. } => "rpc.deregister",
-        Request::MetricsDump => "rpc.metrics_dump",
-    }
-}
-
-fn tenant_id(req: &Request) -> u32 {
-    match req {
-        Request::AppRegister { app, .. }
-        | Request::ConnCreate { app, .. }
-        | Request::ConnDestroy { app, .. }
-        | Request::AppDeregister { app } => app.0,
-        Request::MetricsDump => 0,
-    }
-}
+/// Log growth, in records since the last compaction, at which
+/// [`Shard::handle_batch`] compacts the log.
+const COMPACT_EVERY: u64 = 4096;
 
 /// What a standby found when it took over from the durable log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -253,11 +237,10 @@ impl Shard {
         log_dir: &Path,
         sync_every: usize,
     ) -> std::io::Result<(Self, TakeoverReport)> {
-        let path = Self::log_path(log_dir, id);
-        let (log, scan) = DurableLog::open(&path, sync_every)?;
+        let (log, scan) = DurableLog::open(&Self::log_path(log_dir, id), sync_every)?;
         let mut shard = Self {
             id,
-            ctrl: Some(spec.build_controller()),
+            ctrl: None,
             spec,
             log,
             state: ReplayState::default(),
@@ -273,7 +256,7 @@ impl Shard {
             span_salt: 0,
             solver_threads: 1,
         };
-        let report = shard.replay(&scan);
+        let report = shard.rebuild(&scan);
         Ok((shard, report))
     }
 
@@ -282,15 +265,27 @@ impl Shard {
         log_dir.join(format!("shard-{id}.log"))
     }
 
-    /// Replays the raw logged sequence — registers, churn, *and*
-    /// deregisters — through the fresh controller. History order
-    /// matters twice over: the central flavour's online PL assigner
-    /// is history-dependent, so a standby fed only the collapsed live
-    /// state would hand recovered tenants different service levels
-    /// than they were acked with.
-    fn replay(&mut self, scan: &ScanReport) -> TakeoverReport {
+    /// Builds a fresh controller and replays the raw logged sequence —
+    /// registers, churn, *and* deregisters — through it, after
+    /// dropping every in-memory structure the log does not back. The
+    /// one recovery path: [`Self::open`] and [`Self::take_over`] both
+    /// end here. History order matters: the central flavour's online
+    /// PL assigner is history-dependent, so a standby fed only the
+    /// live state would hand recovered tenants different service
+    /// levels than they were acked with.
+    fn rebuild(&mut self, scan: &ScanReport) -> TakeoverReport {
+        let mut ctrl = self.spec.build_controller();
+        ctrl.set_clock(self.clock);
+        ctrl.set_sink(self.sink.clone());
+        if self.solver_threads > 1 {
+            ctrl.set_solver_threads(self.solver_threads);
+        }
+        self.programmed.clear();
+        self.seen.clear();
+        self.sls.clear();
+        self.pending_updates.clear();
+        self.appended_at_compaction = 0;
         let mut state = ReplayState::default();
-        let ctrl = self.ctrl.as_mut().expect("fresh controller");
         for req in &scan.records {
             let updates = match req {
                 Request::AppRegister { app, workload } => {
@@ -335,6 +330,7 @@ impl Shard {
             }
             state.apply(req);
         }
+        self.ctrl = Some(ctrl);
         let report = TakeoverReport {
             records: scan.records.len(),
             torn_bytes: scan.torn_bytes,
@@ -427,28 +423,13 @@ impl Shard {
         self.pending_updates.clear();
     }
 
-    /// Standby takeover: rebuild the controller by replaying the
-    /// durable log. Returns what the replay found; the re-derived
-    /// switch programs land in the pending update queue.
+    /// Standby takeover: reopen the durable log (truncating any torn
+    /// tail) and rebuild from it. Returns what the replay found; the
+    /// re-derived switch programs land in the pending update queue.
     pub fn take_over(&mut self) -> std::io::Result<TakeoverReport> {
-        let path = self.log.path().to_path_buf();
-        // Reopen the log (truncating any torn tail) and replay it.
-        let (log, scan) = DurableLog::open(&path, self.sync_every)?;
+        let (log, scan) = DurableLog::open(self.log.path(), self.sync_every)?;
         self.log = log;
-        self.ctrl = Some(self.spec.build_controller());
-        if let Some(c) = self.ctrl.as_mut() {
-            c.set_clock(self.clock);
-            c.set_sink(self.sink.clone());
-            if self.solver_threads > 1 {
-                c.set_solver_threads(self.solver_threads);
-            }
-        }
-        self.programmed.clear();
-        self.seen.clear();
-        self.sls.clear();
-        self.pending_updates.clear();
-        self.appended_at_compaction = 0;
-        Ok(self.replay(&scan))
+        Ok(self.rebuild(&scan))
     }
 
     /// Handles a batch of envelopes with **group commit**: every
@@ -470,36 +451,28 @@ impl Shard {
                 };
             }
         }
-        if self.sink.enabled() {
-            let groups = self.log.take_group_sizes();
-            let (bytes, records, fsyncs) = (
-                self.log.bytes_appended() as f64,
-                self.log.appended() as f64,
-                self.log.syncs() as f64,
-            );
-            let id = self.id;
-            self.sink.with(|r| {
-                if groups.count() > 0 {
-                    r.registry
-                        .merge_histogram(&format!("wal.group_commit_size/shard={id}"), &groups);
-                }
-                r.registry
-                    .set_gauge(&format!("wal.bytes_appended/shard={id}"), bytes);
-                r.registry
-                    .set_gauge(&format!("wal.records_appended/shard={id}"), records);
-                r.registry
-                    .set_gauge(&format!("wal.fsyncs/shard={id}"), fsyncs);
-            });
-        }
+        // The batch is durable; a failed compaction leaves the longer
+        // log in place and the next batch tries again.
+        let _ = self.maybe_compact(COMPACT_EVERY);
         out
     }
 
-    /// Drains the WAL's group-commit size histogram. The threaded
-    /// runtime's workers pull this into the wall-clock metrics hub;
-    /// the deterministic twin drains it through the sink inside
-    /// [`Self::handle_batch`] instead.
-    pub fn take_wal_group_sizes(&mut self) -> saba_telemetry::Histogram {
-        self.log.take_group_sizes()
+    /// Publishes the durable log's progress into `registry`: the
+    /// group-commit sizes drained since the last call, and the
+    /// records / bytes / fsyncs totals of this incarnation.
+    pub fn publish_wal(&mut self, registry: &mut Registry) {
+        let id = self.id;
+        let groups = self.log.take_group_sizes();
+        if groups.count() > 0 {
+            registry.merge_histogram(&format!("wal.group_commit_size/shard={id}"), &groups);
+        }
+        for (family, total) in [
+            ("wal.bytes_appended", self.log.bytes_appended()),
+            ("wal.records_appended", self.log.appended()),
+            ("wal.fsyncs", self.log.syncs()),
+        ] {
+            registry.set_gauge(&format!("{family}/shard={id}"), total as f64);
+        }
     }
 
     /// Applies one envelope (no sync — callers batch-sync).
@@ -513,12 +486,11 @@ impl Shard {
         let ctx = env.ctx().child(self.span_salt);
         self.span_salt += 1;
         let resp = self.apply_fresh(ctx, &env.request);
-        self.span_event(
-            ctx,
-            op_name(&env.request),
-            tenant_id(&env.request),
-            !matches!(&resp, Response::Error { .. }),
-        );
+        if self.sink.enabled() {
+            let tenant = env.request.tenant().map_or(0, |app| app.0);
+            let ok = !matches!(&resp, Response::Error { .. });
+            self.span_event(ctx, &format!("rpc.{}", env.request.op()), tenant, ok);
+        }
         // Cache only definitive outcomes: a retryable rejection must
         // re-evaluate on retry, not replay from the cache.
         let cache = match &resp {

@@ -29,11 +29,16 @@
 //! the whole batch, syncs once, and only then sends the batch's acks —
 //! group commit. `sync_every` puts an upper bound on batch size.
 //!
-//! **Compaction.** The log grows with churn, not with live state;
-//! [`DurableLog::compact`] rewrites it as a minimal snapshot (the
-//! registrations in their original arrival order — the deterministic
-//! PL assigner needs the order — followed by the live connections) and
-//! atomically renames it into place. Replaying a compacted log yields
+//! **Compaction.** The log grows with connection churn, not with live
+//! state; [`DurableLog::compact`] rewrites it as a snapshot and
+//! atomically renames it into place. The snapshot collapses *only*
+//! connection churn: it keeps every register and deregister record in
+//! its original order — the central flavour's PL assigner hands a
+//! newcomer the first free slot, so the service level a tenant was
+//! acked with depends on who came and went before it, and a standby
+//! replaying just the live registrations would re-derive different
+//! ones — followed by the live connections. That history grows with
+//! tenant arrivals, not with churn. Replaying a compacted log yields
 //! the same state as replaying the full history; a property test pins
 //! this.
 
@@ -122,6 +127,10 @@ pub struct ReplayState {
     pub registrations: Vec<(AppId, String)>,
     /// Live connections: `(app, tag) → (src, dst)`.
     pub live_conns: BTreeMap<(AppId, u64), (NodeId, NodeId)>,
+    /// Every register and deregister record, in log order: what the
+    /// compaction snapshot must keep for a replaying controller to
+    /// re-derive the service levels tenants were acked with.
+    pub tenancy: Vec<Request>,
 }
 
 impl ReplayState {
@@ -130,10 +139,12 @@ impl ReplayState {
         match req {
             Request::AppRegister { app, workload } => {
                 self.registrations.push((*app, workload.clone()));
+                self.tenancy.push(req.clone());
             }
             Request::AppDeregister { app } => {
                 self.registrations.retain(|(a, _)| a != app);
                 self.live_conns.retain(|(a, _), _| a != app);
+                self.tenancy.push(req.clone());
             }
             Request::ConnCreate { app, src, dst, tag } => {
                 self.live_conns.insert((*app, *tag), (*src, *dst));
@@ -155,17 +166,11 @@ impl ReplayState {
         state
     }
 
-    /// The minimal record sequence that reconstructs this state: the
-    /// compaction snapshot. Registrations keep arrival order; live
-    /// connections follow in key order.
+    /// The record sequence that reconstructs this state *and* the PL
+    /// assigner's: the compaction snapshot. The tenant history keeps
+    /// log order; live connections follow in key order.
     pub fn snapshot_records(&self) -> Vec<Request> {
-        let mut out = Vec::with_capacity(self.registrations.len() + self.live_conns.len());
-        for (app, workload) in &self.registrations {
-            out.push(Request::AppRegister {
-                app: *app,
-                workload: workload.clone(),
-            });
-        }
+        let mut out = self.tenancy.clone();
         for (&(app, tag), &(src, dst)) in &self.live_conns {
             out.push(Request::ConnCreate { app, src, dst, tag });
         }
@@ -291,7 +296,7 @@ impl DurableLog {
         std::mem::take(&mut self.group_sizes)
     }
 
-    /// Rewrites the log as the minimal snapshot of `state`:
+    /// Rewrites the log as the snapshot of `state`:
     /// write-to-temp, fsync, atomic rename, reopen. On return the log
     /// holds exactly `state.snapshot_records()` and subsequent appends
     /// continue after them.
@@ -495,10 +500,10 @@ mod tests {
         let mut want = full.clone();
         want.apply(&create(2, 3, 0, 4));
         assert_eq!(ReplayState::replay(&report.records), want);
-        // And the snapshot is minimal: registrations + live conns + 1.
+        // And the snapshot holds only tenant history + live conns (+ 1).
         assert_eq!(
             report.records.len(),
-            full.registrations.len() + full.live_conns.len() + 1
+            full.tenancy.len() + full.live_conns.len() + 1
         );
     }
 }

@@ -24,7 +24,7 @@ use saba_service::heartbeat::HeartbeatConfig;
 use saba_service::service::{AllocationService, ServiceConfig};
 use saba_service::shard::{Flavour, Shard, ShardSpec};
 use saba_service::wal::scan;
-use saba_sim::ids::{AppId, NodeId};
+use saba_sim::ids::NodeId;
 use saba_sim::topology::Topology;
 use saba_workload::catalog;
 use saba_workload::churn::{ChurnOp, ChurnTrace, ChurnTraceConfig};
@@ -55,26 +55,9 @@ fn spec(flavour: Flavour) -> ShardSpec {
 }
 
 fn to_request(op: &ChurnOp, servers: &[NodeId]) -> Request {
-    match op {
-        ChurnOp::Register { app, workload } => Request::AppRegister {
-            app: AppId(*app),
-            workload: workload.clone(),
-        },
-        ChurnOp::ConnCreate { app, src, dst, tag } => Request::ConnCreate {
-            app: AppId(*app),
-            src: servers[*src as usize % servers.len()],
-            dst: servers[*dst as usize % servers.len()],
-            tag: *tag,
-        },
-        ChurnOp::ConnDestroy { app, tag } => Request::ConnDestroy {
-            app: AppId(*app),
-            tag: *tag,
-        },
-        ChurnOp::Deregister { app } => Request::AppDeregister { app: AppId(*app) },
-        // Demand shifts are a workload-plane signal; the churn drives
-        // here run with the feature off.
-        ChurnOp::DemandShift { .. } => unreachable!("demand_shift disabled in failover drills"),
-    }
+    // Demand shifts are a workload-plane signal; the churn drives
+    // here run with the feature off.
+    Request::from_churn(op, servers).expect("demand_shift disabled in failover drills")
 }
 
 /// The ack mirror: what the service has *promised* is durable.

@@ -8,7 +8,8 @@
 //!    that were fully written, in order, and nothing else.
 //! 2. **Compaction is invisible.** Compacting at any point and then
 //!    appending more history replays to the same state as the full
-//!    uncompacted history.
+//!    uncompacted history — the tenant (register/deregister) history
+//!    included, in order: only connection churn collapses.
 
 use proptest::prelude::*;
 use saba_core::rpc::Request;
@@ -132,6 +133,17 @@ proptest! {
             state.apply(req);
         }
         log.compact(&state).unwrap();
+        // The snapshot's shape: every register/deregister of the
+        // prefix in its original order (what the PL assigner's state
+        // depends on), then exactly the live connections.
+        let is_tenancy =
+            |r: &&Request| matches!(r, Request::AppRegister { .. } | Request::AppDeregister { .. });
+        let snapshot = state.snapshot_records();
+        let tenancy: Vec<&Request> = reqs[..split].iter().filter(is_tenancy).collect();
+        prop_assert_eq!(snapshot.iter().take(tenancy.len()).collect::<Vec<_>>(), tenancy);
+        let conns = &snapshot[snapshot.len() - state.live_conns.len()..];
+        prop_assert!(conns.iter().all(|r| matches!(r, Request::ConnCreate { .. })));
+        prop_assert_eq!(snapshot.len(), state.tenancy.len() + state.live_conns.len());
         for req in &reqs[split..] {
             log.append(req).unwrap();
         }

@@ -153,6 +153,38 @@ pub fn expose(reg: &Registry) -> String {
     out
 }
 
+/// The value of a label-free `family value` sample line of a page.
+pub fn sample_value(page: &str, family: &str) -> Option<f64> {
+    page.lines()
+        .find_map(|l| l.strip_prefix(family)?.strip_prefix(' ')?.parse().ok())
+}
+
+/// The scrape contract over two pages taken in order: every `required`
+/// `# TYPE` line is on the last page, and every `monotone` counter
+/// strictly grew between them.
+pub fn check_scrapes(
+    first: &str,
+    last: &str,
+    required: &[&str],
+    monotone: &[&str],
+) -> Result<(), String> {
+    if let Some(family) = required.iter().find(|f| !last.contains(**f)) {
+        return Err(format!("last scrape is missing '{family}':\n{last}"));
+    }
+    for counter in monotone {
+        let a = sample_value(first, counter)
+            .ok_or_else(|| format!("first scrape has no '{counter}' sample"))?;
+        let b = sample_value(last, counter)
+            .ok_or_else(|| format!("last scrape has no '{counter}' sample"))?;
+        if b <= a {
+            return Err(format!(
+                "'{counter}' is not strictly monotone across scrapes: {a} then {b}"
+            ));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,5 +241,23 @@ mod tests {
         r.inc("m/k=a\"b", 1);
         let page = expose(&r);
         assert!(page.contains("m_total{k=\"a\\\"b\"} 1\n"));
+    }
+
+    #[test]
+    fn scrape_contract_checks_families_and_monotone_counters() {
+        let mut r = Registry::new();
+        r.inc("service.requests", 3);
+        r.inc("service.requests/tenant=1", 9);
+        let first = expose(&r);
+        assert_eq!(sample_value(&first, "service_requests_total"), Some(3.0));
+        assert_eq!(sample_value(&first, "service_requests"), None);
+        let required = ["# TYPE service_requests_total counter"];
+        let monotone = ["service_requests_total"];
+        assert!(check_scrapes(&first, &first, &required, &monotone).is_err());
+        r.inc("service.requests", 1);
+        let last = expose(&r);
+        assert_eq!(check_scrapes(&first, &last, &required, &monotone), Ok(()));
+        let absent = ["# TYPE wal_fsyncs gauge"];
+        assert!(check_scrapes(&first, &last, &absent, &[]).is_err());
     }
 }

@@ -51,7 +51,7 @@ pub mod span;
 pub mod trace;
 
 pub use event::{Event, EventKind};
-pub use expose::expose;
+pub use expose::{check_scrapes, expose, sample_value};
 pub use flight::{FlightRecorder, Snapshot};
 pub use histogram::Histogram;
 pub use json::JsonValue;

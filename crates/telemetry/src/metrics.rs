@@ -27,9 +27,13 @@ impl Registry {
         Self::default()
     }
 
-    /// Adds `by` to the named counter.
+    /// Adds `by` to the named counter (no allocation once it exists:
+    /// counters sit on per-request paths).
     pub fn inc(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += by;
+        match self.counters.get_mut(name) {
+            Some(v) => *v += by,
+            None => drop(self.counters.insert(name.to_string(), by)),
+        }
     }
 
     /// Sets the named gauge.
