@@ -12,15 +12,15 @@
 //!
 //! A supervisor thread probes every worker each [`PROBE`] interval and
 //! reports what it saw to the front. A *crashed* worker is seen at
-//! once — its channel receiver died with the thread, so the probe
-//! finds a disconnect — and replaced on the spot. Otherwise a worker
-//! shows life by a full queue (busy, not dead), by echoing a probe, or
-//! by applying a batch (probes are FIFO behind queued requests, so
-//! under sustained load the echo waits out a queue drain); the front's
-//! supervisor declares dead only a worker that showed none for the
-//! whole window — genuinely wedged. Either way a dead shard gets a
-//! **standby worker** that opens the same durable log, and the service
-//! keeps answering for that shard's tenants with zero acked
+//! once — its thread has finished — and replaced on the spot.
+//! Otherwise a worker shows life by applying a batch, and only one
+//! that applied none since the last probe is sent a `Beat` to echo
+//! (so under load the supervisor wakes no worker; probes are FIFO
+//! behind queued requests, and a full queue means busy, not dead); the
+//! front's supervisor declares dead only a worker that showed none
+//! for the whole window — genuinely wedged. Either way a dead shard
+//! gets a **standby worker** that opens the same durable log, and the
+//! service keeps answering for that shard's tenants with zero acked
 //! registrations lost.
 //!
 //! The front's sink here is a bare metrics [`Registry`] — the recording
@@ -60,7 +60,8 @@ enum WorkerMsg {
     /// A request; the worker replies on the provided channel once the
     /// operation is durable.
     Call(Envelope, Sender<Response>),
-    /// Health probe; a live worker echoes by bumping its pulse.
+    /// Health probe of a quiet worker; a live one echoes by bumping
+    /// its pulse.
     Beat,
     /// Fault injection: die without cleanup, exactly like a crash —
     /// queued requests and the dedup cache are lost with the thread.
@@ -85,13 +86,19 @@ pub struct WorkerReport {
     pub batches: u64,
 }
 
+/// A shard's worker as the rest of the runtime holds it.
+struct Worker {
+    tx: SyncSender<WorkerMsg>,
+    thread: JoinHandle<()>,
+}
+
 /// What callers, workers and the supervisor share behind one lock.
 struct Shared {
     /// The front, its sink the metrics hub: deterministic counts under
     /// the names the logical driver uses, wall-derived ones under
     /// `wall.*`.
     front: Front<Registry>,
-    senders: Vec<SyncSender<WorkerMsg>>,
+    workers: Vec<Worker>,
     /// Shards promoted so far, in promotion order.
     replaced: Vec<usize>,
 }
@@ -121,14 +128,14 @@ impl Hub {
 
     /// Spawns a worker for `shard` on the shard's durable log; a
     /// `standby` reports its promotion once its replay is done.
-    fn spawn_worker(self: &Arc<Self>, shard: usize, standby: bool) -> SyncSender<WorkerMsg> {
+    fn spawn_worker(self: &Arc<Self>, shard: usize, standby: bool) -> Worker {
         let (tx, rx) = mpsc::sync_channel(self.cfg.queue_depth);
         let hub = self.clone();
-        std::thread::Builder::new()
+        let thread = std::thread::Builder::new()
             .name(format!("saba-shard-{shard}"))
             .spawn(move || hub.worker_loop(shard, standby, rx))
             .expect("spawn shard worker");
-        tx
+        Worker { tx, thread }
     }
 
     fn worker_loop(&self, shard_id: usize, standby: bool, rx: Receiver<WorkerMsg>) {
@@ -227,20 +234,28 @@ impl Hub {
             let (mut alive, mut dead) = (Vec::new(), Vec::new());
             for (shard, seen) in seen.iter_mut().enumerate() {
                 let pulse = self.pulse[shard].load(Ordering::Relaxed);
-                match shared.senders[shard].try_send(WorkerMsg::Beat) {
-                    // The receiver died with the worker thread: a crash.
-                    Err(TrySendError::Disconnected(_)) => dead.push(shard),
-                    // A full queue is a *busy* worker, not a dead one.
-                    Err(TrySendError::Full(_)) => alive.push(shard),
-                    Ok(()) if pulse != *seen => alive.push(shard),
-                    Ok(()) => {}
+                let worker = &shared.workers[shard];
+                if worker.thread.is_finished() {
+                    dead.push(shard); // the thread is gone: a crash
+                } else if pulse != *seen {
+                    // Applied a batch or echoed since the last probe:
+                    // alive, and under load never woken to say so.
+                    alive.push(shard);
+                } else {
+                    // Quiet: ask. The echo shows in the next pulse.
+                    match worker.tx.try_send(WorkerMsg::Beat) {
+                        Ok(()) => {}
+                        // A full queue is a *busy* worker, not a dead one.
+                        Err(TrySendError::Full(_)) => alive.push(shard),
+                        Err(TrySendError::Disconnected(_)) => dead.push(shard),
+                    }
                 }
                 *seen = pulse;
             }
             dead.extend(shared.front.tick(now, alive, &[]));
             for shard in dead {
                 // Route new traffic to a standby on the same log.
-                shared.senders[shard] = self.spawn_worker(shard, true);
+                shared.workers[shard] = self.spawn_worker(shard, true);
                 // MTTR as this loop sees it: from the fatal probe to
                 // new traffic being routed at the standby.
                 let mttr = t0.elapsed().as_secs_f64();
@@ -276,16 +291,16 @@ impl ServiceRuntime {
             pulse: (0..cfg.shards).map(|_| AtomicU64::new(0)).collect(),
             shared: Mutex::new(Shared {
                 front,
-                senders: Vec::new(),
+                workers: Vec::new(),
                 replaced: Vec::new(),
             }),
             started: Instant::now(),
             spec,
             cfg,
         });
-        let senders = (0..hub.cfg.shards).map(|id| hub.spawn_worker(id, false));
-        let senders: Vec<_> = senders.collect();
-        hub.shared().senders = senders;
+        let workers = (0..hub.cfg.shards).map(|id| hub.spawn_worker(id, false));
+        let workers: Vec<_> = workers.collect();
+        hub.shared().workers = workers;
         let stop = Arc::new(AtomicBool::new(false));
         let supervisor = {
             let (hub, stop) = (hub.clone(), stop.clone());
@@ -314,7 +329,7 @@ impl ServiceRuntime {
     /// Kills shard `s`'s worker thread, crash-style. The supervisor
     /// will notice at its next probe and spawn a standby.
     pub fn kill_shard(&self, s: usize) {
-        let sender = self.hub.shared().senders[s].clone();
+        let sender = self.hub.shared().workers[s].tx.clone();
         let _ = sender.send(WorkerMsg::Kill);
     }
 
@@ -328,7 +343,7 @@ impl ServiceRuntime {
             let mut shared = self.hub.shared();
             match shared.front.admit(&env, self.hub.now()) {
                 Route::Reply(resp) => return resp,
-                Route::Shard(shard) => (shard, shared.senders[shard].clone()),
+                Route::Shard(shard) => (shard, shared.workers[shard].tx.clone()),
             }
         };
         let (tx, rx) = mpsc::channel();
@@ -401,7 +416,9 @@ impl ServiceRuntime {
         if let Some(h) = self.supervisor.lock().unwrap().take() {
             let _ = h.join();
         }
-        let senders = self.hub.shared().senders.clone();
+        let senders: Vec<_> = (self.hub.shared().workers.iter())
+            .map(|w| w.tx.clone())
+            .collect();
         let mut workers = Vec::new();
         for sender in senders {
             let (tx, rx) = mpsc::channel();
@@ -588,6 +605,25 @@ mod tests {
         assert!(rt.failovers() >= 1);
         assert!(rt.replaced_shards().contains(&shard));
         rt.shutdown();
+    }
+
+    /// Only a quiet worker is asked to echo, and an echo every other
+    /// probe is life enough: idling past the silence window must not
+    /// fail anything over.
+    #[test]
+    fn an_idle_runtime_outlives_the_silence_window() {
+        let rt = ServiceRuntime::start(spec(), fresh_cfg("idle")).unwrap();
+        std::thread::sleep(Duration::from_secs_f64(PROBE.window + 0.25));
+        assert_eq!(rt.failovers(), 0);
+        let r = rt.call(env(
+            1,
+            Request::AppRegister {
+                app: AppId(0),
+                workload: "LR".into(),
+            },
+        ));
+        assert!(matches!(r, Response::Registered { .. }), "{r:?}");
+        assert_eq!(rt.shutdown().failovers, 0);
     }
 
     /// Workers publish per batch, after the acks: by the time a call
