@@ -35,7 +35,6 @@ use saba_bench::{arg_usize, catalog_table, print_table, results_dir, write_csv};
 use saba_core::controller::ControllerConfig;
 use saba_core::rpc::{Envelope, ErrorCode, Request, Response};
 use saba_core::sensitivity::SensitivityTable;
-use saba_faults::injector::ControlAction;
 use saba_service::heartbeat::HeartbeatConfig;
 use saba_service::net::{TcpServiceServer, TcpTransport};
 use saba_service::runtime::{RuntimeConfig, ServiceRuntime};
@@ -135,7 +134,7 @@ fn drill_once(
         }
         if step == kill_at {
             let victim = svc.shard_of(op.app());
-            svc.apply(&ControlAction::CrashShard(victim)).expect("kill");
+            svc.kill_shard(victim);
         }
         let env = Envelope::new(step as u64, to_request(&op, &servers));
         match svc.submit(&env) {

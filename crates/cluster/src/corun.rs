@@ -6,21 +6,21 @@
 //! at launch") and receives its PL; each connection create/destroy goes
 //! to the controller, whose switch updates are applied to the fabric
 //! mid-run; completion triggers deregistration.
+//!
+//! There is one such loop, [`crate::corun_faults`]'s: a fault-free,
+//! untraced co-run is that loop under the empty fault schedule with the
+//! null telemetry sink, and [`execute`] is exactly that.
 
+use crate::corun_faults::{plan_jobs, run};
 use crate::policy::Policy;
 use crate::setup::ClusterSetup;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use saba_core::controller::central::CentralController;
-use saba_core::controller::distributed::{DistributedController, MappingDb};
 use saba_core::sensitivity::SensitivityTable;
-use saba_sim::engine::Simulation;
-use saba_sim::ids::{AppId, NodeId, ServiceLevel};
+use saba_faults::schedule::FaultSchedule;
+use saba_sim::ids::NodeId;
 use saba_sim::topology::Topology;
-use saba_workload::runtime::{run_jobs, ConnEvent, JobRuntime};
+use saba_telemetry::NullSink;
 use saba_workload::spec::{JobPlan, WorkloadSpec};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Execution parameters shared by all experiments.
 #[derive(Debug, Clone)]
@@ -83,52 +83,13 @@ pub fn run_setup(
     cfg: &CorunConfig,
 ) -> Result<Vec<JobResult>, String> {
     let topo = Topology::single_switch(servers, cfg.nic_rate);
-    let by_name: HashMap<&str, &WorkloadSpec> =
-        catalog.iter().map(|w| (w.name.as_str(), w)).collect();
-    let mut jobs = Vec::with_capacity(setup.jobs.len());
-    for (i, j) in setup.jobs.iter().enumerate() {
-        let spec = by_name
-            .get(j.workload.as_str())
-            .ok_or_else(|| format!("workload {:?} not in catalog", j.workload))?;
-        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ (i as u64).wrapping_mul(0x9E37));
-        let plan = spec
-            .plan(j.dataset_scale, j.servers.len())
-            .with_compute_jitter(cfg.compute_jitter, &mut rng);
-        let nodes: Vec<NodeId> = j.servers.iter().map(|&s| topo.servers()[s]).collect();
-        jobs.push(PlannedJob {
-            workload: j.workload.clone(),
-            dataset_scale: j.dataset_scale,
-            plan,
-            nodes,
-        });
-    }
+    let specs: Vec<(String, f64, Vec<usize>)> = setup
+        .jobs
+        .iter()
+        .map(|j| (j.workload.clone(), j.dataset_scale, j.servers.clone()))
+        .collect();
+    let jobs = plan_jobs(&topo, &specs, catalog, cfg.compute_jitter, cfg.seed)?;
     execute(topo, jobs, policy, table)
-}
-
-/// The controller in the loop, if any.
-enum Controller {
-    None,
-    Central(Box<CentralController>),
-    Distributed(Box<DistributedController>),
-}
-
-impl Controller {
-    fn register(&mut self, app: AppId, workload: &str) -> Result<ServiceLevel, String> {
-        match self {
-            Controller::None => Ok(ServiceLevel(0)),
-            Controller::Central(c) => c.register(app, workload).map_err(|e| e.to_string()),
-            Controller::Distributed(c) => c.register(app, workload).map_err(|e| e.to_string()),
-        }
-    }
-
-    fn on_event(&mut self, ev: &ConnEvent) -> Vec<saba_core::controller::SwitchUpdate> {
-        match self {
-            Controller::None => return Vec::new(),
-            Controller::Central(c) => c.on_event(ev),
-            Controller::Distributed(c) => c.on_event(ev),
-        }
-        .expect("controller accepts events for registered jobs")
-    }
 }
 
 /// Executes `jobs` over `topo` under `policy`, returning per-job
@@ -139,64 +100,10 @@ pub fn execute(
     policy: &Policy,
     table: &SensitivityTable,
 ) -> Result<Vec<JobResult>, String> {
-    let fabric = policy.build_fabric(&topo);
-    let mut controller = match policy {
-        Policy::Saba(ctl_cfg) => Controller::Central(Box::new(CentralController::new(
-            ctl_cfg.clone(),
-            table.clone(),
-            &topo,
-        ))),
-        Policy::SabaDistributed(ctl_cfg, shards) => {
-            let db = MappingDb::build(table, ctl_cfg.num_pls, ctl_cfg.seed);
-            Controller::Distributed(Box::new(DistributedController::new(
-                ctl_cfg.clone(),
-                db,
-                &topo,
-                *shards,
-            )))
-        }
-        _ => Controller::None,
-    };
-
-    // Registration at launch (Fig. 7 ①–③): every job gets its SL before
-    // any traffic flows.
-    let mut runtimes = Vec::with_capacity(jobs.len());
-    for (i, job) in jobs.iter().enumerate() {
-        let app = AppId(i as u32);
-        let sl = controller.register(app, &job.workload)?;
-        // Pipelining floors stay on in co-runs: the spill/pipeline side
-        // channels that cap a workload's degradation under administrative
-        // throttling cap it under congestion too — and the profiler's
-        // models are only valid if runtime behaviour matches profile-time
-        // behaviour at low effective bandwidth.
-        runtimes.push(JobRuntime::new(
-            app,
-            sl,
-            job.nodes.clone(),
-            job.plan.clone(),
-            (i as u64) << 32,
-        ));
-    }
-
-    let mut sim = Simulation::new(topo, fabric);
-    let times = run_jobs(&mut sim, &mut runtimes, |sim, ev| {
-        let updates = controller.on_event(ev);
-        if !updates.is_empty() {
-            sim.model_mut().saba_mut().apply(updates);
-        }
-    })
-    .map_err(|e| e.to_string())?;
-
-    Ok(jobs
-        .iter()
-        .zip(times)
-        .map(|(j, completion)| JobResult {
-            workload: j.workload.clone(),
-            dataset_scale: j.dataset_scale,
-            nodes: j.nodes.len(),
-            completion,
-        })
-        .collect())
+    let schedule = FaultSchedule::default();
+    Ok(run(topo, jobs, policy, table, &schedule, NullSink)?
+        .outcome
+        .results)
 }
 
 #[cfg(test)]
@@ -204,6 +111,7 @@ mod tests {
     use super::*;
     use crate::setup::{generate_setup, SetupConfig};
     use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use saba_core::profiler::{Profiler, ProfilerConfig};
     use saba_workload::catalog;
 

@@ -1,22 +1,30 @@
-//! The co-run engine under a fault schedule.
+//! The one Fig. 7 co-run loop, under a fault schedule and a telemetry
+//! sink.
 //!
-//! Same Fig. 7 loop as [`crate::corun::execute`], with two additions:
-//! a [`FaultInjector`] armed in the simulation's timer queue (network
-//! faults hit the fabric directly; control-plane faults come back as
-//! [`ControlAction`]s), and a [`ResilientController`] in place of the
-//! bare controller so crashes degrade to stale weights instead of
-//! aborting the run.
+//! Every co-run in the crate is `run`: a [`FaultInjector`] armed in
+//! the simulation's timer queue (network faults hit the fabric
+//! directly; control-plane faults come back as [`ControlAction`]s), and
+//! a [`ResilientController`] around the policy's controller so crashes
+//! degrade to stale weights instead of aborting the run. Fault-free is
+//! the empty schedule — an empty injector arms nothing, and with
+//! nothing down the wrapper passes the controller's updates through
+//! unfiltered — and untraced is [`saba_telemetry::NullSink`], under
+//! which every trace-only step is skipped. [`crate::corun::execute`],
+//! [`execute_with_faults`] and [`execute_with_faults_traced`] are its
+//! three entry points.
 //!
 //! Baseline policies run with no controller: network faults still hit
 //! their traffic, but control-plane faults are no-ops for them — which
 //! is exactly the asymmetry the resilience experiment measures (Saba
 //! has a control plane to lose; FECN does not).
+//!
+//! [`ControlAction`]: saba_faults::injector::ControlAction
 
 use crate::corun::{JobResult, PlannedJob};
-use crate::policy::Policy;
+use crate::policy::{AnyFabric, Policy};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use saba_core::controller::distributed::MappingDb;
+use saba_core::controller::SwitchUpdate;
 use saba_core::sensitivity::SensitivityTable;
 use saba_faults::control::{ResilienceStats, ResilientController};
 use saba_faults::injector::FaultInjector;
@@ -25,7 +33,7 @@ use saba_faults::InjectorStats;
 use saba_sim::engine::{SimStats, Simulation};
 use saba_sim::ids::{AppId, NodeId, ServiceLevel};
 use saba_sim::topology::Topology;
-use saba_telemetry::{EventKind, Recorder, SharedRecorder, TelemetrySink};
+use saba_telemetry::{EventKind, NullSink, Recorder, SharedRecorder, TelemetrySink};
 use saba_workload::runtime::{run_jobs_with, ConnEvent, JobRuntime};
 use saba_workload::spec::WorkloadSpec;
 use std::cell::RefCell;
@@ -45,8 +53,8 @@ pub struct FaultRunOutcome {
 }
 
 /// Plans `(workload, dataset_scale, server_indices)` specs into
-/// [`PlannedJob`]s over `topo`, with the same deterministic per-job
-/// jitter seeding as [`crate::corun::run_setup`].
+/// [`PlannedJob`]s over `topo`, with deterministic per-job jitter
+/// seeding (`seed ^ i·0x9E37`).
 pub fn plan_jobs(
     topo: &Topology,
     specs: &[(String, f64, Vec<usize>)],
@@ -76,6 +84,146 @@ pub fn plan_jobs(
     Ok(jobs)
 }
 
+/// What one pass of the loop leaves behind: the outcome, plus the parts
+/// the traced entry point exports its registry from.
+pub(crate) struct Finished<S: TelemetrySink> {
+    pub(crate) outcome: FaultRunOutcome,
+    sim: Simulation<AnyFabric, S>,
+    controller: Option<ResilientController>,
+}
+
+/// Executes `jobs` over `topo` under `policy` while `schedule` replays,
+/// recording into `sink`.
+pub(crate) fn run<S: TelemetrySink>(
+    topo: Topology,
+    jobs: Vec<PlannedJob>,
+    policy: &Policy,
+    table: &SensitivityTable,
+    schedule: &FaultSchedule,
+    sink: S,
+) -> Result<Finished<S>, String> {
+    let traced = sink.enabled();
+    let fabric = policy.build_fabric(&topo);
+    let controller = policy
+        .controller(table, &topo)
+        .map(|c| RefCell::new(ResilientController::new(c)));
+    if let (true, Some(c)) = (traced, &controller) {
+        c.borrow_mut().enable_solve_timing();
+    }
+
+    // Registration at launch (Fig. 7 ①–③): every job gets its SL before
+    // any traffic flows and before any fault can fire.
+    let mut runtimes = Vec::with_capacity(jobs.len());
+    for (i, job) in jobs.iter().enumerate() {
+        let app = AppId(i as u32);
+        let sl = match &controller {
+            Some(c) => c.borrow_mut().register(app, &job.workload)?,
+            None => ServiceLevel(0),
+        };
+        // Pipelining floors stay on in co-runs: the spill/pipeline side
+        // channels that cap a workload's degradation under administrative
+        // throttling cap it under congestion too — and the profiler's
+        // models are only valid if runtime behaviour matches profile-time
+        // behaviour at low effective bandwidth.
+        runtimes.push(JobRuntime::new(
+            app,
+            sl,
+            job.nodes.clone(),
+            job.plan.clone(),
+            (i as u64) << 32,
+        ));
+    }
+
+    let mut sim = Simulation::with_telemetry(topo, fabric, sink);
+    let injector = RefCell::new(FaultInjector::new(schedule.clone()));
+    injector.borrow().arm(&mut sim);
+
+    let times = run_jobs_with(
+        &mut sim,
+        &mut runtimes,
+        |sim, ev| {
+            let t = sim.now();
+            if traced {
+                sim.sink_mut().record(t, conn_event_kind(ev));
+            }
+            if let Some(c) = &controller {
+                let updates = c.borrow_mut().on_event(ev, t, sim.sink_mut());
+                apply(sim, updates);
+            }
+        },
+        |sim, key, _at| {
+            assert!(
+                FaultInjector::owns_key(key),
+                "timer key {key:#x} belongs to no job and no fault"
+            );
+            let action = injector.borrow_mut().on_timer(sim, key);
+            if let (Some(action), Some(c)) = (action, &controller) {
+                let t = sim.now();
+                let updates = c.borrow_mut().apply(&action, t, sim.sink_mut());
+                apply(sim, updates);
+            }
+        },
+    )
+    .map_err(|e| e.to_string())?;
+
+    let results = jobs
+        .iter()
+        .zip(times)
+        .map(|(j, completion)| JobResult {
+            workload: j.workload.clone(),
+            dataset_scale: j.dataset_scale,
+            nodes: j.nodes.len(),
+            completion,
+        })
+        .collect();
+    let controller = controller.map(RefCell::into_inner);
+    let outcome = FaultRunOutcome {
+        results,
+        sim_stats: sim.stats(),
+        injector_stats: injector.borrow().stats(),
+        resilience: controller.as_ref().map(ResilientController::stats),
+    };
+    Ok(Finished {
+        outcome,
+        sim,
+        controller,
+    })
+}
+
+/// The trace event mirroring one Fig. 7 connection-lifecycle callback.
+fn conn_event_kind(ev: &ConnEvent) -> EventKind {
+    match ev {
+        ConnEvent::Created { app, tag, .. } => EventKind::ConnCreated {
+            app: app.0,
+            tag: *tag,
+        },
+        ConnEvent::Destroyed { app, tag, .. } => EventKind::ConnDestroyed {
+            app: app.0,
+            tag: *tag,
+        },
+        ConnEvent::JobCompleted { app, .. } => EventKind::JobCompleted { app: app.0 },
+    }
+}
+
+/// Applies switch updates to the Saba fabric, tracing one
+/// `queue_reprogram` event per reprogrammed port.
+fn apply<S: TelemetrySink>(sim: &mut Simulation<AnyFabric, S>, updates: Vec<SwitchUpdate>) {
+    if updates.is_empty() {
+        return;
+    }
+    if sim.sink().enabled() {
+        let t = sim.now();
+        for u in &updates {
+            let kind = EventKind::QueueReprogram {
+                link: u.link.0,
+                queues: u.config.weights.len() as u32,
+            };
+            sim.sink_mut().record(t, kind);
+        }
+    }
+    sim.model_mut().saba_mut().apply(updates);
+}
+
 /// Executes `jobs` over `topo` under `policy` while `schedule` replays.
 ///
 /// Guarantees of the fault model:
@@ -93,90 +241,7 @@ pub fn execute_with_faults(
     table: &SensitivityTable,
     schedule: &FaultSchedule,
 ) -> Result<FaultRunOutcome, String> {
-    let fabric = policy.build_fabric(&topo);
-    let controller: Option<RefCell<ResilientController>> = match policy {
-        Policy::Saba(ctl_cfg) => Some(RefCell::new(ResilientController::central(
-            ctl_cfg.clone(),
-            table.clone(),
-            &topo,
-        ))),
-        Policy::SabaDistributed(ctl_cfg, shards) => {
-            let db = MappingDb::build(table, ctl_cfg.num_pls, ctl_cfg.seed);
-            Some(RefCell::new(ResilientController::distributed(
-                ctl_cfg.clone(),
-                db,
-                &topo,
-                *shards,
-            )))
-        }
-        _ => None,
-    };
-
-    // Registration at launch (Fig. 7 ①–③), before any fault can fire.
-    let mut runtimes = Vec::with_capacity(jobs.len());
-    for (i, job) in jobs.iter().enumerate() {
-        let app = AppId(i as u32);
-        let sl = match &controller {
-            Some(c) => c.borrow_mut().register(app, &job.workload)?,
-            None => ServiceLevel(0),
-        };
-        runtimes.push(JobRuntime::new(
-            app,
-            sl,
-            job.nodes.clone(),
-            job.plan.clone(),
-            (i as u64) << 32,
-        ));
-    }
-
-    let mut sim = Simulation::new(topo, fabric);
-    let injector = RefCell::new(FaultInjector::new(schedule.clone()));
-    injector.borrow().arm(&mut sim);
-
-    let times = run_jobs_with(
-        &mut sim,
-        &mut runtimes,
-        |sim, ev| {
-            if let Some(c) = &controller {
-                let updates = c.borrow_mut().on_event(ev);
-                if !updates.is_empty() {
-                    sim.model_mut().saba_mut().apply(updates);
-                }
-            }
-        },
-        |sim, key, _at| {
-            assert!(
-                FaultInjector::owns_key(key),
-                "timer key {key:#x} belongs to no job and no fault"
-            );
-            let action = injector.borrow_mut().on_timer(sim, key);
-            if let (Some(action), Some(c)) = (action, &controller) {
-                let updates = c.borrow_mut().apply(&action);
-                if !updates.is_empty() {
-                    sim.model_mut().saba_mut().apply(updates);
-                }
-            }
-        },
-    )
-    .map_err(|e| e.to_string())?;
-
-    let results = jobs
-        .iter()
-        .zip(times)
-        .map(|(j, completion)| JobResult {
-            workload: j.workload.clone(),
-            dataset_scale: j.dataset_scale,
-            nodes: j.nodes.len(),
-            completion,
-        })
-        .collect();
-    let injector_stats = injector.borrow().stats();
-    Ok(FaultRunOutcome {
-        results,
-        sim_stats: sim.stats(),
-        injector_stats,
-        resilience: controller.map(|c| c.into_inner().stats()),
-    })
+    Ok(run(topo, jobs, policy, table, schedule, NullSink)?.outcome)
 }
 
 /// [`execute_with_faults`] with full telemetry: the same run, plus a
@@ -197,154 +262,19 @@ pub fn execute_with_faults_traced(
     schedule: &FaultSchedule,
 ) -> Result<(FaultRunOutcome, Recorder), String> {
     let rec = SharedRecorder::on(Recorder::default());
-    let fabric = policy.build_fabric(&topo);
-    let controller: Option<RefCell<ResilientController>> = match policy {
-        Policy::Saba(ctl_cfg) => Some(RefCell::new(ResilientController::central(
-            ctl_cfg.clone(),
-            table.clone(),
-            &topo,
-        ))),
-        Policy::SabaDistributed(ctl_cfg, shards) => {
-            let db = MappingDb::build(table, ctl_cfg.num_pls, ctl_cfg.seed);
-            Some(RefCell::new(ResilientController::distributed(
-                ctl_cfg.clone(),
-                db,
-                &topo,
-                *shards,
-            )))
-        }
-        _ => None,
-    };
-    if let Some(c) = &controller {
-        let mut c = c.borrow_mut();
-        c.set_sink(rec.clone());
-        c.enable_solve_timing();
-    }
-
-    let mut runtimes = Vec::with_capacity(jobs.len());
-    for (i, job) in jobs.iter().enumerate() {
-        let app = AppId(i as u32);
-        let sl = match &controller {
-            Some(c) => c.borrow_mut().register(app, &job.workload)?,
-            None => ServiceLevel(0),
-        };
-        runtimes.push(JobRuntime::new(
-            app,
-            sl,
-            job.nodes.clone(),
-            job.plan.clone(),
-            (i as u64) << 32,
-        ));
-    }
-
-    let mut sim = Simulation::with_telemetry(topo, fabric, rec.clone());
-    let injector = RefCell::new(FaultInjector::new(schedule.clone()));
-    injector.borrow().arm(&mut sim);
-
-    let times = run_jobs_with(
-        &mut sim,
-        &mut runtimes,
-        |sim, ev| {
-            let t = sim.now();
-            sim.sink_mut().record(t, conn_event_kind(ev));
-            if let Some(c) = &controller {
-                let mut ctl = c.borrow_mut();
-                ctl.set_clock(t);
-                let updates = ctl.on_event(ev);
-                drop(ctl);
-                apply_traced(sim, updates);
-            }
-        },
-        |sim, key, _at| {
-            assert!(
-                FaultInjector::owns_key(key),
-                "timer key {key:#x} belongs to no job and no fault"
-            );
-            let action = injector.borrow_mut().on_timer(sim, key);
-            if let (Some(action), Some(c)) = (action, &controller) {
-                let mut ctl = c.borrow_mut();
-                ctl.set_clock(sim.now());
-                let updates = ctl.apply(&action);
-                drop(ctl);
-                apply_traced(sim, updates);
-            }
-        },
-    )
-    .map_err(|e| e.to_string())?;
-
-    let results: Vec<JobResult> = jobs
-        .iter()
-        .zip(times)
-        .map(|(j, completion)| JobResult {
-            workload: j.workload.clone(),
-            dataset_scale: j.dataset_scale,
-            nodes: j.nodes.len(),
-            completion,
-        })
-        .collect();
-    let outcome = FaultRunOutcome {
-        results,
-        sim_stats: sim.stats(),
-        injector_stats: injector.borrow().stats(),
-        resilience: controller.as_ref().map(|c| c.borrow().stats()),
-    };
-
+    let run = run(topo, jobs, policy, table, schedule, rec.clone())?;
     let mut recorder = rec.extract().expect("recorder was attached");
-    sim.export_probes(&mut recorder.registry);
-    export_outcome_metrics(&outcome, &mut recorder);
-    if let Some(c) = &controller {
-        recorder
-            .registry
-            .merge_histogram("wall.controller_solve_secs", &c.borrow().solve_histogram());
-        let e = c.borrow().epoch_counters();
-        recorder
-            .registry
-            .inc("controller.ports_dirty", e.ports_dirty);
-        recorder
-            .registry
-            .inc("controller.solves_skipped", e.solves_skipped);
-        recorder
-            .registry
-            .inc("controller.queue_updates_diffed", e.queue_updates_diffed);
+    run.sim.export_probes(&mut recorder.registry);
+    export_outcome_metrics(&run.outcome, &mut recorder);
+    if let Some(c) = &run.controller {
+        let reg = &mut recorder.registry;
+        reg.merge_histogram("wall.controller_solve_secs", &c.solve_histogram());
+        let e = c.epoch_counters();
+        reg.inc("controller.ports_dirty", e.ports_dirty);
+        reg.inc("controller.solves_skipped", e.solves_skipped);
+        reg.inc("controller.queue_updates_diffed", e.queue_updates_diffed);
     }
-    Ok((outcome, recorder))
-}
-
-/// The trace event mirroring one Fig. 7 connection-lifecycle callback.
-fn conn_event_kind(ev: &ConnEvent) -> EventKind {
-    match ev {
-        ConnEvent::Created { app, tag, .. } => EventKind::ConnCreated {
-            app: app.0,
-            tag: *tag,
-        },
-        ConnEvent::Destroyed { app, tag, .. } => EventKind::ConnDestroyed {
-            app: app.0,
-            tag: *tag,
-        },
-        ConnEvent::JobCompleted { app, .. } => EventKind::JobCompleted { app: app.0 },
-    }
-}
-
-/// Applies switch updates to the Saba fabric, tracing one
-/// `queue_reprogram` event per reprogrammed port.
-fn apply_traced<S: TelemetrySink>(
-    sim: &mut Simulation<crate::policy::AnyFabric, S>,
-    updates: Vec<saba_core::controller::SwitchUpdate>,
-) {
-    if updates.is_empty() {
-        return;
-    }
-    let t = sim.now();
-    for u in &updates {
-        sim.sink_mut().record(
-            t,
-            EventKind::QueueReprogram {
-                link: u.link.0,
-                queues: u.config.weights.len() as u32,
-            },
-        );
-    }
-    sim.model_mut().saba_mut().apply(updates);
+    Ok((run.outcome, recorder))
 }
 
 /// Folds a finished run's counters into the recorder's registry, and

@@ -7,16 +7,21 @@
 //! or distributed controller — and aggregates the paper's speedup
 //! metrics.
 //!
-//! - [`policy`] — the policy enum and the [`policy::AnyFabric`]
-//!   dispatcher implementing [`saba_sim::engine::FabricModel`].
+//! - [`policy`] — the policy enum, what it builds — the
+//!   [`policy::AnyFabric`] dispatcher implementing
+//!   [`saba_sim::engine::FabricModel`], and for Saba policies the
+//!   controller of the matching flavour ([`Policy::controller`]).
 //! - [`setup`] — random cluster-setup generation with the §8.2
 //!   placement constraints.
-//! - [`corun`] — the co-run engine: registration at launch, connection
-//!   events wired to the controller, switch updates applied to the
-//!   fabric (the full Fig. 7 loop).
-//! - [`corun_faults`] — the same loop under a deterministic fault
-//!   schedule (`saba-faults`): link/switch failures hit the fabric,
-//!   controller crashes degrade to stale weights and recover by replay.
+//! - [`corun_faults`] — the one co-run loop (Fig. 7): registration at
+//!   launch, connection events wired to the controller, switch updates
+//!   applied to the fabric — under a deterministic fault schedule
+//!   (`saba-faults`: link/switch failures hit the fabric, controller
+//!   crashes degrade to stale weights and recover by replay) and a
+//!   telemetry sink.
+//! - [`corun`] — job and result types, and the fault-free entry points
+//!   ([`corun::execute`], [`run_setup`]): that loop under the empty
+//!   schedule with the null sink.
 //! - [`datacenter`] — the 1,944-server spine-leaf experiment of §8.4.
 //! - [`metrics`] — per-workload speedups, geometric means, CDFs.
 //! - [`reprofile`] — the online re-profiler: watches live slowdown

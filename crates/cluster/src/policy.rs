@@ -3,8 +3,9 @@
 use saba_baselines::{
     FecnBaseline, FecnConfig, HomaConfig, HomaFabric, IdealMaxMin, SincroniaFabric,
 };
-use saba_core::controller::ControllerConfig;
+use saba_core::controller::{ControllerConfig, ControllerHandle, Flavour};
 use saba_core::fabric::SabaFabric;
+use saba_core::sensitivity::SensitivityTable;
 use saba_sim::engine::{ActiveFlow, FabricModel};
 use saba_sim::topology::Topology;
 
@@ -65,6 +66,21 @@ impl Policy {
                 AnyFabric::Saba(SabaFabric::for_topology(topo))
             }
         }
+    }
+
+    /// Builds the controller that programs [`Self::build_fabric`]'s
+    /// fabric, for the policies that have one (see [`Self::is_saba`]).
+    pub fn controller(
+        &self,
+        table: &SensitivityTable,
+        topo: &Topology,
+    ) -> Option<ControllerHandle> {
+        let (flavour, cfg) = match self {
+            Policy::Saba(cfg) => (Flavour::Central, cfg),
+            Policy::SabaDistributed(cfg, shards) => (Flavour::Distributed(*shards), cfg),
+            _ => return None,
+        };
+        Some(ControllerHandle::new(flavour, cfg.clone(), table, topo))
     }
 }
 

@@ -1,0 +1,206 @@
+//! The co-run loop is pinned bit for bit across commits.
+//!
+//! `execute`, `execute_with_faults` and `execute_with_faults_traced`
+//! are three entry points of one Fig. 7 loop; goldens, `resilience`,
+//! `observe` and the ledger's `composition == run_datacenter` check all
+//! rest on that loop not moving a completion time by one ulp. Expected
+//! values are the bit patterns produced by the three separate loops as
+//! of PR 15 (`6f613e1`), before they were merged.
+
+use saba_cluster::corun::{execute, PlannedJob};
+use saba_cluster::corun_faults::{execute_with_faults, execute_with_faults_traced, plan_jobs};
+use saba_cluster::Policy;
+use saba_core::controller::central::CentralController;
+use saba_core::controller::ControllerConfig;
+use saba_core::fabric::SabaFabric;
+use saba_core::profiler::{Profiler, ProfilerConfig};
+use saba_core::sensitivity::SensitivityTable;
+use saba_faults::schedule::{FaultKind, FaultSchedule, FaultSpec, ScheduleConfig};
+use saba_sim::engine::Simulation;
+use saba_sim::ids::AppId;
+use saba_sim::topology::{SpineLeafConfig, Topology};
+use saba_workload::catalog;
+use saba_workload::runtime::{run_jobs, JobRuntime};
+use std::sync::OnceLock;
+
+/// Cubic fits: the distributed flavour's centroid solves then take the
+/// iterative path with warm seeds, the state a recovery must not lose.
+fn table() -> &'static SensitivityTable {
+    static TABLE: OnceLock<SensitivityTable> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        Profiler::new(ProfilerConfig {
+            noise_sigma: 0.0,
+            bw_points: vec![0.1, 0.25, 0.5, 0.75, 1.0],
+            degree: 3,
+            ..Default::default()
+        })
+        .profile_all(&catalog())
+        .unwrap()
+    })
+}
+
+/// Four overlapping cross-rack jobs on the 8-server spine-leaf.
+fn world() -> (Topology, Vec<PlannedJob>) {
+    let topo = Topology::spine_leaf(&SpineLeafConfig::tiny(2));
+    let specs = [
+        ("LR", 1.0, vec![0, 2, 4, 6]),
+        ("Sort", 1.0, vec![1, 3, 5, 7]),
+        ("PR", 0.5, vec![0, 1, 4, 5]),
+        ("SVM", 1.0, vec![2, 3, 6, 7]),
+    ]
+    .map(|(w, scale, servers)| (w.to_string(), scale, servers));
+    let jobs = plan_jobs(&topo, &specs, &catalog(), 0.02, 0x5aba).unwrap();
+    (topo, jobs)
+}
+
+/// The severity-2 ladder rung (degraded link, lossy RPC, failed cable,
+/// controller crash) over a run `horizon` seconds long, plus a shard
+/// crash so the distributed flavour's second recovery arm runs too.
+fn schedule(topo: &Topology, horizon: f64) -> FaultSchedule {
+    let cfg = ScheduleConfig {
+        severity: 2,
+        horizon,
+        num_shards: 3,
+    };
+    let mut schedule = FaultSchedule::generate(topo, &cfg, 7);
+    schedule.faults.push(FaultSpec {
+        kind: FaultKind::CrashShard { shard: 1 },
+        start: 0.75 * horizon,
+        duration: 0.1 * horizon,
+    });
+    schedule
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// What one policy's three runs produced.
+#[derive(Debug, PartialEq)]
+struct Pins {
+    clean: Vec<u64>,
+    faulted: Vec<u64>,
+    trace_len: usize,
+    trace_fnv: u64,
+}
+
+fn pins(policy: &Policy) -> Pins {
+    let bits = |results: &[saba_cluster::JobResult]| -> Vec<u64> {
+        results.iter().map(|r| r.completion.to_bits()).collect()
+    };
+    let (topo, jobs) = world();
+    let clean = execute(topo.clone(), jobs.clone(), policy, table()).unwrap();
+    let empty = execute_with_faults(
+        topo.clone(),
+        jobs.clone(),
+        policy,
+        table(),
+        &FaultSchedule::default(),
+    )
+    .unwrap();
+    assert_eq!(clean, empty.results, "empty schedule == execute");
+
+    let horizon = clean.iter().map(|r| r.completion).fold(0.0, f64::max);
+    let schedule = schedule(&topo, horizon);
+    let faulted =
+        execute_with_faults(topo.clone(), jobs.clone(), policy, table(), &schedule).unwrap();
+    let (traced, rec) = execute_with_faults_traced(topo, jobs, policy, table(), &schedule).unwrap();
+    assert_eq!(faulted.results, traced.results, "traced == untraced");
+    assert_eq!(faulted.sim_stats, traced.sim_stats);
+    assert_eq!(faulted.injector_stats, traced.injector_stats);
+    let res = faulted.resilience.expect("saba policies have a controller");
+    assert_eq!((res.crashes, res.recoveries > 0), (1, true));
+
+    let jsonl = rec.trace.to_jsonl();
+    Pins {
+        clean: bits(&clean),
+        faulted: bits(&faulted.results),
+        trace_len: jsonl.len(),
+        trace_fnv: fnv1a(jsonl.as_bytes()),
+    }
+}
+
+#[test]
+fn central_loop_is_bit_identical_to_the_pre_merge_loops() {
+    let expected = Pins {
+        clean: vec![
+            0x4077_6678_5895_fa53,
+            0x4075_6dd4_20bb_b71a,
+            0x4073_d487_d64e_02d9,
+            0x407a_1285_c3cf_e259,
+        ],
+        faulted: vec![
+            0x4079_138f_5b76_5664,
+            0x4075_959f_c357_596d,
+            0x4073_3598_2560_defd,
+            0x407b_7fd9_e207_0217,
+        ],
+        trace_len: 327_717,
+        trace_fnv: 0xdcd6_7331_dfc8_8788,
+    };
+    assert_eq!(pins(&Policy::saba()), expected);
+}
+
+#[test]
+fn distributed_loop_is_bit_identical_to_the_pre_merge_loops() {
+    let expected = Pins {
+        clean: vec![
+            0x4079_2598_6bb9_69bd,
+            0x4075_0bfb_df31_4fce,
+            0x4071_edf9_6e34_1c5e,
+            0x407b_515e_185f_ef2d,
+        ],
+        faulted: vec![
+            0x4078_a664_4ec5_1363,
+            0x4074_ee31_1c6a_5f1d,
+            0x4071_f5f6_a556_31f5,
+            0x4079_674f_373a_5f3a,
+        ],
+        trace_len: 325_372,
+        trace_fnv: 0x1f33_fec2_7726_81a0,
+    };
+    let policy = Policy::SabaDistributed(ControllerConfig::default(), 3);
+    assert_eq!(pins(&policy), expected);
+}
+
+/// The Tier-1 twin of the ledger's `composition == run_datacenter`
+/// check: with nothing down, the crash wrapper the loop drives is
+/// transparent — a bare `CentralController` wired to the fabric by hand
+/// yields the same completion times.
+#[test]
+fn fault_free_wrapper_equals_a_bare_controller_composed_by_hand() {
+    let (topo, jobs) = world();
+    let via_loop = execute(topo.clone(), jobs.clone(), &Policy::saba(), table()).unwrap();
+
+    let mut ctl = CentralController::new(ControllerConfig::default(), table().clone(), &topo);
+    let mut runtimes: Vec<JobRuntime> = jobs
+        .iter()
+        .enumerate()
+        .map(|(i, job)| {
+            let app = AppId(i as u32);
+            let sl = ctl.register(app, &job.workload).unwrap();
+            JobRuntime::new(
+                app,
+                sl,
+                job.nodes.clone(),
+                job.plan.clone(),
+                (i as u64) << 32,
+            )
+        })
+        .collect();
+    let fabric = SabaFabric::for_topology(&topo);
+    let mut sim = Simulation::new(topo, fabric);
+    let by_hand = run_jobs(&mut sim, &mut runtimes, |sim, ev| {
+        let updates = ctl.on_event(ev).unwrap();
+        if !updates.is_empty() {
+            sim.model_mut().apply(updates);
+        }
+    })
+    .unwrap();
+
+    let via_loop: Vec<u64> = via_loop.iter().map(|r| r.completion.to_bits()).collect();
+    let by_hand: Vec<u64> = by_hand.iter().map(|t| t.to_bits()).collect();
+    assert_eq!(via_loop, by_hand);
+}

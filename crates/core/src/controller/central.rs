@@ -104,6 +104,17 @@ impl Controller<Central> {
         Self::with_policy(cfg, topo, policy)
     }
 
+    /// A cold incarnation of this controller, as a process restart
+    /// leaves it: same configuration, profile table and fabric; no
+    /// registrations, connections, memos, counters or solver settings.
+    pub fn restarted(&self) -> Self {
+        Self::new(
+            self.config().clone(),
+            self.policy.table.clone(),
+            self.topology(),
+        )
+    }
+
     /// Number of registered applications.
     pub fn num_apps(&self) -> usize {
         self.policy.apps.len()

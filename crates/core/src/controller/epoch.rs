@@ -279,6 +279,11 @@ impl<P: Policy> Controller<P> {
         &self.cfg
     }
 
+    /// The fabric the controller programs.
+    pub fn topology(&self) -> &Topology {
+        &self.topo
+    }
+
     /// Counters.
     pub fn stats(&self) -> EpochStats {
         self.stats

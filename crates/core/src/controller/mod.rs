@@ -14,13 +14,20 @@
 //!   shared [`distributed::MappingDb`] and solve Eq. 2 over PL
 //!   centroids rather than exact per-application models — the
 //!   accuracy/scalability trade-off §8.4 study 7 quantifies (≈4 %).
+//!
+//! Callers that choose between the two at run time hold a
+//! [`ControllerHandle`]; its constructor is the one place the flavour
+//! is decided.
 
 pub mod central;
 pub mod distributed;
 pub mod epoch;
+pub mod handle;
 pub mod plmap;
 pub mod queuemap;
 pub mod weights;
+
+pub use handle::{ControllerHandle, Flavour};
 
 use crate::fabric::PortQueueConfig;
 use saba_sim::ids::LinkId;

@@ -1,7 +1,10 @@
 //! Controller crash, stale-weight degradation, and replay recovery.
 //!
-//! [`ResilientController`] wraps either controller flavour and models
-//! what the paper's §6 deployment would survive:
+//! [`ResilientController`] is the simulator's crash model: it wraps a
+//! [`ControllerHandle`] of either flavour and models what the paper's
+//! §6 deployment would survive. (The allocation service does not use
+//! it — a service shard recovers from its durable log.) Its two
+//! recovery arms:
 //!
 //! * **Centralized crash** — the controller process dies and loses all
 //!   in-memory state. Switches keep forwarding on their last-programmed
@@ -11,25 +14,24 @@
 //!   order (the PL assigner is deterministic, so surviving apps get
 //!   their PLs back), preloads the connections that are still alive,
 //!   and reprograms every port from scratch.
-//! * **Distributed shard crash** — only the crashed shard's links stop
-//!   receiving weight updates; every other shard keeps allocating.
-//!   Because the workload→PL mapping database is offline-replicated,
-//!   recovery is just re-deriving the shard's port programs
-//!   ([`DistributedController::recompute_shard`]) — no replay needed.
+//! * **Distributed crash** — the workload→PL mapping database is
+//!   offline-replicated and the per-shard state survives, so recovery
+//!   reconciles the controller with the churn it missed and re-derives
+//!   port programs. When a single shard crashes only its links stop
+//!   receiving weight updates; every other shard keeps allocating, and
+//!   recovery is just [`ControllerHandle::recompute_shard`].
 //!
-//! Recovery wall-clock latency is measured and reported through
-//! [`ResilienceStats`] for humans; it must never enter experiment CSVs
+//! Crash and recovery edges are traced into the sink the caller passes
+//! with the simulated time of the call. Recovery wall-clock latency is
+//! measured and reported through [`ResilienceStats`] and `wall.`
+//! metrics for humans; it must never enter experiment CSVs or the trace
 //! (it is nondeterministic).
 
 use crate::injector::ControlAction;
-use saba_core::controller::central::CentralController;
-use saba_core::controller::distributed::{DistributedController, MappingDb};
 use saba_core::controller::epoch::EpochStats;
-use saba_core::controller::{ControllerConfig, ControllerError, SwitchUpdate};
-use saba_core::sensitivity::SensitivityTable;
+use saba_core::controller::{ControllerHandle, SwitchUpdate};
 use saba_sim::ids::{AppId, NodeId, ServiceLevel};
-use saba_sim::topology::Topology;
-use saba_telemetry::{EventKind, Histogram, JsonValue, SharedRecorder, TelemetrySink};
+use saba_telemetry::{EventKind, Histogram, JsonValue, TelemetrySink};
 use saba_workload::runtime::ConnEvent;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
@@ -58,48 +60,15 @@ pub struct ResilienceStats {
     pub last_recovery_micros: u64,
 }
 
-/// Why [`ResilientController::try_register`] failed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TryRegisterError {
-    /// The controller is crashed; retry once a standby takes over.
-    Down,
-    /// The (live) controller rejected the registration.
-    Rejected(ControllerError),
-}
-
-impl From<ControllerError> for TryRegisterError {
-    fn from(e: ControllerError) -> Self {
-        TryRegisterError::Rejected(e)
-    }
-}
-
-enum Inner {
-    Central(Box<CentralController>),
-    Distributed(Box<DistributedController>),
-}
-
-/// Evaluates `$body` with `$c` bound to whichever flavour is inside:
-/// everything but construction and recovery is the shared surface of
-/// [`saba_core::controller::epoch::Controller`].
-macro_rules! with_inner {
-    ($inner:expr, $c:ident => $body:expr) => {
-        match $inner {
-            Inner::Central($c) => $body,
-            Inner::Distributed($c) => $body,
-        }
-    };
-}
-
 /// A crash-survivable facade over either controller flavour.
 ///
-/// Drives the inner controller exactly like the plain co-run loop
-/// does, but additionally tracks the ground truth needed for recovery:
-/// the ordered registration log and the set of live connections.
+/// Drives the inner controller exactly like a bare one — with nothing
+/// down, [`Self::on_event`] returns the inner controller's updates
+/// unfiltered — but additionally tracks the ground truth needed for
+/// recovery: the ordered registration log and the set of live
+/// connections.
 pub struct ResilientController {
-    inner: Inner,
-    cfg: ControllerConfig,
-    table: Option<SensitivityTable>,
-    topo: Topology,
+    inner: ControllerHandle,
     down: bool,
     down_shards: BTreeSet<usize>,
     /// Registration log in arrival order — replay order must match the
@@ -107,14 +76,8 @@ pub struct ResilientController {
     /// the same PLs.
     registrations: Vec<(AppId, String)>,
     live_conns: BTreeMap<(AppId, u64), (NodeId, NodeId)>,
-    sls: BTreeMap<AppId, ServiceLevel>,
     stats: ResilienceStats,
-    sink: SharedRecorder,
-    clock: f64,
     solve_timing: bool,
-    /// Eq. 2 solver threads, re-applied to the replacement incarnation
-    /// a central recovery rebuilds cold.
-    solver_threads: usize,
     /// Solve samples from controller incarnations that a crash
     /// replaced; [`Self::solve_histogram`] merges the live one in.
     solve_hist_archive: Histogram,
@@ -125,44 +88,16 @@ pub struct ResilientController {
 }
 
 impl ResilientController {
-    /// Wraps a fresh centralized controller.
-    pub fn central(cfg: ControllerConfig, table: SensitivityTable, topo: &Topology) -> Self {
-        let inner = CentralController::new(cfg.clone(), table.clone(), topo);
-        Self::wrap(Inner::Central(Box::new(inner)), cfg, Some(table), topo)
-    }
-
-    /// Wraps a fresh distributed controller with `num_shards` shards.
-    pub fn distributed(
-        cfg: ControllerConfig,
-        db: MappingDb,
-        topo: &Topology,
-        num_shards: usize,
-    ) -> Self {
-        let inner = DistributedController::new(cfg.clone(), db, topo, num_shards);
-        Self::wrap(Inner::Distributed(Box::new(inner)), cfg, None, topo)
-    }
-
-    fn wrap(
-        inner: Inner,
-        cfg: ControllerConfig,
-        table: Option<SensitivityTable>,
-        topo: &Topology,
-    ) -> Self {
+    /// Wraps a controller of either flavour.
+    pub fn new(inner: ControllerHandle) -> Self {
         Self {
             inner,
-            cfg,
-            table,
-            topo: topo.clone(),
             down: false,
             down_shards: BTreeSet::new(),
             registrations: Vec::new(),
             live_conns: BTreeMap::new(),
-            sls: BTreeMap::new(),
             stats: ResilienceStats::default(),
-            sink: SharedRecorder::default(),
-            clock: 0.0,
             solve_timing: false,
-            solver_threads: 1,
             solve_hist_archive: Histogram::new(),
             epoch_archive: EpochStats::default(),
         }
@@ -173,28 +108,14 @@ impl ResilientController {
     /// too, and [`Self::solve_histogram`] spans all incarnations.
     pub fn enable_solve_timing(&mut self) {
         self.solve_timing = true;
-        with_inner!(&mut self.inner, c => c.enable_solve_timing());
-    }
-
-    /// Sets the Eq. 2 solver thread count on the inner controller.
-    /// Survives crash/recovery: a central rebuild re-applies it to the
-    /// fresh incarnation, so a failover never silently drops back to a
-    /// single solver thread.
-    pub fn set_solver_threads(&mut self, threads: usize) {
-        self.solver_threads = threads.max(1);
-        with_inner!(&mut self.inner, c => c.set_solver_threads(threads));
-    }
-
-    /// The configured Eq. 2 solver thread count.
-    pub fn solver_threads(&self) -> usize {
-        self.solver_threads
+        self.inner.enable_solve_timing();
     }
 
     /// Wall-clock solve durations across all controller incarnations.
     /// Diagnostics only (`wall.` metrics) — nondeterministic.
     pub fn solve_histogram(&self) -> Histogram {
         let mut hist = self.solve_hist_archive.clone();
-        hist.merge(with_inner!(&self.inner, c => c.solve_histogram()));
+        hist.merge(self.inner.solve_histogram());
         hist
     }
 
@@ -203,23 +124,8 @@ impl ResilientController {
     /// programmed-state diff, …) summed across all incarnations.
     pub fn epoch_counters(&self) -> EpochStats {
         let mut e = self.epoch_archive;
-        e += with_inner!(&self.inner, c => c.stats());
+        e += self.inner.stats();
         e
-    }
-
-    /// Attaches a telemetry recorder: crash/recovery edges then emit
-    /// trace events, and every whole-controller crash snapshots the
-    /// recovery ground truth into the flight recorder. Recovery
-    /// wall-clock goes only to `wall.`-prefixed metrics, never into the
-    /// trace, so traces stay deterministic.
-    pub fn set_sink(&mut self, sink: SharedRecorder) {
-        self.sink = sink;
-    }
-
-    /// Sets the simulated time stamped on subsequent events; the driver
-    /// advances this alongside the simulator clock.
-    pub fn set_clock(&mut self, t: f64) {
-        self.clock = t;
     }
 
     /// The recovery state a flight-recorder snapshot captures at a
@@ -260,14 +166,6 @@ impl ResilientController {
         self.down
     }
 
-    /// Shard count (0 for the centralized flavour).
-    pub fn num_shards(&self) -> usize {
-        match &self.inner {
-            Inner::Central(_) => 0,
-            Inner::Distributed(c) => c.num_shards(),
-        }
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> ResilienceStats {
         self.stats
@@ -275,55 +173,47 @@ impl ResilientController {
 
     /// The SL assigned to `app`, if it is registered.
     pub fn sl_of(&self, app: AppId) -> Option<ServiceLevel> {
-        self.sls.get(&app).copied()
+        self.inner.sl_of(app)
     }
 
     /// Registers an application. Fails while the controller is down —
     /// callers are expected to retry after recovery (register-at-launch
     /// co-runs never hit this; it exists for completeness and tests).
     pub fn register(&mut self, app: AppId, workload: &str) -> Result<ServiceLevel, String> {
-        self.try_register(app, workload).map_err(|e| match e {
-            TryRegisterError::Down => "controller is down".to_string(),
-            TryRegisterError::Rejected(e) => e.to_string(),
-        })
-    }
-
-    /// Typed variant of [`Self::register`] for service callers that
-    /// must tell the down-window (retryable — a standby is coming)
-    /// apart from controller rejections (fatal).
-    pub fn try_register(
-        &mut self,
-        app: AppId,
-        workload: &str,
-    ) -> Result<ServiceLevel, TryRegisterError> {
         if self.down {
-            return Err(TryRegisterError::Down);
+            return Err("controller is down".to_string());
         }
-        let sl = with_inner!(&mut self.inner, c => c.register(app, workload))?;
+        let sl = self
+            .inner
+            .register(app, workload)
+            .map_err(|e| e.to_string())?;
         self.registrations.push((app, workload.to_string()));
-        self.sls.insert(app, sl);
         Ok(sl)
     }
 
-    /// Feeds one connection event through the controller.
+    /// Feeds one connection event through the controller at simulated
+    /// time `t`.
     ///
     /// While crashed, the event is only logged (the returned update set
     /// is empty — switches stay on stale weights); the log keeps the
     /// recovery ground truth current. While a shard is crashed, updates
     /// for its links are suppressed.
-    pub fn on_event(&mut self, ev: &ConnEvent) -> Vec<SwitchUpdate> {
+    pub fn on_event<S: TelemetrySink>(
+        &mut self,
+        ev: &ConnEvent,
+        t: f64,
+        sink: &mut S,
+    ) -> Vec<SwitchUpdate> {
+        self.log_event(ev);
         if self.down {
             self.stats.stale_events += 1;
-            self.log_event(ev);
             return Vec::new();
         }
-        let updates = with_inner!(&mut self.inner, c => c.on_event(ev))
+        let updates = self
+            .inner
+            .on_event(ev)
             .expect("controller accepts events for registered jobs");
-        self.log_event(ev);
-        if self.sink.enabled() {
-            let t = self.clock;
-            with_inner!(&self.inner, c => c.record_epoch(t, &mut self.sink));
-        }
+        self.inner.record_epoch(t, sink);
         self.filter_updates(updates)
     }
 
@@ -339,38 +229,30 @@ impl ResilientController {
             ConnEvent::JobCompleted { app, .. } => {
                 self.registrations.retain(|(a, _)| a != app);
                 self.live_conns.retain(|(a, _), _| a != app);
-                self.sls.remove(app);
             }
         }
     }
 
     /// Drops updates addressed to links owned by a crashed shard.
-    fn filter_updates(&mut self, updates: Vec<SwitchUpdate>) -> Vec<SwitchUpdate> {
-        if self.down_shards.is_empty() {
-            return updates;
+    fn filter_updates(&mut self, mut updates: Vec<SwitchUpdate>) -> Vec<SwitchUpdate> {
+        if !self.down_shards.is_empty() {
+            let before = updates.len();
+            let (inner, down) = (&self.inner, &self.down_shards);
+            updates.retain(|u| !down.contains(&inner.shard_of_link(u.link)));
+            self.stats.updates_suppressed += (before - updates.len()) as u64;
         }
-        let before = updates.len();
-        let (inner, down) = (&self.inner, &self.down_shards);
-        let kept: Vec<SwitchUpdate> = updates
-            .into_iter()
-            .filter(|u| !down.contains(&with_inner!(inner, c => c.shard_of_link(u.link))))
-            .collect();
-        self.stats.updates_suppressed += (before - kept.len()) as u64;
-        kept
+        updates
     }
 
     /// Crashes the whole controller: in-memory state is lost, switches
     /// keep their current (soon stale) weights.
-    pub fn crash(&mut self) {
+    pub fn crash<S: TelemetrySink>(&mut self, t: f64, sink: &mut S) {
         if !self.down {
             self.down = true;
             self.stats.crashes += 1;
-            if self.sink.enabled() {
-                let t = self.clock;
-                self.sink
-                    .record(t, EventKind::ControllerCrash { shard: -1 });
-                let state = self.snapshot_state();
-                self.sink.snapshot(t, "controller-crash", state);
+            if sink.enabled() {
+                sink.record(t, EventKind::ControllerCrash { shard: -1 });
+                sink.snapshot(t, "controller-crash", self.snapshot_state());
             }
         }
     }
@@ -381,8 +263,9 @@ impl ResilientController {
     /// The centralized flavour is rebuilt cold and replays the ordered
     /// registration log plus the still-live connections. The
     /// distributed flavour's state is replicated (offline mapping DB +
-    /// per-shard logs), so recovery only re-derives port programs.
-    pub fn recover(&mut self) -> Vec<SwitchUpdate> {
+    /// per-shard logs), so recovery only reconciles it with the outage
+    /// and re-derives port programs.
+    pub fn recover<S: TelemetrySink>(&mut self, t: f64, sink: &mut S) -> Vec<SwitchUpdate> {
         if !self.down {
             return Vec::new();
         }
@@ -391,20 +274,17 @@ impl ResilientController {
         let apps_before = self.stats.replayed_registrations;
         let conns_before = self.stats.replayed_connections;
         let updates = match &mut self.inner {
-            Inner::Central(old) => {
-                let table = self.table.clone().expect("central flavour keeps its table");
-                let mut fresh = CentralController::new(self.cfg.clone(), table, &self.topo);
+            ControllerHandle::Central(old) => {
+                let mut fresh = old.restarted();
                 self.epoch_archive += old.stats();
-                fresh.set_solver_threads(self.solver_threads);
                 if self.solve_timing {
                     self.solve_hist_archive.merge(old.solve_histogram());
                     fresh.enable_solve_timing();
                 }
                 for (app, workload) in &self.registrations {
-                    let sl = fresh
+                    fresh
                         .register(*app, workload)
                         .expect("replay of a previously accepted registration");
-                    self.sls.insert(*app, sl);
                     self.stats.replayed_registrations += 1;
                 }
                 for (&(app, tag), &(src, dst)) in &self.live_conns {
@@ -414,7 +294,7 @@ impl ResilientController {
                 **old = fresh;
                 old.recompute_all()
             }
-            Inner::Distributed(c) => {
+            ControllerHandle::Distributed(c) => {
                 // The distributed flavour's solver state survives the
                 // crash (replicated mapping DB + per-shard logs), but
                 // events that arrived while down were only recorded in
@@ -436,11 +316,9 @@ impl ResilientController {
                     }
                 }
                 for (app, workload) in &self.registrations {
-                    if !c.apps().contains(app) {
-                        let sl = c
-                            .register(*app, workload)
+                    if c.sl_of(*app).is_none() {
+                        c.register(*app, workload)
                             .expect("replay of a previously accepted registration");
-                        self.sls.insert(*app, sl);
                         self.stats.replayed_registrations += 1;
                     }
                 }
@@ -454,83 +332,102 @@ impl ResilientController {
                 c.recompute_all()
             }
         };
-        self.stats.recoveries += 1;
-        self.stats.last_recovery_micros = started.elapsed().as_micros() as u64;
-        if self.sink.enabled() {
-            let t = self.clock;
-            self.sink.record(
-                t,
-                EventKind::ControllerRecover {
-                    shard: -1,
-                    replayed_apps: self.stats.replayed_registrations - apps_before,
-                    replayed_conns: self.stats.replayed_connections - conns_before,
-                },
-            );
-            let micros = self.stats.last_recovery_micros;
-            self.sink.observe("wall.recovery_micros", micros as f64);
-        }
+        let replayed = (
+            self.stats.replayed_registrations - apps_before,
+            self.stats.replayed_connections - conns_before,
+        );
+        self.recovered(-1, replayed, started, t, sink);
         self.filter_updates(updates)
     }
 
+    /// Counts one finished recovery and traces its edge.
+    fn recovered<S: TelemetrySink>(
+        &mut self,
+        shard: i64,
+        (replayed_apps, replayed_conns): (u64, u64),
+        started: Instant,
+        t: f64,
+        sink: &mut S,
+    ) {
+        self.stats.recoveries += 1;
+        self.stats.last_recovery_micros = started.elapsed().as_micros() as u64;
+        if sink.enabled() {
+            let kind = EventKind::ControllerRecover {
+                shard,
+                replayed_apps,
+                replayed_conns,
+            };
+            sink.record(t, kind);
+            let micros = self.stats.last_recovery_micros;
+            sink.observe("wall.recovery_micros", micros as f64);
+        }
+    }
+
+    /// The inner shard a schedule's `shard` index lands on — modulo the
+    /// shard count, so schedules written for other tier sizes still
+    /// land — or `None` on the centralized flavour, which has no shards.
+    fn shard_index(&self, shard: usize) -> Option<usize> {
+        match &self.inner {
+            ControllerHandle::Central(_) => None,
+            ControllerHandle::Distributed(c) => Some(shard % c.num_shards()),
+        }
+    }
+
     /// Crashes one shard of the distributed flavour (no-op for the
-    /// centralized flavour, which has no shards).
-    pub fn crash_shard(&mut self, shard: usize) {
-        if matches!(self.inner, Inner::Distributed(_)) && self.down_shards.insert(shard) {
+    /// centralized flavour).
+    pub fn crash_shard<S: TelemetrySink>(&mut self, shard: usize, t: f64, sink: &mut S) {
+        let Some(shard) = self.shard_index(shard) else {
+            return;
+        };
+        if self.down_shards.insert(shard) {
             self.stats.shard_crashes += 1;
-            if self.sink.enabled() {
-                let t = self.clock;
-                self.sink.record(
-                    t,
-                    EventKind::ControllerCrash {
-                        shard: shard as i64,
-                    },
-                );
-                let state = self.snapshot_state();
-                self.sink.snapshot(t, "shard-crash", state);
+            if sink.enabled() {
+                let shard = shard as i64;
+                sink.record(t, EventKind::ControllerCrash { shard });
+                sink.snapshot(t, "shard-crash", self.snapshot_state());
             }
         }
     }
 
     /// Restarts a crashed shard, re-deriving its port programs.
-    pub fn recover_shard(&mut self, shard: usize) -> Vec<SwitchUpdate> {
+    pub fn recover_shard<S: TelemetrySink>(
+        &mut self,
+        shard: usize,
+        t: f64,
+        sink: &mut S,
+    ) -> Vec<SwitchUpdate> {
+        let Some(shard) = self.shard_index(shard) else {
+            return Vec::new();
+        };
         if !self.down_shards.remove(&shard) {
             return Vec::new();
         }
         let started = Instant::now();
-        let updates = with_inner!(&mut self.inner, c => c.recompute_shard(shard));
-        self.stats.recoveries += 1;
-        self.stats.last_recovery_micros = started.elapsed().as_micros() as u64;
-        if self.sink.enabled() {
-            let t = self.clock;
-            self.sink.record(
-                t,
-                EventKind::ControllerRecover {
-                    shard: shard as i64,
-                    replayed_apps: 0,
-                    replayed_conns: 0,
-                },
-            );
-            let micros = self.stats.last_recovery_micros;
-            self.sink.observe("wall.recovery_micros", micros as f64);
-        }
+        let updates = self.inner.recompute_shard(shard);
+        self.recovered(shard as i64, (0, 0), started, t, sink);
         self.filter_updates(updates)
     }
 
-    /// Applies one control-plane fault action, returning any updates
-    /// recovery produced. RPC-window actions are not the controller's
-    /// concern and return nothing.
-    pub fn apply(&mut self, action: &ControlAction) -> Vec<SwitchUpdate> {
+    /// Applies one control-plane fault action at simulated time `t`,
+    /// returning any updates recovery produced. RPC-window actions are
+    /// not the controller's concern and return nothing.
+    pub fn apply<S: TelemetrySink>(
+        &mut self,
+        action: &ControlAction,
+        t: f64,
+        sink: &mut S,
+    ) -> Vec<SwitchUpdate> {
         match action {
             ControlAction::CrashController => {
-                self.crash();
+                self.crash(t, sink);
                 Vec::new()
             }
-            ControlAction::RecoverController => self.recover(),
+            ControlAction::RecoverController => self.recover(t, sink),
             ControlAction::CrashShard(s) => {
-                self.crash_shard(*s);
+                self.crash_shard(*s, t, sink);
                 Vec::new()
             }
-            ControlAction::RecoverShard(s) => self.recover_shard(*s),
+            ControlAction::RecoverShard(s) => self.recover_shard(*s, t, sink),
             ControlAction::RpcDegradeStart { .. } | ControlAction::RpcDegradeEnd => Vec::new(),
         }
     }
@@ -539,7 +436,11 @@ impl ResilientController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use saba_core::controller::{ControllerConfig, Flavour};
     use saba_core::profiler::{Profiler, ProfilerConfig};
+    use saba_core::sensitivity::SensitivityTable;
+    use saba_sim::topology::Topology;
+    use saba_telemetry::{NullSink, Recorder};
     use saba_workload::catalog;
 
     fn table() -> SensitivityTable {
@@ -551,6 +452,24 @@ mod tests {
         })
         .profile_all(&catalog())
         .unwrap()
+    }
+
+    fn wrap(flavour: Flavour, topo: &Topology) -> ResilientController {
+        let inner = ControllerHandle::new(flavour, ControllerConfig::default(), &table(), topo);
+        ResilientController::new(inner)
+    }
+
+    fn central(topo: &Topology) -> ResilientController {
+        wrap(Flavour::Central, topo)
+    }
+
+    fn distributed(topo: &Topology, shards: usize) -> ResilientController {
+        wrap(Flavour::Distributed(shards), topo)
+    }
+
+    /// An untraced event at t = 0.
+    fn feed(c: &mut ResilientController, ev: &ConnEvent) -> Vec<SwitchUpdate> {
+        c.on_event(ev, 0.0, &mut NullSink)
     }
 
     fn created(app: u32, src: NodeId, dst: NodeId, tag: u64) -> ConnEvent {
@@ -566,33 +485,33 @@ mod tests {
     fn central_crash_recovery_replays_registrations_and_connections() {
         let topo = Topology::single_switch(4, 100.0);
         let servers = topo.servers().to_vec();
-        let mut c = ResilientController::central(ControllerConfig::default(), table(), &topo);
+        let mut c = central(&topo);
         let sl_lr = c.register(AppId(0), "LR").unwrap();
         let sl_sort = c.register(AppId(1), "Sort").unwrap();
-        let before = c.on_event(&created(0, servers[0], servers[1], 1));
+        let before = feed(&mut c, &created(0, servers[0], servers[1], 1));
         assert!(!before.is_empty());
-        c.on_event(&created(1, servers[2], servers[3], (1 << 32) | 1));
+        feed(&mut c, &created(1, servers[2], servers[3], (1 << 32) | 1));
 
-        c.crash();
+        c.crash(0.0, &mut NullSink);
         assert!(c.is_down());
         // Churn during the outage: one new connection, one teardown.
-        assert!(c
-            .on_event(&created(0, servers[1], servers[2], 2))
-            .is_empty());
-        assert!(c
-            .on_event(&ConnEvent::Destroyed {
+        assert!(feed(&mut c, &created(0, servers[1], servers[2], 2)).is_empty());
+        assert!(feed(
+            &mut c,
+            &ConnEvent::Destroyed {
                 app: AppId(1),
                 src: servers[2],
                 dst: servers[3],
                 tag: (1 << 32) | 1,
-            })
-            .is_empty());
+            }
+        )
+        .is_empty());
         assert!(
             c.register(AppId(2), "PR").is_err(),
             "down controller rejects"
         );
 
-        let updates = c.recover();
+        let updates = c.recover(0.0, &mut NullSink);
         assert!(!updates.is_empty(), "recovery reprograms the fabric");
         let s = c.stats();
         assert_eq!(s.crashes, 1);
@@ -605,20 +524,25 @@ mod tests {
         assert_eq!(c.sl_of(AppId(1)), Some(sl_sort));
         // The recovered controller accepts post-recovery churn for
         // connections created before *and during* the outage.
-        assert!(!c
-            .on_event(&ConnEvent::Destroyed {
+        assert!(!feed(
+            &mut c,
+            &ConnEvent::Destroyed {
                 app: AppId(0),
                 src: servers[0],
                 dst: servers[1],
                 tag: 1,
-            })
-            .is_empty());
-        c.on_event(&ConnEvent::Destroyed {
-            app: AppId(0),
-            src: servers[1],
-            dst: servers[2],
-            tag: 2,
-        });
+            }
+        )
+        .is_empty());
+        feed(
+            &mut c,
+            &ConnEvent::Destroyed {
+                app: AppId(0),
+                src: servers[1],
+                dst: servers[2],
+                tag: 2,
+            },
+        );
     }
 
     /// Regression: a full crash of the *distributed* flavour used to
@@ -631,62 +555,68 @@ mod tests {
     fn distributed_crash_recovery_reconciles_outage_events() {
         let topo = Topology::single_switch(4, 100.0);
         let servers = topo.servers().to_vec();
-        let db = MappingDb::build(&table(), ControllerConfig::default().num_pls, 1);
-        let mut c = ResilientController::distributed(ControllerConfig::default(), db, &topo, 2);
+        let mut c = distributed(&topo, 2);
         c.register(AppId(0), "LR").unwrap();
         c.register(AppId(1), "Sort").unwrap();
-        c.on_event(&created(0, servers[0], servers[1], 1));
-        c.on_event(&created(1, servers[2], servers[3], (1 << 32) | 1));
+        feed(&mut c, &created(0, servers[0], servers[1], 1));
+        feed(&mut c, &created(1, servers[2], servers[3], (1 << 32) | 1));
 
-        c.crash();
+        c.crash(0.0, &mut NullSink);
         // Outage churn: a new connection, a teardown of a pre-crash
         // connection, and a whole job completing.
-        assert!(c
-            .on_event(&created(0, servers[1], servers[2], 2))
-            .is_empty());
-        assert!(c
-            .on_event(&ConnEvent::Destroyed {
+        assert!(feed(&mut c, &created(0, servers[1], servers[2], 2)).is_empty());
+        assert!(feed(
+            &mut c,
+            &ConnEvent::Destroyed {
                 app: AppId(1),
                 src: servers[2],
                 dst: servers[3],
                 tag: (1 << 32) | 1,
-            })
-            .is_empty());
-        assert!(c
-            .on_event(&ConnEvent::JobCompleted {
+            }
+        )
+        .is_empty());
+        assert!(feed(
+            &mut c,
+            &ConnEvent::JobCompleted {
                 app: AppId(1),
                 at: 1.0,
-            })
-            .is_empty());
+            }
+        )
+        .is_empty());
 
-        let updates = c.recover();
+        let updates = c.recover(0.0, &mut NullSink);
         assert!(!updates.is_empty(), "recovery reprograms the fabric");
         let s = c.stats();
         assert_eq!(s.replayed_connections, 1, "the conn created while down");
         // Post-recovery churn on both the pre-crash and the outage-born
         // connection must be accepted (this is the line that panicked).
-        assert!(!c
-            .on_event(&ConnEvent::Destroyed {
+        assert!(!feed(
+            &mut c,
+            &ConnEvent::Destroyed {
                 app: AppId(0),
                 src: servers[1],
                 dst: servers[2],
                 tag: 2,
-            })
-            .is_empty());
-        c.on_event(&ConnEvent::Destroyed {
-            app: AppId(0),
-            src: servers[0],
-            dst: servers[1],
-            tag: 1,
-        });
+            }
+        )
+        .is_empty());
+        feed(
+            &mut c,
+            &ConnEvent::Destroyed {
+                app: AppId(0),
+                src: servers[0],
+                dst: servers[1],
+                tag: 1,
+            },
+        );
     }
 
     #[test]
     fn crash_while_idle_recovers_to_empty_state() {
         let topo = Topology::single_switch(2, 100.0);
-        let mut c = ResilientController::central(ControllerConfig::default(), table(), &topo);
-        c.crash();
-        let updates = c.recover();
+        let mut c = central(&topo);
+        c.crash(0.0, &mut NullSink);
+        let updates = c.recover(0.0, &mut NullSink);
         assert!(updates.is_empty(), "nothing to reprogram");
         assert_eq!(c.stats().recoveries, 1);
     }
@@ -695,25 +625,24 @@ mod tests {
     fn shard_crash_suppresses_only_its_links() {
         let topo = Topology::single_switch(4, 100.0);
         let servers = topo.servers().to_vec();
-        let db = MappingDb::build(&table(), ControllerConfig::default().num_pls, 1);
-        let mut c = ResilientController::distributed(ControllerConfig::default(), db, &topo, 2);
+        let mut c = distributed(&topo, 2);
         c.register(AppId(0), "LR").unwrap();
         c.register(AppId(1), "Sort").unwrap();
-        let full = c.on_event(&created(0, servers[0], servers[1], 1));
+        let full = feed(&mut c, &created(0, servers[0], servers[1], 1));
         assert!(!full.is_empty());
 
         fn shard_of(c: &ResilientController, u: &SwitchUpdate) -> usize {
-            with_inner!(&c.inner, d => d.shard_of_link(u.link))
+            c.inner.shard_of_link(u.link)
         }
 
-        c.crash_shard(0);
-        let filtered = c.on_event(&created(1, servers[1], servers[2], (1 << 32) | 1));
+        c.crash_shard(0, 0.0, &mut NullSink);
+        let filtered = feed(&mut c, &created(1, servers[1], servers[2], (1 << 32) | 1));
         for u in &filtered {
             assert_eq!(shard_of(&c, u), 1, "shard-0 updates must be suppressed");
         }
         assert!(c.stats().updates_suppressed > 0);
 
-        let recovered = c.recover_shard(0);
+        let recovered = c.recover_shard(0, 0.0, &mut NullSink);
         assert!(!recovered.is_empty(), "shard 0 owns programmed links");
         for u in &recovered {
             assert_eq!(shard_of(&c, u), 0);
@@ -724,22 +653,17 @@ mod tests {
 
     #[test]
     fn crash_and_recovery_are_traced_with_a_flight_snapshot() {
-        use saba_telemetry::{EventKind, Recorder, SharedRecorder};
         let topo = Topology::single_switch(4, 100.0);
         let servers = topo.servers().to_vec();
-        let mut c = ResilientController::central(ControllerConfig::default(), table(), &topo);
-        let rec = SharedRecorder::on(Recorder::default());
-        c.set_sink(rec.clone());
+        let mut c = central(&topo);
+        let mut rec = Recorder::default();
         c.register(AppId(0), "LR").unwrap();
-        c.on_event(&created(0, servers[0], servers[1], 1));
+        c.on_event(&created(0, servers[0], servers[1], 1), 0.0, &mut rec);
 
-        c.set_clock(3.5);
-        c.crash();
-        c.crash(); // idempotent: no second event
-        c.set_clock(7.25);
-        c.recover();
+        c.crash(3.5, &mut rec);
+        c.crash(3.5, &mut rec); // idempotent: no second event
+        c.recover(7.25, &mut rec);
 
-        let rec = rec.extract().unwrap();
         let kinds: Vec<(f64, EventKind)> =
             rec.trace.events().map(|e| (e.t, e.kind.clone())).collect();
         assert_eq!(
@@ -787,19 +711,13 @@ mod tests {
 
     #[test]
     fn shard_crash_and_recovery_are_traced() {
-        use saba_telemetry::{EventKind, Recorder, SharedRecorder};
         let topo = Topology::single_switch(4, 100.0);
-        let db = MappingDb::build(&table(), ControllerConfig::default().num_pls, 1);
-        let mut c = ResilientController::distributed(ControllerConfig::default(), db, &topo, 2);
-        let rec = SharedRecorder::on(Recorder::default());
-        c.set_sink(rec.clone());
-        c.set_clock(1.0);
-        c.crash_shard(1);
-        c.set_clock(2.0);
-        c.recover_shard(1);
-        c.recover_shard(1); // already up: no event
+        let mut c = distributed(&topo, 2);
+        let mut rec = Recorder::default();
+        c.crash_shard(1, 1.0, &mut rec);
+        c.recover_shard(1, 2.0, &mut rec);
+        c.recover_shard(1, 2.0, &mut rec); // already up: no event
 
-        let rec = rec.extract().unwrap();
         let kinds: Vec<EventKind> = rec.trace.events().map(|e| e.kind.clone()).collect();
         assert_eq!(
             kinds,
@@ -819,19 +737,43 @@ mod tests {
     #[test]
     fn apply_maps_actions_to_transitions() {
         let topo = Topology::single_switch(2, 100.0);
-        let mut c = ResilientController::central(ControllerConfig::default(), table(), &topo);
-        assert!(c.apply(&ControlAction::CrashController).is_empty());
+        let mut c = central(&topo);
+        assert!(c
+            .apply(&ControlAction::CrashController, 0.0, &mut NullSink)
+            .is_empty());
         assert!(c.is_down());
-        c.apply(&ControlAction::RecoverController);
+        c.apply(&ControlAction::RecoverController, 0.0, &mut NullSink);
         assert!(!c.is_down());
         // RPC windows and shard actions are no-ops for central.
-        assert!(c
-            .apply(&ControlAction::RpcDegradeStart {
-                drop: 0.5,
-                duplicate: 0.1
-            })
-            .is_empty());
-        c.apply(&ControlAction::CrashShard(0));
+        let rpc = ControlAction::RpcDegradeStart {
+            drop: 0.5,
+            duplicate: 0.1,
+        };
+        assert!(c.apply(&rpc, 0.0, &mut NullSink).is_empty());
+        c.apply(&ControlAction::CrashShard(0), 0.0, &mut NullSink);
         assert_eq!(c.stats().shard_crashes, 0);
+    }
+
+    /// Regression: the shard index of a `CrashShard` comes from outside
+    /// (a serde `FaultSchedule`, or `ScheduleConfig::num_shards`, which
+    /// is independent of the policy's shard count). An out-of-range
+    /// index used to be counted as a crash and then hit
+    /// `recompute_shard`'s range assert on recovery.
+    #[test]
+    fn out_of_range_shard_actions_land_modulo_the_shard_count() {
+        let topo = Topology::single_switch(4, 100.0);
+        let mut c = distributed(&topo, 2);
+        let mut rec = Recorder::default();
+        c.apply(&ControlAction::CrashShard(3), 1.0, &mut rec);
+        assert_eq!(c.down_shards.iter().collect::<Vec<_>>(), [&1]);
+        c.apply(&ControlAction::RecoverShard(3), 2.0, &mut rec);
+        assert!(c.down_shards.is_empty());
+        assert_eq!((c.stats().shard_crashes, c.stats().recoveries), (1, 1));
+        let kinds: Vec<EventKind> = rec.trace.events().map(|e| e.kind.clone()).collect();
+        assert_eq!(kinds[0], EventKind::ControllerCrash { shard: 1 });
+        assert!(matches!(
+            kinds[1],
+            EventKind::ControllerRecover { shard: 1, .. }
+        ));
     }
 }

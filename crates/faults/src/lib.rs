@@ -11,8 +11,9 @@
 //!   timer queue, so faults interleave deterministically with traffic.
 //! * [`transport`] — a lossy RPC channel plus the retry/backoff and
 //!   idempotent-request-id machinery that makes it survivable.
-//! * [`control`] — controller crash, stale-weight operation, and
-//!   replay-based recovery for both controller flavours.
+//! * [`control`] — the simulator's controller crash model: a wrapper
+//!   around a core `ControllerHandle` with stale-weight operation and
+//!   one replay-based recovery arm per flavour.
 //!
 //! The `resilience` binary in `saba-bench` drives all four against the
 //! Fig. 8 co-run to measure how much of Saba's speedup survives faults.

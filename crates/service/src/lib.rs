@@ -14,9 +14,9 @@
 //!   snapshots that keep the tenant history.
 //! * [`shard`] — the sharded service tier: tenants are consistently
 //!   assigned to shards, each shard drives one incremental-epoch
-//!   [`saba_faults::ResilientController`] (either flavour), speaks the
-//!   hardened `saba_core::rpc` protocol, and owns its log's I/O —
-//!   group commit, compaction, recovery by replay.
+//!   [`saba_core::controller::ControllerHandle`] (either flavour),
+//!   speaks the hardened `saba_core::rpc` protocol, and owns its log's
+//!   I/O — group commit, compaction, recovery by replay.
 //! * [`front`] — the one I/O-free core every request crosses: the
 //!   pre-admission scrape answer, edge admission, shard routing, the
 //!   post-batch metrics/trace pass, liveness and failover accounting.

@@ -14,7 +14,6 @@ use crate::shard::{Shard, ShardMap, ShardSpec};
 use saba_core::controller::SwitchUpdate;
 use saba_core::library::Transport;
 use saba_core::rpc::{Envelope, Request, Response};
-use saba_faults::injector::ControlAction;
 use saba_telemetry::{Registry, SharedRecorder};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -43,8 +42,8 @@ impl AllocationService {
         })
     }
 
-    /// Attaches a telemetry recorder (propagated into every shard's
-    /// controller for crash/epoch events).
+    /// Attaches a telemetry recorder (propagated into every shard for
+    /// its spans and epoch scopes).
     pub fn set_sink(&mut self, sink: SharedRecorder) {
         for shard in &mut self.shards {
             shard.set_sink(sink.clone());
@@ -130,35 +129,6 @@ impl AllocationService {
     pub fn kill_shard(&mut self, shard: usize) {
         self.shards[shard].kill();
         self.front.crashed(shard, self.clock);
-    }
-
-    /// Applies a fault-schedule action to the service tier.
-    ///
-    /// Whole-controller actions hit every shard; shard actions hit one
-    /// (modulo the shard count, so schedules written for other tier
-    /// sizes still land). Recover actions are standby takeovers.
-    /// RPC-degradation actions are a no-op here: lossy transport is
-    /// exercised by `saba-faults`' own harness.
-    pub fn apply(&mut self, action: &ControlAction) -> std::io::Result<Vec<FailoverReport>> {
-        let n = self.shards.len();
-        let targets = match action {
-            ControlAction::CrashController | ControlAction::RecoverController => 0..n,
-            ControlAction::CrashShard(s) | ControlAction::RecoverShard(s) => s % n..s % n + 1,
-            ControlAction::RpcDegradeStart { .. } | ControlAction::RpcDegradeEnd => 0..0,
-        };
-        let crash = matches!(
-            action,
-            ControlAction::CrashController | ControlAction::CrashShard(_)
-        );
-        let mut reports = Vec::new();
-        for s in targets {
-            if crash {
-                self.kill_shard(s);
-            } else if self.shards[s].is_dead() {
-                reports.push(self.fail_over(s)?);
-            }
-        }
-        Ok(reports)
     }
 
     /// Promotes a standby for `shard` in place: the same shard slot

@@ -2,38 +2,25 @@
 //!
 //! Tenants (applications) are consistently assigned to shards by a
 //! seeded hash ([`ShardMap`]); each [`Shard`] owns one
-//! incremental-epoch [`ResilientController`] (either flavour), its own
-//! durable registration log, and a request-id dedup cache. A shard is
-//! the unit of failure: killing one loses its in-memory controller,
-//! and a standby rebuilds it by replaying the durable log.
+//! incremental-epoch controller (a [`ControllerHandle`] of either
+//! flavour), its own durable registration log, and a request-id dedup
+//! cache. A shard is the unit of failure: killing one loses its
+//! in-memory controller, and a standby rebuilds it by replaying the
+//! durable log — the log is the only recovery state there is.
 
 use crate::wal::{DurableLog, ReplayState, ScanReport};
-use saba_core::controller::central::CentralController;
-use saba_core::controller::distributed::{DistributedController, MappingDb};
-use saba_core::controller::epoch::{Controller, EpochStats, Policy};
-use saba_core::controller::{ControllerConfig, SwitchUpdate};
+use saba_core::controller::epoch::EpochStats;
+pub use saba_core::controller::Flavour;
+use saba_core::controller::{ControllerConfig, ControllerError, ControllerHandle, SwitchUpdate};
 use saba_core::fabric::PortQueueConfig;
 use saba_core::rpc::{Envelope, ErrorCode, Request, Response};
 use saba_core::sensitivity::SensitivityTable;
-use saba_faults::control::{ResilientController, TryRegisterError};
-use saba_sim::ids::{AppId, ServiceLevel};
+use saba_sim::ids::AppId;
 use saba_sim::topology::Topology;
 use saba_telemetry::span::TraceContext;
-use saba_telemetry::{EventKind, Registry, SharedRecorder, TelemetrySink};
-use saba_workload::runtime::ConnEvent;
-use std::collections::BTreeMap;
-use std::collections::HashMap;
+use saba_telemetry::{EventKind, NullSink, Registry, SharedRecorder, TelemetrySink};
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
-
-/// Which controller flavour each shard drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Flavour {
-    /// One centralized controller per shard.
-    Central,
-    /// One distributed controller per shard, itself split into this
-    /// many link-partitioned inner shards.
-    Distributed(usize),
-}
 
 /// Everything needed to (re)build a shard's controller from scratch:
 /// the profile table, the fabric, the allocation config, the flavour.
@@ -45,21 +32,15 @@ pub struct ShardSpec {
     pub table: SensitivityTable,
     /// The fabric every shard programs (its tenant-partition slice).
     pub topo: Topology,
-    /// Controller flavour.
+    /// Controller flavour each shard drives (for
+    /// [`Flavour::Distributed`], the count is the controller's own
+    /// link-partitioned inner shards).
     pub flavour: Flavour,
 }
 
 impl ShardSpec {
-    fn build_controller(&self) -> ResilientController {
-        match self.flavour {
-            Flavour::Central => {
-                ResilientController::central(self.cfg.clone(), self.table.clone(), &self.topo)
-            }
-            Flavour::Distributed(inner) => {
-                let db = MappingDb::build(&self.table, self.cfg.num_pls, self.cfg.seed);
-                ResilientController::distributed(self.cfg.clone(), db, &self.topo, inner)
-            }
-        }
+    fn build_controller(&self) -> ControllerHandle {
+        ControllerHandle::new(self.flavour, self.cfg.clone(), &self.table, &self.topo)
     }
 
     /// A from-scratch solve over a logged history: a fresh controller
@@ -74,51 +55,37 @@ impl ShardSpec {
     /// only live registrations would diverge from any controller that
     /// lived through tenant departures.
     pub fn scratch_solve(&self, records: &[Request]) -> Vec<SwitchUpdate> {
-        match self.flavour {
-            Flavour::Central => replay_history(
-                CentralController::new(self.cfg.clone(), self.table.clone(), &self.topo),
-                records,
-            ),
-            Flavour::Distributed(inner) => {
-                let db = MappingDb::build(&self.table, self.cfg.num_pls, self.cfg.seed);
-                replay_history(
-                    DistributedController::new(self.cfg.clone(), db, &self.topo, inner),
-                    records,
-                )
-            }
+        let mut fresh = self.build_controller();
+        for req in records {
+            drive(&mut fresh, req, 0.0, &mut NullSink).expect("replay of an acked record");
         }
+        fresh.recompute_all()
     }
 }
 
-/// Replays acked `records` through `fresh` and solves the result.
-fn replay_history<P: Policy>(mut fresh: Controller<P>, records: &[Request]) -> Vec<SwitchUpdate> {
-    for req in records {
-        match req {
-            Request::AppRegister { app, workload } => {
-                fresh
-                    .register(*app, workload)
-                    .expect("replay of an acked registration");
-            }
-            Request::ConnCreate { app, src, dst, tag } => {
-                fresh
-                    .conn_create(*app, *src, *dst, *tag)
-                    .expect("replay of an acked connection");
-            }
-            Request::ConnDestroy { app, tag } => {
-                fresh
-                    .conn_destroy(*app, *tag)
-                    .expect("replay of an acked destroy");
-            }
-            Request::AppDeregister { app } => {
-                fresh
-                    .deregister(*app)
-                    .expect("replay of an acked deregister");
-            }
-            // Read-only; never enters the log.
-            Request::MetricsDump => {}
+/// Applies one loggable operation to `ctrl`: the one place a request
+/// becomes a controller call, for live requests and log replay alike.
+/// Everything but a registration runs an allocation epoch, whose scope
+/// is traced into `sink` at logical time `t`.
+fn drive<S: TelemetrySink>(
+    ctrl: &mut ControllerHandle,
+    req: &Request,
+    t: f64,
+    sink: &mut S,
+) -> Result<Vec<SwitchUpdate>, ControllerError> {
+    let updates = match req {
+        Request::AppRegister { app, workload } => {
+            return ctrl.register(*app, workload).map(|_| Vec::new());
         }
-    }
-    fresh.recompute_all()
+        Request::ConnCreate { app, src, dst, tag } => ctrl.conn_create(*app, *src, *dst, *tag)?,
+        Request::ConnDestroy { app, tag } => ctrl.conn_destroy(*app, *tag)?,
+        Request::AppDeregister { app } => ctrl.deregister(*app)?,
+        // Scrapes are never logged (the shard rejects them pre-append),
+        // but an old log must not wedge replay.
+        Request::MetricsDump => return Ok(Vec::new()),
+    };
+    ctrl.record_epoch(t, sink);
+    Ok(updates)
 }
 
 /// Consistent tenant→shard assignment.
@@ -178,16 +145,12 @@ pub struct Shard {
     pub id: usize,
     spec: ShardSpec,
     /// `None` while dead (killed, awaiting standby takeover).
-    ctrl: Option<ResilientController>,
+    ctrl: Option<ControllerHandle>,
     log: DurableLog,
     /// Mirror of the logged state (validation + compaction source).
     state: ReplayState,
     /// Request-id → cached response (idempotent retry absorption).
     seen: HashMap<u64, Response>,
-    /// The PL each live tenant was acked with (idempotent register
-    /// retries must repeat the original promise after the dedup cache
-    /// dies with a worker).
-    sls: HashMap<AppId, ServiceLevel>,
     /// Switch state accumulated from every update this shard emitted
     /// (the failover differential diffs this against a scratch solve).
     programmed: BTreeMap<u32, PortQueueConfig>,
@@ -245,7 +208,6 @@ impl Shard {
             log,
             state: ReplayState::default(),
             seen: HashMap::new(),
-            sls: HashMap::new(),
             programmed: BTreeMap::new(),
             pending_updates: Vec::new(),
             appended_at_compaction: 0,
@@ -275,81 +237,32 @@ impl Shard {
     /// levels than they were acked with.
     fn rebuild(&mut self, scan: &ScanReport) -> TakeoverReport {
         let mut ctrl = self.spec.build_controller();
-        ctrl.set_clock(self.clock);
-        ctrl.set_sink(self.sink.clone());
-        if self.solver_threads > 1 {
-            ctrl.set_solver_threads(self.solver_threads);
-        }
+        ctrl.set_solver_threads(self.solver_threads);
         self.programmed.clear();
         self.seen.clear();
-        self.sls.clear();
         self.pending_updates.clear();
         self.appended_at_compaction = 0;
-        let mut state = ReplayState::default();
+        self.state = ReplayState::default();
         for req in &scan.records {
-            let updates = match req {
-                Request::AppRegister { app, workload } => {
-                    let sl = ctrl
-                        .try_register(*app, workload)
-                        .expect("replay of an accepted registration");
-                    self.sls.insert(*app, sl);
-                    Vec::new()
-                }
-                Request::ConnCreate { app, src, dst, tag } => ctrl.on_event(&ConnEvent::Created {
-                    app: *app,
-                    src: *src,
-                    dst: *dst,
-                    tag: *tag,
-                }),
-                Request::ConnDestroy { app, tag } => {
-                    let &(src, dst) = state
-                        .live_conns
-                        .get(&(*app, *tag))
-                        .expect("destroy of a logged connection");
-                    ctrl.on_event(&ConnEvent::Destroyed {
-                        app: *app,
-                        src,
-                        dst,
-                        tag: *tag,
-                    })
-                }
-                Request::AppDeregister { app } => {
-                    self.sls.remove(app);
-                    ctrl.on_event(&ConnEvent::JobCompleted {
-                        app: *app,
-                        at: self.clock,
-                    })
-                }
-                // Scrapes are never logged (the shard rejects them
-                // pre-append), but an old log must not wedge replay.
-                Request::MetricsDump => Vec::new(),
-            };
-            self.pending_updates.extend(updates.iter().cloned());
-            for u in updates {
-                self.programmed.insert(u.link.0, u.config);
-            }
-            state.apply(req);
+            let updates = drive(&mut ctrl, req, self.clock, &mut self.sink)
+                .expect("replay of an acked record");
+            self.absorb_updates(updates);
+            self.state.apply(req);
         }
         self.ctrl = Some(ctrl);
-        let report = TakeoverReport {
+        TakeoverReport {
             records: scan.records.len(),
             torn_bytes: scan.torn_bytes,
-            registrations: state.registrations.len(),
-            live_conns: state.live_conns.len(),
-        };
-        self.state = state;
-        report
+            registrations: self.state.registrations.len(),
+            live_conns: self.state.live_conns.len(),
+        }
     }
 
-    /// Attaches a telemetry recorder: the inner controller emits crash
-    /// edges and epoch scopes through it, the shard emits per-envelope
-    /// spans and WAL group-commit metrics, and a standby takeover
-    /// re-attaches it to the rebuilt controller.
+    /// Attaches a telemetry recorder: the shard traces per-envelope
+    /// spans and the scope of every controller epoch into it, on the
+    /// live path and during a standby takeover's replay alike.
     pub fn set_sink(&mut self, sink: SharedRecorder) {
-        self.sink = sink.clone();
-        if let Some(c) = self.ctrl.as_mut() {
-            c.set_sink(sink);
-        }
+        self.sink = sink;
     }
 
     /// Sets the Eq. 2 solver thread count on the inner controller;
@@ -369,18 +282,12 @@ impl Shard {
     /// Counters of the live controller (all zero while the shard is
     /// dead — a takeover rebuilds them from replay).
     pub fn epoch_counters(&self) -> EpochStats {
-        self.ctrl
-            .as_ref()
-            .map(|c| c.epoch_counters())
-            .unwrap_or_default()
+        self.ctrl.as_ref().map(|c| c.stats()).unwrap_or_default()
     }
 
-    /// Advances the logical clock stamped on controller trace events.
+    /// Advances the logical clock stamped on trace events.
     pub fn set_clock(&mut self, t: f64) {
         self.clock = t;
-        if let Some(c) = self.ctrl.as_mut() {
-            c.set_clock(t);
-        }
     }
 
     /// True while the shard has no live controller.
@@ -539,15 +446,25 @@ impl Shard {
                 message: format!("shard {} is down, standby taking over", self.id),
             };
         };
+        let state = &self.state;
+        let workload_of = |app: &AppId| state.registrations.iter().find(|(a, _)| a == app);
+        let unknown_app = |app: &AppId| Response::Error {
+            code: ErrorCode::UnknownApp,
+            message: format!("application {} is not registered here", app.0),
+        };
+        // What the logged state already answers, without touching the
+        // controller or the log: lost-ack retries repeat their ack,
+        // conflicts and unknown names are rejected.
         match req {
             Request::AppRegister { app, workload } => {
                 // Idempotent retry: the dedup cache dies with a worker,
                 // so a re-sent register whose original was applied and
                 // logged must repeat the original ack, not reject. A
                 // conflicting workload is a real duplicate.
-                if let Some((_, wl)) = self.state.registrations.iter().find(|(a, _)| a == app) {
+                if let Some((_, wl)) = workload_of(app) {
                     return if wl == workload {
-                        Response::Registered { sl: self.sls[app] }
+                        let sl = ctrl.sl_of(*app).expect("a logged tenant is registered");
+                        Response::Registered { sl }
                     } else {
                         Response::Error {
                             code: ErrorCode::AlreadyRegistered,
@@ -558,34 +475,12 @@ impl Shard {
                         }
                     };
                 }
-                match ctrl.try_register(*app, workload) {
-                    Ok(sl) => {
-                        if let Err(e) = self.log.append(req) {
-                            return Response::Error {
-                                code: ErrorCode::Internal,
-                                message: format!("log append failed: {e}"),
-                            };
-                        }
-                        self.state.apply(req);
-                        self.sls.insert(*app, sl);
-                        self.stats.registrations_acked += 1;
-                        Response::Registered { sl }
-                    }
-                    Err(TryRegisterError::Down) => Response::Error {
-                        code: ErrorCode::ControllerDown,
-                        message: "controller is down".into(),
-                    },
-                    Err(TryRegisterError::Rejected(e)) => Response::from_controller_error(&e),
-                }
             }
             Request::ConnCreate { app, src, dst, tag } => {
-                if !self.state.registrations.iter().any(|(a, _)| a == app) {
-                    return Response::Error {
-                        code: ErrorCode::UnknownApp,
-                        message: format!("application {} is not registered here", app.0),
-                    };
+                if workload_of(app).is_none() {
+                    return unknown_app(app);
                 }
-                if let Some(&(src0, dst0)) = self.state.live_conns.get(&(*app, *tag)) {
+                if let Some(&(src0, dst0)) = state.live_conns.get(&(*app, *tag)) {
                     // Same endpoints → a lost-ack retry of an applied
                     // create; repeat the ack. Different endpoints → a
                     // genuine tag collision.
@@ -598,32 +493,15 @@ impl Shard {
                         }
                     };
                 }
-                let updates = ctrl.on_event(&ConnEvent::Created {
-                    app: *app,
-                    src: *src,
-                    dst: *dst,
-                    tag: *tag,
-                });
-                self.span_event(ctx.child(EPOCH_SPAN_SALT), "controller.epoch", app.0, true);
-                if let Err(e) = self.log.append(req) {
-                    return Response::Error {
-                        code: ErrorCode::Internal,
-                        message: format!("log append failed: {e}"),
-                    };
-                }
-                self.absorb_updates(updates);
-                self.state.apply(req);
-                self.stats.conn_creates_acked += 1;
-                Response::Ack
             }
             Request::ConnDestroy { app, tag } => {
-                let Some(&(src, dst)) = self.state.live_conns.get(&(*app, *tag)) else {
+                if !state.live_conns.contains_key(&(*app, *tag)) {
                     // Destroy is an idempotent delete for a registered
                     // tenant (per-tenant submission order means a
                     // missing connection was already destroyed — e.g.
                     // a lost-ack retry). An unregistered tenant has no
                     // connections to be idempotent about.
-                    return if self.state.registrations.iter().any(|(a, _)| a == app) {
+                    return if workload_of(app).is_some() {
                         Response::Ack
                     } else {
                         Response::Error {
@@ -631,54 +509,50 @@ impl Shard {
                             message: format!("unknown connection {tag}"),
                         }
                     };
-                };
-                let updates = ctrl.on_event(&ConnEvent::Destroyed {
-                    app: *app,
-                    src,
-                    dst,
-                    tag: *tag,
-                });
-                self.span_event(ctx.child(EPOCH_SPAN_SALT), "controller.epoch", app.0, true);
-                if let Err(e) = self.log.append(req) {
-                    return Response::Error {
-                        code: ErrorCode::Internal,
-                        message: format!("log append failed: {e}"),
-                    };
                 }
-                self.absorb_updates(updates);
-                self.state.apply(req);
-                Response::Ack
             }
             Request::AppDeregister { app } => {
-                if !self.state.registrations.iter().any(|(a, _)| a == app) {
-                    return Response::Error {
-                        code: ErrorCode::UnknownApp,
-                        message: format!("application {} is not registered here", app.0),
-                    };
+                if workload_of(app).is_none() {
+                    return unknown_app(app);
                 }
-                let updates = ctrl.on_event(&ConnEvent::JobCompleted {
-                    app: *app,
-                    at: self.clock,
-                });
-                self.span_event(ctx.child(EPOCH_SPAN_SALT), "controller.epoch", app.0, true);
-                if let Err(e) = self.log.append(req) {
-                    return Response::Error {
-                        code: ErrorCode::Internal,
-                        message: format!("log append failed: {e}"),
-                    };
-                }
-                self.absorb_updates(updates);
-                self.state.apply(req);
-                self.sls.remove(app);
-                Response::Ack
             }
             // The service tier answers this from its registry before
             // shard routing; a shard receiving one is a protocol bug.
-            Request::MetricsDump => Response::Error {
-                code: ErrorCode::Malformed,
-                message: "metrics dump is not a shard operation".into(),
-            },
+            Request::MetricsDump => {
+                return Response::Error {
+                    code: ErrorCode::Malformed,
+                    message: "metrics dump is not a shard operation".into(),
+                };
+            }
         }
+        let updates = match drive(ctrl, req, self.clock, &mut self.sink) {
+            Ok(updates) => updates,
+            Err(e) => return Response::from_controller_error(&e),
+        };
+        let ack = match req {
+            Request::AppRegister { app, .. } => Response::Registered {
+                sl: ctrl.sl_of(*app).expect("just registered"),
+            },
+            _ => {
+                let tenant = req.tenant().map_or(0, |app| app.0);
+                self.span_event(ctx.child(EPOCH_SPAN_SALT), "controller.epoch", tenant, true);
+                Response::Ack
+            }
+        };
+        if let Err(e) = self.log.append(req) {
+            return Response::Error {
+                code: ErrorCode::Internal,
+                message: format!("log append failed: {e}"),
+            };
+        }
+        self.absorb_updates(updates);
+        self.state.apply(req);
+        match req {
+            Request::AppRegister { .. } => self.stats.registrations_acked += 1,
+            Request::ConnCreate { .. } => self.stats.conn_creates_acked += 1,
+            _ => {}
+        }
+        ack
     }
 
     fn absorb_updates(&mut self, updates: Vec<SwitchUpdate>) {
@@ -963,6 +837,70 @@ mod tests {
         match &r[0] {
             Response::Error { code, .. } => assert_eq!(*code, ErrorCode::AlreadyRegistered),
             other => panic!("conflicting re-register must reject, got {other:?}"),
+        }
+    }
+
+    /// A standby's controller is rebuilt from the log and nothing else:
+    /// a register retry repeats the SL the tenant was acked with, and
+    /// the epoch counters are the replay's own — the same history on a
+    /// fresh controller — however many incarnations came before.
+    #[test]
+    fn takeover_repeats_acked_sls_and_restarts_epoch_counters() {
+        for flavour in [Flavour::Central, Flavour::Distributed(2)] {
+            let dir = tmpdir(&format!("counters-{flavour:?}"));
+            let _ = std::fs::remove_file(Shard::log_path(&dir, 0));
+            let (mut shard, _) = Shard::open(0, spec(flavour), &dir, 1).unwrap();
+            let servers = shard.spec().topo.servers().to_vec();
+            let register = |app: u32, workload: &str| Request::AppRegister {
+                app: AppId(app),
+                workload: workload.into(),
+            };
+            let create = |app: u32, tag: u64| Request::ConnCreate {
+                app: AppId(app),
+                src: servers[app as usize % 4],
+                dst: servers[(app as usize + 1) % 4],
+                tag,
+            };
+            // A departure between registrations makes the central
+            // flavour's online PL assignment history-dependent.
+            let script = [
+                register(0, "LR"),
+                register(1, "Sort"),
+                create(0, 1),
+                create(1, 2),
+                Request::AppDeregister { app: AppId(0) },
+                register(2, "PR"),
+                create(2, 3),
+                Request::ConnDestroy {
+                    app: AppId(1),
+                    tag: 2,
+                },
+            ];
+            let acks: Vec<Response> = script
+                .iter()
+                .enumerate()
+                .map(|(i, req)| shard.handle_batch(&[env(i as u64, req.clone())])[0].clone())
+                .collect();
+            let before = shard.epoch_counters();
+            assert_eq!(before.registrations, 3, "{flavour:?}");
+            assert_eq!((before.conns_created, before.conns_destroyed), (3, 1));
+
+            for incarnation in 0..2 {
+                shard.kill();
+                assert_eq!(shard.epoch_counters(), EpochStats::default());
+                shard.take_over().unwrap();
+                assert_eq!(
+                    shard.epoch_counters(),
+                    before,
+                    "{flavour:?} incarnation {incarnation}"
+                );
+            }
+            // Fresh ids: the dedup cache died with the worker.
+            for (app, i) in [(1, 1), (2, 5)] {
+                let retry = shard.handle_batch(&[env(100 + i as u64, script[i].clone())]);
+                assert_eq!(retry[0], acks[i], "{flavour:?} tenant {app}");
+                assert!(matches!(retry[0], Response::Registered { .. }));
+            }
         }
     }
 

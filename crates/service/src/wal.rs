@@ -117,9 +117,9 @@ pub fn scan(data: &[u8]) -> ScanReport {
     }
 }
 
-/// The in-memory state a log replay reconstructs: exactly the ground
-/// truth `ResilientController` tracks for crash recovery, but rebuilt
-/// from durable bytes instead of surviving memory.
+/// The in-memory state a log replay reconstructs: a shard's whole
+/// recovery ground truth, rebuilt from durable bytes instead of
+/// surviving memory.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReplayState {
     /// Registrations in arrival order (the PL assigner is

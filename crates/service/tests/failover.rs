@@ -19,7 +19,6 @@ use saba_core::controller::ControllerConfig;
 use saba_core::profiler::{Profiler, ProfilerConfig};
 use saba_core::rpc::{Envelope, ErrorCode, Request, Response};
 use saba_core::sensitivity::SensitivityTable;
-use saba_faults::injector::ControlAction;
 use saba_service::heartbeat::HeartbeatConfig;
 use saba_service::service::{AllocationService, ServiceConfig};
 use saba_service::shard::{Flavour, Shard, ShardSpec};
@@ -148,7 +147,7 @@ fn drill(flavour: Flavour, name: &str) {
         if step == KILL_AT {
             victim = svc.shard_of(op.app());
             kill_time = clock;
-            svc.apply(&ControlAction::CrashShard(victim)).unwrap();
+            svc.kill_shard(victim);
         }
 
         let env = Envelope::new(step as u64, to_request(&op, &servers));
