@@ -5,8 +5,12 @@
 //! `observe` and the ledger's `composition == run_datacenter` check all
 //! rest on that loop not moving a completion time by one ulp. Expected
 //! values are the bit patterns produced by the three separate loops as
-//! of PR 15 (`6f613e1`), before they were merged.
+//! of PR 15 (`6f613e1`), before they were merged. The fabrics that reach
+//! `sim::sharing` without a controller — FECN, and the two with more
+//! than one strict-priority class — are pinned as of PR 16 (`3432349`),
+//! before the flat progressive-filling kernel.
 
+use saba_baselines::HomaConfig;
 use saba_cluster::corun::{execute, PlannedJob};
 use saba_cluster::corun_faults::{execute_with_faults, execute_with_faults_traced, plan_jobs};
 use saba_cluster::Policy;
@@ -203,4 +207,49 @@ fn fault_free_wrapper_equals_a_bare_controller_composed_by_hand() {
     let via_loop: Vec<u64> = via_loop.iter().map(|r| r.completion.to_bits()).collect();
     let by_hand: Vec<u64> = by_hand.iter().map(|t| t.to_bits()).collect();
     assert_eq!(via_loop, by_hand);
+}
+
+/// The other users of the progressive-filling kernel: the FECN baseline
+/// (one class, efficiency-scaled caps) and the only fabrics that fill
+/// more than one strict-priority class per epoch.
+#[test]
+fn controllerless_fabrics_are_bit_identical_to_pr16() {
+    let expected: [(Policy, [u64; 4]); 3] = [
+        (
+            Policy::baseline(),
+            [
+                0x407e_0b68_7324_cbb0,
+                0x4075_f4d6_d635_4147,
+                0x4073_fbef_cad8_4985,
+                0x407d_c0ad_73c2_7864,
+            ],
+        ),
+        (
+            Policy::Homa(HomaConfig::default()),
+            [
+                0x4079_e17c_fb70_3ee5,
+                0x4074_5e08_821d_b48d,
+                0x4071_beeb_da48_afb4,
+                0x407a_5679_15c3_152d,
+            ],
+        ),
+        (
+            Policy::Sincronia,
+            [
+                0x4077_8d8e_c2f6_8f46,
+                0x4075_494f_4bde_f02c,
+                0x4071_9bdc_0829_d42e,
+                0x4074_a1f3_9c46_0efb,
+            ],
+        ),
+    ];
+    for (policy, want) in expected {
+        let (topo, jobs) = world();
+        let got: Vec<u64> = execute(topo, jobs, &policy, table())
+            .unwrap()
+            .iter()
+            .map(|r| r.completion.to_bits())
+            .collect();
+        assert_eq!(got, want, "{}", policy.name());
+    }
 }

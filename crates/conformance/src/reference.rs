@@ -1,16 +1,16 @@
 //! A slow, obviously-correct weighted max-min reference solver.
 //!
-//! [`saba_sim::sharing::compute_rates`] is heavily optimized: lazy
-//! heap invalidation, flow bundling, reused scratch buffers, a bounded
-//! number of work-conservation refill passes. This module implements
+//! [`saba_sim::sharing::compute_rates`] is heavily optimized: an
+//! indexed fill heap over flat per-class arrays, flow bundling, reused
+//! scratch buffers, a bounded number of work-conservation refill passes. This module implements
 //! the same allocation *semantics* — strict-priority classes, per-hop
 //! weights, rate caps, progressive filling — as the textbook
 //! bottleneck-freezing algorithm [Bertsekas & Gallager §6.5.2], with
 //! none of the engineering:
 //!
 //! - everything is recomputed from scratch after every bottleneck
-//!   selection (`O(F² · L)` per pass instead of amortized heap work
-//!   with lazy invalidation);
+//!   selection (`O(F² · L)` per pass instead of one in-place heap
+//!   update per frozen hop);
 //! - the schedule is stated directly: pick the globally most-contended
 //!   link, freeze its unfrozen flows in canonical order (levels
 //!   re-read against live residuals after every freeze, which is what

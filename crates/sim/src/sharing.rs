@@ -23,6 +23,37 @@
 //! proportion, so the allocation is work-conserving up to a configurable
 //! tolerance.
 //!
+//! # The kernel
+//!
+//! A fill pass runs on flat arrays that `flatten_class` prepares once per
+//! priority class and the class's up to `1 + refill_passes` passes
+//! share: every bundle's hops as contiguous `(link, weight · mult)`
+//! pairs, its `rate_cap · mult` product, per link the bundles crossing
+//! it (CSR layout, ascending bundle index — the order they freeze in
+//! when the link drains), and the list of links the class crosses at
+//! all. A pass resets, sums and drains only those links, so a class
+//! costs what its own bundles cross, never the size of the fabric.
+//!
+//! The pass holds **one live entry per link** in an indexed 4-ary
+//! min-heap keyed `(fill level, hops frozen on the link so far, link
+//! id)`, with each link knowing its entry's position. A freeze re-keys
+//! the links on the bundle's path in place (sifting either way; rounding
+//! can lower a level by an ulp) and drops a link whose weight sum has
+//! run out; the link being drained re-enters once, after its list. The
+//! fill level is the one number per link that weighted max-min needs.
+//!
+//! Progressive filling is order dependent: which link drains next, and
+//! which bundle on it freezes first, decide the last bits of every rate
+//! (and so of every completion time). The kernel's contract is therefore
+//! exact, not a tolerance. Keys are distinct and totally ordered, so the
+//! sequence in which links drain is a function of the live keys alone,
+//! not of how a heap stores them: same key order ⇒ same drain sequence ⇒
+//! same freeze order ⇒ the same floating-point operations in the same
+//! order. `tests/fill_bits.rs` pins ten problems' rates bit for bit
+//! against the lazy-invalidation kernel this one replaced (a fresh heap
+//! entry per hop per freeze, the stale ones popped and skipped later:
+//! the same valid pops, by the argument above).
+//!
 //! # The epoch fast path
 //!
 //! The allocator runs at every allocation epoch — each flow arrival,
@@ -48,9 +79,23 @@
 //! allocates fresh buffers on every call.
 
 use crate::ids::LinkId;
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::cmp::Ordering;
 use std::ops::Range;
+
+/// The allocator's absolute weight resolution: the smallest per-hop
+/// weight [`compute_rates_into`] accepts.
+///
+/// The kernel treats a link whose remaining weight sum has fallen to
+/// `1e-12` or below as drained (that much is floating-point residue of
+/// the weights already subtracted), so a weight near that threshold
+/// would be dropped while its flow still waits for a rate — and the
+/// flow then reads an unbounded fill level on a finite link. Three
+/// orders of magnitude of headroom keep every accepted weight visible;
+/// every caller in this workspace stays above `1e-7` (flattened WFQ
+/// weights are at least `min_weight · 0.9 / n_q`). The floor is
+/// absolute, not relative: weights on one link that are some 18 orders
+/// of magnitude apart can still round the small one away.
+pub const MIN_WEIGHT: f64 = 1e-9;
 
 /// A flow as seen by the rate allocator.
 #[derive(Debug, Clone)]
@@ -59,7 +104,7 @@ pub struct SharingFlow {
     /// gets `rate_cap` (or effectively unbounded throughput).
     pub path: Vec<LinkId>,
     /// Allocation weight at each link of `path` (same length). Weights
-    /// must be positive and finite.
+    /// must be finite and at least [`MIN_WEIGHT`].
     pub weights: Vec<f64>,
     /// Strict-priority class; `0` is served first. Flows of class `p`
     /// only see capacity left over by classes `< p`.
@@ -181,25 +226,8 @@ impl Default for SharingConfig {
     }
 }
 
-/// Total-order wrapper for finite `f64` heap keys.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Level(f64);
-
-impl Eq for Level {}
-
-impl PartialOrd for Level {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Level {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.partial_cmp(&other.0).expect("levels must be finite")
-    }
-}
-
-/// An aggregate of `mult` identical flows, represented by one of them.
+/// An aggregate of `mult` identical flows, represented by one of them,
+/// with its filling state.
 #[derive(Debug, Clone, Copy)]
 struct Bundle {
     /// Index of the representative flow in the source.
@@ -208,28 +236,105 @@ struct Bundle {
     mult: u32,
     /// The members' (shared) priority class.
     priority: u8,
+    /// Frozen in the current fill pass.
+    assigned: bool,
+    /// The bundle's range of [`SharingScratch::hops`] (empty for a
+    /// same-host transfer).
+    hops: (u32, u32),
+    /// `rate_cap · mult`.
+    cap: f64,
+    /// Accumulated rate of the whole bundle.
+    rate: f64,
+}
+
+/// One hop of a bundle's path.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    link: u32,
+    /// `weight · mult` at this hop.
+    w: f64,
+}
+
+/// "Not in the heap" in [`Link::heap_pos`].
+const ABSENT: u32 = u32::MAX;
+
+/// A link's filling state.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    /// Residual capacity across priority classes.
+    residual: f64,
+    /// Sum of unassigned-bundle weights (one fill pass).
+    sumw: f64,
+    /// Hops frozen on this link so far (one fill pass): the tie-break
+    /// between links at equal fill level.
+    version: u32,
+    /// Index of the link's entry in the fill heap, or [`ABSENT`].
+    heap_pos: u32,
+    /// The link's range of [`SharingScratch::crossing`], `first..first +
+    /// count`, within the current priority class (`count` is zero
+    /// outside the class's links).
+    first: u32,
+    count: u32,
+}
+
+impl Link {
+    /// The fill level: residual capacity per unit of unassigned weight.
+    #[inline]
+    fn level(&self) -> f64 {
+        self.residual.max(0.0) / self.sumw
+    }
+
+    /// The heap entry link `l` should have in this state.
+    #[inline]
+    fn entry(&self, l: u32) -> HeapEntry {
+        HeapEntry {
+            level: self.level(),
+            version: self.version,
+            link: l,
+        }
+    }
+}
+
+/// A link's live heap entry. Entries are ordered by `(level, version,
+/// link)`, lowest first — the order links drain in.
+#[derive(Debug, Clone, Copy)]
+struct HeapEntry {
+    level: f64,
+    version: u32,
+    link: u32,
+}
+
+impl HeapEntry {
+    #[inline]
+    fn before(&self, other: &HeapEntry) -> bool {
+        self.level < other.level
+            || (self.level == other.level
+                && (self.version, self.link) < (other.version, other.link))
+    }
 }
 
 /// Reusable working state for [`compute_rates_into`].
 ///
-/// Holds every buffer the progressive filling needs — per-link weight
-/// sums, versions, flow lists, the fill heap, and the bundling tables —
-/// so that repeated allocation epochs perform no heap allocations once
-/// the buffers have grown to the topology's and flow set's sizes.
+/// Holds every buffer the progressive filling needs — the per-link
+/// state, the current class's flattened hops and link → bundle lists,
+/// the fill heap, and the bundling tables — so that repeated allocation
+/// epochs perform no heap allocations once the buffers have grown to
+/// the topology's and flow set's sizes.
 #[derive(Debug, Clone, Default)]
 pub struct SharingScratch {
-    /// Residual capacity per link across priority classes.
-    residual: Vec<f64>,
-    /// Per-link sum of unassigned-bundle weights (one fill pass).
-    sumw: Vec<f64>,
-    /// Per-link heap-entry version counters (lazy invalidation).
-    version: Vec<u64>,
-    /// Per-link list of bundles crossing the link (one fill pass).
-    on_link: Vec<Vec<u32>>,
-    /// Per-bundle "frozen" flag (one fill pass).
-    assigned: Vec<bool>,
-    /// The fill heap, keyed by link fill level.
-    heap: BinaryHeap<Reverse<(Level, u64, u32)>>,
+    /// Per-link state, rebuilt from the capacities on every call.
+    links: Vec<Link>,
+    /// Links crossed by a bundle of the current class.
+    active: Vec<u32>,
+    /// Hops of the current class's bundles, bundle after bundle.
+    hops: Vec<Hop>,
+    /// Per link (see [`Link::first`]), the class-relative indices of the
+    /// bundles crossing it, ascending: the order they freeze in when the
+    /// link drains.
+    crossing: Vec<u32>,
+    /// The fill heap: a 4-ary min-heap holding one entry per link that
+    /// still has unassigned weight, located through [`Link::heap_pos`].
+    heap: Vec<HeapEntry>,
     /// (priority, bundle-key hash, flow index) triples sorted by bundle
     /// key. The hash is a cheap sort prefix; ties are broken by the full
     /// key comparison, so collisions cost time, never correctness.
@@ -238,8 +343,6 @@ pub struct SharingScratch {
     bundles: Vec<Bundle>,
     /// Flow index → bundle index.
     bundle_of: Vec<u32>,
-    /// Accumulated rate per bundle.
-    rates: Vec<f64>,
 }
 
 /// Computes per-flow rates (bytes/s), aligned with `flows`.
@@ -253,7 +356,7 @@ pub struct SharingScratch {
 ///
 /// Panics if a capacity is negative or not finite, or if a flow
 /// references an out-of-range link, has mismatched `path`/`weights`
-/// lengths, or a non-positive/non-finite weight.
+/// lengths, or a weight that is not finite or below [`MIN_WEIGHT`].
 ///
 /// # Examples
 ///
@@ -303,30 +406,24 @@ pub fn compute_rates_into<F: FlowSource + ?Sized>(
 
     bundle_flows(flows, cfg.bundling, scratch);
 
-    let nl = capacities.len();
-    scratch.residual.clear();
-    scratch.residual.extend_from_slice(capacities);
-    scratch.sumw.clear();
-    scratch.sumw.resize(nl, 0.0);
-    scratch.version.clear();
-    scratch.version.resize(nl, 0);
-    if scratch.on_link.len() < nl {
-        scratch.on_link.resize_with(nl, Vec::new);
-    }
-    for list in &mut scratch.on_link[..nl] {
-        list.clear();
-    }
-    let nb = scratch.bundles.len();
-    scratch.assigned.clear();
-    scratch.assigned.resize(nb, false);
-    scratch.rates.clear();
-    scratch.rates.resize(nb, 0.0);
+    scratch.links.clear();
+    scratch
+        .links
+        .extend(capacities.iter().map(|&residual| Link {
+            residual,
+            sumw: 0.0,
+            version: 0,
+            heap_pos: ABSENT,
+            first: 0,
+            count: 0,
+        }));
     scratch.heap.clear();
 
     // Strict-priority classes, highest (numerically lowest) first. The
     // bundle sort key starts with the priority, so classes are
     // contiguous ranges of `scratch.bundles`.
     let total_capacity: f64 = capacities.iter().sum();
+    let nb = scratch.bundles.len();
     let mut start = 0;
     while start < nb {
         let class = scratch.bundles[start].priority;
@@ -334,12 +431,16 @@ pub fn compute_rates_into<F: FlowSource + ?Sized>(
         while end < nb && scratch.bundles[end].priority == class {
             end += 1;
         }
-        fill_once(flows, start..end, scratch);
+        flatten_class(flows, start..end, scratch);
+        fill_once(start..end, scratch);
         for _ in 0..cfg.refill_passes {
-            let added = fill_once(flows, start..end, scratch);
+            let added = fill_once(start..end, scratch);
             if added <= cfg.refill_epsilon * total_capacity.max(1.0) {
                 break;
             }
+        }
+        for &l in &scratch.active {
+            scratch.links[l as usize].count = 0;
         }
         start = end;
     }
@@ -347,12 +448,11 @@ pub fn compute_rates_into<F: FlowSource + ?Sized>(
     // Divide each bundle's rate back over its members. Members are
     // identical, so each gets exactly a `1/mult` share.
     for (i, r) in out.iter_mut().enumerate() {
-        let b = scratch.bundle_of[i] as usize;
-        let rate = scratch.rates[b];
-        *r = if rate.is_infinite() {
+        let bundle = &scratch.bundles[scratch.bundle_of[i] as usize];
+        *r = if bundle.rate.is_infinite() {
             f64::INFINITY
         } else {
-            rate / f64::from(scratch.bundles[b].mult)
+            bundle.rate / f64::from(bundle.mult)
         };
     }
 }
@@ -380,8 +480,8 @@ fn validate<F: FlowSource + ?Sized>(capacities: &[f64], flows: &F) {
                 "flow {i}: link {l} out of range"
             );
             assert!(
-                w.is_finite() && w > 0.0,
-                "flow {i}: weight must be positive, got {w}"
+                w.is_finite() && w >= MIN_WEIGHT,
+                "flow {i}: weight must be positive and at least {MIN_WEIGHT:e}, got {w}"
             );
         }
         assert!(f.rate_cap >= 0.0, "flow {i}: negative rate cap");
@@ -480,46 +580,187 @@ fn bundle_flows<F: FlowSource + ?Sized>(flows: &F, bundling: bool, scratch: &mut
             rep: i,
             mult: 1,
             priority,
+            assigned: false,
+            hops: (0, 0),
+            cap: 0.0,
+            rate: 0.0,
         });
     }
 }
 
-/// One progressive-filling pass over the bundles in `range`, *adding*
-/// allocated rate to `scratch.rates` and subtracting it from
-/// `scratch.residual`. Returns the total rate added.
-fn fill_once<F: FlowSource + ?Sized>(
+/// Flattens the bundles of one priority class for its fill passes:
+/// every hop with its `weight · mult` product into `scratch.hops`, the
+/// cap product into the bundle, the links crossed into `scratch.active`
+/// and, per such link, the bundles crossing it into `scratch.crossing`.
+/// Touches no link outside the class.
+fn flatten_class<F: FlowSource + ?Sized>(
     flows: &F,
-    range: Range<usize>,
+    class: Range<usize>,
     scratch: &mut SharingScratch,
-) -> f64 {
+) {
     let SharingScratch {
-        residual,
-        sumw,
-        version,
-        on_link,
-        assigned,
-        heap,
+        links,
+        active,
+        hops,
+        crossing,
         bundles,
-        rates,
         ..
     } = scratch;
-    let nl = residual.len();
-    sumw[..nl].fill(0.0);
-    version[..nl].fill(0);
-    heap.clear();
-    let mut added = 0.0;
-
-    for b in range.clone() {
-        let bundle = bundles[b];
+    let bundles = &mut bundles[class];
+    hops.clear();
+    active.clear();
+    for bundle in bundles.iter_mut() {
         let mult = f64::from(bundle.mult);
         let f = flows.flow_view(bundle.rep as usize);
-        let cap = f.rate_cap * mult;
-        let headroom = cap - rates[b];
-        assigned[b] = true;
-        if f.path.is_empty() {
+        bundle.cap = f.rate_cap * mult;
+        let first = hops.len() as u32;
+        for (hop, &l) in f.path.iter().enumerate() {
+            let link = &mut links[l.0 as usize];
+            if link.count == 0 {
+                active.push(l.0);
+            }
+            link.count += 1;
+            hops.push(Hop {
+                link: l.0,
+                w: f.weights.at(hop) * mult,
+            });
+        }
+        bundle.hops = (first, hops.len() as u32);
+    }
+    // Versions and `crossing` offsets count hops in 32 bits.
+    let total = u32::try_from(hops.len()).expect("fewer than 2^32 hops per priority class");
+
+    // Carve `crossing` into one range per link, then drop the bundles
+    // in: ascending bundle order within each link, the order in which
+    // they freeze when that link drains.
+    let mut next = 0;
+    for &l in active.iter() {
+        let link = &mut links[l as usize];
+        link.first = next;
+        next += link.count;
+        link.count = 0;
+    }
+    crossing.clear();
+    crossing.resize(total as usize, 0);
+    for (b, bundle) in bundles.iter().enumerate() {
+        for hop in &hops[bundle.hops.0 as usize..bundle.hops.1 as usize] {
+            let link = &mut links[hop.link as usize];
+            crossing[(link.first + link.count) as usize] = b as u32;
+            link.count += 1;
+        }
+    }
+}
+
+/// Children per heap node.
+const ARITY: usize = 4;
+
+/// Moves the entry at `i` towards the root until its parent orders
+/// before it; returns where it lands.
+fn sift_up(heap: &mut [HeapEntry], links: &mut [Link], mut i: usize) -> usize {
+    let entry = heap[i];
+    while i > 0 {
+        let parent = (i - 1) / ARITY;
+        if !entry.before(&heap[parent]) {
+            break;
+        }
+        heap[i] = heap[parent];
+        links[heap[i].link as usize].heap_pos = i as u32;
+        i = parent;
+    }
+    heap[i] = entry;
+    links[entry.link as usize].heap_pos = i as u32;
+    i
+}
+
+/// Moves the entry at `i` towards the leaves until it orders before
+/// every child.
+fn sift_down(heap: &mut [HeapEntry], links: &mut [Link], mut i: usize) {
+    let entry = heap[i];
+    loop {
+        let first = ARITY * i + 1;
+        if first >= heap.len() {
+            break;
+        }
+        let mut least = first;
+        for child in first + 1..(first + ARITY).min(heap.len()) {
+            if heap[child].before(&heap[least]) {
+                least = child;
+            }
+        }
+        if !heap[least].before(&entry) {
+            break;
+        }
+        heap[i] = heap[least];
+        links[heap[i].link as usize].heap_pos = i as u32;
+        i = least;
+    }
+    heap[i] = entry;
+    links[entry.link as usize].heap_pos = i as u32;
+}
+
+/// Gives link `l` the key of its current state, inserting it if it has
+/// no entry. The level may move either way (rounding can lower it by an
+/// ulp), so the entry sifts both ways.
+fn heap_upsert(heap: &mut Vec<HeapEntry>, links: &mut [Link], l: u32) {
+    let link = &links[l as usize];
+    let entry = link.entry(l);
+    debug_assert!(!entry.level.is_nan(), "levels must be ordered");
+    let i = if link.heap_pos == ABSENT {
+        heap.push(entry);
+        heap.len() - 1
+    } else {
+        heap[link.heap_pos as usize] = entry;
+        link.heap_pos as usize
+    };
+    let i = sift_up(heap, links, i);
+    sift_down(heap, links, i);
+}
+
+/// Drops link `l`'s entry, if it has one.
+fn heap_remove(heap: &mut Vec<HeapEntry>, links: &mut [Link], l: u32) {
+    let pos = std::mem::replace(&mut links[l as usize].heap_pos, ABSENT);
+    if pos == ABSENT {
+        return;
+    }
+    let i = pos as usize;
+    let last = heap.pop().expect("a link with a position is in the heap");
+    if i < heap.len() {
+        heap[i] = last;
+        let i = sift_up(heap, links, i);
+        sift_down(heap, links, i);
+    }
+}
+
+/// One progressive-filling pass over the bundles of the class
+/// [`flatten_class`] prepared (`class` is their range), *adding*
+/// allocated rate to the bundles and subtracting it from the links'
+/// residuals. Returns the total rate added.
+fn fill_once(class: Range<usize>, scratch: &mut SharingScratch) -> f64 {
+    let SharingScratch {
+        links,
+        active,
+        hops,
+        crossing,
+        heap,
+        bundles,
+        ..
+    } = scratch;
+    let bundles = &mut bundles[class];
+    for &l in active.iter() {
+        let link = &mut links[l as usize];
+        link.sumw = 0.0;
+        link.version = 0;
+    }
+    let mut added = 0.0;
+
+    for bundle in bundles.iter_mut() {
+        let headroom = bundle.cap - bundle.rate;
+        bundle.assigned = true;
+        let path = &hops[bundle.hops.0 as usize..bundle.hops.1 as usize];
+        if path.is_empty() {
             // Same-host transfer: not limited by the fabric.
-            if rates[b] == 0.0 {
-                rates[b] = if cap.is_finite() {
+            if bundle.rate == 0.0 {
+                bundle.rate = if bundle.cap.is_finite() {
                     headroom.max(0.0)
                 } else {
                     f64::INFINITY
@@ -530,75 +771,72 @@ fn fill_once<F: FlowSource + ?Sized>(
         if headroom <= 0.0 {
             continue;
         }
-        assigned[b] = false;
-        for (hop, &l) in f.path.iter().enumerate() {
-            sumw[l.0 as usize] += f.weights.at(hop) * mult;
-            on_link[l.0 as usize].push(b as u32);
+        bundle.assigned = false;
+        for hop in path {
+            links[hop.link as usize].sumw += hop.w;
         }
     }
 
-    for l in 0..nl {
-        if sumw[l] > 0.0 {
-            heap.push(Reverse((
-                Level(residual[l].max(0.0) / sumw[l]),
-                0,
-                l as u32,
-            )));
+    debug_assert!(heap.is_empty());
+    for &l in active.iter() {
+        let link = &mut links[l as usize];
+        if link.sumw > 0.0 {
+            link.heap_pos = heap.len() as u32;
+            heap.push(link.entry(l));
         }
     }
+    for i in (0..heap.len().div_ceil(ARITY)).rev() {
+        sift_down(heap, links, i);
+    }
 
-    while let Some(Reverse((_, ver, l))) = heap.pop() {
-        let l = l as usize;
-        if ver != version[l] || sumw[l] <= 0.0 {
-            continue;
-        }
+    while let Some(&HeapEntry { link: l, .. }) = heap.first() {
+        heap_remove(heap, links, l);
+        let drained = links[l as usize];
         // Freeze every unassigned bundle crossing this link at the
         // minimum of its weighted share over its path (capped by its
         // headroom).
-        for &frozen in on_link[l].iter() {
-            let b = frozen as usize;
-            if assigned[b] {
+        for &b in &crossing[drained.first as usize..(drained.first + drained.count) as usize] {
+            let bundle = &mut bundles[b as usize];
+            if bundle.assigned {
                 continue;
             }
-            let bundle = bundles[b];
-            let mult = f64::from(bundle.mult);
-            let f = flows.flow_view(bundle.rep as usize);
-            let mut share = f.rate_cap * mult - rates[b];
-            for (hop, &lk) in f.path.iter().enumerate() {
-                let lk = lk.0 as usize;
-                debug_assert!(sumw[lk] > 0.0);
-                let level = residual[lk].max(0.0) / sumw[lk];
-                let s = f.weights.at(hop) * mult * level;
+            let path = &hops[bundle.hops.0 as usize..bundle.hops.1 as usize];
+            let mut share = bundle.cap - bundle.rate;
+            for hop in path {
+                let link = &links[hop.link as usize];
+                debug_assert!(link.sumw > 0.0);
+                let s = hop.w * link.level();
                 if s < share {
                     share = s;
                 }
             }
             let share = share.max(0.0);
-            assigned[b] = true;
-            rates[b] += share;
+            bundle.assigned = true;
+            bundle.rate += share;
             added += share;
-            for (hop, &lk) in f.path.iter().enumerate() {
-                let lk = lk.0 as usize;
-                residual[lk] = (residual[lk] - share).max(0.0);
-                sumw[lk] -= f.weights.at(hop) * mult;
-                version[lk] += 1;
-                if sumw[lk] > 1e-12 {
-                    heap.push(Reverse((
-                        Level(residual[lk].max(0.0) / sumw[lk]),
-                        version[lk],
-                        lk as u32,
-                    )));
+            for hop in path {
+                let link = &mut links[hop.link as usize];
+                link.residual = (link.residual - share).max(0.0);
+                link.sumw -= hop.w;
+                link.version += 1;
+                // The link being drained is out of the heap; it goes
+                // back in once, below, with the key of its last freeze.
+                if link.sumw > 1e-12 {
+                    if hop.link != l {
+                        heap_upsert(heap, links, hop.link);
+                    }
                 } else {
-                    sumw[lk] = 0.0;
+                    link.sumw = 0.0;
+                    if hop.link != l {
+                        heap_remove(heap, links, hop.link);
+                    }
                 }
             }
         }
-        on_link[l].clear();
-    }
-    // Stale entries may remain on links whose bundles were all frozen
-    // via other links; clear them for the next pass.
-    for list in &mut on_link[..nl] {
-        list.clear();
+        let link = &links[l as usize];
+        if link.version != drained.version && link.sumw > 0.0 {
+            heap_upsert(heap, links, l);
+        }
     }
     added
 }
@@ -656,7 +894,7 @@ impl<F: FlowSource + ?Sized> FlowSource for TopUpSource<'_, F> {
 /// Reusable working state for [`compute_rates_pods`]: the residual
 /// capacity buffer, the flow/pod grouping tables, and one
 /// [`SharingScratch`] per worker thread (retained across epochs so the
-/// per-pod solves stay allocation-free once warm).
+/// grouping and the solves themselves stay allocation-free once warm).
 #[derive(Debug, Default)]
 pub struct PodScratch {
     /// Capacities left for the per-pod solves after the cross-pod pass.
@@ -667,10 +905,12 @@ pub struct PodScratch {
     cross: Vec<u32>,
     /// Rates of the reconciliation pass, aligned with `cross`.
     cross_rates: Vec<f64>,
-    /// Distinct pod ids, sorted (the deterministic merge order).
-    pod_ids: Vec<u32>,
-    /// `pod_flows[k]` = flow indices of pod `pod_ids[k]`.
-    pod_flows: Vec<Vec<u32>>,
+    /// Pod-local flow indices sorted by (pod, flow): pods in id order
+    /// (the deterministic merge order), each pod's flows contiguous.
+    local: Vec<u32>,
+    /// `local[pod_start[k]..pod_start[k + 1]]` are the flows of the
+    /// `k`-th pod that has any.
+    pod_start: Vec<u32>,
     /// The reconciliation pass's solver scratch.
     base: SharingScratch,
     /// Per-worker solver scratches, recycled across epochs.
@@ -697,6 +937,11 @@ pub struct PodScratch {
 /// divide what remains, and a final serial top-up pass re-offers
 /// stranded slack to every flow with headroom — so the allocation
 /// stays work-conserving and every link stays feasible.
+///
+/// Once `scratch` is warm the grouping and every solve run without
+/// allocating; what still allocates per call is the worker threads
+/// themselves and, per worker, the two vectors its pods' rates travel
+/// back in.
 ///
 /// [`Topology::edge_pods`]: crate::topology::Topology::edge_pods
 ///
@@ -727,6 +972,7 @@ pub fn compute_rates_pods<F: FlowSource + Sync + ?Sized>(
     // prices them (at zero capacity cost).
     scratch.flow_pod.clear();
     scratch.cross.clear();
+    scratch.local.clear();
     for i in 0..n {
         let f = flows.flow_view(i);
         let mut pod = CORE_POD;
@@ -746,33 +992,28 @@ pub fn compute_rates_pods<F: FlowSource + Sync + ?Sized>(
         scratch.flow_pod.push(pod);
         if pod == CORE_POD {
             scratch.cross.push(i as u32);
+        } else {
+            scratch.local.push(i as u32);
         }
     }
 
-    // Group pod-local flows, pods in sorted-id order (the merge order).
-    scratch.pod_ids.clear();
-    for list in &mut scratch.pod_flows {
-        list.clear();
-    }
-    let mut pod_slot: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-    for i in 0..n {
-        let pod = scratch.flow_pod[i];
-        if pod == CORE_POD {
-            continue;
+    // Group pod-local flows by sorting their indices by (pod, flow):
+    // pods come out in id order (the merge order), and each pod's
+    // flows contiguous and ascending.
+    let flow_pod = &scratch.flow_pod;
+    scratch
+        .local
+        .sort_unstable_by_key(|&i| (flow_pod[i as usize], i));
+    scratch.pod_start.clear();
+    for (k, &i) in scratch.local.iter().enumerate() {
+        if k == 0 || flow_pod[i as usize] != flow_pod[scratch.local[k - 1] as usize] {
+            scratch.pod_start.push(k as u32);
         }
-        let slot = *pod_slot.entry(pod).or_insert_with(|| {
-            scratch.pod_ids.push(pod);
-            scratch.pod_ids.len() - 1
-        });
-        if scratch.pod_flows.len() <= slot {
-            scratch.pod_flows.push(Vec::new());
-        }
-        scratch.pod_flows[slot].push(i as u32);
     }
-    // Sort pods by id, carrying their flow lists along.
-    let mut order: Vec<usize> = (0..scratch.pod_ids.len()).collect();
-    order.sort_unstable_by_key(|&k| scratch.pod_ids[k]);
-    let npods = order.len();
+    let npods = scratch.pod_start.len();
+    scratch.pod_start.push(scratch.local.len() as u32);
+    let (local, pod_start) = (&scratch.local, &scratch.pod_start);
+    let pod_flows = |k: usize| &local[pod_start[k] as usize..pod_start[k + 1] as usize];
 
     // Per-pod solves first, round-robin over the worker threads. Pods
     // share no links, so they can all run on the full capacities — and
@@ -782,11 +1023,9 @@ pub fn compute_rates_pods<F: FlowSource + Sync + ?Sized>(
     // in pod-id order.
     scratch.pools.resize_with(threads, SharingScratch::default);
     let pool = std::sync::Mutex::new(std::mem::take(&mut scratch.pools));
-    let pod_flows = &scratch.pod_flows;
-    let order = &order;
-    // One worker's output: (pod index, rates for that pod's flows)
-    // pairs plus its reusable solver scratch, returned to the pool.
-    type WorkerSolve = (Vec<(usize, Vec<f64>)>, SharingScratch);
+    // One worker's output: the rates of its pods' flows, pod after pod,
+    // plus its reusable solver scratch, returned to the pool.
+    type WorkerSolve = (Vec<f64>, SharingScratch);
     let solved: Vec<WorkerSolve> =
         saba_math::parallel::parallel_map(threads.min(npods.max(1)), threads, |tid| {
             let mut solver = pool
@@ -794,24 +1033,22 @@ pub fn compute_rates_pods<F: FlowSource + Sync + ?Sized>(
                 .expect("scratch pool lock poisoned")
                 .pop()
                 .unwrap_or_default();
-            let mut mine = Vec::new();
-            let mut k = tid;
-            while k < npods {
-                let idx = &pod_flows[order[k]];
-                let src = SubsetSource { src: flows, idx };
-                let mut rates = Vec::new();
+            let (mut mine, mut rates) = (Vec::new(), Vec::new());
+            for k in (tid..npods).step_by(threads) {
+                let src = SubsetSource {
+                    src: flows,
+                    idx: pod_flows(k),
+                };
                 compute_rates_into(capacities, &src, cfg, &mut solver, &mut rates);
-                mine.push((k, rates));
-                k += threads;
+                mine.extend_from_slice(&rates);
             }
             (mine, solver)
         });
-    for (mine, solver) in solved {
+    for (tid, (mine, solver)) in solved.into_iter().enumerate() {
         scratch.pools.push(solver);
-        for (k, rates) in mine {
-            for (&i, r) in pod_flows[order[k]].iter().zip(rates) {
-                out[i as usize] = r;
-            }
+        let flows_of = (tid..npods).step_by(threads).flat_map(pod_flows);
+        for (&i, r) in flows_of.zip(mine) {
+            out[i as usize] = r;
         }
     }
     // Recover pool entries no worker claimed (fewer tasks than threads).
@@ -1082,6 +1319,25 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at least 1e-9")]
+    fn weight_below_the_allocator_resolution_rejected() {
+        // Both weights sit under the kernel's 1e-12 "drained" threshold:
+        // freezing the first zeroes the link's weight sum with the second
+        // still waiting, which then read a fill level of 50/0 and was
+        // handed an infinite rate on a 100 B/s link.
+        let flows = [flow(&[0], &[6e-13]), flow(&[0], &[5e-13])];
+        let _ = compute_rates(&[100.0], &flows, &cfg());
+    }
+
+    #[test]
+    fn weight_at_the_allocator_resolution_is_served() {
+        let flows = [flow(&[0], &[MIN_WEIGHT]), flow(&[0], &[3.0 * MIN_WEIGHT])];
+        let rates = compute_rates(&[100.0], &flows, &cfg());
+        assert!((rates[0] - 25.0).abs() < 1e-6, "{rates:?}");
+        assert!((rates[1] - 75.0).abs() < 1e-6, "{rates:?}");
+    }
+
+    #[test]
     #[should_panic(expected = "out of range")]
     fn bad_link_rejected() {
         let _ = compute_rates(&[1.0], &[flow(&[5], &[1.0])], &cfg());
@@ -1193,6 +1449,35 @@ mod tests {
         assert_eq!(a, c);
         assert_eq!(b.len(), small.len());
         assert_eq!(a, compute_rates(&caps, &flows, &cfg()));
+    }
+
+    #[test]
+    fn scratch_reuse_across_fabric_and_class_shapes_is_stable() {
+        // The per-link state, the class's link → bundle ranges, the
+        // active-link list and the heap positions are sized by links
+        // and rebuilt per class: one scratch driven through a large
+        // one-class fabric, a small three-class one, no flows at all,
+        // and the large fabric again must match a fresh scratch bitwise.
+        let big: Vec<f64> = (0..1200).map(|i| 100.0 + (i % 13) as f64).collect();
+        let small: Vec<f64> = (0..8).map(|i| 100.0 + i as f64).collect();
+        let mut one_class = rand_flows(300, 1200, 150, 21);
+        for f in &mut one_class {
+            f.priority = 0;
+        }
+        let steps = [
+            (&big, one_class),
+            (&small, rand_flows(64, 8, 4, 22)),
+            (&small, Vec::new()),
+            (&big, rand_flows(300, 1200, 150, 23)),
+        ];
+        let mut scratch = SharingScratch::default();
+        let mut reused = Vec::new();
+        for (step, (caps, flows)) in steps.iter().enumerate() {
+            compute_rates_into(caps, flows.as_slice(), &cfg(), &mut scratch, &mut reused);
+            let fresh = compute_rates(caps, flows, &cfg());
+            let bits = |rates: &[f64]| rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&reused), bits(&fresh), "step {step}");
+        }
     }
 
     #[test]
