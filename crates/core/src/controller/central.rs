@@ -14,27 +14,32 @@ use crate::controller::weights::{port_weights_from_surrogates, ModelSurrogate};
 use crate::controller::{ControllerConfig, ControllerError};
 use crate::sensitivity::{SensitivityModel, SensitivityTable};
 use saba_math::{Polynomial, SolveScratch, WeightProblem};
-use saba_sim::ids::{AppId, LinkId};
+use saba_sim::ids::{AppId, LinkId, ServiceLevel};
 use saba_sim::topology::Topology;
 use std::collections::{BTreeMap, HashMap};
 
 /// The centralized Saba controller.
 pub type CentralController = Controller<Central>;
 
+/// Everything the controller knows about one registered application.
 #[derive(Debug, Clone)]
 struct AppEntry {
     workload: String,
-    pl: usize,
+    /// Sticky for the registration's life (§6).
+    pl: u8,
+    /// Solver inputs, precomputed at registration and on a refit.
+    surrogate: ModelSurrogate,
 }
 
-/// Entries [`Central`]'s per-application-set memo may carry into an
-/// epoch. Under churn nearly every solve meets a member set not seen
-/// before, so an uncapped memo grows by a few hundred bytes per event
-/// for as long as the controller runs, and all a hit saves is one
-/// closed-form solve. What the memo is for — the many ports of *one*
-/// epoch that share a member set — is untouched: eviction happens only
-/// between epochs, and the cap is more than two cold epochs of the
-/// paper's 1,944-server fabric (~7 k distinct sets each).
+/// Entries each of [`Central`]'s two memos may carry into an epoch.
+/// Under churn nearly every solve meets a member set (on a wide port: a
+/// member-count profile) not seen before, so an uncapped memo grows by
+/// a few hundred bytes per event for as long as the controller runs,
+/// and all a hit saves is one solve. What the memos are for — the many
+/// ports of *one* epoch that share a member set — is untouched:
+/// eviction happens only between epochs, and the cap is more than two
+/// cold epochs of the paper's 1,944-server fabric (~7 k distinct sets
+/// each).
 const WEIGHT_CACHE_CAP: usize = 1 << 14;
 
 /// Ports with more applications than this are solved over PL clusters:
@@ -44,11 +49,20 @@ const WEIGHT_CACHE_CAP: usize = 1 << 14;
 /// that motivates PL grouping in §5.3.1.
 const EXACT_MAX_APPS: usize = 32;
 
+/// An application as a port's membership records it. Ordered by id;
+/// the PL rides along because it is sticky for a registration's life
+/// (§6), which spares every port visit a registry lookup per member.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct AppMember {
+    app: AppId,
+    pl: u8,
+}
+
 /// What [`Central`] memoizes an Eq. 2 solution under.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CentralKey {
     /// The exact application set of a port.
-    Exact(Vec<AppId>),
+    Exact(Vec<AppMember>),
     /// The (PL, member count) profile of a port solved over clusters.
     Profile(Vec<(usize, u32)>),
 }
@@ -68,14 +82,13 @@ pub struct Central {
     /// id cannot appear in any existing key. Bounded: an epoch that
     /// starts with more than [`WEIGHT_CACHE_CAP`] entries starts with
     /// none.
-    weight_cache: HashMap<Vec<AppId>, Vec<f64>>,
+    weight_cache: HashMap<Vec<AppMember>, Vec<f64>>,
     /// Clustered-solve memo for large ports, keyed by the (PL, member
     /// count) profile — many core ports share one profile. Valid only
     /// for the centroid set it was computed against, so it is cleared
-    /// whenever the assigner's published-centroid generation moves.
+    /// whenever the assigner's published-centroid generation moves, and
+    /// bounded like the exact-set memo.
     cluster_cache: HashMap<Vec<(usize, u32)>, Vec<f64>>,
-    /// Per-application solver inputs, precomputed at registration.
-    surrogates: HashMap<AppId, ModelSurrogate>,
     /// Assigner generation the queue mapper was last built against.
     mapper_generation: u64,
     /// Set when a registration changed the published centroid set while
@@ -97,7 +110,6 @@ impl Controller<Central> {
             mapper: None,
             weight_cache: HashMap::new(),
             cluster_cache: HashMap::new(),
-            surrogates: HashMap::new(),
             mapper_generation: 0,
             sweep_pending: false,
         };
@@ -122,7 +134,7 @@ impl Controller<Central> {
 
     /// The applications currently crossing `link`.
     pub fn apps_at(&self, link: LinkId) -> Vec<AppId> {
-        self.members.members(link).collect()
+        self.members.members(link).map(|m| m.app).collect()
     }
 }
 
@@ -189,20 +201,26 @@ impl Central {
     }
 }
 
+/// Room for the widest [`cluster_profile`], on the caller's stack: wide
+/// ports are looked up on every visit.
+type ProfileBuf = [(usize, u32); ServiceLevel::COUNT];
+
 /// The (PL, member count) profile of a port, ascending by PL.
-fn cluster_profile(pls: &[usize]) -> Vec<(usize, u32)> {
-    let mut profile: Vec<(usize, u32)> = Vec::new();
+fn cluster_profile<'a>(pls: &[usize], buf: &'a mut ProfileBuf) -> &'a [(usize, u32)] {
+    let mut counts = [0u32; ServiceLevel::COUNT];
     for &pl in pls {
-        match profile.binary_search_by_key(&pl, |e| e.0) {
-            Ok(i) => profile[i].1 += 1,
-            Err(i) => profile.insert(i, (pl, 1)),
-        }
+        counts[pl] += 1;
     }
-    profile
+    let mut len = 0;
+    for (pl, &m) in counts.iter().enumerate().filter(|(_, &m)| m > 0) {
+        buf[len] = (pl, m);
+        len += 1;
+    }
+    &buf[..len]
 }
 
 impl Policy for Central {
-    type Member = AppId;
+    type Member = AppMember;
     type Key = CentralKey;
 
     /// Looks up the profiled sensitivity model and assigns a PL online.
@@ -218,9 +236,12 @@ impl Policy for Central {
             .ok_or_else(|| ControllerError::UnknownWorkload(workload.to_string()))?;
         let surrogate = ModelSurrogate::of(model, cfg.c_saba);
         let pl = self.assigner.assign(app, model.coefficients());
-        let workload = workload.to_string();
-        self.apps.insert(app, AppEntry { workload, pl });
-        self.surrogates.insert(app, surrogate);
+        let entry = AppEntry {
+            workload: workload.to_string(),
+            pl: u8::try_from(pl).expect("a PL is an SL"),
+            surrogate,
+        };
+        self.apps.insert(app, entry);
         // A fresh id cannot invalidate any cached per-app-set solution,
         // so the weight memo survives. The clustered memo and the queue
         // mapper depend on the published centroids: refresh them only
@@ -233,11 +254,11 @@ impl Policy for Central {
     fn unregister(&mut self, app: AppId) {
         self.apps.remove(&app);
         self.assigner.remove(app);
-        self.surrogates.remove(&app);
         // The id may be rebound to a different workload later: purge
         // every memoized solution that involved it. Solutions over
         // other app sets remain valid — their models are untouched.
-        self.weight_cache.retain(|apps, _| !apps.contains(&app));
+        self.weight_cache
+            .retain(|apps, _| apps.iter().all(|m| m.app != app));
         self.refresh_mapper_if_stale();
     }
 
@@ -249,25 +270,28 @@ impl Policy for Central {
     /// mapper-staleness event). A model identical to the current table
     /// entry is a structural no-op; with no registered application of
     /// the workload only the table changes.
-    fn update_model(&mut self, cfg: &ControllerConfig, model: &SensitivityModel) -> Vec<AppId> {
+    fn update_model(&mut self, cfg: &ControllerConfig, model: &SensitivityModel) -> Vec<AppMember> {
         if self.table.get(&model.workload) == Some(model) {
             return Vec::new();
         }
-        let affected: Vec<AppId> = self
+        let affected: Vec<AppMember> = self
             .apps
             .iter()
             .filter(|(_, e)| e.workload == model.workload)
-            .map(|(&a, _)| a)
+            .map(|(&app, e)| AppMember { app, pl: e.pl })
             .collect();
         self.table.insert(model.clone());
         if affected.is_empty() {
             return affected;
         }
         let surrogate = ModelSurrogate::of(model, cfg.c_saba);
-        for &app in &affected {
-            self.surrogates.insert(app, surrogate.clone());
+        for m in &affected {
+            self.apps
+                .get_mut(&m.app)
+                .expect("just enumerated")
+                .surrogate = surrogate.clone();
             self.assigner
-                .update_coeffs(app, model.coefficients())
+                .update_coeffs(m.app, model.coefficients())
                 .expect("registered apps have PLs");
         }
         // Memoized solutions naming an affected application were solved
@@ -278,16 +302,17 @@ impl Policy for Central {
         affected
     }
 
-    fn member(&self, app: AppId) -> Option<AppId> {
-        self.apps.contains_key(&app).then_some(app)
+    fn member(&self, app: AppId) -> Option<AppMember> {
+        let pl = self.apps.get(&app)?.pl;
+        Some(AppMember { app, pl })
     }
 
-    fn pl(&self, app: AppId) -> usize {
-        self.apps[&app].pl
+    fn pl(&self, member: AppMember) -> usize {
+        usize::from(member.pl)
     }
 
-    fn mapper(&self) -> &QueueMapper {
-        self.mapper.as_ref().expect("apps exist, so mapper exists")
+    fn mapper(&mut self) -> &mut QueueMapper {
+        self.mapper.as_mut().expect("apps exist, so mapper exists")
     }
 
     fn begin_epoch(&mut self, force: bool) -> bool {
@@ -297,22 +322,27 @@ impl Policy for Central {
         if self.weight_cache.len() > WEIGHT_CACHE_CAP {
             self.weight_cache.clear();
         }
+        if self.cluster_cache.len() > WEIGHT_CACHE_CAP {
+            self.cluster_cache.clear();
+        }
         std::mem::take(&mut self.sweep_pending) && !force
     }
 
-    fn cached(&self, apps: &[AppId], pls: &[usize]) -> Option<&Vec<f64>> {
-        if apps.len() <= EXACT_MAX_APPS {
+    fn cached(&self, apps: &[AppMember], pls: &[usize]) -> Option<&[f64]> {
+        let hit = if apps.len() <= EXACT_MAX_APPS {
             self.weight_cache.get(apps)
         } else {
-            self.cluster_cache.get(&cluster_profile(pls))
-        }
+            self.cluster_cache
+                .get(cluster_profile(pls, &mut ProfileBuf::default()))
+        };
+        hit.map(Vec::as_slice)
     }
 
-    fn key(&self, apps: &[AppId], pls: &[usize]) -> CentralKey {
+    fn key(&self, apps: &[AppMember], pls: &[usize]) -> CentralKey {
         if apps.len() <= EXACT_MAX_APPS {
             CentralKey::Exact(apps.to_vec())
         } else {
-            CentralKey::Profile(cluster_profile(pls))
+            CentralKey::Profile(cluster_profile(pls, &mut ProfileBuf::default()).to_vec())
         }
     }
 
@@ -327,18 +357,14 @@ impl Policy for Central {
         scratch: &mut SolveScratch,
     ) -> Vec<f64> {
         match key {
-            CentralKey::Exact(apps) => {
-                let surrogates: Vec<&ModelSurrogate> =
-                    apps.iter().map(|a| &self.surrogates[a]).collect();
-                port_weights_from_surrogates(
-                    &surrogates,
-                    cfg.c_saba,
-                    cfg.min_weight,
-                    cfg.protect_fraction,
-                    scratch,
-                )
-                .expect("non-empty feasible weight problem")
-            }
+            CentralKey::Exact(apps) => port_weights_from_surrogates(
+                apps.iter().map(|m| &self.apps[&m.app].surrogate),
+                cfg.c_saba,
+                cfg.min_weight,
+                cfg.protect_fraction,
+                scratch,
+            )
+            .expect("non-empty feasible weight problem"),
             CentralKey::Profile(profile) => {
                 saba_math::minimize_weights(&self.cluster_problem(cfg, profile))
                     .expect("feasible clustered weight problem")
@@ -357,27 +383,25 @@ impl Policy for Central {
     /// A clustered solve has one weight per PL: split each cluster's
     /// share equally among its members (the queue weight is the sum
     /// again, so enforcement is unchanged).
-    fn settle(&mut self, _: LinkId, apps: &[AppId], pls: &[usize], solved: Vec<f64>) -> Vec<f64> {
+    fn settle(&mut self, _: LinkId, apps: &[AppMember], pls: &[usize], weights: &mut Vec<f64>) {
         if apps.len() <= EXACT_MAX_APPS {
-            return solved;
+            return;
         }
-        let profile = cluster_profile(pls);
-        pls.iter()
-            .map(|pl| {
-                let j = profile
-                    .binary_search_by_key(pl, |e| e.0)
-                    .expect("profile covers every member's PL");
-                solved[j] / f64::from(profile[j].1)
-            })
-            .collect()
+        let (mut share, mut buf) = ([0.0; ServiceLevel::COUNT], ProfileBuf::default());
+        for (&(pl, m), &w) in cluster_profile(pls, &mut buf).iter().zip(weights.iter()) {
+            share[pl] = w / f64::from(m);
+        }
+        weights.clear();
+        weights.extend(pls.iter().map(|&pl| share[pl]));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::PortQueueConfig;
     use crate::profiler::{Profiler, ProfilerConfig};
-    use saba_sim::ids::{NodeId, ServiceLevel};
+    use saba_sim::ids::NodeId;
     use saba_workload::catalog;
 
     fn table() -> SensitivityTable {
@@ -525,8 +549,9 @@ mod tests {
         assert_eq!(pcfg.queue_of(ServiceLevel(15)), reserved);
     }
 
-    #[test]
-    fn queue_budget_is_respected_with_many_workloads() {
+    /// The whole catalog through one port of a 4-queue switch: the last
+    /// configuration that port was given.
+    fn catalog_through_one_port(c_saba: f64) -> PortQueueConfig {
         let profiler = Profiler::new(ProfilerConfig {
             noise_sigma: 0.0,
             bw_points: vec![0.25, 0.5, 0.75, 1.0],
@@ -537,6 +562,7 @@ mod tests {
         let topo = Topology::single_switch(12, saba_sim::LINK_56G_BPS);
         let cfg = ControllerConfig {
             queues_per_port: 4,
+            c_saba,
             ..Default::default()
         };
         let mut c = CentralController::new(cfg, full_table, &topo);
@@ -551,10 +577,39 @@ mod tests {
                 .conn_create(AppId(i as u32), s[0], s[1], i as u64)
                 .unwrap();
         }
-        let pcfg = &last[0].config;
+        last.swap_remove(0).config
+    }
+
+    #[test]
+    fn queue_budget_is_respected_with_many_workloads() {
+        let pcfg = catalog_through_one_port(1.0);
         assert!(pcfg.num_queues() <= 4, "{} queues", pcfg.num_queues());
         let total: f64 = pcfg.weights.iter().sum();
         assert!((total - 1.0).abs() < 1e-6, "weights sum {total}");
+    }
+
+    /// Regression: the reserved queue used to be pushed *after* the
+    /// present PLs had been mapped onto all `queues_per_port` queues, so
+    /// this port was told to run five queues on a 4-queue switch.
+    #[test]
+    fn queue_budget_is_respected_with_a_reserved_share() {
+        let pcfg = catalog_through_one_port(0.8);
+        assert_eq!(pcfg.num_queues(), 4, "{:?}", pcfg.sl_to_queue);
+        assert!((pcfg.weights[3] - 0.2).abs() < 1e-9, "{:?}", pcfg.weights);
+        let total: f64 = pcfg.weights.iter().sum();
+        assert!((total - 1.0).abs() < 1e-6, "weights sum {total}");
+    }
+
+    #[test]
+    #[should_panic(expected = "a reserved share needs a queue beside Saba's")]
+    fn a_reserved_share_on_a_one_queue_port_is_rejected() {
+        let topo = Topology::single_switch(2, saba_sim::LINK_56G_BPS);
+        let cfg = ControllerConfig {
+            queues_per_port: 1,
+            c_saba: 0.8,
+            ..Default::default()
+        };
+        let _ = CentralController::new(cfg, table(), &topo);
     }
 
     #[test]
@@ -735,5 +790,81 @@ mod tests {
             scratch.preload_connection(AppId(app), src, dst, tag);
         }
         assert_eq!(serial.recompute_all(), scratch.recompute_all());
+    }
+
+    #[test]
+    fn clustered_memo_stays_bounded_under_churn() {
+        // A fixed population behind one wide port: 40 applications that
+        // never leave keep it past the clustering threshold, and two
+        // more per workload come and go in mixed-radix Gray-code order,
+        // so every event meets a (PL, member count) profile not seen
+        // before — 3^10 of them, more than the cap. The published
+        // centroids never move, so nothing but the cap ever clears the
+        // clustered memo.
+        let profiler = Profiler::new(ProfilerConfig {
+            noise_sigma: 0.0,
+            bw_points: vec![0.25, 0.5, 0.75, 1.0],
+            degree: 2,
+            ..Default::default()
+        });
+        let full_table = profiler.profile_all(&catalog()).unwrap();
+        let names: Vec<String> = catalog().iter().map(|w| w.name.clone()).collect();
+        assert_eq!(names.len(), 10);
+        let topo = Topology::single_switch(2, saba_sim::LINK_56G_BPS);
+        let s = topo.servers();
+        let fresh = || {
+            let mut c =
+                CentralController::new(ControllerConfig::default(), full_table.clone(), &topo);
+            for app in 0..60u32 {
+                c.register(AppId(app), &names[app as usize % 10]).unwrap();
+            }
+            for app in 0..40u32 {
+                c.preload_connection(AppId(app), s[0], s[1], u64::from(app));
+            }
+            c
+        };
+        let mut churned = fresh();
+        churned.recompute_all();
+        // Digit `w` counts workload `w`'s extra applications on the port
+        // (apps 40 + w and 50 + w); `up[w]` is its Gray-code direction.
+        let (mut digits, mut up) = ([0u32; 10], [true; 10]);
+        let mut events = 0usize;
+        let mut longest = 0usize;
+        'walk: while events <= WEIGHT_CACHE_CAP + WEIGHT_CACHE_CAP / 4 {
+            let mut w = 0;
+            while (up[w] && digits[w] == 2) || (!up[w] && digits[w] == 0) {
+                up[w] = !up[w];
+                w += 1;
+                if w == 10 {
+                    break 'walk;
+                }
+            }
+            let updates = if up[w] {
+                let app = 40 + 10 * digits[w] + w as u32;
+                digits[w] += 1;
+                churned.conn_create(AppId(app), s[0], s[1], u64::from(app))
+            } else {
+                digits[w] -= 1;
+                let app = 40 + 10 * digits[w] + w as u32;
+                churned.conn_destroy(AppId(app), u64::from(app))
+            };
+            assert_eq!(updates.unwrap().len(), 2, "both wide ports reprogram");
+            events += 1;
+            longest = longest.max(churned.policy.cluster_cache.len());
+            assert!(churned.policy.cluster_cache.len() <= WEIGHT_CACHE_CAP + 1);
+        }
+        assert!(longest > WEIGHT_CACHE_CAP, "the walk must reach the cap");
+        assert!(
+            churned.stats().eq2_solves as usize > events,
+            "every event met a new profile"
+        );
+        let mut scratch = fresh();
+        for w in 0..10u32 {
+            for extra in 0..digits[w as usize] {
+                let app = 40 + 10 * extra + w;
+                scratch.preload_connection(AppId(app), s[0], s[1], u64::from(app));
+            }
+        }
+        assert_eq!(churned.recompute_all(), scratch.recompute_all());
     }
 }

@@ -28,7 +28,7 @@ use crate::sensitivity::{padded_coeffs, SensitivityModel, SensitivityTable};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use saba_math::{kmeans, KMeansConfig, SolveScratch};
-use saba_sim::ids::{AppId, LinkId};
+use saba_sim::ids::{AppId, LinkId, ServiceLevel};
 use saba_sim::topology::Topology;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -244,10 +244,17 @@ impl Controller<Distributed> {
     ///
     /// # Panics
     ///
-    /// Panics if `num_shards` is zero.
+    /// Panics if `num_shards` is zero or the database names a PL that
+    /// is not an InfiniBand SL.
     pub fn new(cfg: ControllerConfig, db: MappingDb, topo: &Topology, num_shards: usize) -> Self {
         cfg.validate();
         assert!(num_shards >= 1, "need at least one shard");
+        assert!(
+            db.centroids()
+                .iter()
+                .all(|(pl, _)| *pl < ServiceLevel::COUNT),
+            "InfiniBand supports at most 16 PLs"
+        );
         let link_shard = (0..topo.num_links())
             .map(|l| topo.link(LinkId(l as u32)).from.0 as usize % num_shards)
             .collect();
@@ -318,12 +325,12 @@ impl Policy for Distributed {
         pl
     }
 
-    fn mapper(&self) -> &QueueMapper {
-        self.db.mapper()
+    fn mapper(&mut self) -> &mut QueueMapper {
+        &mut self.db.mapper
     }
 
-    fn cached(&self, present: &[usize], _pls: &[usize]) -> Option<&Vec<f64>> {
-        self.weight_cache.get(present)
+    fn cached(&self, present: &[usize], _pls: &[usize]) -> Option<&[f64]> {
+        self.weight_cache.get(present).map(Vec::as_slice)
     }
 
     fn key(&self, present: &[usize], _pls: &[usize]) -> Vec<usize> {
@@ -377,16 +384,12 @@ impl Policy for Distributed {
         self.weight_cache.insert(present, weights);
     }
 
-    fn settle(
-        &mut self,
-        link: LinkId,
-        present: &[usize],
-        _: &[usize],
-        solved: Vec<f64>,
-    ) -> Vec<f64> {
-        self.last_weights
-            .insert(link.0, (present.to_vec(), solved.clone()));
-        solved
+    /// One weight per PL present is already one per member; the port
+    /// remembers it as the next solve's seed.
+    fn settle(&mut self, link: LinkId, present: &[usize], _: &[usize], solved: &mut Vec<f64>) {
+        let (pls, weights) = self.last_weights.entry(link.0).or_default();
+        present.clone_into(pls);
+        weights.clone_from(solved);
     }
 
     fn vacate(&mut self, link: LinkId) {
@@ -627,5 +630,16 @@ mod tests {
         let db = MappingDb::build(&table(), 16, 7);
         let mut full = MappingDb::from_json(&db.to_json()).unwrap();
         assert!(full.update_coeffs("LR", &[9.0, -2.0, 0.5]).is_some());
+    }
+
+    /// The sweep keeps a port's PL set in 16 bits; a replicated database
+    /// is outside input and may name anything.
+    #[test]
+    #[should_panic(expected = "at most 16 PLs")]
+    fn a_database_naming_a_pl_beyond_the_sls_is_rejected() {
+        let json = r#"{"pl_of_workload":{"A":16},"centroids":[[16,[1.0,2.0]]]}"#;
+        let db = MappingDb::from_json(json).expect("well-formed");
+        let topo = Topology::single_switch(2, saba_sim::LINK_56G_BPS);
+        let _ = DistributedController::new(ControllerConfig::default(), db, &topo, 1);
     }
 }

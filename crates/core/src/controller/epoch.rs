@@ -11,11 +11,24 @@
 //!
 //! | seam | [`Central`](super::central::Central) | [`Distributed`](super::distributed::Distributed) |
 //! |---|---|---|
-//! | member on a port | `AppId` | PL |
+//! | member on a port | `AppId` with its sticky PL | PL |
 //! | memo key → solve | exact app set → exact dual solve; > 32 apps → `(PL, count)` profile → clustered solve | PL set → centroid solve, warm-seeded from the port's last weights |
 //! | PL and queue mapper | online `PlAssigner` (deferred full sweep when the published centroids move) | offline `MappingDb` |
 //! | partition | one domain | link shards |
 //! | memo purge | entries naming a departed or re-profiled app | entries naming a PL whose centroid moved |
+//!
+//! A port visit costs O(members) and allocates only what it emits. It
+//! copies the link's sorted member row and the members' PLs into
+//! buffers the engine keeps, reads the memoized solution through a
+//! borrowed slice (or solves and memoizes), folds the PLs into a `u16`
+//! set and asks the mapper's memo for that set's queue table
+//! ([`QueueMapper::queues_for`] — the §5.3.2 hierarchy walk runs once
+//! per distinct set per hierarchy), sums each member's weight into its
+//! PL's queue in member order, and diffs the result against a dense
+//! per-link table of what the port runs. Same member order ⇒ same solve
+//! input ⇒ same queue table ⇒ same summation order: which containers
+//! hold the state cannot reach an emitted bit (`tests/sweep_bits.rs`),
+//! and `tests/sweep_allocs.rs` counts the allocations.
 //!
 //! Path detection mirrors §7.2: the controller holds its own copy of
 //! the fabric's forwarding tables (`Routes`, the stand-in for reading
@@ -127,8 +140,9 @@ pub trait Policy: Clone + Debug + Sync {
     /// The PL of a member present on some port.
     fn pl(&self, member: Self::Member) -> usize;
 
-    /// The PL hierarchy the current mapping was built against.
-    fn mapper(&self) -> &QueueMapper;
+    /// The PL hierarchy the current mapping was built against
+    /// (mutable: it memoizes its own answers).
+    fn mapper(&mut self) -> &mut QueueMapper;
 
     /// Called once before every epoch (`force`: a full recompute).
     /// Returns whether the dirty set must widen to every occupied port.
@@ -138,7 +152,7 @@ pub trait Policy: Clone + Debug + Sync {
 
     /// The memoized solution for a port with these members (and their
     /// PLs, index-aligned), if any.
-    fn cached(&self, members: &[Self::Member], pls: &[usize]) -> Option<&Vec<f64>>;
+    fn cached(&self, members: &[Self::Member], pls: &[usize]) -> Option<&[f64]>;
 
     /// The memo key [`Self::cached`] looked up.
     fn key(&self, members: &[Self::Member], pls: &[usize]) -> Self::Key;
@@ -156,15 +170,15 @@ pub trait Policy: Clone + Debug + Sync {
     /// Memoizes a solution.
     fn store(&mut self, key: Self::Key, weights: Vec<f64>);
 
-    /// Turns a port's memoized solution into one weight per member.
+    /// Turns a port's solution, in `weights`, into one weight per
+    /// member, in place.
     fn settle(
         &mut self,
         _link: LinkId,
         _members: &[Self::Member],
         _pls: &[usize],
-        solved: Vec<f64>,
-    ) -> Vec<f64> {
-        solved
+        _weights: &mut Vec<f64>,
+    ) {
     }
 
     /// Called when an epoch finds `link` without members.
@@ -196,13 +210,20 @@ pub struct Controller<P: Policy> {
     /// Reference-counted link → member reverse index; the source of
     /// dirty-port decisions (membership-set transitions only).
     pub(super) members: LinkMembers<P::Member>,
-    /// Last configuration emitted per occupied port; absence means the
-    /// switch still runs its factory default. Event-path epochs diff
-    /// against this to suppress no-op updates.
-    programmed: HashMap<u32, PortQueueConfig>,
+    /// Last configuration emitted per link, `None` while the switch
+    /// still runs its factory default. Event-path epochs diff against
+    /// this to suppress no-op updates.
+    programmed: Vec<Option<PortQueueConfig>>,
     /// Worker threads for independent per-port Eq. 2 solves (1 = serial).
     solver_threads: usize,
     scratch: SolveScratch,
+    /// What the port visit under way reads, in buffers that outlive it
+    /// (a visit allocates nothing but the configuration it emits): the
+    /// port's members, ascending; their PLs, index-aligned; the port's
+    /// Eq. 2 solution, then one weight per member.
+    row: Vec<P::Member>,
+    pls: Vec<usize>,
+    weights: Vec<f64>,
     last_epoch: EpochInfo,
     stats: EpochStats,
     solve_timing: bool,
@@ -222,9 +243,12 @@ impl<P: Policy> Controller<P> {
             policy,
             conns: HashMap::new(),
             members: LinkMembers::new(topo.num_links()),
-            programmed: HashMap::new(),
+            programmed: vec![None; topo.num_links()],
             solver_threads: 1,
             scratch: SolveScratch::new(),
+            row: Vec::new(),
+            pls: Vec::new(),
+            weights: Vec::new(),
             last_epoch: EpochInfo::default(),
             stats: EpochStats::default(),
             solve_timing: false,
@@ -606,24 +630,21 @@ impl<P: Policy> Controller<P> {
             // application at C_saba = 1.0 computes exactly that), so the
             // diff keys on the (occupancy, config) pair: `programmed`
             // holds every occupied port's last emitted configuration,
-            // and absence means the switch still runs its default.
+            // and `None` means the switch still runs its default.
             let occupied = !self.members.is_empty(link);
+            let programmed = &mut self.programmed[link.0 as usize];
             if !force {
                 let unchanged = if occupied {
-                    self.programmed.get(&link.0) == Some(&config)
+                    programmed.as_ref() == Some(&config)
                 } else {
-                    !self.programmed.contains_key(&link.0)
+                    programmed.is_none()
                 };
                 if unchanged {
                     self.stats.queue_updates_diffed += 1;
                     continue;
                 }
             }
-            if occupied {
-                self.programmed.insert(link.0, config.clone());
-            } else {
-                self.programmed.remove(&link.0);
-            }
+            *programmed = occupied.then(|| config.clone());
             self.stats.ports_reconfigured += 1;
             updates.push(SwitchUpdate { link, config });
         }
@@ -651,15 +672,13 @@ impl<P: Policy> Controller<P> {
         let mut jobs: Vec<(P::Key, LinkId)> = Vec::new();
         let mut queued: HashSet<P::Key> = HashSet::new();
         for &link in links {
-            let members: Vec<P::Member> = self.members.members(link).collect();
-            if members.is_empty() {
+            if !self.read_row(link) {
                 continue;
             }
-            let pls: Vec<usize> = members.iter().map(|&m| self.policy.pl(m)).collect();
-            if self.policy.cached(&members, &pls).is_some() {
+            if self.policy.cached(&self.row, &self.pls).is_some() {
                 continue;
             }
-            let key = self.policy.key(&members, &pls);
+            let key = self.policy.key(&self.row, &self.pls);
             if queued.insert(key.clone()) {
                 jobs.push((key, link));
             }
@@ -681,60 +700,65 @@ impl<P: Policy> Controller<P> {
         n
     }
 
+    /// Reads `link`'s members and their PLs into the visit buffers;
+    /// `false` if the port is unoccupied.
+    fn read_row(&mut self, link: LinkId) -> bool {
+        self.row.clear();
+        self.row.extend(self.members.members(link));
+        self.pls.clear();
+        self.pls.extend(self.row.iter().map(|&m| self.policy.pl(m)));
+        !self.row.is_empty()
+    }
+
     /// Builds the queue configuration for one port from the members
     /// currently crossing it (§5.1 weight calculation + §5.3 mapping).
     fn port_config(&mut self, link: LinkId) -> PortQueueConfig {
-        let members: Vec<P::Member> = self.members.members(link).collect();
-        if members.is_empty() {
+        if !self.read_row(link) {
             self.policy.vacate(link);
             return PortQueueConfig::default();
         }
-        let pls: Vec<usize> = members.iter().map(|&m| self.policy.pl(m)).collect();
-        let solved = match self.policy.cached(&members, &pls) {
+        let (members, pls, weights) = (&self.row, &self.pls, &mut self.weights);
+        weights.clear();
+        match self.policy.cached(members, pls) {
             Some(w) => {
                 self.stats.solves_skipped += 1;
-                w.clone()
+                weights.extend_from_slice(w);
             }
             None => {
                 self.stats.eq2_solves += 1;
-                let key = self.policy.key(&members, &pls);
+                let key = self.policy.key(members, pls);
                 let w = self.policy.solve(&self.cfg, &key, link, &mut self.scratch);
-                self.policy.store(key, w.clone());
-                w
+                weights.extend_from_slice(&w);
+                self.policy.store(key, w);
             }
-        };
-        let weights = self.policy.settle(link, &members, &pls, solved);
+        }
+        self.policy.settle(link, members, pls, weights);
 
-        // PLs present at this port and the hierarchy level that fits the
-        // queue budget.
+        // The hierarchy level at which the PLs present fit the queue
+        // budget; a reserved non-Saba share (§3 co-existence) takes one
+        // queue of that budget for itself.
+        let reserved = self.cfg.c_saba < 1.0;
+        let present = pls.iter().fold(0u16, |set, &pl| set | 1 << pl);
         let mapper = self.policy.mapper();
-        let mut present = pls.clone();
-        present.sort_unstable();
-        present.dedup();
-        let pm = mapper.map_port(&present, self.cfg.queues_per_port);
+        let map = mapper.queues_for(present, self.cfg.queues_per_port - usize::from(reserved));
 
         // Queue weight = sum of the weights of its members (§5.3.2:
         // "assigns the sum of the bandwidth allocated to applications
-        // associated with each queue as the weight of that queue").
-        let mut qweights = vec![0.0; pm.groups.len()];
-        for (pl, &w) in pls.iter().zip(&weights) {
-            let q = pm
-                .groups
-                .iter()
-                .position(|g| g.contains(pl))
-                .expect("every present PL is in a group");
-            qweights[q] += w;
+        // associated with each queue as the weight of that queue"),
+        // accumulated in member order.
+        let mut qweights = vec![0.0; map.queues + usize::from(reserved)];
+        for (&pl, &w) in pls.iter().zip(weights.iter()) {
+            qweights[usize::from(map.sl_to_queue[pl])] += w;
         }
-        // Reserve the non-Saba share, if any, on a dedicated queue that
-        // unmapped SLs fall back to (§3 co-existence).
-        let mut sl_to_queue = pm.sl_to_queue;
-        if self.cfg.c_saba < 1.0 {
-            qweights.push(1.0 - self.cfg.c_saba);
-            let reserved_q = (qweights.len() - 1) as u8;
+        // The reserved share sits on the last queue, which unmapped SLs
+        // fall back to.
+        let mut sl_to_queue = map.sl_to_queue;
+        if reserved {
+            qweights[map.queues] = 1.0 - self.cfg.c_saba;
             let active = mapper.pls();
-            for (sl, q) in sl_to_queue.iter_mut().enumerate().take(ServiceLevel::COUNT) {
+            for (sl, q) in sl_to_queue.iter_mut().enumerate() {
                 if !active.contains(&sl) {
-                    *q = reserved_q;
+                    *q = map.queues as u8;
                 }
             }
         }

@@ -73,7 +73,8 @@ pub struct ControllerConfig {
     pub c_saba: f64,
     /// Number of priority levels (InfiniBand SLs: 16, §5.3).
     pub num_pls: usize,
-    /// Queues per switch output port (8 on the testbed switch, §8.1).
+    /// Queues per switch output port (8 on the testbed switch, §8.1),
+    /// the reserved share's queue included when `c_saba < 1`.
     pub queues_per_port: usize,
     /// Minimum per-application weight floor — keeps every application
     /// live (WFQ starvation freedom, §5.2).
@@ -114,7 +115,8 @@ impl ControllerConfig {
     /// # Panics
     ///
     /// Panics if `c_saba` is outside `(0, 1]`, `num_pls` is 0 or above
-    /// 16, or `queues_per_port` is 0.
+    /// 16, or `queues_per_port` is 0 — or 1 while `c_saba < 1`: the
+    /// reserved share occupies a queue of its own.
     pub fn validate(&self) {
         assert!(
             self.c_saba > 0.0 && self.c_saba <= 1.0,
@@ -125,6 +127,10 @@ impl ControllerConfig {
             "InfiniBand supports at most 16 PLs"
         );
         assert!(self.queues_per_port >= 1, "a port needs at least one queue");
+        assert!(
+            self.c_saba >= 1.0 || self.queues_per_port >= 2,
+            "a reserved share needs a queue beside Saba's"
+        );
         assert!(self.min_weight >= 0.0, "min weight must be non-negative");
         assert!(
             (0.0..1.0).contains(&self.protect_fraction),

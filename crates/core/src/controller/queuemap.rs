@@ -5,9 +5,18 @@
 //! switch output port, it finds the *first* hierarchy level at which the
 //! PLs actually crossing that port collapse into at most `Q` clusters
 //! (`Q` = the port's queue count) and maps each cluster to a queue.
+//!
+//! That search ([`QueueMapper::map_port`]) is a pure function of the
+//! hierarchy, the *set* of PLs present and `Q`, and a controller asks
+//! it the same few questions for every port it visits. With PL ids
+//! below 16 the set is a `u16`, so [`QueueMapper::queues_for`] keeps the
+//! answers in a memo owned by the mapper: a hierarchy is never edited,
+//! only rebuilt ([`QueueMapper::build`]), and the memo dies with it —
+//! there is nothing to invalidate, and at most 2¹⁶ sets to remember.
 
 use saba_math::Dendrogram;
 use saba_sim::ids::ServiceLevel;
+use std::collections::HashMap;
 
 /// The PL hierarchy plus the PL-id ↔ leaf-index correspondence.
 #[derive(Debug, Clone)]
@@ -15,6 +24,18 @@ pub struct QueueMapper {
     /// Active PL ids; leaf `i` of the dendrogram is `pls[i]`.
     pls: Vec<usize>,
     dendrogram: Dendrogram,
+    /// [`Self::map_port`]'s answers, by (present-PL bitmask, budget).
+    memo: HashMap<(u16, usize), PortQueues>,
+}
+
+/// What programming a port needs of its [`PortMap`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PortQueues {
+    /// [`PortMap::sl_to_queue`].
+    pub sl_to_queue: [u8; ServiceLevel::COUNT],
+    /// Number of queues in use (`PortMap::groups.len()`); a present
+    /// PL's group is queue `sl_to_queue[pl]`.
+    pub queues: usize,
 }
 
 /// A port's PL → queue mapping.
@@ -43,6 +64,7 @@ impl QueueMapper {
         Some(Self {
             pls,
             dendrogram: Dendrogram::build(&points),
+            memo: HashMap::new(),
         })
     }
 
@@ -97,6 +119,29 @@ impl QueueMapper {
             groups,
             sl_to_queue,
         }
+    }
+
+    /// [`Self::map_port`] for the PLs whose bits are set in `present`
+    /// (ascending, as the sweep has always passed them), answered from
+    /// the memo after the first ask.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::map_port`].
+    pub fn queues_for(&mut self, present: u16, max_queues: usize) -> PortQueues {
+        if let Some(&known) = self.memo.get(&(present, max_queues)) {
+            return known;
+        }
+        let pls: Vec<usize> = (0..ServiceLevel::COUNT)
+            .filter(|pl| present >> pl & 1 == 1)
+            .collect();
+        let map = self.map_port(&pls, max_queues);
+        let queues = PortQueues {
+            sl_to_queue: map.sl_to_queue,
+            queues: map.groups.len(),
+        };
+        self.memo.insert((present, max_queues), queues);
+        queues
     }
 }
 

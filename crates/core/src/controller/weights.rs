@@ -89,24 +89,25 @@ pub fn port_weights_protected(
         .iter()
         .map(|m| ModelSurrogate::of(m, c_saba))
         .collect();
-    let refs: Vec<&ModelSurrogate> = surrogates.iter().collect();
-    port_weights_from_surrogates(&refs, c_saba, min_weight, protect, &mut SolveScratch::new())
+    let scratch = &mut SolveScratch::new();
+    port_weights_from_surrogates(surrogates.iter(), c_saba, min_weight, protect, scratch)
 }
 
 /// [`port_weights_protected`] over precomputed surrogates with
 /// caller-owned scratch. This is the entry point the central controller
-/// uses: surrogates come from its per-application cache and are read in
-/// place by the exact dual solve. Only the non-convex fallback surrogate
-/// (a fit that failed) sends a port to the iterative solver.
-pub fn port_weights_from_surrogates(
-    surrogates: &[&ModelSurrogate],
+/// uses: surrogates come from its per-application table and are read in
+/// place, through the iterator, by the exact dual solve. Only the
+/// non-convex fallback surrogate (a fit that failed) sends a port to the
+/// iterative solver.
+pub fn port_weights_from_surrogates<'a>(
+    surrogates: impl ExactSizeIterator<Item = &'a ModelSurrogate> + Clone,
     c_saba: f64,
     min_weight: f64,
     protect: f64,
     scratch: &mut SolveScratch,
 ) -> Result<Vec<f64>, OptimizeError> {
     assert!(c_saba > 0.0 && c_saba <= 1.0, "C_saba must be in (0, 1]");
-    if surrogates.is_empty() {
+    if surrogates.len() == 0 {
         return Err(OptimizeError::Empty);
     }
     if surrogates.len() == 1 {
@@ -114,13 +115,13 @@ pub fn port_weights_from_surrogates(
     }
     const BALANCE_REG: f64 = 0.1;
     let floor = protective_floor(surrogates.len(), c_saba, min_weight, protect);
-    let borrowed = surrogates.iter().map(|s| (&s.surrogate, s.saturation));
+    let borrowed = surrogates.clone().map(|s| (&s.surrogate, s.saturation));
     if let Some(w) = solve_dual(borrowed, c_saba, floor, c_saba, BALANCE_REG, scratch) {
         return Ok(w);
     }
     let problem = WeightProblem {
-        models: surrogates.iter().map(|s| s.surrogate.clone()).collect(),
-        domain_floors: surrogates.iter().map(|s| s.saturation).collect(),
+        models: surrogates.clone().map(|s| s.surrogate.clone()).collect(),
+        domain_floors: surrogates.map(|s| s.saturation).collect(),
         capacity: c_saba,
         min_weight: floor,
         max_weight: c_saba,

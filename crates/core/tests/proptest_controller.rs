@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 use saba_core::controller::central::CentralController;
+use saba_core::controller::queuemap::QueueMapper;
 use saba_core::controller::ControllerConfig;
 use saba_core::profiler::{Profiler, ProfilerConfig};
 use saba_core::sensitivity::SensitivityTable;
@@ -110,7 +111,7 @@ proptest! {
                 // single-queue config (weight 1.0); otherwise the budget
                 // applies and weights sum to ~1 (C_saba + reserve).
                 if u.config.num_queues() > 1 || !ctl.apps_at(u.link).is_empty() {
-                    prop_assert!(u.config.num_queues() <= queues + 1,
+                    prop_assert!(u.config.num_queues() <= queues,
                         "queue budget exceeded: {}", u.config.num_queues());
                 }
                 prop_assert!((0.9..=1.1).contains(&total) || u.config.num_queues() == 1,
@@ -136,6 +137,52 @@ proptest! {
             ctl.deregister(app).expect("deregister succeeds");
             prop_assert_eq!(ctl.num_conns(), 0);
             prop_assert_eq!(ctl.num_apps(), 0);
+        }
+    }
+
+    /// The memoised PL-set → queue map is the fresh derivation: for any
+    /// hierarchy, any set of its PLs and any budget, first ask and
+    /// repeat ask alike, and a rebuilt hierarchy answers for itself,
+    /// not from what its predecessor remembered.
+    #[test]
+    fn memoised_queue_map_is_the_fresh_one(
+        hierarchies in prop::collection::vec(
+            prop::collection::vec(
+                (any::<bool>(), prop::collection::vec(-2.0f64..2.0, 3)),
+                16,
+            ),
+            2,
+        ),
+        asks in prop::collection::vec((any::<u16>(), 1usize..10), 1..40),
+    ) {
+        let mut mapper = None;
+        for slots in hierarchies {
+            // PL `i` is active where the flag is set (PL 0 always is).
+            let centroids: Vec<(usize, Vec<f64>)> = slots
+                .into_iter()
+                .enumerate()
+                .filter(|(pl, (active, _))| *active || *pl == 0)
+                .map(|(pl, (_, centroid))| (pl, centroid))
+                .collect();
+            let active = centroids.iter().fold(0u16, |set, (pl, _)| set | 1 << pl);
+            // The same variable on purpose: a rebuild replaces the
+            // mapper, memo and all.
+            let mapper = mapper.insert(QueueMapper::build(&centroids).expect("PL 0 is active"));
+            let fresh = mapper.clone();
+            for round in 0..2 {
+                for &(set, budget) in &asks {
+                    let present = (set & active).max(1);
+                    let pls: Vec<usize> = (0..16).filter(|pl| present >> pl & 1 == 1).collect();
+                    let want = fresh.map_port(&pls, budget);
+                    let got = mapper.queues_for(present, budget);
+                    prop_assert_eq!(got.sl_to_queue, want.sl_to_queue, "round {}", round);
+                    prop_assert_eq!(got.queues, want.groups.len());
+                    for pl in pls {
+                        let group = want.groups.iter().position(|g| g.contains(&pl));
+                        prop_assert_eq!(Some(usize::from(got.sl_to_queue[pl])), group);
+                    }
+                }
+            }
         }
     }
 }

@@ -7,21 +7,36 @@
 //! next-hop sets derived from them, and a deterministic hash of the flow
 //! tag selecting among equal-cost next hops (so a given connection is
 //! always routed identically, as a subnet manager's static tables would).
+//!
+//! Distance fields are a controller's largest resident state, so they
+//! are kept small two ways. A cell is a `u16` hop count: a shortest path
+//! may have at most 65,534 hops ([`UNREACHABLE`] is the one reserved
+//! value), which is asserted where a larger count would arise. And a
+//! node fed by a single live link — every server — keeps no field of
+//! its own: from anywhere else it is one hop past its feeder, so it
+//! answers from the feeder's field, and a fabric holds one field per
+//! switch it routes through rather than one per server it routes to.
+//! Path detection allocates the path it returns and nothing else.
 
 use crate::ids::{LinkId, NodeId};
 use crate::topology::Topology;
 use std::sync::{Mutex, OnceLock};
 
+/// The distance-field cell of a node that cannot reach the destination.
+const UNREACHABLE: u16 = u16::MAX;
+const HOP_LIMIT: &str = "shortest paths are limited to 65,534 hops";
+
 /// Routing state with lazily materialized BFS distance fields.
 ///
-/// A dense all-pairs table costs `n² × 4` bytes and `n` BFS passes up
-/// front — ~600 MB and seconds of work at a 10k-server tier, almost all
+/// A dense all-pairs table costs `n² × 2` bytes and `n` BFS passes up
+/// front — ~300 MB and seconds of work at a 10k-server tier, almost all
 /// of it for destinations nothing ever routes to. Instead we keep the
 /// live adjacency (forward and reversed) and compute each per-destination
 /// (and, for multipath detection, per-source) distance field on first
-/// use, caching it in a [`OnceLock`]. Memory scales with destinations
-/// actually routed; [`Routes::recompute`] invalidates every cached field
-/// so the next query re-derives it against the post-fault topology.
+/// use, caching it in a [`OnceLock`]. Memory scales with the switches
+/// that feed the destinations actually routed; [`Routes::recompute`]
+/// invalidates every cached field so the next query re-derives it
+/// against the post-fault topology.
 #[derive(Debug)]
 pub struct Routes {
     /// Reverse adjacency scratch: `in_edges[node]` = nodes with a *live*
@@ -32,18 +47,44 @@ pub struct Routes {
     /// link to. Drives the per-source fields used by multipath detection.
     out_edges: Vec<Vec<u32>>,
     /// `dist_to[dst][node]` = hop count from `node` to `dst`
-    /// (`u32::MAX` if unreachable). Computed lazily, BFS on the
-    /// reversed graph from `dst`.
-    dist_to: Vec<OnceLock<Box<[u32]>>>,
+    /// ([`UNREACHABLE`] if there is none). Computed lazily, BFS on the
+    /// reversed graph from `dst`; never for a `dst` that answers from
+    /// its feeder's field (see `dist_to_field`).
+    dist_to: Vec<OnceLock<Box<[u16]>>>,
     /// `dist_from[src][node]` = hop count from `src` to `node`.
     /// Computed lazily, BFS on the forward graph from `src`.
-    dist_from: Vec<OnceLock<Box<[u32]>>>,
+    dist_from: Vec<OnceLock<Box<[u16]>>>,
     /// Field allocations recycled by `recompute` for reuse by later
     /// lazy computes — keeps the fault/repair path allocation-free in
     /// steady state. Interior mutability because fields are consumed
     /// from `&self` query paths.
-    spare: Mutex<Vec<Box<[u32]>>>,
+    spare: Mutex<Vec<Box<[u16]>>>,
     num_nodes: usize,
+}
+
+/// Hop counts to one destination, read through the field that answers
+/// for it (see [`Routes::dist_to_field`]).
+#[derive(Clone, Copy)]
+struct Field<'a> {
+    /// Hop counts to the destination, or to its only feeder.
+    cells: &'a [u16],
+    dst: usize,
+    /// 1 when `cells` is the feeder's field, else 0.
+    past: u16,
+}
+
+impl Field<'_> {
+    /// Hops from `node` to the destination ([`UNREACHABLE`] if none).
+    fn at(&self, node: NodeId) -> u16 {
+        match self.cells[node.0 as usize] {
+            _ if node.0 as usize == self.dst => 0,
+            UNREACHABLE => UNREACHABLE,
+            d => {
+                assert!(d < UNREACHABLE - self.past, "{HOP_LIMIT}");
+                d + self.past
+            }
+        }
+    }
 }
 
 impl Clone for Routes {
@@ -135,22 +176,23 @@ impl Routes {
 
     /// BFS distance field from `root` over `edges` (reversed adjacency
     /// for destination fields, forward adjacency for source fields).
-    fn bfs_field(&self, edges: &[Vec<u32>], root: usize) -> Box<[u32]> {
+    fn bfs_field(&self, edges: &[Vec<u32>], root: usize) -> Box<[u16]> {
         let n = self.num_nodes;
         let mut d = self
             .spare
             .lock()
             .expect("spare pool lock poisoned")
             .pop()
-            .unwrap_or_else(|| vec![0u32; n].into_boxed_slice());
-        d.fill(u32::MAX);
+            .unwrap_or_else(|| vec![0u16; n].into_boxed_slice());
+        d.fill(UNREACHABLE);
         d[root] = 0;
         let mut queue = std::collections::VecDeque::with_capacity(64);
         queue.push_back(root as u32);
         while let Some(u) = queue.pop_front() {
             let du = d[u as usize];
             for &v in &edges[u as usize] {
-                if d[v as usize] == u32::MAX {
+                if d[v as usize] == UNREACHABLE {
+                    assert!(du < UNREACHABLE - 1, "{HOP_LIMIT}");
                     d[v as usize] = du + 1;
                     queue.push_back(v);
                 }
@@ -160,19 +202,28 @@ impl Routes {
     }
 
     /// The destination field for `dst`, materializing it on first use.
-    fn dist_to_field(&self, dst: usize) -> &[u32] {
-        self.dist_to[dst].get_or_init(|| self.bfs_field(&self.in_edges, dst))
+    /// A node fed by a single live link is one hop past its feeder from
+    /// everywhere else, so it answers from the feeder's field: servers
+    /// share their switch's, and a fabric keeps one field per switch
+    /// routed through, not one per server routed to.
+    fn dist_to_field(&self, dst: usize) -> Field<'_> {
+        let (root, past) = match self.in_edges[dst][..] {
+            [feeder] => (feeder as usize, 1),
+            _ => (dst, 0),
+        };
+        let cells = self.dist_to[root].get_or_init(|| self.bfs_field(&self.in_edges, root));
+        Field { cells, dst, past }
     }
 
     /// The source field for `src`, materializing it on first use.
-    fn dist_from_field(&self, src: usize) -> &[u32] {
+    fn dist_from_field(&self, src: usize) -> &[u16] {
         self.dist_from[src].get_or_init(|| self.bfs_field(&self.out_edges, src))
     }
 
     /// Hop distance from `from` to `to`, or `None` if unreachable.
     pub fn distance(&self, from: NodeId, to: NodeId) -> Option<u32> {
-        let d = self.dist_to_field(to.0 as usize)[from.0 as usize];
-        (d != u32::MAX).then_some(d)
+        let d = self.dist_to_field(to.0 as usize).at(from);
+        (d != UNREACHABLE).then_some(u32::from(d))
     }
 
     /// Number of distance fields currently materialized:
@@ -187,7 +238,7 @@ impl Routes {
     /// distance fields, the recycled-field pool, and the adjacency
     /// scratch.
     pub fn memory_bytes(&self) -> usize {
-        let field_bytes = self.num_nodes * std::mem::size_of::<u32>();
+        let field_bytes = self.num_nodes * std::mem::size_of::<u16>();
         let (to, from) = self.cached_fields();
         let spare = self.spare.lock().expect("spare pool lock poisoned").len();
         let adjacency: usize = self
@@ -199,36 +250,44 @@ impl Routes {
         (to + from + spare) * field_bytes + adjacency
     }
 
-    /// Bytes a dense all-pairs distance matrix would cost for this
-    /// topology (`n² × 4`), independent of how many destinations are
-    /// actually routed. The yardstick for the lazy cache's footprint.
+    /// Bytes a dense all-pairs distance matrix of the same cells would
+    /// cost for this topology (`n² × 2`), independent of how many
+    /// destinations are actually routed. The yardstick for the lazy
+    /// cache's footprint.
     pub fn dense_memory_bytes(&self) -> usize {
-        self.num_nodes * self.num_nodes * std::mem::size_of::<u32>()
+        self.num_nodes * self.num_nodes * std::mem::size_of::<u16>()
+    }
+
+    /// The live out-links of `node` that lie on a shortest path under
+    /// the destination field `d`, in `out_links` order. `node` must be
+    /// able to reach the destination and not be it.
+    fn equal_cost_hops<'a>(
+        topo: &'a Topology,
+        d: Field<'a>,
+        node: NodeId,
+    ) -> impl Iterator<Item = LinkId> + Clone + 'a {
+        let here = d.at(node);
+        topo.out_links(node).iter().copied().filter(move |&l| {
+            let to = d.at(topo.link(l).to);
+            to != UNREACHABLE && to + 1 == here && topo.link_is_up(l)
+        })
     }
 
     /// All equal-cost next-hop links from `node` toward `dst`.
     pub fn next_hops(&self, topo: &Topology, node: NodeId, dst: NodeId) -> Vec<LinkId> {
         let d = self.dist_to_field(dst.0 as usize);
-        let here = d[node.0 as usize];
-        if here == u32::MAX || here == 0 {
+        let here = d.at(node);
+        if here == UNREACHABLE || here == 0 {
             return Vec::new();
         }
-        topo.out_links(node)
-            .iter()
-            .copied()
-            .filter(|&l| {
-                if !topo.link_is_up(l) {
-                    return false;
-                }
-                let to = topo.link(l).to;
-                d[to.0 as usize] != u32::MAX && d[to.0 as usize] + 1 == here
-            })
-            .collect()
+        Self::equal_cost_hops(topo, d, node).collect()
     }
 
     /// The full path (sequence of links) from `src` to `dst`, selecting
     /// among equal-cost hops with a deterministic hash of `tag` — the
     /// fluid equivalent of static ECMP placement by the subnet manager.
+    /// Each hop counts its candidates and takes the hashed one in place:
+    /// the returned path is the only allocation.
     ///
     /// Returns `None` if `dst` is unreachable from `src`. An empty path
     /// is returned when `src == dst`.
@@ -236,18 +295,20 @@ impl Routes {
         if src == dst {
             return Some(Vec::new());
         }
-        self.distance(src, dst)?;
-        let mut path = Vec::with_capacity(6);
+        let mut path = Vec::with_capacity(self.distance(src, dst)? as usize);
+        let d = self.dist_to_field(dst.0 as usize);
         let mut here = src;
         let mut hop = 0u64;
         while here != dst {
-            let hops = self.next_hops(topo, here, dst);
-            if hops.is_empty() {
-                return None; // Disconnected mid-path: cannot happen if distances are consistent.
-            }
-            let pick = (splitmix64(tag.wrapping_add(hop.wrapping_mul(0x9E3779B97F4A7C15)))
-                % hops.len() as u64) as usize;
-            let link = hops[pick];
+            let mut candidates = Self::equal_cost_hops(topo, d, here);
+            let n = candidates.clone().count() as u64;
+            // No candidate is a path cut mid-way: cannot happen while
+            // the distances are consistent with the topology.
+            let pick = splitmix64(tag.wrapping_add(hop.wrapping_mul(0x9E3779B97F4A7C15)))
+                .checked_rem(n)?;
+            let link = candidates
+                .nth(pick as usize)
+                .expect("pick is below the candidate count");
             path.push(link);
             here = topo.link(link).to;
             hop += 1;
@@ -277,7 +338,7 @@ impl Routes {
         // destination field for nearly every node — an accidental n².)
         let df = self.dist_from_field(src.0 as usize);
         let total = df[dst.0 as usize];
-        if total == u32::MAX || total == 0 {
+        if total == UNREACHABLE || total == 0 {
             return Vec::new();
         }
         let dt = self.dist_to_field(dst.0 as usize);
@@ -288,11 +349,11 @@ impl Routes {
                 continue;
             }
             let link = topo.link(id);
-            let (to_u, from_v) = (df[link.from.0 as usize], dt[link.to.0 as usize]);
-            if to_u == u32::MAX || from_v == u32::MAX {
+            let (to_u, from_v) = (df[link.from.0 as usize], dt.at(link.to));
+            if to_u == UNREACHABLE || from_v == UNREACHABLE {
                 continue;
             }
-            if to_u + 1 + from_v == total {
+            if u32::from(to_u) + 1 + u32::from(from_v) == u32::from(total) {
                 out.push(id);
             }
         }
@@ -320,17 +381,18 @@ impl Routes {
 /// port's configuration and never reaches the solver.
 #[derive(Debug, Clone, Default)]
 pub struct LinkMembers<K: Ord + Copy> {
-    /// `members[link][member]` = number of connections of `member`
-    /// currently charged to `link`. Deterministic iteration order
-    /// (BTreeMap) keeps derived cache keys and solve inputs stable.
-    members: Vec<std::collections::BTreeMap<K, u32>>,
+    /// `rows[link]` = `(member, connections of member charged to link)`,
+    /// ascending by member: a port carries a handful of members, so one
+    /// sorted row is a binary search to update and a slice to read, and
+    /// its order keeps derived cache keys and solve inputs stable.
+    rows: Vec<Vec<(K, u32)>>,
 }
 
 impl<K: Ord + Copy> LinkMembers<K> {
     /// An empty index over `num_links` links.
     pub fn new(num_links: usize) -> Self {
         Self {
-            members: vec![std::collections::BTreeMap::new(); num_links],
+            rows: vec![Vec::new(); num_links],
         }
     }
 
@@ -338,55 +400,56 @@ impl<K: Ord + Copy> LinkMembers<K> {
     /// when the link's membership *set* changed (the member was not
     /// present before) — i.e. the link is now dirty.
     pub fn add(&mut self, link: LinkId, member: K) -> bool {
-        let count = self.members[link.0 as usize].entry(member).or_insert(0);
-        *count += 1;
-        *count == 1
+        let row = &mut self.rows[link.0 as usize];
+        let at = row.binary_search_by_key(&member, |e| e.0);
+        match at {
+            Ok(i) => row[i].1 += 1,
+            Err(i) => row.insert(i, (member, 1)),
+        }
+        at.is_err()
     }
 
     /// Releases one connection of `member` from `link`. Returns `true`
     /// when the membership set changed (last reference gone — dirty).
     /// No-op (returning `false`) if the member was not charged.
     pub fn remove(&mut self, link: LinkId, member: K) -> bool {
-        let map = &mut self.members[link.0 as usize];
-        match map.get_mut(&member) {
-            Some(count) if *count > 1 => {
-                *count -= 1;
-                false
-            }
-            Some(_) => {
-                map.remove(&member);
-                true
-            }
-            None => false,
+        let row = &mut self.rows[link.0 as usize];
+        let Ok(i) = row.binary_search_by_key(&member, |e| e.0) else {
+            return false;
+        };
+        row[i].1 -= 1;
+        let last = row[i].1 == 0;
+        if last {
+            row.remove(i);
         }
+        last
     }
 
     /// The link's current members, in sorted order.
     pub fn members(&self, link: LinkId) -> impl Iterator<Item = K> + '_ {
-        self.members[link.0 as usize].keys().copied()
+        self.rows[link.0 as usize].iter().map(|e| e.0)
     }
 
     /// Number of distinct members on the link.
     pub fn num_members(&self, link: LinkId) -> usize {
-        self.members[link.0 as usize].len()
+        self.rows[link.0 as usize].len()
     }
 
     /// Reference count of `member` on `link` (0 when absent).
     pub fn count(&self, link: LinkId, member: K) -> u32 {
-        self.members[link.0 as usize]
-            .get(&member)
-            .copied()
-            .unwrap_or(0)
+        let row = &self.rows[link.0 as usize];
+        row.binary_search_by_key(&member, |e| e.0)
+            .map_or(0, |i| row[i].1)
     }
 
     /// Whether the link carries no members.
     pub fn is_empty(&self, link: LinkId) -> bool {
-        self.members[link.0 as usize].is_empty()
+        self.rows[link.0 as usize].is_empty()
     }
 
     /// All links with a non-empty membership set, in id order.
     pub fn occupied_links(&self) -> impl Iterator<Item = LinkId> + '_ {
-        self.members
+        self.rows
             .iter()
             .enumerate()
             .filter(|(_, m)| !m.is_empty())
@@ -395,7 +458,7 @@ impl<K: Ord + Copy> LinkMembers<K> {
 
     /// Number of links the index covers.
     pub fn num_links(&self) -> usize {
-        self.members.len()
+        self.rows.len()
     }
 }
 
@@ -725,5 +788,34 @@ mod tests {
         let r = Routes::compute(&t);
         let s = t.servers()[0];
         assert!(r.next_hops(&t, s, s).is_empty());
+    }
+
+    /// A one-way chain of `hops` links; returns its two ends.
+    fn chain(hops: usize) -> (Topology, NodeId, NodeId) {
+        let mut t = Topology::new();
+        let first = t.add_node(NodeKind::Switch, "n0");
+        let mut last = first;
+        for i in 1..=hops {
+            let next = t.add_node(NodeKind::Switch, format!("n{i}"));
+            t.add_link(last, next, 1.0);
+            last = next;
+        }
+        (t, first, last)
+    }
+
+    #[test]
+    fn the_longest_representable_path_routes() {
+        let (t, first, last) = chain(65_534);
+        let r = Routes::compute(&t);
+        assert_eq!(r.distance(first, last), Some(65_534));
+        assert_eq!(r.path(&t, first, last, 3).unwrap().len(), 65_534);
+        assert_eq!(r.distance(last, first), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "limited to 65,534 hops")]
+    fn a_shortest_path_past_the_cell_width_is_refused() {
+        let (t, first, last) = chain(65_535);
+        let _ = Routes::compute(&t).distance(first, last);
     }
 }

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use saba_sim::engine::{Event, FairShareFabric, FlowSpec, Simulation};
 use saba_sim::ids::{AppId, LinkId, ServiceLevel};
-use saba_sim::routing::Routes;
+use saba_sim::routing::{LinkMembers, Routes};
 use saba_sim::sharing::{
     compute_rates, compute_rates_into, SharingConfig, SharingFlow, SharingScratch,
 };
@@ -348,6 +348,154 @@ proptest! {
         let throttled = mk(frac);
         prop_assert!((throttled * frac - full).abs() < 1e-6 * full,
             "full {full}, throttled {throttled}, frac {frac}");
+    }
+
+    /// `Routes::path` picks its hops in place; the reference collects
+    /// every hop's equal-cost candidates with `next_hops` and indexes
+    /// them with the same hash. Same candidate order, same pick, same
+    /// path — on healthy fabrics and around failed cables, whether or
+    /// not the tables have re-converged since the failure.
+    #[test]
+    fn path_is_next_hops_then_pick(
+        servers_per_tor in 1usize..4,
+        pairs in prop::collection::vec((0usize..64, 0usize..64, any::<u64>()), 1..12),
+        failed in prop::collection::vec(0usize..4096, 0..4),
+        reconverge in any::<bool>(),
+    ) {
+        fn splitmix64(mut z: u64) -> u64 {
+            z = z.wrapping_add(0x9E3779B97F4A7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+            z ^ (z >> 31)
+        }
+        let mut topo = Topology::spine_leaf(&SpineLeafConfig::tiny(servers_per_tor));
+        let mut routes = Routes::compute(&topo);
+        for f in failed {
+            topo.set_link_up(LinkId((f % topo.num_links()) as u32), false);
+        }
+        if reconverge {
+            routes.recompute(&topo);
+        }
+        let s = topo.servers().to_vec();
+        for (a, b, tag) in pairs {
+            let (src, dst) = (s[a % s.len()], s[b % s.len()]);
+            let mut want = Some(Vec::new());
+            let (mut here, mut hop) = (src, 0u64);
+            while here != dst {
+                let hops = routes.next_hops(&topo, here, dst);
+                if hops.is_empty() {
+                    want = None;
+                    break;
+                }
+                let pick = splitmix64(tag.wrapping_add(hop.wrapping_mul(0x9E3779B97F4A7C15)))
+                    % hops.len() as u64;
+                let link = hops[pick as usize];
+                want.as_mut().expect("still connected").push(link);
+                here = topo.link(link).to;
+                hop += 1;
+            }
+            prop_assert_eq!(routes.path(&topo, src, dst, tag), want);
+        }
+    }
+
+    /// A node fed by a single live link answers from its feeder's
+    /// distance field; every node must still report the hop count a
+    /// plain BFS over the live links finds — on arbitrary digraphs
+    /// (single-fed, multi-fed and unfed nodes alike), before and after
+    /// links fail and the tables re-converge.
+    #[test]
+    fn distances_are_plain_bfs_hop_counts(
+        nodes in 2usize..9,
+        edges in prop::collection::vec((0usize..9, 0usize..9), 1..24),
+        failed in prop::collection::vec(0usize..24, 0..6),
+    ) {
+        use saba_sim::topology::NodeKind;
+        let mut topo = Topology::new();
+        let ids: Vec<_> = (0..nodes)
+            .map(|i| topo.add_node(NodeKind::Switch, format!("n{i}")))
+            .collect();
+        for (a, b) in edges {
+            let (a, b) = (a % nodes, b % nodes);
+            if a != b {
+                topo.add_link(ids[a], ids[b], 1.0);
+            }
+        }
+        prop_assume!(topo.num_links() > 0);
+        let mut routes = Routes::compute(&topo);
+        for round in 0..2 {
+            // Plain BFS from every source over the live links.
+            for &src in &ids {
+                let mut want = vec![None; nodes];
+                want[src.0 as usize] = Some(0u32);
+                let mut frontier = vec![src];
+                while let Some(u) = frontier.pop() {
+                    // Relax until no distance improves (tiny graphs).
+                    for &l in topo.out_links(u) {
+                        let v = topo.link(l).to;
+                        let via = want[u.0 as usize].expect("reached") + 1;
+                        if topo.link_is_up(l) && want[v.0 as usize].is_none_or(|d| via < d) {
+                            want[v.0 as usize] = Some(via);
+                            frontier.push(v);
+                        }
+                    }
+                }
+                for &dst in &ids {
+                    prop_assert_eq!(
+                        routes.distance(src, dst), want[dst.0 as usize],
+                        "round {}: {} -> {}", round, src, dst
+                    );
+                }
+            }
+            for &f in &failed {
+                topo.set_link_up(LinkId((f % topo.num_links()) as u32), false);
+            }
+            routes.recompute(&topo);
+        }
+    }
+
+    /// The flat sorted rows against the obvious model, one refcount map
+    /// per link: the same dirty bit from every `add` / `remove`, and the
+    /// same sorted members and counts after each.
+    #[test]
+    fn link_members_match_a_btreemap_model(
+        script in prop::collection::vec((any::<bool>(), 0u32..3, 0u16..12), 1..200),
+    ) {
+        let mut flat: LinkMembers<u16> = LinkMembers::new(3);
+        let mut model = vec![std::collections::BTreeMap::<u16, u32>::new(); 3];
+        for (add, link, member) in script {
+            let row = &mut model[link as usize];
+            let dirty = if add {
+                let count = row.entry(member).or_insert(0);
+                *count += 1;
+                *count == 1
+            } else {
+                match row.get_mut(&member) {
+                    Some(count) if *count > 1 => {
+                        *count -= 1;
+                        false
+                    }
+                    Some(_) => row.remove(&member).is_some(),
+                    None => false,
+                }
+            };
+            let link = LinkId(link);
+            if add {
+                prop_assert_eq!(flat.add(link, member), dirty);
+            } else {
+                prop_assert_eq!(flat.remove(link, member), dirty);
+            }
+            prop_assert_eq!(
+                flat.members(link).collect::<Vec<_>>(),
+                row.keys().copied().collect::<Vec<_>>()
+            );
+            prop_assert_eq!(flat.num_members(link), row.len());
+            prop_assert_eq!(flat.count(link, member), row.get(&member).copied().unwrap_or(0));
+            let occupied: Vec<LinkId> = (0..3)
+                .filter(|&l| !model[l as usize].is_empty())
+                .map(LinkId)
+                .collect();
+            prop_assert_eq!(flat.occupied_links().collect::<Vec<_>>(), occupied);
+        }
     }
 }
 
