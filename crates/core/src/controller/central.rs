@@ -6,6 +6,18 @@
 //! register / deregister, and the PL → queue hierarchy is rebuilt
 //! whenever the published centroids move. The epoch machinery itself
 //! lives in [`super::epoch`].
+//!
+//! A port of at most 32 applications (`EXACT_MAX_APPS`) is *solved, not
+//! remembered*: its answer is a closed form over the members'
+//! surrogates (`saba_math::solve_dual`, ≈ 0.7 µs), which is less than a
+//! memo keyed by the member set costs to ask — on the paper fabric's
+//! cold epoch such a memo's hits were 86 % single-application ports,
+//! which have no Eq. 2 problem at all, and the rest two or three
+//! applications wide (DESIGN.md §5.4). So there is nothing to purge when
+//! an application leaves or is re-profiled: a member names its
+//! workload's surrogate by slot, and a refit rewrites the slot. Only
+//! the wide, clustered ports keep a memo — their keys are few, shared
+//! across ports, and their solve may be iterative.
 
 use crate::controller::epoch::{Controller, Policy};
 use crate::controller::plmap::PlAssigner;
@@ -21,25 +33,13 @@ use std::collections::{BTreeMap, HashMap};
 /// The centralized Saba controller.
 pub type CentralController = Controller<Central>;
 
-/// Everything the controller knows about one registered application.
-#[derive(Debug, Clone)]
-struct AppEntry {
-    workload: String,
-    /// Sticky for the registration's life (§6).
-    pl: u8,
-    /// Solver inputs, precomputed at registration and on a refit.
-    surrogate: ModelSurrogate,
-}
-
-/// Entries each of [`Central`]'s two memos may carry into an epoch.
-/// Under churn nearly every solve meets a member set (on a wide port: a
-/// member-count profile) not seen before, so an uncapped memo grows by
-/// a few hundred bytes per event for as long as the controller runs,
-/// and all a hit saves is one solve. What the memos are for — the many
-/// ports of *one* epoch that share a member set — is untouched:
-/// eviction happens only between epochs, and the cap is more than two
-/// cold epochs of the paper's 1,944-server fabric (~7 k distinct sets
-/// each).
+/// Entries the clustered memo may carry into an epoch. Under churn
+/// nearly every solve of a wide port meets a member-count profile not
+/// seen before, so an uncapped memo grows by a few hundred bytes per
+/// event for as long as the controller runs, and all a hit saves is one
+/// solve. What the memo is for — the many ports of *one* epoch that
+/// share a profile — is untouched: eviction happens only between
+/// epochs.
 const WEIGHT_CACHE_CAP: usize = 1 << 14;
 
 /// Ports with more applications than this are solved over PL clusters:
@@ -50,44 +50,35 @@ const WEIGHT_CACHE_CAP: usize = 1 << 14;
 const EXACT_MAX_APPS: usize = 32;
 
 /// An application as a port's membership records it. Ordered by id;
-/// the PL rides along because it is sticky for a registration's life
-/// (§6), which spares every port visit a registry lookup per member.
+/// its PL and the slot of its workload's surrogate ride along — both
+/// are sticky for a registration's life (§6; a refit rewrites the slot,
+/// not the member) — which spares every port visit a registry lookup
+/// per member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AppMember {
     app: AppId,
     pl: u8,
-}
-
-/// What [`Central`] memoizes an Eq. 2 solution under.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum CentralKey {
-    /// The exact application set of a port.
-    Exact(Vec<AppMember>),
-    /// The (PL, member count) profile of a port solved over clusters.
-    Profile(Vec<(usize, u32)>),
+    slot: u16,
 }
 
 /// The centralized flavour's [`Policy`].
 #[derive(Debug, Clone)]
 pub struct Central {
     table: SensitivityTable,
-    apps: BTreeMap<AppId, AppEntry>,
+    apps: BTreeMap<AppId, AppMember>,
+    /// Solver inputs, one slot per workload that ever registered an
+    /// application: written at that first registration, rewritten by a
+    /// refit, read in place by every exact solve.
+    surrogates: Vec<ModelSurrogate>,
+    slot_of_workload: BTreeMap<String, u16>,
     assigner: PlAssigner,
     mapper: Option<QueueMapper>,
-    /// Eq. 2 solutions memoized by the exact application set: many
-    /// ports see the same contender set, and weights depend only on the
-    /// apps' models. Entries naming an application are purged when it
-    /// deregisters (its id could be rebound to a different workload) or
-    /// is re-profiled; registrations leave the cache intact — a fresh
-    /// id cannot appear in any existing key. Bounded: an epoch that
-    /// starts with more than [`WEIGHT_CACHE_CAP`] entries starts with
-    /// none.
-    weight_cache: HashMap<Vec<AppMember>, Vec<f64>>,
     /// Clustered-solve memo for large ports, keyed by the (PL, member
     /// count) profile — many core ports share one profile. Valid only
     /// for the centroid set it was computed against, so it is cleared
-    /// whenever the assigner's published-centroid generation moves, and
-    /// bounded like the exact-set memo.
+    /// whenever the assigner's published-centroid generation moves;
+    /// bounded: an epoch that starts with more than
+    /// [`WEIGHT_CACHE_CAP`] entries starts with none.
     cluster_cache: HashMap<Vec<(usize, u32)>, Vec<f64>>,
     /// Assigner generation the queue mapper was last built against.
     mapper_generation: u64,
@@ -107,8 +98,9 @@ impl Controller<Central> {
             assigner: PlAssigner::new(cfg.num_pls, dim),
             table,
             apps: BTreeMap::new(),
+            surrogates: Vec::new(),
+            slot_of_workload: BTreeMap::new(),
             mapper: None,
-            weight_cache: HashMap::new(),
             cluster_cache: HashMap::new(),
             mapper_generation: 0,
             sweep_pending: false,
@@ -221,9 +213,11 @@ fn cluster_profile<'a>(pls: &[usize], buf: &'a mut ProfileBuf) -> &'a [(usize, u
 
 impl Policy for Central {
     type Member = AppMember;
-    type Key = CentralKey;
+    /// The (PL, member count) profile of a port solved over clusters.
+    type Key = Vec<(usize, u32)>;
 
-    /// Looks up the profiled sensitivity model and assigns a PL online.
+    /// Looks up the profiled sensitivity model, interns its surrogate on
+    /// the workload's first registration and assigns a PL online.
     fn register(
         &mut self,
         cfg: &ControllerConfig,
@@ -234,77 +228,65 @@ impl Policy for Central {
             .table
             .get(workload)
             .ok_or_else(|| ControllerError::UnknownWorkload(workload.to_string()))?;
-        let surrogate = ModelSurrogate::of(model, cfg.c_saba);
+        let surrogates = &mut self.surrogates;
+        let slot = self.slot_of_workload.entry(workload.to_string());
+        let slot = *slot.or_insert_with(|| {
+            surrogates.push(ModelSurrogate::of(model, cfg.c_saba));
+            u16::try_from(surrogates.len() - 1).expect("a controller serves < 65,536 workloads")
+        });
         let pl = self.assigner.assign(app, model.coefficients());
-        let entry = AppEntry {
-            workload: workload.to_string(),
-            pl: u8::try_from(pl).expect("a PL is an SL"),
-            surrogate,
-        };
-        self.apps.insert(app, entry);
-        // A fresh id cannot invalidate any cached per-app-set solution,
-        // so the weight memo survives. The clustered memo and the queue
-        // mapper depend on the published centroids: refresh them only
-        // when the assigner actually published a change — a duplicate of
-        // an existing workload joining its slot costs nothing.
+        let sl = u8::try_from(pl).expect("a PL is an SL");
+        self.apps.insert(app, AppMember { app, pl: sl, slot });
+        // The clustered memo and the queue mapper depend on the
+        // published centroids: refresh them only when the assigner
+        // actually published a change — a duplicate of an existing
+        // workload joining its slot costs nothing.
         self.refresh_mapper_if_stale();
         Ok(pl)
     }
 
+    /// Nothing remembers an application beyond its registration: the id
+    /// may be rebound to another workload, whose slot it then names.
     fn unregister(&mut self, app: AppId) {
         self.apps.remove(&app);
         self.assigner.remove(app);
-        // The id may be rebound to a different workload later: purge
-        // every memoized solution that involved it. Solutions over
-        // other app sets remain valid — their models are untouched.
-        self.weight_cache
-            .retain(|apps, _| apps.iter().all(|m| m.app != app));
         self.refresh_mapper_if_stale();
     }
 
-    /// Swaps the table entry, gives every registered application of
-    /// that workload a fresh [`ModelSurrogate`] and updated clustering
-    /// coefficients, and purges the memoized solutions naming one; only
-    /// the ports those applications cross are revisited (a
+    /// Swaps the table entry, rewrites the workload's one surrogate
+    /// slot — every registered application of the workload reads it
+    /// from there — and updates their clustering coefficients; only the
+    /// ports those applications cross are revisited (a
     /// published-centroid move widens the sweep like any other
     /// mapper-staleness event). A model identical to the current table
     /// entry is a structural no-op; with no registered application of
-    /// the workload only the table changes.
+    /// the workload only the table (and its slot, if one exists) changes.
     fn update_model(&mut self, cfg: &ControllerConfig, model: &SensitivityModel) -> Vec<AppMember> {
         if self.table.get(&model.workload) == Some(model) {
             return Vec::new();
         }
+        self.table.insert(model.clone());
+        let Some(&slot) = self.slot_of_workload.get(&model.workload) else {
+            return Vec::new();
+        };
+        self.surrogates[usize::from(slot)] = ModelSurrogate::of(model, cfg.c_saba);
         let affected: Vec<AppMember> = self
             .apps
-            .iter()
-            .filter(|(_, e)| e.workload == model.workload)
-            .map(|(&app, e)| AppMember { app, pl: e.pl })
+            .values()
+            .filter(|m| m.slot == slot)
+            .copied()
             .collect();
-        self.table.insert(model.clone());
-        if affected.is_empty() {
-            return affected;
-        }
-        let surrogate = ModelSurrogate::of(model, cfg.c_saba);
         for m in &affected {
-            self.apps
-                .get_mut(&m.app)
-                .expect("just enumerated")
-                .surrogate = surrogate.clone();
             self.assigner
                 .update_coeffs(m.app, model.coefficients())
                 .expect("registered apps have PLs");
         }
-        // Memoized solutions naming an affected application were solved
-        // against the old model; sets of untouched apps remain valid.
-        self.weight_cache
-            .retain(|apps, _| !apps.iter().any(|a| affected.contains(a)));
         self.refresh_mapper_if_stale();
         affected
     }
 
     fn member(&self, app: AppId) -> Option<AppMember> {
-        let pl = self.apps.get(&app)?.pl;
-        Some(AppMember { app, pl })
+        self.apps.get(&app).copied()
     }
 
     fn pl(&self, member: AppMember) -> usize {
@@ -319,9 +301,6 @@ impl Policy for Central {
         // Evict between epochs only: within one, the prewarm and the
         // sweep must see the same cache, and serial and parallel runs
         // reach this point with identical contents.
-        if self.weight_cache.len() > WEIGHT_CACHE_CAP {
-            self.weight_cache.clear();
-        }
         if self.cluster_cache.len() > WEIGHT_CACHE_CAP {
             self.cluster_cache.clear();
         }
@@ -329,55 +308,59 @@ impl Policy for Central {
     }
 
     fn cached(&self, apps: &[AppMember], pls: &[usize]) -> Option<&[f64]> {
-        let hit = if apps.len() <= EXACT_MAX_APPS {
-            self.weight_cache.get(apps)
-        } else {
-            self.cluster_cache
-                .get(cluster_profile(pls, &mut ProfileBuf::default()))
-        };
-        hit.map(Vec::as_slice)
-    }
-
-    fn key(&self, apps: &[AppMember], pls: &[usize]) -> CentralKey {
         if apps.len() <= EXACT_MAX_APPS {
-            CentralKey::Exact(apps.to_vec())
-        } else {
-            CentralKey::Profile(cluster_profile(pls, &mut ProfileBuf::default()).to_vec())
+            return None;
         }
+        self.cluster_cache
+            .get(cluster_profile(pls, &mut ProfileBuf::default()))
+            .map(Vec::as_slice)
     }
 
-    /// Every solve is a pure function of its key: the exact dual solve
-    /// reads nothing but the members' surrogates, and the clustered
-    /// problems are solved cold.
+    /// Only the wide, clustered ports are memoized.
+    fn key(&self, apps: &[AppMember], pls: &[usize]) -> Option<Self::Key> {
+        (apps.len() > EXACT_MAX_APPS)
+            .then(|| cluster_profile(pls, &mut ProfileBuf::default()).to_vec())
+    }
+
+    /// Clustered problems are solved cold: a pure function of the
+    /// profile and the published centroids.
     fn solve(
         &self,
         cfg: &ControllerConfig,
-        key: &CentralKey,
+        profile: &Self::Key,
         _link: LinkId,
-        scratch: &mut SolveScratch,
+        _scratch: &mut SolveScratch,
     ) -> Vec<f64> {
-        match key {
-            CentralKey::Exact(apps) => port_weights_from_surrogates(
-                apps.iter().map(|m| &self.apps[&m.app].surrogate),
-                cfg.c_saba,
-                cfg.min_weight,
-                cfg.protect_fraction,
-                scratch,
-            )
-            .expect("non-empty feasible weight problem"),
-            CentralKey::Profile(profile) => {
-                saba_math::minimize_weights(&self.cluster_problem(cfg, profile))
-                    .expect("feasible clustered weight problem")
-                    .weights
-            }
-        }
+        saba_math::minimize_weights(&self.cluster_problem(cfg, profile))
+            .expect("feasible clustered weight problem")
+            .weights
     }
 
-    fn store(&mut self, key: CentralKey, weights: Vec<f64>) {
-        match key {
-            CentralKey::Exact(apps) => self.weight_cache.insert(apps, weights),
-            CentralKey::Profile(profile) => self.cluster_cache.insert(profile, weights),
-        };
+    fn store(&mut self, profile: Self::Key, weights: Vec<f64>) {
+        self.cluster_cache.insert(profile, weights);
+    }
+
+    /// The exact solve, straight into the visit's weight buffer: a pure
+    /// function of the members' surrogates, each one indexed load away.
+    /// A lone application has nobody to share with — its answer is
+    /// `[C_saba]` and no Eq. 2 problem was solved.
+    fn solve_into(
+        &self,
+        cfg: &ControllerConfig,
+        apps: &[AppMember],
+        scratch: &mut SolveScratch,
+        weights: &mut Vec<f64>,
+    ) -> bool {
+        port_weights_from_surrogates(
+            apps.iter().map(|m| &self.surrogates[usize::from(m.slot)]),
+            cfg.c_saba,
+            cfg.min_weight,
+            cfg.protect_fraction,
+            scratch,
+            weights,
+        )
+        .expect("non-empty feasible weight problem");
+        apps.len() > 1
     }
 
     /// A clustered solve has one weight per PL: split each cluster's
@@ -399,6 +382,7 @@ impl Policy for Central {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::SwitchUpdate;
     use crate::fabric::PortQueueConfig;
     use crate::profiler::{Profiler, ProfilerConfig};
     use saba_sim::ids::NodeId;
@@ -742,54 +726,84 @@ mod tests {
     }
 
     #[test]
-    fn memo_eviction_is_invisible() {
-        use rand::{Rng, SeedableRng};
-        // Enough churn to overflow the memo: the serial and the
-        // parallel controller must evict at the same epoch
-        // (equal updates and counters throughout), and the end state
-        // must still be what a fresh controller computes.
-        let topo = Topology::single_switch(16, saba_sim::LINK_56G_BPS);
+    fn update_model_rewrites_one_slot() {
+        // A = LR (applications 0 and 1), B = PR (application 2). Each
+        // path is two ports: (s0, s1) carries A₀ + B, (s2, s3) carries
+        // A₁ + B, (s4, s5) carries B alone.
+        let topo = Topology::single_switch(6, saba_sim::LINK_56G_BPS);
         let s = topo.servers();
-        let names = ["LR", "PR", "Sort", "SQL"];
-        let fresh = || {
-            let mut c = CentralController::new(ControllerConfig::default(), table(), &topo);
-            for i in 0..30u32 {
-                c.register(AppId(i), names[i as usize % names.len()])
-                    .unwrap();
+        let flat: Vec<(f64, f64)> = [0.25, 0.5, 0.75, 1.0]
+            .iter()
+            .map(|&b| (b, 1.0 + 0.1 * (1.0 - b)))
+            .collect();
+        let refit = SensitivityModel::fit("LR", &flat, 2).unwrap();
+        let mut refit_table = table();
+        refit_table.insert(refit.clone());
+        let conns = [(0, 0, 1), (2, 0, 1), (1, 2, 3), (2, 2, 3), (2, 4, 5)];
+        let build = |table: SensitivityTable, workloads: &[(u32, &str)]| {
+            let mut c = CentralController::new(ControllerConfig::default(), table, &topo);
+            for &(app, workload) in workloads {
+                c.register(AppId(app), workload).unwrap();
+            }
+            for (tag, &(app, src, dst)) in conns.iter().enumerate() {
+                c.preload_connection(AppId(app), s[src], s[dst], tag as u64);
             }
             c
         };
-        let (mut serial, mut par) = (fresh(), fresh());
-        par.set_solver_threads(2);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(12);
-        let mut live: Vec<(u32, NodeId, NodeId, u64)> = Vec::new();
-        let mut tag = 0u64;
-        while serial.stats().eq2_solves <= 5 * WEIGHT_CACHE_CAP as u64 / 4 {
-            if live.len() < 60 || (live.len() < 120 && rng.gen_bool(0.5)) {
-                let app = rng.gen_range(0..30u32);
-                let src = rng.gen_range(0..s.len());
-                let dst = (src + rng.gen_range(1..s.len())) % s.len();
-                tag += 1;
-                assert_eq!(
-                    serial.conn_create(AppId(app), s[src], s[dst], tag).unwrap(),
-                    par.conn_create(AppId(app), s[src], s[dst], tag).unwrap()
-                );
-                live.push((app, s[src], s[dst], tag));
-            } else {
-                let (app, .., tag) = live.swap_remove(rng.gen_range(0..live.len()));
-                assert_eq!(
-                    serial.conn_destroy(AppId(app), tag).unwrap(),
-                    par.conn_destroy(AppId(app), tag).unwrap()
-                );
-            }
-            assert!(serial.policy.weight_cache.len() <= WEIGHT_CACHE_CAP + 2 * s.len());
+        let workloads = [(0, "LR"), (1, "LR"), (2, "PR")];
+        let mut c = build(table(), &workloads);
+        c.recompute_all();
+        assert_eq!(c.policy.surrogates.len(), 2, "one slot per workload");
+
+        // The refit reprograms the four ports an A application crosses
+        // with what a controller born with the new table programs. (It
+        // moved A's published centroid, so the deferred sweep visits
+        // the two B-only ports too — and diffs them away.)
+        let before = c.stats();
+        let mut refitted = c.update_model(&refit);
+        assert_eq!(refitted.len(), 4, "B-only ports keep their programming");
+        let after = c.stats();
+        assert_eq!(after.ports_dirty - before.ports_dirty, 6);
+        assert_eq!(after.queue_updates_diffed - before.queue_updates_diffed, 2);
+        assert_eq!(c.policy.surrogates.len(), 2, "the slot was rewritten");
+        let mut fresh = build(refit_table.clone(), &workloads);
+        let mut want = fresh.recompute_all();
+        want.retain(|u| fresh.apps_at(u.link) != [AppId(2)]);
+        refitted.sort_by_key(|u| u.link.0);
+        assert_eq!(refitted, want);
+
+        // A third A application registers into the rewritten slot.
+        for ctl in [&mut c, &mut fresh] {
+            ctl.register(AppId(3), "LR").unwrap();
         }
-        assert_eq!(serial.stats(), par.stats());
-        let mut scratch = fresh();
-        for &(app, src, dst, tag) in &live {
-            scratch.preload_connection(AppId(app), src, dst, tag);
-        }
-        assert_eq!(serial.recompute_all(), scratch.recompute_all());
+        assert_eq!(c.policy.surrogates.len(), 2);
+        assert_eq!(
+            c.conn_create(AppId(3), s[4], s[5], 10).unwrap(),
+            fresh.conn_create(AppId(3), s[4], s[5], 10).unwrap()
+        );
+
+        // Id 1 leaves and comes back bound to another workload: its
+        // ports are solved with that workload's slot, exactly as on a
+        // controller that only ever knew the id by its second name.
+        // (Online clustering numbers the PLs by arrival, so the two are
+        // compared by what each application's queue weighs, bit for bit.)
+        c.deregister(AppId(1)).unwrap();
+        c.register(AppId(1), "Sort").unwrap();
+        c.conn_create(AppId(1), s[2], s[3], 11).unwrap();
+        let reborn = [(0, "LR"), (2, "PR"), (3, "LR"), (1, "Sort")];
+        let mut never_lr = build(refit_table, &reborn);
+        never_lr.preload_connection(AppId(3), s[4], s[5], 10);
+        let queue_weights = |ctl: &mut CentralController| -> Vec<(LinkId, AppId, u64)> {
+            let updates = ctl.recompute_all();
+            let per_app = |u: &SwitchUpdate| {
+                let weight = |app| u.config.weights[u.config.queue_of(ctl.sl_of(app).unwrap())];
+                let apps = ctl.apps_at(u.link).into_iter();
+                apps.map(|app| (u.link, app, weight(app).to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            updates.iter().flat_map(per_app).collect()
+        };
+        assert_eq!(queue_weights(&mut c), queue_weights(&mut never_lr));
     }
 
     #[test]

@@ -333,8 +333,10 @@ impl Policy for Distributed {
         self.weight_cache.get(present).map(Vec::as_slice)
     }
 
-    fn key(&self, present: &[usize], _pls: &[usize]) -> Vec<usize> {
-        present.to_vec()
+    /// Every port is memoized: PL sets are few, shared across ports,
+    /// and a degree-3 centroid mix takes the iterative solver.
+    fn key(&self, present: &[usize], _pls: &[usize]) -> Option<Vec<usize>> {
+        Some(present.to_vec())
     }
 
     /// Eq. 2 over the centroid model of each PL present (coarser than

@@ -12,23 +12,29 @@
 //! | seam | [`Central`](super::central::Central) | [`Distributed`](super::distributed::Distributed) |
 //! |---|---|---|
 //! | member on a port | `AppId` with its sticky PL | PL |
-//! | memo key → solve | exact app set → exact dual solve; > 32 apps → `(PL, count)` profile → clustered solve | PL set → centroid solve, warm-seeded from the port's last weights |
+//! | memo key → solve | ≤ 32 apps: none — the exact dual solve writes into the visit's weight buffer (one app: `[C_saba]`, no solve); > 32 apps → `(PL, count)` profile → clustered solve | PL set → centroid solve, warm-seeded from the port's last weights |
 //! | PL and queue mapper | online `PlAssigner` (deferred full sweep when the published centroids move) | offline `MappingDb` |
 //! | partition | one domain | link shards |
-//! | memo purge | entries naming a departed or re-profiled app | entries naming a PL whose centroid moved |
+//! | memo purge | clustered profiles when the published centroids move (nothing names an app: a refit rewrites its workload's surrogate slot) | entries naming a PL whose centroid moved |
 //!
-//! A port visit costs O(members) and allocates only what it emits. It
+//! A port visit costs O(members) and allocates only what it emits,
+//! whether or not the controller ever saw the port's members before. It
 //! copies the link's sorted member row and the members' PLs into
-//! buffers the engine keeps, reads the memoized solution through a
-//! borrowed slice (or solves and memoizes), folds the PLs into a `u16`
-//! set and asks the mapper's memo for that set's queue table
+//! buffers the engine keeps; gets the port's Eq. 2 solution into its
+//! weight buffer — a memoized one through a borrowed slice, a memo miss
+//! solved and stored, and a port the policy does not memoize
+//! ([`Policy::key`] is `None`) solved in place by
+//! [`Policy::solve_into`]; folds the PLs into a `u16` set and asks the
+//! mapper's memo for that set's queue table
 //! ([`QueueMapper::queues_for`] — the §5.3.2 hierarchy walk runs once
-//! per distinct set per hierarchy), sums each member's weight into its
-//! PL's queue in member order, and diffs the result against a dense
-//! per-link table of what the port runs. Same member order ⇒ same solve
-//! input ⇒ same queue table ⇒ same summation order: which containers
-//! hold the state cannot reach an emitted bit (`tests/sweep_bits.rs`),
-//! and `tests/sweep_allocs.rs` counts the allocations.
+//! per distinct set per hierarchy, on the stack); sums each member's
+//! weight into its PL's queue in member order; and diffs the result
+//! against a dense per-link table of what the port runs. Same member
+//! order ⇒ same solve input ⇒ same queue table ⇒ same summation order:
+//! which containers hold the state, and whether a solution was
+//! remembered or recomputed, cannot reach an emitted bit
+//! (`tests/sweep_bits.rs`), and `tests/sweep_allocs.rs` counts the
+//! allocations.
 //!
 //! Path detection mirrors §7.2: the controller holds its own copy of
 //! the fabric's forwarding tables (`Routes`, the stand-in for reading
@@ -48,9 +54,15 @@ use saba_workload::runtime::ConnEvent;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Debug;
 use std::hash::Hash;
+use std::sync::Arc;
 
 /// Running counters of one controller, used by the Fig. 12 overhead
 /// study, the service tier's gauges and tests.
+///
+/// Every visit to an occupied port lands in exactly one of
+/// [`Self::eq2_solves`] and [`Self::solves_skipped`]; a vacated port
+/// (visited, no members left) lands in neither. So
+/// `eq2_solves + solves_skipped + vacated visits == ports_dirty`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EpochStats {
     /// Applications registered over the lifetime.
@@ -65,11 +77,14 @@ pub struct EpochStats {
     pub forwards: u64,
     /// Ports reprogrammed.
     pub ports_reconfigured: u64,
-    /// Eq. 2 solves performed (cache misses plus parallel prewarms).
+    /// Occupied-port visits for which an Eq. 2 problem was solved: a
+    /// memo miss (the parallel prewarm's solves included) or the direct
+    /// solve of a port the policy does not memoize.
     pub eq2_solves: u64,
     /// Ports visited across all epochs (dirty-set sizes summed).
     pub ports_dirty: u64,
-    /// Eq. 2 solves avoided by the memo caches' fast path.
+    /// Occupied-port visits for which none was: a memo hit, or a port
+    /// with a single member, whose answer is `[C_saba]`.
     pub solves_skipped: u64,
     /// `SwitchUpdate`s suppressed because the recomputed configuration
     /// matched what the port already runs.
@@ -77,9 +92,13 @@ pub struct EpochStats {
 }
 
 impl EpochStats {
-    /// Fraction of Eq. 2 lookups answered from the memo caches
-    /// (`skipped / (skipped + solved)`), the service tier's
-    /// `controller.prewarm_hit_rate` gauge. `None` before any lookup.
+    /// Fraction of occupied-port visits that solved no Eq. 2 problem
+    /// (`skipped / (skipped + solved)`: memo hits and single-member
+    /// ports), the service tier's `controller.prewarm_hit_rate` gauge.
+    /// `None` before any visit. On the centralized flavour, whose exact
+    /// ports are solved rather than remembered, this is the
+    /// single-member share plus the clustered memo's hits — a low value
+    /// there says ports are contended, not that a cache is cold.
     pub fn cache_hit_rate(&self) -> Option<f64> {
         let total = self.solves_skipped + self.eq2_solves;
         (total > 0).then(|| self.solves_skipped as f64 / total as f64)
@@ -103,10 +122,11 @@ impl std::ops::AddAssign for EpochStats {
 /// What a controller flavour supplies to the shared epoch engine.
 ///
 /// A policy owns the application registry, the application → PL
-/// mapping, and the Eq. 2 memo. [`Self::solve`] must be a pure function
-/// of `&self`, the key and the link: the parallel prewarm calls it from
-/// worker threads and relies on that for bit-identity with the serial
-/// sweep.
+/// mapping, and the Eq. 2 memo — and decides, per port, whether the
+/// memo is worth asking ([`Self::key`]). [`Self::solve`] must be a pure
+/// function of `&self`, the key and the link: the parallel prewarm
+/// calls it from worker threads and relies on that for bit-identity
+/// with the serial sweep.
 pub trait Policy: Clone + Debug + Sync {
     /// What a port's membership set is made of.
     type Member: Copy + Ord + Hash + Debug + Send + Sync;
@@ -154,8 +174,10 @@ pub trait Policy: Clone + Debug + Sync {
     /// PLs, index-aligned), if any.
     fn cached(&self, members: &[Self::Member], pls: &[usize]) -> Option<&[f64]>;
 
-    /// The memo key [`Self::cached`] looked up.
-    fn key(&self, members: &[Self::Member], pls: &[usize]) -> Self::Key;
+    /// The memo key [`Self::cached`] looked up, or `None` for a port
+    /// the policy does not memoize — solving it costs less than
+    /// remembering it — which [`Self::solve_into`] answers instead.
+    fn key(&self, members: &[Self::Member], pls: &[usize]) -> Option<Self::Key>;
 
     /// Solves Eq. 2 for `key`; `link` is the first port of the epoch
     /// that asked for it.
@@ -169,6 +191,20 @@ pub trait Policy: Clone + Debug + Sync {
 
     /// Memoizes a solution.
     fn store(&mut self, key: Self::Key, weights: Vec<f64>);
+
+    /// Solves a port without a memo key, appending its solution to
+    /// `weights`; returns whether an Eq. 2 problem was solved (a lone
+    /// member's answer needs none). Never called on a policy whose
+    /// [`Self::key`] is always `Some`.
+    fn solve_into(
+        &self,
+        _cfg: &ControllerConfig,
+        _members: &[Self::Member],
+        _scratch: &mut SolveScratch,
+        _weights: &mut Vec<f64>,
+    ) -> bool {
+        unreachable!("this policy memoizes every port")
+    }
 
     /// Turns a port's solution, in `weights`, into one weight per
     /// member, in place.
@@ -203,8 +239,10 @@ pub trait Policy: Clone + Debug + Sync {
 #[derive(Debug, Clone)]
 pub struct Controller<P: Policy> {
     cfg: ControllerConfig,
-    topo: Topology,
-    routes: Routes,
+    /// The fabric and its forwarding tables are only read once built,
+    /// so a clone shares them — lazily derived distance fields included.
+    topo: Arc<Topology>,
+    routes: Arc<Routes>,
     pub(super) policy: P,
     conns: HashMap<(AppId, u64), Vec<LinkId>>,
     /// Reference-counted link → member reverse index; the source of
@@ -238,8 +276,8 @@ impl<P: Policy> Controller<P> {
     pub(super) fn with_policy(cfg: ControllerConfig, topo: &Topology, policy: P) -> Self {
         Self {
             cfg,
-            topo: topo.clone(),
-            routes: Routes::compute(topo),
+            topo: Arc::new(topo.clone()),
+            routes: Arc::new(Routes::compute(topo)),
             policy,
             conns: HashMap::new(),
             members: LinkMembers::new(topo.num_links()),
@@ -612,11 +650,13 @@ impl<P: Policy> Controller<P> {
         };
         self.stats.ports_dirty += links.len() as u64;
         // Parallel phase: solve every missing memo entry up front, so
-        // the serial per-port sweep below runs on pure cache hits. Each
-        // prewarmed key is hit at least once in the sweep (by the port
-        // that requested it), where the serial path would have counted
-        // a solve instead of a skip — the compensation below keeps the
-        // counters bit-identical to a single-threaded run.
+        // the serial per-port sweep below finds every memoized port's
+        // solution (ports the policy does not memoize are solved in the
+        // sweep either way). Each prewarmed key is hit at least once in
+        // the sweep (by the port that requested it), where the serial
+        // path would have counted a solve instead of a skip — the
+        // compensation below keeps the counters bit-identical to a
+        // single-threaded run.
         let prewarmed = if self.solver_threads > 1 {
             self.prewarm(&links)
         } else {
@@ -658,8 +698,9 @@ impl<P: Policy> Controller<P> {
     }
 
     /// Gathers the memo misses of one batch and solves them
-    /// concurrently: the member set of every dirty port is collected
-    /// serially, the solves for keys not yet memoized run on
+    /// concurrently: the member set of every dirty port the policy
+    /// memoizes is collected serially, the solves for keys not yet
+    /// memoized run on
     /// [`saba_math::parallel_map_with`] workers with per-thread
     /// [`SolveScratch`] pools, and results land in the memo in
     /// first-occurrence order. Returns the number of solves performed
@@ -678,7 +719,9 @@ impl<P: Policy> Controller<P> {
             if self.policy.cached(&self.row, &self.pls).is_some() {
                 continue;
             }
-            let key = self.policy.key(&self.row, &self.pls);
+            let Some(key) = self.policy.key(&self.row, &self.pls) else {
+                continue;
+            };
             if queued.insert(key.clone()) {
                 jobs.push((key, link));
             }
@@ -718,20 +761,25 @@ impl<P: Policy> Controller<P> {
             return PortQueueConfig::default();
         }
         let (members, pls, weights) = (&self.row, &self.pls, &mut self.weights);
+        let (cfg, scratch) = (&self.cfg, &mut self.scratch);
         weights.clear();
-        match self.policy.cached(members, pls) {
+        let solved = match self.policy.cached(members, pls) {
             Some(w) => {
-                self.stats.solves_skipped += 1;
                 weights.extend_from_slice(w);
+                false
             }
-            None => {
-                self.stats.eq2_solves += 1;
-                let key = self.policy.key(members, pls);
-                let w = self.policy.solve(&self.cfg, &key, link, &mut self.scratch);
-                weights.extend_from_slice(&w);
-                self.policy.store(key, w);
-            }
-        }
+            None => match self.policy.key(members, pls) {
+                Some(key) => {
+                    let w = self.policy.solve(cfg, &key, link, scratch);
+                    weights.extend_from_slice(&w);
+                    self.policy.store(key, w);
+                    true
+                }
+                None => self.policy.solve_into(cfg, members, scratch, weights),
+            },
+        };
+        self.stats.eq2_solves += u64::from(solved);
+        self.stats.solves_skipped += u64::from(!solved);
         self.policy.settle(link, members, pls, weights);
 
         // The hierarchy level at which the PLs present fit the queue
@@ -959,6 +1007,9 @@ mod tests {
         assert_eq!(serial.recompute_all(), par.recompute_all());
         let (ss, ps) = (serial.stats(), par.stats());
         assert_eq!(ss, ps, "stats must match the serial path exactly");
+        // Skips are memo hits on what a flavour memoizes (PL sets;
+        // the central funnel's clustered profiles) and single-member
+        // ports — no central *exact* port is ever a hit.
         assert!(ss.eq2_solves > 0 && ss.solves_skipped > 0);
         serial
     }
@@ -973,6 +1024,80 @@ mod tests {
         assert!(widest > 32, "funnel port should trigger the clustered path");
         let d = parallel_matches_serial(distributed);
         assert!(d.stats().forwards > 0, "paths should span shards");
+    }
+
+    /// Every occupied-port visit is a solve or a skip, never both,
+    /// never neither; a vacated port is neither. Checked per epoch over
+    /// a forced sweep and a 400-event stream (no preloads, so a port is
+    /// only ever vacated after it was programmed, and its visit emits).
+    fn counters_partition_occupied_visits<P: Policy>(
+        mk: fn(&Topology) -> Controller<P>,
+        threads: usize,
+    ) {
+        let topo = Topology::spine_leaf(&SpineLeafConfig::tiny(2));
+        let s = topo.servers();
+        let workloads = catalog();
+        let mut c = mk(&topo);
+        c.set_solver_threads(threads);
+        for app in 0..40u32 {
+            let w = &workloads[app as usize % workloads.len()].name;
+            c.register(AppId(app), w).unwrap();
+        }
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5aba_0019);
+        let mut below = |n: usize| rng.gen_range(0..n);
+        let mut live: Vec<(AppId, u64)> = Vec::new();
+        let (mut vacated, mut single) = (0, 0);
+        for tag in 0..401u64 {
+            let before = c.stats();
+            let updates = if tag == 200 {
+                c.recompute_all()
+            } else if live.len() < 30 || below(100) < 55 {
+                let app = AppId(below(40) as u32);
+                // Every application also funnels through one server
+                // pair, so clustered ports are in the stream.
+                let (src, dst) = match below(3) {
+                    0 => (0, 1),
+                    _ => (below(s.len()), below(s.len())),
+                };
+                live.push((app, tag));
+                c.conn_create(app, s[src], s[dst], tag).unwrap()
+            } else {
+                let (app, tag) = live.swap_remove(below(live.len()));
+                c.conn_destroy(app, tag).unwrap()
+            };
+            let after = c.stats();
+            let left = updates
+                .iter()
+                .filter(|u| c.members.is_empty(u.link))
+                .count() as u64;
+            vacated += left;
+            single += updates
+                .iter()
+                .filter(|u| c.members.num_members(u.link) == 1)
+                .count();
+            assert_eq!(
+                (after.eq2_solves - before.eq2_solves)
+                    + (after.solves_skipped - before.solves_skipped)
+                    + left,
+                after.ports_dirty - before.ports_dirty,
+                "event {tag}: solves + skips + vacated visits = visits"
+            );
+        }
+        assert!(
+            vacated > 10 && single > 20,
+            "{vacated} vacated, {single} lone"
+        );
+        let st = c.stats();
+        assert_eq!(st.eq2_solves + st.solves_skipped + vacated, st.ports_dirty);
+    }
+
+    #[test]
+    fn every_occupied_visit_is_one_solve_or_one_skip() {
+        for threads in [1, 8] {
+            counters_partition_occupied_visits(central, threads);
+            counters_partition_occupied_visits(distributed, threads);
+        }
     }
 
     /// Regression: a second create on a live `(app, tag)` used to charge

@@ -6,13 +6,25 @@
 //! PLs actually crossing that port collapse into at most `Q` clusters
 //! (`Q` = the port's queue count) and maps each cluster to a queue.
 //!
-//! That search ([`QueueMapper::map_port`]) is a pure function of the
-//! hierarchy, the *set* of PLs present and `Q`, and a controller asks
-//! it the same few questions for every port it visits. With PL ids
-//! below 16 the set is a `u16`, so [`QueueMapper::queues_for`] keeps the
-//! answers in a memo owned by the mapper: a hierarchy is never edited,
-//! only rebuilt ([`QueueMapper::build`]), and the memo dies with it —
-//! there is nothing to invalidate, and at most 2¹⁶ sets to remember.
+//! That search is a pure function of the hierarchy, the *set* of PLs
+//! present and `Q`, and there is one derivation of it, `walk`: per
+//! level, the distinct clusters of the present leaves, gathered in a
+//! 16-slot array on the stack, until a level fits the budget; the
+//! SL → queue table is filled from the same clusters. It allocates
+//! nothing — a cold controller asks for every distinct PL set of the
+//! fabric once (2,674 of them per epoch on the paper's 1,944 servers),
+//! and deriving each through `Vec`s of leaves, groups and centroids
+//! used to cost a quarter of the cold sweep. [`QueueMapper::map_port`]
+//! dresses the walk's answer in the public [`PortMap`] shape (groups
+//! as `Vec`s: tests and the conformance oracle read it);
+//! [`QueueMapper::queues_for`] keeps it, as the sweep needs it, in a
+//! memo owned by the mapper. With PL ids below 16 the set is a `u16`; a
+//! hierarchy is never edited, only rebuilt ([`QueueMapper::build`]), and
+//! the memo dies with it — there is nothing to invalidate, and at most
+//! 2¹⁶ sets to remember. `saba_math`'s
+//! [`Dendrogram::best_level`] / [`Dendrogram::group_subset`] are the
+//! independent reference `tests/proptest_controller.rs` holds the walk
+//! to.
 
 use saba_math::Dendrogram;
 use saba_sim::ids::ServiceLevel;
@@ -24,7 +36,7 @@ pub struct QueueMapper {
     /// Active PL ids; leaf `i` of the dendrogram is `pls[i]`.
     pls: Vec<usize>,
     dendrogram: Dendrogram,
-    /// [`Self::map_port`]'s answers, by (present-PL bitmask, budget).
+    /// The walk's answers, by (present-PL bitmask, budget).
     memo: HashMap<(u16, usize), PortQueues>,
 }
 
@@ -51,14 +63,27 @@ pub struct PortMap {
     pub sl_to_queue: [u8; ServiceLevel::COUNT],
 }
 
+/// The clusters a port's queues stand for: `[q]` = (the present leaf
+/// that introduced it, dendrogram cluster id) of queue `q`.
+type Clusters = [(usize, usize); ServiceLevel::COUNT];
+
 impl QueueMapper {
     /// Builds the hierarchy over active PL centroids.
     ///
     /// Returns `None` when no PLs are active.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than 16 PLs: a port's queues are found among at
+    /// most one cluster per InfiniBand SL.
     pub fn build(centroids: &[(usize, Vec<f64>)]) -> Option<Self> {
         if centroids.is_empty() {
             return None;
         }
+        assert!(
+            centroids.len() <= ServiceLevel::COUNT,
+            "InfiniBand supports at most 16 PLs"
+        );
         let pls: Vec<usize> = centroids.iter().map(|(pl, _)| *pl).collect();
         let points: Vec<Vec<f64>> = centroids.iter().map(|(_, c)| c.clone()).collect();
         Some(Self {
@@ -78,6 +103,60 @@ impl QueueMapper {
         &self.dendrogram
     }
 
+    /// The dendrogram leaf of an active PL.
+    fn leaf_of(&self, pl: usize) -> usize {
+        let leaf = self.pls.iter().position(|&p| p == pl);
+        leaf.unwrap_or_else(|| panic!("PL {pl} is not active"))
+    }
+
+    /// The one derivation of a port's queues: the first level at which
+    /// `leaves` (present at the port, in the caller's order) occupy at
+    /// most `max_queues` clusters. Queues are numbered as
+    /// [`Dendrogram::group_subset`] orders its groups — ascending by
+    /// the leaf that introduced each cluster, which for leaves given in
+    /// ascending order is plain first appearance — and every active PL,
+    /// present or not, is routed to the queue of its cluster at that
+    /// level, so stray traffic of an absent PL still lands somewhere
+    /// sensible (queue 0 when its cluster has no queue). Returns the
+    /// level (1-based), the clusters by queue, and the queue table.
+    fn walk(&self, leaves: &[usize], max_queues: usize) -> (usize, Clusters, PortQueues) {
+        assert!(max_queues >= 1, "a port needs at least one queue");
+        assert!(!leaves.is_empty(), "no PLs present at port");
+        let mut clusters: Clusters = [(0, 0); ServiceLevel::COUNT];
+        let (mut level, mut queues) = (0, usize::MAX);
+        // The top level is one cluster, so some level fits.
+        while queues > max_queues {
+            level += 1;
+            queues = 0;
+            for &leaf in leaves {
+                let id = self.dendrogram.cluster_of(level, leaf);
+                if clusters[..queues].iter().any(|&(_, known)| known == id) {
+                    continue;
+                }
+                queues += 1;
+                if queues > max_queues {
+                    break;
+                }
+                let at = clusters[..queues - 1].partition_point(|&(first, _)| first < leaf);
+                clusters.copy_within(at..queues - 1, at + 1);
+                clusters[at] = (leaf, id);
+            }
+        }
+        let mut sl_to_queue = [0u8; ServiceLevel::COUNT];
+        for (leaf, &pl) in self.pls.iter().enumerate() {
+            let id = self.dendrogram.cluster_of(level, leaf);
+            let queue = clusters[..queues].iter().position(|&(_, c)| c == id);
+            if let (Some(q), true) = (queue, pl < ServiceLevel::COUNT) {
+                sl_to_queue[pl] = q as u8;
+            }
+        }
+        let port = PortQueues {
+            sl_to_queue,
+            queues,
+        };
+        (level, clusters, port)
+    }
+
     /// Maps the PLs present at one port onto at most `max_queues`
     /// queues.
     ///
@@ -86,44 +165,26 @@ impl QueueMapper {
     /// Panics if `present_pls` is empty, contains an inactive PL, or
     /// `max_queues` is zero.
     pub fn map_port(&self, present_pls: &[usize], max_queues: usize) -> PortMap {
-        assert!(max_queues >= 1, "a port needs at least one queue");
-        assert!(!present_pls.is_empty(), "no PLs present at port");
-        let leaves: Vec<usize> = present_pls
-            .iter()
-            .map(|pl| {
-                self.pls
-                    .iter()
-                    .position(|p| p == pl)
-                    .unwrap_or_else(|| panic!("PL {pl} is not active"))
-            })
-            .collect();
-        let level = self.dendrogram.best_level(&leaves, max_queues);
-        let clusters = self.dendrogram.group_subset(&leaves, max_queues);
-
-        let mut groups = Vec::with_capacity(clusters.len());
-        let mut sl_to_queue = [0u8; ServiceLevel::COUNT];
-        for (q, cluster) in clusters.iter().enumerate() {
-            groups.push(cluster.leaves.iter().map(|&l| self.pls[l]).collect());
-            // Any PL (present or not) whose cluster at this level matches
-            // gets routed to the same queue, so stray traffic of an
-            // absent PL still lands somewhere sensible.
-            for (leaf, &pl) in self.pls.iter().enumerate() {
-                if self.dendrogram.cluster_of(level, leaf) == cluster.id && pl < ServiceLevel::COUNT
-                {
-                    sl_to_queue[pl] = q as u8;
-                }
-            }
+        let mut leaves: Vec<usize> = present_pls.iter().map(|&pl| self.leaf_of(pl)).collect();
+        let (level, clusters, port) = self.walk(&leaves, max_queues);
+        let mut groups = vec![Vec::new(); port.queues];
+        leaves.sort_unstable();
+        for leaf in leaves {
+            let id = self.dendrogram.cluster_of(level, leaf);
+            let queue = clusters[..port.queues].iter().position(|&(_, c)| c == id);
+            groups[queue.expect("a present leaf's cluster has a queue")].push(self.pls[leaf]);
         }
         PortMap {
             level,
             groups,
-            sl_to_queue,
+            sl_to_queue: port.sl_to_queue,
         }
     }
 
-    /// [`Self::map_port`] for the PLs whose bits are set in `present`
-    /// (ascending, as the sweep has always passed them), answered from
-    /// the memo after the first ask.
+    /// [`Self::map_port`]'s queue table for the PLs whose bits are set
+    /// in `present` (ascending, as the sweep has always passed them),
+    /// answered from the memo after the first ask; the first ask
+    /// allocates nothing but its memo entry.
     ///
     /// # Panics
     ///
@@ -132,14 +193,12 @@ impl QueueMapper {
         if let Some(&known) = self.memo.get(&(present, max_queues)) {
             return known;
         }
-        let pls: Vec<usize> = (0..ServiceLevel::COUNT)
-            .filter(|pl| present >> pl & 1 == 1)
-            .collect();
-        let map = self.map_port(&pls, max_queues);
-        let queues = PortQueues {
-            sl_to_queue: map.sl_to_queue,
-            queues: map.groups.len(),
-        };
+        let (mut leaves, mut n) = ([0; ServiceLevel::COUNT], 0);
+        for pl in (0..ServiceLevel::COUNT).filter(|pl| present >> pl & 1 == 1) {
+            leaves[n] = self.leaf_of(pl);
+            n += 1;
+        }
+        let (.., queues) = self.walk(&leaves[..n], max_queues);
         self.memo.insert((present, max_queues), queues);
         queues
     }

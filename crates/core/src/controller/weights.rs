@@ -6,8 +6,10 @@
 //! we solve over convex quadratic surrogates of the fitted models, which
 //! `saba-math`'s exact dual solve handles in closed form — the answer is
 //! a pure function of the member set, so the centralized path carries no
-//! warm seeds — with a starvation-protection floor on every
-//! application's share (see
+//! warm seeds and remembers no solutions: it solves each port straight
+//! into the caller's weight buffer
+//! ([`port_weights_from_surrogates`]) — with a starvation-protection
+//! floor on every application's share (see
 //! [`crate::controller::ControllerConfig::protect_fraction`]). PL
 //! centroids (the distributed flavour) are raw coefficient vectors;
 //! those of degree 3 take the iterative solver, warm-started.
@@ -19,10 +21,9 @@ use saba_math::{
 
 /// A model's precomputed solver inputs: the convex quadratic surrogate
 /// and the saturation point it is anchored at. Both depend only on the
-/// fitted model and `C_saba`, which are immutable for the lifetime of a
-/// registration — so the central controller computes this once per
-/// application at register time instead of re-deriving it inside every
-/// per-port solve.
+/// fitted model and `C_saba` — so the central controller computes this
+/// once per workload (again on a refit) instead of re-deriving it
+/// inside every per-port solve.
 #[derive(Debug, Clone)]
 pub struct ModelSurrogate {
     /// Convex quadratic surrogate of the fitted model.
@@ -69,12 +70,6 @@ pub fn port_weights_protected(
     protect: f64,
 ) -> Result<Vec<f64>, OptimizeError> {
     assert!(c_saba > 0.0 && c_saba <= 1.0, "C_saba must be in (0, 1]");
-    if models.is_empty() {
-        return Err(OptimizeError::Empty);
-    }
-    if models.len() == 1 {
-        return Ok(vec![c_saba]);
-    }
     // The solver operates on *convex quadratic surrogates* of the fitted
     // models, anchored at each model's saturation point (the lowest
     // profiled bandwidth where the measured slowdown still responds to
@@ -89,35 +84,47 @@ pub fn port_weights_protected(
         .iter()
         .map(|m| ModelSurrogate::of(m, c_saba))
         .collect();
-    let scratch = &mut SolveScratch::new();
-    port_weights_from_surrogates(surrogates.iter(), c_saba, min_weight, protect, scratch)
+    let (scratch, mut w) = (&mut SolveScratch::new(), Vec::with_capacity(models.len()));
+    port_weights_from_surrogates(
+        surrogates.iter(),
+        c_saba,
+        min_weight,
+        protect,
+        scratch,
+        &mut w,
+    )?;
+    Ok(w)
 }
 
 /// [`port_weights_protected`] over precomputed surrogates with
-/// caller-owned scratch. This is the entry point the central controller
-/// uses: surrogates come from its per-application table and are read in
-/// place, through the iterator, by the exact dual solve. Only the
-/// non-convex fallback surrogate (a fit that failed) sends a port to the
-/// iterative solver.
+/// caller-owned scratch, appending the port's weights to `weights`
+/// (nothing on an error). This is the entry point the central
+/// controller uses: surrogates come from its per-workload slots and are
+/// read in place, through the iterator, by the exact dual solve, which
+/// writes into the buffer the port visit reads — no allocation. Only
+/// the non-convex fallback surrogate (a fit that failed) sends a port to
+/// the iterative solver.
 pub fn port_weights_from_surrogates<'a>(
     surrogates: impl ExactSizeIterator<Item = &'a ModelSurrogate> + Clone,
     c_saba: f64,
     min_weight: f64,
     protect: f64,
     scratch: &mut SolveScratch,
-) -> Result<Vec<f64>, OptimizeError> {
+    weights: &mut Vec<f64>,
+) -> Result<(), OptimizeError> {
     assert!(c_saba > 0.0 && c_saba <= 1.0, "C_saba must be in (0, 1]");
     if surrogates.len() == 0 {
         return Err(OptimizeError::Empty);
     }
     if surrogates.len() == 1 {
-        return Ok(vec![c_saba]);
+        weights.push(c_saba);
+        return Ok(());
     }
     const BALANCE_REG: f64 = 0.1;
     let floor = protective_floor(surrogates.len(), c_saba, min_weight, protect);
-    let borrowed = surrogates.clone().map(|s| (&s.surrogate, s.saturation));
-    if let Some(w) = solve_dual(borrowed, c_saba, floor, c_saba, BALANCE_REG, scratch) {
-        return Ok(w);
+    let models = surrogates.clone().map(|s| (&s.surrogate, s.saturation));
+    if solve_dual(models, c_saba, floor, c_saba, BALANCE_REG, scratch, weights) {
+        return Ok(());
     }
     let problem = WeightProblem {
         models: surrogates.clone().map(|s| s.surrogate.clone()).collect(),
@@ -127,7 +134,7 @@ pub fn port_weights_from_surrogates<'a>(
         max_weight: c_saba,
         balance_reg: BALANCE_REG,
     };
-    saba_math::minimize_weights_scratch(&problem, scratch).map(|s| s.weights)
+    saba_math::minimize_weights_scratch(&problem, scratch).map(|s| weights.extend(s.weights))
 }
 
 /// Fits a convex quadratic to the model's predictions over `[sat, hi]`.

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use saba_core::controller::central::CentralController;
-use saba_core::controller::queuemap::QueueMapper;
+use saba_core::controller::queuemap::{PortMap, QueueMapper};
 use saba_core::controller::ControllerConfig;
 use saba_core::profiler::{Profiler, ProfilerConfig};
 use saba_core::sensitivity::SensitivityTable;
@@ -140,15 +140,20 @@ proptest! {
         }
     }
 
-    /// The memoised PL-set → queue map is the fresh derivation: for any
-    /// hierarchy, any set of its PLs and any budget, first ask and
-    /// repeat ask alike, and a rebuilt hierarchy answers for itself,
-    /// not from what its predecessor remembered.
+    /// The one §5.3.2 walk — behind `map_port` and the memoised
+    /// `queues_for` alike — is `saba_math`'s search: for any hierarchy
+    /// (1–16 leaves, non-contiguous PL ids, leaves in any order), any set
+    /// of its PLs and any budget it picks `Dendrogram::best_level`,
+    /// partitions and numbers the queues as `Dendrogram::group_subset`
+    /// does, and routes every active SL with its cluster; first ask and
+    /// repeat ask alike, in ascending and in rotated PL order, and a
+    /// rebuilt hierarchy answers for itself, not from what its
+    /// predecessor remembered.
     #[test]
     fn memoised_queue_map_is_the_fresh_one(
         hierarchies in prop::collection::vec(
             prop::collection::vec(
-                (any::<bool>(), prop::collection::vec(-2.0f64..2.0, 3)),
+                (any::<bool>(), any::<u32>(), prop::collection::vec(-2.0f64..2.0, 3)),
                 16,
             ),
             2,
@@ -157,32 +162,74 @@ proptest! {
     ) {
         let mut mapper = None;
         for slots in hierarchies {
-            // PL `i` is active where the flag is set (PL 0 always is).
-            let centroids: Vec<(usize, Vec<f64>)> = slots
+            // PL `i` is active where the flag is set (PL 0 always is);
+            // the drawn keys shuffle which leaf each PL becomes.
+            let mut centroids: Vec<(u32, usize, Vec<f64>)> = slots
                 .into_iter()
                 .enumerate()
-                .filter(|(pl, (active, _))| *active || *pl == 0)
-                .map(|(pl, (_, centroid))| (pl, centroid))
+                .filter(|(pl, (active, ..))| *active || *pl == 0)
+                .map(|(pl, (_, key, centroid))| (key, pl, centroid))
                 .collect();
+            centroids.sort_by_key(|&(key, pl, _)| (key, pl));
+            let centroids: Vec<(usize, Vec<f64>)> =
+                centroids.into_iter().map(|(_, pl, c)| (pl, c)).collect();
             let active = centroids.iter().fold(0u16, |set, (pl, _)| set | 1 << pl);
             // The same variable on purpose: a rebuild replaces the
             // mapper, memo and all.
             let mapper = mapper.insert(QueueMapper::build(&centroids).expect("PL 0 is active"));
-            let fresh = mapper.clone();
             for round in 0..2 {
                 for &(set, budget) in &asks {
                     let present = (set & active).max(1);
-                    let pls: Vec<usize> = (0..16).filter(|pl| present >> pl & 1 == 1).collect();
-                    let want = fresh.map_port(&pls, budget);
+                    let mut pls: Vec<usize> = (0..16).filter(|pl| present >> pl & 1 == 1).collect();
+                    let want = reference_map(mapper, &pls, budget);
+                    prop_assert_eq!(&mapper.map_port(&pls, budget), &want);
                     let got = mapper.queues_for(present, budget);
                     prop_assert_eq!(got.sl_to_queue, want.sl_to_queue, "round {}", round);
                     prop_assert_eq!(got.queues, want.groups.len());
-                    for pl in pls {
+                    for &pl in &pls {
                         let group = want.groups.iter().position(|g| g.contains(&pl));
                         prop_assert_eq!(Some(usize::from(got.sl_to_queue[pl])), group);
                     }
+                    // Caller order reaches the queue numbering (a group
+                    // sits where its first-listed member's leaf sorts).
+                    let by = budget % pls.len();
+                    pls.rotate_left(by);
+                    prop_assert_eq!(mapper.map_port(&pls, budget), reference_map(mapper, &pls, budget));
                 }
             }
         }
     }
+}
+
+/// §5.3.2 over `saba_math`'s own search — `map_port` as it was derived
+/// before the controller grew its allocation-free walk, kept here as
+/// the independent reference.
+fn reference_map(mapper: &QueueMapper, present_pls: &[usize], max_queues: usize) -> PortMap {
+    let (d, pls) = (mapper.dendrogram(), mapper.pls());
+    let leaf_of = |pl: &usize| pls.iter().position(|p| p == pl).expect("an active PL");
+    let leaves: Vec<usize> = present_pls.iter().map(leaf_of).collect();
+    let level = d.best_level(&leaves, max_queues);
+    let mut sl_to_queue = [0u8; 16];
+    let mut groups = Vec::new();
+    for (q, cluster) in d.group_subset(&leaves, max_queues).iter().enumerate() {
+        groups.push(cluster.leaves.iter().map(|&l| pls[l]).collect());
+        for (leaf, &pl) in pls.iter().enumerate() {
+            if d.cluster_of(level, leaf) == cluster.id {
+                sl_to_queue[pl] = q as u8;
+            }
+        }
+    }
+    PortMap {
+        level,
+        groups,
+        sl_to_queue,
+    }
+}
+
+#[test]
+#[should_panic(expected = "PL 3 is not active")]
+fn an_inactive_pl_in_the_mask_is_rejected() {
+    let centroids = [(0, vec![0.0]), (2, vec![1.0]), (5, vec![4.0])];
+    let mut mapper = QueueMapper::build(&centroids).unwrap();
+    mapper.queues_for(0b10_1100, 4);
 }

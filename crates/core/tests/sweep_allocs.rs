@@ -1,16 +1,22 @@
 //! The per-port sweep's heap traffic, counted.
 //!
-//! A port visit reads its members, their PLs and the memoized solution
-//! through buffers the engine keeps, and finds the PL → queue map in the
-//! mapper's memo; what it must allocate is what it hands out — the
-//! emitted configuration's `weights` — and the copy of it the diff keeps
-//! in `programmed`. This binary installs a counting allocator (per
-//! thread, so the harness may run the tests side by side) and holds the
-//! sweep and path detection to that.
+//! A port visit reads its members and their PLs through buffers the
+//! engine keeps, gets its Eq. 2 solution into another — copied from a
+//! memo, or, on the central flavour's exact ports, solved in place —
+//! and finds the PL → queue map in the mapper's memo; what it must
+//! allocate is what it hands out — the emitted configuration's
+//! `weights` — and the copy of it the diff keeps in `programmed`. That
+//! holds whether or not the controller ever saw the port's members
+//! before: a first visit costs, beyond those two, only the growth of
+//! the buffers and of the queue-map memo. This binary installs a
+//! counting allocator (per thread, so the harness may run the tests
+//! side by side) and holds the sweep, the queue-map walk and path
+//! detection to that.
 
 use saba_core::controller::central::CentralController;
 use saba_core::controller::distributed::{DistributedController, MappingDb};
 use saba_core::controller::epoch::{Controller, Policy};
+use saba_core::controller::queuemap::QueueMapper;
 use saba_core::controller::ControllerConfig;
 use saba_core::profiler::{Profiler, ProfilerConfig};
 use saba_core::sensitivity::SensitivityTable;
@@ -91,9 +97,10 @@ fn distributed(topo: &Topology) -> DistributedController {
     DistributedController::new(ControllerConfig::default(), db, topo, 4)
 }
 
-/// Forty applications spread over the fabric and all funnelled through
-/// one server pair, so a clustered (> 32 applications) port is swept too.
-fn loaded<P: Policy>(mut c: Controller<P>, topo: &Topology) -> Controller<P> {
+/// Forty applications spread over the fabric and, with `funnel`, all
+/// sent through one server pair as well, so a clustered (> 32
+/// applications) port is swept too.
+fn loaded<P: Policy>(mut c: Controller<P>, topo: &Topology, funnel: bool) -> Controller<P> {
     let s = topo.servers();
     let names: Vec<String> = catalog().into_iter().map(|w| w.name).collect();
     for app in 0..40u32 {
@@ -103,7 +110,9 @@ fn loaded<P: Policy>(mut c: Controller<P>, topo: &Topology) -> Controller<P> {
         if a != b {
             c.preload_connection(AppId(app), s[a], s[b], u64::from(app));
         }
-        c.preload_connection(AppId(app), s[0], s[1], 1_000 + u64::from(app));
+        if funnel {
+            c.preload_connection(AppId(app), s[0], s[1], 1_000 + u64::from(app));
+        }
     }
     c
 }
@@ -112,14 +121,33 @@ fn loaded<P: Policy>(mut c: Controller<P>, topo: &Topology) -> Controller<P> {
 /// grows by doubling) and the update list.
 const PER_EPOCH: u64 = 8;
 
-fn warm_forced_sweep_allocates_two_per_port<P: Policy>(mk: fn(&Topology) -> Controller<P>) {
+/// Reallocations a buffer (or hash table) that grows by doubling makes
+/// on its way from empty to `n` entries, at most.
+fn doublings(n: usize) -> u64 {
+    u64::from(usize::BITS - n.leading_zeros()) + 1
+}
+
+/// `memoizes_every_port`: whether the flavour answers a repeated sweep
+/// from its Eq. 2 memo (distributed) or solves its exact ports again
+/// (central, which remembers only clustered ones).
+fn warm_forced_sweep_allocates_two_per_port<P: Policy>(
+    mk: fn(&Topology) -> Controller<P>,
+    memoizes_every_port: bool,
+) {
     let topo = Topology::spine_leaf(&SpineLeafConfig::tiny(3));
-    let mut c = loaded(mk(&topo), &topo);
+    let mut c = loaded(mk(&topo), &topo, true);
     let cold = c.recompute_all();
     let solves = c.stats().eq2_solves;
     let (warm, allocations) = counted(|| c.recompute_all());
     assert_eq!(warm, cold);
-    assert_eq!(c.stats().eq2_solves, solves, "the second sweep is warm");
+    let solved_again = c.stats().eq2_solves - solves;
+    if memoizes_every_port {
+        assert_eq!(solved_again, 0, "the PL-set memo answers the second sweep");
+    } else {
+        // No exact-set memo exists to make the second sweep "warm": it
+        // solves every contended exact port again, into the same buffer.
+        assert!(solved_again > 40, "{solved_again} ports solved again");
+    }
     let ports = warm.len() as u64;
     assert!(ports > 40, "{ports} occupied ports");
     assert!(
@@ -130,32 +158,120 @@ fn warm_forced_sweep_allocates_two_per_port<P: Policy>(mk: fn(&Topology) -> Cont
 
 #[test]
 fn a_warm_forced_sweep_allocates_only_what_it_emits_and_keeps() {
-    warm_forced_sweep_allocates_two_per_port(central);
-    warm_forced_sweep_allocates_two_per_port(distributed);
+    warm_forced_sweep_allocates_two_per_port(central, false);
+    warm_forced_sweep_allocates_two_per_port(distributed, true);
 }
 
 #[test]
-fn a_memo_hit_event_allocates_only_what_it_emits_and_keeps() {
+fn a_cold_forced_sweep_over_exact_ports_allocates_only_what_it_emits_and_keeps() {
     let topo = Topology::spine_leaf(&SpineLeafConfig::tiny(3));
-    let mut c = loaded(central(&topo), &topo);
+    let mut c = loaded(central(&topo), &topo, false);
+    // The controller has never swept: no solution, no queue map and no
+    // buffer capacity exists yet.
+    let (cold, allocations) = counted(|| c.recompute_all());
+    let ports = cold.len() as u64;
+    assert!(ports > 40, "{ports} occupied ports");
+    let widths = cold.iter().map(|u| c.apps_at(u.link).len());
+    let widest = widths.max().expect("occupied ports");
+    assert!((2..=32).contains(&widest), "exact ports only: {widest}");
+    let stats = c.stats();
+    assert_eq!(stats.eq2_solves + stats.solves_skipped, ports);
+    assert!(stats.eq2_solves > 20, "contended ports were solved");
+    let pl_sets: std::collections::BTreeSet<u16> = cold
+        .iter()
+        .map(|u| {
+            let sl = |&app| c.sl_of(app).expect("registered").0;
+            c.apps_at(u.link)
+                .iter()
+                .fold(0, |set, app| set | 1 << sl(app))
+        })
+        .collect();
+    // Beyond two per port: the queue-map memo's growth to one entry per
+    // distinct PL set, and the growth of the visit's three buffers and
+    // the dual solve's five (its break list holds three entries per
+    // member) to the widest port.
+    let growth = doublings(pl_sets.len()) + 7 * doublings(widest) + doublings(3 * widest);
+    assert!(
+        allocations <= 2 * ports + growth + PER_EPOCH,
+        "{allocations} allocations over {ports} ports, {} PL sets, widest {widest}",
+        pl_sets.len()
+    );
+}
+
+#[test]
+fn an_exact_port_event_allocates_only_what_it_emits_and_keeps() {
+    let topo = Topology::spine_leaf(&SpineLeafConfig::tiny(3));
+    let mut c = loaded(central(&topo), &topo, true);
     c.recompute_all();
     let s = topo.servers();
     let (src, dst) = (s[2], s[s.len() - 1]);
-    // Create and destroy once: both membership states of every port on
-    // the path are memoized now (as are their PL sets' queue maps).
-    let first = c.conn_create(AppId(5), src, dst, 77).unwrap();
+    // Sending another application of the same PL down the path first
+    // leaves the queue maps of the PL sets the event will meet in the
+    // mapper's memo, and nothing else — no exact solution is remembered
+    // anywhere.
+    let twin = (0..40)
+        .map(AppId)
+        .find(|&a| a != AppId(5) && c.sl_of(a) == c.sl_of(AppId(5)));
+    let twin = twin.expect("40 applications share 16 PLs");
+    c.conn_create(twin, src, dst, 76).unwrap();
+    c.conn_destroy(twin, 76).unwrap();
+    let solves = c.stats().eq2_solves;
+    let (unseen, first) = counted(|| c.conn_create(AppId(5), src, dst, 77).unwrap());
+    let solved = c.stats().eq2_solves - solves;
     c.conn_destroy(AppId(5), 77).unwrap();
     let solves = c.stats().eq2_solves;
-    let (again, allocations) = counted(|| c.conn_create(AppId(5), src, dst, 77).unwrap());
-    assert_eq!(again, first);
-    assert_eq!(c.stats().eq2_solves, solves, "every port was a memo hit");
-    assert!(again.len() >= 4, "a cross-pod path: {} ports", again.len());
+    let (seen, second) = counted(|| c.conn_create(AppId(5), src, dst, 77).unwrap());
+    assert_eq!(seen, unseen);
+    assert!(solved >= 4, "a cross-pod path of contended ports: {solved}");
+    assert_eq!(
+        c.stats().eq2_solves - solves,
+        solved,
+        "member sets met before are solved again: there is no exact-set memo to hit"
+    );
+    assert!(seen.len() >= 4, "a cross-pod path: {} ports", seen.len());
     // Beyond two per emitted port: the path, the dirty list (up to two
-    // growth steps), the connection-table entry, the update list.
+    // growth steps), the connection-table entry, the update list —
+    // whether or not the ports' member sets were ever visited before.
+    for allocations in [first, second] {
+        assert!(
+            allocations <= 2 * seen.len() as u64 + 6,
+            "{allocations} allocations for {} emitted ports",
+            seen.len()
+        );
+    }
+}
+
+#[test]
+fn a_queue_map_first_ask_allocates_only_its_memo_entry() {
+    let centroids: Vec<(usize, Vec<f64>)> = (0..12usize)
+        .map(|pl| {
+            let x = (pl * pl) as f64;
+            (pl + pl / 5, vec![0.3 * x, 7.0 - x, (x * 0.37).sin()])
+        })
+        .collect();
+    let active = centroids.iter().fold(0u16, |set, (pl, _)| set | 1 << pl);
+    let mut mapper = QueueMapper::build(&centroids).unwrap();
+    let (mut asked, mut grown) = (0usize, 0);
+    for seed in 1..400u16 {
+        let present = seed.wrapping_mul(0x9e37) & active;
+        if present == 0 {
+            continue;
+        }
+        for budget in [1, 3, 8] {
+            let (first, allocations) = counted(|| mapper.queues_for(present, budget));
+            // The walk itself runs on the stack; the memo's table may
+            // have to grow for the new entry.
+            assert!(allocations <= 1, "first ask: {allocations} allocations");
+            grown += allocations;
+            asked += 1;
+            let (again, allocations) = counted(|| mapper.queues_for(present, budget));
+            assert_eq!(allocations, 0, "a repeated ask");
+            assert_eq!(again, first);
+        }
+    }
     assert!(
-        allocations <= 2 * again.len() as u64 + 6,
-        "{allocations} allocations for {} emitted ports",
-        again.len()
+        asked > 600 && grown <= doublings(asked),
+        "{grown} of {asked}"
     );
 }
 

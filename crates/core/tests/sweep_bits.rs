@@ -12,6 +12,13 @@
 //! stream, and the final [`EpochStats`]. Cubic models, so the clustered
 //! central solve and the distributed flavour's warm-seeded solves (where
 //! a port's history enters the bits) are both on the pinned path.
+//!
+//! One re-recording since: when the central flavour stopped memoizing
+//! its exact (≤ 32 application) ports, the six central rows' `eq2_solves`
+//! / `solves_skipped` columns moved — a visit that used to hit the memo
+//! now solves, and a single-application port counts as skipped from its
+//! first visit — with their sum, every other counter and all twelve
+//! digest pairs as recorded at `b326544`.
 
 use saba_core::controller::central::CentralController;
 use saba_core::controller::distributed::{DistributedController, MappingDb};
@@ -171,37 +178,37 @@ const EXPECTED: &[Pin] = &[
         (true, 2, false),
         (55, 0xb5a854e939f70959),
         (1971, 0xb318cefd34b392b),
-        [40, 287, 188, 0, 2026, 1609, 2218, 595, 192],
+        [40, 287, 188, 0, 2026, 2004, 2218, 200, 192],
     ),
     (
         (true, 2, true),
         (55, 0x7bb49bb57f52d21e),
         (3402, 0x473224a13b674b2c),
-        [40, 287, 188, 0, 3457, 1457, 3780, 2313, 323],
+        [40, 287, 188, 0, 3457, 3631, 3780, 139, 323],
     ),
     (
         (true, 4, false),
         (56, 0x5a66bbda1eafc51d),
         (1830, 0x433d88407c6f70ef),
-        [40, 299, 176, 0, 1886, 1575, 2156, 572, 270],
+        [40, 299, 176, 0, 1886, 1997, 2156, 150, 270],
     ),
     (
         (true, 4, true),
         (56, 0xf8a6a5cccf3ae387),
         (2944, 0xc8beaed50229e6c1),
-        [40, 299, 176, 0, 3000, 1369, 3462, 2089, 462],
+        [40, 299, 176, 0, 3000, 3366, 3462, 92, 462],
     ),
     (
         (true, 8, false),
         (54, 0x1a54436eecf0f128),
         (1750, 0x248fabcf8da636d8),
-        [40, 328, 147, 0, 1804, 1580, 1993, 410, 189],
+        [40, 328, 147, 0, 1804, 1881, 1993, 109, 189],
     ),
     (
         (true, 8, true),
         (55, 0xd177e5f9e0990c88),
         (2620, 0xbb119417f781467d),
-        [40, 328, 147, 0, 2675, 1235, 2876, 1640, 201],
+        [40, 328, 147, 0, 2675, 2785, 2876, 90, 201],
     ),
     (
         (false, 2, false),

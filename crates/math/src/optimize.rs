@@ -15,7 +15,10 @@
 //!   surrogates) are solved *exactly* by [`solve_dual`]: each marginal
 //!   `Dᵢ′` is piecewise linear and increasing, so `wᵢ(λ)` is closed-form
 //!   and the multiplier of `Σwᵢ = C` follows from a breakpoint search.
-//!   No starts, no line search, no history.
+//!   No starts, no line search, no history — and no allocation: it
+//!   gathers into [`SolveScratch`] and appends the weights to a buffer
+//!   the caller owns, so a controller sweeping thousands of ports
+//!   solves each in place instead of remembering solutions.
 //! - **Everything else** (cubic fits, non-convex models) takes the
 //!   iterative path:
 //!   1. a **projected-Newton / SQP** iteration exploiting the separable
@@ -434,15 +437,17 @@ fn strongly_convex_on(problem: &WeightProblem, curv: &Curvature, lo: f64, hi: f6
 /// `None` when `problem` does not qualify for [`solve_dual`].
 fn dual_solution(problem: &WeightProblem, scratch: &mut SolveScratch) -> Option<WeightSolution> {
     let models = (0..problem.models.len()).map(|i| (&problem.models[i], problem.floor(i)));
-    let weights = solve_dual(
+    let mut weights = Vec::with_capacity(problem.models.len());
+    solve_dual(
         models,
         problem.capacity,
         problem.min_weight,
         problem.max_weight,
         problem.balance_reg,
         scratch,
-    )?;
-    Some(WeightSolution {
+        &mut weights,
+    )
+    .then(|| WeightSolution {
         objective: problem.objective(&weights),
         weights,
         iterations: 0,
@@ -450,9 +455,12 @@ fn dual_solution(problem: &WeightProblem, scratch: &mut SolveScratch) -> Option<
 }
 
 /// Solves Eq. 2 **exactly** over borrowed models when the problem is
-/// separable strictly convex quadratic, and returns `None` — take
+/// separable strictly convex quadratic: appends one weight per model to
+/// `out`, whose contents it neither reads nor moves, and returns `true`.
+/// Returns `false`, with `out` as it was — take
 /// [`minimize_weights_scratch`], which also owns error reporting — when
-/// it is not.
+/// the problem does not qualify. A caller that solves port after port
+/// keeps one buffer; one that wants a `Vec` passes an empty one.
 ///
 /// `models` yields each application's polynomial with its domain floor.
 /// The problem qualifies when every model has degree ≤ 2 and
@@ -480,15 +488,17 @@ fn dual_solution(problem: &WeightProblem, scratch: &mut SolveScratch) -> Option<
 ///
 /// let steep = Polynomial::new(vec![6.0, -8.0, 3.0]);
 /// let flat = Polynomial::new(vec![1.5, -0.8, 0.3]);
-/// let w = solve_dual(
+/// let mut w = Vec::new();
+/// let qualified = solve_dual(
 ///     [(&steep, 0.0), (&flat, 0.0)],
 ///     1.0,
 ///     0.01,
 ///     1.0,
 ///     0.0,
 ///     &mut SolveScratch::new(),
-/// )
-/// .expect("convex quadratics qualify");
+///     &mut w,
+/// );
+/// assert!(qualified, "convex quadratics qualify");
 /// // The marginals −8 + 6·w₀ and −0.8 + 0.6·w₁ cannot meet on the
 /// // simplex, so the flat model sits on its lower bound.
 /// assert_eq!(w[1], 0.01);
@@ -501,17 +511,20 @@ pub fn solve_dual<'a, I>(
     max_weight: f64,
     balance_reg: f64,
     scratch: &mut SolveScratch,
-) -> Option<Vec<f64>>
+    out: &mut Vec<f64>,
+) -> bool
 where
     I: IntoIterator<Item = (&'a Polynomial, f64)>,
     I::IntoIter: ExactSizeIterator,
 {
     let models = models.into_iter();
-    check_bounds(models.len(), min_weight, max_weight, capacity).ok()?;
-    scratch
-        .dual
-        .gather(models, capacity, min_weight, max_weight, balance_reg)
-        .then(|| scratch.dual.solve(capacity, min_weight, max_weight))
+    let dual = &mut scratch.dual;
+    let qualifies = check_bounds(models.len(), min_weight, max_weight, capacity).is_ok()
+        && dual.gather(models, capacity, min_weight, max_weight, balance_reg);
+    if qualifies {
+        dual.solve(capacity, min_weight, max_weight, out);
+    }
+    qualifies
 }
 
 /// The qualifying problem [`solve_dual`] works on, one array per
@@ -608,8 +621,8 @@ impl DualPorts {
         ((lam - icpt) / slope).clamp(lo, hi)
     }
 
-    /// The KKT point of the gathered problem.
-    fn solve(&mut self, cap: f64, lo: f64, hi: f64) -> Vec<f64> {
+    /// Appends the KKT point of the gathered problem to `out`.
+    fn solve(&mut self, cap: f64, lo: f64, hi: f64, out: &mut Vec<f64>) {
         let n = self.icpt.len();
         self.breaks.sort_unstable_by(f64::total_cmp);
         let total = |lam: f64| -> f64 { (0..n).map(|i| self.weight(i, lam, lo, hi)).sum() };
@@ -626,7 +639,9 @@ impl DualPorts {
             let (s0, s1) = (total(l0), total(l1));
             l0 + (cap - s0) / (s1 - s0) * (l1 - l0)
         };
-        let mut w: Vec<f64> = (0..n).map(|i| self.weight(i, lam, lo, hi)).collect();
+        let start = out.len();
+        out.extend((0..n).map(|i| self.weight(i, lam, lo, hi)));
+        let w = &mut out[start..];
 
         // `λ` carries rounding error, which a flat marginal amplifies in
         // `w`. One Newton step in `w`-space along the segment absorbs it:
@@ -641,7 +656,6 @@ impl DualPorts {
                 *x = (*x + residual * give(i) / total_give).clamp(lo, hi);
             }
         }
-        w
     }
 }
 
@@ -1177,13 +1191,16 @@ mod tests {
         let mut scratch = SolveScratch::new();
         let mut declined = |models: Vec<Polynomial>, floor: f64, reg: f64| {
             let borrowed = models.iter().map(|m| (m, floor));
-            let direct = solve_dual(borrowed, 1.0, 0.01, 1.0, reg, &mut scratch);
+            let mut out = vec![7.0];
+            let qualified = solve_dual(borrowed, 1.0, 0.01, 1.0, reg, &mut scratch, &mut out);
+            assert_eq!(out[0], 7.0, "the solve appends");
+            assert_eq!(out.len(), if qualified { 3 } else { 1 });
             let problem = WeightProblem {
                 domain_floors: vec![floor; models.len()],
                 balance_reg: reg,
                 ..WeightProblem::new(models, 1.0)
             };
-            direct.is_none() && minimize_weights(&problem).unwrap().iterations > 0
+            !qualified && minimize_weights(&problem).unwrap().iterations > 0
         };
         let cubic = Polynomial::new(vec![4.0, -10.0, 12.0, -5.0]);
         assert!(declined(vec![cubic, convex.clone()], 0.0, 0.1), "cubic");

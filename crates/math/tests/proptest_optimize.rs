@@ -458,15 +458,51 @@ proptest! {
             let seeded = solve_from(&problem, &seed, &mut scratch).unwrap();
             prop_assert_eq!(&fresh, &seeded);
         }
-        let borrowed = solve_dual(
+        let mut borrowed = Vec::new();
+        prop_assert!(solve_dual(
             problem.models.iter().zip(problem.domain_floors.iter().copied()),
             problem.capacity,
             problem.min_weight,
             problem.max_weight,
             problem.balance_reg,
             &mut scratch,
+            &mut borrowed,
+        ));
+        prop_assert_eq!(&fresh.weights, &borrowed);
+    }
+
+    /// The solve appends: whatever the caller's buffer holds stays where
+    /// it is, bit for bit (NaNs included), and what lands behind it is
+    /// what `minimize_weights` returns for the same problem — so a
+    /// controller may solve port after port into one buffer.
+    #[test]
+    fn dual_appends_behind_an_untouched_prefix(
+        problem in arb_qualifying(),
+        other in arb_qualifying(),
+        prefix in prop::collection::vec(any::<u64>(), 1..40),
+    ) {
+        let want = minimize_weights(&problem).unwrap().weights;
+        let mut scratch = SolveScratch::new();
+        let mut out: Vec<f64> = prefix.iter().map(|&b| f64::from_bits(b)).collect();
+        for p in [&other, &problem] {
+            prop_assert!(solve_dual(
+                p.models.iter().zip(p.domain_floors.iter().copied()),
+                p.capacity,
+                p.min_weight,
+                p.max_weight,
+                p.balance_reg,
+                &mut scratch,
+                &mut out,
+            ));
+        }
+        let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let mid = prefix.len() + other.models.len();
+        prop_assert_eq!(&bits(&out[..prefix.len()]), &prefix);
+        prop_assert_eq!(
+            bits(&out[prefix.len()..mid]),
+            bits(&minimize_weights(&other).unwrap().weights)
         );
-        prop_assert_eq!(Some(&fresh.weights), borrowed.as_ref());
+        prop_assert_eq!(bits(&out[mid..]), bits(&want));
     }
 
     /// Permuting the applications permutes the weights.
@@ -521,16 +557,21 @@ proptest! {
         let c = problem.models[i].coeffs().to_vec();
         let mut scratch = SolveScratch::new();
         let mut refused = |p: &WeightProblem| -> Result<(), String> {
-            let borrowed = solve_dual(
+            let mut out = vec![f64::NAN];
+            let accepted = solve_dual(
                 p.models.iter().zip(p.domain_floors.iter().copied()),
                 p.capacity,
                 p.min_weight,
                 p.max_weight,
                 p.balance_reg,
                 &mut scratch,
+                &mut out,
             );
-            if borrowed.is_some() {
+            if accepted {
                 return Err("solve_dual accepted it".into());
+            }
+            if out.len() != 1 || !out[0].is_nan() {
+                return Err(format!("a refused problem wrote {out:?}"));
             }
             match minimize_weights(p) {
                 Ok(sol) if sol.iterations > 0 => Ok(()),

@@ -11,8 +11,13 @@
 # end-to-end metric and side, the quartiles and median, the ratio of
 # medians, in how many pairs the change read better, whether the
 # medians are further apart than the parent's own inter-quartile
-# spread, and each side's failed-op share. Run it on an otherwise idle
-# box; raw result lines stay in target/bench_pair/<side>.<workload>.jsonl.
+# spread, and whether the change's median is worse than the parent's by
+# more than the metric's `bound` in BENCHMARK.json (`within bound` /
+# `REGRESSION`); then each side's median `attempted` (a fixed-time
+# workload that got faster completes more operations, and the ledger's
+# own per-operation samples then read as peak_rss_mb) and failed-op
+# share. Exits 1 if any row regressed. Run it on an otherwise idle box;
+# raw result lines stay in target/bench_pair/<side>.<workload>.jsonl.
 #
 # usage: scripts/bench_pair.sh <workload>[,<workload>...]|all [pairs=10] [parent=HEAD~1] [seed=23226]
 set -eu
@@ -54,6 +59,7 @@ run() {
         2>/dev/null | tail -n 1) >>"$root/$1.$workload.jsonl"
 }
 
+status=0
 for workload in $(echo "$workloads" | tr ',' ' '); do
     : >"$root/parent.$workload.jsonl"
     : >"$root/change.$workload.jsonl"
@@ -89,6 +95,7 @@ for workload in $(echo "$workloads" | tr ',' ' '); do
         inside && /\]/ { inside = 0 }
         inside && /"name"/ { split($0, q, "\""); name[++metrics] = q[4] }
         inside && /"better"/ { split($0, q, "\""); better[metrics] = q[4] }
+        inside && /"bound"/ { bound[metrics] = $0; gsub(/[^0-9.]/, "", bound[metrics]) }
         END {
             while ((getline line < parent) > 0) P[++n] = line
             while ((getline line < change) > 0) C[++m] = line
@@ -110,12 +117,23 @@ for workload in $(echo "$workloads" | tr ',' ' '); do
                 verdict = (gap > pq3 - pq1) ? "resolved" : "inside the parent spread"
                 printf "  change/parent %.3f (base %.4f); change better in %d/%d pairs, %d ties; medians %.4f apart, parent IQR %.4f: %s\n", \
                     (pmed ? cmed / pmed : 0), pmed, wins, n, ties, gap, pq3 - pq1, verdict
+                # By how much of the parent median the change median is worse.
+                worse = (better[k] == "lower" ? cmed - pmed : pmed - cmed) / (pmed ? pmed : 1)
+                if (worse > bound[k]) {
+                    printf "  REGRESSION (worse by %.3f, bound %.2f)\n", worse, bound[k]
+                    regressed = 1
+                } else {
+                    printf "  within bound (%.2f)\n", bound[k]
+                }
             }
             for (i = 1; i <= n; i++) {
-                pa += field(P[i], "attempted"); pf += field(P[i], "failed"); pc += (P[i] ~ /"correct":true/)
-                ca += field(C[i], "attempted"); cf += field(C[i], "failed"); cc += (C[i] ~ /"correct":true/)
+                a[i] = field(P[i], "attempted"); pa += a[i]; pf += field(P[i], "failed"); pc += (P[i] ~ /"correct":true/)
+                b[i] = field(C[i], "attempted"); ca += b[i]; cf += field(C[i], "failed"); cc += (C[i] ~ /"correct":true/)
             }
+            printf "attempted    median per run: parent %d   change %d\n", quantile(a, n, 0.5), quantile(b, n, 0.5)
             printf "failed ops   parent %d/%d (%d/%d runs correct)   change %d/%d (%d/%d runs correct)\n", \
                 pf, pa, pc, n, cf, ca, cc, n
-        }' BENCHMARK.json
+            exit regressed
+        }' BENCHMARK.json || status=1
 done
+exit $status
