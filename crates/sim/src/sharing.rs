@@ -19,9 +19,13 @@
 //! with the lowest *fill level* (`residual capacity / Σ weights`) and
 //! freeze every still-unassigned flow crossing it at the minimum of its
 //! weighted share across its whole path. Frozen rates never oversubscribe
-//! any link; refill passes then hand unclaimed capacity back in weight
-//! proportion, so the allocation is work-conserving up to a configurable
-//! tolerance.
+//! any link. A flow frozen below its share (by its cap, or by a link
+//! elsewhere on its path) leaves capacity behind on the links it did not
+//! fill; refill passes hand that back, in weight proportion, to the
+//! flows that can still gain — those below their cap with no saturated
+//! link on their path — so the allocation is work-conserving up to a
+//! configurable tolerance. A flow behind a saturated link is decided:
+//! its bottleneck's fair share already is its rate.
 //!
 //! # The kernel
 //!
@@ -30,29 +34,50 @@
 //! share: every bundle's hops as contiguous `(link, weight · mult)`
 //! pairs, its `rate_cap · mult` product, per link the bundles crossing
 //! it (CSR layout, ascending bundle index — the order they freeze in
-//! when the link drains), and the list of links the class crosses at
-//! all. A pass resets, sums and drains only those links, so a class
-//! costs what its own bundles cross, never the size of the fabric.
+//! when the link drains), the list of links the class crosses at all,
+//! and the class's **live list**: the bundles that can still gain rate.
+//! A pass resets, sums and drains only those links, so a class costs
+//! what its own bundles cross, never the size of the fabric.
+//!
+//! Every pass starts by pruning the live list. A bundle leaves it, for
+//! good, when it has no path (a same-host transfer: it takes its cap),
+//! has reached its cap, or crosses a *saturated* link — one with no more
+//! than `1e-9` of the capacity the call was given for it left, which a
+//! zero-capacity link is from the start. Leaving is permanent because
+//! within a class residuals only fall and rates only rise. Only live
+//! bundles add their weights to the links' sums and can be frozen; the
+//! refill stops when a pass adds less than the tolerance, when the
+//! passes run out, or when nothing is live. In exact arithmetic pruning
+//! changes nothing — the saturated links would drain first, at level
+//! zero, and freeze exactly these bundles at a share of zero, taking
+//! their weights off every other link before any link with capacity
+//! drains — but it skips that work, which on all-to-all traffic is most
+//! of the refill: after the base pass nearly every bundle is behind a
+//! link that pass filled. The floor is relative to the link because
+//! what a saturating subtraction leaves behind is: a few hundred ulps of
+//! the capacity (≈ 1e-13 of it), which lands on `0.0` or on `1e-7` B/s
+//! of a 7 GB/s link by accident of rounding. `1e-9` sits four orders
+//! above that residue and three below the default `refill_epsilon`.
 //!
 //! The pass holds **one live entry per link** in an indexed 4-ary
 //! min-heap keyed `(fill level, hops frozen on the link so far, link
 //! id)`, with each link knowing its entry's position. A freeze re-keys
 //! the links on the bundle's path in place (sifting either way; rounding
 //! can lower a level by an ulp) and drops a link whose weight sum has
-//! run out; the link being drained re-enters once, after its list. The
-//! fill level is the one number per link that weighted max-min needs.
+//! run out; the link being drained leaves the heap for good, since after
+//! its list every bundle crossing it is frozen. The fill level is the
+//! one number per link that weighted max-min needs.
 //!
 //! Progressive filling is order dependent: which link drains next, and
 //! which bundle on it freezes first, decide the last bits of every rate
-//! (and so of every completion time). The kernel's contract is therefore
-//! exact, not a tolerance. Keys are distinct and totally ordered, so the
-//! sequence in which links drain is a function of the live keys alone,
-//! not of how a heap stores them: same key order ⇒ same drain sequence ⇒
-//! same freeze order ⇒ the same floating-point operations in the same
-//! order. `tests/fill_bits.rs` pins ten problems' rates bit for bit
-//! against the lazy-invalidation kernel this one replaced (a fresh heap
-//! entry per hop per freeze, the stale ones popped and skipped later:
-//! the same valid pops, by the argument above).
+//! (and so of every completion time). Keys are distinct and totally
+//! ordered, so the sequence in which links drain is a function of the
+//! live keys alone, not of how a heap stores them: the same problem
+//! gives the same bits in every build profile, at every thread count,
+//! from a fresh or a reused scratch. That — not the bits of an earlier
+//! kernel — is what `tests/fill_bits.rs` pins, beside the conformance
+//! suite's feasibility, work-conservation and 1e-6 reference oracles;
+//! DESIGN.md §5.1 states the whole contract.
 //!
 //! # The epoch fast path
 //!
@@ -88,14 +113,25 @@ use std::ops::Range;
 /// The kernel treats a link whose remaining weight sum has fallen to
 /// `1e-12` or below as drained (that much is floating-point residue of
 /// the weights already subtracted), so a weight near that threshold
-/// would be dropped while its flow still waits for a rate — and the
-/// flow then reads an unbounded fill level on a finite link. Three
-/// orders of magnitude of headroom keep every accepted weight visible;
-/// every caller in this workspace stays above `1e-7` (flattened WFQ
-/// weights are at least `min_weight · 0.9 / n_q`). The floor is
-/// absolute, not relative: weights on one link that are some 18 orders
-/// of magnitude apart can still round the small one away.
+/// would be dropped while its flow still waits for a rate. Three orders
+/// of magnitude of headroom keep every accepted weight visible; every
+/// caller in this workspace stays above `1e-7` (flattened WFQ weights
+/// are at least `min_weight · 0.9 / n_q`). The floor is absolute, not
+/// relative: weights on one link that are some 18 orders of magnitude
+/// apart still round the small one out of the link's sum. That costs
+/// the small flow its share, never feasibility: a bundle reads every
+/// fill level over a sum that holds at least its own weight, so it is
+/// handed no more than the link has left (nothing, once the large flow
+/// has taken it) — not the unbounded `0/0` level it used to read.
 pub const MIN_WEIGHT: f64 = 1e-9;
+
+/// A link with no more than this fraction of its capacity left is
+/// saturated: the bundles crossing it are decided and take no part in a
+/// later fill pass. Relative to the link, because the residue a
+/// saturating subtraction leaves is (≈ 1e-13 of the capacity); three
+/// orders below the default `refill_epsilon`, so it gives up nothing a
+/// refill pass would have been run for.
+const SATURATED: f64 = 1e-9;
 
 /// A flow as seen by the rate allocator.
 #[derive(Debug, Clone)]
@@ -205,10 +241,14 @@ impl FlowSource for [FlowView<'_>] {
 /// Tuning knobs for [`compute_rates`] / [`compute_rates_into`].
 #[derive(Debug, Clone)]
 pub struct SharingConfig {
-    /// Number of work-conservation refill passes after the base filling.
+    /// Upper bound on the work-conservation refill passes after the base
+    /// filling of a priority class. A refill pass takes in only the
+    /// flows that can still gain (below their cap, no saturated link on
+    /// their path), and the refill ends early when there are none.
     pub refill_passes: usize,
-    /// Stop refilling when a pass adds less than this fraction of total
-    /// link capacity.
+    /// Stop refilling a class when a pass adds no more than this
+    /// fraction of the total link capacity — of the whole fabric the
+    /// call was given, so the rule loosens as the fabric grows.
     pub refill_epsilon: f64,
     /// Aggregate flows with identical (path, weights, priority, cap)
     /// into bundles before filling (exact; see the module docs). Only
@@ -335,6 +375,10 @@ pub struct SharingScratch {
     /// The fill heap: a 4-ary min-heap holding one entry per link that
     /// still has unassigned weight, located through [`Link::heap_pos`].
     heap: Vec<HeapEntry>,
+    /// The current class's bundles (class-relative indices, ascending)
+    /// that can still gain rate: each fill pass starts by dropping those
+    /// that no longer can, for good.
+    live: Vec<u32>,
     /// (priority, bundle-key hash, flow index) triples sorted by bundle
     /// key. The hash is a cheap sort prefix; ties are broken by the full
     /// key comparison, so collisions cost time, never correctness.
@@ -432,9 +476,9 @@ pub fn compute_rates_into<F: FlowSource + ?Sized>(
             end += 1;
         }
         flatten_class(flows, start..end, scratch);
-        fill_once(start..end, scratch);
+        fill_once(capacities, start..end, scratch);
         for _ in 0..cfg.refill_passes {
-            let added = fill_once(start..end, scratch);
+            let added = fill_once(capacities, start..end, scratch);
             if added <= cfg.refill_epsilon * total_capacity.max(1.0) {
                 break;
             }
@@ -603,12 +647,15 @@ fn flatten_class<F: FlowSource + ?Sized>(
         active,
         hops,
         crossing,
+        live,
         bundles,
         ..
     } = scratch;
     let bundles = &mut bundles[class];
     hops.clear();
     active.clear();
+    live.clear();
+    live.extend(0..bundles.len() as u32);
     for bundle in bundles.iter_mut() {
         let mult = f64::from(bundle.mult);
         let f = flows.flow_view(bundle.rep as usize);
@@ -731,17 +778,19 @@ fn heap_remove(heap: &mut Vec<HeapEntry>, links: &mut [Link], l: u32) {
     }
 }
 
-/// One progressive-filling pass over the bundles of the class
-/// [`flatten_class`] prepared (`class` is their range), *adding*
-/// allocated rate to the bundles and subtracting it from the links'
-/// residuals. Returns the total rate added.
-fn fill_once(class: Range<usize>, scratch: &mut SharingScratch) -> f64 {
+/// One progressive-filling pass over the live bundles of the class
+/// [`flatten_class`] prepared (`class` is its range of the bundles),
+/// *adding* allocated rate to the bundles and subtracting it from the
+/// links' residuals. Returns the total rate added — zero when nothing
+/// is live any more.
+fn fill_once(capacities: &[f64], class: Range<usize>, scratch: &mut SharingScratch) -> f64 {
     let SharingScratch {
         links,
         active,
         hops,
         crossing,
         heap,
+        live,
         bundles,
         ..
     } = scratch;
@@ -751,30 +800,32 @@ fn fill_once(class: Range<usize>, scratch: &mut SharingScratch) -> f64 {
         link.sumw = 0.0;
         link.version = 0;
     }
-    let mut added = 0.0;
 
-    for bundle in bundles.iter_mut() {
-        let headroom = bundle.cap - bundle.rate;
-        bundle.assigned = true;
+    // Only a bundle that can still gain takes part: one below its cap
+    // with no saturated link on its path. The others stay `assigned`,
+    // which is how the link → bundle lists skip them.
+    live.retain(|&b| {
+        let bundle = &mut bundles[b as usize];
         let path = &hops[bundle.hops.0 as usize..bundle.hops.1 as usize];
         if path.is_empty() {
             // Same-host transfer: not limited by the fabric.
-            if bundle.rate == 0.0 {
-                bundle.rate = if bundle.cap.is_finite() {
-                    headroom.max(0.0)
-                } else {
-                    f64::INFINITY
-                };
+            bundle.rate = bundle.cap;
+        }
+        let gains = bundle.rate < bundle.cap
+            && path.iter().all(|hop| {
+                let l = hop.link as usize;
+                links[l].residual > SATURATED * capacities[l]
+            });
+        bundle.assigned = !gains;
+        if gains {
+            for hop in path {
+                links[hop.link as usize].sumw += hop.w;
             }
-            continue;
         }
-        if headroom <= 0.0 {
-            continue;
-        }
-        bundle.assigned = false;
-        for hop in path {
-            links[hop.link as usize].sumw += hop.w;
-        }
+        gains
+    });
+    if live.is_empty() {
+        return 0.0;
     }
 
     debug_assert!(heap.is_empty());
@@ -789,13 +840,16 @@ fn fill_once(class: Range<usize>, scratch: &mut SharingScratch) -> f64 {
         sift_down(heap, links, i);
     }
 
+    let mut added = 0.0;
     while let Some(&HeapEntry { link: l, .. }) = heap.first() {
+        // Out of the heap for good: after its list every bundle crossing
+        // this link is assigned, so no later freeze can touch it.
         heap_remove(heap, links, l);
-        let drained = links[l as usize];
+        let Link { first, count, .. } = links[l as usize];
         // Freeze every unassigned bundle crossing this link at the
         // minimum of its weighted share over its path (capped by its
         // headroom).
-        for &b in &crossing[drained.first as usize..(drained.first + drained.count) as usize] {
+        for &b in &crossing[first as usize..(first + count) as usize] {
             let bundle = &mut bundles[b as usize];
             if bundle.assigned {
                 continue;
@@ -803,9 +857,10 @@ fn fill_once(class: Range<usize>, scratch: &mut SharingScratch) -> f64 {
             let path = &hops[bundle.hops.0 as usize..bundle.hops.1 as usize];
             let mut share = bundle.cap - bundle.rate;
             for hop in path {
+                // The bundle's own weight is part of every sum it is
+                // charged against, even where rounding lost it.
                 let link = &links[hop.link as usize];
-                debug_assert!(link.sumw > 0.0);
-                let s = hop.w * link.level();
+                let s = hop.w * (link.residual.max(0.0) / link.sumw.max(hop.w));
                 if s < share {
                     share = s;
                 }
@@ -819,23 +874,16 @@ fn fill_once(class: Range<usize>, scratch: &mut SharingScratch) -> f64 {
                 link.residual = (link.residual - share).max(0.0);
                 link.sumw -= hop.w;
                 link.version += 1;
-                // The link being drained is out of the heap; it goes
-                // back in once, below, with the key of its last freeze.
+                if hop.link == l {
+                    continue;
+                }
                 if link.sumw > 1e-12 {
-                    if hop.link != l {
-                        heap_upsert(heap, links, hop.link);
-                    }
+                    heap_upsert(heap, links, hop.link);
                 } else {
                     link.sumw = 0.0;
-                    if hop.link != l {
-                        heap_remove(heap, links, hop.link);
-                    }
+                    heap_remove(heap, links, hop.link);
                 }
             }
-        }
-        let link = &links[l as usize];
-        if link.version != drained.version && link.sumw > 0.0 {
-            heap_upsert(heap, links, l);
         }
     }
     added
@@ -1338,6 +1386,47 @@ mod tests {
     }
 
     #[test]
+    fn a_weight_rounded_out_of_the_sum_never_reads_an_unbounded_share() {
+        // The floor is absolute, so a weight far enough above another on
+        // the same link rounds it out of the link's sum: when the large
+        // flow freezes the sum reaches zero with the small one still
+        // waiting. Several small weights, because the bundle order (a
+        // hash) decides which of the two freezes first.
+        let caps = [100.0, 50.0];
+        for ratio in [1e18, 1e15, 1e13] {
+            for small in [1.0, 2.0, 3.0, 5.0].map(|k| k * MIN_WEIGHT) {
+                let problems = [
+                    // Both on one link.
+                    vec![flow(&[0], &[small * ratio]), flow(&[0], &[small])],
+                    // The small one also behind a link it shares with a
+                    // third flow, whose level it must not fall back on.
+                    vec![
+                        flow(&[0], &[small * ratio]),
+                        flow(&[0, 1], &[small, 1.0]),
+                        flow(&[1], &[1.0]),
+                    ],
+                ];
+                for flows in problems {
+                    let rates = compute_rates(&caps, &flows, &cfg());
+                    let mut load = [0.0; 2];
+                    for (f, &r) in flows.iter().zip(&rates) {
+                        assert!(r.is_finite() && r >= 0.0, "{ratio:e} {small:e}: {rates:?}");
+                        for &l in &f.path {
+                            load[l.0 as usize] += r;
+                        }
+                    }
+                    for (used, cap) in load.iter().zip(&caps) {
+                        assert!(
+                            *used <= cap * (1.0 + 1e-9),
+                            "{ratio:e} {small:e}: {rates:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "out of range")]
     fn bad_link_rejected() {
         let _ = compute_rates(&[1.0], &[flow(&[5], &[1.0])], &cfg());
@@ -1454,10 +1543,11 @@ mod tests {
     #[test]
     fn scratch_reuse_across_fabric_and_class_shapes_is_stable() {
         // The per-link state, the class's link → bundle ranges, the
-        // active-link list and the heap positions are sized by links
-        // and rebuilt per class: one scratch driven through a large
-        // one-class fabric, a small three-class one, no flows at all,
-        // and the large fabric again must match a fresh scratch bitwise.
+        // active-link list, the live-bundle list and the heap positions
+        // are sized by links or by the class and rebuilt per class: one
+        // scratch driven through a small three-class fabric, a large
+        // one-class one, no flows at all, and a large three-class one
+        // must match a fresh scratch bitwise.
         let big: Vec<f64> = (0..1200).map(|i| 100.0 + (i % 13) as f64).collect();
         let small: Vec<f64> = (0..8).map(|i| 100.0 + i as f64).collect();
         let mut one_class = rand_flows(300, 1200, 150, 21);
@@ -1465,8 +1555,8 @@ mod tests {
             f.priority = 0;
         }
         let steps = [
-            (&big, one_class),
             (&small, rand_flows(64, 8, 4, 22)),
+            (&big, one_class),
             (&small, Vec::new()),
             (&big, rand_flows(300, 1200, 150, 23)),
         ];
@@ -1478,6 +1568,37 @@ mod tests {
             let bits = |rates: &[f64]| rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&reused), bits(&fresh), "step {step}");
         }
+    }
+
+    #[test]
+    fn flows_behind_a_zero_capacity_link_starve_and_weigh_on_nobody() {
+        // A zero-capacity link is saturated from the start: in every
+        // class the flows crossing it get exactly 0.0 and never enter a
+        // weight sum, so the others fare as if they were not there.
+        let mut caps: Vec<f64> = (0..12).map(|i| 100.0 + 10.0 * i as f64).collect();
+        caps[3] = 0.0;
+        caps[7] = 0.0;
+        let mut starved = [0; 3];
+        for seed in 0..20 {
+            let flows = rand_flows(200, 12, 24, 0xdead + seed);
+            let dead = |f: &SharingFlow| f.path.iter().any(|l| caps[l.0 as usize] == 0.0);
+            let others: Vec<SharingFlow> = flows.iter().filter(|f| !dead(f)).cloned().collect();
+            let rates = compute_rates(&caps, &flows, &cfg());
+            let mut alone = compute_rates(&caps, &others, &cfg()).into_iter();
+            for (i, (f, &r)) in flows.iter().zip(&rates).enumerate() {
+                if dead(f) {
+                    assert_eq!(r.to_bits(), 0, "seed {seed} flow {i}");
+                    starved[f.priority as usize] += 1;
+                } else {
+                    let a = alone.next().expect("one rate per other flow");
+                    assert!(
+                        (r - a).abs() <= 1e-12 * a,
+                        "seed {seed} flow {i}: {r} vs {a}"
+                    );
+                }
+            }
+        }
+        assert!(starved.iter().all(|&n| n > 0), "{starved:?}");
     }
 
     #[test]

@@ -1,15 +1,31 @@
-//! The progressive-filling kernel is pinned bit for bit.
+//! What the progressive-filling kernel promises, and the bits it
+//! produces today.
 //!
 //! Progressive filling is order dependent (DESIGN.md §5.1): which link
 //! drains first, and which bundle on it freezes first, decides the last
 //! bits of every rate, and completion times, goldens and the ledger's
-//! `composition == run_datacenter` check all rest on those bits. A
-//! change to the kernel that is meant to be faster and nothing else must
-//! therefore reproduce them exactly. Expected values are the bit
-//! patterns of the lazy-invalidation `BinaryHeap` kernel as of PR 16
-//! (`3432349`), before the flat indexed kernel replaced it; rate vectors
-//! longer than 64 are pinned by their length and an FNV-1a over every
-//! rate's bits.
+//! `composition == run_datacenter` check all rest on those bits being
+//! the same on every run. Until PR 20 the kernel was held to the bits of
+//! the PR 16 kernel (`3432349`); since PR 20 a fill pass takes in only
+//! the bundles that can still gain, which sums the weights of the
+//! survivors instead of subtracting the departed and no longer re-deals
+//! the last 1e-9 of a link, and the contract is a stated one:
+//!
+//! (a) the conformance oracles (feasibility, work conservation,
+//!     allocator vs reference within 1e-6, bundled and unbundled) —
+//!     `conformance --smoke` / `--long`, not this file;
+//! (b) the bit pins below, **recorded at PR 20 from a release build**:
+//!     they pin that debug and release builds, any pod thread count,
+//!     `Uniform` and `PerLink` views and a reused scratch all produce
+//!     one answer — a kernel change that moves them re-records them on
+//!     purpose, in one reviewed step;
+//! (c) every rate of the problems pinned rate by rate stays within 1e-9
+//!     (relative) of the PR 16 kernel's, whose vectors stay in `pr16`;
+//! (d) `sim.saba_speedup` of the ledger's `sim_corun` does not move.
+//!
+//! The refill rule itself is tested from its definition at the bottom.
+//! Rate vectors longer than 64 are pinned by their length and an FNV-1a
+//! over every rate's bits.
 
 use saba_sim::ids::LinkId;
 use saba_sim::sharing::{
@@ -334,11 +350,12 @@ fn solved() -> Vec<(&'static str, Pin)> {
     all
 }
 
-/// Recorded at `3432349`; debug and release builds agree.
+/// The rates of the PR 16 kernel (recorded at `3432349`) on the problems
+/// pinned rate by rate: what contract (c) is measured against.
 #[rustfmt::skip]
-fn expected() -> Vec<(&'static str, Pin)> {
-    vec![
-        ("three_classes_with_caps", Pin::Bits(vec![
+fn pr16(name: &str) -> Vec<u64> {
+    match name {
+        "three_classes_with_caps" => vec![
             0x4042266771c691f5, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
             0x0000000000000000, 0x0000000000000000, 0x4029b90000000000, 0x40363d26b6d5bce4,
             0x0000000000000000, 0x4071a0e002a1eb84, 0x0000000000000000, 0x405907d000000000,
@@ -354,24 +371,22 @@ fn expected() -> Vec<(&'static str, Pin)> {
             0x0000000000000000, 0x0000000000000000, 0x404fe0bfeaf0a3e4, 0x0000000000000000,
             0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
             0x4068fc966ae849be, 0x40507985b4bfe586, 0x0000000000000000, 0x40561f3922ed24c5,
-        ])),
-        ("zero_capacity_link", Pin::Bits(vec![
+        ],
+        "zero_capacity_link" => vec![
             0x4035a31cae844b84, 0x0000000000000000, 0x402a12deb33c2c66, 0x0000000000000000,
             0x4020931a85e6874e, 0x402a8228dce987be, 0x0000000000000000, 0x0000000000000000,
             0x4058dbbb7c777246, 0x404864d8d5ec7d98, 0x40338d45eed1f1bb, 0x0000000000000000,
             0x4053c423fcba7aaf, 0x403cc4d7485c03b1, 0x402a61bceed30416, 0x0000000000000000,
             0x0000000000000000, 0x402d4efc24ec0524, 0x40234bc59445a33a, 0x0000000000000000,
             0x40385bd667858ccc, 0x0000000000000000, 0x401b4bb69f9b0c80, 0x4056142b770fc60c,
-        ])),
-        ("empty_paths", Pin::Bits(vec![
+        ],
+        "empty_paths" => vec![
             0x7ff0000000000000, 0x402b000000000000, 0x4041b98000000000, 0x4043ba954f5a01b0,
             0x7ff0000000000000, 0x4031800000000000, 0x403917d5614bfca2, 0x0000000000000000,
             0x7ff0000000000000, 0x4035800000000000, 0x4040414000000000, 0x0000000000000000,
             0x7ff0000000000000, 0x4039800000000000, 0x404174154f5a01af, 0x0000000000000000,
-        ])),
-        ("eightfold_duplicates", Pin::Fnv(160, 0xd66db96040db2e95)),
-        ("eightfold_unbundled", Pin::Fnv(160, 0xdc94fc5d671d32aa)),
-        ("same_weight_per_hop", Pin::Bits(vec![
+        ],
+        "same_weight_per_hop" => vec![
             0x40480b0000000000, 0x4055bdb89f595632, 0x405093c000000000, 0x400a7386725ad897,
             0x4044e10000000000, 0x404a575fb466e43a, 0x4045608000000000, 0x4043361899455614,
             0x4033d80000000000, 0x4032a82297b1714d, 0x404c430000000000, 0x40415ce6bf9a6055,
@@ -380,8 +395,8 @@ fn expected() -> Vec<(&'static str, Pin)> {
             0x40514f4000000000, 0x40398acb208ff297, 0x4030270000000000, 0x40319cee33ded4c6,
             0x4027de0000000000, 0x406082238c44e7cd, 0x4031e90000000000, 0x40592543d929e2da,
             0x404ce80000000000, 0x406edc2812e646f3,
-        ])),
-        ("cap_bound_three_refills", Pin::Bits(vec![
+        ],
+        "cap_bound_three_refills" => vec![
             0x401c340729a3bf0d, 0x40171f99fbbcf147, 0x402b033a4d9ff4ee, 0x401ba84f90e8aeaa,
             0x40457d8000000000, 0x401ca67af12c7e7d, 0x402cfc0000000000, 0x402fcc6436132461,
             0x400b46c424bae962, 0x401a29316d939137, 0x401eda0000000000, 0x40309b7985e95260,
@@ -392,22 +407,78 @@ fn expected() -> Vec<(&'static str, Pin)> {
             0x400a5c0000000000, 0x400cdebafccbce20, 0x401604a769a7dfed, 0x40217c95c4b8c8d6,
             0x4026f01082eeed42, 0x402a7239f9771c96, 0x400d184413e2a0ca, 0x4020bf280edf5876,
             0x40500b0f712d717d, 0x40072dd33d8cb401, 0x4018eea8ecdc3f70, 0x4033f89e15566bc4,
+        ],
+        _ => panic!("{name} is not pinned rate by rate"),
+    }
+}
+
+/// Recorded at PR 20 from a release build; a debug build, every pod
+/// thread count and both weight views reproduce them. Seven of the ten
+/// are the PR 16 kernel's bits still; `zero_capacity_link` (one rate, by
+/// one ulp), `spine_leaf_shape` and `two_hundred_classes` moved.
+#[rustfmt::skip]
+fn expected() -> Vec<(&'static str, Pin)> {
+    let unmoved = |name| (name, Pin::Bits(pr16(name)));
+    vec![
+        unmoved("three_classes_with_caps"),
+        ("zero_capacity_link", Pin::Bits(vec![
+            0x4035a31cae844b84, 0x0000000000000000, 0x402a12deb33c2c66, 0x0000000000000000,
+            0x4020931a85e6874e, 0x402a8228dce987be, 0x0000000000000000, 0x0000000000000000,
+            0x4058dbbb7c777245, 0x404864d8d5ec7d98, 0x40338d45eed1f1bb, 0x0000000000000000,
+            0x4053c423fcba7aaf, 0x403cc4d7485c03b1, 0x402a61bceed30416, 0x0000000000000000,
+            0x0000000000000000, 0x402d4efc24ec0524, 0x40234bc59445a33a, 0x0000000000000000,
+            0x40385bd667858ccc, 0x0000000000000000, 0x401b4bb69f9b0c80, 0x4056142b770fc60c,
         ])),
-        ("spine_leaf_shape", Pin::Fnv(256, 0x49e51e2544c933a9)),
-        ("two_hundred_classes", Pin::Fnv(1000, 0x6110b8f197f58250)),
+        unmoved("empty_paths"),
+        ("eightfold_duplicates", Pin::Fnv(160, 0xd66db96040db2e95)),
+        ("eightfold_unbundled", Pin::Fnv(160, 0xdc94fc5d671d32aa)),
+        unmoved("same_weight_per_hop"),
+        unmoved("cap_bound_three_refills"),
+        ("spine_leaf_shape", Pin::Fnv(256, 0x9ea7a23b72e5bfe8)),
+        ("two_hundred_classes", Pin::Fnv(1000, 0x32973fa85d2ccd40)),
         ("pods", Pin::Fnv(84, 0xd7922995eaed0dbd)),
     ]
 }
 
+/// Contract (b). On a mismatch every moved problem is printed with its
+/// actual pin, so a re-recording is one run.
 #[test]
-fn kernel_is_bit_identical_to_pr16() {
+fn kernel_reproduces_the_bits_recorded_at_pr20() {
     let expected = expected();
     let solved = solved();
     assert_eq!(solved.len(), expected.len());
-    for ((name, got), (pinned, want)) in solved.into_iter().zip(expected) {
+    let mut moved = Vec::new();
+    for ((name, got), (pinned, want)) in solved.iter().zip(&expected) {
         assert_eq!(name, pinned);
-        assert_eq!(got, want, "{name}");
+        if got != want {
+            println!("{name}: {got:#x?}");
+            moved.push(*name);
+        }
     }
+    assert!(moved.is_empty(), "moved (actual pins above): {moved:?}");
+}
+
+/// Contract (c): where a rate left the PR 16 kernel's bits it stayed
+/// within 1e-9 of them (run with `--nocapture` for the largest
+/// difference).
+#[test]
+fn pruned_refill_stays_within_1e_9_of_the_pr16_kernel() {
+    let mut largest: f64 = 0.0;
+    for (name, got) in solved() {
+        let Pin::Bits(got) = got else { continue };
+        let want = pr16(name);
+        assert_eq!(got.len(), want.len(), "{name}");
+        for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+            if g == w {
+                continue;
+            }
+            let (g, w) = (f64::from_bits(g), f64::from_bits(w));
+            let relative = (g - w).abs() / g.abs().max(w.abs());
+            assert!(relative <= 1e-9, "{name} flow {i}: {g} vs {w}");
+            largest = largest.max(relative);
+        }
+    }
+    println!("largest relative difference from the PR 16 kernel: {largest:e}");
 }
 
 /// `Uniform(w)` and `PerLink(&[w; n])` views of the same flows are the
@@ -444,13 +515,7 @@ fn uniform_and_per_link_views_agree_bit_for_bit() {
 #[test]
 fn cap_bound_mix_needs_all_three_refill_passes() {
     let (caps, flows) = cap_bound_three_refills();
-    let with = |refill_passes| {
-        let cfg = SharingConfig {
-            refill_passes,
-            ..SharingConfig::default()
-        };
-        compute_rates(&caps, &flows, &cfg)
-    };
+    let with = |refill_passes| refilled(&caps, &flows, refill_passes);
     assert_ne!(with(2), with(3));
     assert_eq!(with(3), with(4));
 }
@@ -463,4 +528,104 @@ fn pod_pins_hold_at_any_thread_count() {
     for threads in [1, 3] {
         assert_eq!(solve_pods(&caps, &link_pod, &flows, threads), want);
     }
+}
+
+// --- the refill rule, from its definition ---
+
+/// One class of 40 flows over 10 links, every other flow capped: LCG mix
+/// `seed`.
+fn lcg_mix(seed: u64) -> (Vec<f64>, Vec<SharingFlow>) {
+    let mut rng = Lcg(0x5aba_2000 + seed);
+    let caps = (0..10).map(|_| rng.real(100.0, 1000.0)).collect();
+    let flows = (0..40)
+        .map(|k| {
+            let path = rng.path(10, 4);
+            let weights = path.iter().map(|_| rng.real(0.25, 4.0)).collect();
+            let cap = if k % 2 == 0 {
+                rng.real(2.0, 80.0)
+            } else {
+                f64::INFINITY
+            };
+            flow(path, weights, 0, cap)
+        })
+        .collect();
+    (caps, flows)
+}
+
+fn refilled(caps: &[f64], flows: &[SharingFlow], refill_passes: usize) -> Vec<f64> {
+    let cfg = SharingConfig {
+        refill_passes,
+        ..SharingConfig::default()
+    };
+    compute_rates(caps, flows, &cfg)
+}
+
+/// Per link, the capacity `rates` leave unused: capacity − Σ rates.
+fn unused(caps: &[f64], flows: &[SharingFlow], rates: &[f64]) -> Vec<f64> {
+    let mut load = vec![0.0; caps.len()];
+    for (f, r) in flows.iter().zip(rates) {
+        for l in &f.path {
+            load[l.0 as usize] += r;
+        }
+    }
+    caps.iter().zip(load).map(|(c, used)| c - used).collect()
+}
+
+/// A flow that crosses a link the base pass filled is decided: refills
+/// leave its rate alone, bit for bit. And a refill only ever adds.
+#[test]
+fn refill_leaves_flows_behind_a_full_link_alone_and_lowers_no_rate() {
+    let mut problems = vec![cap_bound_three_refills(), spine_leaf_shape()];
+    problems.extend((0..200).map(lcg_mix));
+    let (mut decided, mut topped_up) = (0, 0);
+    for (p, (caps, flows)) in problems.iter().enumerate() {
+        let by_passes: Vec<Vec<f64>> = (0..=3).map(|n| refilled(caps, flows, n)).collect();
+        let left = unused(caps, flows, &by_passes[0]);
+        for (i, f) in flows.iter().enumerate() {
+            let (base, last) = (by_passes[0][i], by_passes[3][i]);
+            let full = |l: &LinkId| left[l.0 as usize] <= 1e-12 * caps[l.0 as usize];
+            if f.path.iter().any(full) {
+                assert_eq!(base.to_bits(), last.to_bits(), "problem {p} flow {i}");
+                decided += 1;
+            }
+            topped_up += usize::from(last > base);
+            for pair in by_passes.windows(2) {
+                assert!(pair[1][i] >= pair[0][i], "problem {p} flow {i}");
+            }
+        }
+    }
+    assert!(decided > 1000 && topped_up > 1000, "{decided} {topped_up}");
+}
+
+/// Residue counts as saturation: in LCG mix 30 the base pass leaves link
+/// 9 (capacity ≈ 710) 2.3e-13 B/s unused — positive, and an accident of
+/// rounding — and the refill re-deals none of it. What a link has to
+/// keep to be topped up from is a share of its capacity that means
+/// something: 1e-6 of it is plenty.
+#[test]
+fn residue_is_saturation_and_a_millionth_of_a_link_is_not() {
+    let (caps, flows) = lcg_mix(30);
+    let base = refilled(&caps, &flows, 0);
+    let left = unused(&caps, &flows, &base)[9];
+    assert!(left > 0.0 && left <= 1e-12 * caps[9], "{left:e}");
+    let last = refilled(&caps, &flows, 3);
+    let behind = |f: &&SharingFlow| f.path.contains(&LinkId(9));
+    assert_eq!(flows.iter().filter(behind).count(), 8);
+    for (i, _) in flows.iter().enumerate().filter(|(_, f)| behind(f)) {
+        assert_eq!(base[i].to_bits(), last[i].to_bits(), "flow {i}");
+    }
+
+    // One 100 B/s link. The capped flow freezes second (the bundle
+    // order is a hash of the key, hence these very numbers) and takes
+    // 1e-4 less than the half the first was frozen at.
+    let caps = [100.0];
+    let flows = [
+        flow(vec![LinkId(0)], vec![1.0], 0, f64::INFINITY),
+        flow(vec![LinkId(0)], vec![1.0], 0, 50.0 - 1e-4),
+    ];
+    let base = refilled(&caps, &flows, 0);
+    assert_eq!(base, [50.0, 50.0 - 1e-4]);
+    let last = refilled(&caps, &flows, 3);
+    assert!((last[0] - (50.0 + 1e-4)).abs() < 1e-9, "{last:?}");
+    assert_eq!(last[1], 50.0 - 1e-4);
 }
