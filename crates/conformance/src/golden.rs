@@ -52,34 +52,40 @@ fn synthetic_table(count: usize, rng: &mut StdRng) -> SensitivityTable {
     table
 }
 
+/// One Fig. 12 shape row's controller, loaded and never swept.
+fn fig12_shape_controller(topo: &Topology, napps: usize) -> CentralController {
+    let mut rng = StdRng::seed_from_u64(0x000F_1612 ^ napps as u64);
+    let table = synthetic_table(napps, &mut rng);
+    let mut controller = CentralController::new(ControllerConfig::default(), table, topo);
+    let servers = topo.servers();
+    for a in 0..napps {
+        let app = AppId(a as u32);
+        controller
+            .register(app, &format!("wl{a}"))
+            .expect("registered");
+        // Four instances talking in a ring, placed at random.
+        let nodes: Vec<_> = (0..4)
+            .map(|_| servers[rng.gen_range(0..servers.len())])
+            .collect();
+        for w in 0..4 {
+            let (src, dst) = (nodes[w], nodes[(w + 1) % 4]);
+            if src != dst {
+                controller.preload_connection(app, src, dst, (a * 100 + w) as u64);
+            }
+        }
+    }
+    controller
+}
+
 /// Computes the Fig. 12 shape CSV: the deterministic outputs of one
-/// whole-fabric recompute for each application count, covering both the
-/// per-application (≤ 32 apps) and the clustered solver paths.
+/// whole-fabric recompute for each application count — ports from two
+/// applications wide to more than a hundred (the widest carries about
+/// half the applications), every one solved exactly.
 pub fn fig12_shape_csv() -> String {
     let topo = Topology::spine_leaf(&SpineLeafConfig::tiny(2));
     let mut out = String::from("napps,ports,queues,weight_checksum\n");
-    for napps in [2usize, 4, 8, 16, 32, 64] {
-        let mut rng = StdRng::seed_from_u64(0x000F_1612 ^ napps as u64);
-        let table = synthetic_table(napps, &mut rng);
-        let mut controller = CentralController::new(ControllerConfig::default(), table, &topo);
-        let servers = topo.servers();
-        for a in 0..napps {
-            let app = AppId(a as u32);
-            controller
-                .register(app, &format!("wl{a}"))
-                .expect("registered");
-            // Four instances talking in a ring, placed at random.
-            let nodes: Vec<_> = (0..4)
-                .map(|_| servers[rng.gen_range(0..servers.len())])
-                .collect();
-            for w in 0..4 {
-                let (src, dst) = (nodes[w], nodes[(w + 1) % 4]);
-                if src != dst {
-                    controller.preload_connection(app, src, dst, (a * 100 + w) as u64);
-                }
-            }
-        }
-        let updates = controller.recompute_all();
+    for napps in [2, 4, 8, 16, 32, 64, 128, 256] {
+        let updates = fig12_shape_controller(&topo, napps).recompute_all();
         let queues: usize = updates.iter().map(|u| u.config.weights.len()).sum();
         let checksum: f64 = updates
             .iter()
@@ -240,6 +246,16 @@ mod tests {
             FIG12_SHAPE_GOLDEN,
             "run `conformance --bless` if this change is intentional"
         );
+    }
+
+    #[test]
+    fn fig12_shape_pins_a_port_wider_than_a_hundred_applications() {
+        let topo = Topology::spine_leaf(&SpineLeafConfig::tiny(2));
+        let mut controller = fig12_shape_controller(&topo, 256);
+        let updates = controller.recompute_all();
+        let widest = updates.iter().map(|u| controller.apps_at(u.link).len());
+        let widest = widest.max().expect("occupied ports");
+        assert!(widest > 100, "widest port: {widest} applications");
     }
 
     #[test]

@@ -7,17 +7,15 @@
 //! whenever the published centroids move. The epoch machinery itself
 //! lives in [`super::epoch`].
 //!
-//! A port of at most 32 applications (`EXACT_MAX_APPS`) is *solved, not
-//! remembered*: its answer is a closed form over the members'
-//! surrogates (`saba_math::solve_dual`, ≈ 0.7 µs), which is less than a
-//! memo keyed by the member set costs to ask — on the paper fabric's
-//! cold epoch such a memo's hits were 86 % single-application ports,
-//! which have no Eq. 2 problem at all, and the rest two or three
-//! applications wide (DESIGN.md §5.4). So there is nothing to purge when
-//! an application leaves or is re-profiled: a member names its
-//! workload's surrogate by slot, and a refit rewrites the slot. Only
-//! the wide, clustered ports keep a memo — their keys are few, shared
-//! across ports, and their solve may be iterative.
+//! Every port, however wide, is *solved, not remembered*: its answer is
+//! a closed form over the members' surrogates (`saba_math::solve_dual`,
+//! O(n log n); ≈ 0.7 µs for the two or three applications most ports
+//! carry), which is less than a memo keyed by the member set costs to
+//! ask — on the paper fabric's cold epoch such a memo's hits were 86 %
+//! single-application ports, which have no Eq. 2 problem at all
+//! (DESIGN.md §5.4). So there is nothing to purge when an application
+//! leaves or is re-profiled: a member names its workload's surrogate by
+//! slot, and a refit rewrites the slot.
 
 use crate::controller::epoch::{Controller, Policy};
 use crate::controller::plmap::PlAssigner;
@@ -25,29 +23,13 @@ use crate::controller::queuemap::QueueMapper;
 use crate::controller::weights::{port_weights_from_surrogates, ModelSurrogate};
 use crate::controller::{ControllerConfig, ControllerError};
 use crate::sensitivity::{SensitivityModel, SensitivityTable};
-use saba_math::{Polynomial, SolveScratch, WeightProblem};
-use saba_sim::ids::{AppId, LinkId, ServiceLevel};
+use saba_math::SolveScratch;
+use saba_sim::ids::{AppId, LinkId};
 use saba_sim::topology::Topology;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// The centralized Saba controller.
 pub type CentralController = Controller<Central>;
-
-/// Entries the clustered memo may carry into an epoch. Under churn
-/// nearly every solve of a wide port meets a member-count profile not
-/// seen before, so an uncapped memo grows by a few hundred bytes per
-/// event for as long as the controller runs, and all a hit saves is one
-/// solve. What the memo is for — the many ports of *one* epoch that
-/// share a profile — is untouched: eviction happens only between
-/// epochs.
-const WEIGHT_CACHE_CAP: usize = 1 << 14;
-
-/// Ports with more applications than this are solved over PL clusters:
-/// for `m` same-PL applications sharing cluster weight `W` equally, the
-/// summed slowdown is `m·D(W/m)` — still a polynomial — so the solve
-/// involves at most 16 variables. This is the same scalability argument
-/// that motivates PL grouping in §5.3.1.
-const EXACT_MAX_APPS: usize = 32;
 
 /// An application as a port's membership records it. Ordered by id;
 /// its PL and the slot of its workload's surrogate ride along — both
@@ -73,13 +55,6 @@ pub struct Central {
     slot_of_workload: BTreeMap<String, u16>,
     assigner: PlAssigner,
     mapper: Option<QueueMapper>,
-    /// Clustered-solve memo for large ports, keyed by the (PL, member
-    /// count) profile — many core ports share one profile. Valid only
-    /// for the centroid set it was computed against, so it is cleared
-    /// whenever the assigner's published-centroid generation moves;
-    /// bounded: an epoch that starts with more than
-    /// [`WEIGHT_CACHE_CAP`] entries starts with none.
-    cluster_cache: HashMap<Vec<(usize, u32)>, Vec<f64>>,
     /// Assigner generation the queue mapper was last built against.
     mapper_generation: u64,
     /// Set when a registration changed the published centroid set while
@@ -101,7 +76,6 @@ impl Controller<Central> {
             surrogates: Vec::new(),
             slot_of_workload: BTreeMap::new(),
             mapper: None,
-            cluster_cache: HashMap::new(),
             mapper_generation: 0,
             sweep_pending: false,
         };
@@ -132,10 +106,9 @@ impl Controller<Central> {
 
 impl Central {
     /// If the published centroid set moved since the mapper was built,
-    /// rebuild the mapper, drop the centroid-dependent memo, and flag
-    /// the deferred full sweep (register cannot emit switch updates, so
-    /// already-programmed ports stay on the old mapping until the next
-    /// reprogramming-capable event).
+    /// rebuild the mapper and flag the deferred full sweep (register
+    /// cannot emit switch updates, so already-programmed ports stay on
+    /// the old mapping until the next reprogramming-capable event).
     fn refresh_mapper_if_stale(&mut self) {
         let generation = self.assigner.generation();
         if generation == self.mapper_generation && self.mapper.is_some() {
@@ -143,78 +116,14 @@ impl Central {
         }
         self.mapper = QueueMapper::build(&self.assigner.centroids());
         self.mapper_generation = generation;
-        self.cluster_cache.clear();
         self.sweep_pending = true;
     }
-
-    /// The clustered Eq. 2 problem of one (PL, member count) profile.
-    fn cluster_problem(&self, cfg: &ControllerConfig, profile: &[(usize, u32)]) -> WeightProblem {
-        // Cluster model: m·D_centroid(w/m) — a polynomial again,
-        // with coefficients m^(1-i)·c_i.
-        let cluster_models: Vec<Polynomial> = profile
-            .iter()
-            .map(|&(pl, m)| {
-                let m = f64::from(m);
-                let centroid = self
-                    .assigner
-                    .centroid(pl)
-                    .expect("registered apps have active PLs");
-                Polynomial::new(
-                    centroid
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &c)| m.powi(1 - i as i32) * c)
-                        .collect(),
-                )
-            })
-            .collect();
-        // Protective floor at app granularity: a cluster of m
-        // members is entitled to m floors.
-        let total_apps: u32 = profile.iter().map(|p| p.1).sum();
-        let per_app_floor = {
-            let fair = cfg.c_saba / f64::from(total_apps);
-            (fair * cfg.protect_fraction).max(cfg.min_weight.min(0.9 * fair))
-        };
-        let smallest = f64::from(profile.iter().map(|p| p.1).min().unwrap_or(1));
-        let floor =
-            (per_app_floor * smallest).min(cfg.c_saba / (2.0 * cluster_models.len() as f64));
-        let domain_floors = profile
-            .iter()
-            .map(|&(_, m)| (0.05 * f64::from(m)).min(cfg.c_saba))
-            .collect();
-        WeightProblem {
-            models: cluster_models,
-            domain_floors,
-            capacity: cfg.c_saba,
-            min_weight: floor,
-            max_weight: cfg.c_saba,
-            balance_reg: 1.5,
-        }
-    }
-}
-
-/// Room for the widest [`cluster_profile`], on the caller's stack: wide
-/// ports are looked up on every visit.
-type ProfileBuf = [(usize, u32); ServiceLevel::COUNT];
-
-/// The (PL, member count) profile of a port, ascending by PL.
-fn cluster_profile<'a>(pls: &[usize], buf: &'a mut ProfileBuf) -> &'a [(usize, u32)] {
-    let mut counts = [0u32; ServiceLevel::COUNT];
-    for &pl in pls {
-        counts[pl] += 1;
-    }
-    let mut len = 0;
-    for (pl, &m) in counts.iter().enumerate().filter(|(_, &m)| m > 0) {
-        buf[len] = (pl, m);
-        len += 1;
-    }
-    &buf[..len]
 }
 
 impl Policy for Central {
     type Member = AppMember;
-    /// The (PL, member count) profile of a port solved over clusters.
-    type Key = Vec<(usize, u32)>;
+    /// Nothing is memoized: every port is solved in place.
+    type Key = std::convert::Infallible;
 
     /// Looks up the profiled sensitivity model, interns its surrogate on
     /// the workload's first registration and assigns a PL online.
@@ -237,10 +146,10 @@ impl Policy for Central {
         let pl = self.assigner.assign(app, model.coefficients());
         let sl = u8::try_from(pl).expect("a PL is an SL");
         self.apps.insert(app, AppMember { app, pl: sl, slot });
-        // The clustered memo and the queue mapper depend on the
-        // published centroids: refresh them only when the assigner
-        // actually published a change — a duplicate of an existing
-        // workload joining its slot costs nothing.
+        // The queue mapper depends on the published centroids: rebuild
+        // it only when the assigner actually published a change — a
+        // duplicate of an existing workload joining its slot costs
+        // nothing.
         self.refresh_mapper_if_stale();
         Ok(pl)
     }
@@ -298,50 +207,12 @@ impl Policy for Central {
     }
 
     fn begin_epoch(&mut self, force: bool) -> bool {
-        // Evict between epochs only: within one, the prewarm and the
-        // sweep must see the same cache, and serial and parallel runs
-        // reach this point with identical contents.
-        if self.cluster_cache.len() > WEIGHT_CACHE_CAP {
-            self.cluster_cache.clear();
-        }
         std::mem::take(&mut self.sweep_pending) && !force
     }
 
-    fn cached(&self, apps: &[AppMember], pls: &[usize]) -> Option<&[f64]> {
-        if apps.len() <= EXACT_MAX_APPS {
-            return None;
-        }
-        self.cluster_cache
-            .get(cluster_profile(pls, &mut ProfileBuf::default()))
-            .map(Vec::as_slice)
-    }
-
-    /// Only the wide, clustered ports are memoized.
-    fn key(&self, apps: &[AppMember], pls: &[usize]) -> Option<Self::Key> {
-        (apps.len() > EXACT_MAX_APPS)
-            .then(|| cluster_profile(pls, &mut ProfileBuf::default()).to_vec())
-    }
-
-    /// Clustered problems are solved cold: a pure function of the
-    /// profile and the published centroids.
-    fn solve(
-        &self,
-        cfg: &ControllerConfig,
-        profile: &Self::Key,
-        _link: LinkId,
-        _scratch: &mut SolveScratch,
-    ) -> Vec<f64> {
-        saba_math::minimize_weights(&self.cluster_problem(cfg, profile))
-            .expect("feasible clustered weight problem")
-            .weights
-    }
-
-    fn store(&mut self, profile: Self::Key, weights: Vec<f64>) {
-        self.cluster_cache.insert(profile, weights);
-    }
-
-    /// The exact solve, straight into the visit's weight buffer: a pure
-    /// function of the members' surrogates, each one indexed load away.
+    /// The exact solve of every port, whatever its width, straight into
+    /// the visit's weight buffer: a pure function of the members'
+    /// surrogates, each one indexed load away.
     /// A lone application has nobody to share with — its answer is
     /// `[C_saba]` and no Eq. 2 problem was solved.
     fn solve_into(
@@ -362,30 +233,16 @@ impl Policy for Central {
         .expect("non-empty feasible weight problem");
         apps.len() > 1
     }
-
-    /// A clustered solve has one weight per PL: split each cluster's
-    /// share equally among its members (the queue weight is the sum
-    /// again, so enforcement is unchanged).
-    fn settle(&mut self, _: LinkId, apps: &[AppMember], pls: &[usize], weights: &mut Vec<f64>) {
-        if apps.len() <= EXACT_MAX_APPS {
-            return;
-        }
-        let (mut share, mut buf) = ([0.0; ServiceLevel::COUNT], ProfileBuf::default());
-        for (&(pl, m), &w) in cluster_profile(pls, &mut buf).iter().zip(weights.iter()) {
-            share[pl] = w / f64::from(m);
-        }
-        weights.clear();
-        weights.extend(pls.iter().map(|&pl| share[pl]));
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::weights::port_weights_protected;
     use crate::controller::SwitchUpdate;
     use crate::fabric::PortQueueConfig;
     use crate::profiler::{Profiler, ProfilerConfig};
-    use saba_sim::ids::NodeId;
+    use saba_sim::ids::{NodeId, ServiceLevel};
     use saba_workload::catalog;
 
     fn table() -> SensitivityTable {
@@ -681,13 +538,16 @@ mod tests {
         use rand::{Rng, SeedableRng};
         // Eq. 2 over a port's surrogates is a pure function of its
         // member set, so a controller that churned its way to a live set
-        // programs exactly what one built from that set would.
+        // programs exactly what one built from that set would — on
+        // ports of a few applications and on ports of many alike: half
+        // the connections funnel through one server pair.
         let topo = Topology::single_switch(8, saba_sim::LINK_56G_BPS);
         let s = topo.servers();
         let names = ["LR", "PR", "Sort", "SQL"];
+        let mut widest = 0;
         for seed in 0..4u64 {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let napps = rng.gen_range(6..=24u32);
+            let napps = rng.gen_range(6..=80u32);
             let fresh = || {
                 let mut c = CentralController::new(ControllerConfig::default(), table(), &topo);
                 for i in 0..napps {
@@ -698,11 +558,15 @@ mod tests {
             };
             let mut churned = fresh();
             let mut live: Vec<(u32, NodeId, NodeId, u64)> = Vec::new();
-            for tag in 0..300u64 {
-                if live.is_empty() || rng.gen_bool(0.6) {
+            for tag in 0..400u64 {
+                if live.is_empty() || rng.gen_bool(0.7) {
                     let app = rng.gen_range(0..napps);
-                    let src = rng.gen_range(0..s.len());
-                    let dst = (src + rng.gen_range(1..s.len())) % s.len();
+                    let (src, dst) = if rng.gen_bool(0.5) {
+                        (0, 1)
+                    } else {
+                        let src = rng.gen_range(0..s.len());
+                        (src, (src + rng.gen_range(1..s.len())) % s.len())
+                    };
                     churned
                         .conn_create(AppId(app), s[src], s[dst], tag)
                         .unwrap();
@@ -717,11 +581,55 @@ mod tests {
             for &(app, src, dst, tag) in &live {
                 scratch.preload_connection(AppId(app), src, dst, tag);
             }
-            assert_eq!(
-                churned.recompute_all(),
-                scratch.recompute_all(),
-                "seed {seed}"
-            );
+            let updates = churned.recompute_all();
+            assert_eq!(updates, scratch.recompute_all(), "seed {seed}");
+            let width = updates.iter().map(|u| churned.apps_at(u.link).len());
+            widest = widest.max(width.max().expect("occupied ports"));
+        }
+        assert!(widest > 32, "some seed must reach a wide port: {widest}");
+    }
+
+    #[test]
+    fn a_wide_port_programs_the_per_application_solution() {
+        // 120 applications of the whole catalog on one server pair: both
+        // ports of the path carry every one of them. Each queue weighs
+        // the sum, in member order, of what `port_weights_protected`
+        // gives its members over their own table models.
+        let profiler = Profiler::new(ProfilerConfig {
+            noise_sigma: 0.0,
+            bw_points: vec![0.25, 0.5, 0.75, 1.0],
+            degree: 2,
+            ..Default::default()
+        });
+        let full_table = profiler.profile_all(&catalog()).unwrap();
+        let names: Vec<String> = catalog().iter().map(|w| w.name.clone()).collect();
+        let topo = Topology::single_switch(2, saba_sim::LINK_56G_BPS);
+        let s = topo.servers();
+        let cfg = ControllerConfig::default();
+        let mut c = CentralController::new(cfg.clone(), full_table.clone(), &topo);
+        let workload = |app: AppId| &names[app.0 as usize % names.len()];
+        for app in (0..120).map(AppId) {
+            c.register(app, workload(app)).unwrap();
+            c.preload_connection(app, s[0], s[1], u64::from(app.0));
+        }
+        let updates = c.recompute_all();
+        assert_eq!(updates.len(), 2);
+        for u in &updates {
+            let apps = c.apps_at(u.link);
+            assert_eq!(apps.len(), 120);
+            let models: Vec<&SensitivityModel> = apps
+                .iter()
+                .map(|&app| full_table.get(workload(app)).unwrap())
+                .collect();
+            let w =
+                port_weights_protected(&models, cfg.c_saba, cfg.min_weight, cfg.protect_fraction)
+                    .unwrap();
+            let mut want = vec![0.0; u.config.num_queues()];
+            for (&app, &wi) in apps.iter().zip(&w) {
+                want[u.config.queue_of(c.sl_of(app).unwrap())] += wi;
+            }
+            let bits = |ws: &[f64]| ws.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&u.config.weights), bits(&want), "link {}", u.link.0);
         }
     }
 
@@ -804,81 +712,5 @@ mod tests {
             updates.iter().flat_map(per_app).collect()
         };
         assert_eq!(queue_weights(&mut c), queue_weights(&mut never_lr));
-    }
-
-    #[test]
-    fn clustered_memo_stays_bounded_under_churn() {
-        // A fixed population behind one wide port: 40 applications that
-        // never leave keep it past the clustering threshold, and two
-        // more per workload come and go in mixed-radix Gray-code order,
-        // so every event meets a (PL, member count) profile not seen
-        // before — 3^10 of them, more than the cap. The published
-        // centroids never move, so nothing but the cap ever clears the
-        // clustered memo.
-        let profiler = Profiler::new(ProfilerConfig {
-            noise_sigma: 0.0,
-            bw_points: vec![0.25, 0.5, 0.75, 1.0],
-            degree: 2,
-            ..Default::default()
-        });
-        let full_table = profiler.profile_all(&catalog()).unwrap();
-        let names: Vec<String> = catalog().iter().map(|w| w.name.clone()).collect();
-        assert_eq!(names.len(), 10);
-        let topo = Topology::single_switch(2, saba_sim::LINK_56G_BPS);
-        let s = topo.servers();
-        let fresh = || {
-            let mut c =
-                CentralController::new(ControllerConfig::default(), full_table.clone(), &topo);
-            for app in 0..60u32 {
-                c.register(AppId(app), &names[app as usize % 10]).unwrap();
-            }
-            for app in 0..40u32 {
-                c.preload_connection(AppId(app), s[0], s[1], u64::from(app));
-            }
-            c
-        };
-        let mut churned = fresh();
-        churned.recompute_all();
-        // Digit `w` counts workload `w`'s extra applications on the port
-        // (apps 40 + w and 50 + w); `up[w]` is its Gray-code direction.
-        let (mut digits, mut up) = ([0u32; 10], [true; 10]);
-        let mut events = 0usize;
-        let mut longest = 0usize;
-        'walk: while events <= WEIGHT_CACHE_CAP + WEIGHT_CACHE_CAP / 4 {
-            let mut w = 0;
-            while (up[w] && digits[w] == 2) || (!up[w] && digits[w] == 0) {
-                up[w] = !up[w];
-                w += 1;
-                if w == 10 {
-                    break 'walk;
-                }
-            }
-            let updates = if up[w] {
-                let app = 40 + 10 * digits[w] + w as u32;
-                digits[w] += 1;
-                churned.conn_create(AppId(app), s[0], s[1], u64::from(app))
-            } else {
-                digits[w] -= 1;
-                let app = 40 + 10 * digits[w] + w as u32;
-                churned.conn_destroy(AppId(app), u64::from(app))
-            };
-            assert_eq!(updates.unwrap().len(), 2, "both wide ports reprogram");
-            events += 1;
-            longest = longest.max(churned.policy.cluster_cache.len());
-            assert!(churned.policy.cluster_cache.len() <= WEIGHT_CACHE_CAP + 1);
-        }
-        assert!(longest > WEIGHT_CACHE_CAP, "the walk must reach the cap");
-        assert!(
-            churned.stats().eq2_solves as usize > events,
-            "every event met a new profile"
-        );
-        let mut scratch = fresh();
-        for w in 0..10u32 {
-            for extra in 0..digits[w as usize] {
-                let app = 40 + 10 * extra + w;
-                scratch.preload_connection(AppId(app), s[0], s[1], u64::from(app));
-            }
-        }
-        assert_eq!(churned.recompute_all(), scratch.recompute_all());
     }
 }

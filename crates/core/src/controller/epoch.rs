@@ -12,10 +12,10 @@
 //! | seam | [`Central`](super::central::Central) | [`Distributed`](super::distributed::Distributed) |
 //! |---|---|---|
 //! | member on a port | `AppId` with its sticky PL | PL |
-//! | memo key → solve | ≤ 32 apps: none — the exact dual solve writes into the visit's weight buffer (one app: `[C_saba]`, no solve); > 32 apps → `(PL, count)` profile → clustered solve | PL set → centroid solve, warm-seeded from the port's last weights |
+//! | memo key → solve | none — the exact dual solve of every port, at any width, writes into the visit's weight buffer (one app: `[C_saba]`, no solve) | PL set → centroid solve, warm-seeded from the port's last weights |
 //! | PL and queue mapper | online `PlAssigner` (deferred full sweep when the published centroids move) | offline `MappingDb` |
 //! | partition | one domain | link shards |
-//! | memo purge | clustered profiles when the published centroids move (nothing names an app: a refit rewrites its workload's surrogate slot) | entries naming a PL whose centroid moved |
+//! | memo purge | none: there is no memo (a refit rewrites its workload's surrogate slot) | entries naming a PL whose centroid moved |
 //!
 //! A port visit costs O(members) and allocates only what it emits,
 //! whether or not the controller ever saw the port's members before. It
@@ -95,10 +95,10 @@ impl EpochStats {
     /// Fraction of occupied-port visits that solved no Eq. 2 problem
     /// (`skipped / (skipped + solved)`: memo hits and single-member
     /// ports), the service tier's `controller.prewarm_hit_rate` gauge.
-    /// `None` before any visit. On the centralized flavour, whose exact
-    /// ports are solved rather than remembered, this is the
-    /// single-member share plus the clustered memo's hits — a low value
-    /// there says ports are contended, not that a cache is cold.
+    /// `None` before any visit. On the centralized flavour, which solves
+    /// every port rather than remembering any, this is the single-member
+    /// share — a low value there says ports are contended, not that a
+    /// cache is cold.
     pub fn cache_hit_rate(&self) -> Option<f64> {
         let total = self.solves_skipped + self.eq2_solves;
         (total > 0).then(|| self.solves_skipped as f64 / total as f64)
@@ -122,11 +122,13 @@ impl std::ops::AddAssign for EpochStats {
 /// What a controller flavour supplies to the shared epoch engine.
 ///
 /// A policy owns the application registry, the application → PL
-/// mapping, and the Eq. 2 memo — and decides, per port, whether the
-/// memo is worth asking ([`Self::key`]). [`Self::solve`] must be a pure
-/// function of `&self`, the key and the link: the parallel prewarm
-/// calls it from worker threads and relies on that for bit-identity
-/// with the serial sweep.
+/// mapping and, if it keeps one, the Eq. 2 memo — and decides, per
+/// port, whether the memo is worth asking ([`Self::key`]); a port it
+/// does not memoize is solved in place by [`Self::solve_into`], which
+/// is how the central policy answers every port. [`Self::solve`] must
+/// be a pure function of `&self`, the key and the link: the parallel
+/// prewarm calls it from worker threads and relies on that for
+/// bit-identity with the serial sweep.
 pub trait Policy: Clone + Debug + Sync {
     /// What a port's membership set is made of.
     type Member: Copy + Ord + Hash + Debug + Send + Sync;
@@ -171,26 +173,36 @@ pub trait Policy: Clone + Debug + Sync {
     }
 
     /// The memoized solution for a port with these members (and their
-    /// PLs, index-aligned), if any.
-    fn cached(&self, members: &[Self::Member], pls: &[usize]) -> Option<&[f64]>;
+    /// PLs, index-aligned), if any. A policy that memoizes nothing
+    /// keeps the default, like the three methods below.
+    fn cached(&self, _members: &[Self::Member], _pls: &[usize]) -> Option<&[f64]> {
+        None
+    }
 
     /// The memo key [`Self::cached`] looked up, or `None` for a port
     /// the policy does not memoize — solving it costs less than
     /// remembering it — which [`Self::solve_into`] answers instead.
-    fn key(&self, members: &[Self::Member], pls: &[usize]) -> Option<Self::Key>;
+    fn key(&self, _members: &[Self::Member], _pls: &[usize]) -> Option<Self::Key> {
+        None
+    }
 
     /// Solves Eq. 2 for `key`; `link` is the first port of the epoch
-    /// that asked for it.
+    /// that asked for it. Never called on a policy whose [`Self::key`]
+    /// is always `None`.
     fn solve(
         &self,
-        cfg: &ControllerConfig,
-        key: &Self::Key,
-        link: LinkId,
-        scratch: &mut SolveScratch,
-    ) -> Vec<f64>;
+        _cfg: &ControllerConfig,
+        _key: &Self::Key,
+        _link: LinkId,
+        _scratch: &mut SolveScratch,
+    ) -> Vec<f64> {
+        unreachable!("this policy memoizes no port")
+    }
 
     /// Memoizes a solution.
-    fn store(&mut self, key: Self::Key, weights: Vec<f64>);
+    fn store(&mut self, _key: Self::Key, _weights: Vec<f64>) {
+        unreachable!("this policy memoizes no port")
+    }
 
     /// Solves a port without a memo key, appending its solution to
     /// `weights`; returns whether an Eq. 2 problem was solved (a lone
@@ -332,6 +344,9 @@ impl<P: Policy> Controller<P> {
     /// per-thread [`SolveScratch`], and results are merged into the
     /// memo in the deterministic first-occurrence order the serial
     /// sweep would have produced. Stats counters also match exactly.
+    /// Only memoized ports are prewarmed, so the central flavour, which
+    /// memoizes none, has nothing to prewarm: its epochs are the serial
+    /// ones whatever the thread count.
     pub fn set_solver_threads(&mut self, threads: usize) {
         self.solver_threads = threads.max(1);
     }
@@ -957,8 +972,7 @@ mod tests {
         let workloads = catalog();
         // Spread connections over cross-pod paths (several shards per
         // batch), then funnel every app through one server pair so its
-        // ports exceed 32 members — the central flavour's clustered
-        // solve path must be bit-identical too.
+        // ports carry 40 members — wide ports must be bit-identical too.
         for i in 0..40u32 {
             let w = &workloads[i as usize % workloads.len()].name;
             assert_eq!(
@@ -985,8 +999,7 @@ mod tests {
             );
         }
         // Churn back down, including full deregistrations (the funnel
-        // keeps more than 32 members, so the forced recomputes below
-        // prewarm the clustered path too).
+        // stays wide through the forced recomputes below).
         for i in (0..40u32).step_by(3) {
             assert_eq!(
                 serial.conn_destroy(AppId(i), u64::from(i) + 1).unwrap(),
@@ -1007,21 +1020,25 @@ mod tests {
         assert_eq!(serial.recompute_all(), par.recompute_all());
         let (ss, ps) = (serial.stats(), par.stats());
         assert_eq!(ss, ps, "stats must match the serial path exactly");
-        // Skips are memo hits on what a flavour memoizes (PL sets;
-        // the central funnel's clustered profiles) and single-member
-        // ports — no central *exact* port is ever a hit.
+        // Skips are memo hits on what a flavour memoizes (the
+        // distributed PL sets) and single-member ports — no central
+        // port is ever a hit.
         assert!(ss.eq2_solves > 0 && ss.solves_skipped > 0);
         serial
     }
 
     #[test]
     fn parallel_solver_matches_serial_bit_for_bit() {
-        let c = parallel_matches_serial(central);
+        let mut c = parallel_matches_serial(central);
         let widest = (0..c.members.num_links() as u32)
             .map(|l| c.apps_at(LinkId(l)).len())
             .max()
             .unwrap();
-        assert!(widest > 32, "funnel port should trigger the clustered path");
+        assert!(widest > 32, "the funnel port is wide: {widest}");
+        // Wide central ports are exact too, so the prewarm gathers
+        // nothing on the central flavour.
+        let occupied: Vec<LinkId> = c.members.occupied_links().collect();
+        assert_eq!(c.prewarm(&occupied), 0);
         let d = parallel_matches_serial(distributed);
         assert!(d.stats().forwards > 0, "paths should span shards");
     }
@@ -1055,7 +1072,7 @@ mod tests {
             } else if live.len() < 30 || below(100) < 55 {
                 let app = AppId(below(40) as u32);
                 // Every application also funnels through one server
-                // pair, so clustered ports are in the stream.
+                // pair, so wide ports are in the stream.
                 let (src, dst) = match below(3) {
                     0 => (0, 1),
                     _ => (below(s.len()), below(s.len())),

@@ -22,11 +22,11 @@ use saba_sim::ids::AppId;
 struct PlSlot {
     members: Vec<(AppId, Vec<f64>)>,
     centroid: Vec<f64>,
-    /// The centroid last *published* to consumers (queue mapper, Eq. 2
-    /// cluster solves). Tracks `centroid` lazily: it only catches up —
-    /// bumping the assigner's generation — when the live centroid drifts
-    /// beyond the configured tolerance, so sub-tolerance jitter from
-    /// membership churn never forces downstream HAC/solve reruns.
+    /// The centroid last *published* to the queue mapper. Tracks
+    /// `centroid` lazily: it only catches up — bumping the assigner's
+    /// generation — when the live centroid drifts beyond the configured
+    /// tolerance, so sub-tolerance jitter from membership churn never
+    /// forces a downstream HAC rerun.
     published: Vec<f64>,
 }
 
@@ -54,8 +54,8 @@ pub struct PlAssigner {
     dim: usize,
     /// Bumped whenever the *published* centroid set changes: a PL
     /// activates or frees, or an active centroid drifts beyond
-    /// `centroid_tol`. Consumers (the HAC queue mapper, clustered Eq. 2
-    /// solves) compare generations to decide whether to re-derive.
+    /// `centroid_tol`. The one consumer, the central policy's HAC queue
+    /// mapper, compares generations to decide whether to re-derive.
     generation: u64,
     /// Euclidean drift below which a centroid update is *not* published
     /// (0.0 = publish every change, the exact default).

@@ -276,8 +276,15 @@ proptest! {
 /// stay under the lower bound), tiny, or ordinary; and every so often
 /// the all-pinned corner `n·lo = C`.
 fn arb_qualifying() -> impl Strategy<Value = WeightProblem> {
+    arb_qualifying_of(1..=64)
+}
+
+/// [`arb_qualifying`] with `apps` quadratics.
+fn arb_qualifying_of(
+    apps: std::ops::RangeInclusive<usize>,
+) -> impl Strategy<Value = WeightProblem> {
     (
-        prop::collection::vec((0.5f64..10.0, 0.05f64..3.0, 0u8..4, 0.0f64..1.0), 1..=64),
+        prop::collection::vec((0.5f64..10.0, 0.05f64..3.0, 0u8..4, 0.0f64..1.0), apps),
         50u32..=100,
         0u8..4,
         0.01f64..2.0,
@@ -391,6 +398,26 @@ proptest! {
         let r = kkt_residual(&problem, &sol.weights);
         prop_assert!(r <= 1e-12, "KKT residual {r:e}: {:?}", sol.weights);
         prop_assert_eq!(sol.objective, problem.objective(&sol.weights));
+    }
+
+    /// The same certificate at the width of a datacenter port: 100 to
+    /// 1,000 applications, KKT to 1e-9.
+    #[test]
+    fn dual_solution_is_the_kkt_point_at_width(problem in arb_qualifying_of(100..=1000)) {
+        let n = problem.models.len();
+        let sol = minimize_weights(&problem).unwrap();
+        prop_assert_eq!(sol.iterations, 0, "qualifying problems take the direct path");
+        let (lo, hi, cap) = (problem.min_weight, problem.max_weight, problem.capacity);
+        for &w in &sol.weights {
+            prop_assert!(w >= lo && w <= hi, "{w} outside [{lo}, {hi}]");
+        }
+        let total: f64 = sol.weights.iter().sum();
+        prop_assert!(
+            (total - cap).abs() <= n as f64 * f64::EPSILON * cap,
+            "sum {total:e} vs capacity {cap:e} at n = {n}"
+        );
+        let r = kkt_residual(&problem, &sol.weights);
+        prop_assert!(r <= 1e-9, "KKT residual {r:e} at n = {n}");
     }
 
     /// Never worse than the iterative solver, and on the same point.

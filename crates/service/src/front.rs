@@ -249,9 +249,8 @@ impl<S: MetricsSink> Front<S> {
         if self.sink.enabled() {
             // The share of occupied-port visits that solved no Eq. 2
             // problem: memo hits plus single-member ports. A central
-            // shard memoizes only its clustered (> 32 application)
-            // ports, so there this reads how uncontended the ports are,
-            // not how warm a cache is.
+            // shard memoizes nothing, so there this reads how
+            // uncontended the ports are, not how warm a cache is.
             if let Some(rate) = shard.epoch_counters().cache_hit_rate() {
                 self.sink.gauge(
                     &format!("controller.prewarm_hit_rate/shard={}", shard.id),
