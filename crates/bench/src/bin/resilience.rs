@@ -245,7 +245,7 @@ fn main() {
     let max_severity = saba_bench::arg_usize("--severities", 3) as u32;
     let rounds = saba_bench::arg_usize("--rounds", if quick { 25 } else { 200 });
 
-    let table = catalog_table();
+    let table = catalog_table(3);
     let catalog = saba_workload::catalog();
 
     let rows = severity_rows(quick, max_severity, &table, &catalog);

@@ -27,7 +27,8 @@
 //! present and counters monotone between the scrapes.
 //!
 //! Wall-clock figures go to stdout and `BENCH_service.json` only; the
-//! CSV under `results/` carries exclusively deterministic counters.
+//! CSV under `results/` carries exclusively deterministic counters and
+//! is written by `--long` alone.
 //!
 //! Usage: `service [--smoke|--quick] [--long] [--scrape] [--ops N] [--shards N] [--clients N]`
 
@@ -398,7 +399,7 @@ fn scrape_check(table: &SensitivityTable) {
 fn main() {
     let smoke = flag("--smoke") || flag("--quick");
     let long = flag("--long");
-    let table = catalog_table();
+    let table = catalog_table(3);
 
     if flag("--scrape") {
         scrape_check(&table);
@@ -493,18 +494,17 @@ fn main() {
     );
 
     // The CSV holds only deterministic counters (wall numbers are
-    // stdout/BENCH_service.json material).
-    let csv = write_csv(
-        "service_soak.csv",
-        "stage,ops,registrations,conn_creates,failovers",
-        &[format!(
-            "{},{},{},{},{}",
-            if long { "long" } else { "soak" },
-            out.ops,
-            out.registrations,
-            out.conn_creates,
-            out.failovers
-        )],
-    );
-    println!("wrote {}", csv.display());
+    // stdout/BENCH_service.json material), and only the million-event
+    // soak writes it: shorter runs never touch the tracked file.
+    if long {
+        let csv = write_csv(
+            "service_soak.csv",
+            "stage,ops,registrations,conn_creates,failovers",
+            &[format!(
+                "long,{},{},{},{}",
+                out.ops, out.registrations, out.conn_creates, out.failovers
+            )],
+        );
+        println!("wrote {}", csv.display());
+    }
 }

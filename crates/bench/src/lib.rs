@@ -1,11 +1,9 @@
-//! Shared infrastructure for the figure/table regeneration binaries.
+//! Shared infrastructure for the experiment binaries in `src/bin/`.
 //!
-//! Every table and figure of the paper's evaluation has a binary in
-//! `src/bin/` (`table1`, `fig1`, `fig2`, `fig5`, `fig6`, `fig8`,
-//! `fig9`, `fig10`, `fig11`, `fig12`). Each prints the figure's
-//! rows/series to stdout and writes a CSV under `results/`. Binaries
-//! accept a `--quick` flag that shrinks sample counts for smoke runs;
-//! the defaults reproduce the paper's scale where tractable.
+//! `repro` regenerates every table and figure of the paper's evaluation
+//! from one table of experiments; `churn`, `observe`, `resilience`,
+//! `scale` and `service` exercise the controller, telemetry, fault,
+//! scale-out and service tiers. Results land under [`results_dir`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -62,8 +60,8 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
 /// Prints a fixed-width table to stdout.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
-    // Width bookkeeping is in *characters*, not bytes (bar cells use
-    // multi-byte block glyphs).
+    // Width bookkeeping is in *characters*, not bytes (cells may hold
+    // multi-byte glyphs).
     let mut widths: Vec<usize> = header.iter().map(|h| h.chars().count()).collect();
     for row in rows {
         for (w, cell) in widths.iter_mut().zip(row) {
@@ -98,119 +96,24 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Renders a unicode bar of `value` against `max` (for quick visual
-/// scanning of figure outputs in the terminal).
-pub fn bar(value: f64, max: f64, width: usize) -> String {
-    if max.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) || !value.is_finite() {
-        return String::new();
-    }
-    let filled = ((value / max) * width as f64)
-        .round()
-        .clamp(0.0, width as f64) as usize;
-    let mut s = String::with_capacity(width);
-    for _ in 0..filled {
-        s.push('█');
-    }
-    // Pad to a fixed width so columns stay aligned in the table.
-    for _ in filled..width {
-        s.push(' ');
-    }
-    s
-}
-
-/// The default profiler used by all experiments (the §7.1 bandwidth
-/// points, degree-3 fits, light measurement noise).
-pub fn default_profiler() -> Profiler {
-    Profiler::new(ProfilerConfig::default())
-}
-
-/// Profiles the full Table-1 catalog, caching the table as JSON in
-/// [`results_dir`] so repeated figure runs skip re-profiling.
-pub fn catalog_table() -> SensitivityTable {
-    cached_table("sensitivity_table_catalog.json", || {
-        default_profiler()
-            .profile_all(&saba_workload::catalog())
-            .expect("catalog profiling succeeds")
+/// Profiles the full Table-1 catalog with degree-`degree` fits (the
+/// §7.1 bandwidth points, light measurement noise; the paper's models
+/// are degree 3).
+pub fn catalog_table(degree: usize) -> SensitivityTable {
+    Profiler::new(ProfilerConfig {
+        degree,
+        ..Default::default()
     })
-}
-
-/// Loads a cached sensitivity table or builds and caches it.
-pub fn cached_table(
-    cache_name: &str,
-    build: impl FnOnce() -> SensitivityTable,
-) -> SensitivityTable {
-    let path = results_dir().join(cache_name);
-    if let Ok(json) = fs::read_to_string(&path) {
-        if let Ok(table) = SensitivityTable::from_json(&json) {
-            if !table.is_empty() {
-                return table;
-            }
-        }
-    }
-    let table = build();
-    fs::write(&path, table.to_json()).expect("table cache must be writable");
-    table
+    .profile_all(&saba_workload::catalog())
+    .expect("catalog profiling succeeds")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Points `SABA_RESULTS_DIR` at a per-process temp directory so test
-    /// scratch files never land in the repo's `results/` tree.
-    fn use_temp_results() {
-        static INIT: std::sync::Once = std::sync::Once::new();
-        INIT.call_once(|| {
-            let dir = std::env::temp_dir().join(format!("saba-bench-test-{}", std::process::id()));
-            std::env::set_var("SABA_RESULTS_DIR", &dir);
-        });
-    }
-
-    #[test]
-    fn csv_round_trip() {
-        use_temp_results();
-        let p = write_csv(
-            "test_out.csv",
-            "a,b",
-            &["1,2".to_string(), "3,4".to_string()],
-        );
-        let body = fs::read_to_string(p).unwrap();
-        assert_eq!(body, "a,b\n1,2\n3,4\n");
-    }
-
-    #[test]
-    fn bar_scales_and_clamps() {
-        assert_eq!(bar(2.0, 4.0, 8).chars().filter(|&c| c == '█').count(), 4);
-        assert_eq!(bar(99.0, 4.0, 8).chars().filter(|&c| c == '█').count(), 8);
-        assert_eq!(bar(2.0, 4.0, 8).chars().count(), 8);
-        assert_eq!(bar(1.0, 0.0, 8), "");
-    }
-
     #[test]
     fn arg_usize_default() {
         assert_eq!(arg_usize("--no-such-flag", 7), 7);
-    }
-
-    #[test]
-    fn cached_table_builds_once() {
-        use_temp_results();
-        let _ = fs::remove_file(results_dir().join("test_cache.json"));
-        let mut calls = 0;
-        let t1 = cached_table("test_cache.json", || {
-            calls += 1;
-            let mut t = SensitivityTable::new();
-            t.insert(
-                saba_core::sensitivity::SensitivityModel::fit(
-                    "X",
-                    &[(0.25, 2.0), (0.5, 1.5), (1.0, 1.0)],
-                    1,
-                )
-                .unwrap(),
-            );
-            t
-        });
-        assert_eq!(calls, 1);
-        let t2 = cached_table("test_cache.json", || panic!("must hit the cache"));
-        assert_eq!(t1, t2);
     }
 }

@@ -111,7 +111,7 @@ pub fn fig12_shape_csv() -> String {
 /// Computes the speedup CSV: one fixed-seed cluster setup (16 jobs, 32
 /// servers) run under the FECN baseline and under Saba central.
 pub fn speedup_csv() -> String {
-    let table = saba_bench::catalog_table();
+    let table = saba_bench::catalog_table(3);
     let cat = catalog();
     let mut rng = StdRng::seed_from_u64(0x5ABA_601D);
     let setup = generate_setup(&cat, &SetupConfig::default(), &mut rng);
