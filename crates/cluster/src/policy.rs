@@ -63,7 +63,7 @@ impl Policy {
             Policy::Homa(cfg) => AnyFabric::Homa(HomaFabric::new(cfg.clone())),
             Policy::Sincronia => AnyFabric::Sincronia(SincroniaFabric::new()),
             Policy::Saba(_) | Policy::SabaDistributed(..) => {
-                AnyFabric::Saba(SabaFabric::for_topology(topo))
+                AnyFabric::Saba(Box::new(SabaFabric::for_topology(topo)))
             }
         }
     }
@@ -95,8 +95,9 @@ pub enum AnyFabric {
     Homa(HomaFabric),
     /// Sincronia.
     Sincronia(SincroniaFabric),
-    /// Saba's WFQ fabric (configured by a controller).
-    Saba(SabaFabric),
+    /// Saba's WFQ fabric (configured by a controller), boxed: it carries
+    /// its flattened flows between epochs.
+    Saba(Box<SabaFabric>),
 }
 
 impl AnyFabric {

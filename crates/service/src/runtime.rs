@@ -86,6 +86,16 @@ pub struct WorkerReport {
     pub batches: u64,
 }
 
+/// Who hears how a worker's opening replay went.
+enum Opening {
+    /// One of the first workers: [`ServiceRuntime::start`] waits for
+    /// every one's result and fails with the first error.
+    First(Sender<std::io::Result<()>>),
+    /// A standby: it reports its promotion to the front; one that
+    /// cannot open exits, and the supervisor respawns it.
+    Standby,
+}
+
 /// A shard's worker as the rest of the runtime holds it.
 struct Worker {
     tx: SyncSender<WorkerMsg>,
@@ -126,32 +136,39 @@ impl Hub {
             .expect("no thread panics while holding the service lock")
     }
 
-    /// Spawns a worker for `shard` on the shard's durable log; a
-    /// `standby` reports its promotion once its replay is done.
-    fn spawn_worker(self: &Arc<Self>, shard: usize, standby: bool) -> Worker {
+    /// Spawns a worker for `shard` on the shard's durable log.
+    fn spawn_worker(self: &Arc<Self>, shard: usize, opening: Opening) -> Worker {
         let (tx, rx) = mpsc::sync_channel(self.cfg.queue_depth);
         let hub = self.clone();
         let thread = std::thread::Builder::new()
             .name(format!("saba-shard-{shard}"))
-            .spawn(move || hub.worker_loop(shard, standby, rx))
+            .spawn(move || hub.worker_loop(shard, opening, rx))
             .expect("spawn shard worker");
         Worker { tx, thread }
     }
 
-    fn worker_loop(&self, shard_id: usize, standby: bool, rx: Receiver<WorkerMsg>) {
+    fn worker_loop(&self, shard_id: usize, opening: Opening, rx: Receiver<WorkerMsg>) {
         let cfg = &self.cfg;
-        let Ok((mut shard, takeover)) =
-            Shard::open(shard_id, self.spec.clone(), &cfg.log_dir, cfg.sync_every)
-        else {
-            return; // unreachable log dir: the supervisor will respawn
+        let opened = Shard::open(shard_id, self.spec.clone(), &cfg.log_dir, cfg.sync_every);
+        let (mut shard, takeover) = match (opened, opening) {
+            (Ok(opened), Opening::First(tx)) => {
+                let _ = tx.send(Ok(()));
+                opened
+            }
+            (Ok(opened), Opening::Standby) => {
+                let mut shared = self.shared();
+                shared
+                    .front
+                    .promoted(shard_id, self.now(), opened.1.clone(), &[]);
+                shared.replaced.push(shard_id);
+                opened
+            }
+            (Err(e), Opening::First(tx)) => {
+                let _ = tx.send(Err(e));
+                return;
+            }
+            (Err(_), Opening::Standby) => return,
         };
-        if standby {
-            let mut shared = self.shared();
-            shared
-                .front
-                .promoted(shard_id, self.now(), takeover.clone(), &[]);
-            shared.replaced.push(shard_id);
-        }
         let latency_name = format!("wall.op_latency/shard={shard_id}");
         let mut wall_latency = Histogram::new();
         let mut batches = 0u64;
@@ -255,7 +272,7 @@ impl Hub {
             dead.extend(shared.front.tick(now, alive, &[]));
             for shard in dead {
                 // Route new traffic to a standby on the same log.
-                shared.workers[shard] = self.spawn_worker(shard, true);
+                shared.workers[shard] = self.spawn_worker(shard, Opening::Standby);
                 // MTTR as this loop sees it: from the fatal probe to
                 // new traffic being routed at the standby.
                 let mttr = t0.elapsed().as_secs_f64();
@@ -282,7 +299,14 @@ pub struct RuntimeReport {
 }
 
 impl ServiceRuntime {
-    /// Starts the workers and the supervisor.
+    /// Starts the workers and, once every one has replayed its shard's
+    /// log, the supervisor.
+    ///
+    /// # Errors
+    ///
+    /// The first error a worker met opening its shard ([`Shard::open`]:
+    /// I/O, or a logged record the controller refuses); the runtime
+    /// then does not start.
     pub fn start(spec: ShardSpec, cfg: RuntimeConfig) -> std::io::Result<Self> {
         std::fs::create_dir_all(&cfg.log_dir)?;
         let front = Front::new(cfg.shards, PROBE, cfg.admission, Registry::new())
@@ -298,8 +322,18 @@ impl ServiceRuntime {
             spec,
             cfg,
         });
-        let workers = (0..hub.cfg.shards).map(|id| hub.spawn_worker(id, false));
-        let workers: Vec<_> = workers.collect();
+        let (tx, rx) = mpsc::channel();
+        let workers: Vec<_> = (0..hub.cfg.shards)
+            .map(|id| hub.spawn_worker(id, Opening::First(tx.clone())))
+            .collect();
+        drop(tx);
+        if let Err(e) = rx.iter().collect::<std::io::Result<()>>() {
+            for worker in workers {
+                let _ = worker.tx.send(WorkerMsg::Kill);
+                let _ = worker.thread.join();
+            }
+            return Err(e);
+        }
         hub.shared().workers = workers;
         let stop = Arc::new(AtomicBool::new(false));
         let supervisor = {
@@ -605,6 +639,35 @@ mod tests {
         assert!(rt.failovers() >= 1);
         assert!(rt.replaced_shards().contains(&shard));
         rt.shutdown();
+    }
+
+    /// A shard log the controller refuses on replay stops the start
+    /// with the worker's error, instead of a worker that dies at birth
+    /// and a supervisor that respawns it forever.
+    #[test]
+    fn a_log_the_controller_refuses_fails_the_start() {
+        let cfg = fresh_cfg("refused");
+        let rt = ServiceRuntime::start(spec(), cfg.clone()).unwrap();
+        let r = rt.call(env(
+            1,
+            Request::AppRegister {
+                app: AppId(0),
+                workload: "LR".into(),
+            },
+        ));
+        assert!(matches!(r, Response::Registered { .. }), "{r:?}");
+        rt.shutdown();
+
+        let mut without_lr = spec();
+        let full = std::mem::replace(&mut without_lr.table, SensitivityTable::new());
+        for model in full.iter().filter(|m| m.workload != "LR") {
+            without_lr.table.insert(model.clone());
+        }
+        let Err(e) = ServiceRuntime::start(without_lr, cfg) else {
+            panic!("a log naming a workload the table lacks must not start");
+        };
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("record 0"), "{e}");
     }
 
     /// Only a quiet worker is asked to echo, and an echo every other

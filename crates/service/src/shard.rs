@@ -194,6 +194,12 @@ pub struct TakeoverReport {
 impl Shard {
     /// Opens shard `id`, replaying whatever its durable log holds (an
     /// empty log is a fresh shard; a populated one is a takeover).
+    ///
+    /// # Errors
+    ///
+    /// The log's I/O errors, and [`std::io::ErrorKind::InvalidData`]
+    /// when the controller refuses a logged record (say, a log naming a
+    /// workload `spec`'s table lacks).
     pub fn open(
         id: usize,
         spec: ShardSpec,
@@ -218,7 +224,7 @@ impl Shard {
             span_salt: 0,
             solver_threads: 1,
         };
-        let report = shard.rebuild(&scan);
+        let report = shard.rebuild(&scan)?;
         Ok((shard, report))
     }
 
@@ -234,8 +240,11 @@ impl Shard {
     /// end here. History order matters: the central flavour's online
     /// PL assigner is history-dependent, so a standby fed only the
     /// live state would hand recovered tenants different service
-    /// levels than they were acked with.
-    fn rebuild(&mut self, scan: &ScanReport) -> TakeoverReport {
+    /// levels than they were acked with. A record the controller
+    /// refuses is [`std::io::ErrorKind::InvalidData`] naming it, and
+    /// leaves the shard dead.
+    fn rebuild(&mut self, scan: &ScanReport) -> std::io::Result<TakeoverReport> {
+        self.ctrl = None;
         let mut ctrl = self.spec.build_controller();
         ctrl.set_solver_threads(self.solver_threads);
         self.programmed.clear();
@@ -243,19 +252,23 @@ impl Shard {
         self.pending_updates.clear();
         self.appended_at_compaction = 0;
         self.state = ReplayState::default();
-        for req in &scan.records {
-            let updates = drive(&mut ctrl, req, self.clock, &mut self.sink)
-                .expect("replay of an acked record");
+        for (k, req) in scan.records.iter().enumerate() {
+            let updates = drive(&mut ctrl, req, self.clock, &mut self.sink).map_err(|e| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("shard {}: log record {k} does not replay: {e}", self.id),
+                )
+            })?;
             self.absorb_updates(updates);
             self.state.apply(req);
         }
         self.ctrl = Some(ctrl);
-        TakeoverReport {
+        Ok(TakeoverReport {
             records: scan.records.len(),
             torn_bytes: scan.torn_bytes,
             registrations: self.state.registrations.len(),
             live_conns: self.state.live_conns.len(),
-        }
+        })
     }
 
     /// Attaches a telemetry recorder: the shard traces per-envelope
@@ -333,10 +346,14 @@ impl Shard {
     /// Standby takeover: reopen the durable log (truncating any torn
     /// tail) and rebuild from it. Returns what the replay found; the
     /// re-derived switch programs land in the pending update queue.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::open`]; the shard stays dead.
     pub fn take_over(&mut self) -> std::io::Result<TakeoverReport> {
         let (log, scan) = DurableLog::open(self.log.path(), self.sync_every)?;
         self.log = log;
-        Ok(self.rebuild(&scan))
+        self.rebuild(&scan)
     }
 
     /// Handles a batch of envelopes with **group commit**: every
@@ -838,6 +855,39 @@ mod tests {
             Response::Error { code, .. } => assert_eq!(*code, ErrorCode::AlreadyRegistered),
             other => panic!("conflicting re-register must reject, got {other:?}"),
         }
+    }
+
+    /// A log the controller cannot replay — it names a workload the
+    /// spec's table lacks — fails the open with `InvalidData` naming
+    /// the record and the refusal, instead of panicking the replay.
+    #[test]
+    fn a_logged_record_the_controller_refuses_fails_the_open() {
+        let dir = tmpdir("refused");
+        let _ = std::fs::remove_file(Shard::log_path(&dir, 0));
+        let (mut shard, _) = Shard::open(0, spec(Flavour::Central), &dir, 1).unwrap();
+        let r = shard.handle_batch(&[env(
+            1,
+            Request::AppRegister {
+                app: AppId(0),
+                workload: "LR".into(),
+            },
+        )]);
+        assert!(matches!(r[0], Response::Registered { .. }), "{r:?}");
+        drop(shard);
+
+        let mut without_lr = spec(Flavour::Central);
+        let full = std::mem::replace(&mut without_lr.table, SensitivityTable::new());
+        for model in full.iter().filter(|m| m.workload != "LR") {
+            without_lr.table.insert(model.clone());
+        }
+        assert!(without_lr.table.get("LR").is_none());
+        let Err(e) = Shard::open(0, without_lr, &dir, 1) else {
+            panic!("a log naming a workload the table lacks must not open");
+        };
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+        let message = e.to_string();
+        assert!(message.contains("record 0"), "{message}");
+        assert!(message.contains("\"LR\""), "{message}");
     }
 
     /// A standby's controller is rebuilt from the log and nothing else:
