@@ -38,7 +38,10 @@ commit=$(git rev-parse "$parent^{commit}")
 if [ "$(cat "$root/parent-src/.exported" 2>/dev/null)" != "$commit" ]; then
     rm -rf "$root/parent-src"
     mkdir -p "$root/parent-src"
-    git archive "$commit" | tar -x -C "$root/parent-src"
+    # -m: files get the time of extraction, not of the commit, so that
+    # cargo rebuilds the parent when an older commit is exported over a
+    # build of a newer one.
+    git archive "$commit" | tar -x -m -C "$root/parent-src"
     echo "$commit" >"$root/parent-src/.exported"
 fi
 
