@@ -15,8 +15,8 @@
 //!    registrations/sec, overall ops/sec, and the p50/p99 wall-clock
 //!    re-allocation latency from the workers' telemetry histograms
 //!    (request arrival at the shard to durable ack). `--long` scales
-//!    this to the million-connection-event soak (`BENCH_service.json`
-//!    holds reference numbers).
+//!    this to the million-connection-event soak. The ledger's `svc_*`
+//!    workloads are where this path is timed across commits.
 //!
 //! The drill repeats across Eq. 2 solver-thread counts (1/2/8) and
 //! asserts a byte-identical telemetry export at every count, then
@@ -26,9 +26,9 @@
 //! twice via the `MetricsDump` RPC — required metric families must be
 //! present and counters monotone between the scrapes.
 //!
-//! Wall-clock figures go to stdout and `BENCH_service.json` only; the
-//! CSV under `results/` carries exclusively deterministic counters and
-//! is written by `--long` alone.
+//! Wall-clock figures go to stdout only; the CSV under `results/`
+//! carries exclusively deterministic counters and is written by
+//! `--long` alone.
 //!
 //! Usage: `service [--smoke|--quick] [--long] [--scrape] [--ops N] [--shards N] [--clients N]`
 
@@ -494,8 +494,8 @@ fn main() {
     );
 
     // The CSV holds only deterministic counters (wall numbers are
-    // stdout/BENCH_service.json material), and only the million-event
-    // soak writes it: shorter runs never touch the tracked file.
+    // stdout material), and only the million-event soak writes it:
+    // shorter runs never touch the tracked file.
     if long {
         let csv = write_csv(
             "service_soak.csv",

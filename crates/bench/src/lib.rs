@@ -1,14 +1,13 @@
 //! Shared infrastructure for the experiment binaries in `src/bin/`.
 //!
 //! `repro` regenerates every table and figure of the paper's evaluation
-//! from one table of experiments; `churn`, `observe`, `resilience`,
-//! `scale` and `service` exercise the controller, telemetry, fault,
-//! scale-out and service tiers. Results land under [`results_dir`].
+//! from one table of experiments; `observe`, `resilience` and `service`
+//! exercise the telemetry, fault and service tiers. Results land under
+//! [`results_dir`]. Timing lives in the performance ledger (`ledger/`),
+//! not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod churn;
 
 use saba_core::profiler::{Profiler, ProfilerConfig};
 use saba_core::sensitivity::SensitivityTable;
@@ -26,11 +25,6 @@ pub fn results_dir() -> PathBuf {
 
 fn env_or(key: &str, default: &str) -> String {
     std::env::var(key).unwrap_or_else(|_| default.to_string())
-}
-
-/// Whether `--quick` was passed (smoke-test scale).
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
 }
 
 /// Reads `--flag value` style integer arguments.

@@ -116,12 +116,14 @@ fn counters(s: EpochStats) -> [u64; 9] {
 
 /// Spread connections, a funnel that puts every application on one
 /// server pair's ports (40 applications wide), a forced recompute, then
-/// the event stream.
+/// the event stream, with `threads` Eq. 2 solver threads.
 fn drive<P: Policy>(
     mut c: Controller<P>,
     topo: &Topology,
     seed: u64,
+    threads: usize,
 ) -> (Digest, Digest, [u64; 9]) {
+    c.set_solver_threads(threads);
     let s = topo.servers();
     let names: Vec<String> = catalog().into_iter().map(|w| w.name).collect();
     for app in 0..APPS {
@@ -254,49 +256,60 @@ const EXPECTED: &[Pin] = &[
     ),
 ];
 
+/// The pins hold at one solver thread and at four: workers' prewarmed
+/// solves merge in the serial sweep's order, so a thread count moves no
+/// bit and no counter.
 #[test]
 fn sweep_matches_the_recorded_bits() {
     let topo = Topology::spine_leaf(&SpineLeafConfig::tiny(3));
     let table = table();
-    let mut actual: Vec<Pin> = Vec::new();
-    for central in [true, false] {
-        for queues_per_port in [2, 4, 8] {
-            for multipath in [false, true] {
-                let cfg = ControllerConfig {
-                    queues_per_port,
-                    multipath,
-                    ..Default::default()
-                };
-                let seed = 0x5aba_0018 + queues_per_port as u64;
-                let (forced, stream, stats) = if central {
-                    drive(
-                        CentralController::new(cfg, table.clone(), &topo),
-                        &topo,
-                        seed,
-                    )
-                } else {
-                    let db = MappingDb::build(&table, cfg.num_pls, cfg.seed);
-                    drive(DistributedController::new(cfg, db, &topo, 4), &topo, seed)
-                };
-                actual.push((
-                    (central, queues_per_port, multipath),
-                    (forced.updates, forced.fnv),
-                    (stream.updates, stream.fnv),
-                    stats,
-                ));
+    for threads in [1, 4] {
+        let mut actual: Vec<Pin> = Vec::new();
+        for central in [true, false] {
+            for queues_per_port in [2, 4, 8] {
+                for multipath in [false, true] {
+                    let cfg = ControllerConfig {
+                        queues_per_port,
+                        multipath,
+                        ..Default::default()
+                    };
+                    let seed = 0x5aba_0018 + queues_per_port as u64;
+                    let (forced, stream, stats) = if central {
+                        drive(
+                            CentralController::new(cfg, table.clone(), &topo),
+                            &topo,
+                            seed,
+                            threads,
+                        )
+                    } else {
+                        let db = MappingDb::build(&table, cfg.num_pls, cfg.seed);
+                        let c = DistributedController::new(cfg, db, &topo, 4);
+                        drive(c, &topo, seed, threads)
+                    };
+                    actual.push((
+                        (central, queues_per_port, multipath),
+                        (forced.updates, forced.fnv),
+                        (stream.updates, stream.fnv),
+                        stats,
+                    ));
+                }
             }
         }
-    }
-    if actual != EXPECTED {
-        for (case, forced, stream, stats) in &actual {
-            println!(
-                "    ({case:?}, ({}, {:#x}), ({}, {:#x}), {stats:?}),",
-                forced.0, forced.1, stream.0, stream.1
-            );
+        if actual != EXPECTED {
+            for (case, forced, stream, stats) in &actual {
+                println!(
+                    "    ({case:?}, ({}, {:#x}), ({}, {:#x}), {stats:?}),",
+                    forced.0, forced.1, stream.0, stream.1
+                );
+            }
+            for (a, e) in actual.iter().zip(EXPECTED) {
+                assert_eq!(
+                    a, e,
+                    "{threads} solver threads, (central, queues_per_port, multipath) = {:?}",
+                    a.0
+                );
+            }
+            panic!("{} cases ran, {} are pinned", actual.len(), EXPECTED.len());
         }
-        for (a, e) in actual.iter().zip(EXPECTED) {
-            assert_eq!(a, e, "(central, queues_per_port, multipath) = {:?}", a.0);
-        }
-        panic!("{} cases ran, {} are pinned", actual.len(), EXPECTED.len());
     }
 }

@@ -18,8 +18,8 @@
 //!   under a seeded fault schedule.
 //! - [`sink`] — the [`TelemetrySink`] trait. Instrumented code is
 //!   generic over it; the [`NullSink`] default compiles every hook to
-//!   nothing (held to the BENCH_allocation.json trajectory by the
-//!   `telemetry_overhead` bench and the `observe --smoke` CI step).
+//!   nothing (the `observe --smoke` CI step checks that a null-sink
+//!   run's results are exactly the traced run's: nothing perturbed).
 //! - [`recorder`] — the live [`Recorder`] (trace + registry + flight)
 //!   and the cloneable [`SharedRecorder`] handle for non-generic
 //!   components (resilient controller, RPC transport, Saba library).
