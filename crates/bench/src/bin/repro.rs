@@ -1,17 +1,20 @@
-//! `repro` — the paper's evaluation (Table 1, Figs. 1–12, §8) and the
-//! design-knob ablation, from one table of experiments.
+//! `repro` — the paper's evaluation (Table 1, Figs. 1–12, §8), the
+//! design-knob ablation, the fault ladder and the telemetry dump, from
+//! one table of experiments.
 //!
 //! Usage: `repro [<experiment>...] [--quick]`, where an experiment is one
-//! of `table1 fig1 fig2 fig5 fig6 fig8 fig9 fig10 fig11 fig12 ablation`;
-//! with no names every experiment runs, in that order. Each prints its
-//! rows and writes its CSVs under `results/` (`SABA_RESULTS_DIR`
-//! redirects them): every tracked CSV there is what `repro <experiment>`
-//! writes. `--quick` runs at smoke scale, prints, and writes nothing.
+//! of `table1 fig1 fig2 fig5 fig6 fig8 fig9 fig10 fig11 fig12 ablation
+//! resilience observe`; with no names every experiment runs, in that
+//! order. Each prints its rows and writes its files under `results/`
+//! (`SABA_RESULTS_DIR` redirects them): every tracked CSV there is what
+//! `repro <experiment>` writes. `--quick` runs at smoke scale, prints,
+//! and writes nothing.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use saba_bench::{catalog_table, print_table, write_csv};
+use saba_bench::{catalog_table, print_table, results_dir};
 use saba_cluster::corun::{execute, CorunConfig, PlannedJob};
+use saba_cluster::corun_faults::{execute_with_faults, execute_with_faults_traced, plan_jobs};
 use saba_cluster::metrics::merge_reports;
 use saba_cluster::runner::{default_threads, parallel_map};
 use saba_cluster::{
@@ -21,25 +24,31 @@ use saba_cluster::{
 use saba_core::controller::central::CentralController;
 use saba_core::controller::ControllerConfig;
 use saba_core::fabric::{PortQueueConfig, SabaFabric};
+use saba_core::library::{InProcTransport, SabaLib};
 use saba_core::profiler::{to_slowdowns, Profiler, ProfilerConfig};
 use saba_core::sensitivity::{SensitivityModel, SensitivityTable};
+use saba_faults::schedule::{FaultKind, FaultSchedule, FaultSpec, ScheduleConfig};
+use saba_faults::transport::{ReliableTransport, RetryPolicy, RpcFaultConfig};
 use saba_math::stats::{percentile, Ecdf};
 use saba_sim::engine::{FairShareFabric, Simulation};
 use saba_sim::ids::{AppId, LinkId, ServiceLevel};
 use saba_sim::topology::{SpineLeafConfig, Topology};
 use saba_sim::LINK_56G_BPS;
-use saba_telemetry::Histogram;
+use saba_telemetry::{validate_jsonl, Histogram};
 use saba_workload::synthetic::{synthetic_workloads, SyntheticConfig};
 use saba_workload::trace::{utilization_series, zip_trace};
 use saba_workload::{
     catalog, run_jobs, workload_by_name, JobPlan, JobRuntime, WorkloadClass, WorkloadSpec,
 };
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// An experiment's command-line name and the function that runs it.
 type Experiment = (&'static str, fn(&Run));
 
 /// Every experiment, in the order a bare `repro` runs them.
-const EXPERIMENTS: [Experiment; 11] = [
+const EXPERIMENTS: [Experiment; 13] = [
     ("table1", table1),
     ("fig1", fig1),
     ("fig2", fig2),
@@ -51,6 +60,8 @@ const EXPERIMENTS: [Experiment; 11] = [
     ("fig11", fig11),
     ("fig12", fig12),
     ("ablation", ablation),
+    ("resilience", resilience),
+    ("observe", observe),
 ];
 
 /// The Table-1 workloads in the paper's figure order.
@@ -69,12 +80,22 @@ struct Run {
 }
 
 impl Run {
-    /// Writes `header` and `lines` to `results/<file>`; a quick run
-    /// writes nothing.
-    fn save(&self, file: &str, header: &str, lines: &[String]) {
+    /// Writes `contents` to `results/<file>`; a quick run writes nothing.
+    fn write(&self, file: &str, contents: &str) {
         if !self.quick {
-            write_csv(file, header, lines);
+            let path = results_dir().join(file);
+            std::fs::write(&path, contents)
+                .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
         }
+    }
+
+    /// Writes `header` and `lines` to `results/<file>`, one per line.
+    fn save(&self, file: &str, header: &str, lines: &[String]) {
+        let text: String = std::iter::once(header)
+            .chain(lines.iter().map(String::as_str))
+            .flat_map(|line| [line, "\n"])
+            .collect();
+        self.write(file, &text);
     }
 
     /// The row emitter: prints `rows` under `title` at 2 decimals and
@@ -918,6 +939,257 @@ fn ablation(run: &Run) {
     );
 }
 
+/// `jobs` of LR, Sort, PR and SQL on the tiny spine-leaf with `jobs`
+/// servers under each of its 4 ToRs, job `i` on server `i` of every ToR:
+/// every job crosses the leaf and spine tiers a fault schedule breaks.
+fn cross_rack_world(jobs: usize) -> (Topology, Vec<PlannedJob>) {
+    let topo = Topology::spine_leaf(&SpineLeafConfig::tiny(jobs));
+    let servers = topo.servers().len();
+    let specs: Vec<(String, f64, Vec<usize>)> = ["LR", "Sort", "PR", "SQL"][..jobs]
+        .iter()
+        .enumerate()
+        .map(|(i, w)| (w.to_string(), 1.0, (i..servers).step_by(jobs).collect()))
+        .collect();
+    let planned = plan_jobs(&topo, &specs, &catalog(), 0.0, 0x5aba).expect("plannable jobs");
+    (topo, planned)
+}
+
+/// Resilience — not a paper figure: how much of Saba's speedup survives
+/// faults. Saba against the FECN baseline on [`cross_rack_world`] (four
+/// jobs on 16 servers; two on 8 under `--quick`) under seeded fault
+/// schedules of rising severity: 0 healthy; 1 link degradation and lossy
+/// control-plane RPC; 2 adds a failed cable and a controller crash; 3 a
+/// failed switch and (distributed flavour) a shard crash. Both policies
+/// meet the same network faults; only Saba has a control plane to lose. A
+/// second table soaks the RPC stack (`ReliableTransport`) at rising loss
+/// rates. Wall-clock recovery latency is printed only: the CSVs hold
+/// deterministic values alone.
+fn resilience(run: &Run) {
+    let table = catalog_table(3);
+    let (topo, jobs) = cross_rack_world(if run.quick { 2 } else { 4 });
+    let corun = |policy: &Policy, schedule: &FaultSchedule| {
+        execute_with_faults(topo.clone(), jobs.clone(), policy, &table, schedule)
+            .unwrap_or_else(|e| panic!("{} co-run under faults: {e}", policy.name()))
+    };
+    // Horizon: the healthy Saba run's makespan, so fault windows land
+    // inside the co-run instead of after it.
+    let healthy = corun(&Policy::saba(), &FaultSchedule::default());
+    let horizon = healthy
+        .results
+        .iter()
+        .map(|r| r.completion)
+        .fold(0.0, f64::max);
+
+    let (mut lines, mut cells, mut recoveries) = (Vec::new(), Vec::new(), Vec::new());
+    let distributed = Policy::SabaDistributed(ControllerConfig::default(), 4);
+    for (policy, name, num_shards) in [
+        (Policy::saba(), "saba", 0),
+        (distributed, "saba-distributed", 4),
+    ] {
+        let mut reference = None;
+        for severity in 0..=3u32 {
+            let cfg = ScheduleConfig {
+                severity,
+                horizon,
+                num_shards,
+            };
+            let schedule = FaultSchedule::generate(&topo, &cfg, 0xFA17 ^ u64::from(severity));
+            let base = corun(&Policy::baseline(), &schedule);
+            let saba = corun(&policy, &schedule);
+            let speedup = per_workload_speedups(&base.results, &saba.results).average;
+            let retention = speedup / *reference.get_or_insert(speedup);
+            let faults = schedule.faults.len();
+            let (s, i) = (&saba.sim_stats, &saba.injector_stats);
+            let r = saba.resilience.expect("saba policies have a controller");
+            lines.push(format!(
+                "{severity},{name},{faults},{speedup:.6},{retention:.6},{},{},{},{},{},{},{},{},{}",
+                s.route_recomputes,
+                i.rerouted,
+                i.parked,
+                i.resumed,
+                r.stale_events,
+                r.updates_suppressed,
+                r.crashes,
+                r.shard_crashes,
+                r.recoveries,
+            ));
+            cells.push(vec![
+                severity.to_string(),
+                name.to_string(),
+                faults.to_string(),
+                format!("{speedup:.2}x"),
+                format!("{:.0}%", retention * 100.0),
+                i.rerouted.to_string(),
+                i.parked.to_string(),
+                i.resumed.to_string(),
+                r.stale_events.to_string(),
+                (r.crashes + r.shard_crashes).to_string(),
+            ]);
+            if r.recoveries > 0 {
+                recoveries.push(format!(
+                    "severity {severity} ({name}): last recovery took {} us wall-clock \
+                     ({} registrations, {} connections replayed)",
+                    r.last_recovery_micros, r.replayed_registrations, r.replayed_connections
+                ));
+            }
+        }
+    }
+    run.save(
+        "resilience.csv",
+        "severity,policy,faults,avg_speedup,retention,route_recomputes,rerouted,parked,\
+         resumed,stale_events,updates_suppressed,crashes,shard_crashes,recoveries",
+        &lines,
+    );
+    print_table(
+        "Speedup retention under faults (Saba vs FECN)",
+        &[
+            "sev",
+            "policy",
+            "faults",
+            "speedup",
+            "retention",
+            "reroutes",
+            "parked",
+            "resumed",
+            "stale",
+            "crashes",
+        ],
+        &cells,
+    );
+    for line in recoveries {
+        println!("{line}");
+    }
+
+    let rounds = if run.quick { 25 } else { 200 };
+    let soak: Vec<String> = [0.0, 0.1, 0.3]
+        .iter()
+        .map(|&drop| rpc_soak_row(drop, rounds, &table))
+        .collect();
+    run.save(
+        "resilience_rpc.csv",
+        "drop_rate,calls,attempts,retries,duplicates,dedup_hits,exhausted,simulated_delay_s",
+        &soak,
+    );
+    let cells: Vec<Vec<String>> = soak
+        .iter()
+        .map(|row| {
+            let f: Vec<&str> = row.split(',').collect();
+            [0, 1, 2, 3, 5, 7].map(|k| f[k].to_string()).to_vec()
+        })
+        .collect();
+    print_table(
+        "Control-plane RPC soak (retry + idempotent ids)",
+        &["drop", "calls", "attempts", "retries", "dedup", "delay_s"],
+        &cells,
+    );
+    println!(
+        "paper anchor: Saba's gains come from reallocation, so they must survive \
+         reallocation-under-failure; FECN has no control plane to lose but also \
+         nothing to recover."
+    );
+}
+
+/// Runs the Fig. 7 lifecycle `rounds` times through `ReliableTransport`
+/// at one loss rate; returns the RPC counters as a CSV row.
+fn rpc_soak_row(drop: f64, rounds: usize, table: &SensitivityTable) -> String {
+    let topo = Topology::single_switch(4, LINK_56G_BPS);
+    let servers = topo.servers().to_vec();
+    let ctl = Rc::new(RefCell::new(CentralController::new(
+        ControllerConfig::default(),
+        table.clone(),
+        &topo,
+    )));
+    let transport = ReliableTransport::new(
+        InProcTransport::new(Rc::clone(&ctl)),
+        RpcFaultConfig::lossy(drop, drop / 2.0),
+        RetryPolicy {
+            max_attempts: 32,
+            ..RetryPolicy::default()
+        },
+        0x5aba ^ drop.to_bits(),
+    );
+    let mut lib = SabaLib::new(AppId(0), transport);
+    lib.saba_app_register("LR").expect("register survives loss");
+    for round in 0..rounds {
+        let a = lib
+            .saba_conn_create(servers[round % 4], servers[(round + 1) % 4])
+            .expect("create survives loss");
+        lib.saba_conn_destroy(a).expect("destroy survives loss");
+    }
+    lib.saba_app_deregister().expect("deregister survives loss");
+    assert_eq!(ctl.borrow().num_conns(), 0, "lossy churn must not leak");
+    let s = lib.transport().stats();
+    format!(
+        "{drop:.2},{},{},{},{},{},{},{:.6}",
+        s.calls,
+        s.attempts,
+        s.retries,
+        s.duplicates,
+        s.dedup_hits,
+        s.exhausted,
+        lib.transport().simulated_delay()
+    )
+}
+
+/// Observe — not a paper figure: the telemetry stack end to end. The
+/// two-job [`cross_rack_world`] under a severity-2 fault schedule plus a
+/// controller crash, with the full recorder attached, exported as
+/// `observe_trace.jsonl` and `observe_trace.csv` (simulated time only),
+/// `observe_metrics.json` (wall-clock readings only under `wall.` names)
+/// and `observe_flight.json` (the crash-time snapshots). None of the four
+/// is tracked.
+fn observe(run: &Run) {
+    let table = Profiler::new(ProfilerConfig {
+        noise_sigma: 0.0,
+        bw_points: vec![0.25, 0.5, 0.75, 1.0],
+        degree: 2,
+        ..Default::default()
+    })
+    .profile_all(&catalog())
+    .expect("catalog profiling succeeds");
+    let (topo, jobs) = cross_rack_world(2);
+    // Horizon from a healthy run, so fault windows land inside it.
+    let healthy = execute(topo.clone(), jobs.clone(), &Policy::saba(), &table)
+        .expect("healthy co-run completes");
+    let horizon = healthy.iter().map(|r| r.completion).fold(0.0, f64::max);
+    let cfg = ScheduleConfig {
+        severity: 2,
+        horizon,
+        num_shards: 0,
+    };
+    let mut schedule = FaultSchedule::generate(&topo, &cfg, 0x0B5E);
+    schedule.faults.push(FaultSpec {
+        kind: FaultKind::CrashController,
+        start: 0.3 * horizon,
+        duration: 0.4 * horizon,
+    });
+    let (_, rec) = execute_with_faults_traced(topo, jobs, &Policy::saba(), &table, &schedule)
+        .expect("traced co-run completes");
+
+    let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
+    for ev in rec.trace.events() {
+        *by_kind.entry(ev.kind.name()).or_default() += 1;
+    }
+    let rows: Vec<Vec<String>> = by_kind
+        .iter()
+        .map(|(kind, n)| vec![kind.to_string(), n.to_string()])
+        .collect();
+    print_table("Trace events by kind", &["event", "count"], &rows);
+    println!(
+        "trace: {} events retained ({} total, {} dropped); flight snapshots: {}",
+        rec.trace.len(),
+        rec.trace.total(),
+        rec.trace.dropped(),
+        rec.flight.snapshots().len()
+    );
+    let jsonl = rec.trace.to_jsonl();
+    validate_jsonl(&jsonl).expect("exported trace is schema-valid");
+    run.write("observe_trace.jsonl", &jsonl);
+    run.write("observe_trace.csv", &rec.trace.to_csv());
+    run.write("observe_metrics.json", &rec.registry.to_json());
+    run.write("observe_flight.json", &rec.flight.to_json());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -944,9 +1216,10 @@ mod tests {
         assert_eq!(
             err,
             "unknown experiment \"fig7\"; expected any of: table1 fig1 fig2 fig5 fig6 fig8 \
-             fig9 fig10 fig11 fig12 ablation [--quick]"
+             fig9 fig10 fig11 fig12 ablation resilience observe [--quick]"
         );
         assert!(parse(&args(&["fig8", "--setups", "20"])).is_err());
+        assert!(parse(&args(&["resilience", "--smoke"])).is_err());
     }
 
     #[test]
@@ -954,10 +1227,10 @@ mod tests {
         let (all, quick) = parse(&args(&["--quick"])).unwrap();
         assert!(quick);
         assert_eq!(all.len(), EXPERIMENTS.len());
-        let (some, quick) = parse(&args(&["fig12", "table1"])).unwrap();
+        let (some, quick) = parse(&args(&["fig12", "observe", "table1", "resilience"])).unwrap();
         assert!(!quick);
         let names: Vec<&str> = some.iter().map(|(name, _)| *name).collect();
-        assert_eq!(names, ["fig12", "table1"]);
+        assert_eq!(names, ["fig12", "observe", "table1", "resilience"]);
     }
 
     #[test]

@@ -1,10 +1,8 @@
-//! Shared infrastructure for the experiment binaries in `src/bin/`.
-//!
-//! `repro` regenerates every table and figure of the paper's evaluation
-//! from one table of experiments; `observe`, `resilience` and `service`
-//! exercise the telemetry, fault and service tiers. Results land under
-//! [`results_dir`]. Timing lives in the performance ledger (`ledger/`),
-//! not here.
+//! Shared infrastructure for `repro` (`src/bin/repro.rs`), which
+//! regenerates every table and figure of the paper's evaluation, the
+//! fault ladder and the telemetry dump from one table of experiments.
+//! Results land under [`results_dir`]. Timing lives in the performance
+//! ledger (`ledger/`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,43 +10,14 @@
 use saba_core::profiler::{Profiler, ProfilerConfig};
 use saba_core::sensitivity::SensitivityTable;
 use std::fs;
-use std::io::Write as _;
 use std::path::PathBuf;
 
-/// The directory experiment CSVs are written to (`results/`, created on
-/// demand next to the workspace root).
+/// The directory experiment results are written to (`results/`, or
+/// `SABA_RESULTS_DIR` when set; created on demand).
 pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from(env_or("SABA_RESULTS_DIR", "results"));
+    let dir = PathBuf::from(std::env::var("SABA_RESULTS_DIR").unwrap_or_else(|_| "results".into()));
     fs::create_dir_all(&dir).expect("results directory must be creatable");
     dir
-}
-
-fn env_or(key: &str, default: &str) -> String {
-    std::env::var(key).unwrap_or_else(|_| default.to_string())
-}
-
-/// Reads `--flag value` style integer arguments.
-pub fn arg_usize(flag: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len().saturating_sub(1) {
-        if args[i] == flag {
-            return args[i + 1]
-                .parse()
-                .unwrap_or_else(|_| panic!("{flag} expects an integer, got {:?}", args[i + 1]));
-        }
-    }
-    default
-}
-
-/// Writes a CSV file into [`results_dir`], returning its path.
-pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
-    let path = results_dir().join(name);
-    let mut f = fs::File::create(&path).expect("CSV file must be creatable");
-    writeln!(f, "{header}").expect("CSV write");
-    for r in rows {
-        writeln!(f, "{r}").expect("CSV write");
-    }
-    path
 }
 
 /// Prints a fixed-width table to stdout.
@@ -100,14 +69,4 @@ pub fn catalog_table(degree: usize) -> SensitivityTable {
     })
     .profile_all(&saba_workload::catalog())
     .expect("catalog profiling succeeds")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn arg_usize_default() {
-        assert_eq!(arg_usize("--no-such-flag", 7), 7);
-    }
 }

@@ -570,7 +570,9 @@ mod tests {
         assert!(!rec_a.trace.to_jsonl().is_empty());
         assert_eq!(rec_a.flight.to_json(), rec_b.flight.to_json());
         assert!(!rec_a.flight.snapshots().is_empty());
-        saba_telemetry::validate_jsonl(&rec_a.trace.to_jsonl()).unwrap();
+        // The export is schema-valid, one JSONL line per retained event.
+        let lines = saba_telemetry::validate_jsonl(&rec_a.trace.to_jsonl()).unwrap();
+        assert_eq!(lines, rec_a.trace.len());
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The co-run loop is pinned bit for bit across commits.
 //!
 //! `execute`, `execute_with_faults` and `execute_with_faults_traced`
-//! are three entry points of one Fig. 7 loop; goldens, `resilience`,
-//! `observe` and the ledger's `composition == run_datacenter` check all
-//! rest on that loop not moving a completion time by one ulp from run
-//! to run, build to build or entry point to entry point (empty schedule
-//! = `execute`, traced = untraced: asserted below on every run). The
-//! two Saba rows were first recorded from the three separate loops of
-//! PR 15 (`6f613e1`), before they were merged, and held until PR 20,
+//! are three entry points of one Fig. 7 loop; goldens, `repro
+//! resilience`, `repro observe` and the ledger's `composition ==
+//! run_datacenter` check all rest on that loop not moving a completion
+//! time by one ulp from run to run, build to build or entry point to
+//! entry point (empty schedule = `execute`, traced = untraced: asserted
+//! below on every run), and the trace it exports not moving by a byte.
+//! The two Saba rows were first recorded from the three separate loops
+//! of PR 15 (`6f613e1`), before they were merged, and held until PR 20,
 //! which let the progressive-filling kernel refill only the bundles
 //! that can still gain (the contract that replaced "the PR 16 kernel's
 //! bits" is in `sim/tests/fill_bits.rs` and DESIGN.md §5.1): they are

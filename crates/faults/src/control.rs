@@ -550,7 +550,7 @@ mod tests {
     /// during the outage were logged but never applied to the inner
     /// controller, so the post-recovery destroy of a connection created
     /// while down panicked with `UnknownConnection` (first seen as a
-    /// `resilience --smoke` severity-2 crash).
+    /// severity-2 crash of the resilience experiment at smoke scale).
     #[test]
     fn distributed_crash_recovery_reconciles_outage_events() {
         let topo = Topology::single_switch(4, 100.0);

@@ -15,8 +15,9 @@
 //!   around a core `ControllerHandle` with stale-weight operation and
 //!   one replay-based recovery arm per flavour.
 //!
-//! The `resilience` binary in `saba-bench` drives all four against the
-//! Fig. 8 co-run to measure how much of Saba's speedup survives faults.
+//! `saba-bench`'s `repro resilience` experiment drives all four against
+//! the Fig. 8 co-run to measure how much of Saba's speedup survives
+//! faults.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -23,7 +23,7 @@
 //!   It is driven two ways:
 //!   * [`service`] — on a caller-advanced logical clock with shards
 //!     called directly: deterministic, the form the conformance drills
-//!     and seeded-telemetry smoke tests run, plus a
+//!     and seeded-telemetry tests run, plus a
 //!     [`service::ServiceClient`] implementing
 //!     `saba_core::library::Transport` so an unmodified `SabaLib` runs
 //!     its Fig. 7 lifecycle against the service;

@@ -4,8 +4,9 @@
 //! caller advances ([`AllocationService::tick`]) and hands batches to
 //! shards it owns by direct call. Everything is deterministic: the
 //! same envelope sequence and the same `tick` schedule produce
-//! byte-identical telemetry exports, which is what the smoke gate
-//! asserts. This is the form the drills and differential tests drive;
+//! byte-identical telemetry exports, which is what `tests/failover.rs`
+//! and the conformance `obs` suite assert. This is the form the drills
+//! and differential tests drive;
 //! [`crate::runtime`] drives the same front on wall time.
 
 pub use crate::front::{FailoverReport, ServiceConfig, ServiceStats};

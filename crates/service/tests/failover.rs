@@ -12,19 +12,25 @@
 //!    on BOTH controller flavours;
 //! 3. **bounced requests retry cleanly** — everything rejected with a
 //!    retryable code during the outage succeeds when replayed in
-//!    order after takeover.
+//!    order after takeover;
+//! 4. **the trace is part of the contract** — a traced drill exports
+//!    the same span tree at 1 and 8 solver threads, pinned across
+//!    commits, and ends in the same switch state and counters as an
+//!    untraced one.
 
 use saba_conformance::incremental::diff_switch_states;
 use saba_core::controller::ControllerConfig;
+use saba_core::fabric::PortQueueConfig;
 use saba_core::profiler::{Profiler, ProfilerConfig};
 use saba_core::rpc::{Envelope, ErrorCode, Request, Response};
 use saba_core::sensitivity::SensitivityTable;
 use saba_service::heartbeat::HeartbeatConfig;
 use saba_service::service::{AllocationService, ServiceConfig};
-use saba_service::shard::{Flavour, Shard, ShardSpec};
+use saba_service::shard::{Flavour, Shard, ShardSpec, ShardStats};
 use saba_service::wal::scan;
 use saba_sim::ids::NodeId;
 use saba_sim::topology::Topology;
+use saba_telemetry::{validate_jsonl, Recorder, SharedRecorder};
 use saba_workload::catalog;
 use saba_workload::churn::{ChurnOp, ChurnTrace, ChurnTraceConfig};
 use std::collections::{BTreeMap, BTreeSet};
@@ -87,7 +93,18 @@ impl Mirror {
     }
 }
 
-fn drill(flavour: Flavour, name: &str) {
+/// What a drill leaves behind: the trace export (empty when untraced),
+/// and each shard's switch state and counters.
+struct Drilled {
+    jsonl: String,
+    programmed: Vec<BTreeMap<u32, PortQueueConfig>>,
+    stats: Vec<ShardStats>,
+}
+
+/// Seeded churn into a 3-shard service, one shard killed at op
+/// [`KILL_AT`]; checks contracts 1–3 and returns what the run left.
+/// `sink` sees every span, `threads` is the Eq. 2 solver thread count.
+fn drill(flavour: Flavour, name: &str, sink: SharedRecorder, threads: usize) -> Drilled {
     let dir = std::env::temp_dir().join(format!("saba-failover-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let spec = spec(flavour);
@@ -103,6 +120,8 @@ fn drill(flavour: Flavour, name: &str) {
     };
     let window = cfg.heartbeat.window;
     let mut svc = AllocationService::open(spec.clone(), cfg).unwrap();
+    svc.set_sink(sink.clone());
+    svc.set_solver_threads(threads);
     let servers = spec.topo.servers().to_vec();
 
     let trace = ChurnTrace::new(
@@ -212,14 +231,71 @@ fn drill(flavour: Flavour, name: &str) {
     assert_eq!(stats.failovers, 1);
     assert!(stats.registrations_acked > 0);
     let _ = std::fs::remove_dir_all(&dir);
+    let shards = (0..3).map(|s| svc.shard(s));
+    Drilled {
+        jsonl: sink
+            .extract()
+            .map(|rec| rec.trace.to_jsonl())
+            .unwrap_or_default(),
+        programmed: shards.clone().map(|s| s.programmed().clone()).collect(),
+        stats: shards.map(Shard::stats).collect(),
+    }
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[test]
 fn failover_mid_churn_is_lossless_and_differentially_correct_central() {
-    drill(Flavour::Central, "central");
+    drill(Flavour::Central, "central", SharedRecorder::off(), 1);
 }
 
 #[test]
 fn failover_mid_churn_is_lossless_and_differentially_correct_distributed() {
-    drill(Flavour::Distributed(2), "distributed");
+    drill(
+        Flavour::Distributed(2),
+        "distributed",
+        SharedRecorder::off(),
+        1,
+    );
+}
+
+/// Contract 4. The logical-clock service stamps spans with simulated
+/// time only, so the export is a pure function of the churn stream: the
+/// same bytes at any solver thread count, and on every commit that keeps
+/// the service's behaviour (the `(len, FNV-1a)` pin, recorded at
+/// `c25aa5e`; on a mismatch the assertion prints the actual pair).
+/// Tracing changes nothing the service decides.
+#[test]
+fn traced_drill_spans_are_pinned_thread_independent_and_change_nothing() {
+    let traced = |name, threads| {
+        let sink = SharedRecorder::on(Recorder::default());
+        drill(Flavour::Central, name, sink, threads)
+    };
+    let one = traced("traced-1", 1);
+    let eight = traced("traced-8", 8);
+    // `assert!`, not `assert_eq!`: a failure would print 400 KB twice.
+    assert!(
+        one.jsonl == eight.jsonl,
+        "8 solver threads changed the trace"
+    );
+    let lines = validate_jsonl(&one.jsonl).expect("schema-valid span export");
+    assert!(
+        lines > TOTAL_OPS,
+        "every request leaves spans: {lines} lines"
+    );
+    let pin = (one.jsonl.len(), fnv1a(one.jsonl.as_bytes()));
+    let want = (408_431, 0xc7e3_dcf8_a580_42f5);
+    assert_eq!(pin, want, "span export moved: (len, FNV-1a) = {pin:#x?}");
+
+    let plain = drill(Flavour::Central, "untraced", SharedRecorder::off(), 1);
+    assert!(plain.jsonl.is_empty());
+    assert!(
+        one.programmed == plain.programmed,
+        "tracing moved a switch program"
+    );
+    assert_eq!(one.stats, plain.stats, "tracing moved a shard counter");
 }

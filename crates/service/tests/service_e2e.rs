@@ -2,14 +2,18 @@
 //!
 //! `SabaLib` (Fig. 7 software interface) → length-prefixed RPC over a
 //! real `TcpStream` → accept loop → sharded worker threads → durable
-//! log → controller. Three scenarios:
+//! log → controller. Four scenarios:
 //!
 //! 1. concurrent tenants each run the Fig. 7 lifecycle over their own
-//!    TCP connection and every operation lands durably;
+//!    TCP connection and every operation lands durably, while the
+//!    `MetricsDump` page scraped over the wire keeps every required
+//!    family and counts monotonically;
 //! 2. a shard worker is killed mid-session; the supervisor promotes a
 //!    standby that replays the log, and the tenant's next call — over
 //!    the same TCP connection — succeeds against the replayed state;
-//! 3. wire hygiene: a version-mismatched frame is answered with a
+//! 3. concurrent clients churn through a worker kill with retry and
+//!    backoff, and every operation ends acked;
+//! 4. wire hygiene: a version-mismatched frame is answered with a
 //!    typed `VersionMismatch` error, not a hang or a crash.
 
 use saba_core::controller::ControllerConfig;
@@ -19,13 +23,16 @@ use saba_core::rpc::{decode_response, encode_envelope, Envelope, ErrorCode, Requ
 use saba_core::sensitivity::SensitivityTable;
 use saba_service::runtime::{RuntimeConfig, ServiceRuntime};
 use saba_service::shard::{Flavour, ShardSpec};
-use saba_service::{TcpServiceServer, TcpTransport};
-use saba_sim::ids::AppId;
+use saba_service::{TcpServiceServer, TcpTransport, MONOTONE_COUNTERS, REQUIRED_FAMILIES};
+use saba_sim::ids::{AppId, NodeId};
 use saba_sim::topology::Topology;
+use saba_telemetry::check_scrapes;
 use saba_workload::catalog;
+use saba_workload::churn::{ChurnOp, ChurnTrace, ChurnTraceConfig};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -83,15 +90,12 @@ fn with_retries<T>(
     }
 }
 
-#[test]
-fn concurrent_tenants_run_fig7_over_tcp() {
-    let (rt, server, dir) = start("fig7");
-    let addr = server.addr();
-    let servers = rt.spec().topo.servers().to_vec();
-
-    let handles: Vec<_> = (0u32..6)
+/// Tenants `apps`, each on its own TCP connection and thread, run the
+/// Fig. 7 lifecycle: register, four connections, tear down.
+fn run_tenants(addr: SocketAddr, servers: &[NodeId], apps: std::ops::Range<u32>) {
+    let handles: Vec<_> = apps
         .map(|app| {
-            let servers = servers.clone();
+            let servers = servers.to_vec();
             std::thread::spawn(move || {
                 let transport = TcpTransport::connect(addr, u64::from(app) << 32).unwrap();
                 let mut lib = SabaLib::new(AppId(app), transport);
@@ -115,6 +119,25 @@ fn concurrent_tenants_run_fig7_over_tcp() {
     for h in handles {
         h.join().unwrap();
     }
+}
+
+#[test]
+fn concurrent_tenants_run_fig7_over_tcp() {
+    let (rt, server, dir) = start("fig7");
+    let addr = server.addr();
+    let servers = rt.spec().topo.servers().to_vec();
+
+    // Two waves of tenants, the exposition page scraped over the wire
+    // after each: every family present (both drivers' plus the threaded
+    // one's wall-clock latency), counters strictly monotone.
+    let mut scraper = TcpTransport::connect(addr, 1 << 40).unwrap();
+    run_tenants(addr, &servers, 0..3);
+    let first = scraper.dump_metrics().unwrap();
+    run_tenants(addr, &servers, 3..6);
+    let last = scraper.dump_metrics().unwrap();
+    let mut required = REQUIRED_FAMILIES.to_vec();
+    required.push("# TYPE wall_op_latency summary");
+    check_scrapes(&first, &last, &required, &MONOTONE_COUNTERS).unwrap_or_else(|e| panic!("{e}"));
 
     server.stop();
     let report = rt.shutdown();
@@ -172,6 +195,104 @@ fn killed_worker_fails_over_under_a_live_tcp_session() {
     let report = rt.shutdown();
     assert_eq!(report.failovers, 1);
     assert_eq!(rt.replaced_shards(), vec![victim]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The threaded runtime under seeded churn with a worker killed halfway:
+/// 8 clients submit 8,000 ops over 4 shards, retrying retryable errors
+/// with exponential backoff. A client owns every tenant `app % 8` maps
+/// to, so each tenant's ops stay ordered. Every op ends acked — or, for a
+/// deregister whose ack died with the worker, as `UnknownApp` on the
+/// retry: applied before the crash, ambiguous to the client, counted.
+#[test]
+fn concurrent_clients_ride_through_a_worker_kill() {
+    const OPS: usize = 8_000;
+    const CLIENTS: usize = 8;
+    let dir = tmpdir("soak");
+    let cfg = RuntimeConfig {
+        shards: 4,
+        queue_depth: 512,
+        batch_max: 128,
+        ..RuntimeConfig::new(&dir)
+    };
+    let spec = ShardSpec {
+        topo: Topology::single_switch(32, 100.0),
+        ..spec()
+    };
+    let servers = spec.topo.servers().to_vec();
+    let rt = Arc::new(ServiceRuntime::start(spec, cfg).unwrap());
+
+    let trace = ChurnTrace::new(
+        ChurnTraceConfig {
+            tenants: 64,
+            servers: 32,
+            conns_per_tenant: 16,
+            tenant_churn: 1e-3,
+            ..ChurnTraceConfig::default()
+        },
+        0x5aba,
+    );
+    let mut per_client: Vec<Vec<ChurnOp>> = vec![Vec::new(); CLIENTS];
+    for op in trace.take(OPS) {
+        per_client[op.app() as usize % CLIENTS].push(op);
+    }
+    let done = Arc::new(AtomicUsize::new(0));
+    let ambiguous = Arc::new(AtomicUsize::new(0));
+    let handles: Vec<_> = per_client
+        .into_iter()
+        .enumerate()
+        .map(|(c, ops)| {
+            let (rt, servers) = (rt.clone(), servers.clone());
+            let (done, ambiguous) = (done.clone(), ambiguous.clone());
+            std::thread::spawn(move || {
+                for (i, op) in ops.iter().enumerate() {
+                    let req = Request::from_churn(op, &servers).expect("demand shifts are off");
+                    let env = Envelope::new(((c as u64) << 40) | i as u64, req);
+                    let (mut bounced, mut wait) = (false, Duration::from_millis(5));
+                    let resp = loop {
+                        match rt.call(env.clone()) {
+                            Response::Error { code, .. } if code.is_retryable() => {
+                                bounced = true;
+                                std::thread::sleep(wait);
+                                wait = (wait * 2).min(Duration::from_millis(200));
+                            }
+                            resp => break resp,
+                        }
+                    };
+                    match resp {
+                        Response::Registered { .. } | Response::Ack => {}
+                        Response::Error {
+                            code: ErrorCode::UnknownApp,
+                            ..
+                        } if bounced && matches!(op, ChurnOp::Deregister { .. }) => {
+                            ambiguous.fetch_add(1, Relaxed);
+                        }
+                        other => panic!("client {c} op {i} ({op:?}) failed: {other:?}"),
+                    }
+                    done.fetch_add(1, Relaxed);
+                }
+            })
+        })
+        .collect();
+
+    // Kill a worker once half the stream is acked; the supervisor must
+    // promote a standby while the clients keep submitting.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while done.load(Relaxed) < OPS / 2 {
+        assert!(Instant::now() < deadline, "half the stream never acked");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    rt.kill_shard(0);
+    for h in handles {
+        h.join().unwrap();
+    }
+    let report = rt.shutdown();
+    assert_eq!(report.failovers, 1, "one kill, one failover");
+    assert_eq!(done.load(Relaxed), OPS);
+    println!(
+        "{} deregister ack(s) lost to the kill",
+        ambiguous.load(Relaxed)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -44,8 +44,8 @@ pub use engine::{ActiveFlowViews, Event, FabricModel, FlowSpec, Simulation};
 pub use ids::{AppId, FlowId, LinkId, NodeId, ServiceLevel};
 pub use routing::{LinkMembers, Routes};
 pub use sharing::{
-    compute_rates, compute_rates_into, compute_rates_pods, FlowSource, FlowView, FlowWeights,
-    PodScratch, SharingFlow, SharingScratch, CORE_POD,
+    compute_rates, compute_rates_into, FlowSource, FlowView, FlowWeights, SharingFlow,
+    SharingScratch,
 };
 pub use topology::{NodeKind, SpineLeafConfig, Topology};
 

@@ -1661,283 +1661,6 @@ fn fill_once(capacities: &[f64], pass: Pass, scratch: &mut SharingScratch) -> f6
     added
 }
 
-// ---------------------------------------------------------------------
-// Pod-partitioned allocation
-// ---------------------------------------------------------------------
-
-/// Pod id marking a link as shared fabric core (leaf/spine tiers): such
-/// links belong to no pod, and any flow crossing one is handled by the
-/// cross-pod reconciliation pass.
-pub const CORE_POD: u32 = u32::MAX;
-
-/// A [`FlowSource`] over a subset of another source's flows.
-struct SubsetSource<'a, F: FlowSource + ?Sized> {
-    src: &'a F,
-    idx: &'a [u32],
-}
-
-impl<F: FlowSource + ?Sized> FlowSource for SubsetSource<'_, F> {
-    fn flow_count(&self) -> usize {
-        self.idx.len()
-    }
-
-    fn flow_view(&self, i: usize) -> FlowView<'_> {
-        self.src.flow_view(self.idx[i] as usize)
-    }
-}
-
-/// A [`FlowSource`] re-offering every flow with its remaining headroom
-/// (`rate_cap − already allocated`) as the cap — the reconciliation
-/// top-up input.
-struct TopUpSource<'a, F: FlowSource + ?Sized> {
-    src: &'a F,
-    allocated: &'a [f64],
-}
-
-impl<F: FlowSource + ?Sized> FlowSource for TopUpSource<'_, F> {
-    fn flow_count(&self) -> usize {
-        self.allocated.len()
-    }
-
-    fn flow_view(&self, i: usize) -> FlowView<'_> {
-        let mut v = self.src.flow_view(i);
-        let got = self.allocated[i];
-        v.rate_cap = if got.is_infinite() {
-            0.0 // Already unbounded (same-host transfer): nothing to add.
-        } else {
-            (v.rate_cap - got).max(0.0)
-        };
-        v
-    }
-}
-
-/// Reusable working state for [`compute_rates_pods`]: the residual
-/// capacity buffer, the flow/pod grouping tables, and one
-/// [`SharingScratch`] per worker thread (retained across epochs so the
-/// grouping and the solves themselves stay allocation-free once warm).
-#[derive(Debug, Default)]
-pub struct PodScratch {
-    /// Capacities left for the per-pod solves after the cross-pod pass.
-    residual: Vec<f64>,
-    /// Flow index → pod id (`CORE_POD` for cross-pod flows).
-    flow_pod: Vec<u32>,
-    /// Flow indices handled by the reconciliation pass.
-    cross: Vec<u32>,
-    /// Rates of the reconciliation pass, aligned with `cross`.
-    cross_rates: Vec<f64>,
-    /// Pod-local flow indices sorted by (pod, flow): pods in id order
-    /// (the deterministic merge order), each pod's flows contiguous.
-    local: Vec<u32>,
-    /// `local[pod_start[k]..pod_start[k + 1]]` are the flows of the
-    /// `k`-th pod that has any.
-    pod_start: Vec<u32>,
-    /// The reconciliation pass's solver scratch.
-    base: SharingScratch,
-    /// Per-worker solver scratches, recycled across epochs.
-    pools: Vec<SharingScratch>,
-}
-
-/// Pod-partitioned weighted max-min allocation: flows whose whole path
-/// stays inside one pod are solved per pod, concurrently across up to
-/// `threads` worker threads; flows touching a core link (or more than
-/// one pod) are then solved in a serial **cross-pod reconciliation
-/// pass** over whatever capacity the pods left behind, followed by a
-/// work-conservation top-up.
-///
-/// `link_pod[l]` assigns `LinkId(l)` to a pod, with [`CORE_POD`]
-/// marking shared core links (see [`Topology::edge_pods`] for the
-/// rack-granularity mapping of the built-in fabrics). Pods share no
-/// links, so the per-pod solves are independent: the result is
-/// **bit-identical for any `threads` value**, and when every flow is
-/// pod-local it matches the global [`compute_rates_into`] solve up to
-/// refill-termination tolerance (the per-pass work-conservation
-/// epsilon is measured against a slightly different capacity basis).
-/// With cross-pod traffic the split is an approximation that favours
-/// pod-local flows: they see full capacity first, spine-crossing flows
-/// divide what remains, and a final serial top-up pass re-offers
-/// stranded slack to every flow with headroom — so the allocation
-/// stays work-conserving and every link stays feasible.
-///
-/// Once `scratch` is warm the grouping and every solve run without
-/// allocating; what still allocates per call is the worker threads
-/// themselves and, per worker, the two vectors its pods' rates travel
-/// back in.
-///
-/// [`Topology::edge_pods`]: crate::topology::Topology::edge_pods
-///
-/// # Panics
-///
-/// As [`compute_rates`], and if `link_pod` is not exactly one pod id
-/// per capacity entry or `threads == 0`.
-pub fn compute_rates_pods<F: FlowSource + Sync + ?Sized>(
-    capacities: &[f64],
-    flows: &F,
-    cfg: &SharingConfig,
-    link_pod: &[u32],
-    threads: usize,
-    scratch: &mut PodScratch,
-    out: &mut Vec<f64>,
-) {
-    assert_eq!(link_pod.len(), capacities.len(), "need one pod id per link");
-    assert!(threads >= 1, "need at least one thread");
-    let n = flows.flow_count();
-    out.clear();
-    out.resize(n, 0.0);
-    if n == 0 {
-        return;
-    }
-
-    // Classify: a flow belongs to pod p iff every link of its path does.
-    // Empty-path flows have no fabric footprint; the reconciliation pass
-    // prices them (at zero capacity cost).
-    scratch.flow_pod.clear();
-    scratch.cross.clear();
-    scratch.local.clear();
-    for i in 0..n {
-        let f = flows.flow_view(i);
-        let mut pod = CORE_POD;
-        for (hop, &l) in f.path.iter().enumerate() {
-            let p = link_pod[l.0 as usize];
-            pod = if hop == 0 {
-                p
-            } else if p == pod {
-                pod
-            } else {
-                CORE_POD
-            };
-            if pod == CORE_POD {
-                break;
-            }
-        }
-        scratch.flow_pod.push(pod);
-        if pod == CORE_POD {
-            scratch.cross.push(i as u32);
-        } else {
-            scratch.local.push(i as u32);
-        }
-    }
-
-    // Group pod-local flows by sorting their indices by (pod, flow):
-    // pods come out in id order (the merge order), and each pod's
-    // flows contiguous and ascending.
-    let flow_pod = &scratch.flow_pod;
-    scratch
-        .local
-        .sort_unstable_by_key(|&i| (flow_pod[i as usize], i));
-    scratch.pod_start.clear();
-    for (k, &i) in scratch.local.iter().enumerate() {
-        if k == 0 || flow_pod[i as usize] != flow_pod[scratch.local[k - 1] as usize] {
-            scratch.pod_start.push(k as u32);
-        }
-    }
-    let npods = scratch.pod_start.len();
-    scratch.pod_start.push(scratch.local.len() as u32);
-    let (local, pod_start) = (&scratch.local, &scratch.pod_start);
-    let pod_flows = |k: usize| &local[pod_start[k] as usize..pod_start[k + 1] as usize];
-
-    // Per-pod solves first, round-robin over the worker threads. Pods
-    // share no links, so they can all run on the full capacities — and
-    // any interleaving yields the same rates, making the result
-    // thread-count independent. The static pod → worker assignment
-    // keeps each worker's scratch reuse deterministic; results merge
-    // in pod-id order.
-    scratch.pools.resize_with(threads, SharingScratch::default);
-    let pool = std::sync::Mutex::new(std::mem::take(&mut scratch.pools));
-    // One worker's output: the rates of its pods' flows, pod after pod,
-    // plus its reusable solver scratch, returned to the pool.
-    type WorkerSolve = (Vec<f64>, SharingScratch);
-    let solved: Vec<WorkerSolve> =
-        saba_math::parallel::parallel_map(threads.min(npods.max(1)), threads, |tid| {
-            let mut solver = pool
-                .lock()
-                .expect("scratch pool lock poisoned")
-                .pop()
-                .unwrap_or_default();
-            let (mut mine, mut rates) = (Vec::new(), Vec::new());
-            for k in (tid..npods).step_by(threads) {
-                let src = SubsetSource {
-                    src: flows,
-                    idx: pod_flows(k),
-                };
-                compute_rates_into(capacities, &src, cfg, &mut solver, &mut rates);
-                mine.extend_from_slice(&rates);
-            }
-            (mine, solver)
-        });
-    for (tid, (mine, solver)) in solved.into_iter().enumerate() {
-        scratch.pools.push(solver);
-        let flows_of = (tid..npods).step_by(threads).flat_map(pod_flows);
-        for (&i, r) in flows_of.zip(mine) {
-            out[i as usize] = r;
-        }
-    }
-    // Recover pool entries no worker claimed (fewer tasks than threads).
-    scratch
-        .pools
-        .append(&mut pool.into_inner().expect("scratch pool lock poisoned"));
-
-    // Cross-pod reconciliation: price the spine-crossing flows over
-    // what the pods left behind.
-    scratch.residual.clear();
-    scratch.residual.extend_from_slice(capacities);
-    for (i, &r) in out.iter().enumerate() {
-        if scratch.flow_pod[i] != CORE_POD && r > 0.0 && r.is_finite() {
-            for &l in flows.flow_view(i).path {
-                let res = &mut scratch.residual[l.0 as usize];
-                *res = (*res - r).max(0.0);
-            }
-        }
-    }
-    let cross_src = SubsetSource {
-        src: flows,
-        idx: &scratch.cross,
-    };
-    compute_rates_into(
-        &scratch.residual,
-        &cross_src,
-        cfg,
-        &mut scratch.base,
-        &mut scratch.cross_rates,
-    );
-    for (k, &i) in scratch.cross.iter().enumerate() {
-        let rate = scratch.cross_rates[k];
-        out[i as usize] = rate;
-        if rate > 0.0 && rate.is_finite() {
-            for &l in flows.flow_view(i as usize).path {
-                let r = &mut scratch.residual[l.0 as usize];
-                *r = (*r - rate).max(0.0);
-            }
-        }
-    }
-
-    // Reconciliation top-up: the phased split can strand slack (a pod
-    // flow frozen below the share the global solve would give it once
-    // cross-pod flows bottleneck elsewhere, say). One more max-min pass
-    // re-offers every flow its remaining headroom over the leftover
-    // capacity, restoring work conservation.
-    let leftovers: f64 = scratch.residual.iter().sum();
-    if leftovers > 0.0 {
-        let topup_src = TopUpSource {
-            src: flows,
-            allocated: out.as_slice(),
-        };
-        let mut topup = std::mem::take(&mut scratch.cross_rates);
-        compute_rates_into(
-            &scratch.residual,
-            &topup_src,
-            cfg,
-            &mut scratch.base,
-            &mut topup,
-        );
-        for (r, t) in out.iter_mut().zip(&topup) {
-            if t.is_finite() {
-                *r += t;
-            }
-        }
-        scratch.cross_rates = topup;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2563,183 +2286,6 @@ mod tests {
         assert!((rates[1] - 5.0).abs() < 1e-9);
         assert!(rates[2].is_infinite());
         assert!(rates[3].is_infinite());
-    }
-
-    // --- pod-partitioned allocation tests ---
-
-    /// A synthetic 3-pod fabric: links 0..3 pod 0, 3..6 pod 1, 6..9
-    /// pod 2, links 9..12 core.
-    fn pod_map() -> Vec<u32> {
-        let mut m = vec![0, 0, 0, 1, 1, 1, 2, 2, 2];
-        m.extend([CORE_POD; 3]);
-        m
-    }
-
-    fn pod_local_flows(seed: u64) -> Vec<SharingFlow> {
-        let mut state = seed;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as usize
-        };
-        (0..90)
-            .map(|_| {
-                let pod = next() % 3;
-                let len = 1 + next() % 2;
-                let mut path = Vec::new();
-                for _ in 0..len {
-                    let l = (pod * 3 + next() % 3) as u32;
-                    if !path.contains(&l) {
-                        path.push(l);
-                    }
-                }
-                let w: Vec<f64> = path.iter().map(|_| 1.0 + (next() % 3) as f64).collect();
-                let mut f = flow(&path, &w);
-                f.priority = (next() % 2) as u8;
-                if next() % 5 == 0 {
-                    f.rate_cap = 20.0 + (next() % 4) as f64 * 15.0;
-                }
-                f
-            })
-            .collect()
-    }
-
-    #[test]
-    fn pods_match_global_when_traffic_is_local() {
-        let caps: Vec<f64> = (0..12).map(|i| 80.0 + 5.0 * i as f64).collect();
-        let pods = pod_map();
-        for seed in 0..10 {
-            let flows = pod_local_flows(0x90d ^ (seed * 7 + 1));
-            let global = compute_rates(&caps, &flows, &cfg());
-            let mut scratch = PodScratch::default();
-            let mut partitioned = Vec::new();
-            compute_rates_pods(
-                &caps,
-                flows.as_slice(),
-                &cfg(),
-                &pods,
-                4,
-                &mut scratch,
-                &mut partitioned,
-            );
-            for (i, (a, b)) in global.iter().zip(&partitioned).enumerate() {
-                let tol = 1e-6 * a.abs().max(b.abs()).max(1.0);
-                assert!((a - b).abs() <= tol, "seed {seed} flow {i}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn pods_bit_identical_across_thread_counts() {
-        let caps: Vec<f64> = (0..12).map(|i| 100.0 + 3.0 * i as f64).collect();
-        let pods = pod_map();
-        let mut flows = pod_local_flows(0xabc1);
-        // Mix in cross-pod flows spanning two pods through the core.
-        for k in 0..20u32 {
-            flows.push(flow(
-                &[k % 3, 9 + k % 3, 3 + k % 3],
-                &[1.0 + (k % 2) as f64; 3],
-            ));
-        }
-        let solve = |threads: usize| {
-            let mut scratch = PodScratch::default();
-            let mut out = Vec::new();
-            compute_rates_pods(
-                &caps,
-                flows.as_slice(),
-                &cfg(),
-                &pods,
-                threads,
-                &mut scratch,
-                &mut out,
-            );
-            out
-        };
-        let one = solve(1);
-        assert_eq!(one, solve(2), "1 vs 2 threads");
-        assert_eq!(one, solve(8), "1 vs 8 threads");
-    }
-
-    #[test]
-    fn pods_with_cross_traffic_stay_feasible() {
-        let caps: Vec<f64> = (0..12).map(|i| 60.0 + 4.0 * i as f64).collect();
-        let pods = pod_map();
-        let mut flows = pod_local_flows(0xfeed);
-        for k in 0..30u32 {
-            // Cross-pod: pod link → core link → other pod link.
-            flows.push(flow(&[k % 9, 9 + k % 3, (k + 4) % 9], &[1.0, 1.0, 1.0]));
-        }
-        let mut scratch = PodScratch::default();
-        let mut rates = Vec::new();
-        compute_rates_pods(
-            &caps,
-            flows.as_slice(),
-            &cfg(),
-            &pods,
-            4,
-            &mut scratch,
-            &mut rates,
-        );
-        let mut load = vec![0.0; caps.len()];
-        for (f, &r) in flows.iter().zip(&rates) {
-            assert!(r >= 0.0 && r.is_finite());
-            for &l in &f.path {
-                load[l.0 as usize] += r;
-            }
-        }
-        for (l, (&used, &cap)) in load.iter().zip(&caps).enumerate() {
-            assert!(used <= cap + 1e-6, "link {l}: {used} > {cap}");
-        }
-        // The two-phase split stays work-conserving in aggregate: at
-        // least as much throughput as 90% of the global solve.
-        let global: f64 = compute_rates(&caps, &flows, &cfg()).iter().sum();
-        let total: f64 = rates.iter().sum();
-        assert!(
-            total >= 0.9 * global,
-            "partitioned {total} vs global {global}"
-        );
-    }
-
-    #[test]
-    fn pod_scratch_reuse_across_epochs_is_stable() {
-        let caps: Vec<f64> = (0..12).map(|i| 70.0 + 2.0 * i as f64).collect();
-        let pods = pod_map();
-        let a_flows = pod_local_flows(0x11);
-        let b_flows = pod_local_flows(0x22);
-        let mut scratch = PodScratch::default();
-        let mut first = Vec::new();
-        let mut other = Vec::new();
-        let mut again = Vec::new();
-        compute_rates_pods(
-            &caps,
-            a_flows.as_slice(),
-            &cfg(),
-            &pods,
-            3,
-            &mut scratch,
-            &mut first,
-        );
-        compute_rates_pods(
-            &caps,
-            b_flows.as_slice(),
-            &cfg(),
-            &pods,
-            3,
-            &mut scratch,
-            &mut other,
-        );
-        compute_rates_pods(
-            &caps,
-            a_flows.as_slice(),
-            &cfg(),
-            &pods,
-            3,
-            &mut scratch,
-            &mut again,
-        );
-        assert_eq!(first, again);
-        assert_eq!(other.len(), b_flows.len());
     }
 
     #[test]

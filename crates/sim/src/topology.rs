@@ -258,28 +258,6 @@ impl Topology {
         self.nodes.iter().any(|n| !n.up) || self.links.iter().any(|l| !l.up)
     }
 
-    /// Maps every link to an allocation pod for the pod-partitioned
-    /// allocator ([`crate::sharing::compute_rates_pods`]): a link
-    /// between a server and a switch belongs to the pod named by the
-    /// switch's node id (each rack's ToR subtree is one pod), and
-    /// switch↔switch links — the ToR/leaf/spine core every rack shares
-    /// — are [`crate::sharing::CORE_POD`]. Pods share no links, so
-    /// rack-local traffic allocates per pod concurrently; anything
-    /// crossing the core goes through the reconciliation pass.
-    pub fn edge_pods(&self) -> Vec<u32> {
-        self.links
-            .iter()
-            .map(|l| {
-                let (from, to) = (self.node(l.from).kind, self.node(l.to).kind);
-                match (from, to) {
-                    (NodeKind::Server, NodeKind::Switch) => l.to.0,
-                    (NodeKind::Switch, NodeKind::Server) => l.from.0,
-                    _ => crate::sharing::CORE_POD,
-                }
-            })
-            .collect()
-    }
-
     /// The reverse direction of `id`'s cable, if one exists: the first
     /// link running `to → from`.
     pub fn reverse_of(&self, id: LinkId) -> Option<LinkId> {
@@ -632,31 +610,5 @@ mod tests {
         let a = t.add_node(NodeKind::Switch, "a");
         let b = t.add_node(NodeKind::Switch, "b");
         t.add_link(a, b, 0.0);
-    }
-
-    #[test]
-    fn edge_pods_group_rack_links_and_mark_core() {
-        let t = Topology::spine_leaf(&SpineLeafConfig::tiny(3));
-        let pods = t.edge_pods();
-        assert_eq!(pods.len(), t.num_links());
-        let mut rack_pods = std::collections::BTreeSet::new();
-        for (l, &pod) in pods.iter().enumerate() {
-            let link = t.link(crate::ids::LinkId(l as u32));
-            let kinds = (t.node(link.from).kind, t.node(link.to).kind);
-            if kinds == (NodeKind::Switch, NodeKind::Switch) {
-                assert_eq!(pod, crate::sharing::CORE_POD, "core link {l}");
-            } else {
-                // Server↔ToR links of one rack share the ToR's pod id.
-                let tor = if kinds.0 == NodeKind::Server {
-                    link.to
-                } else {
-                    link.from
-                };
-                assert_eq!(pod, tor.0);
-                rack_pods.insert(pod);
-            }
-        }
-        // tiny(3) has 4 ToRs → 4 rack pods.
-        assert_eq!(rack_pods.len(), 4);
     }
 }

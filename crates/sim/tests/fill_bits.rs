@@ -15,9 +15,8 @@
 //!     allocator vs reference within 1e-6, bundled and unbundled) —
 //!     `conformance --smoke` / `--long`, not this file;
 //! (b) the bit pins below, **recorded at PR 20 from a release build**:
-//!     they pin that debug and release builds, any pod thread count,
-//!     `Uniform` and `PerLink` views and a reused scratch all produce
-//!     one answer — a kernel change that moves them re-records them on
+//!     they pin that debug and release builds, `Uniform` and `PerLink`
+//!     views and a reused scratch all produce one answer — a kernel change that moves them re-records them on
 //!     purpose, in one reviewed step;
 //! (c) every rate of the problems pinned rate by rate stays within 1e-9
 //!     (relative) of the PR 16 kernel's, whose vectors stay in `pr16`;
@@ -29,8 +28,8 @@
 
 use saba_sim::ids::LinkId;
 use saba_sim::sharing::{
-    compute_rates, compute_rates_into, compute_rates_pods, FlowView, FlowWeights, PodScratch,
-    SharingConfig, SharingFlow, SharingScratch, CORE_POD,
+    compute_rates, compute_rates_into, FlowView, FlowWeights, SharingConfig, SharingFlow,
+    SharingScratch,
 };
 
 /// The unit tests' LCG: deterministic draws without a crate.
@@ -250,38 +249,6 @@ fn two_hundred_classes() -> (Vec<f64>, Vec<SharingFlow>) {
     (caps, flows)
 }
 
-/// Three 3-link pods and a 3-link core: 60 pod-local flows and 24 that
-/// cross the core, so every phase of `compute_rates_pods` (per-pod,
-/// cross-pod reconciliation, top-up) has work.
-fn pods() -> (Vec<f64>, Vec<u32>, Vec<SharingFlow>) {
-    let mut rng = Lcg(0x5aba_0009);
-    let caps = (0..12).map(|i| 100.0 + 3.0 * i as f64).collect();
-    let mut link_pod = vec![0, 0, 0, 1, 1, 1, 2, 2, 2];
-    link_pod.extend([CORE_POD; 3]);
-    let mut flows: Vec<SharingFlow> = (0..60)
-        .map(|k| {
-            let pod = rng.next() % 3;
-            let path: Vec<LinkId> = rng
-                .path(3, 2)
-                .into_iter()
-                .map(|l| LinkId(l.0 + 3 * pod as u32))
-                .collect();
-            let weights = path.iter().map(|_| rng.real(0.5, 3.0)).collect();
-            let cap = if k % 5 == 0 {
-                rng.real(10.0, 50.0)
-            } else {
-                f64::INFINITY
-            };
-            flow(path, weights, (k % 2) as u8, cap)
-        })
-        .collect();
-    for k in 0..24u32 {
-        let path = vec![LinkId(k % 9), LinkId(9 + k % 3), LinkId((k + 4) % 9)];
-        flows.push(flow(path, vec![1.0 + (k % 2) as f64; 3], 0, f64::INFINITY));
-    }
-    (caps, link_pod, flows)
-}
-
 fn fnv1a(rates: &[f64]) -> u64 {
     rates
         .iter()
@@ -311,20 +278,6 @@ fn solve(caps: &[f64], flows: &[SharingFlow], cfg: &SharingConfig) -> Pin {
     pin(&compute_rates(caps, flows, cfg))
 }
 
-fn solve_pods(caps: &[f64], link_pod: &[u32], flows: &[SharingFlow], threads: usize) -> Pin {
-    let mut out = Vec::new();
-    compute_rates_pods(
-        caps,
-        flows,
-        &SharingConfig::default(),
-        link_pod,
-        threads,
-        &mut PodScratch::default(),
-        &mut out,
-    );
-    pin(&out)
-}
-
 /// Every pinned problem, by name.
 fn solved() -> Vec<(&'static str, Pin)> {
     let cfg = SharingConfig::default();
@@ -345,8 +298,6 @@ fn solved() -> Vec<(&'static str, Pin)> {
     add("cap_bound_three_refills", cap_bound_three_refills(), &cfg);
     add("spine_leaf_shape", spine_leaf_shape(), &cfg);
     add("two_hundred_classes", two_hundred_classes(), &cfg);
-    let (caps, link_pod, flows) = pods();
-    all.push(("pods", solve_pods(&caps, &link_pod, &flows, 2)));
     all
 }
 
@@ -412,10 +363,10 @@ fn pr16(name: &str) -> Vec<u64> {
     }
 }
 
-/// Recorded at PR 20 from a release build; a debug build, every pod
-/// thread count and both weight views reproduce them. Seven of the ten
-/// are the PR 16 kernel's bits still; `zero_capacity_link` (one rate, by
-/// one ulp), `spine_leaf_shape` and `two_hundred_classes` moved.
+/// Recorded at PR 20 from a release build; a debug build and both weight
+/// views reproduce them. Six of the nine are the PR 16 kernel's bits
+/// still; `zero_capacity_link` (one rate, by one ulp),
+/// `spine_leaf_shape` and `two_hundred_classes` moved.
 #[rustfmt::skip]
 fn expected() -> Vec<(&'static str, Pin)> {
     let unmoved = |name| (name, Pin::Bits(pr16(name)));
@@ -436,7 +387,6 @@ fn expected() -> Vec<(&'static str, Pin)> {
         unmoved("cap_bound_three_refills"),
         ("spine_leaf_shape", Pin::Fnv(256, 0x9ea7a23b72e5bfe8)),
         ("two_hundred_classes", Pin::Fnv(1000, 0x32973fa85d2ccd40)),
-        ("pods", Pin::Fnv(84, 0xd7922995eaed0dbd)),
     ]
 }
 
@@ -518,16 +468,6 @@ fn cap_bound_mix_needs_all_three_refill_passes() {
     let with = |refill_passes| refilled(&caps, &flows, refill_passes);
     assert_ne!(with(2), with(3));
     assert_eq!(with(3), with(4));
-}
-
-/// Pods share no links, so the pinned bits hold at any thread count.
-#[test]
-fn pod_pins_hold_at_any_thread_count() {
-    let (caps, link_pod, flows) = pods();
-    let (_, want) = expected().pop().expect("pods is pinned last");
-    for threads in [1, 3] {
-        assert_eq!(solve_pods(&caps, &link_pod, &flows, threads), want);
-    }
 }
 
 // --- the refill rule, from its definition ---

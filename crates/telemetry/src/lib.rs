@@ -18,8 +18,9 @@
 //!   under a seeded fault schedule.
 //! - [`sink`] — the [`TelemetrySink`] trait. Instrumented code is
 //!   generic over it; the [`NullSink`] default compiles every hook to
-//!   nothing (the `observe --smoke` CI step checks that a null-sink
-//!   run's results are exactly the traced run's: nothing perturbed).
+//!   nothing (`saba-cluster`'s `corun_faults` tests check that a
+//!   null-sink run's results are exactly the traced run's: nothing
+//!   perturbed).
 //! - [`recorder`] — the live [`Recorder`] (trace + registry + flight)
 //!   and the cloneable [`SharedRecorder`] handle for non-generic
 //!   components (resilient controller, RPC transport, Saba library).

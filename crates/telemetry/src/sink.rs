@@ -2,9 +2,9 @@
 //!
 //! Instrumented components are generic over a sink; the default
 //! [`NullSink`] has empty method bodies and `enabled() == false`, so
-//! monomorphization deletes every hook. The `observe --smoke` CI step
-//! checks that a null-sink run's results are exactly the traced run's:
-//! recording perturbs nothing.
+//! monomorphization deletes every hook. `saba-cluster`'s `corun_faults`
+//! tests check that a null-sink run's results are exactly the traced
+//! run's: recording perturbs nothing.
 //! Hooks that would *build* data to record (format a string, count
 //! bundles) must guard on [`TelemetrySink::enabled`] so the work itself
 //! disappears too.
