@@ -205,7 +205,11 @@ pub enum ErrorCode {
     FailingOver = 2,
     /// The per-tenant edge rate limiter rejected the request.
     RateLimited = 3,
-    /// The controller (or shard) is down with no standby yet.
+    /// Reserved, never emitted: once "the controller is down with no
+    /// standby yet"; a request to a shard that is down or dies
+    /// mid-request now reads [`Self::FailingOver`] while its standby
+    /// comes up. Decoders still accept wire code 4, so an older peer's
+    /// frame decodes (as a retryable failure); the code is not reused.
     ControllerDown = 4,
     /// The client-side transport exhausted its retry budget.
     Timeout = 5,
@@ -700,6 +704,12 @@ mod tests {
                 });
             }
         }
+    }
+
+    #[test]
+    fn reserved_controller_down_still_decodes() {
+        assert_eq!(ErrorCode::from_u8(4), Some(ErrorCode::ControllerDown));
+        assert!(ErrorCode::ControllerDown.is_retryable());
     }
 
     #[test]

@@ -298,3 +298,25 @@ fn steady_state_path_detection_allocates_the_path() {
         assert_eq!(allocations, 1, "tag {tag}");
     }
 }
+
+#[test]
+fn path_detection_past_the_candidate_buffer_allocates_the_path() {
+    use saba_sim::topology::NodeKind;
+    // 150 equal-cost middles: more than `Routes::path` keeps on the
+    // stack, so most picks re-scan the hop for the picked candidate.
+    let mut topo = Topology::new();
+    let src = topo.add_node(NodeKind::Switch, "src");
+    let dst = topo.add_node(NodeKind::Switch, "dst");
+    for i in 0..150 {
+        let mid = topo.add_node(NodeKind::Switch, format!("mid{i}"));
+        topo.add_cable(src, mid, 1.0);
+        topo.add_cable(mid, dst, 1.0);
+    }
+    let routes = Routes::compute(&topo);
+    routes.path(&topo, src, dst, 0).unwrap();
+    for tag in 0..64 {
+        let (path, allocations) = counted(|| routes.path(&topo, src, dst, tag).unwrap());
+        assert_eq!(path.len(), 2);
+        assert_eq!(allocations, 1, "tag {tag}");
+    }
+}

@@ -16,36 +16,57 @@
 //! its own: from anywhere else it is one hop past its feeder, so it
 //! answers from the feeder's field, and a fabric holds one field per
 //! switch it routes through rather than one per server it routes to.
-//! Path detection allocates the path it returns and nothing else.
+//!
+//! Path detection runs on a flat forwarding table: each hop is one pass
+//! over a contiguous slice of far ends, read against the destination
+//! field's cells, with the equal-cost candidates kept on the stack and
+//! no liveness load at all while the topology reports nothing down. It
+//! allocates the path it returns and nothing else.
 
 use crate::ids::{LinkId, NodeId};
 use crate::topology::Topology;
+use std::ops::Range;
 use std::sync::{Mutex, OnceLock};
 
 /// The distance-field cell of a node that cannot reach the destination.
 const UNREACHABLE: u16 = u16::MAX;
 const HOP_LIMIT: &str = "shortest paths are limited to 65,534 hops";
+/// Equal-cost candidates one hop of [`Routes::path`] keeps on the stack
+/// (the paper fabric's leaves have 54); a pick past them re-scans.
+const ECMP_BUF: usize = 64;
 
 /// Routing state with lazily materialized BFS distance fields.
 ///
 /// A dense all-pairs table costs `n² × 2` bytes and `n` BFS passes up
 /// front — ~300 MB and seconds of work at a 10k-server tier, almost all
-/// of it for destinations nothing ever routes to. Instead we keep the
-/// live adjacency (forward and reversed) and compute each per-destination
-/// (and, for multipath detection, per-source) distance field on first
-/// use, caching it in a [`OnceLock`]. Memory scales with the switches
-/// that feed the destinations actually routed; [`Routes::recompute`]
-/// invalidates every cached field so the next query re-derives it
-/// against the post-fault topology.
-#[derive(Debug)]
+/// of it for destinations nothing ever routes to. Instead we keep flat
+/// adjacencies (the forwarding table and the reversed live links) and
+/// compute each per-destination (and, for multipath detection,
+/// per-source) distance field on first use, caching it in a
+/// [`OnceLock`]. Memory scales with the switches that feed the
+/// destinations actually routed; [`Routes::recompute`] invalidates every
+/// cached field so the next query re-derives it against the post-fault
+/// topology. A clone keeps the fields already materialized.
+#[derive(Debug, Clone, Default)]
 pub struct Routes {
-    /// Reverse adjacency scratch: `in_edges[node]` = nodes with a *live*
-    /// link into `node`. Hoisted into the struct (and rebuilt in place)
-    /// so the per-fault re-convergence path allocates nothing.
-    in_edges: Vec<Vec<u32>>,
-    /// Forward adjacency: `out_edges[node]` = nodes `node` has a live
-    /// link to. Drives the per-source fields used by multipath detection.
-    out_edges: Vec<Vec<u32>>,
+    /// The forwarding table: every node's out-links, down ones included,
+    /// in `Topology::out_links` order — `topo.out_links(u)[i]` leads to
+    /// `out_to[out_start[u] + i]`, so a hop reads one contiguous slice
+    /// and never a `Link`.
+    out_start: Vec<u32>,
+    out_to: Vec<u32>,
+    /// Whether the out-link of `out_to[e]` was up at the last recompute:
+    /// the live forward adjacency the source fields walk.
+    out_live: Vec<bool>,
+    /// The links up at the last recompute, reversed and flattened the
+    /// same way: `in_from[in_start[v]..in_start[v + 1]]` are the sources
+    /// of `v`'s live in-links. The destination fields walk it.
+    in_start: Vec<u32>,
+    in_from: Vec<u32>,
+    /// Nodes whose only live out-link and every live in-link join them
+    /// to one neighbour — every server: reached from it by a reverse
+    /// BFS, they lead nowhere new, so it does not queue them.
+    spur: Vec<bool>,
     /// `dist_to[dst][node]` = hop count from `node` to `dst`
     /// ([`UNREACHABLE`] if there is none). Computed lazily, BFS on the
     /// reversed graph from `dst`; never for a `dst` that answers from
@@ -54,12 +75,28 @@ pub struct Routes {
     /// `dist_from[src][node]` = hop count from `src` to `node`.
     /// Computed lazily, BFS on the forward graph from `src`.
     dist_from: Vec<OnceLock<Box<[u16]>>>,
-    /// Field allocations recycled by `recompute` for reuse by later
-    /// lazy computes — keeps the fault/repair path allocation-free in
-    /// steady state. Interior mutability because fields are consumed
-    /// from `&self` query paths.
-    spare: Mutex<Vec<Box<[u16]>>>,
+    scratch: Scratch,
     num_nodes: usize,
+}
+
+/// The buffers the lazy BFS passes reuse, so the fault/repair path
+/// allocates nothing in steady state — behind a lock because fields are
+/// materialized from `&self` query paths. A clone starts without any.
+#[derive(Debug, Default)]
+struct Scratch(Mutex<Buffers>);
+
+#[derive(Debug, Default)]
+struct Buffers {
+    /// Field allocations recycled by `recompute`.
+    spare: Vec<Box<[u16]>>,
+    /// The BFS queue.
+    queue: Vec<u32>,
+}
+
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
 }
 
 /// Hop counts to one destination, read through the field that answers
@@ -85,21 +122,21 @@ impl Field<'_> {
             }
         }
     }
-}
 
-impl Clone for Routes {
-    fn clone(&self) -> Self {
-        Self {
-            in_edges: self.in_edges.clone(),
-            out_edges: self.out_edges.clone(),
-            // OnceLock<T: Clone> clones its cached value, so a clone
-            // keeps already-materialized fields.
-            dist_to: self.dist_to.clone(),
-            dist_from: self.dist_from.clone(),
-            spare: Mutex::new(Vec::new()),
-            num_nodes: self.num_nodes,
+    /// Whether `node` is exactly `hops` (< [`UNREACHABLE`]) from the
+    /// destination — `at(node) == hops`, read straight off the cell.
+    fn holds(&self, node: u32, hops: u16) -> bool {
+        if node as usize == self.dst {
+            hops == 0
+        } else {
+            u32::from(self.cells[node as usize]) + u32::from(self.past) == u32::from(hops)
         }
     }
+}
+
+/// Node `u`'s entries in a flat adjacency indexed by `start`.
+fn span(start: &[u32], u: usize) -> Range<usize> {
+    start[u] as usize..start[u + 1] as usize
 }
 
 impl Routes {
@@ -108,96 +145,113 @@ impl Routes {
     /// effectively down (failed link or failed endpoint) are excluded,
     /// so routes never traverse them.
     pub fn compute(topo: &Topology) -> Self {
-        let mut routes = Self {
-            in_edges: Vec::new(),
-            out_edges: Vec::new(),
-            dist_to: Vec::new(),
-            dist_from: Vec::new(),
-            spare: Mutex::new(Vec::new()),
-            num_nodes: 0,
-        };
+        let mut routes = Self::default();
         routes.recompute(topo);
         routes
     }
 
     /// Recomputes routing state in place — the subnet manager's
-    /// re-convergence sweep after a fault or repair. The adjacency
-    /// scratch is rebuilt inside its existing allocations and every
-    /// cached distance field is invalidated (its buffer recycled for
-    /// the lazy re-derivation); after this call every route provably
-    /// avoids links that are down in `topo`.
+    /// re-convergence sweep after a fault or repair. The adjacencies are
+    /// rebuilt inside their existing allocations and every cached
+    /// distance field is invalidated (its buffer recycled for the lazy
+    /// re-derivation); after this call every route provably avoids
+    /// links that are down in `topo`.
     pub fn recompute(&mut self, topo: &Topology) {
         let n = topo.num_nodes();
         let resized = n != self.num_nodes;
         self.num_nodes = n;
 
-        // Rebuild adjacency in place: clear the inner vectors (keeping
-        // their capacity) rather than allocating fresh ones.
-        self.in_edges.truncate(n);
-        self.in_edges.resize_with(n, Vec::new);
-        self.out_edges.truncate(n);
-        self.out_edges.resize_with(n, Vec::new);
-        for e in &mut self.in_edges {
-            e.clear();
-        }
-        for e in &mut self.out_edges {
-            e.clear();
-        }
-        for l in 0..topo.num_links() {
-            let id = LinkId(l as u32);
-            if !topo.link_is_up(id) {
-                continue;
+        // The forwarding table, and each node's live in-degree counted
+        // at `in_start[v + 2]`, so that after the prefix sum the fill
+        // below advances `in_start[v + 1]` from `v`'s first slot to its
+        // end — `v + 1`'s first.
+        self.out_start.clear();
+        self.out_to.clear();
+        self.out_live.clear();
+        self.in_start.clear();
+        self.in_start.resize(n + 2, 0);
+        for u in 0..n {
+            self.out_start.push(self.out_to.len() as u32);
+            for &l in topo.out_links(NodeId(u as u32)) {
+                let (to, up) = (topo.link(l).to.0, topo.link_is_up(l));
+                self.in_start[to as usize + 2] += u32::from(up);
+                self.out_to.push(to);
+                self.out_live.push(up);
             }
-            let link = topo.link(id);
-            self.in_edges[link.to.0 as usize].push(link.from.0);
-            self.out_edges[link.from.0 as usize].push(link.to.0);
+        }
+        self.out_start.push(self.out_to.len() as u32);
+        for v in 1..n + 2 {
+            self.in_start[v] += self.in_start[v - 1];
+        }
+        self.in_from.clear();
+        self.in_from.resize(self.in_start[n + 1] as usize, 0);
+        for u in 0..n {
+            for e in span(&self.out_start, u).filter(|&e| self.out_live[e]) {
+                let slot = &mut self.in_start[self.out_to[e] as usize + 1];
+                self.in_from[*slot as usize] = u as u32;
+                *slot += 1;
+            }
+        }
+        self.in_start.pop();
+        self.spur.clear();
+        for v in 0..n {
+            let live = span(&self.out_start, v).filter(|&e| self.out_live[e]);
+            let mut ends = live.map(|e| self.out_to[e]);
+            let only = ends.next().filter(|_| ends.next().is_none());
+            let ins = &self.in_from[span(&self.in_start, v)];
+            let spur = only.is_some_and(|u| ins.iter().all(|&w| w == u));
+            self.spur.push(spur);
         }
 
         // Invalidate every cached field, recycling right-sized buffers
         // through the spare pool for later lazy computes.
-        let mut recycled = Vec::new();
-        for slot in self.dist_to.iter_mut().chain(self.dist_from.iter_mut()) {
-            if let Some(field) = slot.take() {
-                if field.len() == n {
-                    recycled.push(field);
-                }
-            }
-        }
-        let spare = self.spare.get_mut().expect("spare pool lock poisoned");
+        let spare = &mut self.scratch.0.get_mut().expect("lock poisoned").spare;
         if resized {
             spare.clear();
         }
-        spare.append(&mut recycled);
+        let fields = self.dist_to.iter_mut().chain(&mut self.dist_from);
+        spare.extend(fields.filter_map(OnceLock::take).filter(|f| f.len() == n));
         self.dist_to.truncate(n);
         self.dist_to.resize_with(n, OnceLock::new);
         self.dist_from.truncate(n);
         self.dist_from.resize_with(n, OnceLock::new);
     }
 
-    /// BFS distance field from `root` over `edges` (reversed adjacency
-    /// for destination fields, forward adjacency for source fields).
-    fn bfs_field(&self, edges: &[Vec<u32>], root: usize) -> Box<[u16]> {
-        let n = self.num_nodes;
-        let mut d = self
-            .spare
-            .lock()
-            .expect("spare pool lock poisoned")
-            .pop()
-            .unwrap_or_else(|| vec![0u16; n].into_boxed_slice());
+    /// BFS distance field from `root` over the links up at the last
+    /// recompute: reversed for a destination field, along the
+    /// forwarding table's live entries for a source field (`FORWARD`).
+    fn bfs_field<const FORWARD: bool>(&self, root: usize) -> Box<[u16]> {
+        // Slices, not `&Vec`s: held in registers across the queue's pushes.
+        let spur: &[bool] = &self.spur;
+        let (start, adj, live): (&[u32], &[u32], &[bool]) = match FORWARD {
+            true => (&self.out_start, &self.out_to, &self.out_live),
+            false => (&self.in_start, &self.in_from, &[]),
+        };
+        let (spare, mut queue) = {
+            let mut b = self.scratch.0.lock().expect("lock poisoned");
+            (b.spare.pop(), std::mem::take(&mut b.queue))
+        };
+        let mut d = spare.unwrap_or_else(|| vec![0u16; self.num_nodes].into_boxed_slice());
         d.fill(UNREACHABLE);
         d[root] = 0;
-        let mut queue = std::collections::VecDeque::with_capacity(64);
-        queue.push_back(root as u32);
-        while let Some(u) = queue.pop_front() {
+        queue.clear();
+        queue.push(root as u32);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
             let du = d[u as usize];
-            for &v in &edges[u as usize] {
-                if d[v as usize] == UNREACHABLE {
+            for e in span(start, u as usize) {
+                let v = adj[e] as usize;
+                if d[v] == UNREACHABLE && (!FORWARD || live[e]) {
                     assert!(du < UNREACHABLE - 1, "{HOP_LIMIT}");
-                    d[v as usize] = du + 1;
-                    queue.push_back(v);
+                    d[v] = du + 1;
+                    if FORWARD || !spur[v] {
+                        queue.push(v as u32);
+                    }
                 }
             }
         }
+        self.scratch.0.lock().expect("lock poisoned").queue = queue;
         d
     }
 
@@ -207,17 +261,17 @@ impl Routes {
     /// share their switch's, and a fabric keeps one field per switch
     /// routed through, not one per server routed to.
     fn dist_to_field(&self, dst: usize) -> Field<'_> {
-        let (root, past) = match self.in_edges[dst][..] {
+        let (root, past) = match self.in_from[span(&self.in_start, dst)] {
             [feeder] => (feeder as usize, 1),
             _ => (dst, 0),
         };
-        let cells = self.dist_to[root].get_or_init(|| self.bfs_field(&self.in_edges, root));
+        let cells = self.dist_to[root].get_or_init(|| self.bfs_field::<false>(root));
         Field { cells, dst, past }
     }
 
     /// The source field for `src`, materializing it on first use.
     fn dist_from_field(&self, src: usize) -> &[u16] {
-        self.dist_from[src].get_or_init(|| self.bfs_field(&self.out_edges, src))
+        self.dist_from[src].get_or_init(|| self.bfs_field::<true>(src))
     }
 
     /// Hop distance from `from` to `to`, or `None` if unreachable.
@@ -235,42 +289,36 @@ impl Routes {
     }
 
     /// Approximate heap bytes held by the routing state: materialized
-    /// distance fields, the recycled-field pool, and the adjacency
-    /// scratch.
+    /// distance fields, the recycled-field pool, the flat adjacencies
+    /// and the BFS queue.
     pub fn memory_bytes(&self) -> usize {
         let field_bytes = self.num_nodes * std::mem::size_of::<u16>();
         let (to, from) = self.cached_fields();
-        let spare = self.spare.lock().expect("spare pool lock poisoned").len();
-        let adjacency: usize = self
-            .in_edges
-            .iter()
-            .chain(self.out_edges.iter())
-            .map(|e| e.capacity() * std::mem::size_of::<u32>())
-            .sum();
-        (to + from + spare) * field_bytes + adjacency
+        let b = self.scratch.0.lock().expect("lock poisoned");
+        let ends = self.out_to.capacity() + self.in_from.capacity() + b.queue.capacity();
+        let starts = self.out_start.capacity() + self.in_start.capacity();
+        let flags = self.out_live.capacity() + self.spur.capacity();
+        (to + from + b.spare.len()) * field_bytes + (ends + starts) * 4 + flags
     }
 
-    /// Bytes a dense all-pairs distance matrix of the same cells would
-    /// cost for this topology (`n² × 2`), independent of how many
-    /// destinations are actually routed. The yardstick for the lazy
-    /// cache's footprint.
-    pub fn dense_memory_bytes(&self) -> usize {
-        self.num_nodes * self.num_nodes * std::mem::size_of::<u16>()
-    }
-
-    /// The live out-links of `node` that lie on a shortest path under
-    /// the destination field `d`, in `out_links` order. `node` must be
-    /// able to reach the destination and not be it.
-    fn equal_cost_hops<'a>(
+    /// The slots `i` of `node`'s out-links (`topo.out_links(node)[i]`)
+    /// that lie on a shortest path under the destination field `d`, in
+    /// order: their far end is one hop nearer than `node`'s `here`
+    /// (≥ 1), and — unless `healthy` says nothing is down — their link
+    /// is up.
+    fn equal_cost_slots<'a>(
+        &'a self,
         topo: &'a Topology,
         d: Field<'a>,
         node: NodeId,
-    ) -> impl Iterator<Item = LinkId> + Clone + 'a {
-        let here = d.at(node);
-        topo.out_links(node).iter().copied().filter(move |&l| {
-            let to = d.at(topo.link(l).to);
-            to != UNREACHABLE && to + 1 == here && topo.link_is_up(l)
-        })
+        here: u16,
+        healthy: bool,
+    ) -> impl Iterator<Item = usize> + Clone + 'a {
+        let tos = &self.out_to[span(&self.out_start, node.0 as usize)];
+        let links = topo.out_links(node);
+        debug_assert_eq!(tos.len(), links.len(), "topology reshaped since recompute");
+        (0..tos.len())
+            .filter(move |&i| d.holds(tos[i], here - 1) && (healthy || topo.link_is_up(links[i])))
     }
 
     /// All equal-cost next-hop links from `node` toward `dst`.
@@ -280,14 +328,17 @@ impl Routes {
         if here == UNREACHABLE || here == 0 {
             return Vec::new();
         }
-        Self::equal_cost_hops(topo, d, node).collect()
+        let (links, healthy) = (topo.out_links(node), !topo.has_failures());
+        let slots = self.equal_cost_slots(topo, d, node, here, healthy);
+        slots.map(|i| links[i]).collect()
     }
 
     /// The full path (sequence of links) from `src` to `dst`, selecting
     /// among equal-cost hops with a deterministic hash of `tag` — the
     /// fluid equivalent of static ECMP placement by the subnet manager.
-    /// Each hop counts its candidates and takes the hashed one in place:
-    /// the returned path is the only allocation.
+    /// Each hop scans its forwarding-table slice once, keeping the
+    /// candidates on the stack, and takes the hashed one: the returned
+    /// path is the only allocation.
     ///
     /// Returns `None` if `dst` is unreachable from `src`. An empty path
     /// is returned when `src == dst`.
@@ -295,23 +346,37 @@ impl Routes {
         if src == dst {
             return Some(Vec::new());
         }
-        let mut path = Vec::with_capacity(self.distance(src, dst)? as usize);
         let d = self.dist_to_field(dst.0 as usize);
+        let mut here_d = d.at(src);
+        if here_d == UNREACHABLE {
+            return None;
+        }
+        let mut path = Vec::with_capacity(usize::from(here_d));
+        let healthy = !topo.has_failures();
+        let mut slots = [0u32; ECMP_BUF];
         let mut here = src;
-        let mut hop = 0u64;
         while here != dst {
-            let mut candidates = Self::equal_cost_hops(topo, d, here);
-            let n = candidates.clone().count() as u64;
+            let mut candidates = self.equal_cost_slots(topo, d, here, here_d, healthy);
+            // One pass: stack the first candidates, count the rest.
+            let mut n = 0;
+            for i in candidates.clone() {
+                if let Some(slot) = slots.get_mut(n) {
+                    *slot = i as u32;
+                }
+                n += 1;
+            }
             // No candidate is a path cut mid-way: cannot happen while
             // the distances are consistent with the topology.
+            let hop = path.len() as u64;
             let pick = splitmix64(tag.wrapping_add(hop.wrapping_mul(0x9E3779B97F4A7C15)))
-                .checked_rem(n)?;
-            let link = candidates
-                .nth(pick as usize)
-                .expect("pick is below the candidate count");
-            path.push(link);
-            here = topo.link(link).to;
-            hop += 1;
+                .checked_rem(n as u64)? as usize;
+            let i = match slots.get(pick) {
+                Some(&i) => i as usize,
+                None => candidates.nth(pick).expect("pick < n"),
+            };
+            path.push(topo.out_links(here)[i]);
+            here = NodeId(self.out_to[self.out_start[here.0 as usize] as usize + i]);
+            here_d -= 1;
         }
         Some(path)
     }
@@ -750,14 +815,14 @@ mod tests {
         assert_eq!((to, from), (1, 0), "one destination field for path()");
         r.all_shortest_path_links(&t, a, b);
         assert_eq!(r.cached_fields(), (1, 1), "multipath adds one source field");
-        // The O(links) adjacency scratch dominates the two cached
-        // fields here; even so the total sits an order of magnitude
-        // under the dense all-pairs matrix.
+        // The O(links) flat adjacencies dominate the two cached fields
+        // here; even so the total sits an order of magnitude under a
+        // dense all-pairs matrix of the same cells, `n² × 2` bytes.
+        let dense = t.num_nodes() * t.num_nodes() * std::mem::size_of::<u16>();
         assert!(
-            r.memory_bytes() < r.dense_memory_bytes() / 10,
-            "lazy cache ({} B) should be far under the dense matrix ({} B)",
-            r.memory_bytes(),
-            r.dense_memory_bytes()
+            r.memory_bytes() < dense / 10,
+            "lazy cache ({} B) should be far under the dense matrix ({dense} B)",
+            r.memory_bytes()
         );
         // Recompute invalidates the cache; queries re-derive on demand.
         r.recompute(&t);

@@ -106,7 +106,8 @@ impl SpineLeafConfig {
 }
 
 /// A directed-graph network topology.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[serde(from = "Parts")]
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,
@@ -114,17 +115,37 @@ pub struct Topology {
     out_links: Vec<Vec<LinkId>>,
     /// Server node ids, in creation order.
     servers: Vec<NodeId>,
+    /// Links and nodes administratively down, kept by every state
+    /// transition so that [`Self::has_failures`] is one load. Derived,
+    /// so not serialized: deserialization recounts it.
+    #[serde(skip)]
+    down: usize,
+}
+
+/// A [`Topology`] as serialized: everything but the down count.
+#[derive(Deserialize)]
+struct Parts {
+    nodes: Vec<Node>,
+    links: Vec<Link>,
+    out_links: Vec<Vec<LinkId>>,
+    servers: Vec<NodeId>,
+}
+
+impl From<Parts> for Topology {
+    fn from(p: Parts) -> Self {
+        let mut t = Self::default();
+        (t.nodes, t.links) = (p.nodes, p.links);
+        (t.out_links, t.servers) = (p.out_links, p.servers);
+        t.down =
+            t.nodes.iter().filter(|n| !n.up).count() + t.links.iter().filter(|l| !l.up).count();
+        t
+    }
 }
 
 impl Topology {
     /// Creates an empty topology.
     pub fn new() -> Self {
-        Self {
-            nodes: Vec::new(),
-            links: Vec::new(),
-            out_links: Vec::new(),
-            servers: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Adds a node, returning its id.
@@ -244,18 +265,29 @@ impl Topology {
     /// Sets a link's administrative state (fault injection). Returns the
     /// previous state.
     pub fn set_link_up(&mut self, id: LinkId, up: bool) -> bool {
-        std::mem::replace(&mut self.links[id.0 as usize].up, up)
+        let was = std::mem::replace(&mut self.links[id.0 as usize].up, up);
+        self.down = self.down + usize::from(was) - usize::from(up);
+        was
     }
 
     /// Sets a node's operational state (switch failure). Returns the
     /// previous state.
     pub fn set_node_up(&mut self, id: NodeId, up: bool) -> bool {
-        std::mem::replace(&mut self.nodes[id.0 as usize].up, up)
+        let was = std::mem::replace(&mut self.nodes[id.0 as usize].up, up);
+        self.down = self.down + usize::from(was) - usize::from(up);
+        was
     }
 
-    /// Whether any link or node is currently down.
+    /// Number of links and nodes currently down (administratively; a
+    /// link down only through a failed endpoint is not counted).
+    pub fn down_count(&self) -> usize {
+        self.down
+    }
+
+    /// Whether any link or node is currently down. When not, every link
+    /// is effectively up.
     pub fn has_failures(&self) -> bool {
-        self.nodes.iter().any(|n| !n.up) || self.links.iter().any(|l| !l.up)
+        self.down != 0
     }
 
     /// The reverse direction of `id`'s cable, if one exists: the first
@@ -439,12 +471,6 @@ impl Topology {
     }
 }
 
-impl Default for Topology {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -589,6 +615,55 @@ mod tests {
         let c = t.add_node(NodeKind::Switch, "c");
         let one_way = t.add_link(b, c, 10.0);
         assert_eq!(t.reverse_of(one_way), None);
+    }
+
+    #[test]
+    fn down_count_follows_every_transition() {
+        let mut t = Topology::single_switch(3, 100.0);
+        let (nic, sw) = (t.nic_link(t.servers()[0]), NodeId(0));
+        assert!(t.set_link_up(nic, false));
+        assert!(
+            !t.set_link_up(nic, false),
+            "a repeated fault is no transition"
+        );
+        assert!(t.set_node_up(sw, false));
+        assert_eq!((t.down_count(), t.has_failures()), (2, true));
+        assert!(!t.set_link_up(nic, true));
+        assert!(t.set_link_up(nic, true));
+        assert_eq!(t.down_count(), 1);
+        assert!(!t.set_node_up(sw, true));
+        assert_eq!((t.down_count(), t.has_failures()), (0, false));
+    }
+
+    #[test]
+    fn serde_round_trip_recounts_what_is_down() {
+        let mut t = Topology::spine_leaf(&SpineLeafConfig::tiny(2));
+        let r = crate::routing::Routes::compute(&t);
+        let s = t.servers().to_vec();
+        t.set_link_up(t.nic_link(s[1]), false);
+        t.set_node_up(NodeId(0), false);
+        let json = serde_json::to_string(&t).unwrap();
+        assert!(!json.contains("down"), "the count is derived, not stored");
+        let back: Topology = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.down_count(), 2);
+        assert!(back.has_failures());
+        // Same liveness everywhere, so the same paths through the same
+        // (stale) tables, and the same after re-convergence.
+        let mut fresh = crate::routing::Routes::compute(&t);
+        for (i, &a) in s.iter().enumerate() {
+            for &b in &s {
+                let tag = i as u64 * 7919;
+                assert_eq!(r.path(&t, a, b, tag), r.path(&back, a, b, tag));
+                assert_eq!(fresh.path(&t, a, b, tag), fresh.path(&back, a, b, tag));
+            }
+        }
+        fresh.recompute(&back);
+        assert_eq!(fresh.path(&back, s[1], s[0], 3), None, "s1's NIC is down");
+        // A healthy payload loads healthy.
+        let healthy: Topology =
+            serde_json::from_str(&serde_json::to_string(&Topology::single_switch(2, 1.0)).unwrap())
+                .unwrap();
+        assert!(!healthy.has_failures());
     }
 
     #[test]

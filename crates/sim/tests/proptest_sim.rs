@@ -3,12 +3,54 @@
 
 use proptest::prelude::*;
 use saba_sim::engine::{Event, FairShareFabric, FlowSpec, Simulation};
-use saba_sim::ids::{AppId, LinkId, ServiceLevel};
+use saba_sim::ids::{AppId, LinkId, NodeId, ServiceLevel};
 use saba_sim::routing::{LinkMembers, Routes};
 use saba_sim::sharing::{
     compute_rates, compute_rates_into, SharingConfig, SharingFlow, SharingScratch,
 };
 use saba_sim::topology::{SpineLeafConfig, Topology};
+
+/// `Routes::path`'s contract, built from the topology and `distance`
+/// alone — not from the forwarding table `path` scans: at each hop, the
+/// live out-links (in `out_links` order) whose far end is one hop nearer
+/// to `dst`, indexed by the same hash of `(tag, hop)`.
+fn next_hops_then_pick(
+    topo: &Topology,
+    routes: &Routes,
+    src: NodeId,
+    dst: NodeId,
+    tag: u64,
+) -> Option<Vec<LinkId>> {
+    fn splitmix64(mut z: u64) -> u64 {
+        z = z.wrapping_add(0x9E3779B97F4A7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+        z ^ (z >> 31)
+    }
+    let mut path = Vec::new();
+    let (mut here, mut hop) = (src, 0u64);
+    while here != dst {
+        let to_go = routes.distance(here, dst)?;
+        let hops: Vec<LinkId> = topo
+            .out_links(here)
+            .iter()
+            .copied()
+            .filter(|&l| {
+                topo.link_is_up(l) && routes.distance(topo.link(l).to, dst) == Some(to_go - 1)
+            })
+            .collect();
+        if hops.is_empty() {
+            return None;
+        }
+        let pick =
+            splitmix64(tag.wrapping_add(hop.wrapping_mul(0x9E3779B97F4A7C15))) % hops.len() as u64;
+        let link = hops[pick as usize];
+        path.push(link);
+        here = topo.link(link).to;
+        hop += 1;
+    }
+    Some(path)
+}
 
 /// Strategy: a set of random flows over `n_links` links.
 fn arb_flows(n_links: usize, max_flows: usize) -> impl Strategy<Value = Vec<SharingFlow>> {
@@ -350,11 +392,13 @@ proptest! {
             "full {full}, throttled {throttled}, frac {frac}");
     }
 
-    /// `Routes::path` picks its hops in place; the reference collects
-    /// every hop's equal-cost candidates with `next_hops` and indexes
-    /// them with the same hash. Same candidate order, same pick, same
-    /// path — on healthy fabrics and around failed cables, whether or
-    /// not the tables have re-converged since the failure.
+    /// `Routes::path` picks its hops in place off the forwarding table;
+    /// the reference (`next_hops_then_pick`) collects every hop's
+    /// equal-cost candidates from the topology and `distance` and
+    /// indexes them with the same hash. Same candidate order, same pick,
+    /// same path — on healthy fabrics and around failed cables, whether
+    /// or not the tables have re-converged since the failure — and
+    /// `next_hops` lists the reference's candidates.
     #[test]
     fn path_is_next_hops_then_pick(
         servers_per_tor in 1usize..4,
@@ -362,12 +406,6 @@ proptest! {
         failed in prop::collection::vec(0usize..4096, 0..4),
         reconverge in any::<bool>(),
     ) {
-        fn splitmix64(mut z: u64) -> u64 {
-            z = z.wrapping_add(0x9E3779B97F4A7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^ (z >> 31)
-        }
         let mut topo = Topology::spine_leaf(&SpineLeafConfig::tiny(servers_per_tor));
         let mut routes = Routes::compute(&topo);
         for f in failed {
@@ -379,22 +417,24 @@ proptest! {
         let s = topo.servers().to_vec();
         for (a, b, tag) in pairs {
             let (src, dst) = (s[a % s.len()], s[b % s.len()]);
-            let mut want = Some(Vec::new());
-            let (mut here, mut hop) = (src, 0u64);
-            while here != dst {
-                let hops = routes.next_hops(&topo, here, dst);
-                if hops.is_empty() {
-                    want = None;
-                    break;
-                }
-                let pick = splitmix64(tag.wrapping_add(hop.wrapping_mul(0x9E3779B97F4A7C15)))
-                    % hops.len() as u64;
-                let link = hops[pick as usize];
-                want.as_mut().expect("still connected").push(link);
-                here = topo.link(link).to;
-                hop += 1;
-            }
-            prop_assert_eq!(routes.path(&topo, src, dst, tag), want);
+            prop_assert_eq!(
+                routes.path(&topo, src, dst, tag),
+                next_hops_then_pick(&topo, &routes, src, dst, tag)
+            );
+            // The first hop's candidates, as `next_hops` lists them.
+            let want: Vec<LinkId> = match routes.distance(src, dst) {
+                Some(d) if d > 0 => topo
+                    .out_links(src)
+                    .iter()
+                    .copied()
+                    .filter(|&l| {
+                        topo.link_is_up(l)
+                            && routes.distance(topo.link(l).to, dst) == Some(d - 1)
+                    })
+                    .collect(),
+                _ => Vec::new(),
+            };
+            prop_assert_eq!(routes.next_hops(&topo, src, dst), want);
         }
     }
 
@@ -536,4 +576,51 @@ fn all_to_all_epoch_matches_with_reused_scratch() {
             assert_eq!(r, want, "epoch {epoch}, flow {i}: {r} != {want}");
         }
     }
+}
+
+/// A node with more equal-cost next hops than `Routes::path` keeps on
+/// the stack (64): `src` reaches `dst` through any of 150 parallel
+/// switches, so most picks land past the buffer and take the re-scan.
+/// Every tag still routes exactly like the reference, healthy, with
+/// middles cut while the tables are stale, and after they re-converge.
+#[test]
+fn a_wider_fanout_than_the_stack_buffer_routes_like_the_reference() {
+    use saba_sim::topology::NodeKind;
+    let mut topo = Topology::new();
+    let src = topo.add_node(NodeKind::Switch, "src");
+    let dst = topo.add_node(NodeKind::Switch, "dst");
+    for i in 0..150 {
+        let mid = topo.add_node(NodeKind::Switch, format!("mid{i}"));
+        topo.add_cable(src, mid, 1.0);
+        topo.add_cable(mid, dst, 1.0);
+    }
+    let mut routes = Routes::compute(&topo);
+    let check = |topo: &Topology, routes: &Routes| {
+        let mut past_the_buffer = 0;
+        for tag in 0..400u64 {
+            let got = routes.path(topo, src, dst, tag).expect("connected");
+            assert_eq!(
+                Some(&got),
+                next_hops_then_pick(topo, routes, src, dst, tag).as_ref(),
+                "tag {tag}"
+            );
+            let candidates = routes.next_hops(topo, src, dst);
+            let pick = candidates.iter().position(|&l| l == got[0]);
+            past_the_buffer += usize::from(pick.expect("a candidate") >= 64);
+        }
+        assert!(
+            past_the_buffer > 100,
+            "{past_the_buffer} picks past the buffer"
+        );
+    };
+    check(&topo, &routes);
+    // Cut every third link from `src` into a middle: 100 candidates.
+    for i in (0..150).step_by(3) {
+        let cut = topo.out_links(src)[i];
+        assert_eq!(topo.link(cut).to, NodeId(2 + i as u32));
+        topo.set_link_up(cut, false);
+    }
+    check(&topo, &routes);
+    routes.recompute(&topo);
+    check(&topo, &routes);
 }
