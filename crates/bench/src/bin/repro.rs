@@ -40,7 +40,7 @@ use saba_workload::trace::{utilization_series, zip_trace};
 use saba_workload::{
     catalog, run_jobs, workload_by_name, JobPlan, JobRuntime, WorkloadClass, WorkloadSpec,
 };
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -77,9 +77,21 @@ type Row = (String, Vec<f64>);
 /// `--quick` smoke scale writing nothing.
 struct Run {
     quick: bool,
+    /// Set when a claim an experiment checks does not hold: `repro`
+    /// then exits 1 once every experiment has run.
+    failed: Cell<bool>,
 }
 
 impl Run {
+    /// Checks one of the paper's claims on this run's numbers; a false
+    /// one is reported on stderr and fails the run.
+    fn check(&self, holds: bool, claim: impl FnOnce() -> String) {
+        if !holds {
+            eprintln!("repro: {}", claim());
+            self.failed.set(true);
+        }
+    }
+
     /// Writes `contents` to `results/<file>`; a quick run writes nothing.
     fn write(&self, file: &str, contents: &str) {
         if !self.quick {
@@ -153,9 +165,15 @@ fn main() {
         eprintln!("repro: {e}");
         std::process::exit(2)
     });
-    let run = Run { quick };
+    let run = Run {
+        quick,
+        failed: Cell::new(false),
+    };
     for (_, experiment) in experiments {
         experiment(&run);
+    }
+    if run.failed.get() {
+        std::process::exit(1);
     }
 }
 
@@ -738,22 +756,36 @@ fn fig10(run: &Run) {
 /// Figure 11 — controller design and queue count (§8.4 studies 7–8) on
 /// the Fig. 10 setup: (a) centralized vs distributed controller, (b)
 /// speedup against queues per port (16 = one per PL is the ceiling here).
+/// Fails the run when (a)'s two rows are more than 2 % apart: the paper
+/// has the distributed design "within a couple of percent".
 fn fig11(run: &Run) {
     let dc = Datacenter::new(run.quick);
     let avg = |policy: Policy| vec![dc.speedups(&policy).average];
+    let central = dc.speedups(&Policy::Saba(dense_saba())).average;
+    let distributed = dc
+        .speedups(&Policy::SabaDistributed(dense_saba(), 16))
+        .average;
+    let gap = (distributed - central).abs() / central;
     run.rows(
         "Figure 11a: centralized vs distributed controller",
         "fig11a_controller.csv",
         "controller,avg_speedup",
         &[
-            ("centralized".into(), avg(Policy::Saba(dense_saba()))),
-            (
-                "distributed".into(),
-                avg(Policy::SabaDistributed(dense_saba(), 16)),
-            ),
+            ("centralized".into(), vec![central]),
+            ("distributed".into(), vec![distributed]),
         ],
     );
-    println!("paper anchors: centralized 1.27, distributed 1.23");
+    println!(
+        "paper anchors: centralized 1.27, distributed 1.23; here {:.2} % apart (at most 2 %)",
+        100.0 * gap
+    );
+    run.check(gap <= 0.02, || {
+        format!(
+            "Figure 11a: distributed {distributed:.4} is {:.2} % from centralized \
+             {central:.4}, more than 2 %",
+            100.0 * gap
+        )
+    });
 
     let rows: Vec<Row> = [2usize, 4, 8, 16]
         .into_iter()

@@ -2,16 +2,15 @@
 //!
 //! The controllers reprogram incrementally: dirty-port tracking limits
 //! each epoch to ports whose application set changed, Eq. 2 solves are
-//! memoized (and, on the distributed flavour's cubic centroids,
-//! warm-started from the previous epoch), and a diff against the last
-//! programmed state suppresses no-op `SwitchUpdate`s. None of that may
-//! be *observable*: after every single churn event, the switch state
-//! accumulated from the incremental controller's emitted updates must
-//! match what a from-scratch controller — same registrations, the
-//! currently-live connections preloaded, one full recompute — would
-//! program. This suite drives seeded churn scripts through both
-//! flavours and diffs per-port queue weights (1e-12 rtol central, 1e-6
-//! distributed), SL-to-queue maps (exact), the PL map (exact), and the
+//! memoized (on the distributed flavour, by PL set), and a diff
+//! against the last programmed state suppresses no-op `SwitchUpdate`s.
+//! None of that may be *observable*: after every single churn event,
+//! the switch state accumulated from the incremental controller's
+//! emitted updates must match what a from-scratch controller — same
+//! registrations, the currently-live connections preloaded, one full
+//! recompute — would program. This suite drives seeded churn scripts
+//! through both flavours and diffs per-port queue weights (1e-12
+//! rtol), SL-to-queue maps (exact), the PL map (exact), and the
 //! programmed port *sets* after each event.
 
 use crate::oracles::check_weight_budget;
@@ -29,17 +28,12 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Per-queue weight tolerance between the incremental state and the
-/// from-scratch recompute. Both run the same solver over the same
-/// inputs — warm starts are certified against the cold KKT point and
-/// fall back to cold otherwise — so the bound is pure floating-point
-/// noise, not an algorithmic gap.
-pub const INCREMENTAL_RTOL: f64 = 1e-6;
-
-/// The central flavour's tolerance in [`incremental_vs_scratch`]: its
-/// ports are solved exactly from the member set alone, so incremental
-/// and from-scratch states differ by nothing an epoch's history could
+/// from-scratch recompute, both flavours. Every port is solved exactly
+/// from its member set alone — the central flavour's applications and
+/// the distributed flavour's PLs alike — so incremental and
+/// from-scratch states differ by nothing an epoch's history could
 /// explain.
-pub const CENTRAL_RTOL: f64 = 1e-12;
+pub const INCREMENTAL_RTOL: f64 = 1e-12;
 
 /// One connection-churn event of a [`ChurnScript`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -158,17 +152,7 @@ pub fn diff_switch_states(
     programmed: &BTreeMap<u32, PortQueueConfig>,
     scratch: &[SwitchUpdate],
 ) -> Result<(), String> {
-    diff_switch_states_at(INCREMENTAL_RTOL, flavour, step, programmed, scratch)
-}
-
-/// [`diff_switch_states`] at an explicit relative tolerance.
-pub fn diff_switch_states_at(
-    rtol: f64,
-    flavour: &str,
-    step: usize,
-    programmed: &BTreeMap<u32, PortQueueConfig>,
-    scratch: &[SwitchUpdate],
-) -> Result<(), String> {
+    let rtol = INCREMENTAL_RTOL;
     let scratch_map: BTreeMap<u32, &PortQueueConfig> =
         scratch.iter().map(|u| (u.link.0, &u.config)).collect();
     for (&link, cfg) in &scratch_map {
@@ -237,7 +221,6 @@ pub(crate) fn apply_updates(
 /// recompute.
 fn churn_vs_scratch<P: Policy>(
     flavour: &str,
-    rtol: f64,
     sc: &ChurnScript,
     servers: &[NodeId],
     fresh: impl Fn() -> Controller<P>,
@@ -287,23 +270,23 @@ fn churn_vs_scratch<P: Policy>(
                 ));
             }
         }
-        diff_switch_states_at(rtol, flavour, step, &programmed, &solved)?;
+        diff_switch_states(flavour, step, &programmed, &solved)?;
     }
     Ok(())
 }
 
 /// Runs the incremental-vs-scratch differential over both controller
-/// flavours: [`CENTRAL_RTOL`] central, [`INCREMENTAL_RTOL`] distributed.
+/// flavours at [`INCREMENTAL_RTOL`].
 pub fn incremental_vs_scratch(sc: &ChurnScript) -> Result<(), String> {
     let table = sc.table();
     let topo = sc.topology();
     let cfg = ControllerConfig::default();
     let servers = topo.servers();
     let db = MappingDb::build(&table, cfg.num_pls, cfg.seed);
-    churn_vs_scratch("central", CENTRAL_RTOL, sc, servers, || {
+    churn_vs_scratch("central", sc, servers, || {
         CentralController::new(cfg.clone(), table.clone(), &topo)
     })?;
-    churn_vs_scratch("distributed", INCREMENTAL_RTOL, sc, servers, || {
+    churn_vs_scratch("distributed", sc, servers, || {
         DistributedController::new(cfg.clone(), db.clone(), &topo, 2)
     })
 }

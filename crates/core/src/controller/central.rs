@@ -26,6 +26,7 @@ use crate::sensitivity::{SensitivityModel, SensitivityTable};
 use saba_math::SolveScratch;
 use saba_sim::ids::{AppId, LinkId};
 use saba_sim::topology::Topology;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// The centralized Saba controller.
@@ -126,23 +127,26 @@ impl Policy for Central {
     type Key = std::convert::Infallible;
 
     /// Looks up the profiled sensitivity model, interns its surrogate on
-    /// the workload's first registration and assigns a PL online.
+    /// the workload's first registration and assigns a PL online. A
+    /// model with no finite surrogate is refused like a missing one, and
+    /// leaves no trace.
     fn register(
         &mut self,
         cfg: &ControllerConfig,
         app: AppId,
         workload: &str,
     ) -> Result<usize, ControllerError> {
-        let model = self
-            .table
-            .get(workload)
-            .ok_or_else(|| ControllerError::UnknownWorkload(workload.to_string()))?;
-        let surrogates = &mut self.surrogates;
-        let slot = self.slot_of_workload.entry(workload.to_string());
-        let slot = *slot.or_insert_with(|| {
-            surrogates.push(ModelSurrogate::of(model, cfg.c_saba));
-            u16::try_from(surrogates.len() - 1).expect("a controller serves < 65,536 workloads")
-        });
+        let unknown = || ControllerError::UnknownWorkload(workload.to_string());
+        let model = self.table.get(workload).ok_or_else(unknown)?;
+        let slot = match self.slot_of_workload.entry(workload.to_string()) {
+            Entry::Occupied(slot) => *slot.get(),
+            Entry::Vacant(slot) => {
+                let surrogate = ModelSurrogate::of(model, cfg.c_saba).map_err(|_| unknown())?;
+                self.surrogates.push(surrogate);
+                let index = u16::try_from(self.surrogates.len() - 1);
+                *slot.insert(index.expect("a controller serves < 65,536 workloads"))
+            }
+        };
         let pl = self.assigner.assign(app, model.coefficients());
         let sl = u8::try_from(pl).expect("a PL is an SL");
         self.apps.insert(app, AppMember { app, pl: sl, slot });
@@ -168,17 +172,21 @@ impl Policy for Central {
     /// ports those applications cross are revisited (a
     /// published-centroid move widens the sweep like any other
     /// mapper-staleness event). A model identical to the current table
-    /// entry is a structural no-op; with no registered application of
-    /// the workload only the table (and its slot, if one exists) changes.
+    /// entry is a structural no-op, and so is one with no finite
+    /// surrogate; with no registered application of the workload only
+    /// the table (and its slot, if one exists) changes.
     fn update_model(&mut self, cfg: &ControllerConfig, model: &SensitivityModel) -> Vec<AppMember> {
         if self.table.get(&model.workload) == Some(model) {
             return Vec::new();
         }
+        let Ok(surrogate) = ModelSurrogate::of(model, cfg.c_saba) else {
+            return Vec::new();
+        };
         self.table.insert(model.clone());
         let Some(&slot) = self.slot_of_workload.get(&model.workload) else {
             return Vec::new();
         };
-        self.surrogates[usize::from(slot)] = ModelSurrogate::of(model, cfg.c_saba);
+        self.surrogates[usize::from(slot)] = surrogate;
         let affected: Vec<AppMember> = self
             .apps
             .values()
@@ -631,6 +639,53 @@ mod tests {
             let bits = |ws: &[f64]| ws.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&u.config.weights), bits(&want), "link {}", u.link.0);
         }
+    }
+
+    /// A table entry whose predictions are finite but of order 1e308:
+    /// no quadratic surrogate of it has finite coefficients.
+    fn hostile(workload: &str) -> SensitivityModel {
+        let lr = table().get("LR").unwrap().clone();
+        SensitivityModel {
+            workload: workload.into(),
+            poly: saba_math::Polynomial::new(vec![1e308, -1e308, 1e308]),
+            ..lr
+        }
+    }
+
+    /// Such a model is refused at `register` with an existing wire
+    /// error, never reaches a port solve (which used to panic on the
+    /// first contended `conn_create`), and leaves the other
+    /// applications' ports as a controller without it programs them.
+    /// A refit to it changes nothing.
+    #[test]
+    fn a_model_without_a_finite_surrogate_is_refused_at_register() {
+        let topo = Topology::single_switch(8, saba_sim::LINK_56G_BPS);
+        let s = topo.servers();
+        let mut with = table();
+        with.insert(hostile("Hostile"));
+        let mut c = CentralController::new(ControllerConfig::default(), with, &topo);
+        let mut plain = CentralController::new(ControllerConfig::default(), table(), &topo);
+        for ctl in [&mut c, &mut plain] {
+            ctl.register(AppId(0), "LR").unwrap();
+        }
+        assert_eq!(
+            c.register(AppId(1), "Hostile").unwrap_err(),
+            ControllerError::UnknownWorkload("Hostile".into())
+        );
+        assert_eq!(c.num_apps(), 1);
+        assert!(c.policy.surrogates.len() == 1 && c.policy.slot_of_workload.len() == 1);
+        for ctl in [&mut c, &mut plain] {
+            ctl.register(AppId(1), "PR").unwrap();
+        }
+        for (tag, app) in [(1, 0), (2, 1)] {
+            assert_eq!(
+                c.conn_create(AppId(app), s[0], s[1], tag).unwrap(),
+                plain.conn_create(AppId(app), s[0], s[1], tag).unwrap()
+            );
+        }
+        assert!(c.update_model(&hostile("LR")).is_empty());
+        assert_eq!(c.policy.table.get("LR"), table().get("LR"));
+        assert_eq!(c.recompute_all(), plain.recompute_all());
     }
 
     #[test]

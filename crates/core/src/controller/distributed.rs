@@ -7,9 +7,11 @@
 //! computed **offline by the profiler** (batch K-means over the whole
 //! sensitivity table) and served from a shared, replicable
 //! [`MappingDb`]. Consequently shards see applications only at PL
-//! granularity and solve Eq. 2 over PL *centroids* — the
-//! accuracy-for-scalability trade the paper measures as a ≈4 % speedup
-//! loss versus the centralized design (§8.4 study 7).
+//! granularity and solve Eq. 2 over PL *centroids* — each through its
+//! convex quadratic surrogate and the same exact dual solve as the
+//! centralized design — the accuracy-for-scalability trade the paper
+//! measures as a ≈4 % speedup loss versus the centralized design (§8.4
+//! study 7).
 //!
 //! A connection create is sent to the shard owning the first switch on
 //! the path, which configures its own links and *forwards* the request
@@ -22,7 +24,7 @@
 
 use crate::controller::epoch::{Controller, Policy};
 use crate::controller::queuemap::QueueMapper;
-use crate::controller::weights::centroid_weights_warm;
+use crate::controller::weights::{port_weights_from_surrogates, ModelSurrogate};
 use crate::controller::{ControllerConfig, ControllerError};
 use crate::sensitivity::{padded_coeffs, SensitivityModel, SensitivityTable};
 use rand::SeedableRng;
@@ -56,7 +58,9 @@ impl MappingDb {
     ///
     /// # Panics
     ///
-    /// Panics if the table is empty.
+    /// Panics if the table is empty, or if squared distances between
+    /// its coefficient vectors overflow (coefficients of order 1e154 and
+    /// up): K-means seeding then draws from a non-finite range.
     pub fn build(table: &SensitivityTable, num_pls: usize, seed: u64) -> Self {
         assert!(
             !table.is_empty(),
@@ -229,13 +233,14 @@ pub struct Distributed {
     link_shard: Vec<usize>,
     num_shards: usize,
     apps: BTreeMap<AppId, usize>,
+    /// The solver input of each PL, indexed by PL: its centroid's
+    /// convex surrogate, `None` for a PL that has no centroid or whose
+    /// centroid has no finite surrogate (its workloads cannot register).
+    surrogates: Vec<Option<ModelSurrogate>>,
     /// Eq. 2 solutions memoized by the PL set. Centroids are fixed by
     /// the offline database except when a re-profiled model moves one,
-    /// which purges every entry naming the moved PL.
+    /// which refits that PL's surrogate and purges every entry naming it.
     weight_cache: HashMap<Vec<usize>, Vec<f64>>,
-    /// Previous-epoch (PL set, weights) per port — warm seeds for the
-    /// next solve at that port.
-    last_weights: HashMap<u32, (Vec<usize>, Vec<f64>)>,
 }
 
 impl Controller<Distributed> {
@@ -258,13 +263,17 @@ impl Controller<Distributed> {
         let link_shard = (0..topo.num_links())
             .map(|l| topo.link(LinkId(l as u32)).from.0 as usize % num_shards)
             .collect();
+        let mut surrogates = vec![None; ServiceLevel::COUNT];
+        for (pl, centroid) in db.centroids() {
+            surrogates[*pl] = ModelSurrogate::of_centroid(centroid, cfg.c_saba).ok();
+        }
         let policy = Distributed {
             db,
             link_shard,
             num_shards,
             apps: BTreeMap::new(),
+            surrogates,
             weight_cache: HashMap::new(),
-            last_weights: HashMap::new(),
         };
         Self::with_policy(cfg, topo, policy)
     }
@@ -279,7 +288,9 @@ impl Policy for Distributed {
     type Member = usize;
     type Key = Vec<usize>;
 
-    /// A pure database lookup, no clustering (that happened offline).
+    /// A pure database lookup, no clustering (that happened offline). A
+    /// workload whose PL has no surrogate is as unknown as one the
+    /// database never clustered.
     fn register(
         &mut self,
         _cfg: &ControllerConfig,
@@ -289,6 +300,7 @@ impl Policy for Distributed {
         let pl = self
             .db
             .pl_of(workload)
+            .filter(|&pl| self.surrogates.get(pl).is_some_and(Option::is_some))
             .ok_or_else(|| ControllerError::UnknownWorkload(workload.to_string()))?;
         self.apps.insert(app, pl);
         Ok(pl)
@@ -299,20 +311,29 @@ impl Policy for Distributed {
     }
 
     /// The shared database replaces the workload's clustering point and
-    /// recomputes its PL centroid. When the centroid moved, memoized
-    /// solutions naming that PL are purged — the one event that can
-    /// invalidate the PL-set cache — and, because the PL hierarchy was
-    /// rebuilt, even ports without the refit PL can map queues
-    /// differently: every PL's ports are revisited and the diff
-    /// suppresses the ones that did not change. Unknown workloads and
-    /// refits that leave the centroid in place touch nothing.
-    fn update_model(&mut self, _cfg: &ControllerConfig, model: &SensitivityModel) -> Vec<usize> {
+    /// recomputes its PL centroid. When the centroid moved, that PL's
+    /// surrogate is refit and memoized solutions naming it are purged —
+    /// the one event that can invalidate the PL-set cache — and,
+    /// because the PL hierarchy was rebuilt, even ports without the
+    /// refit PL can map queues differently: every PL's ports are
+    /// revisited and the diff suppresses the ones that did not change.
+    /// Unknown workloads, refits that leave the centroid in place and
+    /// refits that move it where no finite surrogate fits touch nothing.
+    fn update_model(&mut self, cfg: &ControllerConfig, model: &SensitivityModel) -> Vec<usize> {
         let Some(pl) = self.db.pl_of(&model.workload) else {
             return Vec::new();
         };
-        if self.db.update_coeffs(&model.workload, model.coefficients()) != Some(true) {
+        let mut db = self.db.clone();
+        if db.update_coeffs(&model.workload, model.coefficients()) != Some(true) {
             return Vec::new();
         }
+        let centroid = db.centroids().iter().find(|(p, _)| *p == pl);
+        let centroid = &centroid.expect("an assigned PL has a centroid").1;
+        let Ok(surrogate) = ModelSurrogate::of_centroid(centroid, cfg.c_saba) else {
+            return Vec::new();
+        };
+        self.db = db;
+        self.surrogates[pl] = Some(surrogate);
         self.weight_cache.retain(|pls, _| !pls.contains(&pl));
         self.db.centroids().iter().map(|(p, _)| *p).collect()
     }
@@ -333,69 +354,39 @@ impl Policy for Distributed {
         self.weight_cache.get(present).map(Vec::as_slice)
     }
 
-    /// Every port is memoized: PL sets are few, shared across ports,
-    /// and a degree-3 centroid mix takes the iterative solver.
+    /// Every port is memoized: PL sets are few and shared across ports.
     fn key(&self, present: &[usize], _pls: &[usize]) -> Option<Vec<usize>> {
         Some(present.to_vec())
     }
 
-    /// Eq. 2 over the centroid model of each PL present (coarser than
-    /// the centralized per-application solve).
+    /// Eq. 2 over the centroid surrogate of each PL present (coarser
+    /// than the centralized per-application solve), one weight per PL.
     fn solve(
         &self,
         cfg: &ControllerConfig,
         present: &Vec<usize>,
-        link: LinkId,
         scratch: &mut SolveScratch,
     ) -> Vec<f64> {
-        let centroids: Vec<Vec<f64>> = present
-            .iter()
-            .map(|&pl| {
-                let (_, centroid) = self
-                    .db
-                    .centroids()
-                    .iter()
-                    .find(|(p, _)| *p == pl)
-                    .expect("present PL exists in the DB");
-                centroid.clone()
-            })
-            .collect();
-        // Warm seed: the port's previous-epoch weights, matched by PL;
-        // newly arrived PLs start at the fair share. `solve_from`
-        // certifies the warm result against the cold KKT point, so the
-        // memoized value is identical either way.
-        let seed: Option<Vec<f64>> = self.last_weights.get(&link.0).map(|(pp, pw)| {
-            let fair = cfg.c_saba / present.len() as f64;
-            present
-                .iter()
-                .map(|pl| pp.iter().position(|x| x == pl).map_or(fair, |i| pw[i]))
-                .collect()
+        let surrogates = present.iter().map(|&pl| {
+            self.surrogates[pl]
+                .as_ref()
+                .expect("a registered PL has a surrogate")
         });
-        centroid_weights_warm(
-            &centroids,
+        let mut weights = Vec::with_capacity(present.len());
+        port_weights_from_surrogates(
+            surrogates,
             cfg.c_saba,
             cfg.min_weight,
             cfg.protect_fraction,
-            seed.as_deref(),
             scratch,
+            &mut weights,
         )
-        .expect("non-empty feasible weight problem")
+        .expect("non-empty feasible weight problem");
+        weights
     }
 
     fn store(&mut self, present: Vec<usize>, weights: Vec<f64>) {
         self.weight_cache.insert(present, weights);
-    }
-
-    /// One weight per PL present is already one per member; the port
-    /// remembers it as the next solve's seed.
-    fn settle(&mut self, link: LinkId, present: &[usize], _: &[usize], solved: &mut Vec<f64>) {
-        let (pls, weights) = self.last_weights.entry(link.0).or_default();
-        present.clone_into(pls);
-        weights.clone_from(solved);
-    }
-
-    fn vacate(&mut self, link: LinkId) {
-        self.last_weights.remove(&link.0);
     }
 
     fn num_shards(&self) -> usize {
@@ -598,6 +589,30 @@ mod tests {
         );
         // A second identical push finds the centroid already in place.
         assert!(c.update_model(&refit).is_empty());
+    }
+
+    /// A refit that would move a centroid where no finite surrogate
+    /// fits changes nothing: not the database, not a port.
+    #[test]
+    fn a_refit_with_no_finite_centroid_surrogate_changes_nothing() {
+        let t = table();
+        let db = MappingDb::build(&t, 16, 1);
+        let topo = Topology::single_switch(4, saba_sim::LINK_56G_BPS);
+        let mut c = DistributedController::new(ControllerConfig::default(), db, &topo, 2);
+        c.register(AppId(0), "LR").unwrap();
+        c.register(AppId(1), "Sort").unwrap();
+        let s = topo.servers();
+        c.conn_create(AppId(0), s[0], s[1], 1).unwrap();
+        c.conn_create(AppId(1), s[0], s[1], 2).unwrap();
+        let before = c.recompute_all();
+        let centroids = c.policy.db.centroids().to_vec();
+        let hostile = SensitivityModel {
+            poly: saba_math::Polynomial::new(vec![1e308, -1e308, 1e308]),
+            ..t.get("LR").unwrap().clone()
+        };
+        assert!(c.update_model(&hostile).is_empty());
+        assert_eq!(c.policy.db.centroids(), &centroids[..]);
+        assert_eq!(c.recompute_all(), before);
     }
 
     #[test]

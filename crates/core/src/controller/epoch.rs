@@ -12,10 +12,10 @@
 //! | seam | [`Central`](super::central::Central) | [`Distributed`](super::distributed::Distributed) |
 //! |---|---|---|
 //! | member on a port | `AppId` with its sticky PL | PL |
-//! | memo key → solve | none — the exact dual solve of every port, at any width, writes into the visit's weight buffer (one app: `[C_saba]`, no solve) | PL set → centroid solve, warm-seeded from the port's last weights |
+//! | memo key → solve | none — the exact dual solve of every port, at any width, writes into the visit's weight buffer (one app: `[C_saba]`, no solve) | PL set → the same exact solve over the PLs' centroid surrogates |
 //! | PL and queue mapper | online `PlAssigner` (deferred full sweep when the published centroids move) | offline `MappingDb` |
 //! | partition | one domain | link shards |
-//! | memo purge | none: there is no memo (a refit rewrites its workload's surrogate slot) | entries naming a PL whose centroid moved |
+//! | memo purge | none: there is no memo (a refit rewrites its workload's surrogate slot) | entries naming a PL whose centroid moved (its surrogate is refit) |
 //!
 //! A port visit costs O(members) and allocates only what it emits,
 //! whether or not the controller ever saw the port's members before. It
@@ -126,9 +126,10 @@ impl std::ops::AddAssign for EpochStats {
 /// port, whether the memo is worth asking ([`Self::key`]); a port it
 /// does not memoize is solved in place by [`Self::solve_into`], which
 /// is how the central policy answers every port. [`Self::solve`] must
-/// be a pure function of `&self`, the key and the link: the parallel
-/// prewarm calls it from worker threads and relies on that for
-/// bit-identity with the serial sweep.
+/// be a pure function of `&self` and the key: the parallel prewarm
+/// calls it from worker threads and relies on that for bit-identity
+/// with the serial sweep. A port's solution is one weight per member,
+/// in member order.
 pub trait Policy: Clone + Debug + Sync {
     /// What a port's membership set is made of.
     type Member: Copy + Ord + Hash + Debug + Send + Sync;
@@ -186,14 +187,12 @@ pub trait Policy: Clone + Debug + Sync {
         None
     }
 
-    /// Solves Eq. 2 for `key`; `link` is the first port of the epoch
-    /// that asked for it. Never called on a policy whose [`Self::key`]
-    /// is always `None`.
+    /// Solves Eq. 2 for `key`. Never called on a policy whose
+    /// [`Self::key`] is always `None`.
     fn solve(
         &self,
         _cfg: &ControllerConfig,
         _key: &Self::Key,
-        _link: LinkId,
         _scratch: &mut SolveScratch,
     ) -> Vec<f64> {
         unreachable!("this policy memoizes no port")
@@ -217,20 +216,6 @@ pub trait Policy: Clone + Debug + Sync {
     ) -> bool {
         unreachable!("this policy memoizes every port")
     }
-
-    /// Turns a port's solution, in `weights`, into one weight per
-    /// member, in place.
-    fn settle(
-        &mut self,
-        _link: LinkId,
-        _members: &[Self::Member],
-        _pls: &[usize],
-        _weights: &mut Vec<f64>,
-    ) {
-    }
-
-    /// Called when an epoch finds `link` without members.
-    fn vacate(&mut self, _link: LinkId) {}
 
     /// Number of link shards the fabric is partitioned into.
     fn num_shards(&self) -> usize {
@@ -721,11 +706,10 @@ impl<P: Policy> Controller<P> {
     /// first-occurrence order. Returns the number of solves performed
     /// so the caller can reconcile the hit/solve counters.
     ///
-    /// Determinism: [`Policy::solve`] is pure, and whatever per-port
-    /// state it reads (warm seeds) is only written by the sweep, after
-    /// this phase — so values are independent of scheduling.
+    /// Determinism: [`Policy::solve`] is a pure function of the key, so
+    /// values are independent of scheduling.
     fn prewarm(&mut self, links: &[LinkId]) -> u64 {
-        let mut jobs: Vec<(P::Key, LinkId)> = Vec::new();
+        let mut jobs: Vec<P::Key> = Vec::new();
         let mut queued: HashSet<P::Key> = HashSet::new();
         for &link in links {
             if !self.read_row(link) {
@@ -738,7 +722,7 @@ impl<P: Policy> Controller<P> {
                 continue;
             };
             if queued.insert(key.clone()) {
-                jobs.push((key, link));
+                jobs.push(key);
             }
         }
         if jobs.is_empty() {
@@ -749,10 +733,10 @@ impl<P: Policy> Controller<P> {
             jobs.len(),
             self.solver_threads,
             SolveScratch::new,
-            |scratch, j| policy.solve(cfg, &jobs[j].0, jobs[j].1, scratch),
+            |scratch, j| policy.solve(cfg, &jobs[j], scratch),
         );
         let n = jobs.len() as u64;
-        for ((key, _), w) in jobs.into_iter().zip(solved) {
+        for (key, w) in jobs.into_iter().zip(solved) {
             self.policy.store(key, w);
         }
         n
@@ -772,7 +756,6 @@ impl<P: Policy> Controller<P> {
     /// currently crossing it (§5.1 weight calculation + §5.3 mapping).
     fn port_config(&mut self, link: LinkId) -> PortQueueConfig {
         if !self.read_row(link) {
-            self.policy.vacate(link);
             return PortQueueConfig::default();
         }
         let (members, pls, weights) = (&self.row, &self.pls, &mut self.weights);
@@ -785,7 +768,7 @@ impl<P: Policy> Controller<P> {
             }
             None => match self.policy.key(members, pls) {
                 Some(key) => {
-                    let w = self.policy.solve(cfg, &key, link, scratch);
+                    let w = self.policy.solve(cfg, &key, scratch);
                     weights.extend_from_slice(&w);
                     self.policy.store(key, w);
                     true
@@ -795,7 +778,6 @@ impl<P: Policy> Controller<P> {
         };
         self.stats.eq2_solves += u64::from(solved);
         self.stats.solves_skipped += u64::from(!solved);
-        self.policy.settle(link, members, pls, weights);
 
         // The hierarchy level at which the PLs present fit the queue
         // budget; a reserved non-Saba share (§3 co-existence) takes one

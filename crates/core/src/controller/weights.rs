@@ -4,26 +4,31 @@
 //! switch output port, find the weights minimizing the total predicted
 //! slowdown subject to `Σ wᵢ = C_saba`. The paper uses NLopt's SLSQP;
 //! we solve over convex quadratic surrogates of the fitted models, which
-//! `saba-math`'s exact dual solve handles in closed form — the answer is
-//! a pure function of the member set, so the centralized path carries no
-//! warm seeds and remembers no solutions: it solves each port straight
-//! into the caller's weight buffer
-//! ([`port_weights_from_surrogates`]) — with a starvation-protection
-//! floor on every application's share (see
-//! [`crate::controller::ControllerConfig::protect_fraction`]). PL
-//! centroids (the distributed flavour) are raw coefficient vectors;
-//! those of degree 3 take the iterative solver, warm-started.
+//! `saba-math`'s exact dual solve handles in closed form, with a
+//! starvation-protection floor on every application's share (see
+//! [`crate::controller::ControllerConfig::protect_fraction`]). Both
+//! controller flavours take this one path: the centralized one fits a
+//! surrogate to each workload's model, the distributed one to each PL
+//! centroid (§5.4). The answer is a pure function of the member set, so
+//! neither carries warm seeds: a port is solved straight into the
+//! caller's weight buffer ([`port_weights_from_surrogates`]).
 
 use crate::sensitivity::SensitivityModel;
-use saba_math::{
-    polyfit, solve_dual, solve_from, OptimizeError, Polynomial, SolveScratch, WeightProblem,
-};
+use saba_math::{polyfit, solve_dual, FitError, OptimizeError, Polynomial, SolveScratch};
+
+/// The domain floor of a PL centroid's surrogate: centroids carry no
+/// profiling samples to read a saturation point from.
+const CENTROID_FLOOR: f64 = 0.05;
 
 /// A model's precomputed solver inputs: the convex quadratic surrogate
 /// and the saturation point it is anchored at. Both depend only on the
-/// fitted model and `C_saba` — so the central controller computes this
-/// once per workload (again on a refit) instead of re-deriving it
-/// inside every per-port solve.
+/// fitted model (or PL centroid) and `C_saba` — so a controller
+/// computes this once per workload or PL (again on a refit) instead of
+/// re-deriving it inside every per-port solve.
+///
+/// Every surrogate that exists qualifies for the exact dual solve: a
+/// model whose surrogate cannot be fitted with finite coefficients has
+/// none ([`Self::of`] fails), and the controllers refuse it at the door.
 #[derive(Debug, Clone)]
 pub struct ModelSurrogate {
     /// Convex quadratic surrogate of the fitted model.
@@ -34,13 +39,24 @@ pub struct ModelSurrogate {
 }
 
 impl ModelSurrogate {
-    /// Precomputes the surrogate for one model under `c_saba`.
-    pub fn of(m: &SensitivityModel, c_saba: f64) -> Self {
+    /// Precomputes the surrogate for one model under `c_saba`; fails
+    /// when its predictions or the fitted coefficients are not finite.
+    pub fn of(m: &SensitivityModel, c_saba: f64) -> Result<Self, FitError> {
         let sat = saturation_point(m);
-        Self {
-            surrogate: convex_surrogate(m, sat, c_saba),
+        Ok(Self {
+            surrogate: convex_surrogate(|b| m.predict(b), sat, c_saba)?,
             saturation: sat,
-        }
+        })
+    }
+
+    /// The surrogate of a PL centroid (its raw coefficient vector),
+    /// anchored at 0.05; fails like [`Self::of`].
+    pub(crate) fn of_centroid(centroid: &[f64], c_saba: f64) -> Result<Self, FitError> {
+        let poly = Polynomial::new(centroid.to_vec());
+        Ok(Self {
+            surrogate: convex_surrogate(|b| poly.eval(b), CENTROID_FLOOR, c_saba)?,
+            saturation: CENTROID_FLOOR,
+        })
     }
 }
 
@@ -80,10 +96,10 @@ pub fn port_weights_protected(
     // winner-take-all corner solutions. The surrogate restores the
     // convex water-filling structure the paper's measurements give its
     // SLSQP solver, while `predict`/R² keep the full-degree model.
-    let surrogates: Vec<ModelSurrogate> = models
+    let surrogates = models
         .iter()
-        .map(|m| ModelSurrogate::of(m, c_saba))
-        .collect();
+        .map(|m| ModelSurrogate::of(m, c_saba).map_err(|_| OptimizeError::NotConvexQuadratic))
+        .collect::<Result<Vec<_>, _>>()?;
     let (scratch, mut w) = (&mut SolveScratch::new(), Vec::with_capacity(models.len()));
     port_weights_from_surrogates(
         surrogates.iter(),
@@ -98,14 +114,12 @@ pub fn port_weights_protected(
 
 /// [`port_weights_protected`] over precomputed surrogates with
 /// caller-owned scratch, appending the port's weights to `weights`
-/// (nothing on an error). This is the entry point the central
-/// controller uses: surrogates come from its per-workload slots and are
-/// read in place, through the iterator, by the exact dual solve, which
-/// writes into the buffer the port visit reads — no allocation. Only
-/// the non-convex fallback surrogate (a fit that failed) sends a port to
-/// the iterative solver.
+/// (nothing on an error). This is the entry point both controllers use:
+/// surrogates come from their per-workload or per-PL slots and are read
+/// in place, through the iterator, by the exact dual solve, which
+/// writes into the buffer the port visit reads — no allocation.
 pub fn port_weights_from_surrogates<'a>(
-    surrogates: impl ExactSizeIterator<Item = &'a ModelSurrogate> + Clone,
+    surrogates: impl ExactSizeIterator<Item = &'a ModelSurrogate>,
     c_saba: f64,
     min_weight: f64,
     protect: f64,
@@ -120,30 +134,35 @@ pub fn port_weights_from_surrogates<'a>(
         weights.push(c_saba);
         return Ok(());
     }
-    const BALANCE_REG: f64 = 0.1;
     let floor = protective_floor(surrogates.len(), c_saba, min_weight, protect);
-    let models = surrogates.clone().map(|s| (&s.surrogate, s.saturation));
+    let models = surrogates.map(|s| (&s.surrogate, s.saturation));
     if solve_dual(models, c_saba, floor, c_saba, BALANCE_REG, scratch, weights) {
-        return Ok(());
+        Ok(())
+    } else {
+        Err(OptimizeError::NotConvexQuadratic)
     }
-    let problem = WeightProblem {
-        models: surrogates.clone().map(|s| s.surrogate.clone()).collect(),
-        domain_floors: surrogates.map(|s| s.saturation).collect(),
-        capacity: c_saba,
-        min_weight: floor,
-        max_weight: c_saba,
-        balance_reg: BALANCE_REG,
-    };
-    saba_math::minimize_weights_scratch(&problem, scratch).map(|s| weights.extend(s.weights))
 }
 
-/// Fits a convex quadratic to the model's predictions over `[sat, hi]`.
+/// The balance regularizer of every port solve, both flavours. Large
+/// enough that a surrogate's linear extension below its floor keeps a
+/// rising marginal (the dual needs one), small beside the surrogates'
+/// curvature (`c₂ ≥ 1`), so the allocation stays the models' and not the
+/// equal split's.
+const BALANCE_REG: f64 = 0.1;
+
+/// Fits a convex quadratic to `predict` over `[sat, hi]`.
 ///
 /// The curvature is floored at a small positive value: a strictly
 /// convex objective keeps the water-filling optimum unique and interior
 /// (a linear surrogate would turn the allocation into an LP with
-/// degenerate corner optima).
-fn convex_surrogate(m: &SensitivityModel, sat: f64, hi: f64) -> Polynomial {
+/// degenerate corner optima). Fails when a prediction on the grid or a
+/// fitted coefficient is not finite, so every surrogate returned
+/// qualifies for the dual solve.
+fn convex_surrogate(
+    predict: impl Fn(f64) -> f64,
+    sat: f64,
+    hi: f64,
+) -> Result<Polynomial, FitError> {
     const GRID: usize = 9;
     const MIN_CURVATURE_C2: f64 = 1.0;
     let lo = sat.min(hi * 0.5);
@@ -153,7 +172,7 @@ fn convex_surrogate(m: &SensitivityModel, sat: f64, hi: f64) -> Polynomial {
     let xs: Vec<f64> = (0..GRID)
         .map(|i| lo * ratio.powf(i as f64 / (GRID - 1) as f64))
         .collect();
-    let ys: Vec<f64> = xs.iter().map(|&b| m.predict(b)).collect();
+    let ys: Vec<f64> = xs.iter().map(|&b| predict(b)).collect();
     let c2_free = polyfit(&xs, &ys, 2)
         .map(|f| f.poly.coeffs().get(2).copied().unwrap_or(0.0))
         .unwrap_or(0.0);
@@ -161,13 +180,12 @@ fn convex_surrogate(m: &SensitivityModel, sat: f64, hi: f64) -> Polynomial {
     // Refit the linear part with the curvature pinned:
     // y − c2·x² = c0 + c1·x.
     let resid: Vec<f64> = xs.iter().zip(&ys).map(|(&x, &y)| y - c2 * x * x).collect();
-    match polyfit(&xs, &resid, 1) {
-        Ok(f) => {
-            let c = f.poly.coeffs();
-            Polynomial::new(vec![c[0], c[1], c2])
-        }
-        Err(_) => m.poly.clone(),
+    let f = polyfit(&xs, &resid, 1)?;
+    let c = f.poly.coeffs();
+    if !(c[0].is_finite() && c[1].is_finite() && (2.0 * c2).is_finite()) {
+        return Err(FitError::Degenerate);
     }
+    Ok(Polynomial::new(vec![c[0], c[1], c2]))
 }
 
 /// The lowest profiled bandwidth fraction at which the workload's
@@ -204,74 +222,6 @@ fn saturation_point(m: &SensitivityModel) -> f64 {
 fn protective_floor(n: usize, c_saba: f64, min_weight: f64, protect: f64) -> f64 {
     let fair = c_saba / n as f64;
     (fair * protect).max(min_weight.min(0.9 * fair))
-}
-
-/// Solves Eq. 2 over raw coefficient vectors (PL centroids, as the
-/// distributed controller uses, §5.4).
-pub fn centroid_weights(
-    centroids: &[Vec<f64>],
-    c_saba: f64,
-    min_weight: f64,
-) -> Result<Vec<f64>, OptimizeError> {
-    centroid_weights_protected(centroids, c_saba, min_weight, 0.30)
-}
-
-/// [`centroid_weights`] with an explicit protection fraction.
-pub fn centroid_weights_protected(
-    centroids: &[Vec<f64>],
-    c_saba: f64,
-    min_weight: f64,
-    protect: f64,
-) -> Result<Vec<f64>, OptimizeError> {
-    centroid_weights_warm(
-        centroids,
-        c_saba,
-        min_weight,
-        protect,
-        None,
-        &mut SolveScratch::new(),
-    )
-}
-
-/// [`centroid_weights_protected`] with an optional warm seed and
-/// caller-owned scratch. Degree-2 convex centroid mixes are solved
-/// exactly and the seed is ignored. Otherwise `solve_from` verifies
-/// curvature before trusting the seed — raw centroid polynomials are not
-/// always convex — and falls back to the cold path whenever the warm
-/// answer cannot be certified, so warm and cold callers always observe
-/// the same weights.
-pub fn centroid_weights_warm(
-    centroids: &[Vec<f64>],
-    c_saba: f64,
-    min_weight: f64,
-    protect: f64,
-    seed: Option<&[f64]>,
-    scratch: &mut SolveScratch,
-) -> Result<Vec<f64>, OptimizeError> {
-    assert!(c_saba > 0.0 && c_saba <= 1.0, "C_saba must be in (0, 1]");
-    if centroids.is_empty() {
-        return Err(OptimizeError::Empty);
-    }
-    if centroids.len() == 1 {
-        return Ok(vec![c_saba]);
-    }
-    let floor = protective_floor(centroids.len(), c_saba, min_weight, protect);
-    let problem = WeightProblem {
-        domain_floors: vec![0.05; centroids.len()],
-        models: centroids
-            .iter()
-            .map(|c| Polynomial::new(c.clone()))
-            .collect(),
-        capacity: c_saba,
-        min_weight: floor,
-        max_weight: c_saba,
-        balance_reg: 1.5,
-    };
-    match seed {
-        Some(seed) => solve_from(&problem, seed, scratch),
-        None => saba_math::minimize_weights_scratch(&problem, scratch),
-    }
-    .map(|s| s.weights)
 }
 
 #[cfg(test)]
@@ -356,19 +306,45 @@ mod tests {
 
     #[test]
     fn centroid_weights_agree_with_port_weights_on_ordering() {
-        // The centralized path solves over convex surrogates, the
-        // distributed path over raw centroid polynomials — numerically
+        // The centralized path fits each model's clamped predictions
+        // above its saturation point, the distributed path each raw
+        // centroid polynomial above `CENTROID_FLOOR` — numerically
         // different, but both must favour the sensitive model.
         let (lr, pr) = (lr(), pr());
         let via_models = port_weights(&[&lr, &pr], 1.0, 0.02).unwrap();
-        let via_centroids = centroid_weights(
-            &[lr.coefficients().to_vec(), pr.coefficients().to_vec()],
+        let centroids: Vec<ModelSurrogate> = [&lr, &pr]
+            .iter()
+            .map(|m| ModelSurrogate::of_centroid(m.coefficients(), 1.0).unwrap())
+            .collect();
+        let mut via_centroids = Vec::new();
+        port_weights_from_surrogates(
+            centroids.iter(),
             1.0,
             0.02,
+            0.30,
+            &mut SolveScratch::new(),
+            &mut via_centroids,
         )
         .unwrap();
         assert!(via_models[0] > via_models[1]);
         assert!(via_centroids[0] > via_centroids[1]);
+    }
+
+    #[test]
+    fn a_model_without_a_finite_surrogate_has_none() {
+        // Finite predictions of order 1e308 overflow the fit's normal
+        // equations.
+        let huge = SensitivityModel {
+            poly: Polynomial::new(vec![1e308, -1e308, 1e308]),
+            ..lr()
+        };
+        assert!(ModelSurrogate::of(&huge, 1.0).is_err());
+        assert!(ModelSurrogate::of_centroid(&[1e308, -1e308, 1e308], 1.0).is_err());
+        assert!(ModelSurrogate::of_centroid(&[f64::NAN, -1.0, 0.5], 1.0).is_err());
+        assert_eq!(
+            port_weights(&[&lr(), &huge], 1.0, 0.02).unwrap_err(),
+            OptimizeError::NotConvexQuadratic
+        );
     }
 
     #[test]

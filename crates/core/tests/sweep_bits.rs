@@ -9,22 +9,31 @@
 //! length of a forced `recompute_all` and an FNV-1a over every update's
 //! `link`, `sl_to_queue` bytes and `weights` bit patterns, the same over
 //! every update of a seeded 400-event create / destroy / deregister
-//! stream, and the final [`EpochStats`]. Cubic models, so the
-//! distributed flavour's warm-seeded solves (where a port's history
-//! enters the bits) are on the pinned path.
+//! stream, and the final [`EpochStats`]. Cubic models, so both
+//! flavours' convex surrogates are fitted to curves that are not
+//! quadratics themselves.
 //!
-//! Two re-recordings since, both in the six central rows only. When the
-//! central flavour stopped memoizing its exact (≤ 32 application) ports,
-//! their `eq2_solves` / `solves_skipped` columns moved — a visit that
-//! used to hit the memo now solves, and a single-application port counts
-//! as skipped from its first visit — with their sum, every other counter
-//! and all twelve digest pairs as recorded at `b326544`. When it stopped
-//! solving its > 32 application ports over PL clusters and solved them
-//! exactly instead, the central digests moved (the funnel ports carry
-//! different weights) and 15 visits per row that hit the clustered memo
-//! became solves; update counts, `ports_reconfigured`,
-//! `ports_dirty`, `queue_updates_diffed` and the solve + skip sum stayed
-//! as recorded, and the six distributed rows did not move at all.
+//! Three re-recordings since. Twice in the six central rows only: when
+//! the central flavour stopped memoizing its exact (≤ 32 application)
+//! ports, their `eq2_solves` / `solves_skipped` columns moved — a visit
+//! that used to hit the memo now solves, and a single-application port
+//! counts as skipped from its first visit — with their sum, every other
+//! counter and all twelve digest pairs as recorded at `b326544`; and
+//! when it stopped solving its > 32 application ports over PL clusters
+//! and solved them exactly instead, the central digests moved (the
+//! funnel ports carry different weights) and 15 visits per row that hit
+//! the clustered memo became solves, with update counts,
+//! `ports_reconfigured`, `ports_dirty`, `queue_updates_diffed` and the
+//! solve + skip sum as recorded. Then in the six distributed rows only:
+//! when PL centroids stopped being solved raw by the warm-seeded
+//! iterative solver and took the central flavour's convex surrogate
+//! and exact dual solve, their digests moved (different weights on
+//! every contended port) while every update count and every counter
+//! stayed as recorded, and the six central rows did not move at all.
+//!
+//! A second test pins that no history reaches a bit: after the stream,
+//! a forced `recompute_all` is bit-identical to a fresh controller's
+//! that saw the same registrations and only the surviving connections.
 
 use saba_core::controller::central::CentralController;
 use saba_core::controller::distributed::{DistributedController, MappingDb};
@@ -114,25 +123,33 @@ fn counters(s: EpochStats) -> [u64; 9] {
     ]
 }
 
+/// What [`drive`] did and left behind.
+struct Driven<P: Policy> {
+    forced: Digest,
+    stream: Digest,
+    stats: [u64; 9],
+    controller: Controller<P>,
+    /// Applications deregistered during the stream, in order.
+    deregistered: Vec<u32>,
+    /// Every connection created: `(app, tag, src, dst)` server indices.
+    created: Vec<(u32, u64, usize, usize)>,
+}
+
 /// Spread connections, a funnel that puts every application on one
 /// server pair's ports (40 applications wide), a forced recompute, then
 /// the event stream, with `threads` Eq. 2 solver threads.
-fn drive<P: Policy>(
-    mut c: Controller<P>,
-    topo: &Topology,
-    seed: u64,
-    threads: usize,
-) -> (Digest, Digest, [u64; 9]) {
+fn drive<P: Policy>(mut c: Controller<P>, topo: &Topology, seed: u64, threads: usize) -> Driven<P> {
     c.set_solver_threads(threads);
     let s = topo.servers();
-    let names: Vec<String> = catalog().into_iter().map(|w| w.name).collect();
     for app in 0..APPS {
-        c.register(AppId(app), &names[app as usize % names.len()])
+        c.register(AppId(app), &workload(app))
             .expect("catalog workloads are profiled");
     }
     let mut rng = Lcg(seed);
     let mut stream = Digest::new();
     let mut live: Vec<(u32, u64)> = Vec::new();
+    let mut created = Vec::new();
+    let mut deregistered = Vec::new();
     let mut tag = 0u64;
     for app in 0..APPS {
         let src = rng.below(s.len());
@@ -140,12 +157,14 @@ fn drive<P: Policy>(
         tag += 1;
         stream.absorb(&c.conn_create(AppId(app), s[src], s[dst], tag).unwrap());
         live.push((app, tag));
+        created.push((app, tag, src, dst));
     }
     // Funnel connections are never destroyed one by one, so the wide
     // ports only shrink through deregistrations.
     for app in 0..APPS {
         let funnel = 1_000_000 + u64::from(app);
         stream.absorb(&c.conn_create(AppId(app), s[0], s[1], funnel).unwrap());
+        created.push((app, funnel, 0, 1));
     }
     let mut forced = Digest::new();
     forced.absorb(&c.recompute_all());
@@ -156,6 +175,7 @@ fn drive<P: Policy>(
             0..=1 if registered.len() > APPS as usize - 5 => {
                 let app = registered.swap_remove(rng.below(registered.len()));
                 live.retain(|&(a, _)| a != app);
+                deregistered.push(app);
                 c.deregister(AppId(app)).unwrap()
             }
             0..=54 => {
@@ -164,6 +184,7 @@ fn drive<P: Policy>(
                 let dst = (src + 1 + rng.below(s.len() - 1)) % s.len();
                 tag += 1;
                 live.push((app, tag));
+                created.push((app, tag, src, dst));
                 c.conn_create(AppId(app), s[src], s[dst], tag).unwrap()
             }
             _ if live.is_empty() => continue,
@@ -174,7 +195,54 @@ fn drive<P: Policy>(
         };
         stream.absorb(&updates);
     }
-    (forced, stream, counters(c.stats()))
+    Driven {
+        forced,
+        stream,
+        stats: counters(c.stats()),
+        controller: c,
+        deregistered,
+        created,
+    }
+}
+
+impl<P: Policy> Driven<P> {
+    fn digests(&self) -> (Digest, Digest, [u64; 9]) {
+        (self.forced, self.stream, self.stats)
+    }
+}
+
+/// The catalog workload application `app` runs.
+fn workload(app: u32) -> String {
+    let names: Vec<String> = catalog().into_iter().map(|w| w.name).collect();
+    names[app as usize % names.len()].clone()
+}
+
+/// After the stream: a forced recompute of the driven controller, and
+/// one of `fresh` once it has seen the same registrations and
+/// deregistrations, in the same order, and only the surviving
+/// connections, preloaded.
+fn after_stream_and_fresh<P: Policy>(
+    mut driven: Driven<P>,
+    mut fresh: Controller<P>,
+    topo: &Topology,
+) -> (Digest, Digest) {
+    let s = topo.servers();
+    for app in 0..APPS {
+        fresh.register(AppId(app), &workload(app)).unwrap();
+    }
+    for &app in &driven.deregistered {
+        fresh.deregister(AppId(app)).unwrap();
+    }
+    for &(app, tag, src, dst) in &driven.created {
+        if driven.controller.has_conn(AppId(app), tag) {
+            fresh.preload_connection(AppId(app), s[src], s[dst], tag);
+        }
+    }
+    assert_eq!(fresh.num_conns(), driven.controller.num_conns());
+    let (mut after, mut scratch) = (Digest::new(), Digest::new());
+    after.absorb(&driven.controller.recompute_all());
+    scratch.absorb(&fresh.recompute_all());
+    (after, scratch)
 }
 
 /// `(central, queues_per_port, multipath)` → forced recompute, event
@@ -220,38 +288,38 @@ const EXPECTED: &[Pin] = &[
     ),
     (
         (false, 2, false),
-        (55, 0x67591a90bd26774c),
-        (1467, 0xf6fd34150e20b0a2),
+        (55, 0xebe5806702384988),
+        (1467, 0x66222d3628203b1),
         [40, 287, 188, 702, 1522, 487, 1522, 1021, 0],
     ),
     (
         (false, 2, true),
-        (55, 0x972b181abb358924),
-        (1879, 0xd645bba26031bd11),
+        (55, 0x7ac6e6212006c185),
+        (1879, 0x1c29d30f105972ad),
         [40, 287, 188, 1575, 1934, 470, 1934, 1454, 0],
     ),
     (
         (false, 4, false),
-        (56, 0x1ebed248e949bad),
-        (1272, 0xf0251a152f8c24e9),
+        (56, 0xc2bd9d5ba3722607),
+        (1272, 0xdac46ef58385e7e8),
         [40, 299, 176, 671, 1328, 530, 1328, 789, 0],
     ),
     (
         (false, 4, true),
-        (56, 0x162965cd17f0325c),
-        (1526, 0x39ba9442677077d1),
+        (56, 0xff1a79af9bdb1af),
+        (1526, 0x9248ef99f2a1528c),
         [40, 299, 176, 1587, 1582, 439, 1582, 1139, 0],
     ),
     (
         (false, 8, false),
-        (54, 0x24dd342cb908de5e),
-        (982, 0xc0da4aad6b6e2b9c),
+        (54, 0xd0dbd2c274be4355),
+        (982, 0x6b4303264a1e7792),
         [40, 328, 147, 774, 1036, 519, 1036, 514, 0],
     ),
     (
         (false, 8, true),
-        (55, 0x32359f86656a9106),
-        (996, 0xac63102b0266e30),
+        (55, 0x645df9bee16635e8),
+        (996, 0xfbca8440f623cf41),
         [40, 328, 147, 1709, 1051, 370, 1051, 680, 0],
     ),
 ];
@@ -275,16 +343,12 @@ fn sweep_matches_the_recorded_bits() {
                     };
                     let seed = 0x5aba_0018 + queues_per_port as u64;
                     let (forced, stream, stats) = if central {
-                        drive(
-                            CentralController::new(cfg, table.clone(), &topo),
-                            &topo,
-                            seed,
-                            threads,
-                        )
+                        let c = CentralController::new(cfg, table.clone(), &topo);
+                        drive(c, &topo, seed, threads).digests()
                     } else {
                         let db = MappingDb::build(&table, cfg.num_pls, cfg.seed);
                         let c = DistributedController::new(cfg, db, &topo, 4);
-                        drive(c, &topo, seed, threads)
+                        drive(c, &topo, seed, threads).digests()
                     };
                     actual.push((
                         (central, queues_per_port, multipath),
@@ -310,6 +374,40 @@ fn sweep_matches_the_recorded_bits() {
                 );
             }
             panic!("{} cases ran, {} are pinned", actual.len(), EXPECTED.len());
+        }
+    }
+}
+
+/// No history reaches an emitted bit, on either flavour: after the
+/// 400-event stream — memo hits, vacated ports, deregistrations — a
+/// forced `recompute_all` is what a fresh controller holding only the
+/// surviving connections computes.
+#[test]
+fn a_forced_recompute_after_the_stream_matches_a_fresh_controller() {
+    let topo = Topology::spine_leaf(&SpineLeafConfig::tiny(3));
+    let table = table();
+    for queues_per_port in [2, 4, 8] {
+        for multipath in [false, true] {
+            let cfg = ControllerConfig {
+                queues_per_port,
+                multipath,
+                ..Default::default()
+            };
+            let seed = 0x5aba_0018 + queues_per_port as u64;
+            let case = format!("{queues_per_port} queues, multipath {multipath}");
+
+            let central = || CentralController::new(cfg.clone(), table.clone(), &topo);
+            let driven = drive(central(), &topo, seed, 1);
+            let (after, fresh) = after_stream_and_fresh(driven, central(), &topo);
+            assert!(after.updates > 0);
+            assert_eq!(after, fresh, "central, {case}");
+
+            let db = MappingDb::build(&table, cfg.num_pls, cfg.seed);
+            let distributed = || DistributedController::new(cfg.clone(), db.clone(), &topo, 4);
+            let driven = drive(distributed(), &topo, seed, 1);
+            let (after, fresh) = after_stream_and_fresh(driven, distributed(), &topo);
+            assert!(after.updates > 0);
+            assert_eq!(after, fresh, "distributed, {case}");
         }
     }
 }

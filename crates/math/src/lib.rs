@@ -10,8 +10,8 @@
 //!   mapping (§5.3.1, citing MacQueen).
 //! - [`hierarchical`] — agglomerative hierarchical clustering with a full
 //!   merge dendrogram for PL → queue mapping (§5.3.2, citing fastcluster).
-//! - [`optimize`] — solvers for the controller's weight-calculation
-//!   problem, Eq. 2 (`min Σ Dᵢ(wᵢ) s.t. Σ wᵢ = C`), replacing NLopt SLSQP.
+//! - [`optimize`] — the exact solver for the controller's
+//!   weight-calculation problem, Eq. 2 (`min Σ Dᵢ(wᵢ) s.t. Σ wᵢ = C`), replacing NLopt SLSQP.
 //! - [`stats`] — geometric means, percentiles and empirical CDFs used
 //!   throughout the evaluation (§8).
 //! - [`linalg`] — the small dense linear-algebra kernel backing the
@@ -36,8 +36,7 @@ pub use fit::{polyfit, r_squared, FitError, PolyFit};
 pub use hierarchical::{Dendrogram, Merge};
 pub use kmeans::{kmeans, KMeansConfig, KMeansResult};
 pub use optimize::{
-    minimize_weights, minimize_weights_scratch, solve_dual, solve_from, OptimizeError,
-    SolveScratch, WeightProblem, WeightSolution,
+    minimize_weights, solve_dual, OptimizeError, SolveScratch, WeightProblem, WeightSolution,
 };
 pub use parallel::{default_threads, parallel_map, parallel_map_with};
 pub use poly::Polynomial;

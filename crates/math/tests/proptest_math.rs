@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 use saba_math::linalg::{dist, midpoint};
-use saba_math::optimize::project_capped_simplex;
 use saba_math::stats::{geometric_mean, mean, percentile, Ecdf};
 use saba_math::{kmeans, polyfit, r_squared, Dendrogram, KMeansConfig, Polynomial};
 
@@ -118,29 +117,6 @@ proptest! {
         prop_assert!(count_at(level) <= q);
         if level > 1 {
             prop_assert!(count_at(level - 1) > q, "level {} not minimal", level);
-        }
-    }
-
-    /// Projection onto the capped simplex lands in the feasible set and is
-    /// idempotent.
-    #[test]
-    fn projection_feasible_and_idempotent(
-        v in prop::collection::vec(-2.0f64..2.0, 1..20),
-    ) {
-        let n = v.len() as f64;
-        let (lo, hi) = (0.01, 1.0);
-        let cap = (n * lo).max(1.0_f64.min(n * hi));
-        let mut w = v.clone();
-        project_capped_simplex(&mut w, cap, lo, hi);
-        let sum: f64 = w.iter().sum();
-        prop_assert!((sum - cap).abs() < 1e-6, "sum {sum} cap {cap}");
-        for &x in &w {
-            prop_assert!(x >= lo - 1e-9 && x <= hi + 1e-9);
-        }
-        let mut w2 = w.clone();
-        project_capped_simplex(&mut w2, cap, lo, hi);
-        for (a, b) in w.iter().zip(&w2) {
-            prop_assert!((a - b).abs() < 1e-6);
         }
     }
 

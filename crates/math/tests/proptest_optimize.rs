@@ -3,8 +3,7 @@
 
 use proptest::prelude::*;
 use saba_math::{
-    minimize_weights, minimize_weights_scratch, solve_dual, solve_from, Polynomial, SolveScratch,
-    WeightProblem,
+    minimize_weights, solve_dual, OptimizeError, Polynomial, SolveScratch, WeightProblem,
 };
 
 /// A convex decreasing quadratic `c0 − a·x + b·x²` with `a ≥ 2b` so it
@@ -191,65 +190,6 @@ proptest! {
         }
     }
 
-    /// Warm-started solves land on the cold solve's KKT point: across
-    /// random convex app mixes and arbitrarily perturbed seeds,
-    /// `solve_from` agrees with `minimize_weights` far inside the 1e-6
-    /// tolerance the incremental-vs-scratch conformance differential
-    /// demands, and both satisfy the same first-order certificate
-    /// (`kkt_stationarity_on_convex_fits` above pins the cold side; here
-    /// we pin warm == cold directly).
-    #[test]
-    fn warm_start_matches_cold_kkt_point(
-        models in prop::collection::vec(arb_convex_model(), 1..16),
-        reg in 0.01f64..1.0,
-        perturb in prop::collection::vec(-0.4f64..0.4, 1..16),
-        scale in 0.0f64..1.5,
-    ) {
-        let problem = WeightProblem {
-            balance_reg: reg,
-            ..WeightProblem::new(models, 1.0)
-        };
-        let cold = minimize_weights(&problem).unwrap();
-        // Seed = cold optimum nudged by a random perturbation — the
-        // churn regime (previous epoch's weights, slightly different
-        // membership), scaled up to "nowhere near the answer".
-        let seed: Vec<f64> = cold
-            .weights
-            .iter()
-            .zip(perturb.iter().cycle())
-            .map(|(&w, &p)| w + scale * p)
-            .collect();
-        let mut scratch = SolveScratch::new();
-        let warm = solve_from(&problem, &seed, &mut scratch).unwrap();
-        let total: f64 = warm.weights.iter().sum();
-        prop_assert!((total - 1.0).abs() < 1e-9, "warm sum {total}");
-        for (i, (&wc, &ww)) in cold.weights.iter().zip(&warm.weights).enumerate() {
-            prop_assert!(
-                (wc - ww).abs() <= 1e-7 * (1.0 + wc.abs()),
-                "weight {i}: cold {wc} vs warm {ww}"
-            );
-        }
-        prop_assert!((cold.objective - warm.objective).abs() <= 1e-9 * (1.0 + cold.objective.abs()));
-    }
-
-    /// A seed of the wrong arity or with junk values silently falls back
-    /// to the cold path — identical answer, no panic.
-    #[test]
-    fn degenerate_seeds_fall_back_to_cold(
-        models in prop::collection::vec(arb_convex_model(), 2..10),
-    ) {
-        let problem = WeightProblem {
-            balance_reg: 0.1,
-            ..WeightProblem::new(models, 1.0)
-        };
-        let cold = minimize_weights(&problem).unwrap();
-        let mut scratch = SolveScratch::new();
-        for seed in [vec![], vec![0.5; 99], vec![f64::NAN; problem.models.len()]] {
-            let warm = solve_from(&problem, &seed, &mut scratch).unwrap();
-            prop_assert_eq!(&cold.weights, &warm.weights);
-        }
-    }
-
     /// Domain floors never break determinism: same problem, same answer.
     #[test]
     fn solver_is_deterministic(
@@ -326,19 +266,6 @@ fn arb_qualifying_of(
         })
 }
 
-/// The same mathematical problem with a zero cubic term on every model:
-/// stored degree 3 does not qualify, so this is how a test obtains the
-/// iterative solver's answer to a qualifying problem.
-fn iterative_twin(p: &WeightProblem) -> WeightProblem {
-    let mut twin = p.clone();
-    for m in &mut twin.models {
-        let mut c = m.coeffs().to_vec();
-        c.resize(4, 0.0);
-        *m = Polynomial::new(c);
-    }
-    twin
-}
-
 /// `gᵢ(wᵢ)`: the marginal of coordinate `i`, regularizer included.
 fn marginal(p: &WeightProblem, i: usize, w: f64) -> f64 {
     let mean = p.capacity / p.models.len() as f64;
@@ -385,7 +312,6 @@ proptest! {
     fn dual_solution_is_the_kkt_point(problem in arb_qualifying()) {
         let n = problem.models.len();
         let sol = minimize_weights(&problem).unwrap();
-        prop_assert_eq!(sol.iterations, 0, "qualifying problems take the direct path");
         let (lo, hi, cap) = (problem.min_weight, problem.max_weight, problem.capacity);
         for &w in &sol.weights {
             prop_assert!(w >= lo && w <= hi, "{w} outside [{lo}, {hi}]");
@@ -406,7 +332,6 @@ proptest! {
     fn dual_solution_is_the_kkt_point_at_width(problem in arb_qualifying_of(100..=1000)) {
         let n = problem.models.len();
         let sol = minimize_weights(&problem).unwrap();
-        prop_assert_eq!(sol.iterations, 0, "qualifying problems take the direct path");
         let (lo, hi, cap) = (problem.min_weight, problem.max_weight, problem.capacity);
         for &w in &sol.weights {
             prop_assert!(w >= lo && w <= hi, "{w} outside [{lo}, {hi}]");
@@ -420,81 +345,90 @@ proptest! {
         prop_assert!(r <= 1e-9, "KKT residual {r:e} at n = {n}");
     }
 
-    /// Never worse than the iterative solver, and on the same point.
+    /// Optimal from first principles, without a second solver: no
+    /// feasible transfer of weight between two coordinates — small,
+    /// large, or as far as the bounds allow — and no point on the
+    /// segment toward the equal split has a lower objective.
     #[test]
-    fn dual_matches_the_iterative_solver(problem in arb_qualifying()) {
-        let direct = minimize_weights(&problem).unwrap();
-        let twin = iterative_twin(&problem);
-        let iterative = minimize_weights(&twin).unwrap();
-        prop_assert!(iterative.iterations > 0, "the twin must reach the iterative path");
-        prop_assert!(
-            direct.objective <= iterative.objective + 1e-12 * (1.0 + iterative.objective.abs()),
-            "direct {} vs iterative {}",
-            direct.objective,
-            iterative.objective
-        );
-        // Strong convexity ties the distance between the two answers to
-        // the objective the iterative solver left on the table:
-        // f(w) − f(w*) ≥ (μ/2)·‖w − w*‖², μ the flattest marginal slope.
-        let (lo, eps) = (problem.min_weight, problem.balance_reg);
-        let kinked = |i: usize| problem.domain_floors[i] > lo;
+    fn dual_beats_every_pairwise_transfer_and_the_equal_split_segment(
+        problem in arb_qualifying(),
+    ) {
         let n = problem.models.len();
-        let mu = (0..n)
-            .map(|i| {
-                let above = 2.0 * problem.models[i].coeffs()[2] + 2.0 * eps;
-                if kinked(i) { above.min(2.0 * eps) } else { above }
-            })
-            .fold(f64::INFINITY, f64::min);
-        let slack = (iterative.objective - direct.objective).max(0.0)
-            + 1e-12 * (1.0 + iterative.objective.abs());
-        let dist2: f64 = direct
-            .weights
-            .iter()
-            .zip(&iterative.weights)
-            .map(|(d, it)| (d - it) * (d - it))
-            .sum();
-        prop_assert!(dist2 <= 2.0 * slack / mu, "‖Δw‖² = {dist2:e}, slack {slack:e}, μ {mu:e}");
-        // Where the optimum sits on the quadratic pieces alone, the
-        // iterative solver's face-Newton polish is exact too. (Under a
-        // domain floor it steps with the curvature *at* the floor, and
-        // stalls inside its Armijo tolerance up to 1e-2 away.)
-        if (0..n).all(|i| !kinked(i) || direct.weights[i] >= problem.domain_floors[i]) {
-            for (i, (&d, &it)) in direct.weights.iter().zip(&iterative.weights).enumerate() {
-                prop_assert!((d - it).abs() <= 1e-5, "weight {i}: direct {d} vs iterative {it}");
+        let (lo, hi, cap) = (problem.min_weight, problem.max_weight, problem.capacity);
+        let w = minimize_weights(&problem).unwrap().weights;
+        let f = problem.objective(&w);
+        let tol = 1e-12 * (1.0 + f.abs());
+        // The objective is separable: a transfer between `i` and `j`
+        // changes their two terms and nothing else.
+        let term = |i: usize, x: f64| {
+            let (m, floor) = (&problem.models[i], problem.domain_floors[i]);
+            let d = if x < floor {
+                m.eval(floor) + m.eval_derivative(floor) * (x - floor)
+            } else {
+                m.eval(x)
+            };
+            let dev = x - cap / n as f64;
+            d + problem.balance_reg * dev * dev
+        };
+        for i in 0..n {
+            for j in (0..n).filter(|&j| j != i) {
+                // Weight moves from `j` to `i`; the reverse is the pair
+                // `(j, i)`.
+                let most = (hi - w[i]).min(w[j] - lo);
+                for delta in [1e-3, 1e-2, 1e-1, most] {
+                    let (wi, wj) = (w[i] + delta, w[j] - delta);
+                    if delta <= 0.0 || wi > hi || wj < lo {
+                        continue;
+                    }
+                    let change = term(i, wi) - term(i, w[i]) + term(j, wj) - term(j, w[j]);
+                    prop_assert!(
+                        change >= -tol,
+                        "moving {delta:e} from {j} to {i} gains {:e}: {w:?}",
+                        -change
+                    );
+                }
             }
+        }
+        let equal = cap / n as f64;
+        for t in [1e-3, 1e-2, 0.1, 0.5, 1.0] {
+            let toward: Vec<f64> = w.iter().map(|&x| x + t * (equal - x)).collect();
+            let ft = problem.objective(&toward);
+            prop_assert!(f <= ft + tol, "t = {t}: {f} > {ft}");
         }
     }
 
-    /// A pure function of the problem: scratch history and seeds leave
+    /// A pure function of the problem: what earlier solves left in the
+    /// scratch — a refused one's half-gathered arrays included — leaves
     /// no trace, bit for bit.
     #[test]
     fn dual_is_history_free(
         problem in arb_qualifying(),
         other in arb_qualifying(),
-        seed in prop::collection::vec(-1.0f64..2.0, 1..=64),
+        cubic_term in 0.01f64..0.5,
     ) {
         let fresh = minimize_weights(&problem).unwrap();
         let mut scratch = SolveScratch::new();
-        minimize_weights_scratch(&other, &mut scratch).unwrap();
-        minimize_weights_scratch(&iterative_twin(&other), &mut scratch).unwrap();
-        let reused = minimize_weights_scratch(&problem, &mut scratch).unwrap();
-        prop_assert_eq!(&fresh, &reused);
-        let n = problem.models.len();
-        let seed: Vec<f64> = seed.iter().copied().cycle().take(n).collect();
-        for seed in [seed, vec![], vec![f64::NAN; n]] {
-            let seeded = solve_from(&problem, &seed, &mut scratch).unwrap();
-            prop_assert_eq!(&fresh, &seeded);
-        }
+        let mut solve = |p: &WeightProblem, out: &mut Vec<f64>| {
+            solve_dual(
+                p.models.iter().zip(p.domain_floors.iter().copied()),
+                p.capacity,
+                p.min_weight,
+                p.max_weight,
+                p.balance_reg,
+                &mut scratch,
+                out,
+            )
+        };
+        // Before the solve under test: another problem, then one the
+        // dual refuses part-way through its gather.
+        let mut cubic = other.clone();
+        let last = cubic.models.len() - 1;
+        cubic.models[last] = Polynomial::new(vec![2.0, -1.0, 0.5, cubic_term]);
+        let mut history = Vec::new();
+        prop_assert!(solve(&other, &mut history));
+        prop_assert!(!solve(&cubic, &mut history));
         let mut borrowed = Vec::new();
-        prop_assert!(solve_dual(
-            problem.models.iter().zip(problem.domain_floors.iter().copied()),
-            problem.capacity,
-            problem.min_weight,
-            problem.max_weight,
-            problem.balance_reg,
-            &mut scratch,
-            &mut borrowed,
-        ));
+        prop_assert!(solve(&problem, &mut borrowed));
         prop_assert_eq!(&fresh.weights, &borrowed);
     }
 
@@ -563,17 +497,17 @@ proptest! {
             ..WeightProblem::new(vec![Polynomial::new(vec![1.0 + a, -a, c2]); n], 1.0)
         };
         let sol = minimize_weights(&problem).unwrap();
-        prop_assert_eq!(sol.iterations, 0);
         for &w in &sol.weights {
             prop_assert!((w - 1.0 / n as f64).abs() <= 1e-15, "{:?}", sol.weights);
         }
     }
 
-    /// What does not qualify reaches the iterative path: a floor above
-    /// the lower bound with no regularizer, non-positive curvature, and
-    /// a cubic — each on an otherwise qualifying problem.
+    /// What does not qualify is refused with the typed error and never
+    /// panics: a floor above the lower bound with no regularizer,
+    /// non-positive curvature, a cubic and a non-finite coefficient —
+    /// each on an otherwise qualifying problem.
     #[test]
-    fn non_qualifying_inputs_take_the_iterative_path(
+    fn non_qualifying_inputs_return_the_typed_error(
         problem in arb_qualifying(),
         which in 0usize..64,
         cubic in 0.01f64..0.5,
@@ -601,8 +535,8 @@ proptest! {
                 return Err(format!("a refused problem wrote {out:?}"));
             }
             match minimize_weights(p) {
-                Ok(sol) if sol.iterations > 0 => Ok(()),
-                other => Err(format!("not solved iteratively: {other:?}")),
+                Err(OptimizeError::NotConvexQuadratic) => Ok(()),
+                other => Err(format!("not refused: {other:?}")),
             }
         };
 
@@ -618,5 +552,11 @@ proptest! {
         let mut degree3 = problem.clone();
         degree3.models[i] = Polynomial::new(vec![c[0], c[1], c[2], cubic]);
         prop_assert_eq!(refused(&degree3), Ok(()), "cubic");
+
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut non_finite = problem.clone();
+            non_finite.models[i] = Polynomial::new(vec![c[0], bad, c[2]]);
+            prop_assert_eq!(refused(&non_finite), Ok(()), "c1 = {}", bad);
+        }
     }
 }

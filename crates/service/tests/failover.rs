@@ -8,7 +8,7 @@
 //!    mirror of the acks;
 //! 2. **the standby's switch state is correct** — its accumulated
 //!    port programs differentially match a from-scratch solve of the
-//!    same state (the `incremental_vs_scratch` oracle), at 1e-6 rtol,
+//!    same state (the `incremental_vs_scratch` oracle), at 1e-12 rtol,
 //!    on BOTH controller flavours;
 //! 3. **bounced requests retry cleanly** — everything rejected with a
 //!    retryable code during the outage succeeds when replayed in
@@ -216,7 +216,7 @@ fn drill(flavour: Flavour, name: &str, sink: SharedRecorder, threads: usize) -> 
 
     // Contract 2: every shard's accumulated switch state — the
     // standby's replay-derived one included — matches a from-scratch
-    // solve replaying its durable log at 1e-6 rtol. The oracle replays
+    // solve replaying its durable log at 1e-12 rtol. The oracle replays
     // the *full* logged history (deregisters included): the central
     // flavour's online PL assigner is history-dependent, so the live
     // set alone does not determine the switch programs.
