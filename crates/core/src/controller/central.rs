@@ -9,13 +9,13 @@
 //!
 //! Every port, however wide, is *solved, not remembered*: its answer is
 //! a closed form over the members' surrogates (`saba_math::solve_dual`,
-//! O(n log n); ≈ 0.7 µs for the two or three applications most ports
-//! carry), which is less than a memo keyed by the member set costs to
-//! ask — on the paper fabric's cold epoch such a memo's hits were 86 %
-//! single-application ports, which have no Eq. 2 problem at all
-//! (DESIGN.md §5.4). So there is nothing to purge when an application
-//! leaves or is re-profiled: a member names its workload's surrogate by
-//! slot, and a refit rewrites the slot.
+//! expected O(n log n); ≈ 0.4 µs for the two or three applications
+//! most ports carry), which is less than a memo keyed by the member
+//! set costs to ask — on the paper fabric's cold epoch such a memo's
+//! hits were 86 % single-application ports, which have no Eq. 2
+//! problem at all (DESIGN.md §5.4). So there is nothing to purge when
+//! an application leaves or is re-profiled: a member names its
+//! workload's surrogate by slot, and a refit rewrites the slot.
 
 use crate::controller::epoch::{Controller, Policy};
 use crate::controller::plmap::PlAssigner;
@@ -210,8 +210,8 @@ impl Policy for Central {
         usize::from(member.pl)
     }
 
-    fn mapper(&mut self) -> &mut QueueMapper {
-        self.mapper.as_mut().expect("apps exist, so mapper exists")
+    fn mapper(&self) -> &QueueMapper {
+        self.mapper.as_ref().expect("apps exist, so mapper exists")
     }
 
     fn begin_epoch(&mut self, force: bool) -> bool {

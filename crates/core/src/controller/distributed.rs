@@ -56,19 +56,30 @@ impl MappingDb {
     /// Deterministic given `seed`; the database can therefore be
     /// "replicated" by rebuilding from the (JSON-serializable) table.
     ///
+    /// An entry whose coefficients `c` make `n·‖2c‖²` non-finite (`n`
+    /// the table's size) is left out of clustering, as if the table
+    /// did not hold it: no squared distance between two clustered
+    /// entries, nor K-means++'s sum of `n` of them, can then overflow.
+    /// The database never names such a workload, so a controller
+    /// refuses it at `register`.
+    ///
     /// # Panics
     ///
-    /// Panics if the table is empty, or if squared distances between
-    /// its coefficient vectors overflow (coefficients of order 1e154 and
-    /// up): K-means seeding then draws from a non-finite range.
+    /// Panics if no entry is left to cluster (an empty table included).
     pub fn build(table: &SensitivityTable, num_pls: usize, seed: u64) -> Self {
-        assert!(
-            !table.is_empty(),
-            "cannot build a mapping DB from an empty table"
-        );
-        let dim = table.max_coeff_len();
-        let names: Vec<String> = table.iter().map(|m| m.workload.clone()).collect();
-        let points: Vec<Vec<f64>> = table
+        // ‖2c‖² bounds the squared distance from `c` to any entry of no
+        // larger norm.
+        let n = table.len() as f64;
+        let reach =
+            |m: &SensitivityModel| -> f64 { m.coefficients().iter().map(|c| 4.0 * c * c).sum() };
+        let clustered: Vec<_> = table
+            .iter()
+            .filter(|m| (n * reach(m)).is_finite())
+            .collect();
+        let dim = clustered.iter().map(|m| m.coefficients().len()).max();
+        let dim = dim.expect("cannot build a mapping DB from a table with no clusterable entry");
+        let names: Vec<String> = clustered.iter().map(|m| m.workload.clone()).collect();
+        let points: Vec<Vec<f64>> = clustered
             .iter()
             .map(|m| padded_coeffs(m.coefficients(), dim))
             .collect();
@@ -346,8 +357,8 @@ impl Policy for Distributed {
         pl
     }
 
-    fn mapper(&mut self) -> &mut QueueMapper {
-        &mut self.db.mapper
+    fn mapper(&self) -> &QueueMapper {
+        &self.db.mapper
     }
 
     fn cached(&self, present: &[usize], _pls: &[usize]) -> Option<&[f64]> {
@@ -401,6 +412,7 @@ impl Policy for Distributed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::{ControllerHandle, Flavour};
     use crate::fabric::PortQueueConfig;
     use crate::profiler::{Profiler, ProfilerConfig};
     use saba_sim::topology::SpineLeafConfig;
@@ -613,6 +625,37 @@ mod tests {
         assert!(c.update_model(&hostile).is_empty());
         assert_eq!(c.policy.db.centroids(), &centroids[..]);
         assert_eq!(c.recompute_all(), before);
+    }
+
+    /// A table entry whose squared distances overflow is left out of
+    /// clustering: the build does not panic (K-means++ seeding drew
+    /// from a non-finite range), the database is, field for field, the
+    /// one built without the entry (`Debug` prints every field, each
+    /// float exactly), and both flavours refuse the workload at
+    /// `register`.
+    #[test]
+    fn an_entry_whose_distances_overflow_is_left_out_of_clustering() {
+        let mut with = table();
+        with.insert(SensitivityModel {
+            workload: "Hostile".into(),
+            poly: saba_math::Polynomial::new(vec![1e308, -1e308, 1e308]),
+            ..table().get("LR").unwrap().clone()
+        });
+        let db = MappingDb::build(&with, 16, 1);
+        let without = MappingDb::build(&table(), 16, 1);
+        assert_eq!(format!("{db:?}"), format!("{without:?}"));
+        assert_eq!(db.pl_of("Hostile"), None);
+        let topo = Topology::single_switch(4, saba_sim::LINK_56G_BPS);
+        for flavour in [Flavour::Central, Flavour::Distributed(2)] {
+            let cfg = ControllerConfig::default();
+            let mut c = ControllerHandle::new(flavour, cfg, &with, &topo);
+            c.register(AppId(0), "LR").unwrap();
+            assert_eq!(
+                c.register(AppId(1), "Hostile").unwrap_err(),
+                ControllerError::UnknownWorkload("Hostile".into()),
+                "{flavour:?}"
+            );
+        }
     }
 
     #[test]

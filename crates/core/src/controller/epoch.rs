@@ -24,10 +24,10 @@
 //! weight buffer — a memoized one through a borrowed slice, a memo miss
 //! solved and stored, and a port the policy does not memoize
 //! ([`Policy::key`] is `None`) solved in place by
-//! [`Policy::solve_into`]; folds the PLs into a `u16` set and asks the
-//! mapper's memo for that set's queue table
-//! ([`QueueMapper::queues_for`] — the §5.3.2 hierarchy walk runs once
-//! per distinct set per hierarchy, on the stack); sums each member's
+//! [`Policy::solve_into`]; folds the PLs into a `u16` set and walks the
+//! §5.3.2 hierarchy for that set's queue table
+//! ([`QueueMapper::queues_for`], over bit sets on the stack, nothing
+//! remembered); sums each member's
 //! weight into its PL's queue in member order; and diffs the result
 //! against a dense per-link table of what the port runs. Same member
 //! order ⇒ same solve input ⇒ same queue table ⇒ same summation order:
@@ -163,9 +163,8 @@ pub trait Policy: Clone + Debug + Sync {
     /// The PL of a member present on some port.
     fn pl(&self, member: Self::Member) -> usize;
 
-    /// The PL hierarchy the current mapping was built against
-    /// (mutable: it memoizes its own answers).
-    fn mapper(&mut self) -> &mut QueueMapper;
+    /// The PL hierarchy the current mapping was built against.
+    fn mapper(&self) -> &QueueMapper;
 
     /// Called once before every epoch (`force`: a full recompute).
     /// Returns whether the dirty set must widen to every occupied port.

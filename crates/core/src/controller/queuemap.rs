@@ -7,28 +7,25 @@
 //! (`Q` = the port's queue count) and maps each cluster to a queue.
 //!
 //! That search is a pure function of the hierarchy, the *set* of PLs
-//! present and `Q`, and there is one derivation of it, `walk`: per
-//! level, the distinct clusters of the present leaves, gathered in a
-//! 16-slot array on the stack, until a level fits the budget; the
-//! SL → queue table is filled from the same clusters. It allocates
-//! nothing — a cold controller asks for every distinct PL set of the
-//! fabric once (2,674 of them per epoch on the paper's 1,944 servers),
-//! and deriving each through `Vec`s of leaves, groups and centroids
-//! used to cost a quarter of the cold sweep. [`QueueMapper::map_port`]
-//! dresses the walk's answer in the public [`PortMap`] shape (groups
-//! as `Vec`s: tests and the conformance oracle read it);
-//! [`QueueMapper::queues_for`] keeps it, as the sweep needs it, in a
-//! memo owned by the mapper. With PL ids below 16 the set is a `u16`; a
-//! hierarchy is never edited, only rebuilt ([`QueueMapper::build`]), and
-//! the memo dies with it — there is nothing to invalidate, and at most
-//! 2¹⁶ sets to remember. `saba_math`'s
+//! present and `Q`, and there is one derivation of it, `walk`, over
+//! bit sets: [`QueueMapper::build`] keeps, per level and leaf, the
+//! leaves of that leaf's cluster as a `u16`, so a level's clusters of
+//! the present leaves are counted with one `seen` mask and the queues
+//! are numbered by the leaf that introduced each cluster, the order
+//! [`Dendrogram::group_subset`] gives its groups. Nothing is
+//! remembered and nothing allocated: a cold controller asks for every
+//! distinct PL set of the fabric once (2,674 per epoch on the paper's
+//! 1,944 servers), where a memo saves nothing.
+//! [`QueueMapper::queues_for`] returns the SL → queue table the sweep
+//! programs; [`QueueMapper::map_port`] dresses the same walk in the
+//! public [`PortMap`] shape (groups as `Vec`s: tests and the
+//! conformance oracle read it). `saba_math`'s
 //! [`Dendrogram::best_level`] / [`Dendrogram::group_subset`] are the
 //! independent reference `tests/proptest_controller.rs` holds the walk
 //! to.
 
 use saba_math::Dendrogram;
 use saba_sim::ids::ServiceLevel;
-use std::collections::HashMap;
 
 /// The PL hierarchy plus the PL-id ↔ leaf-index correspondence.
 #[derive(Debug, Clone)]
@@ -36,9 +33,14 @@ pub struct QueueMapper {
     /// Active PL ids; leaf `i` of the dendrogram is `pls[i]`.
     pls: Vec<usize>,
     dendrogram: Dendrogram,
-    /// The walk's answers, by (present-PL bitmask, budget).
-    memo: HashMap<(u16, usize), PortQueues>,
+    /// `cluster[level - 1][leaf]`: the leaves of `leaf`'s cluster at
+    /// `level`, one bit each.
+    cluster: Vec<[u16; ServiceLevel::COUNT]>,
+    /// `leaf[pl]`: the leaf of PL `pl`; `NO_LEAF` for an inactive one.
+    leaf: [u8; ServiceLevel::COUNT],
 }
+
+const NO_LEAF: u8 = u8::MAX;
 
 /// What programming a port needs of its [`PortMap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,14 +65,22 @@ pub struct PortMap {
     pub sl_to_queue: [u8; ServiceLevel::COUNT],
 }
 
-/// The clusters a port's queues stand for: `[q]` = (the present leaf
-/// that introduced it, dendrogram cluster id) of queue `q`.
-type Clusters = [(usize, usize); ServiceLevel::COUNT];
+/// The set bits of `set`, ascending.
+fn bits(mut set: u16) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = (set != 0).then(|| set.trailing_zeros() as usize);
+        set &= set.wrapping_sub(1);
+        bit
+    })
+}
 
 impl QueueMapper {
-    /// Builds the hierarchy over active PL centroids.
+    /// Builds the hierarchy over active PL centroids, and the cluster
+    /// bit sets of every level in O(levels × leaves).
     ///
-    /// Returns `None` when no PLs are active.
+    /// Returns `None` when no PLs are active. A PL id of 16 or more
+    /// is kept in the hierarchy but cannot be asked for: PLs are
+    /// InfiniBand SLs.
     ///
     /// # Panics
     ///
@@ -86,10 +96,29 @@ impl QueueMapper {
         );
         let pls: Vec<usize> = centroids.iter().map(|(pl, _)| *pl).collect();
         let points: Vec<Vec<f64>> = centroids.iter().map(|(_, c)| c.clone()).collect();
+        let dendrogram = Dendrogram::build(&points);
+        // A cluster's leaves: one bit per leaf, then each merge's union.
+        let mut of_id: Vec<u16> = (0..pls.len()).map(|leaf| 1 << leaf).collect();
+        for merge in dendrogram.merges() {
+            of_id.push(of_id[merge.a] | of_id[merge.b]);
+        }
+        let cluster = (1..=pls.len())
+            .map(|level| {
+                let id = |leaf| dendrogram.cluster_of(level, leaf);
+                std::array::from_fn(|leaf| if leaf < pls.len() { of_id[id(leaf)] } else { 0 })
+            })
+            .collect();
+        let mut leaf = [NO_LEAF; ServiceLevel::COUNT];
+        for (i, &pl) in pls.iter().enumerate().rev() {
+            if let Some(slot) = leaf.get_mut(pl) {
+                *slot = i as u8;
+            }
+        }
         Some(Self {
             pls,
-            dendrogram: Dendrogram::build(&points),
-            memo: HashMap::new(),
+            dendrogram,
+            cluster,
+            leaf,
         })
     }
 
@@ -105,56 +134,49 @@ impl QueueMapper {
 
     /// The dendrogram leaf of an active PL.
     fn leaf_of(&self, pl: usize) -> usize {
-        let leaf = self.pls.iter().position(|&p| p == pl);
-        leaf.unwrap_or_else(|| panic!("PL {pl} is not active"))
+        let leaf = self.leaf.get(pl).filter(|&&leaf| leaf != NO_LEAF);
+        usize::from(*leaf.unwrap_or_else(|| panic!("PL {pl} is not active")))
     }
 
     /// The one derivation of a port's queues: the first level at which
     /// `leaves` (present at the port, in the caller's order) occupy at
-    /// most `max_queues` clusters. Queues are numbered as
-    /// [`Dendrogram::group_subset`] orders its groups — ascending by
-    /// the leaf that introduced each cluster, which for leaves given in
-    /// ascending order is plain first appearance — and every active PL,
-    /// present or not, is routed to the queue of its cluster at that
-    /// level, so stray traffic of an absent PL still lands somewhere
-    /// sensible (queue 0 when its cluster has no queue). Returns the
-    /// level (1-based), the clusters by queue, and the queue table.
-    fn walk(&self, leaves: &[usize], max_queues: usize) -> (usize, Clusters, PortQueues) {
+    /// most `max_queues` clusters. Returns the level (1-based) and, as
+    /// a bit set, the leaf that introduced each cluster — its first
+    /// member in the caller's order. Queue `q` is the cluster of the
+    /// `q`-th lowest of those leaves, as [`Dendrogram::group_subset`]
+    /// orders its groups.
+    fn walk(&self, leaves: &[usize], max_queues: usize) -> (usize, u16) {
         assert!(max_queues >= 1, "a port needs at least one queue");
         assert!(!leaves.is_empty(), "no PLs present at port");
-        let mut clusters: Clusters = [(0, 0); ServiceLevel::COUNT];
-        let (mut level, mut queues) = (0, usize::MAX);
-        // The top level is one cluster, so some level fits.
-        while queues > max_queues {
-            level += 1;
-            queues = 0;
-            for &leaf in leaves {
-                let id = self.dendrogram.cluster_of(level, leaf);
-                if clusters[..queues].iter().any(|&(_, known)| known == id) {
-                    continue;
+        let fits = self
+            .cluster
+            .iter()
+            .enumerate()
+            .find_map(|(level, cluster)| {
+                let (mut seen, mut introduced) = (0u16, 0u16);
+                for &leaf in leaves {
+                    introduced |= u16::from(seen & cluster[leaf] == 0) << leaf;
+                    seen |= cluster[leaf];
                 }
-                queues += 1;
-                if queues > max_queues {
-                    break;
-                }
-                let at = clusters[..queues - 1].partition_point(|&(first, _)| first < leaf);
-                clusters.copy_within(at..queues - 1, at + 1);
-                clusters[at] = (leaf, id);
-            }
-        }
+                (introduced.count_ones() as usize <= max_queues).then_some((level + 1, introduced))
+            });
+        fits.expect("the top level is one cluster")
+    }
+
+    /// The SL → queue table of a walk's answer: every active PL,
+    /// present or not, is routed to the queue of its cluster at that
+    /// level, so stray traffic of an absent PL still lands somewhere
+    /// sensible (queue 0 when its cluster has no queue).
+    fn sl_to_queue(&self, level: usize, introduced: u16) -> [u8; ServiceLevel::COUNT] {
         let mut sl_to_queue = [0u8; ServiceLevel::COUNT];
-        for (leaf, &pl) in self.pls.iter().enumerate() {
-            let id = self.dendrogram.cluster_of(level, leaf);
-            let queue = clusters[..queues].iter().position(|&(_, c)| c == id);
-            if let (Some(q), true) = (queue, pl < ServiceLevel::COUNT) {
-                sl_to_queue[pl] = q as u8;
+        for (queue, first) in bits(introduced).enumerate() {
+            for leaf in bits(self.cluster[level - 1][first]) {
+                if let Some(sl) = sl_to_queue.get_mut(self.pls[leaf]) {
+                    *sl = queue as u8;
+                }
             }
         }
-        let port = PortQueues {
-            sl_to_queue,
-            queues,
-        };
-        (level, clusters, port)
+        sl_to_queue
     }
 
     /// Maps the PLs present at one port onto at most `max_queues`
@@ -165,42 +187,42 @@ impl QueueMapper {
     /// Panics if `present_pls` is empty, contains an inactive PL, or
     /// `max_queues` is zero.
     pub fn map_port(&self, present_pls: &[usize], max_queues: usize) -> PortMap {
-        let mut leaves: Vec<usize> = present_pls.iter().map(|&pl| self.leaf_of(pl)).collect();
-        let (level, clusters, port) = self.walk(&leaves, max_queues);
-        let mut groups = vec![Vec::new(); port.queues];
-        leaves.sort_unstable();
-        for leaf in leaves {
-            let id = self.dendrogram.cluster_of(level, leaf);
-            let queue = clusters[..port.queues].iter().position(|&(_, c)| c == id);
-            groups[queue.expect("a present leaf's cluster has a queue")].push(self.pls[leaf]);
-        }
+        let leaves: Vec<usize> = present_pls.iter().map(|&pl| self.leaf_of(pl)).collect();
+        let (level, introduced) = self.walk(&leaves, max_queues);
+        let present = leaves.iter().fold(0u16, |set, &leaf| set | 1 << leaf);
+        let cluster = &self.cluster[level - 1];
+        let groups = bits(introduced)
+            .map(|first| {
+                bits(cluster[first] & present)
+                    .map(|leaf| self.pls[leaf])
+                    .collect()
+            })
+            .collect();
         PortMap {
             level,
             groups,
-            sl_to_queue: port.sl_to_queue,
+            sl_to_queue: self.sl_to_queue(level, introduced),
         }
     }
 
     /// [`Self::map_port`]'s queue table for the PLs whose bits are set
-    /// in `present` (ascending, as the sweep has always passed them),
-    /// answered from the memo after the first ask; the first ask
-    /// allocates nothing but its memo entry.
+    /// in `present`, walked in ascending PL order, as the sweep has
+    /// always passed them. Allocates nothing.
     ///
     /// # Panics
     ///
     /// As [`Self::map_port`].
-    pub fn queues_for(&mut self, present: u16, max_queues: usize) -> PortQueues {
-        if let Some(&known) = self.memo.get(&(present, max_queues)) {
-            return known;
-        }
+    pub fn queues_for(&self, present: u16, max_queues: usize) -> PortQueues {
         let (mut leaves, mut n) = ([0; ServiceLevel::COUNT], 0);
-        for pl in (0..ServiceLevel::COUNT).filter(|pl| present >> pl & 1 == 1) {
+        for pl in bits(present) {
             leaves[n] = self.leaf_of(pl);
             n += 1;
         }
-        let (.., queues) = self.walk(&leaves[..n], max_queues);
-        self.memo.insert((present, max_queues), queues);
-        queues
+        let (level, introduced) = self.walk(&leaves[..n], max_queues);
+        PortQueues {
+            sl_to_queue: self.sl_to_queue(level, introduced),
+            queues: introduced.count_ones() as usize,
+        }
     }
 }
 

@@ -140,17 +140,15 @@ proptest! {
         }
     }
 
-    /// The one §5.3.2 walk — behind `map_port` and the memoised
-    /// `queues_for` alike — is `saba_math`'s search: for any hierarchy
-    /// (1–16 leaves, non-contiguous PL ids, leaves in any order), any set
-    /// of its PLs and any budget it picks `Dendrogram::best_level`,
-    /// partitions and numbers the queues as `Dendrogram::group_subset`
-    /// does, and routes every active SL with its cluster; first ask and
-    /// repeat ask alike, in ascending and in rotated PL order, and a
-    /// rebuilt hierarchy answers for itself, not from what its
-    /// predecessor remembered.
+    /// The one §5.3.2 walk — behind `map_port` and `queues_for` alike
+    /// — is `saba_math`'s search: for any hierarchy (1–16 leaves,
+    /// non-contiguous PL ids, leaves in any order), any set of its PLs
+    /// and any budget it picks `Dendrogram::best_level`, partitions and
+    /// numbers the queues as `Dendrogram::group_subset` does, and routes
+    /// every active SL with its cluster, in ascending and in rotated PL
+    /// order, and over a second hierarchy as over the first.
     #[test]
-    fn memoised_queue_map_is_the_fresh_one(
+    fn the_queue_walk_is_saba_maths_search(
         hierarchies in prop::collection::vec(
             prop::collection::vec(
                 (any::<bool>(), any::<u32>(), prop::collection::vec(-2.0f64..2.0, 3)),
@@ -160,7 +158,6 @@ proptest! {
         ),
         asks in prop::collection::vec((any::<u16>(), 1usize..10), 1..40),
     ) {
-        let mut mapper = None;
         for slots in hierarchies {
             // PL `i` is active where the flag is set (PL 0 always is);
             // the drawn keys shuffle which leaf each PL becomes.
@@ -174,28 +171,24 @@ proptest! {
             let centroids: Vec<(usize, Vec<f64>)> =
                 centroids.into_iter().map(|(_, pl, c)| (pl, c)).collect();
             let active = centroids.iter().fold(0u16, |set, (pl, _)| set | 1 << pl);
-            // The same variable on purpose: a rebuild replaces the
-            // mapper, memo and all.
-            let mapper = mapper.insert(QueueMapper::build(&centroids).expect("PL 0 is active"));
-            for round in 0..2 {
-                for &(set, budget) in &asks {
-                    let present = (set & active).max(1);
-                    let mut pls: Vec<usize> = (0..16).filter(|pl| present >> pl & 1 == 1).collect();
-                    let want = reference_map(mapper, &pls, budget);
-                    prop_assert_eq!(&mapper.map_port(&pls, budget), &want);
-                    let got = mapper.queues_for(present, budget);
-                    prop_assert_eq!(got.sl_to_queue, want.sl_to_queue, "round {}", round);
-                    prop_assert_eq!(got.queues, want.groups.len());
-                    for &pl in &pls {
-                        let group = want.groups.iter().position(|g| g.contains(&pl));
-                        prop_assert_eq!(Some(usize::from(got.sl_to_queue[pl])), group);
-                    }
-                    // Caller order reaches the queue numbering (a group
-                    // sits where its first-listed member's leaf sorts).
-                    let by = budget % pls.len();
-                    pls.rotate_left(by);
-                    prop_assert_eq!(mapper.map_port(&pls, budget), reference_map(mapper, &pls, budget));
+            let mapper = &QueueMapper::build(&centroids).expect("PL 0 is active");
+            for &(set, budget) in &asks {
+                let present = (set & active).max(1);
+                let mut pls: Vec<usize> = (0..16).filter(|pl| present >> pl & 1 == 1).collect();
+                let want = reference_map(mapper, &pls, budget);
+                prop_assert_eq!(&mapper.map_port(&pls, budget), &want);
+                let got = mapper.queues_for(present, budget);
+                prop_assert_eq!(got.sl_to_queue, want.sl_to_queue);
+                prop_assert_eq!(got.queues, want.groups.len());
+                for &pl in &pls {
+                    let group = want.groups.iter().position(|g| g.contains(&pl));
+                    prop_assert_eq!(Some(usize::from(got.sl_to_queue[pl])), group);
                 }
+                // Caller order reaches the queue numbering (a group
+                // sits where its first-listed member's leaf sorts).
+                let by = budget % pls.len();
+                pls.rotate_left(by);
+                prop_assert_eq!(mapper.map_port(&pls, budget), reference_map(mapper, &pls, budget));
             }
         }
     }
@@ -230,6 +223,6 @@ fn reference_map(mapper: &QueueMapper, present_pls: &[usize], max_queues: usize)
 #[should_panic(expected = "PL 3 is not active")]
 fn an_inactive_pl_in_the_mask_is_rejected() {
     let centroids = [(0, vec![0.0]), (2, vec![1.0]), (5, vec![4.0])];
-    let mut mapper = QueueMapper::build(&centroids).unwrap();
+    let mapper = QueueMapper::build(&centroids).unwrap();
     mapper.queues_for(0b10_1100, 4);
 }

@@ -3,12 +3,12 @@
 //! A port visit reads its members and their PLs through buffers the
 //! engine keeps, gets its Eq. 2 solution into another — copied from a
 //! memo, or, on the central flavour, solved in place at any width —
-//! and finds the PL → queue map in the mapper's memo; what it must
+//! and walks the PL → queue hierarchy on the stack; what it must
 //! allocate is what it hands out — the emitted configuration's
 //! `weights` — and the copy of it the diff keeps in `programmed`. That
 //! holds whether or not the controller ever saw the port's members
 //! before: a first visit costs, beyond those two, only the growth of
-//! the buffers and of the queue-map memo. This binary installs a
+//! the buffers. This binary installs a
 //! counting allocator (per thread, so the harness may run the tests
 //! side by side) and holds the sweep, the queue-map walk and path
 //! detection to that.
@@ -171,8 +171,8 @@ fn a_warm_forced_sweep_allocates_only_what_it_emits_and_keeps() {
 fn a_cold_forced_sweep_over_exact_ports_allocates_only_what_it_emits_and_keeps() {
     let topo = Topology::spine_leaf(&SpineLeafConfig::tiny(3));
     let mut c = loaded(central(&topo), &topo, 120, true);
-    // The controller has never swept: no solution, no queue map and no
-    // buffer capacity exists yet. The funnel's ports carry all 120
+    // The controller has never swept: no solution and no buffer
+    // capacity exists yet. The funnel's ports carry all 120
     // applications, solved exactly like every other port.
     let (cold, allocations) = counted(|| c.recompute_all());
     let ports = cold.len() as u64;
@@ -186,24 +186,13 @@ fn a_cold_forced_sweep_over_exact_ports_allocates_only_what_it_emits_and_keeps()
     let stats = c.stats();
     assert_eq!(stats.eq2_solves + stats.solves_skipped, ports);
     assert!(stats.eq2_solves > 20, "contended ports were solved");
-    let pl_sets: std::collections::BTreeSet<u16> = cold
-        .iter()
-        .map(|u| {
-            let sl = |&app| c.sl_of(app).expect("registered").0;
-            c.apps_at(u.link)
-                .iter()
-                .fold(0, |set, app| set | 1 << sl(app))
-        })
-        .collect();
-    // Beyond two per port: the queue-map memo's growth to one entry per
-    // distinct PL set, and the growth of the visit's three buffers and
-    // the dual solve's five (its break list holds three entries per
+    // Beyond two per port: the growth of the visit's three buffers and
+    // the dual solve's two (its break list holds three entries per
     // member) to the widest port.
-    let growth = doublings(pl_sets.len()) + 7 * doublings(widest) + doublings(3 * widest);
+    let growth = 4 * doublings(widest) + doublings(3 * widest);
     assert!(
         allocations <= 2 * ports + growth + PER_EPOCH,
-        "{allocations} allocations over {ports} ports, {} PL sets, widest {widest}",
-        pl_sets.len()
+        "{allocations} allocations over {ports} ports, widest {widest}"
     );
 }
 
@@ -215,9 +204,8 @@ fn an_exact_port_event_allocates_only_what_it_emits_and_keeps() {
     let s = topo.servers();
     let (src, dst) = (s[2], s[s.len() - 1]);
     // Sending another application of the same PL down the path first
-    // leaves the queue maps of the PL sets the event will meet in the
-    // mapper's memo, and nothing else — no exact solution is remembered
-    // anywhere.
+    // grows the buffers to what the event will meet, and nothing else:
+    // no exact solution and no queue map is remembered anywhere.
     let twin = (0..40)
         .map(AppId)
         .find(|&a| a != AppId(5) && c.sl_of(a) == c.sl_of(AppId(5)));
@@ -251,7 +239,7 @@ fn an_exact_port_event_allocates_only_what_it_emits_and_keeps() {
 }
 
 #[test]
-fn a_queue_map_first_ask_allocates_only_its_memo_entry() {
+fn every_queue_map_ask_allocates_nothing() {
     let centroids: Vec<(usize, Vec<f64>)> = (0..12usize)
         .map(|pl| {
             let x = (pl * pl) as f64;
@@ -259,29 +247,20 @@ fn a_queue_map_first_ask_allocates_only_its_memo_entry() {
         })
         .collect();
     let active = centroids.iter().fold(0u16, |set, (pl, _)| set | 1 << pl);
-    let mut mapper = QueueMapper::build(&centroids).unwrap();
-    let (mut asked, mut grown) = (0usize, 0);
+    let mapper = QueueMapper::build(&centroids).unwrap();
+    let mut asked = 0;
     for seed in 1..400u16 {
         let present = seed.wrapping_mul(0x9e37) & active;
         if present == 0 {
             continue;
         }
         for budget in [1, 3, 8] {
-            let (first, allocations) = counted(|| mapper.queues_for(present, budget));
-            // The walk itself runs on the stack; the memo's table may
-            // have to grow for the new entry.
-            assert!(allocations <= 1, "first ask: {allocations} allocations");
-            grown += allocations;
+            let (_, allocations) = counted(|| mapper.queues_for(present, budget));
+            assert_eq!(allocations, 0, "set {present:#06x}, budget {budget}");
             asked += 1;
-            let (again, allocations) = counted(|| mapper.queues_for(present, budget));
-            assert_eq!(allocations, 0, "a repeated ask");
-            assert_eq!(again, first);
         }
     }
-    assert!(
-        asked > 600 && grown <= doublings(asked),
-        "{grown} of {asked}"
-    );
+    assert!(asked > 600, "{asked} asks");
 }
 
 #[test]

@@ -13,16 +13,18 @@
 //! positive curvature once the regularizer is added — the surrogates of
 //! both controller flavours), which [`solve_dual`] solves *exactly*:
 //! each marginal `Dᵢ′` is piecewise linear and increasing, so `wᵢ(λ)` is
-//! closed-form and the multiplier of `Σwᵢ = C` follows from a breakpoint
-//! search. No starts, no line search, no history — and no allocation:
-//! it gathers into [`SolveScratch`] and appends the weights to a buffer
-//! the caller owns, so a controller sweeping thousands of ports solves
-//! each in place instead of remembering solutions. Anything else (a
-//! cubic, a concave piece, a non-finite coefficient) is refused with
-//! [`OptimizeError::NotConvexQuadratic`]; the controllers fit a convex
-//! quadratic surrogate to every model before it gets here.
+//! closed-form and the multiplier of `Σwᵢ = C` follows from a search
+//! over the breakpoints. No starts, no line search, no history — and
+//! no allocation: it gathers into [`SolveScratch`] and appends the
+//! weights to a buffer the caller owns, so a controller sweeping
+//! thousands of ports solves each in place instead of remembering
+//! solutions. Anything else (a cubic, a concave piece, a non-finite
+//! coefficient) is refused with [`OptimizeError::NotConvexQuadratic`];
+//! the controllers fit a convex quadratic surrogate to every model
+//! before it gets here.
 
 use crate::poly::Polynomial;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// The per-port weight allocation problem (Eq. 2).
@@ -234,10 +236,13 @@ const MIN_CURVATURE: f64 = 1e-9;
 /// is piecewise linear and strictly increasing, `wᵢ(λ) =
 /// clamp(gᵢ⁻¹(λ), lo, hi)` is closed-form, and `Σᵢ wᵢ(λ)` is piecewise
 /// linear and non-decreasing with at most `3n` kinks. The unique KKT
-/// point is found by a binary search over the sorted kinks for the
-/// segment on which the sum crosses `C`, and solving that linear segment
-/// for `λ`: `O(n log n)`, no starts, no line search, no projection, and
-/// a result that depends on nothing but the problem.
+/// point is found by bracketing `C` between two adjacent kinks without
+/// sorting them — each round evaluates the sum at one pivot kink and
+/// keeps the kinks beyond it on the crossing's side — and solving that
+/// linear segment for `λ` from the two sums the search already has:
+/// expected `O(n log n)`, no starts, no line search, no projection, and
+/// a result that depends on nothing but the problem (the pivots never
+/// reach it: it is the segment's two ends and their sums).
 ///
 /// # Examples
 ///
@@ -285,17 +290,17 @@ where
     qualifies
 }
 
-/// The qualifying problem [`solve_dual`] works on, one array per
-/// quantity: coordinate `i`'s marginal is `icpt[i] + slope[i]·w` at or
-/// above its domain floor and `icpt_below[i] + slope_below·w` under it,
-/// the two meeting at the marginal value `kink[i]` (`−∞` when the floor
-/// is not above the lower bound, so the lower piece is never selected).
+/// Coordinate `i`'s marginal as [`DualPorts`] keeps it: `(icpt, slope,
+/// icpt_below, kink)` — `icpt + slope·w` at or above its domain floor
+/// and `icpt_below + slope_below·w` under it, the two meeting at the
+/// marginal value `kink` (`−∞` when the floor is not above the lower
+/// bound, so the lower piece is never selected).
+type Piece = (f64, f64, f64, f64);
+
+/// The qualifying problem [`solve_dual`] works on.
 #[derive(Debug, Clone, Default)]
 struct DualPorts {
-    icpt: Vec<f64>,
-    slope: Vec<f64>,
-    icpt_below: Vec<f64>,
-    kink: Vec<f64>,
+    pieces: Vec<Piece>,
     slope_below: f64,
     /// Multiplier values at which some `wᵢ(λ)` changes piece.
     breaks: Vec<f64>,
@@ -312,15 +317,8 @@ impl DualPorts {
         hi: f64,
         reg: f64,
     ) -> bool {
-        for buf in [
-            &mut self.icpt,
-            &mut self.slope,
-            &mut self.icpt_below,
-            &mut self.kink,
-            &mut self.breaks,
-        ] {
-            buf.clear();
-        }
+        self.pieces.clear();
+        self.breaks.clear();
         let pull = 2.0 * reg * (cap / models.len() as f64);
         let slope_below = 2.0 * reg;
         self.slope_below = slope_below;
@@ -356,49 +354,67 @@ impl DualPorts {
             } else {
                 f64::NEG_INFINITY
             };
-            self.kink.push(kink);
-            self.icpt.push(icpt);
-            self.slope.push(slope);
-            self.icpt_below.push(icpt_below);
+            self.pieces.push((icpt, slope, icpt_below, kink));
         }
         true
     }
 
     /// `(intercept, slope)` of the piece of `gᵢ` that `lam` selects.
-    fn piece(&self, i: usize, lam: f64) -> (f64, f64) {
-        if lam >= self.kink[i] {
-            (self.icpt[i], self.slope[i])
+    fn piece(&self, &(icpt, slope, icpt_below, kink): &Piece, lam: f64) -> (f64, f64) {
+        if lam >= kink {
+            (icpt, slope)
         } else {
-            (self.icpt_below[i], self.slope_below)
+            (icpt_below, self.slope_below)
         }
     }
 
     /// `wᵢ(λ) = clamp(gᵢ⁻¹(λ), lo, hi)`.
-    fn weight(&self, i: usize, lam: f64, lo: f64, hi: f64) -> f64 {
-        let (icpt, slope) = self.piece(i, lam);
+    fn weight(&self, piece: &Piece, lam: f64, lo: f64, hi: f64) -> f64 {
+        let (icpt, slope) = self.piece(piece, lam);
         ((lam - icpt) / slope).clamp(lo, hi)
     }
 
     /// Appends the KKT point of the gathered problem to `out`.
     fn solve(&mut self, cap: f64, lo: f64, hi: f64, out: &mut Vec<f64>) {
-        let n = self.icpt.len();
-        self.breaks.sort_unstable_by(f64::total_cmp);
-        let total = |lam: f64| -> f64 { (0..n).map(|i| self.weight(i, lam, lo, hi)).sum() };
+        let mut breaks = std::mem::take(&mut self.breaks);
+        let this = &*self;
+        let weights = move |lam: f64| this.pieces.iter().map(move |p| this.weight(p, lam, lo, hi));
+        let total = |lam: f64| -> f64 { weights(lam).sum() };
 
         // Σw(λ) is non-decreasing and linear between consecutive breaks:
-        // find the first break at which it reaches the capacity and
-        // interpolate on the segment that ends there. The two outer
-        // cases are the all-pinned corners `n·lo = C` and `n·hi = C`.
-        let k = self.breaks.partition_point(|&b| total(b) < cap);
-        let lam = if k == 0 || k == self.breaks.len() {
-            self.breaks[k.min(self.breaks.len() - 1)]
-        } else {
-            let (l0, l1) = (self.breaks[k - 1], self.breaks[k]);
-            let (s0, s1) = (total(l0), total(l1));
-            l0 + (cap - s0) / (s1 - s0) * (l1 - l0)
+        // bracket the capacity between the largest break below it and
+        // the smallest at or above it, each with its sum, and
+        // interpolate on that segment. Each round evaluates the sum at
+        // one pivot and compacts the unsorted breaks to those strictly
+        // beyond it on the side that still holds the crossing (written
+        // over the rest: the search is their last reader). A missing
+        // side is an all-pinned corner, `n·lo = C` or `n·hi = C`.
+        let (mut below, mut above) = (None, None);
+        let mut live = &mut breaks[..];
+        while let Some(&pivot) = live.get(live.len() / 2) {
+            let sum = total(pivot);
+            let reached = sum >= cap;
+            let beyond = if reached {
+                Ordering::Less
+            } else {
+                Ordering::Greater
+            };
+            let mut kept = 0;
+            for i in 0..live.len() {
+                let b = live[i];
+                live[kept] = b;
+                kept += usize::from(b.total_cmp(&pivot) == beyond);
+            }
+            *if reached { &mut above } else { &mut below } = Some((pivot, sum));
+            live = &mut live[..kept];
+        }
+        let lam = match (below, above) {
+            (Some((l0, s0)), Some((l1, s1))) => l0 + (cap - s0) / (s1 - s0) * (l1 - l0),
+            (Some((lam, _)), None) | (None, Some((lam, _))) => lam,
+            (None, None) => unreachable!("every model adds breaks"),
         };
         let start = out.len();
-        out.extend((0..n).map(|i| self.weight(i, lam, lo, hi)));
+        out.extend(weights(lam));
         let w = &mut out[start..];
 
         // `λ` carries rounding error, which a flat marginal amplifies in
@@ -406,14 +422,16 @@ impl DualPorts {
         // every free marginal moves by the same amount, so stationarity
         // is kept while the sum returns to the capacity.
         let free = |x: f64| x > lo && x < hi;
-        let give = |i: usize| 1.0 / self.piece(i, lam).1;
+        let give = |p: &Piece| 1.0 / self.piece(p, lam).1;
         let residual = cap - w.iter().sum::<f64>();
-        let total_give: f64 = (0..n).filter(|&i| free(w[i])).map(give).sum();
+        let free_pieces = self.pieces.iter().zip(w.iter()).filter(|(_, x)| free(**x));
+        let total_give: f64 = free_pieces.map(|(p, _)| give(p)).sum();
         if residual != 0.0 && total_give > 0.0 {
-            for (i, x) in w.iter_mut().enumerate().filter(|(_, x)| free(**x)) {
-                *x = (*x + residual * give(i) / total_give).clamp(lo, hi);
+            for (x, p) in w.iter_mut().zip(&self.pieces).filter(|(x, _)| free(**x)) {
+                *x = (*x + residual * give(p) / total_give).clamp(lo, hi);
             }
         }
+        self.breaks = breaks;
     }
 }
 

@@ -560,3 +560,118 @@ proptest! {
         }
     }
 }
+
+// ------------------------------------- the search, pinned bit for bit
+
+/// A problem for the bit pin: 2–64 quadratics from [`arb_qualifying`]
+/// (floors below, between and above the bounds; no, tiny or ordinary
+/// regularizer; capacity 0.5–1; the corner `n·lo = C` one time in
+/// eight), pushed one time in eight into the other all-pinned corner,
+/// `n·hi = C`, and one time in four given a twin of its first model, so
+/// that breaks tie.
+fn arb_bit_pinned() -> impl Strategy<Value = WeightProblem> {
+    (arb_qualifying_of(2..=64), 0u8..8, 0u8..4).prop_map(|(mut p, corner, twin)| {
+        let n = p.models.len();
+        if corner == 0 && p.min_weight < p.capacity / n as f64 {
+            p.max_weight = p.capacity / n as f64;
+        }
+        if twin == 0 {
+            p.models[1] = p.models[0].clone();
+            p.domain_floors[1] = p.domain_floors[0];
+        }
+        p
+    })
+}
+
+/// `solve_dual` as it searched before its bracket search: the same
+/// pieces and breaks, then the breaks sorted, `partition_point` for the
+/// first at which Σw reaches the capacity, Σw evaluated again at both
+/// ends of that segment, and the same Newton step. The oracle the
+/// sort-free search is held to.
+fn sorted_search(p: &WeightProblem) -> Vec<f64> {
+    let (n, cap, lo, hi) = (p.models.len(), p.capacity, p.min_weight, p.max_weight);
+    let pull = 2.0 * p.balance_reg * (cap / n as f64);
+    let slope_below = 2.0 * p.balance_reg;
+    let (mut pieces, mut breaks) = (Vec::new(), Vec::new());
+    for (model, &floor) in p.models.iter().zip(&p.domain_floors) {
+        let c = model.coeffs();
+        let c1 = c.get(1).copied().unwrap_or(0.0);
+        let c2 = c.get(2).copied().unwrap_or(0.0);
+        let slope = 2.0 * c2 + slope_below;
+        let icpt = c1 - pull;
+        let icpt_below = c1 + 2.0 * c2 * floor - pull;
+        let marginal = |w: f64| {
+            if w >= floor {
+                icpt + slope * w
+            } else {
+                icpt_below + slope_below * w
+            }
+        };
+        breaks.push(marginal(lo));
+        breaks.push(marginal(hi));
+        let kink = if floor > lo {
+            breaks.push(marginal(floor));
+            marginal(floor)
+        } else {
+            f64::NEG_INFINITY
+        };
+        pieces.push((icpt, slope, icpt_below, kink));
+    }
+    let piece = |i: usize, lam: f64| {
+        let (icpt, slope, icpt_below, kink) = pieces[i];
+        if lam >= kink {
+            (icpt, slope)
+        } else {
+            (icpt_below, slope_below)
+        }
+    };
+    let weight = |i: usize, lam: f64| {
+        let (icpt, slope) = piece(i, lam);
+        ((lam - icpt) / slope).clamp(lo, hi)
+    };
+    breaks.sort_unstable_by(f64::total_cmp);
+    let total = |lam: f64| -> f64 { (0..n).map(|i| weight(i, lam)).sum() };
+    let k = breaks.partition_point(|&b| total(b) < cap);
+    let lam = if k == 0 || k == breaks.len() {
+        breaks[k.min(breaks.len() - 1)]
+    } else {
+        let (l0, l1) = (breaks[k - 1], breaks[k]);
+        let (s0, s1) = (total(l0), total(l1));
+        l0 + (cap - s0) / (s1 - s0) * (l1 - l0)
+    };
+    let mut w: Vec<f64> = (0..n).map(|i| weight(i, lam)).collect();
+    let free = |x: f64| x > lo && x < hi;
+    let give = |i: usize| 1.0 / piece(i, lam).1;
+    let residual = cap - w.iter().sum::<f64>();
+    let total_give: f64 = (0..n).filter(|&i| free(w[i])).map(give).sum();
+    if residual != 0.0 && total_give > 0.0 {
+        for (i, x) in w.iter_mut().enumerate().filter(|(_, x)| free(**x)) {
+            *x = (*x + residual * give(i) / total_give).clamp(lo, hi);
+        }
+    }
+    w
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// The bracket search over the unsorted breaks lands on the sorted
+    /// search's segment with its sums, so every weight is the oracle's
+    /// bit for bit — interior crossings, both all-pinned corners, tied
+    /// breaks, kinked and plain marginals alike.
+    #[test]
+    fn dual_search_is_the_sorted_search_bit_for_bit(problem in arb_bit_pinned()) {
+        let mut got = Vec::new();
+        prop_assert!(solve_dual(
+            problem.models.iter().zip(problem.domain_floors.iter().copied()),
+            problem.capacity,
+            problem.min_weight,
+            problem.max_weight,
+            problem.balance_reg,
+            &mut SolveScratch::new(),
+            &mut got,
+        ));
+        let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        prop_assert_eq!(bits(&got), bits(&sorted_search(&problem)));
+    }
+}
