@@ -17,9 +17,9 @@
 //! app carries two coflows of different sizes.
 
 use crate::sincronia::bssi_order_by;
-use saba_sim::engine::{ActiveFlow, ActiveFlowViews, FabricModel};
+use saba_sim::engine::{ActiveFlow, FabricModel, FlowRater};
 use saba_sim::ids::AppId;
-use saba_sim::sharing::{compute_rates_into, SharingConfig, SharingScratch};
+use saba_sim::sharing::SharingConfig;
 use saba_sim::topology::Topology;
 
 /// Number of low tag bits carrying the constituent index; bits above
@@ -41,8 +41,7 @@ pub struct CoflowSincroniaFabric {
     /// datacenter switches; 0 disables capping). Coflow ranks beyond
     /// this share the lowest class.
     pub priority_classes: u8,
-    scratch: SharingScratch,
-    caps: Vec<f64>,
+    rater: FlowRater,
     priorities: Vec<u8>,
 }
 
@@ -76,14 +75,8 @@ impl FabricModel for CoflowSincroniaFabric {
                 .iter()
                 .map(|f| (rank[&Self::coflow_key(f)] as u8).min(cap)),
         );
-        topo.capacities_into(&mut self.caps);
-        compute_rates_into(
-            &self.caps,
-            &ActiveFlowViews::with_priorities(flows, &self.priorities),
-            &self.sharing,
-            &mut self.scratch,
-            rates,
-        );
+        self.rater
+            .rate(topo, flows, Some(&self.priorities), &self.sharing, rates);
     }
 }
 

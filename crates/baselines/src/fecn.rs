@@ -22,8 +22,8 @@
 //! are calibrated so ideal max-min beats this baseline by ≈1.14× on the
 //! §8.4 workload mix; both knobs live in [`FecnConfig`].
 
-use saba_sim::engine::{ActiveFlow, ActiveFlowViews, FabricModel};
-use saba_sim::sharing::{compute_rates_into, SharingConfig, SharingScratch};
+use saba_sim::engine::{ActiveFlow, FabricModel, FlowRater};
+use saba_sim::sharing::SharingConfig;
 use saba_sim::topology::Topology;
 
 /// Calibration of the FECN imperfection model.
@@ -82,8 +82,7 @@ impl FecnConfig {
 pub struct FecnBaseline {
     /// Imperfection calibration.
     pub config: FecnConfig,
-    scratch: SharingScratch,
-    caps: Vec<f64>,
+    rater: FlowRater,
     link_flows: Vec<usize>,
     trunk_flows: Vec<usize>,
 }
@@ -100,14 +99,8 @@ impl FecnBaseline {
 
 impl FabricModel for FecnBaseline {
     fn allocate(&mut self, topo: &Topology, flows: &[ActiveFlow], rates: &mut Vec<f64>) {
-        topo.capacities_into(&mut self.caps);
-        compute_rates_into(
-            &self.caps,
-            &ActiveFlowViews::uniform(flows),
-            &self.config.sharing,
-            &mut self.scratch,
-            rates,
-        );
+        self.rater
+            .rate(topo, flows, None, &self.config.sharing, rates);
 
         // Contention at the flow's *edge* links (source NIC egress and
         // destination downlink). InfiniBand's congestion spreading is an
@@ -118,7 +111,7 @@ impl FabricModel for FecnBaseline {
         // per NIC, §8.4's milder 1.14x ideal-vs-baseline gap).
         let link_flows = &mut self.link_flows;
         link_flows.clear();
-        link_flows.resize(self.caps.len(), 0);
+        link_flows.resize(topo.num_links(), 0);
         for f in flows {
             if let (Some(&first), Some(&last)) = (f.path.first(), f.path.last()) {
                 link_flows[first.0 as usize] += 1;
@@ -130,7 +123,7 @@ impl FabricModel for FecnBaseline {
         // Trunk contention: the busiest non-edge link on the path.
         let trunk_flows = &mut self.trunk_flows;
         trunk_flows.clear();
-        trunk_flows.resize(self.caps.len(), 0);
+        trunk_flows.resize(topo.num_links(), 0);
         for f in flows {
             if f.path.len() > 2 {
                 for &l in &f.path[1..f.path.len() - 1] {

@@ -19,9 +19,9 @@
 //!   slightly *below* ideal max-min on bulk workloads (1.12× vs 1.14×
 //!   in Fig. 10).
 
-use saba_sim::engine::{ActiveFlow, ActiveFlowViews, FabricModel};
+use saba_sim::engine::{ActiveFlow, FabricModel, FlowRater};
 use saba_sim::ids::NodeId;
-use saba_sim::sharing::{compute_rates_into, SharingConfig, SharingScratch};
+use saba_sim::sharing::SharingConfig;
 use saba_sim::topology::Topology;
 use std::collections::HashMap;
 
@@ -69,8 +69,7 @@ impl HomaConfig {
 pub struct HomaFabric {
     /// Model configuration.
     pub config: HomaConfig,
-    scratch: SharingScratch,
-    caps: Vec<f64>,
+    rater: FlowRater,
     priorities: Vec<u8>,
     senders_at: HashMap<NodeId, usize>,
 }
@@ -87,17 +86,16 @@ impl HomaFabric {
 
 impl FabricModel for HomaFabric {
     fn allocate(&mut self, topo: &Topology, flows: &[ActiveFlow], rates: &mut Vec<f64>) {
-        topo.capacities_into(&mut self.caps);
         // SRPT-style classes depend on remaining bytes, so they are
         // recomputed (into a reused buffer) every epoch.
         self.priorities.clear();
         self.priorities
             .extend(flows.iter().map(|f| self.config.class_of(f.remaining)));
-        compute_rates_into(
-            &self.caps,
-            &ActiveFlowViews::with_priorities(flows, &self.priorities),
+        self.rater.rate(
+            topo,
+            flows,
+            Some(&self.priorities),
             &self.config.sharing,
-            &mut self.scratch,
             rates,
         );
 

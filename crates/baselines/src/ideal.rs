@@ -7,37 +7,18 @@
 //! per-flow queues with equal packet sizes *is* equal-weight
 //! progressive filling, so this policy is exact.
 
-use saba_sim::engine::{ActiveFlow, ActiveFlowViews, FabricModel};
-use saba_sim::sharing::{compute_rates_into, SharingConfig, SharingScratch};
-use saba_sim::topology::Topology;
+use saba_sim::engine::FairShareFabric;
 
-/// The idealized max-min fairness comparator.
-#[derive(Debug, Clone, Default)]
-pub struct IdealMaxMin {
-    /// Fluid-sharing tuning knobs.
-    pub sharing: SharingConfig,
-    scratch: SharingScratch,
-    caps: Vec<f64>,
-}
-
-impl FabricModel for IdealMaxMin {
-    fn allocate(&mut self, topo: &Topology, flows: &[ActiveFlow], rates: &mut Vec<f64>) {
-        topo.capacities_into(&mut self.caps);
-        compute_rates_into(
-            &self.caps,
-            &ActiveFlowViews::uniform(flows),
-            &self.sharing,
-            &mut self.scratch,
-            rates,
-        );
-    }
-}
+/// The idealized max-min fairness comparator: per-flow max-min over the
+/// fabric, which is what the engine's [`FairShareFabric`] computes.
+pub type IdealMaxMin = FairShareFabric;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use saba_sim::engine::{FlowSpec, Simulation};
     use saba_sim::ids::{AppId, ServiceLevel};
+    use saba_sim::topology::Topology;
 
     #[test]
     fn equal_split_regardless_of_app_or_sl() {

@@ -13,9 +13,9 @@
 //! bulk-synchronous stage at a time, so an application's concurrently
 //! active flows form exactly one coflow.
 
-use saba_sim::engine::{ActiveFlow, ActiveFlowViews, FabricModel};
+use saba_sim::engine::{ActiveFlow, FabricModel, FlowRater};
 use saba_sim::ids::AppId;
-use saba_sim::sharing::{compute_rates_into, SharingConfig, SharingScratch};
+use saba_sim::sharing::SharingConfig;
 use saba_sim::topology::Topology;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -95,8 +95,7 @@ pub struct SincroniaFabric {
     /// datacenter switches; 0 disables capping). Coflow ranks beyond
     /// this share the lowest class.
     pub priority_classes: u8,
-    scratch: SharingScratch,
-    caps: Vec<f64>,
+    rater: FlowRater,
     priorities: Vec<u8>,
 }
 
@@ -128,14 +127,8 @@ impl FabricModel for SincroniaFabric {
         self.priorities.clear();
         self.priorities
             .extend(flows.iter().map(|f| (rank[&f.spec.app] as u8).min(cap)));
-        topo.capacities_into(&mut self.caps);
-        compute_rates_into(
-            &self.caps,
-            &ActiveFlowViews::with_priorities(flows, &self.priorities),
-            &self.sharing,
-            &mut self.scratch,
-            rates,
-        );
+        self.rater
+            .rate(topo, flows, Some(&self.priorities), &self.sharing, rates);
     }
 }
 

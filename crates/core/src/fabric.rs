@@ -10,11 +10,9 @@
 //! conservation and starvation freedom follow from the allocator's
 //! refill semantics.
 
-use saba_sim::engine::{ActiveFlow, FabricModel};
+use saba_sim::engine::{ActiveFlow, ActiveFlowViews, FabricModel, FlowNames};
 use saba_sim::ids::{LinkId, ServiceLevel};
-use saba_sim::sharing::{
-    compute_rates_into, FlowMatch, FlowSource, FlowView, FlowWeights, SharingConfig, SharingScratch,
-};
+use saba_sim::sharing::{compute_rates_into, SharingConfig, SharingScratch};
 use saba_sim::topology::Topology;
 use serde::{Deserialize, Serialize};
 
@@ -83,13 +81,12 @@ impl PortQueueConfig {
 /// topology, implementing the fluid rate allocation of WFQ.
 ///
 /// Between calls it keeps what the flattening needs — the active flows
-/// per (link, SL), and every flow's flattened form, carried forward
-/// with the flow (by the engine's `FlowId`) while it keeps its path, SL
-/// and cap — so a call counts only the flows that arrived, left or were
+/// per (link, SL), and every flow's flattened weights, carried forward
+/// with the flow while it keeps its name ([`FlowNames`], the SL as its
+/// class) — so a call counts only the flows that arrived, left or were
 /// rerouted, and re-derives only the weights on links whose counts
-/// moved or whose port was reprogrammed. A flattened flow names its key
-/// for the allocator ([`FlowSource::key_id`]) and takes a new name when
-/// a weight moves, so the allocator keeps every other flow prepared
+/// moved or whose port was reprogrammed. A flow whose weights moved
+/// takes a new name, so the allocator keeps every other flow prepared
 /// without reading it.
 #[derive(Debug, Clone)]
 pub struct SabaFabric {
@@ -99,14 +96,11 @@ pub struct SabaFabric {
     scratch: SharingScratch,
     caps: Vec<f64>,
     counts: Counts,
-    /// The last call's flows and this call's, matched by `FlowId`.
-    matching: FlowMatch,
-    /// The last call's flows flattened, and the buffer this call's are
-    /// flattened into.
-    flat: Flattened,
-    next: Flattened,
-    /// The next key name: names are never reused.
-    next_key: u64,
+    names: FlowNames,
+    /// Per hop of this call's flows, laid out as the names lay them, the
+    /// flattened weight `W_q / n_q`; and the last call's.
+    weights: Vec<f64>,
+    last_weights: Vec<f64>,
 }
 
 /// Active flows per (link, SL) — `n_q` of a queue is the sum over the
@@ -163,51 +157,6 @@ impl Counts {
     }
 }
 
-/// One flow as flattened for the allocator: its SL, its cap, the name
-/// of its key and its range of the hops.
-#[derive(Debug, Clone, Copy)]
-struct Record {
-    sl: ServiceLevel,
-    rate_cap: f64,
-    key: u64,
-    hops: (u32, u32),
-}
-
-/// Flows as flattened for the allocator, in flow order: a [`Record`]
-/// per flow, and per hop its link and weight `W_q / n_q`.
-#[derive(Debug, Clone, Default)]
-struct Flattened {
-    records: Vec<Record>,
-    links: Vec<LinkId>,
-    weights: Vec<f64>,
-}
-
-impl Flattened {
-    fn hops(&self, i: usize) -> std::ops::Range<usize> {
-        let (first, end) = self.records[i].hops;
-        first as usize..end as usize
-    }
-
-    fn path(&self, i: usize) -> &[LinkId] {
-        &self.links[self.hops(i)]
-    }
-
-    /// Whether flattened flow `i` still is flow `f`: same path, SL and
-    /// cap.
-    fn holds(&self, i: usize, f: &ActiveFlow) -> bool {
-        let record = &self.records[i];
-        record.sl == f.spec.sl
-            && record.rate_cap.to_bits() == f.spec.rate_cap.to_bits()
-            && self.path(i) == f.path.as_slice()
-    }
-
-    fn clear(&mut self) {
-        self.records.clear();
-        self.links.clear();
-        self.weights.clear();
-    }
-}
-
 impl SabaFabric {
     /// Creates a fabric with `num_links` default (single-queue) ports.
     pub fn new(num_links: usize) -> Self {
@@ -217,10 +166,9 @@ impl SabaFabric {
             scratch: SharingScratch::default(),
             caps: Vec::new(),
             counts: Counts::new(num_links),
-            matching: FlowMatch::default(),
-            flat: Flattened::default(),
-            next: Flattened::default(),
-            next_key: 0,
+            names: FlowNames::default(),
+            weights: Vec::new(),
+            last_weights: Vec::new(),
         }
     }
 
@@ -261,102 +209,57 @@ impl SabaFabric {
     }
 }
 
-/// Hands out the next key name.
-fn new_name(next_key: &mut u64) -> u64 {
-    *next_key += 1;
-    *next_key - 1
-}
-
-impl FlowSource for Flattened {
-    fn flow_count(&self) -> usize {
-        self.records.len()
-    }
-
-    fn flow_view(&self, i: usize) -> FlowView<'_> {
-        let hops = self.hops(i);
-        FlowView {
-            path: &self.links[hops.clone()],
-            weights: FlowWeights::PerLink(&self.weights[hops]),
-            priority: 0,
-            rate_cap: self.records[i].rate_cap,
-        }
-    }
-
-    fn key_id(&self, i: usize) -> Option<u64> {
-        Some(self.records[i].key)
-    }
-}
-
 impl FabricModel for SabaFabric {
     fn allocate(&mut self, topo: &Topology, flows: &[ActiveFlow], rates: &mut Vec<f64>) {
         let Self {
             ports,
             counts,
-            matching,
-            flat,
-            next,
-            next_key,
+            names,
+            weights,
+            last_weights,
             ..
         } = self;
-        matching.update(flows.len(), |i| flows[i].id.0);
-        // Flows that left take themselves off their links' counts. A flow
-        // carries its weights and key name forward while its path, SL and
-        // cap hold, and is counted afresh otherwise, its weights still to
-        // derive.
-        for &j in matching.departed() {
-            counts.add(flat.path(j as usize), flat.records[j as usize].sl, -1);
+        names.name(flows, |i| flows[i].spec.sl.value());
+        // Flows whose key went take themselves off their links' counts. A
+        // flow that kept its key carries its weights forward, and any
+        // other is counted afresh, its weights still to derive.
+        for (path, sl) in names.left() {
+            counts.add(path, ServiceLevel(sl), -1);
         }
-        next.clear();
+        std::mem::swap(weights, last_weights);
+        weights.clear();
         for (i, f) in flows.iter().enumerate() {
-            let first = next.links.len() as u32;
-            next.links.extend_from_slice(&f.path);
-            let kept = match matching.previous(i) {
-                Some(j) if flat.holds(j, f) => {
-                    next.weights.extend_from_slice(&flat.weights[flat.hops(j)]);
-                    Some(flat.records[j].key)
+            match names.kept_hops(i) {
+                Some(hops) => weights.extend_from_slice(&last_weights[hops]),
+                None => {
+                    counts.add(&f.path, f.spec.sl, 1);
+                    weights.resize(weights.len() + f.path.len(), f64::NAN);
                 }
-                Some(j) => {
-                    counts.add(flat.path(j), flat.records[j].sl, -1);
-                    None
-                }
-                None => None,
-            };
-            let key = kept.unwrap_or_else(|| {
-                counts.add(&f.path, f.spec.sl, 1);
-                next.weights.resize(next.links.len(), f64::NAN);
-                new_name(next_key)
-            });
-            next.records.push(Record {
-                sl: f.spec.sl,
-                rate_cap: f.spec.rate_cap,
-                key,
-                hops: (first, next.links.len() as u32),
-            });
+            }
         }
         // Every hop on a stale link takes its weight anew (a new flow's
         // links all are), and a flow whose weights moved takes a new name
         // for its key.
-        for r in &mut next.records {
+        for (i, f) in flows.iter().enumerate() {
             let mut moved = false;
-            for h in r.hops.0 as usize..r.hops.1 as usize {
-                let l = next.links[h].0 as usize;
+            for (h, l) in names.hops(i).zip(&f.path) {
+                let l = l.0 as usize;
                 if counts.stale[l] {
-                    let w = counts.flattened_weight(&ports[l], l, r.sl);
-                    moved |= w.to_bits() != next.weights[h].to_bits();
-                    next.weights[h] = w;
+                    let w = counts.flattened_weight(&ports[l], l, f.spec.sl);
+                    moved |= w.to_bits() != weights[h].to_bits();
+                    weights[h] = w;
                 }
             }
             if moved {
-                r.key = new_name(next_key);
+                names.rename(i);
             }
         }
         counts.clear_stale();
-        std::mem::swap(flat, next);
 
         topo.capacities_into(&mut self.caps);
         compute_rates_into(
             &self.caps,
-            &self.flat,
+            &ActiveFlowViews::weighted(flows, Some(&self.weights), &self.names),
             &self.sharing,
             &mut self.scratch,
             rates,

@@ -13,13 +13,20 @@
 //! set back to their default), link failures that reroute and park
 //! flows, repairs that resume them, link degradation — and one model
 //! reused by a second `Simulation`, whose `FlowId`s restart at 0 on
-//! different paths.
+//! different paths. A third model draws every flow's priority class
+//! afresh at every epoch, as Homa's and Sincronia's do, so flows keep
+//! their path and cap while their class moves.
 
 use saba_core::controller::SwitchUpdate;
 use saba_core::fabric::{PortQueueConfig, SabaFabric};
-use saba_sim::engine::{ActiveFlow, Event, FabricModel, FairShareFabric, FlowSpec, Simulation};
+use saba_sim::engine::{
+    ActiveFlow, ActiveFlowViews, Event, FabricModel, FairShareFabric, FlowNames, FlowSpec,
+    Simulation,
+};
 use saba_sim::ids::{AppId, LinkId, ServiceLevel};
+use saba_sim::sharing::{compute_rates_into, SharingScratch};
 use saba_sim::topology::{SpineLeafConfig, Topology};
+use std::collections::HashMap;
 
 /// The unit tests' LCG: deterministic draws without a crate.
 struct Lcg(u64);
@@ -87,6 +94,52 @@ impl Churned for FairShareFabric {
         let mut fresh = FairShareFabric::default();
         fresh.sharing = self.sharing.clone();
         fresh
+    }
+
+    fn reprogram(&mut self, _rng: &mut Lcg) -> usize {
+        0
+    }
+}
+
+/// Strict priorities redrawn at every epoch: a flow's class is a hash of
+/// its id and its remaining bytes, which move at every epoch but stay
+/// the same for a fresh model rating the same flows. It counts the flows
+/// that kept their id from one epoch to the next but not their class.
+#[derive(Default)]
+struct Reclassed {
+    scratch: SharingScratch,
+    names: FlowNames,
+    caps: Vec<f64>,
+    priorities: Vec<u8>,
+    last_class: HashMap<u64, u8>,
+    moved: usize,
+}
+
+impl FabricModel for Reclassed {
+    fn allocate(&mut self, topo: &Topology, flows: &[ActiveFlow], rates: &mut Vec<f64>) {
+        self.priorities.clear();
+        self.priorities.extend(flows.iter().map(|f| {
+            let mut rng = Lcg(f.id.0 ^ f.remaining.to_bits());
+            (rng.next() % 3) as u8
+        }));
+        for (f, &class) in flows.iter().zip(&self.priorities) {
+            let last = self.last_class.insert(f.id.0, class);
+            self.moved += usize::from(last.is_some_and(|c| c != class));
+        }
+        topo.capacities_into(&mut self.caps);
+        compute_rates_into(
+            &self.caps,
+            &ActiveFlowViews::with_priorities(flows, &self.priorities, &mut self.names),
+            &Default::default(),
+            &mut self.scratch,
+            rates,
+        );
+    }
+}
+
+impl Churned for Reclassed {
+    fn fresh(&self) -> Self {
+        Self::default()
     }
 
     fn reprogram(&mut self, _rng: &mut Lcg) -> usize {
@@ -254,7 +307,7 @@ fn churn<M: Churned>(rig: &mut Rig<M>, seed: u64, steps: usize, cap_scale: f64) 
 /// whose `FlowId`s restart at 0 while the model still holds the last
 /// one's low ids — on another seed's paths, or on the same paths with
 /// other caps — and a long one again.
-fn churn_many<M: Churned>(model: M, seed: u64) -> Coverage {
+fn churn_many<M: Churned>(model: M, seed: u64) -> (Coverage, M) {
     let mut rig = Rig {
         model,
         cov: Coverage::default(),
@@ -267,14 +320,14 @@ fn churn_many<M: Churned>(model: M, seed: u64) -> Coverage {
         churn(&mut rig, seed + k, steps, 0.5);
     }
     churn(&mut rig, seed ^ 0x9e37_79b9, 300, 1.0);
-    rig.cov
+    (rig.cov, rig.model)
 }
 
 #[test]
 fn a_churned_saba_fabric_rates_every_epoch_as_a_fresh_one() {
     let topo = Topology::spine_leaf(&SpineLeafConfig::tiny(4));
     for seed in [1, 2, 3] {
-        let cov = churn_many(SabaFabric::for_topology(&topo), seed);
+        let (cov, _) = churn_many(SabaFabric::for_topology(&topo), seed);
         assert!(
             cov.epochs > 600 && cov.flows_rated > 20 * cov.epochs,
             "{cov:?}"
@@ -299,7 +352,7 @@ fn a_churned_saba_fabric_rates_every_epoch_as_a_fresh_one() {
 #[test]
 fn a_churned_fair_share_fabric_rates_every_epoch_as_a_fresh_one() {
     for seed in [4, 5, 6] {
-        let cov = churn_many(FairShareFabric::default(), seed);
+        let (cov, _) = churn_many(FairShareFabric::default(), seed);
         assert!(
             cov.epochs > 600 && cov.flows_rated > 20 * cov.epochs,
             "{cov:?}"
@@ -313,5 +366,26 @@ fn a_churned_fair_share_fabric_rates_every_epoch_as_a_fresh_one() {
             "{cov:?}"
         );
         assert!(cov.ids_met_on_new_paths > 0, "{cov:?}");
+    }
+}
+
+#[test]
+fn a_churned_fabric_with_per_epoch_priorities_rates_every_epoch_as_a_fresh_one() {
+    for seed in [7, 8, 9] {
+        let (cov, model) = churn_many(Reclassed::default(), seed);
+        assert!(
+            cov.epochs > 600 && cov.flows_rated > 20 * cov.epochs,
+            "{cov:?}"
+        );
+        assert!(
+            cov.rerouted > 0 && cov.parked > 0 && cov.resumed > 0,
+            "{cov:?}"
+        );
+        assert!(cov.ids_met_on_new_paths > 0, "{cov:?}");
+        assert!(
+            model.moved > cov.flows_rated / 10,
+            "{} moved, {cov:?}",
+            model.moved
+        );
     }
 }

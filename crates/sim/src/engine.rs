@@ -37,7 +37,7 @@ use crate::ids::{AppId, FlowId, LinkId, NodeId, ServiceLevel};
 use crate::probe::LinkProbe;
 use crate::routing::Routes;
 use crate::sharing::{
-    compute_rates_into, FlowSource, FlowView, FlowWeights, SharingConfig, SharingScratch,
+    compute_rates_into, FlowMatch, FlowSource, FlowView, FlowWeights, SharingConfig, SharingScratch,
 };
 use crate::topology::Topology;
 use saba_telemetry::{EventKind, NullSink, Registry, TelemetrySink};
@@ -143,34 +143,190 @@ pub trait FabricModel {
     fn allocate(&mut self, topo: &Topology, flows: &[ActiveFlow], rates: &mut Vec<f64>);
 }
 
-/// Zero-copy [`FlowSource`] over the engine's active flows.
+/// The names of the engine's active flows' keys, for a kept
+/// [`SharingScratch`] ([`FlowSource::key_id`]): the one naming rule of
+/// every fabric model.
 ///
-/// Flows get uniform unit weights and their spec's rate cap; an
-/// optional `priorities` slice (aligned with `flows`) supplies per-flow
-/// strict-priority classes for policies like Homa or Sincronia. Paths
-/// are borrowed, never cloned.
+/// A call matches its flows to the last call's by `FlowId`, and a flow
+/// keeps its name while its key — path, class and cap — holds; a flow
+/// that arrived, or whose key moved, takes a new name. The class is the
+/// caller's: a strict-priority class, or whatever else decides the
+/// flow's weights (a Saba flow's SL). The check reads the stored key,
+/// not only the id, so a model reused by a second [`Simulation`], whose
+/// ids restart at 0, stays sound. A caller whose weights are not
+/// functions of the key alone renames a flow when they move
+/// ([`FlowNames::rename`]).
+#[derive(Debug, Clone, Default)]
+pub struct FlowNames {
+    /// The last call's flows and this call's, matched by `FlowId`.
+    matching: FlowMatch,
+    /// The last call's keys, and this call's.
+    last: Keys,
+    keys: Keys,
+    /// The last call's flows whose key went: departed, or moved.
+    left: Vec<u32>,
+    /// The next name: names are never reused.
+    next: u64,
+}
+
+/// Flows' keys in flow order: a record per flow, their paths back to
+/// back.
+#[derive(Debug, Clone, Default)]
+struct Keys {
+    records: Vec<KeyRecord>,
+    links: Vec<LinkId>,
+}
+
+/// One flow's key, its name, and where it was in the last call.
+#[derive(Debug, Clone, Copy)]
+struct KeyRecord {
+    class: u8,
+    rate_cap: f64,
+    name: u64,
+    /// The flow's range of [`Keys::links`].
+    hops: (u32, u32),
+    /// The flow's index in the last call if it kept its key there.
+    kept: Option<u32>,
+}
+
+impl Keys {
+    fn hops(&self, i: usize) -> std::ops::Range<usize> {
+        let (first, end) = self.records[i].hops;
+        first as usize..end as usize
+    }
+
+    /// Whether flow `i` still has `f`'s key, `f` of `class`: same path,
+    /// class and cap.
+    fn holds(&self, i: usize, f: &ActiveFlow, class: u8) -> bool {
+        let record = &self.records[i];
+        record.class == class
+            && record.rate_cap.to_bits() == f.spec.rate_cap.to_bits()
+            && self.links[self.hops(i)] == *f.path
+    }
+}
+
+impl FlowNames {
+    /// Names this call's `flows`, flow `i` of class `class(i)`.
+    pub fn name(&mut self, flows: &[ActiveFlow], class: impl Fn(usize) -> u8) {
+        self.matching.update(flows.len(), |i| flows[i].id.0);
+        std::mem::swap(&mut self.last, &mut self.keys);
+        self.keys.records.clear();
+        self.keys.links.clear();
+        self.left.clear();
+        self.left.extend_from_slice(self.matching.departed());
+        self.keys.records.reserve(flows.len());
+        for (i, f) in flows.iter().enumerate() {
+            let class = class(i);
+            let mut kept = None;
+            if let Some(j) = self.matching.previous(i) {
+                if self.last.holds(j, f, class) {
+                    kept = Some(j);
+                } else {
+                    // Found by id, its key moved: the old key leaves.
+                    self.left.push(j as u32);
+                }
+            }
+            let name = kept.map_or_else(|| new_name(&mut self.next), |j| self.last.records[j].name);
+            let first = self.keys.links.len() as u32;
+            self.keys.links.extend_from_slice(&f.path);
+            self.keys.records.push(KeyRecord {
+                class,
+                rate_cap: f.spec.rate_cap,
+                name,
+                hops: (first, self.keys.links.len() as u32),
+                kept: kept.map(|j| j as u32),
+            });
+        }
+    }
+
+    /// Gives flow `i` a new name: its weights moved.
+    pub fn rename(&mut self, i: usize) {
+        self.keys.records[i].name = new_name(&mut self.next);
+    }
+
+    /// The path and class of each flow of the last call whose key went:
+    /// departed, or rerouted, re-classed or re-capped.
+    pub fn left(&self) -> impl Iterator<Item = (&[LinkId], u8)> + '_ {
+        self.left.iter().map(|&j| {
+            let j = j as usize;
+            (
+                &self.last.links[self.last.hops(j)],
+                self.last.records[j].class,
+            )
+        })
+    }
+
+    /// Flow `i`'s range of this call's hops, laid back to back in flow
+    /// order — where a caller keeps per-hop state beside the names.
+    pub fn hops(&self, i: usize) -> std::ops::Range<usize> {
+        self.keys.hops(i)
+    }
+
+    /// If flow `i` kept its key, its range of the last call's hops.
+    pub fn kept_hops(&self, i: usize) -> Option<std::ops::Range<usize>> {
+        let j = self.keys.records[i].kept?;
+        Some(self.last.hops(j as usize))
+    }
+}
+
+/// Hands out the next name.
+fn new_name(next: &mut u64) -> u64 {
+    *next += 1;
+    *next - 1
+}
+
+/// Zero-copy [`FlowSource`] over the engine's active flows, named by
+/// the model's [`FlowNames`].
+///
+/// Flows get their spec's rate cap, unit weights unless the model
+/// flattened its own, and one priority class unless a `priorities`
+/// slice (aligned with `flows`) supplies per-flow strict-priority
+/// classes for policies like Homa or Sincronia. Paths are borrowed,
+/// never cloned.
 #[derive(Debug, Clone, Copy)]
 pub struct ActiveFlowViews<'a> {
     flows: &'a [ActiveFlow],
     priorities: Option<&'a [u8]>,
+    weights: Option<&'a [f64]>,
+    names: &'a FlowNames,
 }
 
 impl<'a> ActiveFlowViews<'a> {
-    /// Views with a single priority class (0) for every flow.
-    pub fn uniform(flows: &'a [ActiveFlow]) -> Self {
+    /// Views with a single priority class (0) for every flow, named by
+    /// `names`.
+    pub fn uniform(flows: &'a [ActiveFlow], names: &'a mut FlowNames) -> Self {
+        names.name(flows, |_| 0);
+        Self::weighted(flows, None, names)
+    }
+
+    /// Views with per-flow priorities, named by `names`; `priorities`
+    /// must be aligned with `flows`.
+    pub fn with_priorities(
+        flows: &'a [ActiveFlow],
+        priorities: &'a [u8],
+        names: &'a mut FlowNames,
+    ) -> Self {
+        assert_eq!(flows.len(), priorities.len());
+        names.name(flows, |i| priorities[i]);
         Self {
-            flows,
-            priorities: None,
+            priorities: Some(priorities),
+            ..Self::weighted(flows, None, names)
         }
     }
 
-    /// Views with per-flow priorities; `priorities` must be aligned
-    /// with `flows`.
-    pub fn with_priorities(flows: &'a [ActiveFlow], priorities: &'a [u8]) -> Self {
-        assert_eq!(flows.len(), priorities.len());
+    /// Views of the flows `names` named last, in one priority class,
+    /// flow `i` weighing `weights[names.hops(i)]` (unit weights for
+    /// `None`).
+    pub fn weighted(
+        flows: &'a [ActiveFlow],
+        weights: Option<&'a [f64]>,
+        names: &'a FlowNames,
+    ) -> Self {
         Self {
             flows,
-            priorities: Some(priorities),
+            priorities: None,
+            weights,
+            names,
         }
     }
 }
@@ -184,10 +340,47 @@ impl FlowSource for ActiveFlowViews<'_> {
         let f = &self.flows[i];
         FlowView {
             path: &f.path,
-            weights: FlowWeights::Uniform(1.0),
+            weights: self.weights.map_or(FlowWeights::Uniform(1.0), |w| {
+                FlowWeights::PerLink(&w[self.names.hops(i)])
+            }),
             priority: self.priorities.map_or(0, |p| p[i]),
             rate_cap: f.spec.rate_cap,
         }
+    }
+
+    fn key_id(&self, i: usize) -> u64 {
+        self.names.keys.records[i].name
+    }
+}
+
+/// What a fabric model that rates [`ActiveFlowViews`] keeps from one
+/// epoch to the next: the sharing scratch with its prepared problem, the
+/// flows' names and the capacity buffer.
+#[derive(Debug, Clone, Default)]
+pub struct FlowRater {
+    scratch: SharingScratch,
+    names: FlowNames,
+    caps: Vec<f64>,
+}
+
+impl FlowRater {
+    /// Rates `flows` over `topo`'s link capacities into `rates` with unit
+    /// weights, flow `i` in strict-priority class `priorities[i]` (all in
+    /// class 0 for `None`).
+    pub fn rate(
+        &mut self,
+        topo: &Topology,
+        flows: &[ActiveFlow],
+        priorities: Option<&[u8]>,
+        cfg: &SharingConfig,
+        rates: &mut Vec<f64>,
+    ) {
+        topo.capacities_into(&mut self.caps);
+        let views = match priorities {
+            Some(p) => ActiveFlowViews::with_priorities(flows, p, &mut self.names),
+            None => ActiveFlowViews::uniform(flows, &mut self.names),
+        };
+        compute_rates_into(&self.caps, &views, cfg, &mut self.scratch, rates);
     }
 }
 
@@ -198,20 +391,12 @@ impl FlowSource for ActiveFlowViews<'_> {
 pub struct FairShareFabric {
     /// Sharing configuration (refill passes etc.).
     pub sharing: SharingConfig,
-    scratch: SharingScratch,
-    caps: Vec<f64>,
+    rater: FlowRater,
 }
 
 impl FabricModel for FairShareFabric {
     fn allocate(&mut self, topo: &Topology, flows: &[ActiveFlow], rates: &mut Vec<f64>) {
-        topo.capacities_into(&mut self.caps);
-        compute_rates_into(
-            &self.caps,
-            &ActiveFlowViews::uniform(flows),
-            &self.sharing,
-            &mut self.scratch,
-            rates,
-        );
+        self.rater.rate(topo, flows, None, &self.sharing, rates);
     }
 }
 

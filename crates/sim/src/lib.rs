@@ -40,7 +40,7 @@ pub mod routing;
 pub mod sharing;
 pub mod topology;
 
-pub use engine::{ActiveFlowViews, Event, FabricModel, FlowSpec, Simulation};
+pub use engine::{ActiveFlowViews, Event, FabricModel, FlowNames, FlowSpec, Simulation};
 pub use ids::{AppId, FlowId, LinkId, NodeId, ServiceLevel};
 pub use routing::{LinkMembers, Routes};
 pub use sharing::{

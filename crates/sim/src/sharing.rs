@@ -108,24 +108,25 @@
 //! What the fill passes run on — the bundles in canonical order, their
 //! hops and caps, and per link the bundles crossing it — is kept in the
 //! scratch from one call to the next, beside the capacities the call
-//! was given and their checked sum. A source that names its flows' keys
-//! ([`FlowSource::key_id`]; `SabaFabric` derives the names from the
-//! engine's stable `FlowId`, taking a new one when a flow is rerouted
-//! or a hop re-weighted) has each flow matched to the previous call's
-//! by name: a flow found again keeps its bundle without its key being
-//! read, and only flows under a new name — arrived, or their key
-//! changed — are validated, hashed, sorted and spliced into the order,
-//! the link lists and the hop pool; only bundles that lost their last
-//! member leave them. A source without names takes the same path with
-//! nothing to reuse: every flow is new, and the lists of the emptied
-//! problem are laid out in one go once its bundles are made. The
-//! canonical order is a function of the bundle keys alone, and the hops
-//! and lists are functions of the order and the keys, so a patched
-//! problem is the problem a fresh scratch builds — the same bits, not
-//! an approximation.
+//! was given and their checked sum. Every source names its flows' keys
+//! ([`FlowSource::key_id`]; every fabric model takes the names from
+//! `engine::FlowNames`, which follows the engine's stable `FlowId` and
+//! hands out a new name when a flow's path, class or cap moves), and
+//! each flow is matched to the previous call's by name: a flow found
+//! again keeps its bundle without its key being read, and only flows
+//! under a new name — arrived, or their key changed — are validated,
+//! hashed, sorted and spliced into the order, the link lists and the
+//! hop pool; only bundles that lost their last member leave them. When
+//! no name is found again, the lists of the emptied problem are laid
+//! out in one go once its bundles are made. The canonical order is a
+//! function of the bundle keys alone, and the hops and lists are
+//! functions of the order and the keys, so a patched problem is the
+//! problem a fresh scratch builds — the same bits, not an
+//! approximation.
 //!
 //! [`compute_rates`] remains as a thin convenience wrapper that
-//! allocates fresh buffers on every call.
+//! allocates fresh buffers on every call; with nothing kept, it names
+//! the flows by their index.
 
 use crate::ids::LinkId;
 use std::cmp::Ordering;
@@ -184,6 +185,16 @@ impl SharingFlow {
             rate_cap: f64::INFINITY,
         }
     }
+
+    /// A borrowed view of this flow.
+    pub fn view(&self) -> FlowView<'_> {
+        FlowView {
+            path: &self.path,
+            weights: FlowWeights::PerLink(&self.weights),
+            priority: self.priority,
+            rate_cap: self.rate_cap,
+        }
+    }
 }
 
 /// Per-hop allocation weights of a [`FlowView`].
@@ -225,9 +236,8 @@ pub struct FlowView<'a> {
     pub rate_cap: f64,
 }
 
-/// A source of [`FlowView`]s: anything the allocator can iterate flows
-/// from without copying. Implemented for `[SharingFlow]`, `[FlowView]`,
-/// and the engine's active-flow adapters.
+/// A source of named [`FlowView`]s: anything the allocator can iterate
+/// flows from without copying, such as the engine's `ActiveFlowViews`.
 pub trait FlowSource {
     /// Number of flows.
     fn flow_count(&self) -> usize;
@@ -235,40 +245,28 @@ pub trait FlowSource {
     fn flow_view(&self, i: usize) -> FlowView<'_>;
     /// A name for flow `i` *and its key* — its path, per-hop weights,
     /// priority and cap: unique among the source's flows, and a name
-    /// seen in one call promises the key it had then, so a flow must
-    /// take a new name whenever its key changes. Naming its flows lets a
-    /// reused [`SharingScratch`] keep every named flow prepared across
-    /// calls without reading its key again (see the module docs); the
-    /// default names none, and the problem is then prepared afresh on
-    /// every call. Either every flow of a source has a name or none has.
-    fn key_id(&self, _i: usize) -> Option<u64> {
-        None
-    }
+    /// seen by a [`SharingScratch`] promises the key it had then, so a
+    /// flow must take a new name whenever its key changes. The scratch
+    /// keeps every flow whose name it saw in the previous call prepared
+    /// without reading its key again (see the module docs).
+    fn key_id(&self, i: usize) -> u64;
 }
 
-impl FlowSource for [SharingFlow] {
+/// Owned flows named by their index: sound for a fresh scratch only,
+/// which has seen no name.
+struct ByIndex<'a>(&'a [SharingFlow]);
+
+impl FlowSource for ByIndex<'_> {
     fn flow_count(&self) -> usize {
-        self.len()
+        self.0.len()
     }
 
     fn flow_view(&self, i: usize) -> FlowView<'_> {
-        let f = &self[i];
-        FlowView {
-            path: &f.path,
-            weights: FlowWeights::PerLink(&f.weights),
-            priority: f.priority,
-            rate_cap: f.rate_cap,
-        }
-    }
-}
-
-impl FlowSource for [FlowView<'_>] {
-    fn flow_count(&self) -> usize {
-        self.len()
+        self.0[i].view()
     }
 
-    fn flow_view(&self, i: usize) -> FlowView<'_> {
-        self[i]
+    fn key_id(&self, i: usize) -> u64 {
+        i as u64
     }
 }
 
@@ -329,9 +327,8 @@ struct BundleKey {
     resized: bool,
     /// FNV-1a hash of the key: the canonical order after the priority.
     hash: u64,
-    /// With bundling off, the member's name (its index in a source
-    /// without names), which orders flows with identical keys; zero with
-    /// bundling on, where keys are distinct.
+    /// With bundling off, the member's name, which orders flows with
+    /// identical keys; zero with bundling on, where keys are distinct.
     tie: u64,
     /// The members' rate cap.
     rate_cap: f64,
@@ -426,7 +423,7 @@ impl HeapEntry {
 /// the ids left over on both sides are sorted and merged, so a call
 /// costs `O(flows)` plus the sort of what moved.
 #[derive(Debug, Clone, Default)]
-pub struct FlowMatch {
+pub(crate) struct FlowMatch {
     /// This call's ids, in flow order.
     ids: Vec<u64>,
     /// The previous call's ids (a buffer between calls).
@@ -445,11 +442,6 @@ pub struct FlowMatch {
 }
 
 impl FlowMatch {
-    /// Forgets the previous call: every flow of the next one is new.
-    pub fn clear(&mut self) {
-        self.ids.clear();
-    }
-
     /// Matches this call's `n` flows, flow `i` with id `id(i)`, to the
     /// previous call's. Ids must be unique within a call.
     pub fn update(&mut self, n: usize, id: impl FnMut(usize) -> u64) {
@@ -461,7 +453,11 @@ impl FlowMatch {
         self.departed.clear();
         self.found = 0;
         let prev = self.before.len();
-        if prev == 0 {
+        // Ids handed out in increasing order (the engine's, a counter's
+        // names) put a call that replaced every flow above the last: no
+        // flow to look for.
+        if self.ids.iter().min() > self.before.iter().max() {
+            self.departed.extend(0..prev as u32);
             return;
         }
         self.loose.clear();
@@ -727,16 +723,13 @@ pub struct SharingScratch {
     /// they freeze in when the link drains.
     crossing: LinkLists,
     /// The flows of the last call and this one, matched by the names of
-    /// their keys (by index for a source without names).
+    /// their keys.
     matching: FlowMatch,
     /// Flow index → bundle.
     bundle_of: Vec<u32>,
-    /// The bundling mode and the link count the problem was prepared for,
-    /// and whether its flows were named (an unnamed problem's flows are
-    /// matched by index, which no name may meet).
+    /// The bundling mode and the link count the problem was prepared for.
     bundling: bool,
     num_links: usize,
-    named: bool,
     /// [`prepare`]'s per-call buffers.
     work: Work,
 }
@@ -788,7 +781,7 @@ struct Work {
 pub fn compute_rates(capacities: &[f64], flows: &[SharingFlow], cfg: &SharingConfig) -> Vec<f64> {
     let mut scratch = SharingScratch::default();
     let mut out = Vec::new();
-    compute_rates_into(capacities, flows, cfg, &mut scratch, &mut out);
+    compute_rates_into(capacities, &ByIndex(flows), cfg, &mut scratch, &mut out);
     out
 }
 
@@ -796,12 +789,11 @@ pub fn compute_rates(capacities: &[f64], flows: &[SharingFlow], cfg: &SharingCon
 /// with the source), reusing `scratch` across calls.
 ///
 /// This is the engine's epoch fast path: after warm-up it performs no
-/// heap allocations, and a source that names its flows' keys
-/// ([`FlowSource::key_id`]) has only the flows under a name new since
-/// the previous call on the same scratch prepared again. Flows are read
-/// through [`FlowView`]s, so `flows` may be a `[SharingFlow]` slice, a
-/// `[FlowView]` slice, or any zero-copy adapter over a fabric model's
-/// own storage.
+/// heap allocations, and only the flows under a name
+/// ([`FlowSource::key_id`]) new since the previous call on the same
+/// scratch are prepared again. Flows are read through [`FlowView`]s, so
+/// `flows` may be any zero-copy adapter over a fabric model's own
+/// storage.
 ///
 /// # Panics
 ///
@@ -1230,9 +1222,8 @@ impl SharingScratch {
 /// ([`FlowMatch`]), and a flow found again keeps its bundle. The others
 /// are validated, hashed and sorted, and join the bundle with their key
 /// or make a new one, spliced into the order, the link lists and the hop
-/// pool; a bundle left without members leaves them. A source without
-/// names, or after one, a new link count or a new bundling mode starts
-/// from an empty problem.
+/// pool; a bundle left without members leaves them. A new link count or
+/// a new bundling mode starts from an empty problem.
 fn prepare<F: FlowSource + ?Sized>(
     num_links: usize,
     flows: &F,
@@ -1240,16 +1231,14 @@ fn prepare<F: FlowSource + ?Sized>(
     s: &mut SharingScratch,
 ) {
     let n = flows.flow_count();
-    let named = flows.key_id(0).is_some();
-    if !(named && s.named) || s.bundling != bundling || s.num_links != num_links {
+    if s.bundling != bundling || s.num_links != num_links {
         s.bundling = bundling;
         s.num_links = num_links;
-        s.named = named;
         s.discard_bundles();
-        s.matching.clear();
+        // Forget the previous call: every flow of this one is new.
+        s.matching = FlowMatch::default();
     }
-    s.matching
-        .update(n, |i| flows.key_id(i).unwrap_or(i as u64));
+    s.matching.update(n, |i| flows.key_id(i));
     let mut w = std::mem::take(&mut s.work);
 
     // A flow found again keeps its bundle: its name promises its key.
@@ -2023,13 +2012,14 @@ mod tests {
         let caps: Vec<f64> = (0..8).map(|i| 100.0 + i as f64).collect();
         let flows = rand_flows(64, 8, 4, 7);
         let small = rand_flows(3, 8, 2, 9);
+        let (named_flows, named_small) = (named(&flows, 0), named(&small, 1000));
         let mut scratch = SharingScratch::default();
         let mut a = Vec::new();
         let mut b = Vec::new();
         let mut c = Vec::new();
-        compute_rates_into(&caps, flows.as_slice(), &cfg(), &mut scratch, &mut a);
-        compute_rates_into(&caps, small.as_slice(), &cfg(), &mut scratch, &mut b);
-        compute_rates_into(&caps, flows.as_slice(), &cfg(), &mut scratch, &mut c);
+        compute_rates_into(&caps, &Named(&named_flows), &cfg(), &mut scratch, &mut a);
+        compute_rates_into(&caps, &Named(&named_small), &cfg(), &mut scratch, &mut b);
+        compute_rates_into(&caps, &Named(&named_flows), &cfg(), &mut scratch, &mut c);
         assert_eq!(a, c);
         assert_eq!(b.len(), small.len());
         assert_eq!(a, compute_rates(&caps, &flows, &cfg()));
@@ -2058,14 +2048,22 @@ mod tests {
         let mut scratch = SharingScratch::default();
         let mut reused = Vec::new();
         for (step, (caps, flows)) in steps.iter().enumerate() {
-            compute_rates_into(caps, flows.as_slice(), &cfg(), &mut scratch, &mut reused);
+            let flows_named = named(flows, 1000 * step as u64);
+            compute_rates_into(
+                caps,
+                &Named(&flows_named),
+                &cfg(),
+                &mut scratch,
+                &mut reused,
+            );
             let fresh = compute_rates(caps, flows, &cfg());
             let bits = |rates: &[f64]| rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&reused), bits(&fresh), "step {step}");
         }
     }
 
-    /// Flows that name their keys: a name is never reused.
+    /// Flows that name their keys: a name is never reused for another
+    /// key.
     struct Named<'a>(&'a [(u64, SharingFlow)]);
 
     impl FlowSource for Named<'_> {
@@ -2074,17 +2072,33 @@ mod tests {
         }
 
         fn flow_view(&self, i: usize) -> FlowView<'_> {
-            let f = &self.0[i].1;
-            FlowView {
-                path: &f.path,
-                weights: FlowWeights::PerLink(&f.weights),
-                priority: f.priority,
-                rate_cap: f.rate_cap,
-            }
+            self.0[i].1.view()
         }
 
-        fn key_id(&self, i: usize) -> Option<u64> {
-            Some(self.0[i].0)
+        fn key_id(&self, i: usize) -> u64 {
+            self.0[i].0
+        }
+    }
+
+    /// `flows` named `first`, `first + 1`, … in order.
+    fn named(flows: &[SharingFlow], first: u64) -> Vec<(u64, SharingFlow)> {
+        (first..).zip(flows.iter().cloned()).collect()
+    }
+
+    /// Views named by their index, for a fresh scratch.
+    struct Views<'a>(&'a [FlowView<'a>]);
+
+    impl FlowSource for Views<'_> {
+        fn flow_count(&self) -> usize {
+            self.0.len()
+        }
+
+        fn flow_view(&self, i: usize) -> FlowView<'_> {
+            self.0[i]
+        }
+
+        fn key_id(&self, i: usize) -> u64 {
+            i as u64
         }
     }
 
@@ -2145,30 +2159,6 @@ mod tests {
     }
 
     #[test]
-    fn names_after_an_unnamed_call_meet_nothing_of_it() {
-        // An unnamed call matches its flows by index; names 0..n on the
-        // same scratch next must not find those flows' bundles.
-        let caps: Vec<f64> = (0..12).map(|i| 100.0 + 10.0 * i as f64).collect();
-        let unnamed = rand_flows(40, 12, 10, 0xfeed);
-        let named: Vec<(u64, SharingFlow)> = rand_flows(40, 12, 10, 0xbeef)
-            .into_iter()
-            .enumerate()
-            .map(|(i, f)| (i as u64, f))
-            .collect();
-        for bundling in [true, false] {
-            let cfg = SharingConfig { bundling, ..cfg() };
-            let mut scratch = SharingScratch::default();
-            let (mut kept, mut fresh) = (Vec::new(), Vec::new());
-            compute_rates_into(&caps, unnamed.as_slice(), &cfg, &mut scratch, &mut kept);
-            compute_rates_into(&caps, &Named(&named), &cfg, &mut scratch, &mut kept);
-            let mut new = SharingScratch::default();
-            compute_rates_into(&caps, &Named(&named), &cfg, &mut new, &mut fresh);
-            let bits = |rates: &[f64]| rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&kept), bits(&fresh), "bundling {bundling}");
-        }
-    }
-
-    #[test]
     fn flows_behind_a_zero_capacity_link_starve_and_weigh_on_nobody() {
         // A zero-capacity link is saturated from the start: in every
         // class the flows crossing it get exactly 0.0 and never enter a
@@ -2207,19 +2197,11 @@ mod tests {
             flow(&[0], &[1.0]),
             flow(&[1], &[3.0]),
         ];
-        let views: Vec<FlowView<'_>> = (0..flows.len())
-            .map(|i| flows.as_slice().flow_view(i))
-            .collect();
+        let views: Vec<FlowView<'_>> = flows.iter().map(SharingFlow::view).collect();
         let from_owned = compute_rates(&caps, &flows, &cfg());
         let mut scratch = SharingScratch::default();
         let mut from_views = Vec::new();
-        compute_rates_into(
-            &caps,
-            views.as_slice(),
-            &cfg(),
-            &mut scratch,
-            &mut from_views,
-        );
+        compute_rates_into(&caps, &Views(&views), &cfg(), &mut scratch, &mut from_views);
         assert_eq!(from_owned, from_views);
     }
 
@@ -2245,7 +2227,7 @@ mod tests {
         ];
         let mut scratch = SharingScratch::default();
         let mut rates = Vec::new();
-        compute_rates_into(&caps, views.as_slice(), &cfg(), &mut scratch, &mut rates);
+        compute_rates_into(&caps, &Views(&views), &cfg(), &mut scratch, &mut rates);
         assert!((rates[0] - 50.0).abs() < 1e-9, "{rates:?}");
         assert!((rates[1] - 50.0).abs() < 1e-9, "{rates:?}");
     }

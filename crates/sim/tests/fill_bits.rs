@@ -28,8 +28,8 @@
 
 use saba_sim::ids::LinkId;
 use saba_sim::sharing::{
-    compute_rates, compute_rates_into, FlowView, FlowWeights, SharingConfig, SharingFlow,
-    SharingScratch,
+    compute_rates, compute_rates_into, FlowSource, FlowView, FlowWeights, SharingConfig,
+    SharingFlow, SharingScratch,
 };
 
 /// The unit tests' LCG: deterministic draws without a crate.
@@ -431,6 +431,23 @@ fn pruned_refill_stays_within_1e_9_of_the_pr16_kernel() {
     println!("largest relative difference from the PR 16 kernel: {largest:e}");
 }
 
+/// Views named by their index, for a fresh scratch.
+struct Views<'a>(&'a [FlowView<'a>]);
+
+impl FlowSource for Views<'_> {
+    fn flow_count(&self) -> usize {
+        self.0.len()
+    }
+
+    fn flow_view(&self, i: usize) -> FlowView<'_> {
+        self.0[i]
+    }
+
+    fn key_id(&self, i: usize) -> u64 {
+        i as u64
+    }
+}
+
 /// `Uniform(w)` and `PerLink(&[w; n])` views of the same flows are the
 /// same problem, down to the bits pinned above.
 #[test]
@@ -448,7 +465,7 @@ fn uniform_and_per_link_views_agree_bit_for_bit() {
     let mut rates = Vec::new();
     compute_rates_into(
         &caps,
-        views.as_slice(),
+        &Views(&views),
         &SharingConfig::default(),
         &mut SharingScratch::default(),
         &mut rates,

@@ -6,9 +6,28 @@ use saba_sim::engine::{Event, FairShareFabric, FlowSpec, Simulation};
 use saba_sim::ids::{AppId, LinkId, NodeId, ServiceLevel};
 use saba_sim::routing::{LinkMembers, Routes};
 use saba_sim::sharing::{
-    compute_rates, compute_rates_into, SharingConfig, SharingFlow, SharingScratch,
+    compute_rates, compute_rates_into, FlowSource, FlowView, SharingConfig, SharingFlow,
+    SharingScratch,
 };
 use saba_sim::topology::{SpineLeafConfig, Topology};
+
+/// Flows named by their index: sound while every call on a scratch
+/// passes the same flows, so a name always meets its own key.
+struct Named<'a>(&'a [SharingFlow]);
+
+impl FlowSource for Named<'_> {
+    fn flow_count(&self) -> usize {
+        self.0.len()
+    }
+
+    fn flow_view(&self, i: usize) -> FlowView<'_> {
+        self.0[i].view()
+    }
+
+    fn key_id(&self, i: usize) -> u64 {
+        i as u64
+    }
+}
 
 /// `Routes::path`'s contract, built from the topology and `distance`
 /// alone — not from the forwarding table `path` scans: at each hop, the
@@ -119,8 +138,8 @@ proptest! {
         let mut unbundled = Vec::new();
         let on = SharingConfig { bundling: true, ..Default::default() };
         let off = SharingConfig { bundling: false, ..Default::default() };
-        compute_rates_into(&caps, flows.as_slice(), &on, &mut scratch, &mut bundled);
-        compute_rates_into(&caps, flows.as_slice(), &off, &mut scratch, &mut unbundled);
+        compute_rates_into(&caps, &Named(&flows), &on, &mut scratch, &mut bundled);
+        compute_rates_into(&caps, &Named(&flows), &off, &mut scratch, &mut unbundled);
         for (i, (a, b)) in bundled.iter().zip(&unbundled).enumerate() {
             if a.is_infinite() && b.is_infinite() {
                 continue;
@@ -570,7 +589,7 @@ fn all_to_all_epoch_matches_with_reused_scratch() {
     let mut scratch = SharingScratch::default();
     let mut rates = Vec::new();
     for epoch in 0..3 {
-        compute_rates_into(&caps, flows.as_slice(), &cfg, &mut scratch, &mut rates);
+        compute_rates_into(&caps, &Named(&flows), &cfg, &mut scratch, &mut rates);
         assert_eq!(rates.len(), reference.len());
         for (i, (&r, &want)) in rates.iter().zip(&reference).enumerate() {
             assert_eq!(r, want, "epoch {epoch}, flow {i}: {r} != {want}");
