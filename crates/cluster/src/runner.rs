@@ -3,11 +3,10 @@
 //! The §8.2 experiment runs 500 independent cluster setups twice each;
 //! setups share nothing, so they parallelize trivially across cores.
 //! The implementation lives in [`saba_math::parallel`] (the bottom of
-//! the crate graph) so the controllers can shard per-port Eq. 2 solves
-//! with the same primitive; this module re-exports it for the
+//! the crate graph); this module re-exports it for the
 //! experiment-harness callers.
 
-pub use saba_math::parallel::{default_threads, parallel_map, parallel_map_with};
+pub use saba_math::parallel::{default_threads, parallel_map};
 
 #[cfg(test)]
 mod tests {
@@ -19,11 +18,5 @@ mod tests {
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i * 3);
         }
-    }
-
-    #[test]
-    fn reexported_parallel_map_with_threads_state() {
-        let out = parallel_map_with(16, 4, || 0usize, |_s, i| i + 1);
-        assert_eq!(out, (1..=16).collect::<Vec<_>>());
     }
 }

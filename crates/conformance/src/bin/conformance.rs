@@ -28,7 +28,6 @@ use saba_conformance::obs::service_observability;
 use saba_conformance::oracles::{
     check_against_reference, check_model_monotonicity, check_replay, check_seeded_queue_map,
 };
-use saba_conformance::parallel::parallel_vs_serial;
 use saba_conformance::scenario::{ControlScenario, EngineScenario, FlowSetScenario};
 use saba_conformance::scenarios::{
     check_coflow_cct, check_reprofile, reprofile_demo, CoflowScenario, ReprofileScript,
@@ -43,7 +42,6 @@ struct Profile {
     engines: u64,
     controls: u64,
     incremental: u64,
-    parallel: u64,
     obs: u64,
     diversity: u64,
 }
@@ -53,7 +51,6 @@ const SMOKE: Profile = Profile {
     engines: 60,
     controls: 48,
     incremental: 500,
-    parallel: 500,
     obs: 500,
     diversity: 500,
 };
@@ -63,7 +60,6 @@ const LONG: Profile = Profile {
     engines: 600,
     controls: 480,
     incremental: 5000,
-    parallel: 5000,
     obs: 5000,
     diversity: 5000,
 };
@@ -190,26 +186,10 @@ fn main() -> ExitCode {
         scenarios += 1;
     }
 
-    // 5. Parallel vs serial epochs: the same churn script driven at
-    //    several solver-thread counts must emit bit-identical updates,
-    //    epoch scopes, and stats (both flavours) — the determinism pin
-    //    for the sharded per-port solve path.
-    println!(
-        "parallel vs serial: {} seeded churn scripts",
-        profile.parallel
-    );
-    for seed in seed_start..seed_start + profile.parallel {
-        let sc = ChurnScript::generate(seed);
-        if let Err(e) = parallel_vs_serial(&sc) {
-            return fail("parallel-vs-serial", format!("seed {seed}: {e}"));
-        }
-        scenarios += 1;
-    }
-
-    // 6. Service-plane observability: byte-identical span-tree JSONL
-    //    across runs and solver-thread counts, RPC→epoch span linkage,
-    //    scrapeable exposition with monotone counters, and an exact
-    //    traced-vs-untraced state match (no observer effect).
+    // 5. Service-plane observability: byte-identical span-tree JSONL
+    //    across runs, RPC→epoch span linkage, scrapeable exposition with
+    //    monotone counters, and an exact traced-vs-untraced state match
+    //    (no observer effect).
     println!(
         "service observability: {} seeded churn scripts",
         profile.obs
@@ -222,7 +202,7 @@ fn main() -> ExitCode {
         scenarios += 1;
     }
 
-    // 7. Workload-diversity scenarios: coflow CCT semantics (plus the
+    // 6. Workload-diversity scenarios: coflow CCT semantics (plus the
     //    collapse differential) under random fault schedules, and the
     //    streaming-drift re-profiling invariants (no-op epochs, monotone
     //    improving refits, incremental == scratch on both flavours).
@@ -265,7 +245,7 @@ fn main() -> ExitCode {
         Err(e) => return fail("reprofile-demo", e),
     }
 
-    // 8. Baselines against hand-solved fixtures.
+    // 7. Baselines against hand-solved fixtures.
     println!("baseline fixtures");
     if let Err(e) = baseline_fixtures() {
         return fail("baseline-fixtures", e);
@@ -274,7 +254,7 @@ fn main() -> ExitCode {
         return fail("coflow-fixtures", e);
     }
 
-    // 9. Golden CSVs of the figure pipelines.
+    // 8. Golden CSVs of the figure pipelines.
     println!("golden CSVs");
     if let Err(e) = golden::check_goldens() {
         return fail("golden", e);

@@ -16,7 +16,6 @@ pub mod golden;
 pub mod incremental;
 pub mod obs;
 pub mod oracles;
-pub mod parallel;
 pub mod reference;
 pub mod scenario;
 pub mod scenarios;

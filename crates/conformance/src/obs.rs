@@ -3,9 +3,8 @@
 //! The service tier's telemetry makes three promises (DESIGN.md §15):
 //!
 //! 1. **Determinism** — an identically-seeded drill exports a
-//!    byte-identical span-tree JSONL, across repeated runs *and*
-//!    across Eq. 2 solver-thread counts (1/2/8): observability rides
-//!    the logical clock, never the wall clock.
+//!    byte-identical span-tree JSONL across repeated runs:
+//!    observability rides the logical clock, never the wall clock.
 //! 2. **Well-formedness and linkage** — the exported trace passes
 //!    `validate_jsonl` (unique span ids, no orphan parents), and every
 //!    churn RPC the shard tier acked is linked downward to the
@@ -29,10 +28,6 @@ use saba_sim::ids::AppId;
 use saba_telemetry::{check_scrapes, validate_jsonl, Recorder, SharedRecorder};
 use std::path::PathBuf;
 
-/// Solver-thread counts every drill is repeated at; the exports must
-/// be byte-identical across all of them.
-pub const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
 /// What one drill run leaves behind for the differential checks.
 struct DrillOutcome {
     /// Deterministic JSONL export of the trace (empty when untraced).
@@ -54,12 +49,7 @@ fn drill_dir(seed: u64, tag: &str) -> PathBuf {
 /// [`AllocationService`] on the logical clock: register every app,
 /// replay the events one envelope per step (ticking every fourth
 /// step), scrape twice, and export.
-fn run_drill(
-    sc: &ChurnScript,
-    threads: usize,
-    traced: bool,
-    tag: &str,
-) -> Result<DrillOutcome, String> {
+fn run_drill(sc: &ChurnScript, traced: bool, tag: &str) -> Result<DrillOutcome, String> {
     let dir = drill_dir(sc.seed, tag);
     let _ = std::fs::remove_dir_all(&dir);
     let spec = ShardSpec {
@@ -79,7 +69,6 @@ fn run_drill(
         SharedRecorder::off()
     };
     svc.set_sink(sink.clone());
-    svc.set_solver_threads(threads);
 
     let servers = sc.topology().servers().to_vec();
     for app in 0..sc.napps as u32 {
@@ -239,29 +228,19 @@ fn check_spans(sc: &ChurnScript, jsonl: &str) -> Result<(), String> {
 /// The full observability differential for one seeded churn script.
 pub fn service_observability(sc: &ChurnScript) -> Result<(), String> {
     // Two identically-seeded traced runs: byte-identical exports.
-    let base = run_drill(sc, 1, true, "t1a")?;
-    let again = run_drill(sc, 1, true, "t1b")?;
+    let base = run_drill(sc, true, "traced-a")?;
+    let again = run_drill(sc, true, "traced-b")?;
     if base.trace_jsonl != again.trace_jsonl {
         return Err("identically-seeded runs exported different span-tree JSONL".into());
     }
     check_spans(sc, &base.trace_jsonl)?;
-
-    // Solver-thread invariance: same bytes at every thread count.
-    for &threads in &THREAD_COUNTS[1..] {
-        let run = run_drill(sc, threads, true, &format!("t{threads}"))?;
-        if run.trace_jsonl != base.trace_jsonl {
-            return Err(format!(
-                "solver_threads={threads} exported different span-tree JSONL than 1 thread"
-            ));
-        }
-    }
 
     // Exposition: required families present, counters monotone.
     let (p1, p2) = &base.pages;
     check_scrapes(p1, p2, &REQUIRED_FAMILIES, &MONOTONE_COUNTERS)?;
 
     // Observer effect: the untraced twin ends in the exact same state.
-    let untraced = run_drill(sc, 1, false, "off")?;
+    let untraced = run_drill(sc, false, "off")?;
     if untraced.programmed != base.programmed {
         return Err("tracing changed the programmed switch state".into());
     }

@@ -85,7 +85,7 @@ impl Controller<Central> {
 
     /// A cold incarnation of this controller, as a process restart
     /// leaves it: same configuration, profile table and fabric; no
-    /// registrations, connections, memos, counters or solver settings.
+    /// registrations, connections or counters.
     pub fn restarted(&self) -> Self {
         Self::new(
             self.config().clone(),
@@ -123,8 +123,6 @@ impl Central {
 
 impl Policy for Central {
     type Member = AppMember;
-    /// Nothing is memoized: every port is solved in place.
-    type Key = std::convert::Infallible;
 
     /// Looks up the profiled sensitivity model, interns its surrogate on
     /// the workload's first registration and assigns a PL online. A
@@ -220,13 +218,15 @@ impl Policy for Central {
 
     /// The exact solve of every port, whatever its width, straight into
     /// the visit's weight buffer: a pure function of the members'
-    /// surrogates, each one indexed load away.
+    /// surrogates, each one indexed load away. Nothing is memoized.
     /// A lone application has nobody to share with — its answer is
     /// `[C_saba]` and no Eq. 2 problem was solved.
-    fn solve_into(
-        &self,
+    fn weights_into(
+        &mut self,
         cfg: &ControllerConfig,
         apps: &[AppMember],
+        _pls: &[usize],
+        _set: u16,
         scratch: &mut SolveScratch,
         weights: &mut Vec<f64>,
     ) -> bool {

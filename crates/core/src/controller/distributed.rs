@@ -248,10 +248,12 @@ pub struct Distributed {
     /// convex surrogate, `None` for a PL that has no centroid or whose
     /// centroid has no finite surrogate (its workloads cannot register).
     surrogates: Vec<Option<ModelSurrogate>>,
-    /// Eq. 2 solutions memoized by the PL set. Centroids are fixed by
-    /// the offline database except when a re-profiled model moves one,
-    /// which refits that PL's surrogate and purges every entry naming it.
-    weight_cache: HashMap<Vec<usize>, Vec<f64>>,
+    /// Eq. 2 solutions memoized by a port's PL set: a port's members
+    /// are distinct PLs below 16, so the set names them, in ascending
+    /// order, and weight `i` is its `i`-th's. Centroids are fixed by the
+    /// offline database except when a re-profiled model moves one, which
+    /// refits that PL's surrogate and purges every set holding it.
+    weight_cache: HashMap<u16, Box<[f64]>>,
 }
 
 impl Controller<Distributed> {
@@ -297,7 +299,6 @@ impl Controller<Distributed> {
 
 impl Policy for Distributed {
     type Member = usize;
-    type Key = Vec<usize>;
 
     /// A pure database lookup, no clustering (that happened offline). A
     /// workload whose PL has no surrogate is as unknown as one the
@@ -345,7 +346,7 @@ impl Policy for Distributed {
         };
         self.db = db;
         self.surrogates[pl] = Some(surrogate);
-        self.weight_cache.retain(|pls, _| !pls.contains(&pl));
+        self.weight_cache.retain(|&set, _| set & 1 << pl == 0);
         self.db.centroids().iter().map(|(p, _)| *p).collect()
     }
 
@@ -361,43 +362,40 @@ impl Policy for Distributed {
         &self.db.mapper
     }
 
-    fn cached(&self, present: &[usize], _pls: &[usize]) -> Option<&[f64]> {
-        self.weight_cache.get(present).map(Vec::as_slice)
-    }
-
-    /// Every port is memoized: PL sets are few and shared across ports.
-    fn key(&self, present: &[usize], _pls: &[usize]) -> Option<Vec<usize>> {
-        Some(present.to_vec())
-    }
-
-    /// Eq. 2 over the centroid surrogate of each PL present (coarser
-    /// than the centralized per-application solve), one weight per PL.
-    fn solve(
-        &self,
+    /// Every port is memoized, hit or miss alike: PL sets are few and
+    /// shared across ports. A miss solves Eq. 2 over the centroid
+    /// surrogate of each PL present (coarser than the centralized
+    /// per-application solve), one weight per PL, and counts as a solve
+    /// even for a lone PL.
+    fn weights_into(
+        &mut self,
         cfg: &ControllerConfig,
-        present: &Vec<usize>,
+        _members: &[usize],
+        pls: &[usize],
+        set: u16,
         scratch: &mut SolveScratch,
-    ) -> Vec<f64> {
-        let surrogates = present.iter().map(|&pl| {
+        weights: &mut Vec<f64>,
+    ) -> bool {
+        if let Some(memo) = self.weight_cache.get(&set) {
+            weights.extend_from_slice(memo);
+            return false;
+        }
+        let surrogates = pls.iter().map(|&pl| {
             self.surrogates[pl]
                 .as_ref()
                 .expect("a registered PL has a surrogate")
         });
-        let mut weights = Vec::with_capacity(present.len());
         port_weights_from_surrogates(
             surrogates,
             cfg.c_saba,
             cfg.min_weight,
             cfg.protect_fraction,
             scratch,
-            &mut weights,
+            weights,
         )
         .expect("non-empty feasible weight problem");
-        weights
-    }
-
-    fn store(&mut self, present: Vec<usize>, weights: Vec<f64>) {
-        self.weight_cache.insert(present, weights);
+        self.weight_cache.insert(set, weights.as_slice().into());
+        true
     }
 
     fn num_shards(&self) -> usize {
@@ -412,7 +410,7 @@ impl Policy for Distributed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::{ControllerHandle, Flavour};
+    use crate::controller::{ControllerHandle, Flavour, SwitchUpdate};
     use crate::fabric::PortQueueConfig;
     use crate::profiler::{Profiler, ProfilerConfig};
     use saba_sim::topology::SpineLeafConfig;
@@ -601,6 +599,85 @@ mod tests {
         );
         // A second identical push finds the centroid already in place.
         assert!(c.update_model(&refit).is_empty());
+    }
+
+    /// A refit purges only the memo entries whose PL set holds the moved
+    /// PL: the rest survive and answer the refit's epoch as hits, each
+    /// purged set is solved once more, and a forced recompute then
+    /// programs what a controller born with the refit database does.
+    #[test]
+    fn a_refit_resolves_only_the_pl_sets_holding_the_moved_pl() {
+        let t = table();
+        let db = MappingDb::build(&t, 16, 1);
+        let topo = Topology::single_switch(6, saba_sim::LINK_56G_BPS);
+        let s = topo.servers();
+        let apps = [(0, "LR"), (1, "Sort"), (2, "PR"), (3, "SQL")];
+        let conns = [
+            (0, 0, 1),
+            (1, 0, 1),
+            (1, 2, 3),
+            (2, 2, 3),
+            (2, 4, 5),
+            (3, 4, 5),
+        ];
+        let build = |db: MappingDb| {
+            let mut c = DistributedController::new(ControllerConfig::default(), db, &topo, 2);
+            for (app, workload) in apps {
+                c.register(AppId(app), workload).unwrap();
+            }
+            for (tag, &(app, src, dst)) in conns.iter().enumerate() {
+                c.preload_connection(AppId(app), s[src], s[dst], tag as u64);
+            }
+            c
+        };
+        let mut c = build(db);
+        c.recompute_all();
+        let set_of =
+            |c: &DistributedController, l| c.members.members(l).fold(0u16, |set, pl| set | 1 << pl);
+        let ports: Vec<u16> = c.members.occupied_links().map(|l| set_of(&c, l)).collect();
+        let mut sets = ports.clone();
+        sets.sort_unstable();
+        sets.dedup();
+        assert!(sets.len() >= 3, "distinct PL sets: {sets:?}");
+        let p = c.policy.apps[&AppId(0)];
+        let holding: Vec<u16> = sets.iter().copied().filter(|s| s & 1 << p != 0).collect();
+        assert!(!holding.is_empty() && holding.len() < sets.len());
+        let memo = c.policy.weight_cache.clone();
+        assert_eq!(memo.len(), sets.len(), "the sweep memoized every set");
+
+        let flat: Vec<(f64, f64)> = [0.25, 0.5, 0.75, 1.0]
+            .iter()
+            .map(|&b| (b, 1.0 + 0.05 * (1.0 - b)))
+            .collect();
+        let refit = SensitivityModel::fit("LR", &flat, 2).unwrap();
+        let before = c.stats();
+        assert!(!c.update_model(&refit).is_empty());
+        let after = c.stats();
+        assert_eq!(after.ports_dirty - before.ports_dirty, ports.len() as u64);
+        assert_eq!(
+            after.eq2_solves - before.eq2_solves,
+            holding.len() as u64,
+            "only the sets holding PL {p} are solved again"
+        );
+        let without = ports.iter().filter(|&&set| set & 1 << p == 0).count() as u64;
+        assert!(after.solves_skipped - before.solves_skipped >= without);
+        for (set, weights) in &memo {
+            let bits = |w: &[f64]| w.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            let now = bits(&c.policy.weight_cache[set]);
+            if set & 1 << p == 0 {
+                assert_eq!(now, bits(weights), "set {set:#06x} survives");
+            } else {
+                assert_ne!(now, bits(weights), "set {set:#06x} is re-solved");
+            }
+        }
+
+        let mut fresh = build(c.policy.db.clone());
+        let bits = |updates: Vec<SwitchUpdate>| -> Vec<(u32, Vec<u8>, Vec<u64>)> {
+            let weights = |u: &SwitchUpdate| u.config.weights.iter().map(|w| w.to_bits()).collect();
+            let bits = |u: &SwitchUpdate| (u.link.0, u.config.sl_to_queue.to_vec(), weights(u));
+            updates.iter().map(bits).collect()
+        };
+        assert_eq!(bits(c.recompute_all()), bits(fresh.recompute_all()));
     }
 
     /// A refit that would move a centroid where no finite surrogate

@@ -4,37 +4,34 @@
 //! run the same per-port computation; they differ only in *where the
 //! state comes from*. [`Controller`] owns everything they share — the
 //! connection table and §7.2 path detection, the refcounted
-//! link → member index and its dirty set, the parallel prewarm, the
-//! serial sweep, the PL → queue aggregation, the (occupancy, config)
-//! diff, the counters and the solve timing — and a statically
-//! dispatched [`Policy`] supplies the rest:
+//! link → member index and its dirty set, the serial sweep, the
+//! PL → queue aggregation, the (occupancy, config) diff, the counters
+//! and the solve timing — and a statically dispatched [`Policy`]
+//! supplies the rest:
 //!
 //! | seam | [`Central`](super::central::Central) | [`Distributed`](super::distributed::Distributed) |
 //! |---|---|---|
 //! | member on a port | `AppId` with its sticky PL | PL |
-//! | memo key → solve | none — the exact dual solve of every port, at any width, writes into the visit's weight buffer (one app: `[C_saba]`, no solve) | PL set → the same exact solve over the PLs' centroid surrogates |
+//! | [`Policy::weights_into`] | the exact dual solve of every port, at any width, into the visit's weight buffer (one app: `[C_saba]`, no solve); no memo | the same exact solve over the PLs' centroid surrogates, memoized by the port's `u16` PL set |
 //! | PL and queue mapper | online `PlAssigner` (deferred full sweep when the published centroids move) | offline `MappingDb` |
 //! | partition | one domain | link shards |
-//! | memo purge | none: there is no memo (a refit rewrites its workload's surrogate slot) | entries naming a PL whose centroid moved (its surrogate is refit) |
+//! | memo purge | none: there is no memo (a refit rewrites its workload's surrogate slot) | the sets holding a PL whose centroid moved (its surrogate is refit) |
 //!
 //! A port visit costs O(members) and allocates only what it emits,
 //! whether or not the controller ever saw the port's members before. It
 //! copies the link's sorted member row and the members' PLs into
-//! buffers the engine keeps; gets the port's Eq. 2 solution into its
-//! weight buffer — a memoized one through a borrowed slice, a memo miss
-//! solved and stored, and a port the policy does not memoize
-//! ([`Policy::key`] is `None`) solved in place by
-//! [`Policy::solve_into`]; folds the PLs into a `u16` set and walks the
-//! §5.3.2 hierarchy for that set's queue table
-//! ([`QueueMapper::queues_for`], over bit sets on the stack, nothing
-//! remembered); sums each member's
-//! weight into its PL's queue in member order; and diffs the result
-//! against a dense per-link table of what the port runs. Same member
-//! order ⇒ same solve input ⇒ same queue table ⇒ same summation order:
-//! which containers hold the state, and whether a solution was
-//! remembered or recomputed, cannot reach an emitted bit
-//! (`tests/sweep_bits.rs`), and `tests/sweep_allocs.rs` counts the
-//! allocations.
+//! buffers the engine keeps; folds the PLs into a `u16` set; gets the
+//! port's Eq. 2 solution into its weight buffer through
+//! [`Policy::weights_into`] (remembered or solved in place, as the
+//! policy chooses); walks the §5.3.2 hierarchy for that set's queue
+//! table ([`QueueMapper::queues_for`], over bit sets on the stack,
+//! nothing remembered); sums each member's weight into its PL's queue
+//! in member order; and diffs the result against a dense per-link table
+//! of what the port runs. Same member order ⇒ same solve input ⇒ same
+//! queue table ⇒ same summation order: which containers hold the state,
+//! and whether a solution was remembered or recomputed, cannot reach an
+//! emitted bit (`tests/sweep_bits.rs`), and `tests/sweep_allocs.rs`
+//! counts the allocations.
 //!
 //! Path detection mirrors §7.2: the controller holds its own copy of
 //! the fabric's forwarding tables (`Routes`, the stand-in for reading
@@ -51,9 +48,8 @@ use saba_sim::routing::{LinkMembers, Routes};
 use saba_sim::topology::Topology;
 use saba_telemetry::{EventKind, Histogram, TelemetrySink};
 use saba_workload::runtime::ConnEvent;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt::Debug;
-use std::hash::Hash;
 use std::sync::Arc;
 
 /// Running counters of one controller, used by the Fig. 12 overhead
@@ -78,8 +74,8 @@ pub struct EpochStats {
     /// Ports reprogrammed.
     pub ports_reconfigured: u64,
     /// Occupied-port visits for which an Eq. 2 problem was solved: a
-    /// memo miss (the parallel prewarm's solves included) or the direct
-    /// solve of a port the policy does not memoize.
+    /// memo miss, or the in-place solve of a contended port on a policy
+    /// that keeps no memo.
     pub eq2_solves: u64,
     /// Ports visited across all epochs (dirty-set sizes summed).
     pub ports_dirty: u64,
@@ -94,12 +90,12 @@ pub struct EpochStats {
 impl EpochStats {
     /// Fraction of occupied-port visits that solved no Eq. 2 problem
     /// (`skipped / (skipped + solved)`: memo hits and single-member
-    /// ports), the service tier's `controller.prewarm_hit_rate` gauge.
+    /// ports), the service tier's `controller.solve_skip_ratio` gauge.
     /// `None` before any visit. On the centralized flavour, which solves
     /// every port rather than remembering any, this is the single-member
     /// share — a low value there says ports are contended, not that a
     /// cache is cold.
-    pub fn cache_hit_rate(&self) -> Option<f64> {
+    pub fn solve_skip_ratio(&self) -> Option<f64> {
         let total = self.solves_skipped + self.eq2_solves;
         (total > 0).then(|| self.solves_skipped as f64 / total as f64)
     }
@@ -122,19 +118,12 @@ impl std::ops::AddAssign for EpochStats {
 /// What a controller flavour supplies to the shared epoch engine.
 ///
 /// A policy owns the application registry, the application → PL
-/// mapping and, if it keeps one, the Eq. 2 memo — and decides, per
-/// port, whether the memo is worth asking ([`Self::key`]); a port it
-/// does not memoize is solved in place by [`Self::solve_into`], which
-/// is how the central policy answers every port. [`Self::solve`] must
-/// be a pure function of `&self` and the key: the parallel prewarm
-/// calls it from worker threads and relies on that for bit-identity
-/// with the serial sweep. A port's solution is one weight per member,
-/// in member order.
-pub trait Policy: Clone + Debug + Sync {
+/// mapping and, if it keeps one, the Eq. 2 memo, and answers every port
+/// visit's Eq. 2 problem through [`Self::weights_into`]: one weight per
+/// member, in member order.
+pub trait Policy: Clone + Debug {
     /// What a port's membership set is made of.
-    type Member: Copy + Ord + Hash + Debug + Send + Sync;
-    /// What an Eq. 2 solution is memoized under.
-    type Key: Clone + Eq + Hash + Send + Sync;
+    type Member: Copy + Ord + Debug;
 
     /// Admits `app` and returns its PL.
     fn register(
@@ -172,49 +161,22 @@ pub trait Policy: Clone + Debug + Sync {
         false
     }
 
-    /// The memoized solution for a port with these members (and their
-    /// PLs, index-aligned), if any. A policy that memoizes nothing
-    /// keeps the default, like the three methods below.
-    fn cached(&self, _members: &[Self::Member], _pls: &[usize]) -> Option<&[f64]> {
-        None
-    }
-
-    /// The memo key [`Self::cached`] looked up, or `None` for a port
-    /// the policy does not memoize — solving it costs less than
-    /// remembering it — which [`Self::solve_into`] answers instead.
-    fn key(&self, _members: &[Self::Member], _pls: &[usize]) -> Option<Self::Key> {
-        None
-    }
-
-    /// Solves Eq. 2 for `key`. Never called on a policy whose
-    /// [`Self::key`] is always `None`.
-    fn solve(
-        &self,
-        _cfg: &ControllerConfig,
-        _key: &Self::Key,
-        _scratch: &mut SolveScratch,
-    ) -> Vec<f64> {
-        unreachable!("this policy memoizes no port")
-    }
-
-    /// Memoizes a solution.
-    fn store(&mut self, _key: Self::Key, _weights: Vec<f64>) {
-        unreachable!("this policy memoizes no port")
-    }
-
-    /// Solves a port without a memo key, appending its solution to
-    /// `weights`; returns whether an Eq. 2 problem was solved (a lone
-    /// member's answer needs none). Never called on a policy whose
-    /// [`Self::key`] is always `Some`.
-    fn solve_into(
-        &self,
-        _cfg: &ControllerConfig,
-        _members: &[Self::Member],
-        _scratch: &mut SolveScratch,
-        _weights: &mut Vec<f64>,
-    ) -> bool {
-        unreachable!("this policy memoizes every port")
-    }
+    /// Appends the Eq. 2 solution of a port to `weights`, one weight
+    /// per member in member order: remembered, or solved in place.
+    /// `members` are the port's members, ascending; `pls` their PLs,
+    /// index-aligned; `set` those PLs folded into a bit set. Returns
+    /// whether an Eq. 2 problem was solved ([`EpochStats::eq2_solves`])
+    /// or none was ([`EpochStats::solves_skipped`]: a memo hit, or a
+    /// lone member's `[C_saba]` on a policy that keeps no memo).
+    fn weights_into(
+        &mut self,
+        cfg: &ControllerConfig,
+        members: &[Self::Member],
+        pls: &[usize],
+        set: u16,
+        scratch: &mut SolveScratch,
+        weights: &mut Vec<f64>,
+    ) -> bool;
 
     /// Number of link shards the fabric is partitioned into.
     fn num_shards(&self) -> usize {
@@ -248,8 +210,6 @@ pub struct Controller<P: Policy> {
     /// still runs its factory default. Event-path epochs diff against
     /// this to suppress no-op updates.
     programmed: Vec<Option<PortQueueConfig>>,
-    /// Worker threads for independent per-port Eq. 2 solves (1 = serial).
-    solver_threads: usize,
     scratch: SolveScratch,
     /// What the port visit under way reads, in buffers that outlive it
     /// (a visit allocates nothing but the configuration it emits): the
@@ -278,7 +238,6 @@ impl<P: Policy> Controller<P> {
             conns: HashMap::new(),
             members: LinkMembers::new(topo.num_links()),
             programmed: vec![None; topo.num_links()],
-            solver_threads: 1,
             scratch: SolveScratch::new(),
             row: Vec::new(),
             pls: Vec::new(),
@@ -319,21 +278,10 @@ impl<P: Policy> Controller<P> {
         &self.solve_hist
     }
 
-    /// Sets the number of worker threads used for the independent
-    /// per-port Eq. 2 solves of a reprogramming batch (clamped to at
-    /// least 1; 1 — the default — keeps the fully serial path).
-    ///
-    /// The parallel path is *bit-identical* to the serial one: each
-    /// missing memo entry is an independent solve, workers fill a
-    /// per-thread [`SolveScratch`], and results are merged into the
-    /// memo in the deterministic first-occurrence order the serial
-    /// sweep would have produced. Stats counters also match exactly.
-    /// Only memoized ports are prewarmed, so the central flavour, which
-    /// memoizes none, has nothing to prewarm: its epochs are the serial
-    /// ones whatever the thread count.
-    pub fn set_solver_threads(&mut self, threads: usize) {
-        self.solver_threads = threads.max(1);
-    }
+    /// Does nothing: every Eq. 2 solve runs on the calling thread, in
+    /// the serial sweep. Kept only while the performance ledger
+    /// (`ledger/src/epoch.rs`) still calls it.
+    pub fn set_solver_threads(&mut self, _threads: usize) {}
 
     /// The configuration.
     pub fn config(&self) -> &ControllerConfig {
@@ -648,19 +596,6 @@ impl<P: Policy> Controller<P> {
             emitted: 0,
         };
         self.stats.ports_dirty += links.len() as u64;
-        // Parallel phase: solve every missing memo entry up front, so
-        // the serial per-port sweep below finds every memoized port's
-        // solution (ports the policy does not memoize are solved in the
-        // sweep either way). Each prewarmed key is hit at least once in
-        // the sweep (by the port that requested it), where the serial
-        // path would have counted a solve instead of a skip — the
-        // compensation below keeps the counters bit-identical to a
-        // single-threaded run.
-        let prewarmed = if self.solver_threads > 1 {
-            self.prewarm(&links)
-        } else {
-            0
-        };
         let mut updates = Vec::with_capacity(links.len());
         for link in links {
             let config = self.port_config(link);
@@ -687,94 +622,26 @@ impl<P: Policy> Controller<P> {
             self.stats.ports_reconfigured += 1;
             updates.push(SwitchUpdate { link, config });
         }
-        if prewarmed > 0 {
-            debug_assert!(self.stats.solves_skipped >= prewarmed);
-            self.stats.solves_skipped -= prewarmed;
-            self.stats.eq2_solves += prewarmed;
-        }
         self.last_epoch.emitted = updates.len() as u32;
         updates
-    }
-
-    /// Gathers the memo misses of one batch and solves them
-    /// concurrently: the member set of every dirty port the policy
-    /// memoizes is collected serially, the solves for keys not yet
-    /// memoized run on
-    /// [`saba_math::parallel_map_with`] workers with per-thread
-    /// [`SolveScratch`] pools, and results land in the memo in
-    /// first-occurrence order. Returns the number of solves performed
-    /// so the caller can reconcile the hit/solve counters.
-    ///
-    /// Determinism: [`Policy::solve`] is a pure function of the key, so
-    /// values are independent of scheduling.
-    fn prewarm(&mut self, links: &[LinkId]) -> u64 {
-        let mut jobs: Vec<P::Key> = Vec::new();
-        let mut queued: HashSet<P::Key> = HashSet::new();
-        for &link in links {
-            if !self.read_row(link) {
-                continue;
-            }
-            if self.policy.cached(&self.row, &self.pls).is_some() {
-                continue;
-            }
-            let Some(key) = self.policy.key(&self.row, &self.pls) else {
-                continue;
-            };
-            if queued.insert(key.clone()) {
-                jobs.push(key);
-            }
-        }
-        if jobs.is_empty() {
-            return 0;
-        }
-        let (policy, cfg) = (&self.policy, &self.cfg);
-        let solved: Vec<Vec<f64>> = saba_math::parallel_map_with(
-            jobs.len(),
-            self.solver_threads,
-            SolveScratch::new,
-            |scratch, j| policy.solve(cfg, &jobs[j], scratch),
-        );
-        let n = jobs.len() as u64;
-        for (key, w) in jobs.into_iter().zip(solved) {
-            self.policy.store(key, w);
-        }
-        n
-    }
-
-    /// Reads `link`'s members and their PLs into the visit buffers;
-    /// `false` if the port is unoccupied.
-    fn read_row(&mut self, link: LinkId) -> bool {
-        self.row.clear();
-        self.row.extend(self.members.members(link));
-        self.pls.clear();
-        self.pls.extend(self.row.iter().map(|&m| self.policy.pl(m)));
-        !self.row.is_empty()
     }
 
     /// Builds the queue configuration for one port from the members
     /// currently crossing it (§5.1 weight calculation + §5.3 mapping).
     fn port_config(&mut self, link: LinkId) -> PortQueueConfig {
-        if !self.read_row(link) {
+        self.row.clear();
+        self.row.extend(self.members.members(link));
+        if self.row.is_empty() {
             return PortQueueConfig::default();
         }
+        self.pls.clear();
+        self.pls.extend(self.row.iter().map(|&m| self.policy.pl(m)));
         let (members, pls, weights) = (&self.row, &self.pls, &mut self.weights);
-        let (cfg, scratch) = (&self.cfg, &mut self.scratch);
+        let present = pls.iter().fold(0u16, |set, &pl| set | 1 << pl);
         weights.clear();
-        let solved = match self.policy.cached(members, pls) {
-            Some(w) => {
-                weights.extend_from_slice(w);
-                false
-            }
-            None => match self.policy.key(members, pls) {
-                Some(key) => {
-                    let w = self.policy.solve(cfg, &key, scratch);
-                    weights.extend_from_slice(&w);
-                    self.policy.store(key, w);
-                    true
-                }
-                None => self.policy.solve_into(cfg, members, scratch, weights),
-            },
-        };
+        let solved =
+            self.policy
+                .weights_into(&self.cfg, members, pls, present, &mut self.scratch, weights);
         self.stats.eq2_solves += u64::from(solved);
         self.stats.solves_skipped += u64::from(!solved);
 
@@ -782,7 +649,6 @@ impl<P: Policy> Controller<P> {
         // budget; a reserved non-Saba share (§3 co-existence) takes one
         // queue of that budget for itself.
         let reserved = self.cfg.c_saba < 1.0;
-        let present = pls.iter().fold(0u16, |set, &pl| set | 1 << pl);
         let mapper = self.policy.mapper();
         let map = mapper.queues_for(present, self.cfg.queues_per_port - usize::from(reserved));
 
@@ -943,100 +809,15 @@ mod tests {
         solve_timing_samples_per_batch(distributed);
     }
 
-    /// Drives a serial and an 8-thread controller in lockstep and
-    /// returns the serial one.
-    fn parallel_matches_serial<P: Policy>(mk: fn(&Topology) -> Controller<P>) -> Controller<P> {
-        let topo = Topology::spine_leaf(&SpineLeafConfig::tiny(2));
-        let (mut serial, mut par) = (mk(&topo), mk(&topo));
-        par.set_solver_threads(8);
-        let s = topo.servers();
-        let workloads = catalog();
-        // Spread connections over cross-pod paths (several shards per
-        // batch), then funnel every app through one server pair so its
-        // ports carry 40 members — wide ports must be bit-identical too.
-        for i in 0..40u32 {
-            let w = &workloads[i as usize % workloads.len()].name;
-            assert_eq!(
-                serial.register(AppId(i), w).unwrap(),
-                par.register(AppId(i), w).unwrap()
-            );
-            let (a, b) = (
-                s[i as usize % s.len()],
-                s[s.len() - 1 - (i as usize % (s.len() / 2))],
-            );
-            let tag = u64::from(i) + 1;
-            assert_eq!(
-                serial.conn_create(AppId(i), a, b, tag).unwrap(),
-                par.conn_create(AppId(i), a, b, tag).unwrap(),
-                "spread conn {i}"
-            );
-        }
-        for i in 0..40u32 {
-            let tag = u64::from(i) + 100;
-            assert_eq!(
-                serial.conn_create(AppId(i), s[0], s[1], tag).unwrap(),
-                par.conn_create(AppId(i), s[0], s[1], tag).unwrap(),
-                "funnel conn {i}"
-            );
-        }
-        // Churn back down, including full deregistrations (the funnel
-        // stays wide through the forced recomputes below).
-        for i in (0..40u32).step_by(3) {
-            assert_eq!(
-                serial.conn_destroy(AppId(i), u64::from(i) + 1).unwrap(),
-                par.conn_destroy(AppId(i), u64::from(i) + 1).unwrap()
-            );
-        }
-        for i in (0..40u32).step_by(7) {
-            assert_eq!(
-                serial.deregister(AppId(i)).unwrap(),
-                par.deregister(AppId(i)).unwrap()
-            );
-        }
-        // Forced recomputes, per shard and whole-fabric, exercise the
-        // prewarm under `force`.
-        for shard in 0..serial.num_shards() {
-            assert_eq!(serial.recompute_shard(shard), par.recompute_shard(shard));
-        }
-        assert_eq!(serial.recompute_all(), par.recompute_all());
-        let (ss, ps) = (serial.stats(), par.stats());
-        assert_eq!(ss, ps, "stats must match the serial path exactly");
-        // Skips are memo hits on what a flavour memoizes (the
-        // distributed PL sets) and single-member ports — no central
-        // port is ever a hit.
-        assert!(ss.eq2_solves > 0 && ss.solves_skipped > 0);
-        serial
-    }
-
-    #[test]
-    fn parallel_solver_matches_serial_bit_for_bit() {
-        let mut c = parallel_matches_serial(central);
-        let widest = (0..c.members.num_links() as u32)
-            .map(|l| c.apps_at(LinkId(l)).len())
-            .max()
-            .unwrap();
-        assert!(widest > 32, "the funnel port is wide: {widest}");
-        // Wide central ports are exact too, so the prewarm gathers
-        // nothing on the central flavour.
-        let occupied: Vec<LinkId> = c.members.occupied_links().collect();
-        assert_eq!(c.prewarm(&occupied), 0);
-        let d = parallel_matches_serial(distributed);
-        assert!(d.stats().forwards > 0, "paths should span shards");
-    }
-
     /// Every occupied-port visit is a solve or a skip, never both,
     /// never neither; a vacated port is neither. Checked per epoch over
     /// a forced sweep and a 400-event stream (no preloads, so a port is
     /// only ever vacated after it was programmed, and its visit emits).
-    fn counters_partition_occupied_visits<P: Policy>(
-        mk: fn(&Topology) -> Controller<P>,
-        threads: usize,
-    ) {
+    fn counters_partition_occupied_visits<P: Policy>(mk: fn(&Topology) -> Controller<P>) {
         let topo = Topology::spine_leaf(&SpineLeafConfig::tiny(2));
         let s = topo.servers();
         let workloads = catalog();
         let mut c = mk(&topo);
-        c.set_solver_threads(threads);
         for app in 0..40u32 {
             let w = &workloads[app as usize % workloads.len()].name;
             c.register(AppId(app), w).unwrap();
@@ -1092,10 +873,8 @@ mod tests {
 
     #[test]
     fn every_occupied_visit_is_one_solve_or_one_skip() {
-        for threads in [1, 8] {
-            counters_partition_occupied_visits(central, threads);
-            counters_partition_occupied_visits(distributed, threads);
-        }
+        counters_partition_occupied_visits(central);
+        counters_partition_occupied_visits(distributed);
     }
 
     /// Regression: a second create on a live `(app, tag)` used to charge

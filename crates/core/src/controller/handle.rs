@@ -152,9 +152,4 @@ impl ControllerHandle {
     pub fn solve_histogram(&self) -> &Histogram {
         either!(self, c => c.solve_histogram())
     }
-
-    /// See [`super::epoch::Controller::set_solver_threads`].
-    pub fn set_solver_threads(&mut self, threads: usize) {
-        either!(self, c => c.set_solver_threads(threads))
-    }
 }

@@ -19,7 +19,7 @@ use saba_core::controller::epoch::{Controller, Policy};
 use saba_core::controller::queuemap::QueueMapper;
 use saba_core::controller::ControllerConfig;
 use saba_core::profiler::{Profiler, ProfilerConfig};
-use saba_core::sensitivity::SensitivityTable;
+use saba_core::sensitivity::{SensitivityModel, SensitivityTable};
 use saba_sim::ids::AppId;
 use saba_sim::routing::Routes;
 use saba_sim::topology::{SpineLeafConfig, Topology};
@@ -298,4 +298,47 @@ fn path_detection_past_the_candidate_buffer_allocates_the_path() {
         assert_eq!(path.len(), 2);
         assert_eq!(allocations, 1, "tag {tag}");
     }
+}
+
+/// The distributed memo is keyed by a port's PL set, a `u16`: asking it
+/// allocates nothing, and a miss stores a copy of its answer and no key.
+#[test]
+fn a_distributed_event_allocates_no_memo_key() {
+    let topo = Topology::spine_leaf(&SpineLeafConfig::tiny(3));
+    let mut c = loaded(distributed(&topo), &topo, 40, true);
+    c.recompute_all();
+    let s = topo.servers();
+    let (app, src, dst) = (AppId(5), s[2], s[s.len() - 1]);
+    // The first pass grows every buffer and member row the event meets
+    // and memoizes the path's PL sets.
+    c.conn_create(app, src, dst, 77).unwrap();
+    c.conn_destroy(app, 77).unwrap();
+    let solves = c.stats().eq2_solves;
+    let (hit, hits) = counted(|| c.conn_create(app, src, dst, 77).unwrap());
+    assert_eq!(c.stats().eq2_solves, solves, "every set was met before");
+    assert!(hit.len() >= 4, "a cross-pod path: {} ports", hit.len());
+    // Beyond two per emitted port: the path, the dirty list (up to two
+    // growth steps), the connection-table entry, the update list.
+    assert!(hits <= 2 * hit.len() as u64 + 6, "{hits} allocations");
+    c.conn_destroy(app, 77).unwrap();
+
+    // A refit of the application's workload purges every set holding
+    // its PL; the memo keeps its capacity, so the sets the event meets
+    // again are misses that cost their stored copy and nothing else.
+    let names: Vec<String> = catalog().into_iter().map(|w| w.name).collect();
+    let flat: Vec<(f64, f64)> = [0.25, 0.5, 0.75, 1.0]
+        .iter()
+        .map(|&b| (b, 1.0 + 0.05 * (1.0 - b)))
+        .collect();
+    let refit = SensitivityModel::fit(&names[5 % names.len()], &flat, 2).unwrap();
+    assert!(!c.update_model(&refit).is_empty());
+    let solves = c.stats().eq2_solves;
+    let (miss, misses) = counted(|| c.conn_create(app, src, dst, 77).unwrap());
+    let missed = c.stats().eq2_solves - solves;
+    assert!(missed >= 2, "{missed} of the path's sets were purged");
+    assert_eq!(
+        misses - 2 * miss.len() as u64,
+        hits - 2 * hit.len() as u64 + missed,
+        "{misses} allocations, {missed} misses"
+    );
 }

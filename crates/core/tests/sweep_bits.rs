@@ -137,9 +137,8 @@ struct Driven<P: Policy> {
 
 /// Spread connections, a funnel that puts every application on one
 /// server pair's ports (40 applications wide), a forced recompute, then
-/// the event stream, with `threads` Eq. 2 solver threads.
-fn drive<P: Policy>(mut c: Controller<P>, topo: &Topology, seed: u64, threads: usize) -> Driven<P> {
-    c.set_solver_threads(threads);
+/// the event stream.
+fn drive<P: Policy>(mut c: Controller<P>, topo: &Topology, seed: u64) -> Driven<P> {
     let s = topo.servers();
     for app in 0..APPS {
         c.register(AppId(app), &workload(app))
@@ -324,57 +323,48 @@ const EXPECTED: &[Pin] = &[
     ),
 ];
 
-/// The pins hold at one solver thread and at four: workers' prewarmed
-/// solves merge in the serial sweep's order, so a thread count moves no
-/// bit and no counter.
 #[test]
 fn sweep_matches_the_recorded_bits() {
     let topo = Topology::spine_leaf(&SpineLeafConfig::tiny(3));
     let table = table();
-    for threads in [1, 4] {
-        let mut actual: Vec<Pin> = Vec::new();
-        for central in [true, false] {
-            for queues_per_port in [2, 4, 8] {
-                for multipath in [false, true] {
-                    let cfg = ControllerConfig {
-                        queues_per_port,
-                        multipath,
-                        ..Default::default()
-                    };
-                    let seed = 0x5aba_0018 + queues_per_port as u64;
-                    let (forced, stream, stats) = if central {
-                        let c = CentralController::new(cfg, table.clone(), &topo);
-                        drive(c, &topo, seed, threads).digests()
-                    } else {
-                        let db = MappingDb::build(&table, cfg.num_pls, cfg.seed);
-                        let c = DistributedController::new(cfg, db, &topo, 4);
-                        drive(c, &topo, seed, threads).digests()
-                    };
-                    actual.push((
-                        (central, queues_per_port, multipath),
-                        (forced.updates, forced.fnv),
-                        (stream.updates, stream.fnv),
-                        stats,
-                    ));
-                }
+    let mut actual: Vec<Pin> = Vec::new();
+    for central in [true, false] {
+        for queues_per_port in [2, 4, 8] {
+            for multipath in [false, true] {
+                let cfg = ControllerConfig {
+                    queues_per_port,
+                    multipath,
+                    ..Default::default()
+                };
+                let seed = 0x5aba_0018 + queues_per_port as u64;
+                let (forced, stream, stats) = if central {
+                    let c = CentralController::new(cfg, table.clone(), &topo);
+                    drive(c, &topo, seed).digests()
+                } else {
+                    let db = MappingDb::build(&table, cfg.num_pls, cfg.seed);
+                    let c = DistributedController::new(cfg, db, &topo, 4);
+                    drive(c, &topo, seed).digests()
+                };
+                actual.push((
+                    (central, queues_per_port, multipath),
+                    (forced.updates, forced.fnv),
+                    (stream.updates, stream.fnv),
+                    stats,
+                ));
             }
         }
-        if actual != EXPECTED {
-            for (case, forced, stream, stats) in &actual {
-                println!(
-                    "    ({case:?}, ({}, {:#x}), ({}, {:#x}), {stats:?}),",
-                    forced.0, forced.1, stream.0, stream.1
-                );
-            }
-            for (a, e) in actual.iter().zip(EXPECTED) {
-                assert_eq!(
-                    a, e,
-                    "{threads} solver threads, (central, queues_per_port, multipath) = {:?}",
-                    a.0
-                );
-            }
-            panic!("{} cases ran, {} are pinned", actual.len(), EXPECTED.len());
+    }
+    if actual != EXPECTED {
+        for (case, forced, stream, stats) in &actual {
+            println!(
+                "    ({case:?}, ({}, {:#x}), ({}, {:#x}), {stats:?}),",
+                forced.0, forced.1, stream.0, stream.1
+            );
         }
+        for (a, e) in actual.iter().zip(EXPECTED) {
+            assert_eq!(a, e, "(central, queues_per_port, multipath) = {:?}", a.0);
+        }
+        panic!("{} cases ran, {} are pinned", actual.len(), EXPECTED.len());
     }
 }
 
@@ -397,14 +387,14 @@ fn a_forced_recompute_after_the_stream_matches_a_fresh_controller() {
             let case = format!("{queues_per_port} queues, multipath {multipath}");
 
             let central = || CentralController::new(cfg.clone(), table.clone(), &topo);
-            let driven = drive(central(), &topo, seed, 1);
+            let driven = drive(central(), &topo, seed);
             let (after, fresh) = after_stream_and_fresh(driven, central(), &topo);
             assert!(after.updates > 0);
             assert_eq!(after, fresh, "central, {case}");
 
             let db = MappingDb::build(&table, cfg.num_pls, cfg.seed);
             let distributed = || DistributedController::new(cfg.clone(), db.clone(), &topo, 4);
-            let driven = drive(distributed(), &topo, seed, 1);
+            let driven = drive(distributed(), &topo, seed);
             let (after, fresh) = after_stream_and_fresh(driven, distributed(), &topo);
             assert!(after.updates > 0);
             assert_eq!(after, fresh, "distributed, {case}");

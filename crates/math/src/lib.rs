@@ -38,5 +38,5 @@ pub use kmeans::{kmeans, KMeansConfig, KMeansResult};
 pub use optimize::{
     minimize_weights, solve_dual, OptimizeError, SolveScratch, WeightProblem, WeightSolution,
 };
-pub use parallel::{default_threads, parallel_map, parallel_map_with};
+pub use parallel::{default_threads, parallel_map};
 pub use poly::Polynomial;

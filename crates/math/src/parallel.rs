@@ -1,12 +1,12 @@
 //! Thread-parallel map over an index range.
 //!
-//! Lives at the bottom of the crate graph so both the cluster harness
-//! (independent experiment setups) and the controllers (independent
-//! per-port Eq. 2 solves) can shard work across cores. Workers pull
-//! indices from a shared atomic counter (work stealing), accumulate
-//! `(index, value)` pairs locally, and the results are merged once at
-//! join in index order — no per-item locks, and the output is
-//! independent of how indices were interleaved across threads.
+//! Lives at the bottom of the crate graph, so any layer above can shard
+//! independent work across cores (the cluster harness runs its
+//! experiment setups on it). Workers pull indices from a shared atomic
+//! counter (work stealing), accumulate `(index, value)` pairs locally,
+//! and the results are merged once at join in index order — no per-item
+//! locks, and the output is independent of how indices were interleaved
+//! across threads.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -28,19 +28,14 @@ where
     parallel_map_with(n, threads, || (), |(), i| f(i))
 }
 
-/// Like [`parallel_map`], but each worker thread first builds private
+/// [`parallel_map`]'s body: each worker thread first builds private
 /// mutable state with `init()` and every `f(&mut state, i)` call on that
 /// thread reuses it.
-///
-/// This is the scratch-pool shape: per-port Eq. 2 solves need a
-/// `SolveScratch`, and handing each worker its own avoids both sharing
-/// (would need locks) and per-task allocation (would defeat the
-/// zero-allocation solver path).
 ///
 /// `f` must not let results depend on the per-thread state's history:
 /// which indices share a state is nondeterministic. Scratch buffers are
 /// fine; accumulators are not.
-pub fn parallel_map_with<S, T, I, F>(n: usize, threads: usize, init: I, f: F) -> Vec<T>
+fn parallel_map_with<S, T, I, F>(n: usize, threads: usize, init: I, f: F) -> Vec<T>
 where
     T: Send,
     I: Fn() -> S + Sync,

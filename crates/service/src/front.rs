@@ -251,10 +251,10 @@ impl<S: MetricsSink> Front<S> {
             // problem: memo hits plus single-member ports. A central
             // shard memoizes nothing, so there this reads how
             // uncontended the ports are, not how warm a cache is.
-            if let Some(rate) = shard.epoch_counters().cache_hit_rate() {
+            if let Some(ratio) = shard.epoch_counters().solve_skip_ratio() {
                 self.sink.gauge(
-                    &format!("controller.prewarm_hit_rate/shard={}", shard.id),
-                    rate,
+                    &format!("controller.solve_skip_ratio/shard={}", shard.id),
+                    ratio,
                 );
             }
         }

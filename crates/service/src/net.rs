@@ -18,7 +18,7 @@ use saba_core::rpc::{
     RpcError,
 };
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -28,7 +28,7 @@ use std::time::Duration;
 pub struct TcpServiceServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    accept_thread: JoinHandle<()>,
 }
 
 fn serve_connection(runtime: &ServiceRuntime, mut stream: TcpStream) {
@@ -66,7 +66,6 @@ fn serve_connection(runtime: &ServiceRuntime, mut stream: TcpStream) {
         match stream.read(&mut chunk) {
             Ok(0) => return, // peer closed
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => continue,
             Err(_) => return,
         }
     }
@@ -75,40 +74,37 @@ fn serve_connection(runtime: &ServiceRuntime, mut stream: TcpStream) {
 impl TcpServiceServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts
     /// accepting connections against `runtime`.
+    ///
+    /// # Errors
+    ///
+    /// Binding errors, and the OS refusing the accept thread.
     pub fn bind(runtime: Arc<ServiceRuntime>, addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let accept_thread = {
             let stop = stop.clone();
-            // Poll accept so the stop flag is honored promptly.
-            listener.set_nonblocking(true)?;
+            // `accept` blocks; `stop` wakes it with a connection of its own.
             std::thread::Builder::new()
                 .name("saba-tcp-accept".into())
                 .spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        match listener.accept() {
-                            Ok((stream, _peer)) => {
-                                let _ = stream.set_nodelay(true);
-                                let _ = stream.set_nonblocking(false);
-                                let runtime = runtime.clone();
-                                let _ = std::thread::Builder::new()
-                                    .name("saba-tcp-conn".into())
-                                    .spawn(move || serve_connection(&runtime, stream));
-                            }
-                            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(5));
-                            }
-                            Err(_) => break,
+                    for stream in listener.incoming() {
+                        if stop.load(Ordering::Relaxed) {
+                            break;
                         }
+                        let Ok(stream) = stream else { break };
+                        let _ = stream.set_nodelay(true);
+                        let runtime = runtime.clone();
+                        let _ = std::thread::Builder::new()
+                            .name("saba-tcp-conn".into())
+                            .spawn(move || serve_connection(&runtime, stream));
                     }
-                })
-                .expect("spawn accept thread")
+                })?
         };
         Ok(Self {
             addr,
             stop,
-            accept_thread: Some(accept_thread),
+            accept_thread,
         })
     }
 
@@ -117,12 +113,24 @@ impl TcpServiceServer {
         self.addr
     }
 
-    /// Stops accepting. Existing connection threads drain naturally
-    /// when their peers hang up.
-    pub fn stop(mut self) {
+    /// Stops accepting: raises the flag, wakes the blocked `accept`
+    /// with one loopback connection to the bound port, and joins the
+    /// accept thread. Existing connection threads drain naturally when
+    /// their peers hang up.
+    pub fn stop(self) {
         self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            let loopback: IpAddr = match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            };
+            wake.set_ip(loopback);
+        }
+        // Without the wake-up the join would wait forever: leave the
+        // thread parked then.
+        if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
+            let _ = self.accept_thread.join();
         }
     }
 }

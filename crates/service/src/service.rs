@@ -52,15 +52,6 @@ impl AllocationService {
         self.front.sink = sink;
     }
 
-    /// Sets the Eq. 2 solver thread count on every shard's controller.
-    /// Survives failover: each shard re-applies it to the controller a
-    /// standby takeover rebuilds.
-    pub fn set_solver_threads(&mut self, threads: usize) {
-        for shard in &mut self.shards {
-            shard.set_solver_threads(threads);
-        }
-    }
-
     /// A snapshot of the metric registry (empty when no sink is
     /// attached). The `MetricsDump` RPC's exposition page is rendered
     /// from exactly this.

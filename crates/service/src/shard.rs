@@ -166,9 +166,6 @@ pub struct Shard {
     /// function of the applied-envelope sequence, so identically-seeded
     /// runs mint identical span ids.
     span_salt: u64,
-    /// Eq. 2 solver threads, re-applied to the controller a standby
-    /// takeover rebuilds.
-    solver_threads: usize,
 }
 
 /// Salt deriving the `controller.epoch` span under a shard span.
@@ -222,7 +219,6 @@ impl Shard {
             clock: 0.0,
             sink: SharedRecorder::default(),
             span_salt: 0,
-            solver_threads: 1,
         };
         let report = shard.rebuild(&scan)?;
         Ok((shard, report))
@@ -246,7 +242,6 @@ impl Shard {
     fn rebuild(&mut self, scan: &ScanReport) -> std::io::Result<TakeoverReport> {
         self.ctrl = None;
         let mut ctrl = self.spec.build_controller();
-        ctrl.set_solver_threads(self.solver_threads);
         self.programmed.clear();
         self.seen.clear();
         self.pending_updates.clear();
@@ -276,20 +271,6 @@ impl Shard {
     /// live path and during a standby takeover's replay alike.
     pub fn set_sink(&mut self, sink: SharedRecorder) {
         self.sink = sink;
-    }
-
-    /// Sets the Eq. 2 solver thread count on the inner controller;
-    /// survives takeover (the rebuilt controller gets it re-applied).
-    pub fn set_solver_threads(&mut self, threads: usize) {
-        self.solver_threads = threads.max(1);
-        if let Some(c) = self.ctrl.as_mut() {
-            c.set_solver_threads(threads);
-        }
-    }
-
-    /// The configured Eq. 2 solver thread count.
-    pub fn solver_threads(&self) -> usize {
-        self.solver_threads
     }
 
     /// Counters of the live controller (all zero while the shard is

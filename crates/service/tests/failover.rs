@@ -13,10 +13,9 @@
 //! 3. **bounced requests retry cleanly** — everything rejected with a
 //!    retryable code during the outage succeeds when replayed in
 //!    order after takeover;
-//! 4. **the trace is part of the contract** — a traced drill exports
-//!    the same span tree at 1 and 8 solver threads, pinned across
-//!    commits, and ends in the same switch state and counters as an
-//!    untraced one.
+//! 4. **the trace is part of the contract** — a traced drill's span
+//!    tree is pinned across commits, and the drill ends in the same
+//!    switch state and counters as an untraced one.
 
 use saba_conformance::incremental::diff_switch_states;
 use saba_core::controller::ControllerConfig;
@@ -103,8 +102,8 @@ struct Drilled {
 
 /// Seeded churn into a 3-shard service, one shard killed at op
 /// [`KILL_AT`]; checks contracts 1–3 and returns what the run left.
-/// `sink` sees every span, `threads` is the Eq. 2 solver thread count.
-fn drill(flavour: Flavour, name: &str, sink: SharedRecorder, threads: usize) -> Drilled {
+/// `sink` sees every span.
+fn drill(flavour: Flavour, name: &str, sink: SharedRecorder) -> Drilled {
     let dir = std::env::temp_dir().join(format!("saba-failover-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let spec = spec(flavour);
@@ -121,7 +120,6 @@ fn drill(flavour: Flavour, name: &str, sink: SharedRecorder, threads: usize) -> 
     let window = cfg.heartbeat.window;
     let mut svc = AllocationService::open(spec.clone(), cfg).unwrap();
     svc.set_sink(sink.clone());
-    svc.set_solver_threads(threads);
     let servers = spec.topo.servers().to_vec();
 
     let trace = ChurnTrace::new(
@@ -250,7 +248,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 #[test]
 fn failover_mid_churn_is_lossless_and_differentially_correct_central() {
-    drill(Flavour::Central, "central", SharedRecorder::off(), 1);
+    drill(Flavour::Central, "central", SharedRecorder::off());
 }
 
 #[test]
@@ -259,43 +257,33 @@ fn failover_mid_churn_is_lossless_and_differentially_correct_distributed() {
         Flavour::Distributed(2),
         "distributed",
         SharedRecorder::off(),
-        1,
     );
 }
 
 /// Contract 4. The logical-clock service stamps spans with simulated
 /// time only, so the export is a pure function of the churn stream: the
-/// same bytes at any solver thread count, and on every commit that keeps
-/// the service's behaviour (the `(len, FNV-1a)` pin, recorded at
-/// `c25aa5e`; on a mismatch the assertion prints the actual pair).
-/// Tracing changes nothing the service decides.
+/// same bytes on every commit that keeps the service's behaviour (the
+/// `(len, FNV-1a)` pin, recorded at `c25aa5e`; on a mismatch the
+/// assertion prints the actual pair). Tracing changes nothing the
+/// service decides.
 #[test]
-fn traced_drill_spans_are_pinned_thread_independent_and_change_nothing() {
-    let traced = |name, threads| {
-        let sink = SharedRecorder::on(Recorder::default());
-        drill(Flavour::Central, name, sink, threads)
-    };
-    let one = traced("traced-1", 1);
-    let eight = traced("traced-8", 8);
-    // `assert!`, not `assert_eq!`: a failure would print 400 KB twice.
-    assert!(
-        one.jsonl == eight.jsonl,
-        "8 solver threads changed the trace"
-    );
-    let lines = validate_jsonl(&one.jsonl).expect("schema-valid span export");
+fn traced_drill_spans_are_pinned_and_change_nothing() {
+    let sink = SharedRecorder::on(Recorder::default());
+    let traced = drill(Flavour::Central, "traced", sink);
+    let lines = validate_jsonl(&traced.jsonl).expect("schema-valid span export");
     assert!(
         lines > TOTAL_OPS,
         "every request leaves spans: {lines} lines"
     );
-    let pin = (one.jsonl.len(), fnv1a(one.jsonl.as_bytes()));
+    let pin = (traced.jsonl.len(), fnv1a(traced.jsonl.as_bytes()));
     let want = (408_431, 0xc7e3_dcf8_a580_42f5);
     assert_eq!(pin, want, "span export moved: (len, FNV-1a) = {pin:#x?}");
 
-    let plain = drill(Flavour::Central, "untraced", SharedRecorder::off(), 1);
+    let plain = drill(Flavour::Central, "untraced", SharedRecorder::off());
     assert!(plain.jsonl.is_empty());
     assert!(
-        one.programmed == plain.programmed,
+        traced.programmed == plain.programmed,
         "tracing moved a switch program"
     );
-    assert_eq!(one.stats, plain.stats, "tracing moved a shard counter");
+    assert_eq!(traced.stats, plain.stats, "tracing moved a shard counter");
 }

@@ -2,7 +2,7 @@
 //!
 //! `SabaLib` (Fig. 7 software interface) → length-prefixed RPC over a
 //! real `TcpStream` → accept loop → sharded worker threads → durable
-//! log → controller. Four scenarios:
+//! log → controller. Five scenarios:
 //!
 //! 1. concurrent tenants each run the Fig. 7 lifecycle over their own
 //!    TCP connection and every operation lands durably, while the
@@ -14,7 +14,9 @@
 //! 3. concurrent clients churn through a worker kill with retry and
 //!    backoff, and every operation ends acked;
 //! 4. wire hygiene: a version-mismatched frame is answered with a
-//!    typed `VersionMismatch` error, not a hang or a crash.
+//!    typed `VersionMismatch` error, not a hang or a crash;
+//! 5. shutdown: `stop` returns promptly even when no client ever
+//!    connected, and a connection made before it keeps being answered.
 
 use saba_core::controller::ControllerConfig;
 use saba_core::library::SabaLib;
@@ -325,6 +327,35 @@ fn version_mismatched_frames_get_a_typed_error() {
     }
 
     server.stop();
+    rt.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stop_returns_promptly_on_a_server_no_client_reached() {
+    let (rt, server, dir) = start("idle-stop");
+    // Stopped on a thread of its own, so a stop that never returns
+    // fails the test instead of hanging it.
+    let (done, stopped) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.stop();
+        let _ = done.send(());
+    });
+    stopped
+        .recv_timeout(Duration::from_secs(1))
+        .expect("stop returns within 1 s");
+    rt.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_client_connected_before_stop_is_still_answered() {
+    let (rt, server, dir) = start("stop-live");
+    let mut client = TcpTransport::connect(server.addr(), 1 << 40).unwrap();
+    client.dump_metrics().expect("answered before stop");
+    server.stop();
+    client.dump_metrics().expect("answered after stop");
+    drop(client);
     rt.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
