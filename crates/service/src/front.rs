@@ -27,12 +27,13 @@ use std::path::PathBuf;
 const MAP_SEED: u64 = 0x5aba;
 
 /// `# TYPE` lines every post-churn scrape of either driver exposes.
-pub const REQUIRED_FAMILIES: [&str; 5] = [
+pub const REQUIRED_FAMILIES: [&str; 6] = [
     "# TYPE service_requests_total counter",
     "# TYPE service_registrations_acked_total counter",
     "# TYPE service_metrics_dumps_total counter",
     "# TYPE wal_group_commit_size summary",
     "# TYPE wal_bytes_appended gauge",
+    "# TYPE wal_reserve_grows gauge",
 ];
 
 /// Counters that strictly grow from one scrape to the next.

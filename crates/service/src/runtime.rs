@@ -39,7 +39,7 @@ use saba_core::rpc::{Envelope, ErrorCode, Request, Response};
 use saba_telemetry::{Histogram, Registry};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -122,6 +122,9 @@ struct Hub {
     /// bumped by the owning worker. Lets the supervisor tell *busy*
     /// (progressing, echo stuck in the queue) from *wedged*.
     pulse: Vec<AtomicU64>,
+    /// While set, worker spawns fail as if the OS refused a thread.
+    #[cfg(test)]
+    spawn_fails: AtomicBool,
 }
 
 impl Hub {
@@ -130,21 +133,27 @@ impl Hub {
         self.started.elapsed().as_secs_f64()
     }
 
+    /// The shared state, also after a thread panicked holding it. What
+    /// the lock guards — counters, gauges, liveness marks, worker
+    /// handles — is valid between any two of its updates, so a panic
+    /// loses at most part of one pass's counts; a worker that panicked
+    /// has finished, and the supervisor replaces it.
     fn shared(&self) -> MutexGuard<'_, Shared> {
-        self.shared
-            .lock()
-            .expect("no thread panics while holding the service lock")
+        self.shared.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Spawns a worker for `shard` on the shard's durable log.
-    fn spawn_worker(self: &Arc<Self>, shard: usize, opening: Opening) -> Worker {
+    fn spawn_worker(self: &Arc<Self>, shard: usize, opening: Opening) -> std::io::Result<Worker> {
+        #[cfg(test)]
+        if self.spawn_fails.load(Ordering::Relaxed) {
+            return Err(std::io::Error::other("injected spawn failure"));
+        }
         let (tx, rx) = mpsc::sync_channel(self.cfg.queue_depth);
         let hub = self.clone();
         let thread = std::thread::Builder::new()
             .name(format!("saba-shard-{shard}"))
-            .spawn(move || hub.worker_loop(shard, opening, rx))
-            .expect("spawn shard worker");
-        Worker { tx, thread }
+            .spawn(move || hub.worker_loop(shard, opening, rx))?;
+        Ok(Worker { tx, thread })
     }
 
     fn worker_loop(&self, shard_id: usize, opening: Opening, rx: Receiver<WorkerMsg>) {
@@ -272,11 +281,23 @@ impl Hub {
             dead.extend(shared.front.tick(now, alive, &[]));
             for shard in dead {
                 // Route new traffic to a standby on the same log.
-                shared.workers[shard] = self.spawn_worker(shard, Opening::Standby);
-                // MTTR as this loop sees it: from the fatal probe to
-                // new traffic being routed at the standby.
-                let mttr = t0.elapsed().as_secs_f64();
-                shared.front.sink.observe("wall.failover_mttr", mttr);
+                match self.spawn_worker(shard, Opening::Standby) {
+                    Ok(worker) => {
+                        shared.workers[shard] = worker;
+                        // MTTR as this loop sees it: from the fatal
+                        // probe to new traffic being routed at the
+                        // standby.
+                        let mttr = t0.elapsed().as_secs_f64();
+                        shared.front.sink.observe("wall.failover_mttr", mttr);
+                    }
+                    Err(_) => {
+                        // No standby yet. A disconnected queue answers
+                        // callers `FailingOver`, and the next probe
+                        // finds it dead and tries again.
+                        shared.workers[shard].tx = mpsc::sync_channel(0).0;
+                        shared.front.sink.inc("service.standby_spawn_failures", 1);
+                    }
+                }
             }
         }
     }
@@ -304,9 +325,9 @@ impl ServiceRuntime {
     ///
     /// # Errors
     ///
-    /// The first error a worker met opening its shard ([`Shard::open`]:
-    /// I/O, or a logged record the controller refuses); the runtime
-    /// then does not start.
+    /// A worker thread the OS would not start, or the first error a
+    /// worker met opening its shard ([`Shard::open`]: I/O, or a logged
+    /// record the controller refuses); the runtime then does not start.
     pub fn start(spec: ShardSpec, cfg: RuntimeConfig) -> std::io::Result<Self> {
         std::fs::create_dir_all(&cfg.log_dir)?;
         let front = Front::new(cfg.shards, PROBE, cfg.admission, Registry::new())
@@ -321,13 +342,23 @@ impl ServiceRuntime {
             started: Instant::now(),
             spec,
             cfg,
+            #[cfg(test)]
+            spawn_fails: AtomicBool::new(false),
         });
         let (tx, rx) = mpsc::channel();
-        let workers: Vec<_> = (0..hub.cfg.shards)
-            .map(|id| hub.spawn_worker(id, Opening::First(tx.clone())))
-            .collect();
+        let (mut workers, mut spawned) = (Vec::new(), Ok(()));
+        for id in 0..hub.cfg.shards {
+            match hub.spawn_worker(id, Opening::First(tx.clone())) {
+                Ok(worker) => workers.push(worker),
+                Err(e) => {
+                    spawned = Err(e);
+                    break;
+                }
+            }
+        }
         drop(tx);
-        if let Err(e) = rx.iter().collect::<std::io::Result<()>>() {
+        let opened = rx.iter().collect::<std::io::Result<()>>();
+        if let Err(e) = spawned.and(opened) {
             for worker in workers {
                 let _ = worker.tx.send(WorkerMsg::Kill);
                 let _ = worker.thread.join();
@@ -792,6 +823,88 @@ mod tests {
             acked >= 1,
             "some requests must land: {busy} busy / {acked} acked"
         );
+        rt.shutdown();
+    }
+
+    fn register(rt: &ServiceRuntime, id: u64, app: AppId) -> Response {
+        rt.call(env(
+            id,
+            Request::AppRegister {
+                app,
+                workload: "LR".into(),
+            },
+        ))
+    }
+
+    /// Waits, up to 10 s, for `done` to hold.
+    fn eventually(mut done: impl FnMut() -> bool) -> bool {
+        let t0 = Instant::now();
+        while !done() {
+            if t0.elapsed() > Duration::from_secs(10) {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        true
+    }
+
+    /// A thread that panics holding the service lock poisons it; the
+    /// callers after it and the supervisor still get the lock, and a
+    /// failover still completes.
+    #[test]
+    fn a_poisoned_service_lock_panics_neither_callers_nor_the_supervisor() {
+        let rt = ServiceRuntime::start(spec(), fresh_cfg("poison")).unwrap();
+        let hub = rt.hub.clone();
+        let panicked = std::thread::spawn(move || {
+            let _held = hub.shared();
+            panic!("injected panic under the service lock");
+        })
+        .join();
+        assert!(panicked.is_err() && rt.hub.shared.is_poisoned());
+        let app = AppId(0);
+        assert!(matches!(register(&rt, 1, app), Response::Registered { .. }));
+        rt.kill_shard(rt.shard_map().shard_of(app));
+        let r = rt.call_with_retries(
+            env(2, Request::AppDeregister { app }),
+            40,
+            Duration::from_millis(25),
+        );
+        assert_eq!(r, Response::Ack, "the supervisor failed the shard over");
+        assert!(rt.shutdown().failovers >= 1);
+    }
+
+    /// A standby the OS will not start leaves its shard answering
+    /// `FailingOver` — retryable — and the supervisor retrying, until
+    /// one starts; nothing panics on the way.
+    #[test]
+    fn a_failed_standby_spawn_fails_over_once_a_spawn_succeeds() {
+        let rt = ServiceRuntime::start(spec(), fresh_cfg("spawnfail")).unwrap();
+        let app = AppId(0);
+        assert!(matches!(register(&rt, 1, app), Response::Registered { .. }));
+        rt.hub.spawn_fails.store(true, Ordering::Relaxed);
+        rt.kill_shard(rt.shard_map().shard_of(app));
+        let failures = || (rt.metrics_registry()).counter("service.standby_spawn_failures");
+        assert!(eventually(|| failures() >= 2), "the supervisor retries");
+        let r = register(&rt, 2, app);
+        assert!(
+            matches!(
+                r,
+                Response::Error {
+                    code: ErrorCode::FailingOver,
+                    ..
+                }
+            ),
+            "{r:?}"
+        );
+        assert_eq!(rt.failovers(), 0);
+        rt.hub.spawn_fails.store(false, Ordering::Relaxed);
+        assert!(eventually(|| rt.failovers() == 1), "a standby started");
+        let r = rt.call_with_retries(
+            env(3, Request::AppDeregister { app }),
+            40,
+            Duration::from_millis(25),
+        );
+        assert_eq!(r, Response::Ack, "the standby replayed the registration");
         rt.shutdown();
     }
 }

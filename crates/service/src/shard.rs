@@ -15,7 +15,7 @@ use saba_core::controller::{ControllerConfig, ControllerError, ControllerHandle,
 use saba_core::fabric::PortQueueConfig;
 use saba_core::rpc::{Envelope, ErrorCode, Request, Response};
 use saba_core::sensitivity::SensitivityTable;
-use saba_sim::ids::AppId;
+use saba_sim::ids::{AppId, ServiceLevel};
 use saba_sim::topology::Topology;
 use saba_telemetry::span::TraceContext;
 use saba_telemetry::{EventKind, NullSink, Registry, SharedRecorder, TelemetrySink};
@@ -65,27 +65,30 @@ impl ShardSpec {
 
 /// Applies one loggable operation to `ctrl`: the one place a request
 /// becomes a controller call, for live requests and log replay alike.
-/// Everything but a registration runs an allocation epoch, whose scope
-/// is traced into `sink` at logical time `t`.
+/// A registration returns the Service Level it was given; everything
+/// else runs an allocation epoch, whose scope is traced into `sink` at
+/// logical time `t`, and returns its switch updates.
 fn drive<S: TelemetrySink>(
     ctrl: &mut ControllerHandle,
     req: &Request,
     t: f64,
     sink: &mut S,
-) -> Result<Vec<SwitchUpdate>, ControllerError> {
+) -> Result<(Vec<SwitchUpdate>, Option<ServiceLevel>), ControllerError> {
     let updates = match req {
         Request::AppRegister { app, workload } => {
-            return ctrl.register(*app, workload).map(|_| Vec::new());
+            return ctrl
+                .register(*app, workload)
+                .map(|sl| (Vec::new(), Some(sl)));
         }
         Request::ConnCreate { app, src, dst, tag } => ctrl.conn_create(*app, *src, *dst, *tag)?,
         Request::ConnDestroy { app, tag } => ctrl.conn_destroy(*app, *tag)?,
         Request::AppDeregister { app } => ctrl.deregister(*app)?,
         // Scrapes are never logged (the shard rejects them pre-append),
         // but an old log must not wedge replay.
-        Request::MetricsDump => return Ok(Vec::new()),
+        Request::MetricsDump => return Ok((Vec::new(), None)),
     };
     ctrl.record_epoch(t, sink);
-    Ok(updates)
+    Ok((updates, None))
 }
 
 /// Consistent tenant→shard assignment.
@@ -248,7 +251,7 @@ impl Shard {
         self.appended_at_compaction = 0;
         self.state = ReplayState::default();
         for (k, req) in scan.records.iter().enumerate() {
-            let updates = drive(&mut ctrl, req, self.clock, &mut self.sink).map_err(|e| {
+            let (updates, _) = drive(&mut ctrl, req, self.clock, &mut self.sink).map_err(|e| {
                 std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
                     format!("shard {}: log record {k} does not replay: {e}", self.id),
@@ -364,7 +367,9 @@ impl Shard {
 
     /// Publishes the durable log's progress into `registry`: the
     /// group-commit sizes drained since the last call, and the
-    /// records / bytes / fsyncs totals of this incarnation.
+    /// records / bytes / fsyncs totals of this incarnation, with the
+    /// fsyncs that also had to commit a longer file (every other one
+    /// flushed data only).
     pub fn publish_wal(&mut self, registry: &mut Registry) {
         let id = self.id;
         let groups = self.log.take_group_sizes();
@@ -375,6 +380,7 @@ impl Shard {
             ("wal.bytes_appended", self.log.bytes_appended()),
             ("wal.records_appended", self.log.appended()),
             ("wal.fsyncs", self.log.syncs()),
+            ("wal.reserve_grows", self.log.reserve_grows()),
         ] {
             registry.set_gauge(&format!("{family}/shard={id}"), total as f64);
         }
@@ -460,15 +466,24 @@ impl Shard {
                 // logged must repeat the original ack, not reject. A
                 // conflicting workload is a real duplicate.
                 if let Some((_, wl)) = workload_of(app) {
-                    return if wl == workload {
-                        let sl = ctrl.sl_of(*app).expect("a logged tenant is registered");
-                        Response::Registered { sl }
-                    } else {
+                    return if wl != workload {
                         Response::Error {
                             code: ErrorCode::AlreadyRegistered,
                             message: format!(
                                 "application {} is already registered as {wl:?}",
                                 app.0
+                            ),
+                        }
+                    } else if let Some(sl) = ctrl.sl_of(*app) {
+                        Response::Registered { sl }
+                    } else {
+                        // The log and the controller disagree: a bug,
+                        // but this caller gets an answer, not a panic.
+                        Response::Error {
+                            code: ErrorCode::Internal,
+                            message: format!(
+                                "shard {}: logged tenant {} has no service level",
+                                self.id, app.0
                             ),
                         }
                     };
@@ -523,15 +538,13 @@ impl Shard {
                 };
             }
         }
-        let updates = match drive(ctrl, req, self.clock, &mut self.sink) {
-            Ok(updates) => updates,
+        let (updates, sl) = match drive(ctrl, req, self.clock, &mut self.sink) {
+            Ok(driven) => driven,
             Err(e) => return Response::from_controller_error(&e),
         };
-        let ack = match req {
-            Request::AppRegister { app, .. } => Response::Registered {
-                sl: ctrl.sl_of(*app).expect("just registered"),
-            },
-            _ => {
+        let ack = match sl {
+            Some(sl) => Response::Registered { sl },
+            None => {
                 let tenant = req.tenant().map_or(0, |app| app.0);
                 self.span_event(ctx.child(EPOCH_SPAN_SALT), "controller.epoch", tenant, true);
                 Response::Ack
@@ -669,6 +682,33 @@ mod tests {
         assert_eq!(r2[0], Response::Ack);
         assert_eq!(shard.stats().dedup_hits, 1);
         assert_eq!(shard.log().appended(), appended);
+    }
+
+    /// A logged tenant the controller does not know is a bug; a
+    /// re-sent registration of it is answered `Internal`, not by a
+    /// panic on the request path.
+    #[test]
+    fn a_logged_tenant_the_controller_lacks_is_an_internal_error() {
+        let dir = tmpdir("phantom");
+        let _ = std::fs::remove_file(Shard::log_path(&dir, 0));
+        let (mut shard, _) = Shard::open(0, spec(Flavour::Central), &dir, 8).unwrap();
+        shard.state.registrations.push((AppId(3), "LR".into()));
+        let register = Request::AppRegister {
+            app: AppId(3),
+            workload: "LR".into(),
+        };
+        let r = shard.handle_batch(&[env(1, register)]);
+        assert!(
+            matches!(
+                &r[0],
+                Response::Error {
+                    code: ErrorCode::Internal,
+                    ..
+                }
+            ),
+            "{r:?}"
+        );
+        assert_eq!(shard.log().appended(), 0, "nothing logged");
     }
 
     #[test]

@@ -3,11 +3,14 @@
 //! Every state-changing control-plane operation a shard acks is first
 //! made durable here, so a standby can take over after a crash with
 //! zero lost acked registrations. The format is deliberately dumb —
-//! an append-only sequence of CRC-framed records:
+//! a sequence of CRC-framed records, followed by a zero-filled
+//! reserve:
 //!
 //! ```text
 //! u32  crc32 (IEEE, big-endian) of the record bytes that follow
 //! ...  one `saba_core::rpc` request frame (length-prefixed, versioned)
+//! ...  (more records)
+//! 0…0  the reserve: real zeros to the end of the file
 //! ```
 //!
 //! Reusing the RPC request encoding means the log speaks exactly the
@@ -15,14 +18,29 @@
 //! operation it persists, and the decoder hardening (length caps,
 //! version byte, strict trailing-byte checks) applies to recovery too.
 //!
+//! **The reserve.** Appends overwrite zeros that were written and
+//! fsynced earlier, so the file's size does not change on a group
+//! commit and its `fdatasync` flushes data blocks only, with no size
+//! update to journal. When an append would cross the end of the file,
+//! the log first writes another [`RESERVE`] of zeros; the next sync
+//! then also commits the new size, and [`DurableLog::reserve_grows`]
+//! counts those syncs. A run of zeros is not a record (its length
+//! prefix is 0, an empty frame), so the reserve ends a scan like
+//! end-of-file does, and logs written with and without a reserve read
+//! alike.
+//!
 //! **Torn tails.** A crash mid-append can leave a truncated or
-//! garbled final record. Recovery scans from the start and stops at
+//! garbled final record, and — since appends land in preallocated
+//! blocks that the disk may persist in any order — an intact record
+//! beyond a run of zeros. Recovery scans from the start and stops at
 //! the first record that is incomplete, malformed, or fails its CRC:
-//! everything before that point is replayed, everything after is
-//! discarded (and physically truncated away on reopen, so the next
-//! append never splices onto garbage). An acked operation is always
-//! fully synced before the ack leaves the shard, so the discarded
-//! tail can only contain operations no client ever saw succeed.
+//! everything before that point is replayed. [`DurableLog::open`]
+//! cuts a tail that holds anything but zeros and tops the reserve up,
+//! so the next append never splices onto garbage and a stale record
+//! past a gap cannot rejoin the log once appends fill the gap. An acked
+//! operation is always fully synced before the ack leaves the shard,
+//! so the discarded tail can only contain operations no client ever
+//! saw succeed.
 //!
 //! **Fsync batching.** `append` buffers; [`DurableLog::sync`] flushes
 //! the buffer and fsyncs. The shard worker drains its queue, appends
@@ -40,7 +58,9 @@
 //! ones — followed by the live connections. That history grows with
 //! tenant arrivals, not with churn. Replaying a compacted log yields
 //! the same state as replaying the full history; a property test pins
-//! this.
+//! this. The snapshot carries its own reserve, and the log's directory
+//! is fsynced after the rename (and after a log is created): a
+//! data-only sync of the file does not commit a directory entry.
 
 use saba_core::rpc::{self, Request, RpcError};
 use saba_sim::ids::{AppId, NodeId};
@@ -49,6 +69,32 @@ use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+
+/// The zero-filled reserve a log keeps ahead of its write offset, and
+/// the step by which it extends the file when an append would cross
+/// the end.
+pub const RESERVE: u64 = 64 * 1024;
+
+/// Writes `len` zero bytes at `file`'s cursor, from one fixed block.
+fn write_zeros(file: &mut File, mut len: u64) -> std::io::Result<()> {
+    static ZEROS: [u8; 4096] = [0; 4096];
+    while len > 0 {
+        let n = len.min(ZEROS.len() as u64);
+        file.write_all(&ZEROS[..n as usize])?;
+        len -= n;
+    }
+    Ok(())
+}
+
+/// Fsyncs the directory holding `path`, committing a create or rename
+/// of it.
+fn sync_dir(path: &Path) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
+}
 
 /// CRC-32 (IEEE 802.3, reflected). Bitwise — log records are tens of
 /// bytes, so table-driven speed buys nothing here.
@@ -79,6 +125,8 @@ pub struct ScanReport {
     /// Bytes covered by intact records (the safe truncation point).
     pub valid_bytes: usize,
     /// Bytes past the last intact record (torn/corrupt tail), if any.
+    /// [`DurableLog::open`] counts only the non-zero ones: zeros past
+    /// the prefix are the reserve, not damage.
     pub torn_bytes: usize,
 }
 
@@ -178,11 +226,18 @@ impl ReplayState {
     }
 }
 
-/// An append-only, CRC-framed, fsync-batched log file.
+/// A CRC-framed, fsync-batched log file that writes into a
+/// zero-filled reserve.
 #[derive(Debug)]
 pub struct DurableLog {
     path: PathBuf,
     file: BufWriter<File>,
+    /// Offset the next record lands at (buffered bytes included).
+    pos: u64,
+    /// The file's length: `pos..end` is zeros already written.
+    end: u64,
+    /// True when an append extended the file since the last sync.
+    grew: bool,
     /// Records appended since the last [`Self::sync`].
     unsynced: usize,
     /// Auto-sync after this many appends (group-commit bound).
@@ -192,6 +247,8 @@ pub struct DurableLog {
     appended: u64,
     /// Total fsyncs issued.
     syncs: u64,
+    /// Fsyncs that also committed a longer file.
+    reserve_grows: u64,
     /// Total record bytes appended (post-recovery).
     bytes_appended: u64,
     /// Records per group commit — one sample per fsync, drained by the
@@ -200,39 +257,67 @@ pub struct DurableLog {
 }
 
 impl DurableLog {
-    /// Opens (or creates) the log at `path`, scanning and truncating
-    /// any torn tail, and returns the intact records alongside the
-    /// writable log. `sync_every` bounds how many appends may ride on
-    /// one fsync (1 = sync on every ack).
+    /// Opens (or creates) the log at `path` and returns the intact
+    /// record prefix alongside the writable log. A tail past the prefix
+    /// that holds any non-zero byte is cut, and the zeros behind the
+    /// prefix are made at least a [`RESERVE`] long and fsynced; the
+    /// report's `torn_bytes` counts the non-zero bytes that were past
+    /// the prefix (a clean reserve is not torn). `sync_every` bounds
+    /// how many appends may ride on one fsync (1 = sync on every ack).
     pub fn open(path: &Path, sync_every: usize) -> std::io::Result<(Self, ScanReport)> {
         assert!(sync_every >= 1, "sync_every must be at least 1");
+        let created = !path.exists();
         let mut data = Vec::new();
-        if path.exists() {
+        if !created {
             File::open(path)?.read_to_end(&mut data)?;
         }
-        let report = scan(&data);
-        // Keep existing contents: the torn tail is trimmed by the
-        // explicit `set_len` below, not by truncating on open.
+        let mut report = scan(&data);
+        let valid = report.valid_bytes as u64;
+        report.torn_bytes = data[report.valid_bytes..]
+            .iter()
+            .filter(|&&b| b != 0)
+            .count();
+        // Keep existing contents: anything past the prefix is cut by
+        // the explicit `set_len` below, not by truncating on open.
         let mut file = OpenOptions::new()
             .create(true)
             .write(true)
             .truncate(false)
             .open(path)?;
-        // Drop the torn tail so the next append starts on a record
-        // boundary.
-        file.set_len(report.valid_bytes as u64)?;
-        file.seek(SeekFrom::Start(report.valid_bytes as u64))?;
-        if report.torn_bytes > 0 {
+        let mut end = data.len() as u64;
+        let cut = report.torn_bytes > 0;
+        if cut {
+            // A torn record, or an intact one past a zero gap that
+            // appends would otherwise close: neither may outlive this
+            // open.
+            file.set_len(valid)?;
+            end = valid;
+        }
+        let short = end < valid + RESERVE;
+        if short {
+            file.seek(SeekFrom::Start(end))?;
+            write_zeros(&mut file, valid + RESERVE - end)?;
+            end = valid + RESERVE;
+        }
+        if cut || short {
             file.sync_data()?;
         }
+        if created {
+            sync_dir(path)?;
+        }
+        file.seek(SeekFrom::Start(valid))?;
         Ok((
             Self {
                 path: path.to_path_buf(),
                 file: BufWriter::new(file),
+                pos: valid,
+                end,
+                grew: false,
                 unsynced: 0,
                 sync_every,
                 appended: 0,
                 syncs: 0,
+                reserve_grows: 0,
                 bytes_appended: 0,
                 group_sizes: Histogram::new(),
             },
@@ -250,13 +335,38 @@ impl DurableLog {
     pub fn append(&mut self, req: &Request) -> std::io::Result<()> {
         let mut buf = Vec::with_capacity(64);
         append_record(&mut buf, req);
+        let len = buf.len() as u64;
+        if self.pos + len > self.end {
+            self.grow(self.pos + len)?;
+        }
         self.file.write_all(&buf)?;
+        self.pos += len;
         self.appended += 1;
-        self.bytes_appended += buf.len() as u64;
+        self.bytes_appended += len;
         self.unsynced += 1;
         if self.unsynced >= self.sync_every {
             self.sync()?;
         }
+        Ok(())
+    }
+
+    /// Extends the reserve, a [`RESERVE`] at a time, until it covers
+    /// `need` bytes. The write cursor returns to `pos` even when the
+    /// zeros fail, so a later append never lands past a gap.
+    fn grow(&mut self, need: u64) -> std::io::Result<()> {
+        self.file.flush()?;
+        let mut end = self.end;
+        while end < need {
+            end += RESERVE;
+        }
+        let file = self.file.get_mut();
+        let zeroed = file
+            .seek(SeekFrom::Start(self.end))
+            .and_then(|_| write_zeros(file, end - self.end));
+        file.seek(SeekFrom::Start(self.pos))?;
+        zeroed?;
+        self.end = end;
+        self.grew = true;
         Ok(())
     }
 
@@ -271,6 +381,9 @@ impl DurableLog {
         self.group_sizes.record(self.unsynced as f64);
         self.unsynced = 0;
         self.syncs += 1;
+        if std::mem::take(&mut self.grew) {
+            self.reserve_grows += 1;
+        }
         Ok(())
     }
 
@@ -282,6 +395,12 @@ impl DurableLog {
     /// Fsyncs issued (group commits).
     pub fn syncs(&self) -> u64 {
         self.syncs
+    }
+
+    /// Fsyncs that had to commit a longer file because an append
+    /// crossed the reserve's end; every other sync was data-only.
+    pub fn reserve_grows(&self) -> u64 {
+        self.reserve_grows
     }
 
     /// Record bytes appended through this handle (since open).
@@ -296,10 +415,11 @@ impl DurableLog {
         std::mem::take(&mut self.group_sizes)
     }
 
-    /// Rewrites the log as the snapshot of `state`:
-    /// write-to-temp, fsync, atomic rename, reopen. On return the log
-    /// holds exactly `state.snapshot_records()` and subsequent appends
-    /// continue after them.
+    /// Rewrites the log as the snapshot of `state`: write the
+    /// snapshot and a fresh reserve to a temp file, fsync, atomic
+    /// rename, fsync the directory, reopen. On return the log holds
+    /// exactly `state.snapshot_records()` and subsequent appends
+    /// continue after them, into the reserve.
     pub fn compact(&mut self, state: &ReplayState) -> std::io::Result<()> {
         self.sync()?;
         let tmp = self.path.with_extension("log.tmp");
@@ -310,12 +430,17 @@ impl DurableLog {
         {
             let mut f = File::create(&tmp)?;
             f.write_all(&buf)?;
+            write_zeros(&mut f, RESERVE)?;
             f.sync_data()?;
         }
         std::fs::rename(&tmp, &self.path)?;
+        sync_dir(&self.path)?;
+        let pos = buf.len() as u64;
         let mut file = OpenOptions::new().write(true).open(&self.path)?;
-        file.seek(SeekFrom::End(0))?;
+        file.seek(SeekFrom::Start(pos))?;
         self.file = BufWriter::new(file);
+        self.pos = pos;
+        self.end = pos + RESERVE;
         self.unsynced = 0;
         Ok(())
     }
@@ -505,5 +630,158 @@ mod tests {
             report.records.len(),
             full.tenancy.len() + full.live_conns.len() + 1
         );
+    }
+
+    /// A crash image: `prefix` intact, the first `cut` bytes of
+    /// `torn`'s record, `zeros` zero bytes, then `stale` intact.
+    /// Returns the image and its non-zero byte count past the prefix.
+    fn crash_image(
+        prefix: &[Request],
+        torn: &Request,
+        cut: usize,
+        zeros: usize,
+        stale: Option<&Request>,
+    ) -> (Vec<u8>, usize) {
+        let mut image = Vec::new();
+        for r in prefix {
+            append_record(&mut image, r);
+        }
+        let valid = image.len();
+        let mut rec = Vec::new();
+        append_record(&mut rec, torn);
+        assert!(cut < rec.len(), "a torn record is cut short");
+        image.extend_from_slice(&rec[..cut]);
+        image.resize(image.len() + zeros, 0);
+        if let Some(stale) = stale {
+            append_record(&mut image, stale);
+        }
+        let nonzero = image[valid..].iter().filter(|&&b| b != 0).count();
+        (image, nonzero)
+    }
+
+    fn record_len(req: &Request) -> usize {
+        let mut buf = Vec::new();
+        append_record(&mut buf, req);
+        buf.len()
+    }
+
+    /// The records before the crash, the half-written one (its workload
+    /// name ends in non-zero bytes, so zeros never complete it), the
+    /// one left intact past a gap, and the first append after recovery.
+    fn crash_cast() -> (Vec<Request>, Request, Request, Request) {
+        (
+            vec![reg(1, "LR"), create(1, 0, 1, 7), reg(2, "Sort")],
+            reg(9, "Torn"),
+            create(9, 1, 2, 77),
+            create(2, 2, 3, 9),
+        )
+    }
+
+    /// The file holds the prefix, then nothing but a fresh reserve.
+    fn assert_prefix_then_reserve(path: &Path, valid: usize) {
+        let bytes = std::fs::read(path).unwrap();
+        assert_eq!(bytes.len() as u64, valid as u64 + RESERVE, "one reserve");
+        assert!(bytes[valid..].iter().all(|&b| b == 0), "reserve is zeros");
+    }
+
+    #[test]
+    fn open_recovers_the_prefix_of_a_crash_image() {
+        let (prefix, torn, stale, next) = crash_cast();
+        let cut = 6;
+        // A gap the first append closes exactly, and a reserve's worth.
+        for zeros in [record_len(&next) - cut, RESERVE as usize] {
+            for stale in [None, Some(&stale)] {
+                let path = tmp("crash-open.log");
+                let (image, nonzero) = crash_image(&prefix, &torn, cut, zeros, stale);
+                std::fs::write(&path, &image).unwrap();
+                let (_, report) = DurableLog::open(&path, 1).unwrap();
+                assert_eq!(report.records, prefix, "zeros {zeros}, stale {stale:?}");
+                assert_eq!(report.torn_bytes, nonzero, "only non-zero bytes are torn");
+                assert_prefix_then_reserve(&path, report.valid_bytes);
+            }
+        }
+    }
+
+    #[test]
+    fn an_append_after_recovery_never_revives_a_record_past_the_gap() {
+        let (prefix, torn, stale, next) = crash_cast();
+        let cut = 6;
+        for zeros in [record_len(&next) - cut, RESERVE as usize] {
+            let path = tmp("crash-append.log");
+            let (image, _) = crash_image(&prefix, &torn, cut, zeros, Some(&stale));
+            std::fs::write(&path, &image).unwrap();
+            let (mut log, _) = DurableLog::open(&path, 1).unwrap();
+            log.append(&next).unwrap();
+            drop(log);
+            let (_, report) = DurableLog::open(&path, 1).unwrap();
+            let mut want = prefix.clone();
+            want.push(next.clone());
+            assert_eq!(report.records, want, "zeros {zeros}");
+            assert_eq!(report.torn_bytes, 0);
+            assert_prefix_then_reserve(&path, report.valid_bytes);
+        }
+    }
+
+    #[test]
+    fn a_compacted_crash_image_keeps_its_reserve_and_replays_like_its_history() {
+        let (prefix, torn, stale, next) = crash_cast();
+        let path = tmp("crash-compact.log");
+        let (image, _) = crash_image(&prefix, &torn, 6, 40, Some(&stale));
+        std::fs::write(&path, &image).unwrap();
+        let (mut log, report) = DurableLog::open(&path, 2).unwrap();
+        let mut history = report.records;
+        for r in [
+            next.clone(),
+            Request::ConnDestroy {
+                app: AppId(1),
+                tag: 7,
+            },
+        ] {
+            log.append(&r).unwrap();
+            history.push(r);
+        }
+        let state = ReplayState::replay(&history);
+        log.compact(&state).unwrap();
+        let mut snapshot = Vec::new();
+        for r in state.snapshot_records() {
+            append_record(&mut snapshot, &r);
+        }
+        assert_prefix_then_reserve(&path, snapshot.len());
+        // Appends after compaction land in the snapshot's reserve.
+        let after = create(1, 1, 3, 8);
+        log.append(&after).unwrap();
+        log.sync().unwrap();
+        history.push(after);
+        drop(log);
+        let (_, report) = DurableLog::open(&path, 1).unwrap();
+        assert_eq!(
+            ReplayState::replay(&report.records),
+            ReplayState::replay(&history)
+        );
+        assert_eq!(report.torn_bytes, 0);
+        assert_prefix_then_reserve(&path, report.valid_bytes);
+    }
+
+    #[test]
+    fn crossing_the_reserve_grows_it_by_one_step_on_one_sync() {
+        let path = tmp("grow.log");
+        let _ = std::fs::remove_file(&path);
+        let (mut log, _) = DurableLog::open(&path, 1).unwrap();
+        let per = record_len(&create(1, 0, 1, 0)) as u64;
+        let fit = RESERVE / per;
+        let mut records = Vec::new();
+        for tag in 0..fit + 1 {
+            let r = create(1, 0, 1, tag);
+            log.append(&r).unwrap();
+            records.push(r);
+            let len = std::fs::metadata(&path).unwrap().len();
+            let grows = u64::from(tag >= fit);
+            assert_eq!((log.reserve_grows(), len), (grows, RESERVE * (1 + grows)));
+        }
+        assert_eq!(log.syncs(), fit + 1, "every other sync was data-only");
+        drop(log);
+        let (_, report) = DurableLog::open(&path, 1).unwrap();
+        assert_eq!(report.records, records);
+        assert_eq!(report.torn_bytes, 0);
     }
 }

@@ -10,10 +10,14 @@
 //!    appending more history replays to the same state as the full
 //!    uncompacted history — the tenant (register/deregister) history
 //!    included, in order: only connection churn collapses.
+//! 3. **The reserve hides nothing.** A crash image — intact records, a
+//!    half-written one, zeros, maybe an intact record past the gap —
+//!    reopens to exactly the intact prefix behind a fresh reserve, and
+//!    no later append or compaction brings the stale record back.
 
 use proptest::prelude::*;
 use saba_core::rpc::Request;
-use saba_service::wal::{append_record, scan, DurableLog, ReplayState};
+use saba_service::wal::{append_record, scan, DurableLog, ReplayState, RESERVE};
 use saba_sim::ids::{AppId, NodeId};
 use std::path::PathBuf;
 
@@ -154,6 +158,81 @@ proptest! {
         let replayed = ReplayState::replay(&scan_report.records);
         let full = ReplayState::replay(reqs.iter());
         prop_assert_eq!(replayed, full);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A crash image reopens to its intact prefix, counting only the
+    /// non-zero bytes past it as torn; one append plus a reopen holds
+    /// the prefix and the new record — also when the append exactly
+    /// closes the gap to a stale record — and a compaction keeps a
+    /// reserve, takes the next append into it, and replays like the
+    /// history.
+    #[test]
+    fn a_crash_image_reopens_to_its_prefix_and_stays_there(
+        prefix in proptest::collection::vec(arb_request(), 0..12),
+        torn in arb_request(),
+        cut_frac in 0.0f64..1.0,
+        gap in prop_oneof![Just(None), (0usize..300).prop_map(Some), Just(Some(RESERVE as usize))],
+        stale in proptest::option::of(arb_request()),
+        next in arb_request(),
+        compact in any::<bool>(),
+        after in arb_request(),
+        case in 0u64..u64::MAX,
+    ) {
+        let (mut image, ends) = encode_log(&prefix);
+        let valid = image.len();
+        // Cut the torn record before its last non-zero byte, so the
+        // zeros that follow cannot complete it.
+        let (rec, _) = encode_log(std::slice::from_ref(&torn));
+        let last = rec.iter().rposition(|&b| b != 0).unwrap();
+        let cut = 1 + ((last as f64) * cut_frac) as usize;
+        let next_len = encode_log(std::slice::from_ref(&next)).0.len();
+        // `None`: the gap the first append closes exactly, if it can.
+        let zeros = gap.unwrap_or(next_len.saturating_sub(cut));
+        image.extend_from_slice(&rec[..cut]);
+        image.resize(image.len() + zeros, 0);
+        if let Some(stale) = &stale {
+            image.extend_from_slice(&encode_log(std::slice::from_ref(stale)).0);
+        }
+        let nonzero = image[valid..].iter().filter(|&&b| b != 0).count();
+        let path = tmpfile(&format!("crash-{case:x}"));
+        std::fs::write(&path, &image).unwrap();
+        let prefix_then_reserve = |valid: usize| -> Result<(), String> {
+            let bytes = std::fs::read(&path).unwrap();
+            prop_assert_eq!(bytes.len() as u64, valid as u64 + RESERVE);
+            prop_assert!(bytes[valid..].iter().all(|&b| b == 0));
+            Ok(())
+        };
+
+        let (mut log, report) = DurableLog::open(&path, 4).unwrap();
+        prop_assert_eq!(&report.records, &prefix);
+        prop_assert_eq!(report.valid_bytes, ends.last().copied().unwrap_or(0));
+        prop_assert_eq!(report.torn_bytes, nonzero);
+        prefix_then_reserve(valid)?;
+
+        let mut history = prefix.clone();
+        log.append(&next).unwrap();
+        history.push(next.clone());
+        if compact {
+            let state = ReplayState::replay(&history);
+            log.compact(&state).unwrap();
+            prefix_then_reserve(encode_log(&state.snapshot_records()).0.len())?;
+            log.append(&after).unwrap();
+            history.push(after.clone());
+        }
+        log.sync().unwrap();
+        drop(log);
+        let (_, report) = DurableLog::open(&path, 4).unwrap();
+        if compact {
+            prop_assert_eq!(
+                ReplayState::replay(&report.records),
+                ReplayState::replay(&history)
+            );
+        } else {
+            prop_assert_eq!(&report.records, &history);
+        }
+        prop_assert_eq!(report.torn_bytes, 0);
+        prefix_then_reserve(report.valid_bytes)?;
         let _ = std::fs::remove_file(&path);
     }
 }
