@@ -19,7 +19,6 @@
 use crate::sincronia::bssi_order_by;
 use saba_sim::engine::{ActiveFlow, FabricModel, FlowRater};
 use saba_sim::ids::AppId;
-use saba_sim::sharing::SharingConfig;
 use saba_sim::topology::Topology;
 
 /// Number of low tag bits carrying the constituent index; bits above
@@ -35,8 +34,6 @@ pub type CoflowKey = (AppId, u64);
 /// The coflow-granular Sincronia comparator fabric.
 #[derive(Debug, Clone, Default)]
 pub struct CoflowSincroniaFabric {
-    /// Fluid-sharing tuning knobs.
-    pub sharing: SharingConfig,
     /// Number of priority classes the transport exposes (8 queues on
     /// datacenter switches; 0 disables capping). Coflow ranks beyond
     /// this share the lowest class.
@@ -75,8 +72,7 @@ impl FabricModel for CoflowSincroniaFabric {
                 .iter()
                 .map(|f| (rank[&Self::coflow_key(f)] as u8).min(cap)),
         );
-        self.rater
-            .rate(topo, flows, Some(&self.priorities), &self.sharing, rates);
+        self.rater.rate(topo, flows, Some(&self.priorities), rates);
     }
 }
 

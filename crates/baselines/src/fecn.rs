@@ -23,7 +23,6 @@
 //! §8.4 workload mix; both knobs live in [`FecnConfig`].
 
 use saba_sim::engine::{ActiveFlow, FabricModel, FlowRater};
-use saba_sim::sharing::SharingConfig;
 use saba_sim::topology::Topology;
 
 /// Calibration of the FECN imperfection model.
@@ -39,8 +38,6 @@ pub struct FecnConfig {
     /// the authors measured for InfiniBand congestion control in their
     /// ISPASS'20 study.
     pub decay_exp: f64,
-    /// Fluid-sharing tuning knobs.
-    pub sharing: SharingConfig,
 }
 
 impl Default for FecnConfig {
@@ -49,7 +46,6 @@ impl Default for FecnConfig {
             eta_floor: 0.32,
             beta: 0.014,
             decay_exp: 2.0,
-            sharing: SharingConfig::default(),
         }
     }
 }
@@ -99,8 +95,7 @@ impl FecnBaseline {
 
 impl FabricModel for FecnBaseline {
     fn allocate(&mut self, topo: &Topology, flows: &[ActiveFlow], rates: &mut Vec<f64>) {
-        self.rater
-            .rate(topo, flows, None, &self.config.sharing, rates);
+        self.rater.rate(topo, flows, None, rates);
 
         // Contention at the flow's *edge* links (source NIC egress and
         // destination downlink). InfiniBand's congestion spreading is an

@@ -21,7 +21,6 @@
 
 use saba_sim::engine::{ActiveFlow, FabricModel, FlowRater};
 use saba_sim::ids::NodeId;
-use saba_sim::sharing::SharingConfig;
 use saba_sim::topology::Topology;
 use std::collections::HashMap;
 
@@ -36,8 +35,6 @@ pub struct HomaConfig {
     /// Overcommitment goodput penalty per extra concurrent sender at a
     /// receiver.
     pub overcommit_gamma: f64,
-    /// Fluid-sharing tuning knobs.
-    pub sharing: SharingConfig,
 }
 
 impl Default for HomaConfig {
@@ -47,7 +44,6 @@ impl Default for HomaConfig {
             // everything over 10 KB.
             cutoffs: vec![300.0, 800.0, 1_500.0, 3_000.0, 5_000.0, 7_500.0, 10_000.0],
             overcommit_gamma: 0.002,
-            sharing: SharingConfig::default(),
         }
     }
 }
@@ -91,13 +87,7 @@ impl FabricModel for HomaFabric {
         self.priorities.clear();
         self.priorities
             .extend(flows.iter().map(|f| self.config.class_of(f.remaining)));
-        self.rater.rate(
-            topo,
-            flows,
-            Some(&self.priorities),
-            &self.config.sharing,
-            rates,
-        );
+        self.rater.rate(topo, flows, Some(&self.priorities), rates);
 
         // Overcommitment waste at receivers with many concurrent senders.
         if self.config.overcommit_gamma > 0.0 {

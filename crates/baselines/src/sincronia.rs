@@ -15,7 +15,6 @@
 
 use saba_sim::engine::{ActiveFlow, FabricModel, FlowRater};
 use saba_sim::ids::AppId;
-use saba_sim::sharing::SharingConfig;
 use saba_sim::topology::Topology;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -89,8 +88,6 @@ where
 /// The Sincronia comparator fabric.
 #[derive(Debug, Clone, Default)]
 pub struct SincroniaFabric {
-    /// Fluid-sharing tuning knobs.
-    pub sharing: SharingConfig,
     /// Number of priority classes the transport exposes (8 queues on
     /// datacenter switches; 0 disables capping). Coflow ranks beyond
     /// this share the lowest class.
@@ -127,8 +124,7 @@ impl FabricModel for SincroniaFabric {
         self.priorities.clear();
         self.priorities
             .extend(flows.iter().map(|f| (rank[&f.spec.app] as u8).min(cap)));
-        self.rater
-            .rate(topo, flows, Some(&self.priorities), &self.sharing, rates);
+        self.rater.rate(topo, flows, Some(&self.priorities), rates);
     }
 }
 

@@ -11,7 +11,7 @@ use crate::scenario::{EngineScenario, FlowSetScenario};
 use saba_core::controller::queuemap::PortMap;
 use saba_core::controller::SwitchUpdate;
 use saba_core::sensitivity::SensitivityModel;
-use saba_sim::sharing::{compute_rates, SharingConfig, SharingFlow};
+use saba_sim::sharing::{compute_rates_into, ByIndex, SharingFlow, SharingScratch};
 
 /// Relative tolerance for capacity/conservation checks: the production
 /// allocator runs a *bounded* number of refill passes, so a few ULPs of
@@ -98,17 +98,19 @@ pub fn check_work_conservation(
 }
 
 /// **Max-min optimality**: the production allocator matches the
-/// textbook reference solver on this scenario, under both bundling
-/// settings, to floating-point tolerance.
+/// textbook reference solver on this scenario, bundled and on the
+/// unbundled reference scratch, to floating-point tolerance.
 pub fn check_against_reference(sc: &FlowSetScenario) -> Result<(), String> {
     let flows = sc.sharing_flows();
     let want = reference_rates(&sc.capacities, &flows);
     for bundling in [true, false] {
-        let cfg = SharingConfig {
-            bundling,
-            ..SharingConfig::default()
+        let mut scratch = if bundling {
+            SharingScratch::default()
+        } else {
+            SharingScratch::unbundled()
         };
-        let got = compute_rates(&sc.capacities, &flows, &cfg);
+        let mut got = Vec::new();
+        compute_rates_into(&sc.capacities, &ByIndex(&flows), &mut scratch, &mut got);
         check_feasibility(&sc.capacities, &flows, &got)?;
         check_work_conservation(&sc.capacities, &flows, &got)?;
         for i in 0..flows.len() {

@@ -28,7 +28,7 @@ use saba_sim::sharing::SharingFlow;
 const MAX_REFILL_PASSES: usize = 64;
 
 /// Rate added below this fraction of total capacity ends the refill
-/// loop (mirrors `SharingConfig::refill_epsilon`).
+/// loop (the allocator stops at 1e-6, its `REFILL_EPSILON`).
 const REFILL_EPSILON: f64 = 1e-9;
 
 /// Computes per-flow max-min rates (bytes/s), aligned with `flows`.

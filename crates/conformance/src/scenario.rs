@@ -27,7 +27,7 @@ use saba_faults::injector::FaultInjector;
 use saba_faults::schedule::{FaultKind, FaultSchedule, FaultSpec};
 use saba_sim::engine::{Event, FlowSpec, SimStats, Simulation};
 use saba_sim::ids::{AppId, LinkId, NodeId, ServiceLevel};
-use saba_sim::sharing::SharingFlow;
+use saba_sim::sharing::{SharingFlow, SharingScratch};
 use saba_sim::topology::{NodeKind, SpineLeafConfig, Topology};
 use saba_telemetry::Recorder;
 use serde::{Deserialize, Serialize};
@@ -299,8 +299,12 @@ impl EngineScenario {
     /// artifact of a failing scenario.
     pub fn run_recorded(&self, bundling: bool) -> (EngineRun, Recorder) {
         let topo = Self::topology(self.link_capacity);
-        let mut fabric = SabaFabric::for_topology(&topo);
-        fabric.sharing.bundling = bundling;
+        let scratch = if bundling {
+            SharingScratch::default()
+        } else {
+            SharingScratch::unbundled()
+        };
+        let mut fabric = SabaFabric::with_scratch(topo.num_links(), scratch);
         // Program every port with the scenario's WFQ map: SL s on
         // queue s % nq, so different SLs genuinely compete by weight.
         let mut sl_to_queue = [0u8; ServiceLevel::COUNT];

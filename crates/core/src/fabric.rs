@@ -12,7 +12,7 @@
 
 use saba_sim::engine::{ActiveFlow, ActiveFlowViews, FabricModel, FlowNames};
 use saba_sim::ids::{LinkId, ServiceLevel};
-use saba_sim::sharing::{compute_rates_into, SharingConfig, SharingScratch};
+use saba_sim::sharing::{compute_rates_into, SharingScratch};
 use saba_sim::topology::Topology;
 use serde::{Deserialize, Serialize};
 
@@ -91,8 +91,6 @@ impl PortQueueConfig {
 #[derive(Debug, Clone)]
 pub struct SabaFabric {
     ports: Vec<PortQueueConfig>,
-    /// Fluid-sharing tuning knobs.
-    pub sharing: SharingConfig,
     scratch: SharingScratch,
     caps: Vec<f64>,
     counts: Counts,
@@ -160,10 +158,16 @@ impl Counts {
 impl SabaFabric {
     /// Creates a fabric with `num_links` default (single-queue) ports.
     pub fn new(num_links: usize) -> Self {
+        Self::with_scratch(num_links, SharingScratch::default())
+    }
+
+    /// [`Self::new`] rating on `scratch`: the conformance differential
+    /// passes a [`SharingScratch::unbundled`] one, the reference that
+    /// bundling is held to.
+    pub fn with_scratch(num_links: usize, scratch: SharingScratch) -> Self {
         Self {
             ports: vec![PortQueueConfig::default(); num_links],
-            sharing: SharingConfig::default(),
-            scratch: SharingScratch::default(),
+            scratch,
             caps: Vec::new(),
             counts: Counts::new(num_links),
             names: FlowNames::default(),
@@ -260,7 +264,6 @@ impl FabricModel for SabaFabric {
         compute_rates_into(
             &self.caps,
             &ActiveFlowViews::weighted(flows, Some(&self.weights), &self.names),
-            &self.sharing,
             &mut self.scratch,
             rates,
         );

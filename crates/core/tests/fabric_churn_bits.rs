@@ -57,7 +57,6 @@ trait Churned: FabricModel {
 impl Churned for SabaFabric {
     fn fresh(&self) -> Self {
         let mut fresh = SabaFabric::new(self.num_ports());
-        fresh.sharing = self.sharing.clone();
         for l in 0..self.num_ports() as u32 {
             fresh.set_port(LinkId(l), self.port(LinkId(l)).clone());
         }
@@ -91,9 +90,7 @@ impl Churned for SabaFabric {
 
 impl Churned for FairShareFabric {
     fn fresh(&self) -> Self {
-        let mut fresh = FairShareFabric::default();
-        fresh.sharing = self.sharing.clone();
-        fresh
+        FairShareFabric::default()
     }
 
     fn reprogram(&mut self, _rng: &mut Lcg) -> usize {
@@ -130,7 +127,6 @@ impl FabricModel for Reclassed {
         compute_rates_into(
             &self.caps,
             &ActiveFlowViews::with_priorities(flows, &self.priorities, &mut self.names),
-            &Default::default(),
             &mut self.scratch,
             rates,
         );

@@ -125,9 +125,35 @@ struct Hub {
     /// While set, worker spawns fail as if the OS refused a thread.
     #[cfg(test)]
     spawn_fails: AtomicBool,
+    /// While set, so does the supervisor's.
+    #[cfg(test)]
+    supervisor_spawn_fails: AtomicBool,
 }
 
 impl Hub {
+    /// The hub of a runtime not started yet: the log directory made,
+    /// the front built, no thread running.
+    fn new(spec: ShardSpec, cfg: RuntimeConfig) -> std::io::Result<Arc<Self>> {
+        std::fs::create_dir_all(&cfg.log_dir)?;
+        let front = Front::new(cfg.shards, PROBE, cfg.admission, Registry::new())
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+        Ok(Arc::new(Self {
+            pulse: (0..cfg.shards).map(|_| AtomicU64::new(0)).collect(),
+            shared: Mutex::new(Shared {
+                front,
+                workers: Vec::new(),
+                replaced: Vec::new(),
+            }),
+            started: Instant::now(),
+            spec,
+            cfg,
+            #[cfg(test)]
+            spawn_fails: AtomicBool::new(false),
+            #[cfg(test)]
+            supervisor_spawn_fails: AtomicBool::new(false),
+        }))
+    }
+
     /// The driver's clock: seconds since the runtime started.
     fn now(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
@@ -154,6 +180,21 @@ impl Hub {
             .name(format!("saba-shard-{shard}"))
             .spawn(move || hub.worker_loop(shard, opening, rx))?;
         Ok(Worker { tx, thread })
+    }
+
+    /// Spawns the supervisor, which runs until `stop` is set.
+    fn spawn_supervisor(
+        self: &Arc<Self>,
+        stop: &Arc<AtomicBool>,
+    ) -> std::io::Result<JoinHandle<()>> {
+        #[cfg(test)]
+        if self.supervisor_spawn_fails.load(Ordering::Relaxed) {
+            return Err(std::io::Error::other("injected supervisor spawn failure"));
+        }
+        let (hub, stop) = (self.clone(), stop.clone());
+        std::thread::Builder::new()
+            .name("saba-supervisor".into())
+            .spawn(move || hub.supervise(&stop))
     }
 
     fn worker_loop(&self, shard_id: usize, opening: Opening, rx: Receiver<WorkerMsg>) {
@@ -325,26 +366,16 @@ impl ServiceRuntime {
     ///
     /// # Errors
     ///
-    /// A worker thread the OS would not start, or the first error a
-    /// worker met opening its shard ([`Shard::open`]: I/O, or a logged
-    /// record the controller refuses); the runtime then does not start.
+    /// A worker or supervisor thread the OS would not start, or the
+    /// first error a worker met opening its shard ([`Shard::open`]: I/O,
+    /// or a logged record the controller refuses); the runtime then
+    /// does not start, and no worker it started is left running.
     pub fn start(spec: ShardSpec, cfg: RuntimeConfig) -> std::io::Result<Self> {
-        std::fs::create_dir_all(&cfg.log_dir)?;
-        let front = Front::new(cfg.shards, PROBE, cfg.admission, Registry::new())
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-        let hub = Arc::new(Hub {
-            pulse: (0..cfg.shards).map(|_| AtomicU64::new(0)).collect(),
-            shared: Mutex::new(Shared {
-                front,
-                workers: Vec::new(),
-                replaced: Vec::new(),
-            }),
-            started: Instant::now(),
-            spec,
-            cfg,
-            #[cfg(test)]
-            spawn_fails: AtomicBool::new(false),
-        });
+        Self::launch(Hub::new(spec, cfg)?)
+    }
+
+    /// [`Self::start`] on a built hub.
+    fn launch(hub: Arc<Hub>) -> std::io::Result<Self> {
         let (tx, rx) = mpsc::channel();
         let (mut workers, mut spawned) = (Vec::new(), Ok(()));
         for id in 0..hub.cfg.shards {
@@ -359,20 +390,17 @@ impl ServiceRuntime {
         drop(tx);
         let opened = rx.iter().collect::<std::io::Result<()>>();
         if let Err(e) = spawned.and(opened) {
-            for worker in workers {
-                let _ = worker.tx.send(WorkerMsg::Kill);
-                let _ = worker.thread.join();
-            }
+            kill_all(workers);
             return Err(e);
         }
         hub.shared().workers = workers;
         let stop = Arc::new(AtomicBool::new(false));
-        let supervisor = {
-            let (hub, stop) = (hub.clone(), stop.clone());
-            std::thread::Builder::new()
-                .name("saba-supervisor".into())
-                .spawn(move || hub.supervise(&stop))
-                .expect("spawn supervisor")
+        let supervisor = match hub.spawn_supervisor(&stop) {
+            Ok(supervisor) => supervisor,
+            Err(e) => {
+                kill_all(std::mem::take(&mut hub.shared().workers));
+                return Err(e);
+            }
         };
         Ok(Self {
             hub,
@@ -512,6 +540,14 @@ impl ServiceRuntime {
     /// Shards replaced by the supervisor so far, in replacement order.
     pub fn replaced_shards(&self) -> Vec<usize> {
         self.hub.shared().replaced.clone()
+    }
+}
+
+/// Kills `workers` and waits for their threads to end.
+fn kill_all(workers: Vec<Worker>) {
+    for worker in workers {
+        let _ = worker.tx.send(WorkerMsg::Kill);
+        let _ = worker.thread.join();
     }
 }
 
@@ -871,6 +907,23 @@ mod tests {
         );
         assert_eq!(r, Response::Ack, "the supervisor failed the shard over");
         assert!(rt.shutdown().failovers >= 1);
+    }
+
+    /// A supervisor the OS will not start fails the start with the
+    /// spawn's error, after every worker started for it has ended: none
+    /// holds the hub any more.
+    #[test]
+    fn a_refused_supervisor_fails_the_start_and_ends_its_workers() {
+        let mut cfg = fresh_cfg("supervisor");
+        cfg.shards = 3;
+        let hub = Hub::new(spec(), cfg).unwrap();
+        hub.supervisor_spawn_fails.store(true, Ordering::Relaxed);
+        let Err(e) = ServiceRuntime::launch(hub.clone()) else {
+            panic!("a start without a supervisor must fail");
+        };
+        assert!(e.to_string().contains("supervisor"), "{e}");
+        assert!(hub.shared().workers.is_empty());
+        assert_eq!(Arc::strong_count(&hub), 1, "a worker outlived the start");
     }
 
     /// A standby the OS will not start leaves its shard answering

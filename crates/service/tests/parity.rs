@@ -151,8 +151,9 @@ fn both_drivers_serve_one_script_identically() {
     let (twin_logs, rt_logs) = (logs(&twin_cfg.log_dir), logs(&rt_cfg.log_dir));
     assert!(twin_logs == rt_logs, "shard logs differ byte for byte");
     for (s, bytes) in rt_logs.iter().enumerate() {
-        assert!(!bytes.is_empty(), "shard {s} served part of the script");
-        let replayed = ReplayState::replay(&scan(bytes).records);
+        let records = scan(bytes).records;
+        assert!(!records.is_empty(), "shard {s} served part of the script");
+        let replayed = ReplayState::replay(&records);
         assert_eq!(&replayed, twin.shard(s).state(), "shard {s} replay");
     }
     assert_eq!(

@@ -37,7 +37,7 @@ use crate::ids::{AppId, FlowId, LinkId, NodeId, ServiceLevel};
 use crate::probe::LinkProbe;
 use crate::routing::Routes;
 use crate::sharing::{
-    compute_rates_into, FlowMatch, FlowSource, FlowView, FlowWeights, SharingConfig, SharingScratch,
+    compute_rates_into, FlowMatch, FlowSource, FlowView, FlowWeights, SharingScratch,
 };
 use crate::topology::Topology;
 use saba_telemetry::{EventKind, NullSink, Registry, TelemetrySink};
@@ -372,7 +372,6 @@ impl FlowRater {
         topo: &Topology,
         flows: &[ActiveFlow],
         priorities: Option<&[u8]>,
-        cfg: &SharingConfig,
         rates: &mut Vec<f64>,
     ) {
         topo.capacities_into(&mut self.caps);
@@ -380,7 +379,7 @@ impl FlowRater {
             Some(p) => ActiveFlowViews::with_priorities(flows, p, &mut self.names),
             None => ActiveFlowViews::uniform(flows, &mut self.names),
         };
-        compute_rates_into(&self.caps, &views, cfg, &mut self.scratch, rates);
+        compute_rates_into(&self.caps, &views, &mut self.scratch, rates);
     }
 }
 
@@ -389,14 +388,12 @@ impl FlowRater {
 /// refined by `saba-baselines`).
 #[derive(Debug, Clone, Default)]
 pub struct FairShareFabric {
-    /// Sharing configuration (refill passes etc.).
-    pub sharing: SharingConfig,
     rater: FlowRater,
 }
 
 impl FabricModel for FairShareFabric {
     fn allocate(&mut self, topo: &Topology, flows: &[ActiveFlow], rates: &mut Vec<f64>) {
-        self.rater.rate(topo, flows, None, &self.sharing, rates);
+        self.rater.rate(topo, flows, None, rates);
     }
 }
 

@@ -130,7 +130,7 @@ pub fn simulate_port(port: &PacketPort, flows: &[PacketFlow]) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::ids::LinkId;
-    use crate::sharing::{compute_rates, SharingConfig, SharingFlow};
+    use crate::sharing::{compute_rates, SharingFlow};
 
     /// Fluid prediction of completion times on one link: iterate the
     /// allocator between completions.
@@ -155,7 +155,7 @@ mod tests {
                     rate_cap: f64::INFINITY,
                 })
                 .collect();
-            let rates = compute_rates(&[capacity], &flows, &SharingConfig::default());
+            let rates = compute_rates(&[capacity], &flows);
             // Advance to the earliest completion.
             let dt = active
                 .iter()

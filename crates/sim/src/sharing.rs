@@ -24,13 +24,13 @@
 //! fill; refill passes hand that back, in weight proportion, to the
 //! flows that can still gain — those below their cap with no saturated
 //! link on their path — so the allocation is work-conserving up to a
-//! configurable tolerance. A flow behind a saturated link is decided:
+//! fixed tolerance. A flow behind a saturated link is decided:
 //! its bottleneck's fair share already is its rate.
 //!
 //! # The kernel
 //!
 //! A fill pass runs on flat arrays the prepared problem carries across
-//! calls and the class's up to `1 + refill_passes` passes share: every
+//! calls and the class's up to `1 + REFILL_PASSES` passes share: every
 //! bundle's hops as contiguous `(link, weight)` pairs (a bundle of
 //! `mult` flows weighs `weight · mult` at each), its `rate_cap · mult`
 //! product, and per link the bundles crossing it in canonical order (the
@@ -60,11 +60,12 @@
 //! what a saturating subtraction leaves behind is: a few hundred ulps of
 //! the capacity (≈ 1e-13 of it), which lands on `0.0` or on `1e-7` B/s
 //! of a 7 GB/s link by accident of rounding. `1e-9` sits four orders
-//! above that residue and three below the default `refill_epsilon`.
+//! above that residue and three below `REFILL_EPSILON`.
 //!
 //! The pass holds **one live entry per link** in an indexed 4-ary
 //! min-heap keyed `(fill level, hops frozen on the link so far, link
-//! id)`, with each link knowing its entry's position. A freeze re-keys
+//! id)`, packed into one `u128` compared with `<`, with each link
+//! knowing its entry's position. A freeze re-keys
 //! the links on the bundle's path in place (sifting either way; rounding
 //! can lower a level by an ulp) and drops a link whose weight sum has
 //! run out; the link being drained leaves the heap for good, since after
@@ -102,6 +103,11 @@
 //!   exact: identical flows receive identical rates under progressive
 //!   filling, and an aggregate of weight `m·w` and cap `m·c` freezes at
 //!   exactly `m` times the member share at every fill level.
+//!
+//! The fill's policy — the refill passes, their tolerance, bundling —
+//! is fixed here, not configured: [`SharingScratch::unbundled`] is the
+//! one way to rate every flow on its own, the exactness reference that
+//! bundling is tested against.
 //!
 //! # The prepared problem persists
 //!
@@ -153,9 +159,20 @@ pub const MIN_WEIGHT: f64 = 1e-9;
 /// saturated: the bundles crossing it are decided and take no part in a
 /// later fill pass. Relative to the link, because the residue a
 /// saturating subtraction leaves is (≈ 1e-13 of the capacity); three
-/// orders below the default `refill_epsilon`, so it gives up nothing a
-/// refill pass would have been run for.
+/// orders below [`REFILL_EPSILON`], so it gives up nothing a refill
+/// pass would have been run for.
 const SATURATED: f64 = 1e-9;
+
+/// Work-conservation refill passes after the base pass of a priority
+/// class. A refill pass takes in only the bundles that can still gain
+/// (below their cap, no saturated link on their path), and the refill
+/// ends early when there are none.
+const REFILL_PASSES: usize = 3;
+
+/// A refill pass that adds no more than this fraction of the total link
+/// capacity ends its class's refill — of the whole fabric the call was
+/// given, so the rule loosens as the fabric grows.
+const REFILL_EPSILON: f64 = 1e-6;
 
 /// A flow as seen by the rate allocator.
 #[derive(Debug, Clone)]
@@ -253,8 +270,10 @@ pub trait FlowSource {
 }
 
 /// Owned flows named by their index: sound for a fresh scratch only,
-/// which has seen no name.
-struct ByIndex<'a>(&'a [SharingFlow]);
+/// which has seen no name. [`compute_rates`] rates through it, and so
+/// do the checks that rate owned flows on a fresh
+/// [`SharingScratch::unbundled`].
+pub struct ByIndex<'a>(pub &'a [SharingFlow]);
 
 impl FlowSource for ByIndex<'_> {
     fn flow_count(&self) -> usize {
@@ -267,34 +286,6 @@ impl FlowSource for ByIndex<'_> {
 
     fn key_id(&self, i: usize) -> u64 {
         i as u64
-    }
-}
-
-/// Tuning knobs for [`compute_rates`] / [`compute_rates_into`].
-#[derive(Debug, Clone)]
-pub struct SharingConfig {
-    /// Upper bound on the work-conservation refill passes after the base
-    /// filling of a priority class. A refill pass takes in only the
-    /// flows that can still gain (below their cap, no saturated link on
-    /// their path), and the refill ends early when there are none.
-    pub refill_passes: usize,
-    /// Stop refilling a class when a pass adds no more than this
-    /// fraction of the total link capacity — of the whole fabric the
-    /// call was given, so the rule loosens as the fabric grows.
-    pub refill_epsilon: f64,
-    /// Aggregate flows with identical (path, weights, priority, cap)
-    /// into bundles before filling (exact; see the module docs). Only
-    /// disabled by equivalence tests.
-    pub bundling: bool,
-}
-
-impl Default for SharingConfig {
-    fn default() -> Self {
-        Self {
-            refill_passes: 3,
-            refill_epsilon: 1e-6,
-            bundling: true,
-        }
     }
 }
 
@@ -327,8 +318,9 @@ struct BundleKey {
     resized: bool,
     /// FNV-1a hash of the key: the canonical order after the priority.
     hash: u64,
-    /// With bundling off, the member's name, which orders flows with
-    /// identical keys; zero with bundling on, where keys are distinct.
+    /// In an unbundled scratch, the member's name, which orders flows
+    /// with identical keys; zero in a bundling one, where keys are
+    /// distinct.
     tie: u64,
     /// The members' rate cap.
     rate_cap: f64,
@@ -385,33 +377,33 @@ impl Link {
         self.residual.max(0.0) / self.sumw
     }
 
-    /// The heap entry link `l` should have in this state.
+    /// The heap key link `l` should have in this state.
     #[inline]
-    fn entry(&self, l: u32) -> HeapEntry {
-        HeapEntry {
-            level: self.level(),
-            version: self.version,
-            link: l,
-        }
+    fn key(&self, l: u32) -> HeapKey {
+        heap_key(self.level(), self.version, l)
     }
 }
 
-/// A link's live heap entry. Entries are ordered by `(level, version,
-/// link)`, lowest first — the order links drain in.
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    level: f64,
-    version: u32,
-    link: u32,
+/// A link's live heap entry: `(level, version, link)` packed as
+/// `level bits · 2^64 + version · 2^32 + link`. Keys are ordered with
+/// `<`, lowest first — the order links drain in.
+type HeapKey = u128;
+
+/// The key of link `link` at fill level `level` after `version` freezes.
+///
+/// A level is never negative or NaN, and `+ 0.0` folds a `-0.0` into
+/// `0.0`; the bits of the non-negative floats, infinity included, order
+/// as the floats do, so the integer order is the order of the tuples.
+#[inline]
+fn heap_key(level: f64, version: u32, link: u32) -> HeapKey {
+    debug_assert!(level >= 0.0, "levels are ordered and non-negative: {level}");
+    (u128::from((level + 0.0).to_bits()) << 64) | (u128::from(version) << 32) | u128::from(link)
 }
 
-impl HeapEntry {
-    #[inline]
-    fn before(&self, other: &HeapEntry) -> bool {
-        self.level < other.level
-            || (self.level == other.level
-                && (self.version, self.link) < (other.version, other.link))
-    }
+/// The link a heap key belongs to.
+#[inline]
+fn key_link(key: HeapKey) -> u32 {
+    key as u32
 }
 
 /// Matches each call's flows to the previous call's by id: the
@@ -700,7 +692,7 @@ pub struct SharingScratch {
     active: Vec<u32>,
     /// The fill heap: a 4-ary min-heap holding one entry per link that
     /// still has unassigned weight, located through [`Link::heap_pos`].
-    heap: Vec<HeapEntry>,
+    heap: Vec<HeapKey>,
     /// The current class's bundles (canonical order) that can still gain
     /// rate: each fill pass starts by dropping those that no longer can,
     /// for good.
@@ -727,8 +719,10 @@ pub struct SharingScratch {
     matching: FlowMatch,
     /// Flow index → bundle.
     bundle_of: Vec<u32>,
-    /// The bundling mode and the link count the problem was prepared for.
-    bundling: bool,
+    /// Rates every flow on its own, never bundling: for the whole life
+    /// of the scratch ([`SharingScratch::unbundled`]).
+    unbundled: bool,
+    /// The link count the problem was prepared for.
     num_links: usize,
     /// [`prepare`]'s per-call buffers.
     work: Work,
@@ -769,19 +763,19 @@ struct Work {
 ///
 /// ```
 /// use saba_sim::ids::LinkId;
-/// use saba_sim::sharing::{compute_rates, SharingConfig, SharingFlow};
+/// use saba_sim::sharing::{compute_rates, SharingFlow};
 ///
 /// // Two equal flows through one 100 B/s link split it evenly.
 /// let caps = [100.0];
 /// let f = SharingFlow::best_effort(vec![LinkId(0)]);
-/// let rates = compute_rates(&caps, &[f.clone(), f], &SharingConfig::default());
+/// let rates = compute_rates(&caps, &[f.clone(), f]);
 /// assert!((rates[0] - 50.0).abs() < 1e-6);
 /// assert!((rates[1] - 50.0).abs() < 1e-6);
 /// ```
-pub fn compute_rates(capacities: &[f64], flows: &[SharingFlow], cfg: &SharingConfig) -> Vec<f64> {
+pub fn compute_rates(capacities: &[f64], flows: &[SharingFlow]) -> Vec<f64> {
     let mut scratch = SharingScratch::default();
     let mut out = Vec::new();
-    compute_rates_into(capacities, &ByIndex(flows), cfg, &mut scratch, &mut out);
+    compute_rates_into(capacities, &ByIndex(flows), &mut scratch, &mut out);
     out
 }
 
@@ -802,7 +796,6 @@ pub fn compute_rates(capacities: &[f64], flows: &[SharingFlow], cfg: &SharingCon
 pub fn compute_rates_into<F: FlowSource + ?Sized>(
     capacities: &[f64],
     flows: &F,
-    cfg: &SharingConfig,
     scratch: &mut SharingScratch,
     out: &mut Vec<f64>,
 ) {
@@ -813,14 +806,15 @@ pub fn compute_rates_into<F: FlowSource + ?Sized>(
     if n == 0 {
         return;
     }
-    prepare(capacities.len(), flows, cfg.bundling, scratch);
-    fill(capacities, cfg, scratch, out);
+    prepare(capacities.len(), flows, scratch);
+    fill(capacities, REFILL_PASSES, scratch, out);
 }
 
 /// Rates the prepared problem in `scratch` over `capacities` into `out`
-/// (sized to the flows): the fill passes, class by class, then each
-/// bundle's rate divided over its members.
-fn fill(capacities: &[f64], cfg: &SharingConfig, scratch: &mut SharingScratch, out: &mut [f64]) {
+/// (sized to the flows): per class a base pass and up to
+/// `refill_passes` refill passes ([`REFILL_PASSES`] but in the tests of
+/// the refill rule), then each bundle's rate divided over its members.
+fn fill(capacities: &[f64], refill_passes: usize, scratch: &mut SharingScratch, out: &mut [f64]) {
     // Strict-priority classes, highest (numerically lowest) first. The
     // canonical order starts with the priority, so classes are
     // contiguous ranges of it, and of every link's list. Only the links
@@ -876,9 +870,9 @@ fn fill(capacities: &[f64], cfg: &SharingConfig, scratch: &mut SharingScratch, o
         }
         let base = if one_class { Pass::Base } else { Pass::Open };
         fill_once(capacities, base, scratch);
-        for _ in 0..cfg.refill_passes {
+        for _ in 0..refill_passes {
             let added = fill_once(capacities, Pass::Refill, scratch);
-            if added <= cfg.refill_epsilon * scratch.total_capacity.max(1.0) {
+            if added <= REFILL_EPSILON * scratch.total_capacity.max(1.0) {
                 break;
             }
         }
@@ -1016,8 +1010,8 @@ fn cmp_bundle_key(a: &impl KeyRead, b: &impl KeyRead) -> Ordering {
         .then_with(|| a.rate_cap().total_cmp(&b.rate_cap()))
 }
 
-/// The canonical order of two flows to bundle. With bundling off,
-/// `ties` (the flows' names) orders flows with identical keys.
+/// The canonical order of two flows to bundle. Unbundled, `ties` (the
+/// flows' names) orders flows with identical keys.
 #[inline]
 fn cmp_pending<F: FlowSource + ?Sized>(
     flows: &F,
@@ -1114,6 +1108,18 @@ impl<'a> Keys<'a> {
 }
 
 impl SharingScratch {
+    /// A scratch that never bundles: every flow is rated on its own, a
+    /// bundle of one, in the canonical order with its name breaking ties
+    /// between identical keys. The exactness reference bundling is held
+    /// to (bundled and unbundled rates agree within 1e-9); production
+    /// callers use [`SharingScratch::default`], which bundles.
+    pub fn unbundled() -> Self {
+        Self {
+            unbundled: true,
+            ..Self::default()
+        }
+    }
+
     /// Checks `capacities` and takes their sum, unless they are the last
     /// call's.
     fn check_capacities(&mut self, capacities: &[f64]) {
@@ -1215,24 +1221,19 @@ impl SharingScratch {
     }
 }
 
-/// Brings the prepared problem in `s` up to `flows`, bundled (or not)
-/// as `bundling` says, over `num_links` links.
+/// Brings the prepared problem in `s` up to `flows`, over `num_links`
+/// links, bundled unless the scratch is [`SharingScratch::unbundled`].
 ///
 /// Flows are matched to the last call's by the name of their key
 /// ([`FlowMatch`]), and a flow found again keeps its bundle. The others
 /// are validated, hashed and sorted, and join the bundle with their key
 /// or make a new one, spliced into the order, the link lists and the hop
-/// pool; a bundle left without members leaves them. A new link count or
-/// a new bundling mode starts from an empty problem.
-fn prepare<F: FlowSource + ?Sized>(
-    num_links: usize,
-    flows: &F,
-    bundling: bool,
-    s: &mut SharingScratch,
-) {
+/// pool; a bundle left without members leaves them. A new link count
+/// starts from an empty problem.
+fn prepare<F: FlowSource + ?Sized>(num_links: usize, flows: &F, s: &mut SharingScratch) {
     let n = flows.flow_count();
-    if s.bundling != bundling || s.num_links != num_links {
-        s.bundling = bundling;
+    let bundling = !s.unbundled;
+    if s.num_links != num_links {
         s.num_links = num_links;
         s.discard_bundles();
         // Forget the previous call: every flow of this one is new.
@@ -1449,26 +1450,26 @@ const ARITY: usize = 4;
 
 /// Moves the entry at `i` towards the root until its parent orders
 /// before it; returns where it lands.
-fn sift_up(heap: &mut [HeapEntry], links: &mut [Link], mut i: usize) -> usize {
-    let entry = heap[i];
+fn sift_up(heap: &mut [HeapKey], links: &mut [Link], mut i: usize) -> usize {
+    let key = heap[i];
     while i > 0 {
         let parent = (i - 1) / ARITY;
-        if !entry.before(&heap[parent]) {
+        if key >= heap[parent] {
             break;
         }
         heap[i] = heap[parent];
-        links[heap[i].link as usize].heap_pos = i as u32;
+        links[key_link(heap[i]) as usize].heap_pos = i as u32;
         i = parent;
     }
-    heap[i] = entry;
-    links[entry.link as usize].heap_pos = i as u32;
+    heap[i] = key;
+    links[key_link(key) as usize].heap_pos = i as u32;
     i
 }
 
 /// Moves the entry at `i` towards the leaves until it orders before
 /// every child.
-fn sift_down(heap: &mut [HeapEntry], links: &mut [Link], mut i: usize) {
-    let entry = heap[i];
+fn sift_down(heap: &mut [HeapKey], links: &mut [Link], mut i: usize) {
+    let key = heap[i];
     loop {
         let first = ARITY * i + 1;
         if first >= heap.len() {
@@ -1476,33 +1477,32 @@ fn sift_down(heap: &mut [HeapEntry], links: &mut [Link], mut i: usize) {
         }
         let mut least = first;
         for child in first + 1..(first + ARITY).min(heap.len()) {
-            if heap[child].before(&heap[least]) {
+            if heap[child] < heap[least] {
                 least = child;
             }
         }
-        if !heap[least].before(&entry) {
+        if heap[least] >= key {
             break;
         }
         heap[i] = heap[least];
-        links[heap[i].link as usize].heap_pos = i as u32;
+        links[key_link(heap[i]) as usize].heap_pos = i as u32;
         i = least;
     }
-    heap[i] = entry;
-    links[entry.link as usize].heap_pos = i as u32;
+    heap[i] = key;
+    links[key_link(key) as usize].heap_pos = i as u32;
 }
 
 /// Gives link `l` the key of its current state, inserting it if it has
 /// no entry. The level may move either way (rounding can lower it by an
 /// ulp), so the entry sifts both ways.
-fn heap_upsert(heap: &mut Vec<HeapEntry>, links: &mut [Link], l: u32) {
+fn heap_upsert(heap: &mut Vec<HeapKey>, links: &mut [Link], l: u32) {
     let link = &links[l as usize];
-    let entry = link.entry(l);
-    debug_assert!(!entry.level.is_nan(), "levels must be ordered");
+    let key = link.key(l);
     let i = if link.heap_pos == ABSENT {
-        heap.push(entry);
+        heap.push(key);
         heap.len() - 1
     } else {
-        heap[link.heap_pos as usize] = entry;
+        heap[link.heap_pos as usize] = key;
         link.heap_pos as usize
     };
     let i = sift_up(heap, links, i);
@@ -1510,7 +1510,7 @@ fn heap_upsert(heap: &mut Vec<HeapEntry>, links: &mut [Link], l: u32) {
 }
 
 /// Drops link `l`'s entry, if it has one.
-fn heap_remove(heap: &mut Vec<HeapEntry>, links: &mut [Link], l: u32) {
+fn heap_remove(heap: &mut Vec<HeapKey>, links: &mut [Link], l: u32) {
     let pos = std::mem::replace(&mut links[l as usize].heap_pos, ABSENT);
     if pos == ABSENT {
         return;
@@ -1592,7 +1592,7 @@ fn fill_once(capacities: &[f64], pass: Pass, scratch: &mut SharingScratch) -> f6
         let link = &mut links[l as usize];
         if link.sumw > 0.0 {
             link.heap_pos = heap.len() as u32;
-            heap.push(link.entry(l));
+            heap.push(link.key(l));
         }
     }
     for i in (0..heap.len().div_ceil(ARITY)).rev() {
@@ -1600,7 +1600,8 @@ fn fill_once(capacities: &[f64], pass: Pass, scratch: &mut SharingScratch) -> f6
     }
 
     let mut added = 0.0;
-    while let Some(&HeapEntry { link: l, .. }) = heap.first() {
+    while let Some(&key) = heap.first() {
+        let l = key_link(key);
         // Out of the heap for good: after its list every bundle crossing
         // this link is assigned, so no later freeze can touch it.
         heap_remove(heap, links, l);
@@ -1651,12 +1652,14 @@ fn fill_once(capacities: &[f64], pass: Pass, scratch: &mut SharingScratch) -> f6
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
+#[path = "../tests/fill_problems/mod.rs"]
+mod fill_problems;
 
-    fn cfg() -> SharingConfig {
-        SharingConfig::default()
-    }
+#[cfg(test)]
+mod tests {
+    use super::fill_problems::{self, cap_bound_three_refills, spine_leaf_shape, Lcg};
+    use super::*;
+    use proptest::prelude::*;
 
     fn flow(path: &[u32], weights: &[f64]) -> SharingFlow {
         SharingFlow {
@@ -1669,14 +1672,14 @@ mod tests {
 
     #[test]
     fn single_flow_takes_whole_link() {
-        let rates = compute_rates(&[100.0], &[flow(&[0], &[1.0])], &cfg());
+        let rates = compute_rates(&[100.0], &[flow(&[0], &[1.0])]);
         assert!((rates[0] - 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn weights_split_proportionally() {
         let flows = [flow(&[0], &[3.0]), flow(&[0], &[1.0])];
-        let rates = compute_rates(&[100.0], &flows, &cfg());
+        let rates = compute_rates(&[100.0], &flows);
         assert!((rates[0] - 75.0).abs() < 1e-6, "{rates:?}");
         assert!((rates[1] - 25.0).abs() < 1e-6);
     }
@@ -1686,7 +1689,7 @@ mod tests {
         // Flow A spans links 0 (cap 100) and 1 (cap 10): bottleneck 10.
         // Flow B uses only link 0 and picks up the slack.
         let flows = [flow(&[0, 1], &[1.0, 1.0]), flow(&[0], &[1.0])];
-        let rates = compute_rates(&[100.0, 10.0], &flows, &cfg());
+        let rates = compute_rates(&[100.0, 10.0], &flows);
         assert!((rates[0] - 10.0).abs() < 1e-6, "{rates:?}");
         assert!((rates[1] - 90.0).abs() < 1e-6, "{rates:?}");
     }
@@ -1701,7 +1704,7 @@ mod tests {
             flow(&[1], &[1.0]),
             flow(&[2], &[1.0]),
         ];
-        let rates = compute_rates(&[100.0, 100.0, 100.0], &flows, &cfg());
+        let rates = compute_rates(&[100.0, 100.0, 100.0], &flows);
         for (i, r) in rates.iter().enumerate() {
             assert!((r - 50.0).abs() < 1e-6, "flow {i}: {rates:?}");
         }
@@ -1718,7 +1721,7 @@ mod tests {
             flow(&[0], &[1.0]),
             flow(&[1], &[1.0]),
         ];
-        let rates = compute_rates(&[100.0, 100.0], &flows, &cfg());
+        let rates = compute_rates(&[100.0, 100.0], &flows);
         let third = 100.0 / 3.0;
         assert!((rates[0] - third).abs() < 1e-6, "{rates:?}");
         assert!((rates[1] - third).abs() < 1e-6);
@@ -1731,7 +1734,7 @@ mod tests {
         let mut capped = flow(&[0], &[1.0]);
         capped.rate_cap = 10.0;
         let flows = [capped, flow(&[0], &[1.0])];
-        let rates = compute_rates(&[100.0], &flows, &cfg());
+        let rates = compute_rates(&[100.0], &flows);
         assert!((rates[0] - 10.0).abs() < 1e-6, "{rates:?}");
         assert!((rates[1] - 90.0).abs() < 1e-6, "{rates:?}");
     }
@@ -1742,7 +1745,7 @@ mod tests {
         hi.priority = 0;
         let mut lo = flow(&[0], &[1.0]);
         lo.priority = 1;
-        let rates = compute_rates(&[100.0], &[lo.clone(), hi.clone()], &cfg());
+        let rates = compute_rates(&[100.0], &[lo.clone(), hi.clone()]);
         assert!((rates[1] - 100.0).abs() < 1e-6, "{rates:?}");
         assert!(rates[0].abs() < 1e-6);
     }
@@ -1753,7 +1756,7 @@ mod tests {
         hi.rate_cap = 30.0;
         let mut lo = flow(&[0], &[1.0]);
         lo.priority = 1;
-        let rates = compute_rates(&[100.0], &[hi, lo], &cfg());
+        let rates = compute_rates(&[100.0], &[hi, lo]);
         assert!((rates[0] - 30.0).abs() < 1e-6, "{rates:?}");
         assert!((rates[1] - 70.0).abs() < 1e-6, "{rates:?}");
     }
@@ -1761,7 +1764,7 @@ mod tests {
     #[test]
     fn empty_path_flow_is_unbounded() {
         let f = SharingFlow::best_effort(vec![]);
-        let rates = compute_rates(&[10.0], &[f], &cfg());
+        let rates = compute_rates(&[10.0], &[f]);
         assert!(rates[0].is_infinite());
     }
 
@@ -1769,7 +1772,7 @@ mod tests {
     fn empty_path_flow_respects_cap() {
         let mut f = SharingFlow::best_effort(vec![]);
         f.rate_cap = 5.0;
-        let rates = compute_rates(&[10.0], &[f], &cfg());
+        let rates = compute_rates(&[10.0], &[f]);
         assert!((rates[0] - 5.0).abs() < 1e-9);
     }
 
@@ -1797,7 +1800,7 @@ mod tests {
             let w: Vec<f64> = path.iter().map(|_| 1.0 + (next() % 4) as f64).collect();
             flows.push(flow(&path, &w));
         }
-        let rates = compute_rates(&caps, &flows, &cfg());
+        let rates = compute_rates(&caps, &flows);
         let mut load = [0.0; 10];
         for (f, &r) in flows.iter().zip(&rates) {
             assert!(r >= 0.0);
@@ -1818,7 +1821,7 @@ mod tests {
             flow(&[0], &[2.0]),
             flow(&[0, 1], &[1.0, 1.0]),
         ];
-        let rates = compute_rates(&[120.0, 1000.0], &flows, &cfg());
+        let rates = compute_rates(&[120.0, 1000.0], &flows);
         let total: f64 = rates.iter().sum();
         assert!((total - 120.0).abs() < 1e-6, "{rates:?}");
     }
@@ -1828,7 +1831,7 @@ mod tests {
         // Queue A (weight 3) has 2 flows, queue B (weight 1) has 1 flow.
         // Flattened: φ_A = 1.5 each, φ_B = 1. Shares: 45, 45, 30 on 120.
         let flows = [flow(&[0], &[1.5]), flow(&[0], &[1.5]), flow(&[0], &[1.0])];
-        let rates = compute_rates(&[120.0], &flows, &cfg());
+        let rates = compute_rates(&[120.0], &flows);
         assert!((rates[0] - 45.0).abs() < 1e-6, "{rates:?}");
         assert!((rates[1] - 45.0).abs() < 1e-6);
         assert!((rates[2] - 30.0).abs() < 1e-6);
@@ -1839,7 +1842,7 @@ mod tests {
         // Flow 0 is stuck at 1 B/s on link 1; flow 1 shares link 0 with it.
         // Without refill flow 1 would be frozen at 50; refill tops it up to 99.
         let flows = [flow(&[0, 1], &[1.0, 1.0]), flow(&[0], &[1.0])];
-        let rates = compute_rates(&[100.0, 1.0], &flows, &cfg());
+        let rates = compute_rates(&[100.0, 1.0], &flows);
         assert!((rates[0] - 1.0).abs() < 1e-6, "{rates:?}");
         assert!((rates[1] - 99.0).abs() < 1e-6, "{rates:?}");
     }
@@ -1847,7 +1850,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "weight must be positive")]
     fn zero_weight_rejected() {
-        let _ = compute_rates(&[1.0], &[flow(&[0], &[0.0])], &cfg());
+        let _ = compute_rates(&[1.0], &[flow(&[0], &[0.0])]);
     }
 
     #[test]
@@ -1858,13 +1861,13 @@ mod tests {
         // still waiting, which then read a fill level of 50/0 and was
         // handed an infinite rate on a 100 B/s link.
         let flows = [flow(&[0], &[6e-13]), flow(&[0], &[5e-13])];
-        let _ = compute_rates(&[100.0], &flows, &cfg());
+        let _ = compute_rates(&[100.0], &flows);
     }
 
     #[test]
     fn weight_at_the_allocator_resolution_is_served() {
         let flows = [flow(&[0], &[MIN_WEIGHT]), flow(&[0], &[3.0 * MIN_WEIGHT])];
-        let rates = compute_rates(&[100.0], &flows, &cfg());
+        let rates = compute_rates(&[100.0], &flows);
         assert!((rates[0] - 25.0).abs() < 1e-6, "{rates:?}");
         assert!((rates[1] - 75.0).abs() < 1e-6, "{rates:?}");
     }
@@ -1891,7 +1894,7 @@ mod tests {
                     ],
                 ];
                 for flows in problems {
-                    let rates = compute_rates(&caps, &flows, &cfg());
+                    let rates = compute_rates(&caps, &flows);
                     let mut load = [0.0; 2];
                     for (f, &r) in flows.iter().zip(&rates) {
                         assert!(r.is_finite() && r >= 0.0, "{ratio:e} {small:e}: {rates:?}");
@@ -1913,31 +1916,31 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn bad_link_rejected() {
-        let _ = compute_rates(&[1.0], &[flow(&[5], &[1.0])], &cfg());
+        let _ = compute_rates(&[1.0], &[flow(&[5], &[1.0])]);
     }
 
     #[test]
     #[should_panic(expected = "capacity must be finite and non-negative")]
     fn negative_capacity_rejected() {
-        let _ = compute_rates(&[100.0, -1.0], &[flow(&[0], &[1.0])], &cfg());
+        let _ = compute_rates(&[100.0, -1.0], &[flow(&[0], &[1.0])]);
     }
 
     #[test]
     #[should_panic(expected = "capacity must be finite and non-negative")]
     fn nan_capacity_rejected() {
-        let _ = compute_rates(&[f64::NAN], &[flow(&[0], &[1.0])], &cfg());
+        let _ = compute_rates(&[f64::NAN], &[flow(&[0], &[1.0])]);
     }
 
     #[test]
     #[should_panic(expected = "capacity must be finite and non-negative")]
     fn infinite_capacity_rejected() {
-        let _ = compute_rates(&[f64::INFINITY], &[flow(&[0], &[1.0])], &cfg());
+        let _ = compute_rates(&[f64::INFINITY], &[flow(&[0], &[1.0])]);
     }
 
     #[test]
     fn zero_capacity_is_allowed_and_starves() {
         // A throttled-to-zero link is valid; flows crossing it starve.
-        let rates = compute_rates(&[0.0], &[flow(&[0], &[1.0])], &cfg());
+        let rates = compute_rates(&[0.0], &[flow(&[0], &[1.0])]);
         assert_eq!(rates[0], 0.0);
     }
 
@@ -1989,14 +1992,13 @@ mod tests {
         let caps: Vec<f64> = (0..12).map(|i| 100.0 + 10.0 * i as f64).collect();
         for seed in 0..20 {
             let flows = rand_flows(200, 12, 6, 0x5aba + seed);
-            let bundled = compute_rates(&caps, &flows, &cfg());
-            let unbundled = compute_rates(
+            let bundled = compute_rates(&caps, &flows);
+            let mut unbundled = Vec::new();
+            compute_rates_into(
                 &caps,
-                &flows,
-                &SharingConfig {
-                    bundling: false,
-                    ..cfg()
-                },
+                &ByIndex(&flows),
+                &mut SharingScratch::unbundled(),
+                &mut unbundled,
             );
             for (i, (a, b)) in bundled.iter().zip(&unbundled).enumerate() {
                 let tol = 1e-9 * a.abs().max(b.abs()).max(1.0);
@@ -2017,12 +2019,12 @@ mod tests {
         let mut a = Vec::new();
         let mut b = Vec::new();
         let mut c = Vec::new();
-        compute_rates_into(&caps, &Named(&named_flows), &cfg(), &mut scratch, &mut a);
-        compute_rates_into(&caps, &Named(&named_small), &cfg(), &mut scratch, &mut b);
-        compute_rates_into(&caps, &Named(&named_flows), &cfg(), &mut scratch, &mut c);
+        compute_rates_into(&caps, &Named(&named_flows), &mut scratch, &mut a);
+        compute_rates_into(&caps, &Named(&named_small), &mut scratch, &mut b);
+        compute_rates_into(&caps, &Named(&named_flows), &mut scratch, &mut c);
         assert_eq!(a, c);
         assert_eq!(b.len(), small.len());
-        assert_eq!(a, compute_rates(&caps, &flows, &cfg()));
+        assert_eq!(a, compute_rates(&caps, &flows));
     }
 
     #[test]
@@ -2049,14 +2051,8 @@ mod tests {
         let mut reused = Vec::new();
         for (step, (caps, flows)) in steps.iter().enumerate() {
             let flows_named = named(flows, 1000 * step as u64);
-            compute_rates_into(
-                caps,
-                &Named(&flows_named),
-                &cfg(),
-                &mut scratch,
-                &mut reused,
-            );
-            let fresh = compute_rates(caps, flows, &cfg());
+            compute_rates_into(caps, &Named(&flows_named), &mut scratch, &mut reused);
+            let fresh = compute_rates(caps, flows);
             let bits = |rates: &[f64]| rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&reused), bits(&fresh), "step {step}");
         }
@@ -2110,7 +2106,13 @@ mod tests {
         // scratch gives the bits of a fresh one, bundled or not.
         let pool = rand_flows(300, 12, 10, 0xc0ffee);
         for bundling in [true, false] {
-            let cfg = SharingConfig { bundling, ..cfg() };
+            let new = || {
+                if bundling {
+                    SharingScratch::default()
+                } else {
+                    SharingScratch::unbundled()
+                }
+            };
             let mut caps: Vec<f64> = (0..12).map(|i| 100.0 + 10.0 * i as f64).collect();
             let mut state = 0x5eed_u64;
             let mut next = move || {
@@ -2121,7 +2123,7 @@ mod tests {
             };
             let mut flows: Vec<(u64, SharingFlow)> = Vec::new();
             let mut names = 0u64;
-            let mut scratch = SharingScratch::default();
+            let mut scratch = new();
             let (mut kept, mut fresh) = (Vec::new(), Vec::new());
             for call in 0..600 {
                 for _ in 0..next() % 5 {
@@ -2145,9 +2147,8 @@ mod tests {
                 if next() % 20 == 0 {
                     caps[next() % 12] = (next() % 200) as f64;
                 }
-                compute_rates_into(&caps, &Named(&flows), &cfg, &mut scratch, &mut kept);
-                let mut new = SharingScratch::default();
-                compute_rates_into(&caps, &Named(&flows), &cfg, &mut new, &mut fresh);
+                compute_rates_into(&caps, &Named(&flows), &mut scratch, &mut kept);
+                compute_rates_into(&caps, &Named(&flows), &mut new(), &mut fresh);
                 let bits = |rates: &[f64]| rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
                     bits(&kept),
@@ -2171,8 +2172,8 @@ mod tests {
             let flows = rand_flows(200, 12, 24, 0xdead + seed);
             let dead = |f: &SharingFlow| f.path.iter().any(|l| caps[l.0 as usize] == 0.0);
             let others: Vec<SharingFlow> = flows.iter().filter(|f| !dead(f)).cloned().collect();
-            let rates = compute_rates(&caps, &flows, &cfg());
-            let mut alone = compute_rates(&caps, &others, &cfg()).into_iter();
+            let rates = compute_rates(&caps, &flows);
+            let mut alone = compute_rates(&caps, &others).into_iter();
             for (i, (f, &r)) in flows.iter().zip(&rates).enumerate() {
                 if dead(f) {
                     assert_eq!(r.to_bits(), 0, "seed {seed} flow {i}");
@@ -2198,10 +2199,10 @@ mod tests {
             flow(&[1], &[3.0]),
         ];
         let views: Vec<FlowView<'_>> = flows.iter().map(SharingFlow::view).collect();
-        let from_owned = compute_rates(&caps, &flows, &cfg());
+        let from_owned = compute_rates(&caps, &flows);
         let mut scratch = SharingScratch::default();
         let mut from_views = Vec::new();
-        compute_rates_into(&caps, &Views(&views), &cfg(), &mut scratch, &mut from_views);
+        compute_rates_into(&caps, &Views(&views), &mut scratch, &mut from_views);
         assert_eq!(from_owned, from_views);
     }
 
@@ -2227,7 +2228,7 @@ mod tests {
         ];
         let mut scratch = SharingScratch::default();
         let mut rates = Vec::new();
-        compute_rates_into(&caps, &Views(&views), &cfg(), &mut scratch, &mut rates);
+        compute_rates_into(&caps, &Views(&views), &mut scratch, &mut rates);
         assert!((rates[0] - 50.0).abs() < 1e-9, "{rates:?}");
         assert!((rates[1] - 50.0).abs() < 1e-9, "{rates:?}");
     }
@@ -2245,7 +2246,7 @@ mod tests {
         let mut lo = flow(&[0], &[1.0]);
         lo.priority = 1;
         flows.push(lo);
-        let rates = compute_rates(&[100.0], &flows, &cfg());
+        let rates = compute_rates(&[100.0], &flows);
         for r in &rates[..10] {
             assert!((r - 5.0).abs() < 1e-9, "{rates:?}");
         }
@@ -2263,7 +2264,7 @@ mod tests {
             SharingFlow::best_effort(vec![]),
             SharingFlow::best_effort(vec![]),
         ];
-        let rates = compute_rates(&[10.0], &flows, &cfg());
+        let rates = compute_rates(&[10.0], &flows);
         assert!((rates[0] - 5.0).abs() < 1e-9);
         assert!((rates[1] - 5.0).abs() < 1e-9);
         assert!(rates[2].is_infinite());
@@ -2289,7 +2290,7 @@ mod tests {
                 }
             }
         }
-        let rates = compute_rates(&caps, &flows, &cfg());
+        let rates = compute_rates(&caps, &flows);
         let per_flow = 1000.0 / ((hosts - 1) * dup) as f64;
         for (i, r) in rates.iter().enumerate() {
             assert!(
@@ -2297,5 +2298,184 @@ mod tests {
                 "flow {i}: {r} vs {per_flow}"
             );
         }
+    }
+
+    // --- the packed heap key ---
+
+    /// Fill levels as the kernel meets them and at the edges of the
+    /// packing: both zeros, the smallest normal, infinity, subnormals,
+    /// and any non-negative finite float.
+    fn level() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            prop::sample::select(vec![
+                0.0,
+                -0.0,
+                f64::MIN_POSITIVE,
+                1.0,
+                7.0e9,
+                f64::INFINITY
+            ]),
+            (1u64..1 << 52).prop_map(f64::from_bits),
+            (0u64..0x7ff0_0000_0000_0000).prop_map(f64::from_bits),
+        ]
+    }
+
+    /// Versions and links, the largest ones included.
+    fn id() -> impl Strategy<Value = u32> {
+        prop_oneof![
+            prop::sample::select(vec![0, 1, u32::MAX - 1, u32::MAX]),
+            any::<u32>(),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// One `u128` comparison orders heap keys as the `(level,
+        /// version, link)` tuples they pack, levels compared as floats,
+        /// and the link comes back out of the key.
+        #[test]
+        fn the_packed_heap_key_orders_as_its_tuple(
+            a in (level(), id(), id()),
+            b in (level(), id(), id()),
+            share in 0u8..3,
+        ) {
+            let b = match share {
+                0 => b,
+                // The same level: the tie falls to the version, then
+                // the link.
+                1 => (a.0, b.1, b.2),
+                // The other zero (or the same level) and the same
+                // version: the tie falls to the link.
+                _ => (if a.0 == 0.0 { -a.0 } else { a.0 }, a.1, b.2),
+            };
+            let tuple_before =
+                |x: (f64, u32, u32), y: (f64, u32, u32)| {
+                    x.0 < y.0 || (x.0 == y.0 && (x.1, x.2) < (y.1, y.2))
+                };
+            let (ka, kb) = (heap_key(a.0, a.1, a.2), heap_key(b.0, b.1, b.2));
+            prop_assert_eq!(ka < kb, tuple_before(a, b), "{:?} vs {:?}", a, b);
+            prop_assert_eq!(kb < ka, tuple_before(b, a), "{:?} vs {:?}", b, a);
+            prop_assert_eq!(key_link(ka), a.2);
+        }
+    }
+
+    // --- the refill rule, from its definition ---
+
+    /// `flows` rated with `refill_passes` refill passes per class in
+    /// place of [`REFILL_PASSES`].
+    fn refilled(caps: &[f64], flows: &[SharingFlow], refill_passes: usize) -> Vec<f64> {
+        let mut scratch = SharingScratch::default();
+        scratch.check_capacities(caps);
+        prepare(caps.len(), &ByIndex(flows), &mut scratch);
+        let mut rates = vec![0.0; flows.len()];
+        fill(caps, refill_passes, &mut scratch, &mut rates);
+        rates
+    }
+
+    /// The refill rule is part of what `tests/fill_bits.rs` pins: on the
+    /// cap-bound mix the last of the fill's refill passes still hands
+    /// out rate, and one more would not.
+    #[test]
+    fn cap_bound_mix_needs_all_three_refill_passes() {
+        let (caps, flows) = cap_bound_three_refills();
+        let with = |refill_passes| refilled(&caps, &flows, refill_passes);
+        assert_eq!(REFILL_PASSES, 3);
+        assert_eq!(with(REFILL_PASSES), compute_rates(&caps, &flows));
+        assert_ne!(with(REFILL_PASSES - 1), with(REFILL_PASSES));
+        assert_eq!(with(REFILL_PASSES), with(REFILL_PASSES + 1));
+    }
+
+    /// One class of 40 flows over 10 links, every other flow capped: LCG
+    /// mix `seed`.
+    fn lcg_mix(seed: u64) -> (Vec<f64>, Vec<SharingFlow>) {
+        let mut rng = Lcg(0x5aba_2000 + seed);
+        let caps = (0..10).map(|_| rng.real(100.0, 1000.0)).collect();
+        let flows = (0..40)
+            .map(|k| {
+                let path = rng.path(10, 4);
+                let weights = path.iter().map(|_| rng.real(0.25, 4.0)).collect();
+                let cap = if k % 2 == 0 {
+                    rng.real(2.0, 80.0)
+                } else {
+                    f64::INFINITY
+                };
+                fill_problems::flow(path, weights, 0, cap)
+            })
+            .collect();
+        (caps, flows)
+    }
+
+    /// Per link, the capacity `rates` leave unused: capacity − Σ rates.
+    fn unused(caps: &[f64], flows: &[SharingFlow], rates: &[f64]) -> Vec<f64> {
+        let mut load = vec![0.0; caps.len()];
+        for (f, r) in flows.iter().zip(rates) {
+            for l in &f.path {
+                load[l.0 as usize] += r;
+            }
+        }
+        caps.iter().zip(load).map(|(c, used)| c - used).collect()
+    }
+
+    /// A flow that crosses a link the base pass filled is decided:
+    /// refills leave its rate alone, bit for bit. And a refill only ever
+    /// adds.
+    #[test]
+    fn refill_leaves_flows_behind_a_full_link_alone_and_lowers_no_rate() {
+        let mut problems = vec![cap_bound_three_refills(), spine_leaf_shape()];
+        problems.extend((0..200).map(lcg_mix));
+        let (mut decided, mut topped_up) = (0, 0);
+        for (p, (caps, flows)) in problems.iter().enumerate() {
+            let by_passes: Vec<Vec<f64>> = (0..=REFILL_PASSES)
+                .map(|n| refilled(caps, flows, n))
+                .collect();
+            let left = unused(caps, flows, &by_passes[0]);
+            for (i, f) in flows.iter().enumerate() {
+                let (base, last) = (by_passes[0][i], by_passes[REFILL_PASSES][i]);
+                let full = |l: &LinkId| left[l.0 as usize] <= 1e-12 * caps[l.0 as usize];
+                if f.path.iter().any(full) {
+                    assert_eq!(base.to_bits(), last.to_bits(), "problem {p} flow {i}");
+                    decided += 1;
+                }
+                topped_up += usize::from(last > base);
+                for pair in by_passes.windows(2) {
+                    assert!(pair[1][i] >= pair[0][i], "problem {p} flow {i}");
+                }
+            }
+        }
+        assert!(decided > 1000 && topped_up > 1000, "{decided} {topped_up}");
+    }
+
+    /// Residue counts as saturation: in LCG mix 30 the base pass leaves
+    /// link 9 (capacity ≈ 710) 2.3e-13 B/s unused — positive, and an
+    /// accident of rounding — and the refill re-deals none of it. What a
+    /// link has to keep to be topped up from is a share of its capacity
+    /// that means something: 1e-6 of it is plenty.
+    #[test]
+    fn residue_is_saturation_and_a_millionth_of_a_link_is_not() {
+        let (caps, flows) = lcg_mix(30);
+        let base = refilled(&caps, &flows, 0);
+        let left = unused(&caps, &flows, &base)[9];
+        assert!(left > 0.0 && left <= 1e-12 * caps[9], "{left:e}");
+        let last = refilled(&caps, &flows, REFILL_PASSES);
+        let behind = |f: &&SharingFlow| f.path.contains(&LinkId(9));
+        assert_eq!(flows.iter().filter(behind).count(), 8);
+        for (i, _) in flows.iter().enumerate().filter(|(_, f)| behind(f)) {
+            assert_eq!(base[i].to_bits(), last[i].to_bits(), "flow {i}");
+        }
+
+        // One 100 B/s link. The capped flow freezes second (the bundle
+        // order is a hash of the key, hence these very numbers) and takes
+        // 1e-4 less than the half the first was frozen at.
+        let caps = [100.0];
+        let flows = [
+            fill_problems::flow(vec![LinkId(0)], vec![1.0], 0, f64::INFINITY),
+            fill_problems::flow(vec![LinkId(0)], vec![1.0], 0, 50.0 - 1e-4),
+        ];
+        let base = refilled(&caps, &flows, 0);
+        assert_eq!(base, [50.0, 50.0 - 1e-4]);
+        let last = refilled(&caps, &flows, REFILL_PASSES);
+        assert!((last[0] - (50.0 + 1e-4)).abs() < 1e-9, "{last:?}");
+        assert_eq!(last[1], 50.0 - 1e-4);
     }
 }

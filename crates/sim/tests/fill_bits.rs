@@ -22,55 +22,21 @@
 //!     (relative) of the PR 16 kernel's, whose vectors stay in `pr16`;
 //! (d) `sim.saba_speedup` of the ledger's `sim_corun` does not move.
 //!
-//! The refill rule itself is tested from its definition at the bottom.
+//! The refill rule itself is tested from its definition in the
+//! allocator's unit tests (`sharing::tests`), which keep the pass count
+//! the allocator keeps private; the problems both run on are shared in
+//! `fill_problems`.
 //! Rate vectors longer than 64 are pinned by their length and an FNV-1a
 //! over every rate's bits.
 
+mod fill_problems;
+
+use fill_problems::{cap_bound_three_refills, flow, spine_leaf_shape, Lcg};
 use saba_sim::ids::LinkId;
 use saba_sim::sharing::{
-    compute_rates, compute_rates_into, FlowSource, FlowView, FlowWeights, SharingConfig,
-    SharingFlow, SharingScratch,
+    compute_rates, compute_rates_into, ByIndex, FlowSource, FlowView, FlowWeights, SharingFlow,
+    SharingScratch,
 };
-
-/// The unit tests' LCG: deterministic draws without a crate.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> usize {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (self.0 >> 33) as usize
-    }
-
-    /// A draw in `[lo, hi)` on a 1/1024 grid.
-    fn real(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * (self.next() % 1024) as f64 / 1024.0
-    }
-
-    /// A duplicate-free path of up to `max_len` of the first `links` links.
-    fn path(&mut self, links: usize, max_len: usize) -> Vec<LinkId> {
-        let len = 1 + self.next() % max_len;
-        let mut path = Vec::new();
-        for _ in 0..len {
-            let l = LinkId((self.next() % links) as u32);
-            if !path.contains(&l) {
-                path.push(l);
-            }
-        }
-        path
-    }
-}
-
-fn flow(path: Vec<LinkId>, weights: Vec<f64>, priority: u8, rate_cap: f64) -> SharingFlow {
-    SharingFlow {
-        path,
-        weights,
-        priority,
-        rate_cap,
-    }
-}
 
 /// Sixty flows in three strict-priority classes over 12 links, a third
 /// of them capped, per-hop weights all different.
@@ -173,60 +139,6 @@ fn same_weight_per_hop() -> (Vec<f64>, Vec<SharingFlow>) {
     (caps, flows)
 }
 
-/// A cap-bound mix on a chain of links of falling capacity: each refill
-/// pass frees share for the next, so the third pass still adds rate
-/// (asserted below by comparing against two passes).
-fn cap_bound_three_refills() -> (Vec<f64>, Vec<SharingFlow>) {
-    let mut rng = Lcg(0x5abc_3006);
-    let caps = (0..10).map(|i| 1000.0 / (1.0 + i as f64)).collect();
-    let flows = (0..40)
-        .map(|k| {
-            let first = rng.next() % 8;
-            let len = 1 + rng.next() % 5;
-            let path: Vec<LinkId> = (first..(first + len).min(10))
-                .map(|l| LinkId(l as u32))
-                .collect();
-            let weights = path.iter().map(|_| rng.real(0.25, 4.0)).collect();
-            let cap = if k % 2 == 0 {
-                rng.real(2.0, 80.0)
-            } else {
-                f64::INFINITY
-            };
-            flow(path, weights, 0, cap)
-        })
-        .collect();
-    (caps, flows)
-}
-
-/// The `sim_corun` shape: 256 distinct 4-hop flows (server up, ToR up,
-/// ToR down, server down) on a 1,100-link fabric of 56 Gb/s links — a
-/// third of which carry nothing — in one class with no caps, and
-/// WFQ-flattened weights that make every flow its own bundle.
-fn spine_leaf_shape() -> (Vec<f64>, Vec<SharingFlow>) {
-    const SERVERS: usize = 288;
-    const TORS: usize = 16;
-    const UPLINKS: usize = 6;
-    let mut rng = Lcg(0x5aba_0007);
-    let caps = vec![7.0e9; 1100];
-    let flows = (0..256)
-        .map(|_| {
-            let src = rng.next() % SERVERS;
-            let dst = (src + 1 + rng.next() % (SERVERS - 1)) % SERVERS;
-            let (src_tor, dst_tor) = (src / (SERVERS / TORS), dst / (SERVERS / TORS));
-            let up = 2 * SERVERS + src_tor * UPLINKS + rng.next() % UPLINKS;
-            let down = 2 * SERVERS + (TORS + dst_tor) * UPLINKS + rng.next() % UPLINKS;
-            let path = [src, up, down, SERVERS + dst]
-                .map(|l| LinkId(l as u32))
-                .to_vec();
-            let weights = (0..4)
-                .map(|_| rng.real(0.05, 1.0) / (1 + rng.next() % 6) as f64)
-                .collect();
-            flow(path, weights, 0, f64::INFINITY)
-        })
-        .collect();
-    (caps, flows)
-}
-
 /// 200 strict-priority classes (the coflow fabric's shape) of 5 flows
 /// each on 5,000 links: a class touches a handful of links, never the
 /// fabric.
@@ -274,30 +186,33 @@ fn pin(rates: &[f64]) -> Pin {
     }
 }
 
-fn solve(caps: &[f64], flows: &[SharingFlow], cfg: &SharingConfig) -> Pin {
-    pin(&compute_rates(caps, flows, cfg))
+/// The pin of `flows` rated on a fresh scratch: bundled, or the
+/// unbundled reference.
+fn solve(caps: &[f64], flows: &[SharingFlow], bundled: bool) -> Pin {
+    if bundled {
+        return pin(&compute_rates(caps, flows));
+    }
+    let mut rates = Vec::new();
+    let mut unbundled = SharingScratch::unbundled();
+    compute_rates_into(caps, &ByIndex(flows), &mut unbundled, &mut rates);
+    pin(&rates)
 }
 
 /// Every pinned problem, by name.
 fn solved() -> Vec<(&'static str, Pin)> {
-    let cfg = SharingConfig::default();
-    let unbundled = SharingConfig {
-        bundling: false,
-        ..SharingConfig::default()
-    };
     let mut all = Vec::new();
-    let mut add = |name, (caps, flows): (Vec<f64>, Vec<SharingFlow>), cfg| {
-        all.push((name, solve(&caps, &flows, cfg)));
+    let mut add = |name, (caps, flows): (Vec<f64>, Vec<SharingFlow>), bundled| {
+        all.push((name, solve(&caps, &flows, bundled)));
     };
-    add("three_classes_with_caps", three_classes_with_caps(), &cfg);
-    add("zero_capacity_link", zero_capacity_link(), &cfg);
-    add("empty_paths", empty_paths(), &cfg);
-    add("eightfold_duplicates", eightfold_duplicates(), &cfg);
-    add("eightfold_unbundled", eightfold_duplicates(), &unbundled);
-    add("same_weight_per_hop", same_weight_per_hop(), &cfg);
-    add("cap_bound_three_refills", cap_bound_three_refills(), &cfg);
-    add("spine_leaf_shape", spine_leaf_shape(), &cfg);
-    add("two_hundred_classes", two_hundred_classes(), &cfg);
+    add("three_classes_with_caps", three_classes_with_caps(), true);
+    add("zero_capacity_link", zero_capacity_link(), true);
+    add("empty_paths", empty_paths(), true);
+    add("eightfold_duplicates", eightfold_duplicates(), true);
+    add("eightfold_unbundled", eightfold_duplicates(), false);
+    add("same_weight_per_hop", same_weight_per_hop(), true);
+    add("cap_bound_three_refills", cap_bound_three_refills(), true);
+    add("spine_leaf_shape", spine_leaf_shape(), true);
+    add("two_hundred_classes", two_hundred_classes(), true);
     all
 }
 
@@ -466,7 +381,6 @@ fn uniform_and_per_link_views_agree_bit_for_bit() {
     compute_rates_into(
         &caps,
         &Views(&views),
-        &SharingConfig::default(),
         &mut SharingScratch::default(),
         &mut rates,
     );
@@ -475,114 +389,4 @@ fn uniform_and_per_link_views_agree_bit_for_bit() {
         .find(|(name, _)| *name == "same_weight_per_hop")
         .expect("pinned");
     assert_eq!(pin(&rates), want);
-}
-
-/// The refill rule is part of what is pinned: on the cap-bound mix the
-/// third refill pass still hands out rate, and a fourth would not.
-#[test]
-fn cap_bound_mix_needs_all_three_refill_passes() {
-    let (caps, flows) = cap_bound_three_refills();
-    let with = |refill_passes| refilled(&caps, &flows, refill_passes);
-    assert_ne!(with(2), with(3));
-    assert_eq!(with(3), with(4));
-}
-
-// --- the refill rule, from its definition ---
-
-/// One class of 40 flows over 10 links, every other flow capped: LCG mix
-/// `seed`.
-fn lcg_mix(seed: u64) -> (Vec<f64>, Vec<SharingFlow>) {
-    let mut rng = Lcg(0x5aba_2000 + seed);
-    let caps = (0..10).map(|_| rng.real(100.0, 1000.0)).collect();
-    let flows = (0..40)
-        .map(|k| {
-            let path = rng.path(10, 4);
-            let weights = path.iter().map(|_| rng.real(0.25, 4.0)).collect();
-            let cap = if k % 2 == 0 {
-                rng.real(2.0, 80.0)
-            } else {
-                f64::INFINITY
-            };
-            flow(path, weights, 0, cap)
-        })
-        .collect();
-    (caps, flows)
-}
-
-fn refilled(caps: &[f64], flows: &[SharingFlow], refill_passes: usize) -> Vec<f64> {
-    let cfg = SharingConfig {
-        refill_passes,
-        ..SharingConfig::default()
-    };
-    compute_rates(caps, flows, &cfg)
-}
-
-/// Per link, the capacity `rates` leave unused: capacity − Σ rates.
-fn unused(caps: &[f64], flows: &[SharingFlow], rates: &[f64]) -> Vec<f64> {
-    let mut load = vec![0.0; caps.len()];
-    for (f, r) in flows.iter().zip(rates) {
-        for l in &f.path {
-            load[l.0 as usize] += r;
-        }
-    }
-    caps.iter().zip(load).map(|(c, used)| c - used).collect()
-}
-
-/// A flow that crosses a link the base pass filled is decided: refills
-/// leave its rate alone, bit for bit. And a refill only ever adds.
-#[test]
-fn refill_leaves_flows_behind_a_full_link_alone_and_lowers_no_rate() {
-    let mut problems = vec![cap_bound_three_refills(), spine_leaf_shape()];
-    problems.extend((0..200).map(lcg_mix));
-    let (mut decided, mut topped_up) = (0, 0);
-    for (p, (caps, flows)) in problems.iter().enumerate() {
-        let by_passes: Vec<Vec<f64>> = (0..=3).map(|n| refilled(caps, flows, n)).collect();
-        let left = unused(caps, flows, &by_passes[0]);
-        for (i, f) in flows.iter().enumerate() {
-            let (base, last) = (by_passes[0][i], by_passes[3][i]);
-            let full = |l: &LinkId| left[l.0 as usize] <= 1e-12 * caps[l.0 as usize];
-            if f.path.iter().any(full) {
-                assert_eq!(base.to_bits(), last.to_bits(), "problem {p} flow {i}");
-                decided += 1;
-            }
-            topped_up += usize::from(last > base);
-            for pair in by_passes.windows(2) {
-                assert!(pair[1][i] >= pair[0][i], "problem {p} flow {i}");
-            }
-        }
-    }
-    assert!(decided > 1000 && topped_up > 1000, "{decided} {topped_up}");
-}
-
-/// Residue counts as saturation: in LCG mix 30 the base pass leaves link
-/// 9 (capacity ≈ 710) 2.3e-13 B/s unused — positive, and an accident of
-/// rounding — and the refill re-deals none of it. What a link has to
-/// keep to be topped up from is a share of its capacity that means
-/// something: 1e-6 of it is plenty.
-#[test]
-fn residue_is_saturation_and_a_millionth_of_a_link_is_not() {
-    let (caps, flows) = lcg_mix(30);
-    let base = refilled(&caps, &flows, 0);
-    let left = unused(&caps, &flows, &base)[9];
-    assert!(left > 0.0 && left <= 1e-12 * caps[9], "{left:e}");
-    let last = refilled(&caps, &flows, 3);
-    let behind = |f: &&SharingFlow| f.path.contains(&LinkId(9));
-    assert_eq!(flows.iter().filter(behind).count(), 8);
-    for (i, _) in flows.iter().enumerate().filter(|(_, f)| behind(f)) {
-        assert_eq!(base[i].to_bits(), last[i].to_bits(), "flow {i}");
-    }
-
-    // One 100 B/s link. The capped flow freezes second (the bundle
-    // order is a hash of the key, hence these very numbers) and takes
-    // 1e-4 less than the half the first was frozen at.
-    let caps = [100.0];
-    let flows = [
-        flow(vec![LinkId(0)], vec![1.0], 0, f64::INFINITY),
-        flow(vec![LinkId(0)], vec![1.0], 0, 50.0 - 1e-4),
-    ];
-    let base = refilled(&caps, &flows, 0);
-    assert_eq!(base, [50.0, 50.0 - 1e-4]);
-    let last = refilled(&caps, &flows, 3);
-    assert!((last[0] - (50.0 + 1e-4)).abs() < 1e-9, "{last:?}");
-    assert_eq!(last[1], 50.0 - 1e-4);
 }

@@ -6,8 +6,7 @@ use saba_sim::engine::{Event, FairShareFabric, FlowSpec, Simulation};
 use saba_sim::ids::{AppId, LinkId, NodeId, ServiceLevel};
 use saba_sim::routing::{LinkMembers, Routes};
 use saba_sim::sharing::{
-    compute_rates, compute_rates_into, FlowSource, FlowView, SharingConfig, SharingFlow,
-    SharingScratch,
+    compute_rates, compute_rates_into, FlowSource, FlowView, SharingFlow, SharingScratch,
 };
 use saba_sim::topology::{SpineLeafConfig, Topology};
 
@@ -107,7 +106,7 @@ proptest! {
         flows in arb_flows(8, 40),
         caps in prop::collection::vec(10.0f64..1000.0, 8),
     ) {
-        let rates = compute_rates(&caps, &flows, &SharingConfig::default());
+        let rates = compute_rates(&caps, &flows);
         let mut load = vec![0.0; caps.len()];
         for (f, &r) in flows.iter().zip(&rates) {
             prop_assert!(r >= 0.0);
@@ -133,13 +132,10 @@ proptest! {
         flows in arb_flows(8, 60),
         caps in prop::collection::vec(10.0f64..1000.0, 8),
     ) {
-        let mut scratch = SharingScratch::default();
         let mut bundled = Vec::new();
         let mut unbundled = Vec::new();
-        let on = SharingConfig { bundling: true, ..Default::default() };
-        let off = SharingConfig { bundling: false, ..Default::default() };
-        compute_rates_into(&caps, &Named(&flows), &on, &mut scratch, &mut bundled);
-        compute_rates_into(&caps, &Named(&flows), &off, &mut scratch, &mut unbundled);
+        compute_rates_into(&caps, &Named(&flows), &mut SharingScratch::default(), &mut bundled);
+        compute_rates_into(&caps, &Named(&flows), &mut SharingScratch::unbundled(), &mut unbundled);
         for (i, (a, b)) in bundled.iter().zip(&unbundled).enumerate() {
             if a.is_infinite() && b.is_infinite() {
                 continue;
@@ -165,7 +161,7 @@ proptest! {
                 rate_cap: f64::INFINITY,
             })
             .collect();
-        let rates = compute_rates(&[cap], &flows, &SharingConfig::default());
+        let rates = compute_rates(&[cap], &flows);
         let total: f64 = rates.iter().sum();
         prop_assert!((total - cap).abs() < 1e-6 * cap, "total {total} cap {cap}");
         // Rates are weight-proportional.
@@ -192,9 +188,8 @@ proptest! {
                 })
                 .collect()
         };
-        let base = compute_rates(&[cap], &make(&weights[..weights.len() - 1]),
-            &SharingConfig::default());
-        let more = compute_rates(&[cap], &make(&weights), &SharingConfig::default());
+        let base = compute_rates(&[cap], &make(&weights[..weights.len() - 1]));
+        let more = compute_rates(&[cap], &make(&weights));
         for i in 0..weights.len() - 1 {
             prop_assert!(more[i] <= base[i] + 1e-6, "flow {i}: {} -> {}", base[i], more[i]);
         }
@@ -218,8 +213,8 @@ proptest! {
         for _ in 0..lo_count {
             mixed.push(mk(1.0, 1));
         }
-        let base = compute_rates(&[cap], &hi_only, &SharingConfig::default());
-        let with_lo = compute_rates(&[cap], &mixed, &SharingConfig::default());
+        let base = compute_rates(&[cap], &hi_only);
+        let with_lo = compute_rates(&[cap], &mixed);
         for i in 0..hi_only.len() {
             prop_assert!((with_lo[i] - base[i]).abs() < 1e-6,
                 "hi flow {i} changed: {} -> {}", base[i], with_lo[i]);
@@ -584,12 +579,11 @@ fn all_to_all_epoch_matches_with_reused_scratch() {
         }
     }
     assert_eq!(flows.len(), 4048);
-    let cfg = SharingConfig::default();
-    let reference = compute_rates(&caps, &flows, &cfg);
+    let reference = compute_rates(&caps, &flows);
     let mut scratch = SharingScratch::default();
     let mut rates = Vec::new();
     for epoch in 0..3 {
-        compute_rates_into(&caps, &Named(&flows), &cfg, &mut scratch, &mut rates);
+        compute_rates_into(&caps, &Named(&flows), &mut scratch, &mut rates);
         assert_eq!(rates.len(), reference.len());
         for (i, (&r, &want)) in rates.iter().zip(&reference).enumerate() {
             assert_eq!(r, want, "epoch {epoch}, flow {i}: {r} != {want}");
