@@ -10,11 +10,13 @@
 //! envelope to a shard ([`Route::Shard`]), promote the shards
 //! [`Front::tick`] returns. [`crate::service::AllocationService`]
 //! drives it on a caller-supplied logical clock with shards it calls
-//! directly; [`crate::runtime::ServiceRuntime`] on wall time with
-//! shards behind worker threads. The front holds no state it cannot
+//! directly, and promotes what `tick` declares dead;
+//! [`crate::runtime::ServiceRuntime`] on wall time, each shard run by
+//! whichever caller finds it free, and promotes a shard when a call
+//! finds it dead (it never ticks). The front holds no state it cannot
 //! rebuild from the durable logs: counters restart, tenants do not.
 
-use crate::admission::{Admission, AdmissionCfgError, Admit, TokenBucketCfg};
+use crate::admission::{Admission, Admit, TokenBucketCfg};
 use crate::heartbeat::{HeartbeatConfig, Supervisor};
 use crate::shard::{Shard, ShardMap, ShardStats, TakeoverReport};
 use saba_core::rpc::{Envelope, ErrorCode, Response};
@@ -42,20 +44,21 @@ pub const MONOTONE_COUNTERS: [&str; 2] = ["service_requests_total", "service_met
 /// Deployment shape of the service, shared by both drivers.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Number of shards (service workers).
+    /// Number of shards.
     pub shards: usize,
     /// Fsync batching: appends per forced sync (group commit bound).
     pub sync_every: usize,
     /// Per-tenant edge admission policy; `None` admits everything.
     pub admission: Option<TokenBucketCfg>,
     /// Heartbeat cadence and declare-dead window of the logical-clock
-    /// driver (the threaded driver probes on a fixed wall cadence).
+    /// driver (validated by both; the threaded driver finds a dead
+    /// shard on its call path instead).
     pub heartbeat: HeartbeatConfig,
-    /// Threaded driver: bounded queue depth per worker; a full queue
-    /// is `ShardBusy`.
+    /// Threaded driver: calls that may wait per shard while another
+    /// runs it; one more is `ShardBusy`.
     pub queue_depth: usize,
-    /// Threaded driver: largest batch a worker drains before syncing
-    /// and replying.
+    /// Threaded driver: most waiting calls a shard's leader takes into
+    /// one group commit.
     pub batch_max: usize,
     /// Directory holding the per-shard durable logs.
     pub log_dir: PathBuf,
@@ -156,17 +159,24 @@ pub struct Front<S> {
 
 impl<S: MetricsSink> Front<S> {
     /// A front over `shards` shards, all presumed alive at time 0.
+    ///
+    /// # Errors
+    ///
+    /// [`std::io::ErrorKind::InvalidInput`] naming the `heartbeat` or
+    /// `admission` setting that cannot work.
     pub fn new(
         shards: usize,
         heartbeat: HeartbeatConfig,
         admission: Option<TokenBucketCfg>,
         sink: S,
-    ) -> Result<Self, AdmissionCfgError> {
+    ) -> std::io::Result<Self> {
+        let invalid = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, e);
         Ok(Self {
             sink,
             map: ShardMap::new(shards, MAP_SEED),
-            admission: Admission::new(admission)?,
-            supervisor: Supervisor::new(shards, heartbeat, 0.0),
+            admission: Admission::new(admission).map_err(|e| invalid(e.to_string()))?,
+            supervisor: Supervisor::new(shards, heartbeat, 0.0)
+                .map_err(|e| invalid(format!("heartbeat: {e}")))?,
             failovers: 0,
             first_seen: HashMap::new(),
             requests: 0,
@@ -314,8 +324,7 @@ impl<S: MetricsSink> Front<S> {
     /// life, every other shard silent past the window is returned —
     /// newly dead, the driver promotes a standby for each — and every
     /// 16th turn emits the periodic operational snapshot, aggregating
-    /// the counters of `shards` (a driver whose shards live on other
-    /// threads, and whose sink records no events, passes none).
+    /// the counters of `shards`. Only the logical-clock driver ticks.
     pub fn tick(
         &mut self,
         now: f64,

@@ -1,14 +1,13 @@
-//! The heartbeat/failover plane.
+//! The logical driver's liveness detector.
 //!
 //! The [`Supervisor`] tracks the last sign of life it was told of from
 //! each shard and declares a shard **dead** once the gap exceeds the
 //! missed-beat window. Detection is purely clock-driven, and the clock
-//! is the caller's: the one supervisor inside [`crate::front::Front`]
-//! runs on logical seconds under the in-process driver (which is what
-//! lets the failover regression assert exact detection times) and on
-//! wall seconds under the threaded one, whose probe loop reports a
-//! beat for every worker that echoed, made progress or had a full
-//! queue.
+//! is the caller's: the supervisor inside [`crate::front::Front`] runs
+//! on the logical seconds of [`crate::service::AllocationService`],
+//! which is what lets the failover regression assert exact detection
+//! times. The threaded driver keeps no wall-clock supervisor: the call
+//! that finds its shard dead takes it over (see [`crate::runtime`]).
 
 use std::collections::BTreeSet;
 
@@ -60,14 +59,18 @@ pub struct Supervisor {
 
 impl Supervisor {
     /// A supervisor over `shards` shards, all presumed alive at `now`.
-    pub fn new(shards: usize, cfg: HeartbeatConfig, now: f64) -> Self {
-        cfg.validate().expect("heartbeat config");
-        Self {
+    ///
+    /// # Errors
+    ///
+    /// `cfg` fails [`HeartbeatConfig::validate`].
+    pub fn new(shards: usize, cfg: HeartbeatConfig, now: f64) -> Result<Self, String> {
+        cfg.validate()?;
+        Ok(Self {
             cfg,
             last_beat: vec![now; shards],
             dead: BTreeSet::new(),
             deaths: 0,
-        }
+        })
     }
 
     /// Records a heartbeat from `shard` at time `t`. Beats from a
@@ -125,7 +128,7 @@ mod tests {
 
     #[test]
     fn beating_shards_stay_alive() {
-        let mut s = Supervisor::new(2, cfg(), 0.0);
+        let mut s = Supervisor::new(2, cfg(), 0.0).unwrap();
         let mut t = 0.0;
         while t < 100.0 {
             s.beat(0, t);
@@ -138,7 +141,7 @@ mod tests {
 
     #[test]
     fn silent_shard_is_declared_dead_within_the_window() {
-        let mut s = Supervisor::new(2, cfg(), 0.0);
+        let mut s = Supervisor::new(2, cfg(), 0.0).unwrap();
         // Shard 1 beats; shard 0 goes silent after t=1.
         s.beat(0, 1.0);
         let mut t = 1.0;
@@ -168,7 +171,7 @@ mod tests {
 
     #[test]
     fn late_straggler_beat_does_not_cancel_a_death() {
-        let mut s = Supervisor::new(1, cfg(), 0.0);
+        let mut s = Supervisor::new(1, cfg(), 0.0).unwrap();
         assert_eq!(s.scan(3.0), vec![0]);
         s.beat(0, 3.1); // straggler arrives mid-takeover
         assert!(s.is_dead(0));

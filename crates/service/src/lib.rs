@@ -27,13 +27,14 @@
 //!     [`service::ServiceClient`] implementing
 //!     `saba_core::library::Transport` so an unmodified `SabaLib` runs
 //!     its Fig. 7 lifecycle against the service;
-//!   * [`runtime`] — on wall time with one worker thread per shard
-//!     behind bounded mpsc queues (backpressure → `ShardBusy`), a
-//!     probing supervisor thread, and standby workers that re-open
-//!     the durable log.
-//! * [`heartbeat`] — the front's liveness detector: a supervisor
-//!   declares a shard dead after a missed-beat window on whichever
-//!   clock its driver keeps.
+//!   * [`runtime`] — on wall time and on its callers' threads: the
+//!     caller that finds a shard free leads it, serving the calls
+//!     queued behind it as one group commit (a bounded queue —
+//!     backpressure → `ShardBusy`), and the call that finds a shard
+//!     dead takes it over in place from its durable log.
+//! * [`heartbeat`] — the logical driver's liveness detector: a
+//!   supervisor declares a shard dead after a missed-beat window on
+//!   the caller's clock.
 //! * [`admission`] — the front's edge admission: per-tenant token
 //!   buckets push back with *retryable* error codes before overload
 //!   reaches a shard.

@@ -14,10 +14,17 @@ use crate::front::{Front, Route};
 use crate::shard::{Shard, ShardMap, ShardSpec};
 use saba_core::controller::SwitchUpdate;
 use saba_core::library::Transport;
-use saba_core::rpc::{Envelope, Request, Response};
+use saba_core::rpc::{Envelope, ErrorCode, Request, Response};
 use saba_telemetry::{Registry, SharedRecorder};
 use std::cell::RefCell;
 use std::rc::Rc;
+
+/// What a response slot holds until [`AllocationService::serve`] fills
+/// it.
+const UNANSWERED: Response = Response::Error {
+    code: ErrorCode::Internal,
+    message: String::new(),
+};
 
 /// The in-process, logically-clocked allocation service.
 pub struct AllocationService {
@@ -30,14 +37,18 @@ impl AllocationService {
     /// Opens (or re-opens) the service: one shard per configured slot,
     /// each replaying whatever its durable log already holds.
     pub fn open(spec: ShardSpec, cfg: ServiceConfig) -> std::io::Result<Self> {
+        let front = Front::new(
+            cfg.shards,
+            cfg.heartbeat,
+            cfg.admission,
+            SharedRecorder::off(),
+        )?;
         std::fs::create_dir_all(&cfg.log_dir)?;
         let shards = (0..cfg.shards)
             .map(|id| Ok(Shard::open(id, spec.clone(), &cfg.log_dir, cfg.sync_every)?.0))
             .collect::<std::io::Result<_>>()?;
-        let sink = SharedRecorder::off();
         Ok(Self {
-            front: Front::new(cfg.shards, cfg.heartbeat, cfg.admission, sink)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?,
+            front,
             shards,
             clock: 0.0,
         })
@@ -83,18 +94,29 @@ impl AllocationService {
 
     /// Submits one envelope at the current logical time.
     pub fn submit(&mut self, env: &Envelope) -> Response {
-        self.submit_batch(std::slice::from_ref(env)).pop().unwrap()
+        let mut out = [UNANSWERED];
+        self.serve(std::slice::from_ref(env), &mut out);
+        let [resp] = out;
+        resp
     }
 
     /// Submits a batch: the front admits or answers each envelope, the
     /// admitted ones are grouped per shard and handled under one group
     /// commit each, and responses come back in submission order.
     pub fn submit_batch(&mut self, envs: &[Envelope]) -> Vec<Response> {
-        let mut out: Vec<Option<Response>> = vec![None; envs.len()];
+        let mut out = vec![UNANSWERED; envs.len()];
+        self.serve(envs, &mut out);
+        out
+    }
+
+    /// [`Self::submit_batch`] into `out`, one slot per envelope: the
+    /// front answers some, and every other one is routed to exactly
+    /// one shard, which answers it.
+    fn serve(&mut self, envs: &[Envelope], out: &mut [Response]) {
         let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (i, env) in envs.iter().enumerate() {
             match self.front.admit(env, self.clock) {
-                Route::Reply(resp) => out[i] = Some(resp),
+                Route::Reply(resp) => out[i] = resp,
                 Route::Shard(shard) => per_shard[shard].push(i),
             }
         }
@@ -107,12 +129,10 @@ impl AllocationService {
             let resps = shard.handle_batch(&batch);
             self.front.batch_done(shard, before);
             for (i, resp) in work.into_iter().zip(resps) {
-                out[i] = Some(resp);
+                out[i] = resp;
             }
         }
-        let out: Vec<Response> = out.into_iter().map(|r| r.expect("slot filled")).collect();
-        self.front.answered(envs, &out, self.clock);
-        out
+        self.front.answered(envs, out, self.clock);
     }
 
     /// Kills a shard: its controller and unacked in-flight state are
@@ -198,7 +218,6 @@ mod tests {
     use saba_core::controller::ControllerConfig;
     use saba_core::library::SabaLib;
     use saba_core::profiler::{Profiler, ProfilerConfig};
-    use saba_core::rpc::ErrorCode;
     use saba_core::sensitivity::SensitivityTable;
     use saba_sim::ids::AppId;
     use saba_sim::topology::Topology;
@@ -342,6 +361,56 @@ mod tests {
         ));
         assert_eq!(r, Response::Ack);
         assert_eq!(svc.stats().failovers, 1);
+    }
+
+    /// A create whose group commit failed is not acked, and its shard
+    /// dies: the retry, under a new id, bounces until the supervisor
+    /// fails the shard over, and the take-over left the shard holding
+    /// exactly what its log replays.
+    #[test]
+    fn a_failed_sync_kills_the_shard_and_its_retry_is_acked_after_a_take_over() {
+        let cfg = fresh_cfg("sync-fail");
+        let mut svc = AllocationService::open(spec(), cfg.clone()).unwrap();
+        let servers = svc.shard(0).spec().topo.servers().to_vec();
+        let register = Request::AppRegister {
+            app: AppId(0),
+            workload: "LR".into(),
+        };
+        assert!(matches!(
+            svc.submit(&env(1, register)),
+            Response::Registered { .. }
+        ));
+        let create = Request::ConnCreate {
+            app: AppId(0),
+            src: servers[0],
+            dst: servers[1],
+            tag: 7,
+        };
+        let s = svc.shard_of(0);
+        svc.shards[s].fail_next_sync();
+        let code = |r: Response| match r {
+            Response::Error { code, .. } => Some(code),
+            _ => None,
+        };
+        assert_eq!(
+            code(svc.submit(&env(2, create.clone()))),
+            Some(ErrorCode::Internal)
+        );
+        let retry = env(3, create);
+        assert_eq!(code(svc.submit(&retry)), Some(ErrorCode::FailingOver));
+        let mut t = 0.0;
+        while svc.stats().failovers == 0 {
+            t += 0.5;
+            svc.tick(t).unwrap();
+        }
+        assert_eq!(svc.submit(&retry), Response::Ack);
+        let log = std::fs::read(Shard::log_path(&cfg.log_dir, s)).unwrap();
+        let records = crate::wal::scan(&log).records;
+        assert_eq!(
+            &crate::wal::ReplayState::replay(&records),
+            svc.shard(s).state()
+        );
+        assert_eq!(svc.shard(s).state().live_conns.len(), 1);
     }
 
     #[test]

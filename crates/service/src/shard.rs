@@ -109,11 +109,6 @@ impl ShardMap {
         Self { shards, seed }
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// The shard that owns tenant `app`.
     pub fn shard_of(&self, app: AppId) -> usize {
         let mut z = (app.0 as u64) ^ self.seed;
@@ -170,6 +165,12 @@ pub struct Shard {
     /// runs mint identical span ids.
     span_salt: u64,
 }
+
+// A shard moves to whichever thread leads it (`crate::runtime`).
+const _: () = {
+    const fn send<T: Send>() {}
+    send::<Shard>()
+};
 
 /// Salt deriving the `controller.epoch` span under a shard span.
 const EPOCH_SPAN_SALT: u64 = 0xE90C;
@@ -336,7 +337,7 @@ impl Shard {
     /// As [`Self::open`]; the shard stays dead.
     pub fn take_over(&mut self) -> std::io::Result<TakeoverReport> {
         let (log, scan) = DurableLog::open(self.log.path(), self.sync_every)?;
-        self.log = log;
+        std::mem::replace(&mut self.log, log).discard();
         self.rebuild(&scan)
     }
 
@@ -344,24 +345,28 @@ impl Shard {
     /// accepted operation is appended to the log, one `sync` makes the
     /// whole batch durable, and only then are the responses returned.
     /// A response in the returned vector is therefore a durable ack.
+    ///
+    /// A batch whose sync or append failed acks nothing, and kills the
+    /// shard: its controller and [`Self::state`] already hold what the
+    /// log may lack, so a retry would be acked for a record the log
+    /// does not have. The takeover rebuilds both from the log alone.
     pub fn handle_batch(&mut self, batch: &[Envelope]) -> Vec<Response> {
-        let mut out = Vec::with_capacity(batch.len());
-        for env in batch {
-            out.push(self.apply(env));
+        let alive = !self.is_dead();
+        let mut out: Vec<Response> = batch.iter().map(|env| self.apply(env)).collect();
+        // `apply` kills the shard on a failed append. A dead shard
+        // answered `FailingOver` and appended nothing: its log is the
+        // take-over's.
+        if alive && (self.is_dead() || self.log.sync().is_err()) {
+            self.kill();
+            out.fill(Response::Error {
+                code: ErrorCode::Internal,
+                message: format!("shard {}: durable log write failed", self.id),
+            });
+        } else if alive {
+            // The batch is durable; a failed compaction leaves the
+            // longer log in place and the next batch tries again.
+            let _ = self.maybe_compact(COMPACT_EVERY);
         }
-        // One fsync covers the whole batch; if it fails, nothing in
-        // the batch may be acked as durable.
-        if self.log.sync().is_err() {
-            for resp in out.iter_mut() {
-                *resp = Response::Error {
-                    code: ErrorCode::Internal,
-                    message: "durable log sync failed".into(),
-                };
-            }
-        }
-        // The batch is durable; a failed compaction leaves the longer
-        // log in place and the next batch tries again.
-        let _ = self.maybe_compact(COMPACT_EVERY);
         out
     }
 
@@ -461,7 +466,7 @@ impl Shard {
         // conflicts and unknown names are rejected.
         match req {
             Request::AppRegister { app, workload } => {
-                // Idempotent retry: the dedup cache dies with a worker,
+                // Idempotent retry: the dedup cache dies with a shard,
                 // so a re-sent register whose original was applied and
                 // logged must repeat the original ack, not reject. A
                 // conflicting workload is a real duplicate.
@@ -551,6 +556,7 @@ impl Shard {
             }
         };
         if let Err(e) = self.log.append(req) {
+            self.kill();
             return Response::Error {
                 code: ErrorCode::Internal,
                 message: format!("log append failed: {e}"),
@@ -598,6 +604,13 @@ mod tests {
     use super::*;
     use saba_core::profiler::{Profiler, ProfilerConfig};
     use saba_workload::catalog;
+
+    impl Shard {
+        /// Makes the next sync of the shard's log fail.
+        pub(crate) fn fail_next_sync(&mut self) {
+            self.log.fail_next_sync = true;
+        }
+    }
 
     fn spec(flavour: Flavour) -> ShardSpec {
         let table = Profiler::new(ProfilerConfig {

@@ -43,9 +43,9 @@
 //! saw succeed.
 //!
 //! **Fsync batching.** `append` buffers; [`DurableLog::sync`] flushes
-//! the buffer and fsyncs. The shard worker drains its queue, appends
-//! the whole batch, syncs once, and only then sends the batch's acks —
-//! group commit. `sync_every` puts an upper bound on batch size.
+//! the buffer and fsyncs. A shard appends a whole batch, syncs once,
+//! and only then answers the batch — group commit. `sync_every` puts
+//! an upper bound on batch size.
 //!
 //! **Compaction.** The log grows with connection churn, not with live
 //! state; [`DurableLog::compact`] rewrites it as a snapshot and
@@ -252,18 +252,23 @@ pub struct DurableLog {
     /// Total record bytes appended (post-recovery).
     bytes_appended: u64,
     /// Records per group commit — one sample per fsync, drained by the
-    /// shard worker into the `wal.group_commit_size` metric.
+    /// shard into the `wal.group_commit_size` metric.
     group_sizes: Histogram,
+    /// When set, the next sync fails after its flush, as a disk that
+    /// took the bytes but could not make them durable.
+    #[cfg(test)]
+    pub(crate) fail_next_sync: bool,
 }
 
 impl DurableLog {
     /// Opens (or creates) the log at `path` and returns the intact
     /// record prefix alongside the writable log. A tail past the prefix
-    /// that holds any non-zero byte is cut, and the zeros behind the
-    /// prefix are made at least a [`RESERVE`] long and fsynced; the
-    /// report's `torn_bytes` counts the non-zero bytes that were past
-    /// the prefix (a clean reserve is not torn). `sync_every` bounds
-    /// how many appends may ride on one fsync (1 = sync on every ack).
+    /// that holds any non-zero byte is cut, the zeros behind the
+    /// prefix are made at least a [`RESERVE`] long, and the file is
+    /// fsynced before it serves; the report's `torn_bytes` counts the
+    /// non-zero bytes that were past the prefix (a clean reserve is
+    /// not torn). `sync_every` bounds how many appends may ride on one
+    /// fsync (1 = sync on every ack).
     pub fn open(path: &Path, sync_every: usize) -> std::io::Result<(Self, ScanReport)> {
         assert!(sync_every >= 1, "sync_every must be at least 1");
         let created = !path.exists();
@@ -285,23 +290,22 @@ impl DurableLog {
             .truncate(false)
             .open(path)?;
         let mut end = data.len() as u64;
-        let cut = report.torn_bytes > 0;
-        if cut {
+        if report.torn_bytes > 0 {
             // A torn record, or an intact one past a zero gap that
             // appends would otherwise close: neither may outlive this
             // open.
             file.set_len(valid)?;
             end = valid;
         }
-        let short = end < valid + RESERVE;
-        if short {
+        if end < valid + RESERVE {
             file.seek(SeekFrom::Start(end))?;
             write_zeros(&mut file, valid + RESERVE - end)?;
             end = valid + RESERVE;
         }
-        if cut || short {
-            file.sync_data()?;
-        }
+        // Synced even when nothing changed: after a failed sync the
+        // prefix may be in the page cache only, and it is served from
+        // here on.
+        file.sync_data()?;
         if created {
             sync_dir(path)?;
         }
@@ -320,6 +324,8 @@ impl DurableLog {
                 reserve_grows: 0,
                 bytes_appended: 0,
                 group_sizes: Histogram::new(),
+                #[cfg(test)]
+                fail_next_sync: false,
             },
             report,
         ))
@@ -328,6 +334,13 @@ impl DurableLog {
     /// The log's path.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// Drops the handle without writing the appends it still buffers:
+    /// they were never synced, and a successor opened on the same file
+    /// must not find them landing under its own records.
+    pub fn discard(self) {
+        drop(self.file.into_parts());
     }
 
     /// Appends one record, auto-syncing when the batch bound is hit.
@@ -377,6 +390,10 @@ impl DurableLog {
             return Ok(());
         }
         self.file.flush()?;
+        #[cfg(test)]
+        if std::mem::take(&mut self.fail_next_sync) {
+            return Err(std::io::Error::other("injected sync failure"));
+        }
         self.file.get_ref().sync_data()?;
         self.group_sizes.record(self.unsynced as f64);
         self.unsynced = 0;

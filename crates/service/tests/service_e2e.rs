@@ -1,17 +1,17 @@
 //! End-to-end: the full paper-facing stack over real sockets.
 //!
 //! `SabaLib` (Fig. 7 software interface) → length-prefixed RPC over a
-//! real `TcpStream` → accept loop → sharded worker threads → durable
-//! log → controller. Five scenarios:
+//! real `TcpStream` → accept loop → shards led by their callers →
+//! durable log → controller. Five scenarios:
 //!
 //! 1. concurrent tenants each run the Fig. 7 lifecycle over their own
 //!    TCP connection and every operation lands durably, while the
 //!    `MetricsDump` page scraped over the wire keeps every required
 //!    family and counts monotonically;
-//! 2. a shard worker is killed mid-session; the supervisor promotes a
-//!    standby that replays the log, and the tenant's next call — over
-//!    the same TCP connection — succeeds against the replayed state;
-//! 3. concurrent clients churn through a worker kill with retry and
+//! 2. a shard is killed mid-session; the tenant's next call — over the
+//!    same TCP connection — takes it over from its log and succeeds
+//!    against the replayed state;
+//! 3. concurrent clients churn through a shard kill with retry and
 //!    backoff, and every operation ends acked;
 //! 4. wire hygiene: a version-mismatched frame is answered with a
 //!    typed `VersionMismatch` error, not a hang or a crash;
@@ -173,21 +173,15 @@ fn killed_worker_fails_over_under_a_live_tcp_session() {
     let sl = with_retries(|| lib.saba_app_register("LR")).unwrap();
     let first = with_retries(|| lib.saba_conn_create(servers[0], servers[1])).unwrap();
 
-    // ...the worker thread serving that shard dies...
+    // ...the shard dies...
     rt.kill_shard(victim);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while rt.failovers() == 0 {
-        assert!(
-            Instant::now() < deadline,
-            "supervisor never promoted a standby"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    assert_eq!(rt.failovers(), 0);
 
-    // ...and the tenant's next calls, over the SAME TCP session,
-    // succeed against the standby's replayed state: the registration
-    // and the first connection both survived the crash.
+    // ...and the tenant's next call, over the SAME TCP session, fails
+    // it over and succeeds against the standby's replayed state: the
+    // registration and the first connection both survived the crash.
     let second = with_retries(|| lib.saba_conn_create(servers[2], servers[3])).unwrap();
+    assert_eq!(rt.failovers(), 1, "the next call failed the shard over");
     assert_eq!(second.sl, sl, "replayed registration must keep its PL");
     with_retries(|| lib.saba_conn_destroy(first)).unwrap();
     with_retries(|| lib.saba_conn_destroy(second)).unwrap();
@@ -200,11 +194,11 @@ fn killed_worker_fails_over_under_a_live_tcp_session() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The threaded runtime under seeded churn with a worker killed halfway:
+/// The threaded runtime under seeded churn with a shard killed halfway:
 /// 8 clients submit 8,000 ops over 4 shards, retrying retryable errors
 /// with exponential backoff. A client owns every tenant `app % 8` maps
 /// to, so each tenant's ops stay ordered. Every op ends acked — or, for a
-/// deregister whose ack died with the worker, as `UnknownApp` on the
+/// deregister whose ack died with the shard, as `UnknownApp` on the
 /// retry: applied before the crash, ambiguous to the client, counted.
 #[test]
 fn concurrent_clients_ride_through_a_worker_kill() {
@@ -277,8 +271,8 @@ fn concurrent_clients_ride_through_a_worker_kill() {
         })
         .collect();
 
-    // Kill a worker once half the stream is acked; the supervisor must
-    // promote a standby while the clients keep submitting.
+    // Kill a shard once half the stream is acked; the next call for it
+    // takes it over while the clients keep submitting.
     let deadline = Instant::now() + Duration::from_secs(60);
     while done.load(Relaxed) < OPS / 2 {
         assert!(Instant::now() < deadline, "half the stream never acked");

@@ -22,8 +22,9 @@
 //!   null-sink run's results are exactly the traced run's: nothing
 //!   perturbed).
 //! - [`recorder`] — the live [`Recorder`] (trace + registry + flight)
-//!   and the cloneable [`SharedRecorder`] handle for non-generic
-//!   components (resilient controller, RPC transport, Saba library).
+//!   and the cloneable, `Send` [`SharedRecorder`] handle for
+//!   non-generic components (resilient controller, RPC transport, Saba
+//!   library, service shards).
 //! - [`json`] — the minimal deterministic JSON writer/parser the
 //!   exporters are built on, so identically-seeded runs export
 //!   byte-identical artifacts regardless of serializer versions.

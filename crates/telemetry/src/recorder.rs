@@ -7,8 +7,7 @@ use crate::json::JsonValue;
 use crate::metrics::Registry;
 use crate::sink::TelemetrySink;
 use crate::trace::Tracer;
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A full telemetry pipeline: events into a bounded [`Tracer`], metrics
 /// into a [`Registry`], snapshots into a [`FlightRecorder`].
@@ -71,13 +70,21 @@ impl TelemetrySink for Recorder {
 /// generic over a sink (the resilient controller, the RPC transport,
 /// the Saba library). Cloning shares the underlying recorder; the
 /// default handle is *off* and every hook is a cheap `is_some` check.
+/// A live handle is `Send`, so whatever holds one can move between
+/// threads; a panic under its lock loses at most that one event.
 #[derive(Debug, Clone, Default)]
-pub struct SharedRecorder(Option<Rc<RefCell<Recorder>>>);
+pub struct SharedRecorder(Option<Arc<Mutex<Recorder>>>);
 
 impl SharedRecorder {
     /// A live handle around `recorder`.
     pub fn on(recorder: Recorder) -> Self {
-        Self(Some(Rc::new(RefCell::new(recorder))))
+        Self(Some(Arc::new(Mutex::new(recorder))))
+    }
+
+    /// The live recorder, locked, if any.
+    fn lock(&self) -> Option<MutexGuard<'_, Recorder>> {
+        let shared = self.0.as_ref()?;
+        Some(shared.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// The disabled handle (same as `Default`).
@@ -92,13 +99,13 @@ impl SharedRecorder {
 
     /// Runs `f` against the recorder, if live.
     pub fn with<R>(&self, f: impl FnOnce(&mut Recorder) -> R) -> Option<R> {
-        self.0.as_ref().map(|rc| f(&mut rc.borrow_mut()))
+        self.lock().map(|mut rec| f(&mut rec))
     }
 
     /// A clone of the current recorder contents (trace, registry,
     /// flight snapshots), if live.
     pub fn extract(&self) -> Option<Recorder> {
-        self.0.as_ref().map(|rc| rc.borrow().clone())
+        self.lock().map(|rec| rec.clone())
     }
 }
 
@@ -108,32 +115,32 @@ impl TelemetrySink for SharedRecorder {
     }
 
     fn record(&mut self, t: f64, kind: EventKind) {
-        if let Some(rc) = &self.0 {
-            rc.borrow_mut().record(t, kind);
+        if let Some(mut rec) = self.lock() {
+            rec.record(t, kind);
         }
     }
 
     fn inc(&mut self, name: &str, by: u64) {
-        if let Some(rc) = &self.0 {
-            rc.borrow_mut().inc(name, by);
+        if let Some(mut rec) = self.lock() {
+            rec.inc(name, by);
         }
     }
 
     fn gauge(&mut self, name: &str, value: f64) {
-        if let Some(rc) = &self.0 {
-            rc.borrow_mut().gauge(name, value);
+        if let Some(mut rec) = self.lock() {
+            rec.gauge(name, value);
         }
     }
 
     fn observe(&mut self, name: &str, value: f64) {
-        if let Some(rc) = &self.0 {
-            rc.borrow_mut().observe(name, value);
+        if let Some(mut rec) = self.lock() {
+            rec.observe(name, value);
         }
     }
 
     fn snapshot(&mut self, t: f64, reason: &str, state: JsonValue) {
-        if let Some(rc) = &self.0 {
-            rc.borrow_mut().snapshot(t, reason, state);
+        if let Some(mut rec) = self.lock() {
+            rec.snapshot(t, reason, state);
         }
     }
 }
