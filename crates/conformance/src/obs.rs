@@ -4,7 +4,8 @@
 //!
 //! 1. **Determinism** — an identically-seeded drill exports a
 //!    byte-identical span-tree JSONL across repeated runs:
-//!    observability rides the logical clock, never the wall clock.
+//!    observability rides the time each call names — here logical
+//!    seconds — never the wall clock.
 //! 2. **Well-formedness and linkage** — the exported trace passes
 //!    `validate_jsonl` (unique span ids, no orphan parents), and every
 //!    churn RPC the shard tier acked is linked downward to the
@@ -21,9 +22,9 @@
 use crate::incremental::{ChurnEvent, ChurnScript};
 use saba_core::controller::ControllerConfig;
 use saba_core::rpc::{Envelope, Request, Response};
-use saba_service::service::{AllocationService, ServiceConfig, ServiceStats};
+use saba_service::runtime::ServiceRuntime;
 use saba_service::shard::{Flavour, ShardSpec};
-use saba_service::{MONOTONE_COUNTERS, REQUIRED_FAMILIES};
+use saba_service::{ServiceConfig, ServiceStats, MONOTONE_COUNTERS, REQUIRED_FAMILIES};
 use saba_sim::ids::AppId;
 use saba_telemetry::{check_scrapes, validate_jsonl, Recorder, SharedRecorder};
 use std::path::PathBuf;
@@ -36,8 +37,8 @@ struct DrillOutcome {
     programmed: Vec<String>,
     /// Aggregated service counters.
     stats: ServiceStats,
-    /// Two `MetricsDump` pages, scraped mid-drill and at the end
-    /// (empty when untraced — the registry only fills behind a sink).
+    /// Two `MetricsDump` pages, scraped after the registrations and at
+    /// the end.
     pages: (String, String),
 }
 
@@ -46,9 +47,9 @@ fn drill_dir(seed: u64, tag: &str) -> PathBuf {
 }
 
 /// Runs the seeded churn script against a fresh two-shard
-/// [`AllocationService`] on the logical clock: register every app,
-/// replay the events one envelope per step (ticking every fourth
-/// step), scrape twice, and export.
+/// [`ServiceRuntime`] on logical seconds: register every app at 0,
+/// replay the events one envelope per quarter second, scrape twice,
+/// and export.
 fn run_drill(sc: &ChurnScript, traced: bool, tag: &str) -> Result<DrillOutcome, String> {
     let dir = drill_dir(sc.seed, tag);
     let _ = std::fs::remove_dir_all(&dir);
@@ -62,13 +63,13 @@ fn run_drill(sc: &ChurnScript, traced: bool, tag: &str) -> Result<DrillOutcome, 
         shards: 2,
         ..ServiceConfig::new(&dir)
     };
-    let mut svc = AllocationService::open(spec, cfg).map_err(|e| format!("open service: {e}"))?;
+    let rt = ServiceRuntime::start(spec, cfg).map_err(|e| format!("start service: {e}"))?;
     let sink = if traced {
         SharedRecorder::on(Recorder::default())
     } else {
         SharedRecorder::off()
     };
-    svc.set_sink(sink.clone());
+    rt.set_sink(sink.clone());
 
     let servers = sc.topology().servers().to_vec();
     for app in 0..sc.napps as u32 {
@@ -79,22 +80,18 @@ fn run_drill(sc: &ChurnScript, traced: bool, tag: &str) -> Result<DrillOutcome, 
                 workload: ChurnScript::workload_name(app as usize),
             },
         );
-        match svc.submit(&env) {
+        match rt.call_at(env, 0.0) {
             Response::Registered { .. } => {}
             other => return Err(format!("register app {app}: {other:?}")),
         }
     }
-    let scrape = |svc: &mut AllocationService, id: u64| -> Result<String, String> {
-        match svc.submit(&Envelope::new(id, Request::MetricsDump)) {
+    let scrape = |id: u64, now: f64| -> Result<String, String> {
+        match rt.call_at(Envelope::new(id, Request::MetricsDump), now) {
             Response::Metrics { text } => Ok(text),
             other => Err(format!("scrape: {other:?}")),
         }
     };
-    let page1 = if traced {
-        scrape(&mut svc, 20_000)?
-    } else {
-        String::new()
-    };
+    let page1 = scrape(20_000, 0.0)?;
 
     for (step, ev) in sc.events.iter().enumerate() {
         let req = match *ev {
@@ -109,31 +106,24 @@ fn run_drill(sc: &ChurnScript, traced: bool, tag: &str) -> Result<DrillOutcome, 
                 tag,
             },
         };
-        match svc.submit(&Envelope::new(step as u64, req)) {
+        let now = (step + 1) as f64 * 0.25;
+        match rt.call_at(Envelope::new(step as u64, req), now) {
             Response::Ack => {}
             other => return Err(format!("step {step}: {other:?}")),
         }
-        if step % 4 == 3 {
-            svc.tick((step + 1) as f64 * 0.25)
-                .map_err(|e| format!("tick at step {step}: {e}"))?;
-        }
     }
-    svc.tick(sc.events.len() as f64 * 0.25 + 1.0)
-        .map_err(|e| format!("final tick: {e}"))?;
-    let page2 = if traced {
-        scrape(&mut svc, 20_001)?
-    } else {
-        String::new()
-    };
+    let page2 = scrape(20_001, sc.events.len() as f64 * 0.25 + 1.0)?;
 
     let trace_jsonl = sink
         .extract()
         .map(|r| r.trace.to_jsonl())
         .unwrap_or_default();
     let programmed = (0..2)
-        .map(|s| format!("{:?}", svc.shard(s).programmed()))
-        .collect();
-    let stats = svc.stats();
+        .map(|s| rt.with_shard(s, |shard| format!("{:?}", shard.programmed())))
+        .collect::<Option<_>>()
+        .ok_or("a shard stayed led after the drill")?;
+    let stats = rt.stats();
+    rt.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
     Ok(DrillOutcome {
         trace_jsonl,

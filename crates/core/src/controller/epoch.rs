@@ -525,6 +525,12 @@ impl<P: Policy> Controller<P> {
         if self.conns.contains_key(&(app, tag)) {
             return Err(ControllerError::DuplicateConnection(tag));
         }
+        // A node outside the fabric has no route: refused before any
+        // lookup indexes routing's tables with it, `src == dst` too.
+        let nodes = self.topo.num_nodes();
+        if src.0 as usize >= nodes || dst.0 as usize >= nodes {
+            return Err(ControllerError::Unreachable { src, dst });
+        }
         // Path detection (§7.2): the single static-ECMP path, or — with
         // multipath enabled — every link on any equal-cost shortest path.
         let links = if self.cfg.multipath {

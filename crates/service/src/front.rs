@@ -1,23 +1,20 @@
 //! The service front: one admit → route → batch → ack → promote core.
 //!
 //! [`Front`] owns everything about serving the Fig. 7 lifecycle that
-//! does not depend on how time passes or how a batch reaches a shard:
-//! the pre-admission `MetricsDump` answer, edge admission, tenant→shard
-//! routing, request counting, the post-batch metrics and trace pass,
-//! liveness (the [`Supervisor`]) and failover accounting. It reads no
-//! clock, spawns no thread and opens no file: a driver passes `now` in
-//! and executes what comes back — reply ([`Route::Reply`]), hand the
-//! envelope to a shard ([`Route::Shard`]), promote the shards
-//! [`Front::tick`] returns. [`crate::service::AllocationService`]
-//! drives it on a caller-supplied logical clock with shards it calls
-//! directly, and promotes what `tick` declares dead;
-//! [`crate::runtime::ServiceRuntime`] on wall time, each shard run by
-//! whichever caller finds it free, and promotes a shard when a call
-//! finds it dead (it never ticks). The front holds no state it cannot
-//! rebuild from the durable logs: counters restart, tenants do not.
+//! does not depend on how a batch reaches a shard: the pre-admission
+//! `MetricsDump` answer, edge admission, tenant→shard routing, request
+//! counting, the post-batch metrics and trace pass, and failover
+//! accounting. It reads no clock, spawns no thread and opens no file:
+//! [`crate::runtime::ServiceRuntime`] passes each call's `now` in — wall
+//! seconds, or a drill's logical ones — and executes what comes back:
+//! reply ([`Route::Reply`]) or hand the envelope to a shard
+//! ([`Route::Shard`]). Counts land in a metrics [`Registry`] that is
+//! always on; events (spans, crash and recovery, the failover snapshot)
+//! in a trace [`SharedRecorder`] that is off until one is attached. The
+//! front holds no state it cannot rebuild from the durable logs:
+//! counters restart, tenants do not.
 
 use crate::admission::{Admission, Admit, TokenBucketCfg};
-use crate::heartbeat::{HeartbeatConfig, Supervisor};
 use crate::shard::{Shard, ShardMap, ShardStats, TakeoverReport};
 use saba_core::rpc::{Envelope, ErrorCode, Response};
 use saba_telemetry::{expose, EventKind, JsonValue, Registry, SharedRecorder, TelemetrySink};
@@ -28,7 +25,7 @@ use std::path::PathBuf;
 /// the tenants whose log it replays.
 const MAP_SEED: u64 = 0x5aba;
 
-/// `# TYPE` lines every post-churn scrape of either driver exposes.
+/// `# TYPE` lines every post-churn scrape exposes.
 pub const REQUIRED_FAMILIES: [&str; 6] = [
     "# TYPE service_requests_total counter",
     "# TYPE service_registrations_acked_total counter",
@@ -41,7 +38,7 @@ pub const REQUIRED_FAMILIES: [&str; 6] = [
 /// Counters that strictly grow from one scrape to the next.
 pub const MONOTONE_COUNTERS: [&str; 2] = ["service_requests_total", "service_metrics_dumps_total"];
 
-/// Deployment shape of the service, shared by both drivers.
+/// Deployment shape of the service.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Number of shards.
@@ -50,15 +47,10 @@ pub struct ServiceConfig {
     pub sync_every: usize,
     /// Per-tenant edge admission policy; `None` admits everything.
     pub admission: Option<TokenBucketCfg>,
-    /// Heartbeat cadence and declare-dead window of the logical-clock
-    /// driver (validated by both; the threaded driver finds a dead
-    /// shard on its call path instead).
-    pub heartbeat: HeartbeatConfig,
-    /// Threaded driver: calls that may wait per shard while another
-    /// runs it; one more is `ShardBusy`.
+    /// Calls that may wait per shard while another caller leads it;
+    /// one more is `ShardBusy`.
     pub queue_depth: usize,
-    /// Threaded driver: most waiting calls a shard's leader takes into
-    /// one group commit.
+    /// Most waiting calls a shard's leader takes into one group commit.
     pub batch_max: usize,
     /// Directory holding the per-shard durable logs.
     pub log_dir: PathBuf,
@@ -71,7 +63,6 @@ impl ServiceConfig {
             shards: 4,
             sync_every: 32,
             admission: None,
-            heartbeat: HeartbeatConfig::default(),
             queue_depth: 256,
             batch_max: 64,
             log_dir: log_dir.into(),
@@ -79,19 +70,7 @@ impl ServiceConfig {
     }
 }
 
-/// What one standby promotion did.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FailoverReport {
-    /// The shard that failed over.
-    pub shard: usize,
-    /// Driver-clock time of the promotion (the logical driver promotes
-    /// in the tick that declares the death).
-    pub detected_at: f64,
-    /// What the standby's log replay found.
-    pub takeover: TakeoverReport,
-}
-
-/// Aggregated service counters (front + all shards).
+/// Aggregated service counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Requests admitted past the edge.
@@ -110,25 +89,6 @@ pub struct ServiceStats {
     pub compactions: u64,
 }
 
-/// A telemetry sink whose metric registry the front can reach, to
-/// render the exposition page and to let shards publish into it.
-pub trait MetricsSink: TelemetrySink {
-    /// Runs `f` on the registry; `None` when the sink keeps none.
-    fn with_registry<R>(&mut self, f: impl FnOnce(&mut Registry) -> R) -> Option<R>;
-}
-
-impl MetricsSink for SharedRecorder {
-    fn with_registry<R>(&mut self, f: impl FnOnce(&mut Registry) -> R) -> Option<R> {
-        self.with(|rec| f(&mut rec.registry))
-    }
-}
-
-impl MetricsSink for Registry {
-    fn with_registry<R>(&mut self, f: impl FnOnce(&mut Registry) -> R) -> Option<R> {
-        Some(f(self))
-    }
-}
-
 /// What the driver does with an admitted-or-not envelope.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Route {
@@ -139,49 +99,39 @@ pub enum Route {
 }
 
 /// The I/O-free front core (see the module docs).
-pub struct Front<S> {
-    /// Where every front-side metric and event lands. Drivers add
-    /// their transport's own (`service.shard_busy`, `wall.*`) here.
-    pub sink: S,
+pub struct Front {
+    /// Every count of what was served, under the names the exposition
+    /// page shows; the runtime adds its own (`service.shard_busy`,
+    /// `wall.*`) here.
+    pub registry: Registry,
+    /// Where spans, crash and recovery events and the failover snapshot
+    /// go; off until one is attached.
+    pub trace: SharedRecorder,
     map: ShardMap,
     admission: Admission,
-    supervisor: Supervisor,
-    failovers: u64,
     /// Per in-flight request id: when it was first submitted, and
     /// whether its root span is minted. An operation's SLO latency
     /// runs from there to its definitive response, spanning retries.
-    /// Only maintained while the sink records events.
+    /// Only maintained while a trace is attached.
     first_seen: HashMap<u64, (f64, bool)>,
-    requests: u64,
-    snap_seq: u64,
-    ticks: u64,
 }
 
-impl<S: MetricsSink> Front<S> {
-    /// A front over `shards` shards, all presumed alive at time 0.
+impl Front {
+    /// A front over `shards` shards, with no trace attached.
     ///
     /// # Errors
     ///
-    /// [`std::io::ErrorKind::InvalidInput`] naming the `heartbeat` or
-    /// `admission` setting that cannot work.
-    pub fn new(
-        shards: usize,
-        heartbeat: HeartbeatConfig,
-        admission: Option<TokenBucketCfg>,
-        sink: S,
-    ) -> std::io::Result<Self> {
-        let invalid = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, e);
+    /// [`std::io::ErrorKind::InvalidInput`] naming the `admission`
+    /// setting that cannot work.
+    pub fn new(shards: usize, admission: Option<TokenBucketCfg>) -> std::io::Result<Self> {
+        let admission = Admission::new(admission)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
         Ok(Self {
-            sink,
+            registry: Registry::new(),
+            trace: SharedRecorder::off(),
             map: ShardMap::new(shards, MAP_SEED),
-            admission: Admission::new(admission).map_err(|e| invalid(e.to_string()))?,
-            supervisor: Supervisor::new(shards, heartbeat, 0.0)
-                .map_err(|e| invalid(format!("heartbeat: {e}")))?,
-            failovers: 0,
+            admission,
             first_seen: HashMap::new(),
-            requests: 0,
-            snap_seq: 0,
-            ticks: 0,
         })
     }
 
@@ -192,7 +142,7 @@ impl<S: MetricsSink> Front<S> {
 
     /// Standby promotions so far.
     pub fn failovers(&self) -> u64 {
-        self.failovers
+        self.registry.counter("service.failovers")
     }
 
     /// The exposition page. Scrapes are read-only — never admitted,
@@ -200,10 +150,10 @@ impl<S: MetricsSink> Front<S> {
     /// bumped before rendering, so consecutive pages show it strictly
     /// increasing.
     pub fn dump_metrics(&mut self) -> Response {
-        self.sink.inc("service.metrics_dumps", 1);
-        // A sink that keeps no registry has nothing to expose.
-        let text = self.sink.with_registry(|r| expose(r)).unwrap_or_default();
-        Response::Metrics { text }
+        self.registry.inc("service.metrics_dumps", 1);
+        Response::Metrics {
+            text: expose(&self.registry),
+        }
     }
 
     /// Admits one envelope at `now`: answers it here or names the
@@ -212,20 +162,19 @@ impl<S: MetricsSink> Front<S> {
         let Some(tenant) = env.request.tenant() else {
             return Route::Reply(self.dump_metrics());
         };
-        self.requests += 1;
-        self.sink.inc("service.requests", 1);
-        if self.sink.enabled() {
+        self.registry.inc("service.requests", 1);
+        if self.trace.enabled() {
             self.first_seen
                 .entry(env.request_id)
                 .or_insert((now, false));
         }
         match self.admission.try_admit(tenant.0, now) {
             Admit::Ok => {
-                self.sink.inc("service.admitted", 1);
+                self.registry.inc("service.admitted", 1);
                 Route::Shard(self.map.shard_of(tenant))
             }
             Admit::RateLimited { retry_after } => {
-                self.sink.inc("service.rate_limited", 1);
+                self.registry.inc("service.rate_limited", 1);
                 Route::Reply(Response::Error {
                     code: ErrorCode::RateLimited,
                     message: format!(
@@ -237,33 +186,37 @@ impl<S: MetricsSink> Front<S> {
         }
     }
 
-    /// The per-shard pass after a batch was handled (and, on the
-    /// threaded driver, acked): what the shard acked and compacted
-    /// since `before`, its log's progress, its cache hit rate.
+    /// The per-shard pass after a batch was handled and acked: what the
+    /// shard acked, absorbed and compacted since `before`, its log's
+    /// progress and, traced, its cache hit rate.
     pub fn batch_done(&mut self, shard: &mut Shard, before: ShardStats) {
         let after = shard.stats();
-        self.sink.inc(
+        self.registry.inc(
             "service.registrations_acked",
             after.registrations_acked - before.registrations_acked,
         );
-        self.sink.inc(
+        self.registry.inc(
             "service.conn_creates_acked",
             after.conn_creates_acked - before.conn_creates_acked,
         );
-        if after.compactions > before.compactions {
-            self.sink.inc(
-                "service.compactions",
-                after.compactions - before.compactions,
-            );
+        let absorbed = after.dedup_hits - before.dedup_hits;
+        let compacted = after.compactions - before.compactions;
+        for (name, by) in [
+            ("service.dedup_hits", absorbed),
+            ("service.compactions", compacted),
+        ] {
+            if by > 0 {
+                self.registry.inc(name, by);
+            }
         }
-        self.sink.with_registry(|r| shard.publish_wal(r));
-        if self.sink.enabled() {
+        shard.publish_wal(&mut self.registry);
+        if self.trace.enabled() {
             // The share of occupied-port visits that solved no Eq. 2
             // problem: memo hits plus single-member ports. A central
             // shard memoizes nothing, so there this reads how
             // uncontended the ports are, not how warm a cache is.
             if let Some(ratio) = shard.epoch_counters().solve_skip_ratio() {
-                self.sink.gauge(
+                self.registry.set_gauge(
                     &format!("controller.solve_skip_ratio/shard={}", shard.id),
                     ratio,
                 );
@@ -276,9 +229,9 @@ impl<S: MetricsSink> Front<S> {
     /// id and must not mint a duplicate), and one SLO latency sample
     /// per *definitive* response, measured from the id's first
     /// submission so a retried operation's latency covers the whole
-    /// retry window.
+    /// retry window. Nothing without a trace attached.
     pub fn answered(&mut self, envs: &[Envelope], resps: &[Response], now: f64) {
-        if !self.sink.enabled() {
+        if !self.trace.enabled() {
             return;
         }
         for (env, resp) in envs.iter().zip(resps) {
@@ -292,7 +245,7 @@ impl<S: MetricsSink> Front<S> {
             let (t0, spanned) = (seen.0, std::mem::replace(&mut seen.1, true));
             if !spanned {
                 let ctx = env.ctx();
-                self.sink.record(
+                self.trace.record(
                     now,
                     EventKind::Span {
                         trace: ctx.trace_id,
@@ -308,7 +261,7 @@ impl<S: MetricsSink> Front<S> {
             }
             if !matches!(resp, Response::Error { code, .. } if code.is_retryable()) {
                 self.first_seen.remove(&env.request_id);
-                self.sink.observe(
+                self.registry.observe(
                     &format!(
                         "service.op_latency/op={},shard={shard},tenant={}",
                         env.request.op(),
@@ -320,46 +273,23 @@ impl<S: MetricsSink> Front<S> {
         }
     }
 
-    /// One turn of the driver's clock: the shards in `alive` showed
-    /// life, every other shard silent past the window is returned —
-    /// newly dead, the driver promotes a standby for each — and every
-    /// 16th turn emits the periodic operational snapshot, aggregating
-    /// the counters of `shards`. Only the logical-clock driver ticks.
-    pub fn tick(
-        &mut self,
-        now: f64,
-        alive: impl IntoIterator<Item = usize>,
-        shards: &[Shard],
-    ) -> Vec<usize> {
-        self.ticks += 1;
-        if self.ticks.is_multiple_of(16) {
-            self.ops_snapshot("ops", now, shards);
-        }
-        for shard in alive {
-            self.supervisor.beat(shard, now);
-        }
-        self.supervisor.scan(now)
-    }
-
-    /// Records that `shard` was lost at `now`.
+    /// Records that `shard` was found dead at `now`.
     pub fn crashed(&mut self, shard: usize, now: f64) {
         let shard = shard as i64;
-        self.sink.record(now, EventKind::ControllerCrash { shard });
+        self.trace.record(now, EventKind::ControllerCrash { shard });
     }
 
-    /// Accounts the completed promotion of a standby for `shard`,
-    /// whose replay of the durable log found `takeover`.
-    pub fn promoted(
-        &mut self,
-        shard: usize,
-        now: f64,
-        takeover: TakeoverReport,
-        shards: &[Shard],
-    ) -> FailoverReport {
-        self.supervisor.revive(shard, now);
-        self.failovers += 1;
-        self.sink.inc("service.failovers", 1);
-        self.sink.record(
+    /// Accounts the completed promotion of a standby for `shard`, whose
+    /// replay of the durable log found `takeover`, and captures the
+    /// failover snapshot: an `ops_snapshot` trace event plus a
+    /// flight-recorder capture of [`Self::stats`]. Deterministic — keyed
+    /// by failover and request counts, never wall clock.
+    pub fn promoted(&mut self, shard: usize, now: f64, takeover: TakeoverReport) {
+        self.registry.inc("service.failovers", 1);
+        if !self.trace.enabled() {
+            return;
+        }
+        self.trace.record(
             now,
             EventKind::ControllerRecover {
                 shard: shard as i64,
@@ -367,31 +297,14 @@ impl<S: MetricsSink> Front<S> {
                 replayed_conns: takeover.live_conns as u64,
             },
         );
-        self.ops_snapshot("failover", now, shards);
-        FailoverReport {
-            shard,
-            detected_at: now,
-            takeover,
-        }
-    }
-
-    /// Emits one operational snapshot: an `ops_snapshot` trace event
-    /// plus a flight-recorder capture of the aggregated counters.
-    /// Deterministic — keyed by snapshot sequence number and request
-    /// count, never wall clock.
-    fn ops_snapshot(&mut self, reason: &str, now: f64, shards: &[Shard]) {
-        if !self.sink.enabled() {
-            return;
-        }
-        self.snap_seq += 1;
-        self.sink.record(
+        self.trace.record(
             now,
             EventKind::OpsSnapshot {
-                seq: self.snap_seq,
-                requests: self.requests,
+                seq: self.failovers(),
+                requests: self.registry.counter("service.requests"),
             },
         );
-        let s = self.stats(shards);
+        let s = self.stats();
         let counters = [
             ("admitted", s.admitted),
             ("rate_limited", s.rate_limited),
@@ -402,25 +315,23 @@ impl<S: MetricsSink> Front<S> {
             ("compactions", s.compactions),
         ];
         let state = counters.map(|(k, v)| (k, JsonValue::Num(v as f64)));
-        self.sink
-            .snapshot(now, reason, JsonValue::obj(state.to_vec()));
+        self.trace
+            .snapshot(now, "failover", JsonValue::obj(state.to_vec()));
     }
 
-    /// The front's counters aggregated with those of `shards`.
-    pub fn stats(&self, shards: &[Shard]) -> ServiceStats {
-        let mut s = ServiceStats {
+    /// The service's counters: the front's own, and the totals of what
+    /// every batch acked, absorbed and compacted ([`Self::batch_done`]).
+    pub fn stats(&self) -> ServiceStats {
+        let counter = |name| self.registry.counter(name);
+        ServiceStats {
             admitted: self.admission.admitted(),
             rate_limited: self.admission.rejected(),
-            failovers: self.failovers,
-            ..ServiceStats::default()
-        };
-        for st in shards.iter().map(Shard::stats) {
-            s.registrations_acked += st.registrations_acked;
-            s.conn_creates_acked += st.conn_creates_acked;
-            s.dedup_hits += st.dedup_hits;
-            s.compactions += st.compactions;
+            registrations_acked: counter("service.registrations_acked"),
+            conn_creates_acked: counter("service.conn_creates_acked"),
+            dedup_hits: counter("service.dedup_hits"),
+            failovers: counter("service.failovers"),
+            compactions: counter("service.compactions"),
         }
-        s
     }
 }
 
@@ -443,8 +354,8 @@ mod tests {
         )
     }
 
-    fn front<S: MetricsSink>(admission: Option<TokenBucketCfg>, sink: S) -> Front<S> {
-        Front::new(2, HeartbeatConfig::default(), admission, sink).unwrap()
+    fn front(admission: Option<TokenBucketCfg>) -> Front {
+        Front::new(2, admission).unwrap()
     }
 
     #[test]
@@ -453,7 +364,7 @@ mod tests {
             rate: 10.0,
             burst: 2.0,
         };
-        let mut f = front(Some(bucket), Registry::new());
+        let mut f = front(Some(bucket));
         let routes: Vec<Route> = (0..4).map(|i| f.admit(&create(i, 1), 0.0)).collect();
         let owner = f.shard_map().shard_of(AppId(1));
         assert_eq!(routes[..2], [Route::Shard(owner), Route::Shard(owner)]);
@@ -466,11 +377,11 @@ mod tests {
                 other => panic!("expected a rate-limit reply, got {other:?}"),
             }
         }
-        let stats = f.stats(&[]);
+        let stats = f.stats();
         assert_eq!((stats.admitted, stats.rate_limited), (2, 2));
-        assert_eq!(f.sink.counter("service.requests"), 4);
-        assert_eq!(f.sink.counter("service.admitted"), 2);
-        assert_eq!(f.sink.counter("service.rate_limited"), 2);
+        assert_eq!(f.registry.counter("service.requests"), 4);
+        assert_eq!(f.registry.counter("service.admitted"), 2);
+        assert_eq!(f.registry.counter("service.rate_limited"), 2);
         // A tenant's bucket is its own, and refills on the driver's clock.
         let other = f.shard_map().shard_of(AppId(2));
         assert_eq!(f.admit(&create(9, 2), 0.0), Route::Shard(other));
@@ -485,9 +396,8 @@ mod tests {
             rate: 1e-9,
             burst: 1.0,
         };
-        let mut f = front(Some(bucket), Registry::new());
-        let page = |f: &mut Front<Registry>, id| match f
-            .admit(&Envelope::new(id, Request::MetricsDump), 0.0)
+        let mut f = front(Some(bucket));
+        let page = |f: &mut Front, id| match f.admit(&Envelope::new(id, Request::MetricsDump), 0.0)
         {
             Route::Reply(Response::Metrics { text }) => text,
             other => panic!("expected a metrics page, got {other:?}"),
@@ -499,49 +409,15 @@ mod tests {
             matches!(f.dump_metrics(), Response::Metrics { text } if text.contains("_total 3\n"))
         );
         // Never counted as requests, never admitted.
-        assert_eq!(f.sink.counter("service.requests"), 0);
-        assert_eq!(f.stats(&[]), ServiceStats::default());
-        // Without a registry behind the sink the page is empty, not an error.
-        let mut off = front(None, SharedRecorder::off());
-        assert_eq!(
-            off.dump_metrics(),
-            Response::Metrics {
-                text: String::new()
-            }
-        );
-    }
-
-    #[test]
-    fn silent_shards_are_reported_once_and_promotion_revives_them() {
-        let mut f = front(None, Registry::new());
-        let window = HeartbeatConfig::default().window;
-        // Shard 1 keeps showing life; shard 0 never does.
-        assert!(f.tick(window, [1], &[]).is_empty());
-        assert_eq!(f.tick(window + 0.1, [1], &[]), vec![0]);
-        // Reported exactly once, and a straggler beat cannot cancel it.
-        assert!(f.tick(window + 0.2, [0, 1], &[]).is_empty());
-        let takeover = TakeoverReport {
-            records: 3,
-            torn_bytes: 0,
-            registrations: 1,
-            live_conns: 2,
-        };
-        let report = f.promoted(0, window + 0.3, takeover.clone(), &[]);
-        assert_eq!(report.shard, 0);
-        assert_eq!(report.detected_at, window + 0.3);
-        assert_eq!(report.takeover, takeover);
-        assert_eq!(f.failovers(), 1);
-        assert_eq!(f.stats(&[]).failovers, 1);
-        assert_eq!(f.sink.counter("service.failovers"), 1);
-        // The standby is alive from its promotion and can die again.
-        assert!(f.tick(window + 0.4, [1], &[]).is_empty());
-        assert_eq!(f.tick(2.0 * window + 0.4, [1], &[]), vec![0]);
+        assert_eq!(f.registry.counter("service.requests"), 0);
+        assert_eq!(f.stats(), ServiceStats::default());
     }
 
     #[test]
     fn a_retried_request_gets_one_root_span_and_one_latency_sample() {
         let sink = SharedRecorder::on(Recorder::default());
-        let mut f = front(None, sink.clone());
+        let mut f = front(None);
+        f.trace = sink.clone();
         let env = create(7, 1);
         let shard = f.shard_map().shard_of(AppId(1));
         let bounced = Response::Error {
@@ -561,8 +437,39 @@ mod tests {
             .count();
         assert_eq!(roots, 1, "the retry must reuse the first root span");
         let slo = format!("service.op_latency/op=conn_create,shard={shard},tenant=1");
-        let h = rec.registry.histogram(&slo).expect("one SLO family");
+        let h = f.registry.histogram(&slo).expect("one SLO family");
         assert_eq!((h.count(), h.sum()), (1, 2.0), "first submission → ack");
-        assert_eq!(rec.registry.counter("service.requests"), 2);
+        assert_eq!(f.registry.counter("service.requests"), 2);
+    }
+
+    /// A promotion is counted with or without a trace; traced, it is a
+    /// recovery event, an `ops_snapshot` and a flight-recorder capture
+    /// of the counters, all at the promoting call's time.
+    #[test]
+    fn a_promotion_is_counted_and_traced_with_a_failover_snapshot() {
+        let takeover = TakeoverReport {
+            records: 3,
+            torn_bytes: 0,
+            registrations: 1,
+            live_conns: 2,
+        };
+        let mut f = front(None);
+        f.promoted(0, 1.0, takeover.clone());
+        assert_eq!((f.failovers(), f.stats().failovers), (1, 1));
+
+        let sink = SharedRecorder::on(Recorder::default());
+        f.trace = sink.clone();
+        f.crashed(1, 2.0);
+        f.promoted(1, 2.0, takeover);
+        assert_eq!(f.failovers(), 2);
+        let rec = sink.extract().unwrap();
+        let kinds: Vec<&str> = rec.trace.events().map(|e| e.kind.name()).collect();
+        assert_eq!(
+            kinds,
+            ["controller_crash", "controller_recover", "ops_snapshot"]
+        );
+        assert!(rec.trace.events().all(|e| e.t == 2.0));
+        assert_eq!(rec.flight.snapshots().len(), 1);
+        assert_eq!(rec.flight.snapshots()[0].reason, "failover");
     }
 }

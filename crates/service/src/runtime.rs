@@ -1,53 +1,62 @@
-//! The threaded (wall-clock) driver of the service front.
+//! The service's one driver.
 //!
-//! [`ServiceRuntime`] drives [`crate::front::Front`] on wall time — the
-//! seconds since it started — and starts no thread: every call runs on
-//! its caller's. Each shard sits in a slot behind a mutex. A caller
-//! that finds its shard free takes it and **leads** it: it handles its
-//! own envelope, then whatever queued behind it meanwhile, up to
-//! `batch_max` envelopes per [`Shard::handle_batch`] — one group commit,
-//! one fsync — posting each waiting caller's reply once its batch is
-//! durable, and puts the shard back when nothing is left waiting. A
-//! caller that finds its shard led waits in the slot's queue: at most
-//! `queue_depth` wait (one more reads [`ErrorCode::ShardBusy`]), each up
-//! to `REPLY_TIMEOUT` (then [`ErrorCode::Timeout`]).
+//! [`ServiceRuntime`] drives [`crate::front::Front`] and starts no
+//! thread: every call runs on its caller's, at the time its caller
+//! names. [`ServiceRuntime::call_at`] is the one request path, and time
+//! is an argument, not a mode: [`ServiceRuntime::call`] passes the
+//! seconds since the runtime started, and a drill passes logical
+//! seconds of its own, so one envelope sequence is served, logged and
+//! traced the same on every run.
 //!
-//! Failover is in place, as on the logical driver. A shard dies when
-//! [`ServiceRuntime::kill_shard`] kills it, when its batch panics or a
-//! thread panics holding its slot, or when its log fails a write
-//! ([`Shard::handle_batch`]). The next call for it finds it dead and
-//! [`Shard::take_over`]s the durable log on the same slot before it
+//! Each shard sits in a slot behind a mutex. A caller that finds its
+//! shard free takes it and **leads** it: it handles its own envelope,
+//! then whatever queued behind it meanwhile, up to `batch_max`
+//! envelopes per [`Shard::handle_batch`] — one group commit, one fsync —
+//! posting each waiting caller's reply once its batch is durable, and
+//! puts the shard back when nothing is left waiting. A caller that
+//! finds its shard led waits in the slot's queue: at most `queue_depth`
+//! wait (one more reads [`ErrorCode::ShardBusy`]), each up to
+//! `REPLY_TIMEOUT` (then [`ErrorCode::Timeout`]).
+//!
+//! Failover is in place, on the call path: a healthy shard serves, a
+//! dead one is taken over first. A shard dies when
+//! [`ServiceRuntime::kill_shard`] marks it dead, when its batch panics
+//! or a thread panics holding its slot, or when its log fails a write
+//! ([`Shard::handle_batch`]). The next call for it finds it dead and, at
+//! that call's time, records the crash, [`Shard::take_over`]s the
+//! durable log on the same slot and records the recovery before it
 //! serves, so the shard's tenants keep their acked state. A take-over
 //! that cannot open the log leaves the shard dead: that call's batch
 //! reads [`ErrorCode::FailingOver`], retryable, and the next call tries
 //! again. A leader that blocks is not replaced; its shard's callers read
 //! `Timeout` or `ShardBusy` until it returns (DESIGN §13).
 //!
-//! The front's sink here is a bare metrics [`Registry`]: the front's
-//! counters and the shards' WAL families land on the scraped page,
-//! while its trace pass (spans, per-tenant SLO latencies, crash events)
-//! has nothing to record into and is not driven. Wall-clock
-//! measurements are reported under `wall.*` metric names only, per the
-//! repo's determinism convention.
+//! The front counts into its metrics [`Registry`], always, and the
+//! shards' WAL families land there too. Spans, per-tenant SLO latencies
+//! and crash events go to a trace recorder only once
+//! [`ServiceRuntime::set_sink`] attaches one; until then the trace pass
+//! mints nothing and takes no lock. Wall-clock measurements are
+//! reported under `wall.*` metric names only, per the repo's
+//! determinism convention.
 
-use crate::front::{Front, Route};
+use crate::front::{Front, Route, ServiceStats};
 use crate::shard::{Shard, ShardMap, ShardSpec, ShardStats};
 use saba_core::rpc::{Envelope, ErrorCode, Response};
-use saba_telemetry::Registry;
+use saba_telemetry::{Registry, SharedRecorder};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Deployment knobs of the threaded runtime: the shared service config.
+/// Deployment knobs of the runtime: the shared service config.
 pub use crate::front::ServiceConfig as RuntimeConfig;
 
 /// How long a caller waits for the leader of its shard to answer it.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// How long [`ServiceRuntime::shutdown`] waits for a leader to put its
-/// shard back.
-const SHUTDOWN_WAIT: Duration = Duration::from_secs(10);
+/// How long [`ServiceRuntime::shutdown`] and the shard accessors wait
+/// for a leader to put its shard back.
+const IDLE_WAIT: Duration = Duration::from_secs(10);
 
 /// A shard's lifetime summary.
 #[derive(Debug, Clone)]
@@ -84,6 +93,9 @@ struct SlotState {
     /// Each queued call's reply, `None` until posted. A call that gives
     /// up removes its entry, and a late reply for it is dropped.
     replies: HashMap<u64, Option<Response>>,
+    /// The latest time a call queued here named: the next batch is
+    /// served at it.
+    now: f64,
     next_ticket: u64,
     batches: u64,
 }
@@ -131,6 +143,18 @@ impl Slot {
         }
     }
 
+    /// Waits up to [`IDLE_WAIT`] for no caller to lead the shard.
+    fn idle<'a>(&'a self, mut state: MutexGuard<'a, SlotState>) -> MutexGuard<'a, SlotState> {
+        let deadline = Instant::now() + IDLE_WAIT;
+        while state.shard.is_none() {
+            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                break;
+            };
+            state = self.wait(state, left);
+        }
+        state
+    }
+
     fn recover<'a>(&'a self, mut state: MutexGuard<'a, SlotState>) -> MutexGuard<'a, SlotState> {
         self.state.clear_poison();
         state.kill();
@@ -148,15 +172,14 @@ fn refused(shard: usize, code: ErrorCode, what: &str) -> Response {
 
 /// The front and what it counts across shards, behind one lock.
 struct Shared {
-    /// The front, its sink the metrics hub: deterministic counts under
-    /// the names the logical driver uses, wall-derived ones under
-    /// `wall.*`.
-    front: Front<Registry>,
+    /// The front: its registry is the metrics hub, deterministic counts
+    /// under their service names and wall-derived ones under `wall.*`.
+    front: Front,
     /// Shards taken over so far, in take-over order.
     replaced: Vec<usize>,
 }
 
-/// The running threaded service.
+/// The running service.
 pub struct ServiceRuntime {
     cfg: RuntimeConfig,
     spec: ShardSpec,
@@ -188,7 +211,7 @@ impl ServiceRuntime {
     /// ([`Shard::open`]: I/O, or a logged record the controller
     /// refuses).
     pub fn start(spec: ShardSpec, cfg: RuntimeConfig) -> std::io::Result<Self> {
-        let front = Front::new(cfg.shards, cfg.heartbeat, cfg.admission, Registry::new())?;
+        let front = Front::new(cfg.shards, cfg.admission)?;
         std::fs::create_dir_all(&cfg.log_dir)?;
         let slots = (0..cfg.shards)
             .map(|id| {
@@ -211,17 +234,23 @@ impl ServiceRuntime {
         })
     }
 
-    /// The driver's clock: seconds since the runtime started.
-    fn now(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
-
     /// The shared state, also after a thread panicked holding it. What
     /// the lock guards — counters, gauges, the take-over list — is valid
     /// between any two of its updates, so a panic loses at most part of
     /// one pass's counts.
     fn shared(&self) -> MutexGuard<'_, Shared> {
         self.shared.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Slot `id` once no caller leads its shard (see [`Slot::idle`]).
+    /// A shut-down slot is returned at once: its shard is gone.
+    fn idle(&self, id: usize) -> MutexGuard<'_, SlotState> {
+        let slot = &self.slots[id];
+        let state = slot.lock();
+        if state.closed {
+            return state;
+        }
+        slot.idle(state)
     }
 
     /// The tenant→shard map.
@@ -234,18 +263,51 @@ impl ServiceRuntime {
         self.shared().front.failovers()
     }
 
-    /// Kills shard `s`, crash-style: now, or after the batch its leader
-    /// is running. The next call for it takes it over.
+    /// The service's counters: the front's totals, read without
+    /// touching a shard.
+    pub fn stats(&self) -> ServiceStats {
+        self.shared().front.stats()
+    }
+
+    /// Attaches a trace recorder: the front's spans, SLO latencies,
+    /// crash and recovery events and failover snapshot, and every
+    /// shard's spans and epoch scopes, stamped with each call's time.
+    /// Waits for each shard's leader to put it back.
+    pub fn set_sink(&self, sink: SharedRecorder) {
+        self.shared().front.trace = sink.clone();
+        for id in 0..self.slots.len() {
+            if let Some(shard) = self.idle(id).shard.as_mut() {
+                shard.set_sink(sink.clone());
+            }
+        }
+    }
+
+    /// Runs `f` on shard `id` once no caller leads it, waiting as
+    /// [`Self::shutdown`] does; `None` if it is still led after that,
+    /// or the runtime was shut down.
+    pub fn with_shard<R>(&self, id: usize, f: impl FnOnce(&Shard) -> R) -> Option<R> {
+        self.idle(id).shard.as_ref().map(f)
+    }
+
+    /// Marks shard `s` dead, crash-style: now, or after the batch its
+    /// leader is running. The next call for it takes it over.
     pub fn kill_shard(&self, s: usize) {
         self.slots[s].lock().kill();
     }
 
-    /// One request/response round trip. Backpressure and failover
-    /// surface as retryable errors; the caller owns backoff policy.
-    /// Scrapes are answered by the front and never reach a shard, so a
-    /// blocked leader cannot block observability.
+    /// [`Self::call_at`] the seconds since the runtime started.
     pub fn call(&self, env: Envelope) -> Response {
-        let id = match self.shared().front.admit(&env, self.now()) {
+        self.call_at(env, self.started.elapsed().as_secs_f64())
+    }
+
+    /// One request/response round trip at time `now`: edge admission
+    /// and token refill, the trace's timestamps and a take-over's all
+    /// read it. Backpressure and failover surface as retryable errors;
+    /// the caller owns backoff policy. Scrapes are answered by the
+    /// front and never reach a shard, so a blocked leader cannot block
+    /// observability.
+    pub fn call_at(&self, env: Envelope, now: f64) -> Response {
+        let id = match self.shared().front.admit(&env, now) {
             Route::Reply(resp) => return resp,
             Route::Shard(id) => id,
         };
@@ -256,11 +318,12 @@ impl ServiceRuntime {
         }
         if state.shard.is_none() && state.queue.len() >= self.cfg.queue_depth {
             drop(state);
-            self.shared().front.sink.inc("service.shard_busy", 1);
+            self.shared().front.registry.inc("service.shard_busy", 1);
             return refused(id, ErrorCode::ShardBusy, "admission queue is full");
         }
         let ticket = state.next_ticket;
         state.next_ticket += 1;
+        state.now = state.now.max(now);
         state.queue.push_back((ticket, env));
         state.replies.insert(ticket, None);
         if let Some(shard) = state.shard.take() {
@@ -302,9 +365,11 @@ impl ServiceRuntime {
                 return reply.unwrap_or_else(|| refused(id, ErrorCode::Timeout, "lost the reply"));
             }
             let (tickets, envs): (Vec<u64>, Vec<Envelope>) = state.queue.drain(..next).unzip();
+            let now = state.now;
             drop(state);
+            shard.set_clock(now);
             if shard.is_dead() {
-                self.take_over(id, &mut shard);
+                self.take_over(id, &mut shard, now);
             }
             #[cfg(test)]
             drop(self.gate.read());
@@ -316,6 +381,8 @@ impl ServiceRuntime {
                     vec![refused(id, ErrorCode::FailingOver, "died mid-request"); envs.len()]
                 });
             let per_op = t0.elapsed().as_secs_f64() / envs.len() as f64;
+            // The trace pass reads the replies after they are posted.
+            let traced = shard.traced().then(|| resps.clone());
             state = slot.lock();
             state.batches += 1;
             for (ticket, resp) in tickets.into_iter().zip(resps) {
@@ -331,26 +398,31 @@ impl ServiceRuntime {
             let mut shared = self.shared();
             shared.front.batch_done(&mut shard, before);
             for _ in 0..envs.len() {
-                shared.front.sink.observe(&slot.latency_name, per_op);
+                shared.front.registry.observe(&slot.latency_name, per_op);
+            }
+            if let Some(resps) = traced {
+                shared.front.answered(&envs, &resps, now);
             }
             drop(shared);
             state = slot.lock();
         }
     }
 
-    /// Takes the dead shard `id` over in place: it re-opens its log and
-    /// replays it. One that cannot stays dead, and its batch reads
+    /// Takes the dead shard `id` over in place at `now`: records the
+    /// crash, re-opens its log and replays it, and records the
+    /// recovery. One that cannot open stays dead, and its batch reads
     /// `FailingOver`.
-    fn take_over(&self, id: usize, shard: &mut Shard) {
+    fn take_over(&self, id: usize, shard: &mut Shard, now: f64) {
+        self.shared().front.crashed(id, now);
         let found = Instant::now();
         let Ok(takeover) = shard.take_over() else {
             return;
         };
-        let mut shared = self.shared();
         // MTTR: from finding the shard dead to its replay done.
         let mttr = found.elapsed().as_secs_f64();
-        shared.front.sink.observe("wall.failover_mttr", mttr);
-        shared.front.promoted(id, self.now(), takeover, &[]);
+        let mut shared = self.shared();
+        shared.front.registry.observe("wall.failover_mttr", mttr);
+        shared.front.promoted(id, now, takeover);
         shared.replaced.push(id);
     }
 
@@ -361,7 +433,7 @@ impl ServiceRuntime {
 
     /// A point-in-time snapshot of the metrics hub.
     pub fn metrics_registry(&self) -> Registry {
-        self.shared().front.sink.clone()
+        self.shared().front.registry.clone()
     }
 
     /// Refuses further calls, waits for each shard's leader to put it
@@ -374,13 +446,7 @@ impl ServiceRuntime {
             if std::mem::replace(&mut state.closed, true) {
                 continue;
             }
-            let deadline = Instant::now() + SHUTDOWN_WAIT;
-            while state.shard.is_none() {
-                let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                    break;
-                };
-                state = slot.wait(state, left);
-            }
+            let mut state = slot.idle(state);
             if let Some(shard) = state.shard.take() {
                 workers.push(ShardReport {
                     shard: shard.id,
@@ -409,18 +475,29 @@ impl ServiceRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heartbeat::HeartbeatConfig;
-    use crate::service::AllocationService;
     use crate::shard::Flavour;
     use crate::wal::{scan, ReplayState};
     use saba_core::controller::ControllerConfig;
+    use saba_core::library::{SabaLib, Transport};
     use saba_core::profiler::{Profiler, ProfilerConfig};
     use saba_core::rpc::Request;
     use saba_core::sensitivity::SensitivityTable;
-    use saba_sim::ids::AppId;
+    use saba_sim::ids::{AppId, NodeId};
     use saba_sim::topology::Topology;
-    use saba_telemetry::Histogram;
+    use saba_telemetry::{Histogram, Recorder};
     use saba_workload::catalog;
+
+    impl ServiceRuntime {
+        /// Makes the next sync of shard `s`'s log fail.
+        pub(crate) fn fail_next_sync(&self, s: usize) {
+            self.slots[s]
+                .lock()
+                .shard
+                .as_mut()
+                .unwrap()
+                .fail_next_sync();
+        }
+    }
 
     fn table() -> SensitivityTable {
         Profiler::new(ProfilerConfig {
@@ -599,29 +676,6 @@ mod tests {
         };
         assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
         assert!(e.to_string().contains("record 0"), "{e}");
-    }
-
-    /// A heartbeat the logical driver could not run is refused by both
-    /// drivers before either touches the disk.
-    #[test]
-    fn a_zero_heartbeat_interval_is_invalid_input_on_both_drivers() {
-        let cfg = RuntimeConfig {
-            heartbeat: HeartbeatConfig {
-                interval: 0.0,
-                window: 1.0,
-            },
-            ..fresh_cfg("zero-beat")
-        };
-        let errors = [
-            ServiceRuntime::start(spec(), cfg.clone()).err(),
-            AllocationService::open(spec(), cfg.clone()).err(),
-        ];
-        for e in errors {
-            let e = e.expect("a zero interval must not start");
-            assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
-            assert!(e.to_string().contains("heartbeat"), "{e}");
-        }
-        assert!(!cfg.log_dir.exists());
     }
 
     /// Leaders publish each batch after its acks and before their own
@@ -805,16 +859,145 @@ mod tests {
             Response::Registered { .. }
         ));
         let s = rt.shard_map().shard_of(AppId(0));
-        rt.slots[s].lock().shard.as_mut().unwrap().fail_next_sync();
+        rt.fail_next_sync(s);
         let r = rt.call(create(&rt, 2, 7));
         assert_eq!(code(&r), Some(ErrorCode::Internal), "{r:?}");
         assert_eq!(rt.failovers(), 0);
         assert_eq!(rt.call(create(&rt, 3, 7)), Response::Ack);
         assert_eq!(rt.failovers(), 1, "only a take-over acks the retry");
-        let state = rt.slots[s].lock().shard.as_ref().unwrap().state().clone();
+        let state = rt.with_shard(s, |shard| shard.state().clone()).unwrap();
         let log = std::fs::read(Shard::log_path(&cfg.log_dir, s)).unwrap();
         assert_eq!(ReplayState::replay(&scan(&log).records), state);
         assert_eq!(state.live_conns.len(), 1);
+        rt.shutdown();
+    }
+
+    /// The first call after a kill is served by the standby: at that
+    /// call's time it records the crash, takes the shard over, records
+    /// the recovery and the failover snapshot, and then serves, so the
+    /// destroy of the *pre-crash* connection lands at once.
+    #[test]
+    fn the_call_that_finds_its_shard_dead_traces_the_take_over_at_its_time() {
+        let rt = ServiceRuntime::start(spec(), fresh_cfg("traced-takeover")).unwrap();
+        let sink = SharedRecorder::on(Recorder::default());
+        rt.set_sink(sink.clone());
+        let app = AppId(0);
+        let s = rt.shard_map().shard_of(app);
+        let acked = rt.call_at(
+            env(
+                1,
+                Request::AppRegister {
+                    app,
+                    workload: "LR".into(),
+                },
+            ),
+            1.0,
+        );
+        assert!(matches!(acked, Response::Registered { .. }), "{acked:?}");
+        assert_eq!(rt.call_at(create(&rt, 2, 7), 2.0), Response::Ack);
+        rt.kill_shard(s);
+        assert_eq!(rt.failovers(), 0, "a kill only marks the shard dead");
+        let destroy = env(3, Request::ConnDestroy { app, tag: 7 });
+        assert_eq!(rt.call_at(destroy, 5.0), Response::Ack);
+        assert_eq!(rt.failovers(), 1);
+        assert_eq!(rt.stats().failovers, 1);
+
+        let rec = sink.extract().unwrap();
+        let at = |name: &str| -> Vec<f64> {
+            let events = rec.trace.events().filter(|e| e.kind.name() == name);
+            events.map(|e| e.t).collect()
+        };
+        assert_eq!(at("controller_crash"), [5.0]);
+        assert_eq!(at("controller_recover"), [5.0]);
+        assert_eq!(at("ops_snapshot"), [5.0]);
+        assert_eq!(rec.flight.snapshots().len(), 1);
+        let spans = rec.trace.events().filter(|e| e.kind.name() == "span");
+        let times: Vec<f64> = spans.map(|e| e.t).collect();
+        assert!(times.contains(&1.0) && times.contains(&2.0) && times.contains(&5.0));
+        let slo = format!("service.op_latency/op=conn_destroy,shard={s},tenant=0");
+        assert!(rt.metrics_registry().histogram(&slo).is_some());
+        let live = rt.with_shard(s, |shard| shard.state().live_conns.len());
+        assert_eq!(live, Some(0));
+        rt.shutdown();
+        assert_eq!(rt.with_shard(s, Shard::stats), None, "shut down");
+    }
+
+    /// A create naming a node outside the topology is a typed,
+    /// non-retryable `Unreachable` on both flavours — also when source
+    /// and destination are the same unknown node — and costs no
+    /// take-over and no log record.
+    #[test]
+    fn a_create_naming_a_node_outside_the_topology_is_unreachable() {
+        for flavour in [Flavour::Central, Flavour::Distributed(2)] {
+            let cfg = fresh_cfg(&format!("unknown-node-{flavour:?}"));
+            let rt = ServiceRuntime::start(ShardSpec { flavour, ..spec() }, cfg.clone()).unwrap();
+            let app = AppId(0);
+            assert!(matches!(register(&rt, 1, app), Response::Registered { .. }));
+            let s = rt.shard_map().shard_of(app);
+            let records = || {
+                let log = std::fs::read(Shard::log_path(&cfg.log_dir, s)).unwrap();
+                scan(&log).records.len()
+            };
+            let logged = records();
+            let server = rt.spec().topo.servers()[0];
+            let far = NodeId(9999);
+            let ends = [(far, server), (server, far), (far, far)];
+            for (tag, (src, dst)) in ends.into_iter().enumerate() {
+                let r = rt.call(env(
+                    2 + tag as u64,
+                    Request::ConnCreate {
+                        app,
+                        src,
+                        dst,
+                        tag: tag as u64,
+                    },
+                ));
+                assert_eq!(code(&r), Some(ErrorCode::Unreachable), "{flavour:?}: {r:?}");
+            }
+            assert!(!ErrorCode::Unreachable.is_retryable());
+            assert_eq!(rt.failovers(), 0, "{flavour:?}");
+            assert_eq!(
+                records(),
+                logged,
+                "{flavour:?}: a refused create is not logged"
+            );
+            rt.shutdown();
+        }
+    }
+
+    /// A `Transport` over the runtime, so an unmodified `SabaLib` runs
+    /// its Fig. 7 lifecycle against the whole service stack.
+    struct Local<'a> {
+        rt: &'a ServiceRuntime,
+        next_id: u64,
+    }
+
+    impl Transport for Local<'_> {
+        fn call(&mut self, req: Request) -> Response {
+            self.next_id += 1;
+            self.rt.call(Envelope::new(self.next_id, req))
+        }
+    }
+
+    #[test]
+    fn saba_lib_runs_fig7_against_the_service() {
+        let rt = ServiceRuntime::start(spec(), fresh_cfg("lib")).unwrap();
+        let servers = rt.spec().topo.servers();
+        let transport = Local {
+            rt: &rt,
+            next_id: 4 << 32,
+        };
+        let mut lib = SabaLib::new(AppId(4), transport);
+        let sl = lib.saba_app_register("LR").unwrap();
+        let conn = lib.saba_conn_create(servers[0], servers[1]).unwrap();
+        assert_eq!(lib.sl(), Some(sl));
+        lib.saba_conn_destroy(conn).unwrap();
+        lib.saba_app_deregister().unwrap();
+        let stats = rt.stats();
+        assert_eq!(
+            (stats.registrations_acked, stats.conn_creates_acked),
+            (1, 1)
+        );
         rt.shutdown();
     }
 }

@@ -152,8 +152,6 @@ pub struct Shard {
     /// Switch state accumulated from every update this shard emitted
     /// (the failover differential diffs this against a scratch solve).
     programmed: BTreeMap<u32, PortQueueConfig>,
-    /// Updates emitted but not yet drained by the fabric programmer.
-    pending_updates: Vec<SwitchUpdate>,
     /// Log records at the last compaction (compaction trigger).
     appended_at_compaction: u64,
     sync_every: usize,
@@ -216,7 +214,6 @@ impl Shard {
             state: ReplayState::default(),
             seen: HashMap::new(),
             programmed: BTreeMap::new(),
-            pending_updates: Vec::new(),
             appended_at_compaction: 0,
             sync_every,
             stats: ShardStats::default(),
@@ -248,7 +245,6 @@ impl Shard {
         let mut ctrl = self.spec.build_controller();
         self.programmed.clear();
         self.seen.clear();
-        self.pending_updates.clear();
         self.appended_at_compaction = 0;
         self.state = ReplayState::default();
         for (k, req) in scan.records.iter().enumerate() {
@@ -283,7 +279,13 @@ impl Shard {
         self.ctrl.as_ref().map(|c| c.stats()).unwrap_or_default()
     }
 
-    /// Advances the logical clock stamped on trace events.
+    /// True while a telemetry recorder is attached.
+    pub fn traced(&self) -> bool {
+        self.sink.is_on()
+    }
+
+    /// Sets the time stamped on trace events: the time of the calls
+    /// whose batch the shard serves next.
     pub fn set_clock(&mut self, t: f64) {
         self.clock = t;
     }
@@ -325,12 +327,11 @@ impl Shard {
     pub fn kill(&mut self) {
         self.ctrl = None;
         self.seen.clear();
-        self.pending_updates.clear();
     }
 
     /// Standby takeover: reopen the durable log (truncating any torn
     /// tail) and rebuild from it. Returns what the replay found; the
-    /// re-derived switch programs land in the pending update queue.
+    /// re-derived switch programs land in [`Self::programmed`].
     ///
     /// # Errors
     ///
@@ -426,9 +427,9 @@ impl Shard {
         resp
     }
 
-    /// Emits one `span` event at the logical clock (deterministic; the
-    /// threaded runtime's wall-clock latencies live under `wall.*`
-    /// metric names instead).
+    /// Emits one `span` event at the batch's time ([`Self::set_clock`];
+    /// the runtime's wall-clock latencies live under `wall.*` metric
+    /// names instead).
     fn span_event(&mut self, ctx: TraceContext, op: &str, tenant: u32, ok: bool) {
         if self.sink.enabled() {
             let t = self.clock;
@@ -573,15 +574,9 @@ impl Shard {
     }
 
     fn absorb_updates(&mut self, updates: Vec<SwitchUpdate>) {
-        for u in &updates {
-            self.programmed.insert(u.link.0, u.config.clone());
+        for u in updates {
+            self.programmed.insert(u.link.0, u.config);
         }
-        self.pending_updates.extend(updates);
-    }
-
-    /// Drains switch updates emitted since the last drain.
-    pub fn drain_updates(&mut self) -> Vec<SwitchUpdate> {
-        std::mem::take(&mut self.pending_updates)
     }
 
     /// Compacts the log to a snapshot once the history is
@@ -678,7 +673,7 @@ mod tests {
         ]);
         assert!(matches!(r[0], Response::Registered { .. }));
         assert_eq!(r[1], Response::Ack);
-        assert!(!shard.drain_updates().is_empty());
+        assert!(!shard.programmed().is_empty());
 
         // A retried envelope replays the cached ack without
         // re-applying (no duplicate link refs, no new log record).

@@ -1,6 +1,6 @@
-//! Named failover regression: a shard dies mid-churn, the supervisor
-//! detects it within the heartbeat window, a standby replays the
-//! durable log, and afterwards
+//! Named failover regression: a shard dies mid-churn, the next call
+//! for it takes it over from its durable log and is served by the
+//! standby, and afterwards
 //!
 //! 1. **zero acked registrations are lost** — every operation the
 //!    service acked before the crash is present in the standby's
@@ -10,9 +10,9 @@
 //!    port programs differentially match a from-scratch solve of the
 //!    same state (the `incremental_vs_scratch` oracle), at 1e-12 rtol,
 //!    on BOTH controller flavours;
-//! 3. **bounced requests retry cleanly** — everything rejected with a
-//!    retryable code during the outage succeeds when replayed in
-//!    order after takeover;
+//! 3. **nothing bounces** — the first call after the kill is served by
+//!    the standby, exactly one take-over happens, and no reply reads
+//!    `FailingOver`;
 //! 4. **the trace is part of the contract** — a traced drill's span
 //!    tree is pinned across commits, and the drill ends in the same
 //!    switch state and counters as an untraced one.
@@ -21,13 +21,13 @@ use saba_conformance::incremental::diff_switch_states;
 use saba_core::controller::ControllerConfig;
 use saba_core::fabric::PortQueueConfig;
 use saba_core::profiler::{Profiler, ProfilerConfig};
-use saba_core::rpc::{Envelope, ErrorCode, Request, Response};
+use saba_core::rpc::{Envelope, Request, Response};
 use saba_core::sensitivity::SensitivityTable;
-use saba_service::heartbeat::HeartbeatConfig;
-use saba_service::service::{AllocationService, ServiceConfig};
+use saba_service::runtime::ServiceRuntime;
 use saba_service::shard::{Flavour, Shard, ShardSpec, ShardStats};
 use saba_service::wal::scan;
-use saba_sim::ids::NodeId;
+use saba_service::ServiceConfig;
+use saba_sim::ids::{AppId, NodeId};
 use saba_sim::topology::Topology;
 use saba_telemetry::{validate_jsonl, Recorder, SharedRecorder};
 use saba_workload::catalog;
@@ -100,9 +100,9 @@ struct Drilled {
     stats: Vec<ShardStats>,
 }
 
-/// Seeded churn into a 3-shard service, one shard killed at op
-/// [`KILL_AT`]; checks contracts 1–3 and returns what the run left.
-/// `sink` sees every span.
+/// Seeded churn into a 3-shard service on logical seconds, one shard
+/// killed at op [`KILL_AT`]; checks contracts 1–3 and returns what the
+/// run left. `sink` sees every span.
 fn drill(flavour: Flavour, name: &str, sink: SharedRecorder) -> Drilled {
     let dir = std::env::temp_dir().join(format!("saba-failover-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -111,15 +111,11 @@ fn drill(flavour: Flavour, name: &str, sink: SharedRecorder) -> Drilled {
         shards: 3,
         sync_every: 8,
         admission: None,
-        heartbeat: HeartbeatConfig {
-            interval: 0.5,
-            window: 2.0,
-        },
         ..ServiceConfig::new(&dir)
     };
-    let window = cfg.heartbeat.window;
-    let mut svc = AllocationService::open(spec.clone(), cfg).unwrap();
-    svc.set_sink(sink.clone());
+    let rt = ServiceRuntime::start(spec.clone(), cfg).unwrap();
+    rt.set_sink(sink.clone());
+    let map = rt.shard_map();
     let servers = spec.topo.servers().to_vec();
 
     let trace = ChurnTrace::new(
@@ -134,65 +130,35 @@ fn drill(flavour: Flavour, name: &str, sink: SharedRecorder) -> Drilled {
     );
 
     let mut mirror = Mirror::default();
-    let mut pending: Vec<Envelope> = Vec::new();
-    let mut victim = usize::MAX;
-    let mut kill_time = 0.0;
-    let mut failover = None;
-    let mut clock = 0.0;
-
     for (step, op) in trace.take(TOTAL_OPS).enumerate() {
-        // Logical time advances every op; heartbeats/scans every 4th.
-        if step % 4 == 0 {
-            clock += 0.25;
-            let reports = svc.tick(clock).unwrap();
-            if let Some(r) = reports.into_iter().next() {
-                assert!(failover.is_none(), "only one failover expected");
-                assert_eq!(r.shard, victim);
-                failover = Some(r.clone());
-                // Requests bounced during the outage retry in order,
-                // with their original idempotency ids, and all land.
-                for env in pending.drain(..) {
-                    let resp = svc.submit(&env);
-                    assert!(
-                        !matches!(resp, Response::Error { .. }),
-                        "retry of {env:?} failed: {resp:?}"
-                    );
-                    mirror.absorb(&env.request);
-                }
-            }
+        let owner = map.shard_of(AppId(op.app()));
+        if step == KILL_AT {
+            let mut owned = mirror.registrations.keys();
+            assert!(
+                owned.any(|&app| map.shard_of(AppId(app)) == owner),
+                "[{name}] the victim shard should own acked tenants"
+            );
+            rt.kill_shard(owner);
+            assert_eq!(
+                rt.failovers(),
+                0,
+                "[{name}] a kill only marks the shard dead"
+            );
+        }
+        let env = Envelope::new(step as u64, to_request(&op, &servers));
+        match rt.call_at(env.clone(), step as f64 * 0.25) {
+            Response::Registered { .. } | Response::Ack => mirror.absorb(&env.request),
+            other => panic!("[{name}] step {step}: {other:?}"),
         }
         if step == KILL_AT {
-            victim = svc.shard_of(op.app());
-            kill_time = clock;
-            svc.kill_shard(victim);
-        }
-
-        let env = Envelope::new(step as u64, to_request(&op, &servers));
-        match svc.submit(&env) {
-            Response::Registered { .. } | Response::Ack => mirror.absorb(&env.request),
-            Response::Error { code, message } => {
-                assert!(
-                    code.is_retryable(),
-                    "[{name}] step {step}: fatal {code}: {message}"
-                );
-                assert_eq!(code, ErrorCode::FailingOver);
-                pending.push(env);
-            }
-            Response::Metrics { .. } => panic!("[{name}] unexpected metrics page"),
+            assert_eq!(
+                rt.replaced_shards(),
+                [owner],
+                "[{name}] served by the standby"
+            );
         }
     }
-
-    let failover = failover.expect("the killed shard must fail over");
-    assert!(pending.is_empty(), "all bounced requests must have retried");
-    assert!(
-        failover.detected_at - kill_time <= window + 0.25 + 1e-9,
-        "[{name}] death at {kill_time} detected only at {}",
-        failover.detected_at
-    );
-    assert!(
-        failover.takeover.registrations > 0,
-        "[{name}] the victim shard should have owned tenants"
-    );
+    assert_eq!(rt.failovers(), 1, "[{name}] exactly one take-over");
 
     // Contract 1: zero acked registrations (or connections) lost.
     // Union the per-shard replayed/validated states and compare with
@@ -200,9 +166,9 @@ fn drill(flavour: Flavour, name: &str, sink: SharedRecorder) -> Drilled {
     let mut got_regs: BTreeMap<u32, String> = BTreeMap::new();
     let mut got_live: BTreeSet<(u32, u64)> = BTreeSet::new();
     for s in 0..3 {
-        let state = svc.shard(s).state();
+        let state = rt.with_shard(s, |shard| shard.state().clone()).unwrap();
         for (app, wl) in &state.registrations {
-            assert_eq!(svc.shard_of(app.0), s, "tenant on the wrong shard");
+            assert_eq!(map.shard_of(*app), s, "tenant on the wrong shard");
             got_regs.insert(app.0, wl.clone());
         }
         for &(app, tag) in state.live_conns.keys() {
@@ -218,25 +184,31 @@ fn drill(flavour: Flavour, name: &str, sink: SharedRecorder) -> Drilled {
     // the *full* logged history (deregisters included): the central
     // flavour's online PL assigner is history-dependent, so the live
     // set alone does not determine the switch programs.
-    for s in 0..3 {
+    let programmed: Vec<_> = (0..3)
+        .map(|s| {
+            rt.with_shard(s, |shard| shard.programmed().clone())
+                .unwrap()
+        })
+        .collect();
+    for (s, programmed) in programmed.iter().enumerate() {
         let data = std::fs::read(Shard::log_path(&dir, s)).unwrap();
         let scratch = spec.scratch_solve(&scan(&data).records);
-        diff_switch_states(name, s, svc.shard(s).programmed(), &scratch)
+        diff_switch_states(name, s, programmed, &scratch)
             .unwrap_or_else(|e| panic!("[{name}] shard {s} diverged after failover: {e}"));
     }
 
-    let stats = svc.stats();
+    let stats = rt.stats();
     assert_eq!(stats.failovers, 1);
     assert!(stats.registrations_acked > 0);
+    let report = rt.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
-    let shards = (0..3).map(|s| svc.shard(s));
     Drilled {
         jsonl: sink
             .extract()
             .map(|rec| rec.trace.to_jsonl())
             .unwrap_or_default(),
-        programmed: shards.clone().map(|s| s.programmed().clone()).collect(),
-        stats: shards.map(Shard::stats).collect(),
+        programmed,
+        stats: report.workers.into_iter().map(|w| w.stats).collect(),
     }
 }
 
@@ -260,12 +232,12 @@ fn failover_mid_churn_is_lossless_and_differentially_correct_distributed() {
     );
 }
 
-/// Contract 4. The logical-clock service stamps spans with simulated
-/// time only, so the export is a pure function of the churn stream: the
-/// same bytes on every commit that keeps the service's behaviour (the
-/// `(len, FNV-1a)` pin, recorded at `c25aa5e`; on a mismatch the
-/// assertion prints the actual pair). Tracing changes nothing the
-/// service decides.
+/// Contract 4. A drill names logical seconds on every call, so the
+/// export is a pure function of the churn stream: the same bytes on
+/// every commit that keeps the service's behaviour (the `(len, FNV-1a)`
+/// pin, re-recorded when failover moved from heartbeat detection to
+/// the take-over on the call path; on a mismatch the assertion prints
+/// the actual pair). Tracing changes nothing the service decides.
 #[test]
 fn traced_drill_spans_are_pinned_and_change_nothing() {
     let sink = SharedRecorder::on(Recorder::default());
@@ -276,7 +248,7 @@ fn traced_drill_spans_are_pinned_and_change_nothing() {
         "every request leaves spans: {lines} lines"
     );
     let pin = (traced.jsonl.len(), fnv1a(traced.jsonl.as_bytes()));
-    let want = (408_431, 0xc7e3_dcf8_a580_42f5);
+    let want = (405_105, 0xc2bf_6bf4_9074_4750);
     assert_eq!(pin, want, "span export moved: (len, FNV-1a) = {pin:#x?}");
 
     let plain = drill(Flavour::Central, "untraced", SharedRecorder::off());

@@ -1,15 +1,16 @@
-//! Driver parity: the logical-clock `AllocationService` and the
-//! threaded `ServiceRuntime` are two drivers of one front, and must
-//! not drift. One seeded script through both — same shard count, one
-//! closed-loop client — must leave identical responses, byte-identical
-//! shard logs, and identical values for every metric that does not
-//! measure time. Second case: the edge rate limiter answers on both.
+//! Replay parity: the service serves what it is sent, not when. The
+//! runtime is driven two ways — on wall time (`call`) and on logical
+//! seconds a drill names (`call_at`) — and one seeded script through
+//! each, same shard count, one closed-loop client, must leave identical
+//! responses, byte-identical shard logs that replay to the acked state,
+//! and identical values for every metric that does not measure time.
+//! Second case: the edge rate limiter answers on both, refilling on the
+//! caller's clock.
 
 use saba_core::controller::ControllerConfig;
 use saba_core::profiler::{Profiler, ProfilerConfig};
 use saba_core::rpc::{Envelope, ErrorCode, Request, Response};
 use saba_service::runtime::ServiceRuntime;
-use saba_service::service::AllocationService;
 use saba_service::shard::{Flavour, Shard, ShardSpec};
 use saba_service::wal::{scan, ReplayState};
 use saba_service::{ServiceConfig, TokenBucketCfg};
@@ -119,89 +120,99 @@ fn clock_free(reg: &Registry) -> Vec<(String, f64)> {
     out
 }
 
+/// One script through `call` and through `call_at`: the two ways a
+/// caller drives the runtime.
 #[test]
 fn both_drivers_serve_one_script_identically() {
     let script = script();
 
-    let twin_cfg = config("twin", None);
-    let mut twin = AllocationService::open(spec(), twin_cfg.clone()).unwrap();
-    twin.set_sink(SharedRecorder::on(Recorder::default()));
-    let twin_resps: Vec<Response> = script
+    let wall_cfg = config("wall", None);
+    let wall = ServiceRuntime::start(spec(), wall_cfg.clone()).unwrap();
+    let wall_resps: Vec<Response> = script
         .iter()
-        .map(|env| comparable(twin.submit(env)))
+        .map(|env| comparable(wall.call(env.clone())))
         .collect();
 
-    let rt_cfg = config("threads", None);
-    let rt = ServiceRuntime::start(spec(), rt_cfg.clone()).unwrap();
-    let rt_resps: Vec<Response> = script
+    let logical_cfg = config("logical", None);
+    let logical = ServiceRuntime::start(spec(), logical_cfg.clone()).unwrap();
+    logical.set_sink(SharedRecorder::on(Recorder::default()));
+    let logical_resps: Vec<Response> = script
         .iter()
-        .map(|env| comparable(rt.call(env.clone())))
+        .enumerate()
+        .map(|(i, env)| comparable(logical.call_at(env.clone(), i as f64)))
         .collect();
-    // Workers publish after they ack; a clean shutdown drains that.
-    let report = rt.shutdown();
-    assert_eq!(report.failovers, 0);
 
-    assert_eq!(rt_resps, twin_resps, "the drivers answered differently");
+    assert_eq!(wall_resps, logical_resps, "the clocks answered differently");
     assert!(
-        twin_resps.contains(&Response::Metrics {
+        wall_resps.contains(&Response::Metrics {
             text: String::new()
         }),
         "the scrape was answered"
     );
-    let (twin_logs, rt_logs) = (logs(&twin_cfg.log_dir), logs(&rt_cfg.log_dir));
-    assert!(twin_logs == rt_logs, "shard logs differ byte for byte");
-    for (s, bytes) in rt_logs.iter().enumerate() {
+    let (wall_logs, logical_logs) = (logs(&wall_cfg.log_dir), logs(&logical_cfg.log_dir));
+    assert!(wall_logs == logical_logs, "shard logs differ byte for byte");
+    for (s, bytes) in wall_logs.iter().enumerate() {
         let records = scan(bytes).records;
         assert!(!records.is_empty(), "shard {s} served part of the script");
         let replayed = ReplayState::replay(&records);
-        assert_eq!(&replayed, twin.shard(s).state(), "shard {s} replay");
+        for rt in [&wall, &logical] {
+            let acked = rt.with_shard(s, |shard| shard.state().clone());
+            assert_eq!(Some(&replayed), acked.as_ref(), "shard {s} replay");
+        }
     }
     assert_eq!(
-        clock_free(&rt.metrics_registry()),
-        clock_free(&twin.metrics_registry()),
-        "a count of what was served depends on the driver"
+        clock_free(&wall.metrics_registry()),
+        clock_free(&logical.metrics_registry()),
+        "a count of what was served depends on the clock"
     );
-    for dir in [twin_cfg.log_dir, rt_cfg.log_dir] {
+    for rt in [&wall, &logical] {
+        assert_eq!(rt.stats().dedup_hits, 1, "the re-sent envelope");
+        assert_eq!(rt.shutdown().failovers, 0);
+    }
+    for dir in [wall_cfg.log_dir, logical_cfg.log_dir] {
         let _ = std::fs::remove_dir_all(dir);
     }
 }
 
+/// The burst-2 bucket refuses the third back-to-back request on both
+/// clocks, and refills on the caller's: a logical second later, the
+/// fourth request is admitted.
 #[test]
 fn the_edge_rate_limit_answers_on_both_drivers() {
-    // Two tokens, refilled far too slowly to matter within the test.
+    // Two tokens, refilled at one per second of the caller's clock.
     let bucket = Some(TokenBucketCfg {
-        rate: 1e-3,
+        rate: 1.0,
         burst: 2.0,
     });
-    // One tenant's first three requests, back to back.
+    // One tenant's first four requests.
     let script = script();
     let tenant = script[0].request.tenant();
     let of_tenant = script.into_iter().filter(|e| e.request.tenant() == tenant);
-    let burst: Vec<Envelope> = of_tenant.take(3).collect();
-    let limited = |resps: &[Response], driver: &str| {
+    let burst: Vec<Envelope> = of_tenant.take(4).collect();
+    let ok = |r: &Response| !matches!(r, Response::Error { .. });
+    for (clock, at) in [("wall", None), ("logical", Some([0.0, 0.0, 0.0, 1.0]))] {
+        let cfg = config(&format!("limit-{clock}"), bucket);
+        let rt = ServiceRuntime::start(spec(), cfg.clone()).unwrap();
+        let resps: Vec<Response> = match at {
+            None => burst[..3].iter().map(|env| rt.call(env.clone())).collect(),
+            Some(at) => (burst.iter().zip(at))
+                .map(|(env, now)| rt.call_at(env.clone(), now))
+                .collect(),
+        };
         assert!(
-            resps[..2]
-                .iter()
-                .all(|r| !matches!(r, Response::Error { .. })),
-            "[{driver}] the burst is admitted: {resps:?}"
+            ok(&resps[0]) && ok(&resps[1]),
+            "[{clock}] the burst is admitted: {resps:?}"
         );
         match &resps[2] {
-            Response::Error { code, .. } => assert_eq!(*code, ErrorCode::RateLimited, "{driver}"),
-            other => panic!("[{driver}] the third back-to-back request got {other:?}"),
+            Response::Error { code, .. } => assert_eq!(*code, ErrorCode::RateLimited, "{clock}"),
+            other => panic!("[{clock}] the third back-to-back request got {other:?}"),
         }
-    };
-
-    let cfg = config("limit-twin", bucket);
-    let mut twin = AllocationService::open(spec(), cfg.clone()).unwrap();
-    limited(&twin.submit_batch(&burst), "logical");
-    assert_eq!(twin.stats().rate_limited, 1);
-    let _ = std::fs::remove_dir_all(cfg.log_dir);
-
-    let cfg = config("limit-threads", bucket);
-    let rt = ServiceRuntime::start(spec(), cfg.clone()).unwrap();
-    let resps: Vec<Response> = burst.iter().map(|env| rt.call(env.clone())).collect();
-    limited(&resps, "threaded");
-    assert_eq!(rt.metrics_registry().counter("service.rate_limited"), 1);
-    rt.shutdown();
-    let _ = std::fs::remove_dir_all(cfg.log_dir);
+        if let Some(refilled) = resps.get(3) {
+            assert!(ok(refilled), "[{clock}] a refilled token admits: {resps:?}");
+        }
+        assert_eq!(rt.stats().rate_limited, 1);
+        assert_eq!(rt.metrics_registry().counter("service.rate_limited"), 1);
+        rt.shutdown();
+        let _ = std::fs::remove_dir_all(cfg.log_dir);
+    }
 }

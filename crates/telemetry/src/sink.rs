@@ -11,7 +11,6 @@
 
 use crate::event::EventKind;
 use crate::json::JsonValue;
-use crate::metrics::Registry;
 
 /// Receives telemetry from instrumented components.
 ///
@@ -71,31 +70,6 @@ impl TelemetrySink for NullSink {
 
     #[inline(always)]
     fn snapshot(&mut self, _t: f64, _reason: &str, _state: JsonValue) {}
-}
-
-/// A bare [`Registry`] is the metrics-only sink: counters, gauges and
-/// histograms land, events and snapshots are dropped, and `enabled()`
-/// is false so call sites skip building them. It is `Send`, which the
-/// `Rc`-based recorder handle is not — the threaded service runtime
-/// keeps one behind its mutex.
-impl TelemetrySink for Registry {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _t: f64, _kind: EventKind) {}
-
-    fn inc(&mut self, name: &str, by: u64) {
-        Registry::inc(self, name, by);
-    }
-
-    fn gauge(&mut self, name: &str, value: f64) {
-        self.set_gauge(name, value);
-    }
-
-    fn observe(&mut self, name: &str, value: f64) {
-        Registry::observe(self, name, value);
-    }
 }
 
 impl<S: TelemetrySink> TelemetrySink for &mut S {
