@@ -5,11 +5,17 @@
 //! that fraction of link capacity ②, converts completion times into
 //! slowdowns, and fits the polynomial sensitivity model ③. The paper's
 //! bandwidth points are 5, 10, 25, 50, 75, 90 and 100 % (§7.1).
+//!
+//! Every isolated run is independent of every other, so each entry
+//! point measures through one function that fans the (workload,
+//! throttle point) cells out over [`saba_math::parallel_map`], then
+//! draws each workload's noise on the caller in throttle order: a
+//! table is bit for bit the one a serial loop measures.
 
 use crate::sensitivity::{SensitivityModel, SensitivityTable};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use saba_math::FitError;
+use saba_math::{default_threads, parallel_map, FitError};
 use saba_sim::engine::{FairShareFabric, Simulation};
 use saba_sim::ids::{AppId, ServiceLevel};
 use saba_sim::topology::Topology;
@@ -93,37 +99,62 @@ impl Profiler {
     /// Profiles an arbitrary plan (used by the §4.2 accuracy studies to
     /// measure *runtime-scale* sample sets).
     pub fn profile_plan(&self, name: &str, plan: &JobPlan) -> Result<ProfileOutcome, FitError> {
-        let samples = self.measure_samples(name, plan);
-        let slowdowns = to_slowdowns(&samples);
-        let model = SensitivityModel::fit(name, &slowdowns, self.cfg.degree)?;
-        Ok(ProfileOutcome {
-            model,
-            completion_times: samples,
-        })
+        self.fit(name, self.measure_samples(name, plan))
     }
 
     /// Measures raw `(bandwidth fraction, completion seconds)` samples
     /// by running the plan in isolation at each throttle.
     pub fn measure_samples(&self, name: &str, plan: &JobPlan) -> Vec<(f64, f64)> {
-        let mut rng = ChaCha8Rng::seed_from_u64(self.cfg.seed ^ hash_name(name));
-        self.cfg
-            .bw_points
-            .iter()
-            .map(|&b| {
-                let t = run_isolated(plan, b, self.cfg.nic_rate);
-                (b, noisy_duration(t, self.cfg.noise_sigma, &mut rng))
-            })
-            .collect()
+        let mut measured = self.measure(&[(name, plan)]);
+        measured.pop().expect("one plan, one sample set")
     }
 
     /// Profiles every workload in `specs`, producing the sensitivity
     /// table consumed by the controller (Fig. 4 ③ → §5).
     pub fn profile_all(&self, specs: &[WorkloadSpec]) -> Result<SensitivityTable, FitError> {
+        let plans: Vec<JobPlan> = specs.iter().map(WorkloadSpec::profile_plan).collect();
+        let named: Vec<(&str, &JobPlan)> = specs
+            .iter()
+            .zip(&plans)
+            .map(|(spec, plan)| (spec.name.as_str(), plan))
+            .collect();
         let mut table = SensitivityTable::new();
-        for spec in specs {
-            table.insert(self.profile(spec)?.model);
+        for (&(name, _), samples) in named.iter().zip(self.measure(&named)) {
+            table.insert(self.fit(name, samples)?.model);
         }
         Ok(table)
+    }
+
+    /// Samples of every `(name, plan)`, in order: all the isolated runs
+    /// in parallel, then each workload's noise stream drawn in throttle
+    /// order, exactly as one run after another would draw it.
+    fn measure(&self, plans: &[(&str, &JobPlan)]) -> Vec<Vec<(f64, f64)>> {
+        let points = &self.cfg.bw_points;
+        let times = parallel_map(plans.len() * points.len(), default_threads(), |cell| {
+            let (plan, bw) = (plans[cell / points.len()].1, points[cell % points.len()]);
+            run_isolated(plan, bw, self.cfg.nic_rate)
+        });
+        let noisy = |(&(name, _), times): (&(&str, &JobPlan), &[f64])| {
+            let mut rng = ChaCha8Rng::seed_from_u64(self.cfg.seed ^ hash_name(name));
+            let samples = points.iter().zip(times);
+            samples
+                .map(|(&bw, &t)| (bw, noisy_duration(t, self.cfg.noise_sigma, &mut rng)))
+                .collect()
+        };
+        plans
+            .iter()
+            .zip(times.chunks(points.len()))
+            .map(noisy)
+            .collect()
+    }
+
+    /// Fits one workload's model to its measured samples.
+    fn fit(&self, name: &str, samples: Vec<(f64, f64)>) -> Result<ProfileOutcome, FitError> {
+        let model = SensitivityModel::fit(name, &to_slowdowns(&samples), self.cfg.degree)?;
+        Ok(ProfileOutcome {
+            model,
+            completion_times: samples,
+        })
     }
 }
 
@@ -169,13 +200,88 @@ fn hash_name(name: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saba_workload::workload_by_name;
+    use saba_workload::synthetic::{synthetic_workloads, SyntheticConfig};
+    use saba_workload::{catalog, workload_by_name};
 
     fn quiet() -> Profiler {
         Profiler::new(ProfilerConfig {
             noise_sigma: 0.0,
             ..Default::default()
         })
+    }
+
+    /// The measurement of a profiler that runs one isolated run after
+    /// another, drawing each run's noise as it ends.
+    fn serial_samples(p: &Profiler, name: &str, plan: &JobPlan) -> Vec<(f64, f64)> {
+        let cfg = p.config();
+        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ hash_name(name));
+        let runs = cfg.bw_points.iter().map(|&b| {
+            let t = run_isolated(plan, b, cfg.nic_rate);
+            (b, noisy_duration(t, cfg.noise_sigma, &mut rng))
+        });
+        runs.collect()
+    }
+
+    fn sample_bits(samples: &[(f64, f64)]) -> Vec<(u64, u64)> {
+        samples
+            .iter()
+            .map(|(b, t)| (b.to_bits(), t.to_bits()))
+            .collect()
+    }
+
+    /// Everything a model holds but its name: degree, coefficients,
+    /// R² and samples, floats as their bits.
+    fn model_bits(m: &SensitivityModel) -> Vec<u64> {
+        let coeffs = m.poly.coeffs().iter().map(|c| c.to_bits());
+        let samples = m
+            .samples
+            .iter()
+            .flat_map(|(b, d)| [b.to_bits(), d.to_bits()]);
+        let head = [m.degree as u64];
+        head.into_iter()
+            .chain(coeffs)
+            .chain([m.r_squared.to_bits()])
+            .chain(samples)
+            .collect()
+    }
+
+    #[test]
+    fn profile_all_is_a_serial_fold_bit_for_bit() {
+        let degree2 = ProfilerConfig {
+            noise_sigma: 0.0,
+            bw_points: vec![0.25, 0.5, 0.75, 1.0],
+            degree: 2,
+            ..Default::default()
+        };
+        let synthetic = synthetic_workloads(&SyntheticConfig::default(), 0x5aba);
+        let cases = [
+            (ProfilerConfig::default(), catalog()),
+            (ProfilerConfig::default(), synthetic),
+            (degree2, catalog()),
+        ];
+        for (cfg, specs) in cases {
+            let p = Profiler::new(cfg);
+            let table = p.profile_all(&specs).unwrap();
+            assert_eq!(table.len(), specs.len());
+            for spec in &specs {
+                let plan = spec.profile_plan();
+                let serial = serial_samples(&p, &spec.name, &plan);
+                let measured = p.measure_samples(&spec.name, &plan);
+                assert_eq!(
+                    sample_bits(&measured),
+                    sample_bits(&serial),
+                    "{}",
+                    spec.name
+                );
+                let degree = p.config().degree;
+                let fitted = SensitivityModel::fit(&spec.name, &to_slowdowns(&serial), degree);
+                let folded = p.profile(spec).unwrap();
+                let got = model_bits(table.get(&spec.name).unwrap());
+                assert_eq!(got, model_bits(&fitted.unwrap()), "{}", spec.name);
+                assert_eq!(got, model_bits(&folded.model), "{}", spec.name);
+                assert_eq!(sample_bits(&folded.completion_times), sample_bits(&serial));
+            }
+        }
     }
 
     #[test]
@@ -236,7 +342,7 @@ mod tests {
 
     #[test]
     fn profile_all_builds_full_table() {
-        let table = quiet().profile_all(&saba_workload::catalog()).unwrap();
+        let table = quiet().profile_all(&catalog()).unwrap();
         assert_eq!(table.len(), 10);
         assert!(table.get("LR").is_some());
         assert!(table.get("Sort").is_some());

@@ -233,10 +233,11 @@ mod service {
             }
         }
 
-        /// A create whose group commit failed is not acked, and its shard
-        /// dies: the retry, under a new id, is served by the take-over it
-        /// triggers at its own time, which left the shard holding exactly
-        /// what its log replays.
+        /// A create whose group commit failed is not acked, nor counted,
+        /// and its shard dies: the retry, under a new id, is served and
+        /// counted by the take-over it triggers at its own time, which
+        /// left the shard holding exactly what its log replays. A
+        /// register is counted the same way.
         #[test]
         fn a_failed_sync_kills_the_shard_and_its_retry_is_acked_after_a_take_over() {
             for flavour in FLAVOURS {
@@ -256,9 +257,11 @@ mod service {
                     "{flavour:?}: {failed:?}"
                 );
                 assert_eq!(rt.failovers(), 0, "{flavour:?}");
+                assert_eq!(rt.stats().conn_creates_acked, 0, "{flavour:?}");
 
                 let retry = rt.call_at(env(3, create(&rt, app, 7)), 3.0);
                 assert_eq!(retry, Response::Ack, "{flavour:?}");
+                assert_eq!(rt.stats().conn_creates_acked, 1, "{flavour:?}");
                 let traced = recoveries(&sink);
                 let taken_over = traced.iter().map(|&(t, apps, _)| (t, apps));
                 assert_eq!(taken_over.collect::<Vec<_>>(), [(3.0, 1)], "{flavour:?}");
@@ -271,6 +274,23 @@ mod service {
                     "{flavour:?}"
                 );
                 assert_eq!(state.live_conns.len(), 1, "{flavour:?}");
+
+                // The same for a register, of a second tenant on `s`.
+                let other = (1..).map(AppId).find(|&a| rt.shard_map().shard_of(a) == s);
+                let other = other.unwrap();
+                assert_eq!(rt.stats().registrations_acked, 1, "{flavour:?}");
+                rt.fail_next_sync(s);
+                let failed = rt.call_at(env(4, register(other)), 4.0);
+                assert_eq!(
+                    code(&failed),
+                    Some(ErrorCode::Internal),
+                    "{flavour:?}: {failed:?}"
+                );
+                assert_eq!(rt.stats().registrations_acked, 1, "{flavour:?}");
+                let retry = rt.call_at(env(5, register(other)), 5.0);
+                assert!(matches!(retry, Response::Registered { .. }), "{retry:?}");
+                assert_eq!(rt.stats().registrations_acked, 2, "{flavour:?}");
+                assert_eq!(rt.stats().failovers, 2, "{flavour:?}");
                 rt.shutdown();
             }
         }

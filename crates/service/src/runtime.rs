@@ -847,9 +847,10 @@ mod tests {
         rt.shutdown();
     }
 
-    /// A create whose group commit failed is not acked, and its shard
-    /// dies: the retry, under a new id, is acked only by a take-over,
-    /// which left the shard holding exactly what its log replays.
+    /// A create whose group commit failed is not acked, nor counted, and
+    /// its shard dies: the retry, under a new id, is acked and counted
+    /// only by a take-over, which left the shard holding exactly what
+    /// its log replays. A register is counted the same way.
     #[test]
     fn a_failed_sync_kills_the_shard_and_its_retry_is_acked_after_a_take_over() {
         let cfg = fresh_cfg("sync-fail");
@@ -863,12 +864,26 @@ mod tests {
         let r = rt.call(create(&rt, 2, 7));
         assert_eq!(code(&r), Some(ErrorCode::Internal), "{r:?}");
         assert_eq!(rt.failovers(), 0);
+        assert_eq!(rt.stats().conn_creates_acked, 0);
         assert_eq!(rt.call(create(&rt, 3, 7)), Response::Ack);
         assert_eq!(rt.failovers(), 1, "only a take-over acks the retry");
+        assert_eq!(rt.stats().conn_creates_acked, 1);
         let state = rt.with_shard(s, |shard| shard.state().clone()).unwrap();
         let log = std::fs::read(Shard::log_path(&cfg.log_dir, s)).unwrap();
         assert_eq!(ReplayState::replay(&scan(&log).records), state);
         assert_eq!(state.live_conns.len(), 1);
+
+        let other = (1..).map(AppId).find(|&a| rt.shard_map().shard_of(a) == s);
+        let other = other.unwrap();
+        assert_eq!(rt.stats().registrations_acked, 1);
+        rt.fail_next_sync(s);
+        let r = register(&rt, 4, other);
+        assert_eq!(code(&r), Some(ErrorCode::Internal), "{r:?}");
+        assert_eq!(rt.stats().registrations_acked, 1);
+        let r = register(&rt, 5, other);
+        assert!(matches!(r, Response::Registered { .. }), "{r:?}");
+        assert_eq!(rt.stats().registrations_acked, 2);
+        assert_eq!(rt.failovers(), 2);
         rt.shutdown();
     }
 

@@ -121,11 +121,18 @@ impl ShardMap {
 }
 
 /// Per-shard counters.
+///
+/// The two ack counters move only for a batch whose sync succeeded, by
+/// its `Registered` replies to `AppRegister` and `Ack` replies to
+/// `ConnCreate`: a lost-ack re-ack counts, a dedup-cache hit does not
+/// (it counts in `dedup_hits`). The cache dies with a shard, so a
+/// retry that reaches a taken-over shard is re-acked and counts again,
+/// until request ids are logged (ROADMAP 8a).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Registrations acked (made durable) by this shard incarnation.
     pub registrations_acked: u64,
-    /// Connection creates acked.
+    /// Connection creates acked (made durable).
     pub conn_creates_acked: u64,
     /// Requests absorbed by the request-id dedup cache.
     pub dedup_hits: u64,
@@ -345,7 +352,8 @@ impl Shard {
     /// Handles a batch of envelopes with **group commit**: every
     /// accepted operation is appended to the log, one `sync` makes the
     /// whole batch durable, and only then are the responses returned.
-    /// A response in the returned vector is therefore a durable ack.
+    /// A response in the returned vector is therefore a durable ack,
+    /// and only then are its acks counted.
     ///
     /// A batch whose sync or append failed acks nothing, and kills the
     /// shard: its controller and [`Self::state`] already hold what the
@@ -353,7 +361,22 @@ impl Shard {
     /// does not have. The takeover rebuilds both from the log alone.
     pub fn handle_batch(&mut self, batch: &[Envelope]) -> Vec<Response> {
         let alive = !self.is_dead();
-        let mut out: Vec<Response> = batch.iter().map(|env| self.apply(env)).collect();
+        let (mut registrations, mut creates) = (0, 0);
+        let mut out = Vec::with_capacity(batch.len());
+        for env in batch {
+            if let Some(cached) = self.seen.get(&env.request_id) {
+                self.stats.dedup_hits += 1;
+                out.push(cached.clone());
+                continue;
+            }
+            let resp = self.apply(env);
+            match (&env.request, &resp) {
+                (Request::AppRegister { .. }, Response::Registered { .. }) => registrations += 1,
+                (Request::ConnCreate { .. }, Response::Ack) => creates += 1,
+                _ => {}
+            }
+            out.push(resp);
+        }
         // `apply` kills the shard on a failed append. A dead shard
         // answered `FailingOver` and appended nothing: its log is the
         // take-over's.
@@ -364,6 +387,8 @@ impl Shard {
                 message: format!("shard {}: durable log write failed", self.id),
             });
         } else if alive {
+            self.stats.registrations_acked += registrations;
+            self.stats.conn_creates_acked += creates;
             // The batch is durable; a failed compaction leaves the
             // longer log in place and the next batch tries again.
             let _ = self.maybe_compact(COMPACT_EVERY);
@@ -392,14 +417,12 @@ impl Shard {
         }
     }
 
-    /// Applies one envelope (no sync — callers batch-sync).
+    /// Applies one envelope the dedup cache does not answer (no sync —
+    /// [`Self::handle_batch`] batch-syncs).
     fn apply(&mut self, env: &Envelope) -> Response {
-        if let Some(cached) = self.seen.get(&env.request_id) {
-            self.stats.dedup_hits += 1;
-            return cached.clone();
-        }
-        // Dedup replays above never mint a span: the original apply
-        // already did, and a replayed ack does no new work.
+        // Dedup replays never get here, so never mint a span: the
+        // original apply already did, and a replayed ack does no new
+        // work.
         let ctx = env.ctx().child(self.span_salt);
         self.span_salt += 1;
         let resp = self.apply_fresh(ctx, &env.request);
@@ -565,11 +588,6 @@ impl Shard {
         }
         self.absorb_updates(updates);
         self.state.apply(req);
-        match req {
-            Request::AppRegister { .. } => self.stats.registrations_acked += 1,
-            Request::ConnCreate { .. } => self.stats.conn_creates_acked += 1,
-            _ => {}
-        }
         ack
     }
 
