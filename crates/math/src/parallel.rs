@@ -95,13 +95,6 @@ where
 /// Spawned workers alive in the process, every call together.
 static LEASED: AtomicUsize = AtomicUsize::new(0);
 
-/// Workers the process may have spawned at once: one per core besides
-/// a caller.
-fn budget() -> usize {
-    static BUDGET: OnceLock<usize> = OnceLock::new();
-    *BUDGET.get_or_init(|| default_threads() - 1)
-}
-
 /// Workers leased from the budget; dropping the lease (on unwind too)
 /// hands them back.
 struct Lease(usize);
@@ -110,7 +103,8 @@ impl Lease {
     /// Leases up to `want` workers: fewer, or none, when the budget is
     /// short.
     fn take(want: usize) -> Self {
-        let cap = budget();
+        // One spawned worker per core besides a caller.
+        let cap = default_threads() - 1;
         let grant = |used: usize| want.min(cap.saturating_sub(used));
         let taken = LEASED.fetch_update(Ordering::AcqRel, Ordering::Acquire, |used| {
             (grant(used) > 0).then(|| used + grant(used))
@@ -133,12 +127,16 @@ impl Drop for Lease {
     }
 }
 
-/// A sensible worker count: the available parallelism, capped.
+/// A sensible worker count: the available parallelism, capped, read
+/// once per process (the read parses cgroup files on every call).
 pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(32)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+            .min(32)
+    })
 }
 
 #[cfg(test)]

@@ -455,6 +455,9 @@ pub struct Simulation<M, S = NullSink> {
     /// Flows with no currently-live route: they hold their remaining
     /// bytes at zero rate until a repair resumes them.
     parked: Vec<ActiveFlow>,
+    /// Paths of completed flows, emptied, for new flows to reuse: a
+    /// flow's start allocates nothing once enough flows have ended.
+    spare_paths: Vec<Vec<LinkId>>,
     rates: Vec<f64>,
     timers: BinaryHeap<Reverse<(TimeKey, u64, u64)>>,
     timer_seq: u64,
@@ -510,6 +513,7 @@ impl<M: FabricModel, S: TelemetrySink> Simulation<M, S> {
             next_flow_id: 0,
             active: Vec::new(),
             parked: Vec::new(),
+            spare_paths: Vec::new(),
             rates: Vec::new(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
@@ -654,36 +658,29 @@ impl<M: FabricModel, S: TelemetrySink> Simulation<M, S> {
         let id = FlowId(self.next_flow_id);
         self.next_flow_id += 1;
         self.stats.flows_started += 1;
-        let parked;
-        match self.routes.path(&self.topo, spec.src, spec.dst, spec.tag) {
-            Some(path) => {
-                parked = false;
-                self.active.push(ActiveFlow {
-                    id,
-                    remaining: spec.bytes,
-                    path,
-                    started: self.now,
-                    spec,
-                });
-                self.dirty = true;
-            }
-            None => {
-                assert!(
-                    self.topo.has_failures(),
-                    "no route from {} to {}",
-                    spec.src,
-                    spec.dst
-                );
-                parked = true;
-                self.stats.flows_parked += 1;
-                self.parked.push(ActiveFlow {
-                    id,
-                    remaining: spec.bytes,
-                    path: Vec::new(),
-                    started: self.now,
-                    spec,
-                });
-            }
+        let mut path = self.spare_paths.pop().unwrap_or_default();
+        let parked = !self
+            .routes
+            .path_into(&self.topo, spec.src, spec.dst, spec.tag, &mut path);
+        let flow = ActiveFlow {
+            id,
+            remaining: spec.bytes,
+            path,
+            started: self.now,
+            spec,
+        };
+        if parked {
+            assert!(
+                self.topo.has_failures(),
+                "no route from {} to {}",
+                flow.spec.src,
+                flow.spec.dst
+            );
+            self.stats.flows_parked += 1;
+            self.parked.push(flow);
+        } else {
+            self.active.push(flow);
+            self.dirty = true;
         }
         if self.sink.enabled() {
             let pool = if parked { &self.parked } else { &self.active };
@@ -940,30 +937,46 @@ impl<M: FabricModel, S: TelemetrySink> Simulation<M, S> {
         // one event, one re-allocation, instead of a cascade. The tiny
         // epsilon absorbs floating-point residue left by `advance_to`.
         let slack = self.completion_slack + 1e-9;
-        let mut done = Vec::new();
-        let mut i = 0;
-        while i < self.active.len() {
-            let r = self.rates[i];
-            let f = &self.active[i];
-            let finishes =
-                f.remaining <= 0.0 || r.is_infinite() || (r > 0.0 && f.remaining / r <= slack);
-            if finishes {
-                let f = self.active.swap_remove(i);
-                self.rates.swap_remove(i);
-                done.push(CompletedFlow {
-                    id: f.id,
-                    spec: f.spec,
-                    started: f.started,
-                    finished: tc,
-                });
-            } else {
-                i += 1;
+        let finishes = |f: &ActiveFlow, r: f64| {
+            f.remaining <= 0.0 || r.is_infinite() || (r > 0.0 && f.remaining / r <= slack)
+        };
+        let every = self
+            .active
+            .iter()
+            .zip(&self.rates)
+            .all(|(f, &r)| finishes(f, r));
+        let mut done = Vec::with_capacity(if every { self.active.len() } else { 0 });
+        let mut complete = |mut f: ActiveFlow| {
+            f.path.clear();
+            self.spare_paths.push(f.path);
+            done.push(CompletedFlow {
+                id: f.id,
+                spec: f.spec,
+                started: f.started,
+                finished: tc,
+            });
+        };
+        if every {
+            // Every flow ends: take them where they are, which for
+            // flows started together is already the sort's id order.
+            self.rates.clear();
+            self.active.drain(..).for_each(complete);
+        } else {
+            let mut i = 0;
+            while i < self.active.len() {
+                if finishes(&self.active[i], self.rates[i]) {
+                    self.rates.swap_remove(i);
+                    complete(self.active.swap_remove(i));
+                } else {
+                    i += 1;
+                }
             }
         }
         debug_assert!(!done.is_empty(), "completion event with no completed flows");
         self.stats.flows_completed += done.len() as u64;
         self.dirty = true;
-        done.sort_by_key(|f| f.id);
+        // Ids are unique, so an unstable sort is the stable order.
+        done.sort_unstable_by_key(|f| f.id);
         if self.sink.enabled() {
             for f in &done {
                 self.sink.record(
@@ -1049,6 +1062,25 @@ mod tests {
         let b = done.iter().find(|d| d.spec.tag == 2).unwrap();
         assert!((a.finished - 2.0).abs() < 1e-3, "a={}", a.finished);
         assert!((b.finished - 4.0).abs() < 1e-3, "b={}", b.finished);
+    }
+
+    #[test]
+    fn a_new_flow_takes_a_completed_flows_path_buffer() {
+        let mut sim = Simulation::new(
+            Topology::single_switch(3, 100.0),
+            FairShareFabric::default(),
+        );
+        let s = sim.topo().servers().to_vec();
+        sim.start_flow(spec(s[0], s[1], 100.0, 1));
+        let buffer = sim.active_flows()[0].path.as_ptr();
+        assert_eq!(sim.run_to_idle().len(), 1);
+        sim.start_flow(spec(s[2], s[0], 100.0, 2));
+        let f = &sim.active_flows()[0];
+        assert_eq!(f.path.as_ptr(), buffer);
+        assert_eq!(
+            Some(&f.path),
+            sim.routes().path(sim.topo(), s[2], s[0], 2).as_ref()
+        );
     }
 
     #[test]

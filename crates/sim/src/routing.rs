@@ -343,15 +343,33 @@ impl Routes {
     /// Returns `None` if `dst` is unreachable from `src`. An empty path
     /// is returned when `src == dst`.
     pub fn path(&self, topo: &Topology, src: NodeId, dst: NodeId, tag: u64) -> Option<Vec<LinkId>> {
+        let mut path = Vec::new();
+        self.path_into(topo, src, dst, tag, &mut path)
+            .then_some(path)
+    }
+
+    /// [`Self::path`] written into `path` (cleared first), so a caller
+    /// that recycles its paths allocates nothing once the buffer is
+    /// long enough. Returns `false`, leaving `path` empty, if `dst` is
+    /// unreachable from `src`.
+    pub fn path_into(
+        &self,
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+        tag: u64,
+        path: &mut Vec<LinkId>,
+    ) -> bool {
+        path.clear();
         if src == dst {
-            return Some(Vec::new());
+            return true;
         }
         let d = self.dist_to_field(dst.0 as usize);
         let mut here_d = d.at(src);
         if here_d == UNREACHABLE {
-            return None;
+            return false;
         }
-        let mut path = Vec::with_capacity(usize::from(here_d));
+        path.reserve_exact(usize::from(here_d));
         let healthy = !topo.has_failures();
         let mut slots = [0u32; ECMP_BUF];
         let mut here = src;
@@ -368,17 +386,24 @@ impl Routes {
             // No candidate is a path cut mid-way: cannot happen while
             // the distances are consistent with the topology.
             let hop = path.len() as u64;
-            let pick = splitmix64(tag.wrapping_add(hop.wrapping_mul(0x9E3779B97F4A7C15)))
-                .checked_rem(n as u64)? as usize;
-            let i = match slots.get(pick) {
+            let pick = match n {
+                0 => {
+                    path.clear();
+                    return false;
+                }
+                // Any hash picks the one candidate.
+                1 => 0,
+                _ => splitmix64(tag.wrapping_add(hop.wrapping_mul(0x9E3779B97F4A7C15))) % n as u64,
+            };
+            let i = match slots.get(pick as usize) {
                 Some(&i) => i as usize,
-                None => candidates.nth(pick).expect("pick < n"),
+                None => candidates.nth(pick as usize).expect("pick < n"),
             };
             path.push(topo.out_links(here)[i]);
             here = NodeId(self.out_to[self.out_start[here.0 as usize] as usize + i]);
             here_d -= 1;
         }
-        Some(path)
+        true
     }
 
     /// Every link lying on *any* shortest path from `src` to `dst` —
@@ -590,6 +615,29 @@ mod tests {
                 assert!(p.len() <= 6, "path length {}", p.len());
             }
         }
+    }
+
+    #[test]
+    fn path_into_a_used_buffer_is_path() {
+        let t = Topology::spine_leaf(&SpineLeafConfig::tiny(2));
+        let r = Routes::compute(&t);
+        let s = t.servers();
+        let mut buf = vec![LinkId(u32::MAX); 9];
+        for (i, &a) in s.iter().enumerate() {
+            for (j, &b) in s.iter().enumerate() {
+                let tag = (i * 97 + j) as u64;
+                assert!(r.path_into(&t, a, b, tag, &mut buf));
+                assert_eq!(Some(&buf), r.path(&t, a, b, tag).as_ref());
+            }
+        }
+        let mut t = Topology::new();
+        let a = t.add_node(NodeKind::Server, "a");
+        let b = t.add_node(NodeKind::Server, "b");
+        let sw = t.add_node(NodeKind::Switch, "sw");
+        t.add_link(a, sw, 1.0);
+        let r = Routes::compute(&t);
+        assert!(!r.path_into(&t, a, b, 0, &mut buf), "b is unreachable");
+        assert!(buf.is_empty());
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl ShufflePattern {
     /// Returns an empty vector when `n < 2` or `total_bytes <= 0` (a
     /// single-node job has no network phase).
     pub fn transfers(&self, n: usize, total_bytes: f64) -> Vec<(usize, usize, f64)> {
-        if n < 2 || total_bytes <= 0.0 {
+        if !self.has_transfers(n, total_bytes) {
             return Vec::new();
         }
         match *self {
@@ -64,6 +64,13 @@ impl ShufflePattern {
                 (1..n).map(|i| (0, i, per)).collect()
             }
         }
+    }
+
+    /// Whether [`Self::transfers`] would yield any transfer, without
+    /// expanding them: every pattern does unless `n < 2` or
+    /// `total_bytes <= 0`.
+    pub fn has_transfers(&self, n: usize, total_bytes: f64) -> bool {
+        n >= 2 && total_bytes > 0.0
     }
 
     /// The maximum bytes any single node must *send* under this pattern
@@ -153,6 +160,24 @@ mod tests {
             assert!(p.transfers(1, 100.0).is_empty());
             assert!(p.transfers(4, 0.0).is_empty());
             assert_eq!(p.max_egress_bytes(1, 100.0), 0.0);
+        }
+    }
+
+    #[test]
+    fn has_transfers_is_whether_transfers_yields_any() {
+        for p in [
+            ShufflePattern::AllToAll { fanout: 0 },
+            ShufflePattern::AllToAll { fanout: 3 },
+            ShufflePattern::Ring,
+            ShufflePattern::Gather,
+            ShufflePattern::Broadcast,
+        ] {
+            for n in 0..6 {
+                for bytes in [-1.0, 0.0, 1e-300, 600.0] {
+                    let yields = !p.transfers(n, bytes).is_empty();
+                    assert_eq!(p.has_transfers(n, bytes), yields, "{p:?} n={n} {bytes}");
+                }
+            }
         }
     }
 

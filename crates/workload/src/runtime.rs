@@ -17,7 +17,7 @@ use crate::spec::JobPlan;
 use saba_sim::engine::{CompletedFlow, FabricModel, FlowSpec, Simulation};
 use saba_sim::ids::{AppId, NodeId, ServiceLevel};
 use saba_telemetry::TelemetrySink;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashSet;
 use std::fmt;
 
 /// Connection-lifecycle events, mirroring the Saba library's
@@ -353,10 +353,7 @@ impl JobRuntime {
             }
             let st = self.plan.stages[self.stage_idx].clone();
             let now = sim.now();
-            let has_comm = !st
-                .pattern
-                .transfers(self.nodes.len(), st.comm_bytes)
-                .is_empty();
+            let has_comm = st.pattern.has_transfers(self.nodes.len(), st.comm_bytes);
 
             self.compute_done = st.compute_secs <= 0.0;
             self.flows_launched = !has_comm;
@@ -408,11 +405,11 @@ impl JobRuntime {
         } else {
             0.0
         };
-        let mut sends_per_node: HashMap<usize, usize> = HashMap::new();
+        let mut sends_per_node = vec![0usize; self.nodes.len()];
         if floor_rate > 0.0 {
             for &(si, di, _) in &transfers {
                 if self.nodes[si] != self.nodes[di] {
-                    *sends_per_node.entry(si).or_insert(0) += 1;
+                    sends_per_node[si] += 1;
                 }
             }
         }
@@ -424,7 +421,7 @@ impl JobRuntime {
             let tag = (u64::from(self.app.0) << 32) | self.next_tag;
             self.next_tag += 1;
             let min_rate = if floor_rate > 0.0 {
-                floor_rate / sends_per_node[&si] as f64
+                floor_rate / sends_per_node[si] as f64
             } else {
                 0.0
             };
@@ -523,19 +520,26 @@ where
     G: FnMut(&mut Simulation<M, S>, u64, f64),
 {
     {
-        let mut seen_apps = std::collections::HashSet::new();
-        let mut seen_bases = std::collections::HashSet::new();
+        let mut seen_apps = HashSet::new();
+        let mut seen_bases = HashSet::new();
         for j in jobs.iter() {
             assert!(seen_apps.insert(j.app), "duplicate app id {}", j.app);
             assert!(seen_bases.insert(j.key_base), "duplicate timer key base");
         }
     }
-    let app_to_idx: HashMap<AppId, usize> =
+    // Jobs by app id, for finding a completed flow's job.
+    let mut by_app: Vec<(AppId, usize)> =
         jobs.iter().enumerate().map(|(i, j)| (j.app, i)).collect();
+    by_app.sort_unstable();
+    let owner = |f: &CompletedFlow| match by_app.binary_search_by_key(&f.spec.app, |&(a, _)| a) {
+        Ok(at) => by_app[at].1,
+        Err(_) => panic!("flow for unknown app {}", f.spec.app),
+    };
 
+    // Hands a job's pending events to `on_conn`, keeping the buffer.
     macro_rules! drain {
         ($job:expr) => {
-            for ev in $job.drain_events() {
+            for ev in $job.events.drain(..) {
                 on_conn(sim, &ev);
             }
         };
@@ -562,20 +566,17 @@ where
                     on_foreign(sim, key, at);
                 }
             }
-            saba_sim::engine::Event::FlowsCompleted { flows, .. } => {
-                // Group completions by owning job, preserving batching.
-                // Jobs are served in index order: their connection
-                // events reach the controller in the order they are
-                // drained, and a hash map's walk differs run to run.
-                let mut by_job: BTreeMap<usize, Vec<CompletedFlow>> = BTreeMap::new();
-                for f in flows {
-                    let idx = *app_to_idx
-                        .get(&f.spec.app)
-                        .unwrap_or_else(|| panic!("flow for unknown app {}", f.spec.app));
-                    by_job.entry(idx).or_default().push(f);
+            saba_sim::engine::Event::FlowsCompleted { mut flows, .. } => {
+                // Group completions by owning job, preserving batching
+                // and each job's order (the sort is stable). Jobs are
+                // served in index order: their connection events reach
+                // the controller in the order they are drained.
+                if !flows.is_sorted_by_key(owner) {
+                    flows.sort_by_cached_key(owner);
                 }
-                for (idx, batch) in by_job {
-                    jobs[idx].on_flows_completed(sim, &batch);
+                for batch in flows.chunk_by(|a, b| a.spec.app == b.spec.app) {
+                    let idx = owner(&batch[0]);
+                    jobs[idx].on_flows_completed(sim, batch);
                     drain!(jobs[idx]);
                 }
             }
@@ -658,6 +659,66 @@ mod tests {
         );
         // Stage 1: 2 s compute + 100 B/node egress at 100 B/s = 1 s; stage 2: 3 s. Total 6 s.
         assert!((times[0] - 6.0).abs() < 1e-3);
+    }
+
+    /// One stage of a ring exchange over two nodes, its flows starting
+    /// once `compute_secs` is over.
+    fn ring_plan(compute_secs: f64, comm_bytes: f64) -> JobPlan {
+        JobPlan {
+            workload: "ring".into(),
+            stages: vec![PlannedStage {
+                compute_secs,
+                comm_bytes,
+                pattern: ShufflePattern::Ring,
+                overlap: 0.0,
+                min_node_rate: 0.0,
+            }],
+            nodes: 2,
+        }
+    }
+
+    #[test]
+    fn a_shared_completion_batch_is_served_to_jobs_in_index_order() {
+        // Job 1's flows start at 0 s, job 0's at 1 s, and all four end at
+        // 2 s on links they do not share: one batch, job 1's flows first
+        // by id. Job 0 must still hear of its flows first, each job's in
+        // the batch's order, whatever the app ids.
+        let mut sim = sim4();
+        let s = sim.topo().servers().to_vec();
+        let mut jobs = vec![
+            JobRuntime::new(
+                AppId(7),
+                ServiceLevel(0),
+                s[..2].to_vec(),
+                ring_plan(1.0, 200.0),
+                0,
+            ),
+            JobRuntime::new(
+                AppId(2),
+                ServiceLevel(0),
+                s[2..].to_vec(),
+                ring_plan(0.0, 400.0),
+                1 << 32,
+            ),
+        ];
+        let mut destroyed = Vec::new();
+        let times = run_jobs(&mut sim, &mut jobs, |sim, ev| {
+            if let ConnEvent::Destroyed { app, tag, .. } = ev {
+                destroyed.push((sim.now(), *app, *tag));
+            }
+        })
+        .unwrap();
+        assert_eq!(times, [2.0, 2.0]);
+        let tag = |app: u32, k: u64| (u64::from(app) << 32) | k;
+        assert_eq!(
+            destroyed,
+            [
+                (2.0, AppId(7), tag(7, 0)),
+                (2.0, AppId(7), tag(7, 1)),
+                (2.0, AppId(2), tag(2, 0)),
+                (2.0, AppId(2), tag(2, 1)),
+            ]
+        );
     }
 
     #[test]
