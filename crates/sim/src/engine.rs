@@ -455,8 +455,8 @@ pub struct Simulation<M, S = NullSink> {
     /// Flows with no currently-live route: they hold their remaining
     /// bytes at zero rate until a repair resumes them.
     parked: Vec<ActiveFlow>,
-    /// Paths of completed flows, emptied, for new flows to reuse: a
-    /// flow's start allocates nothing once enough flows have ended.
+    /// Paths of completed flows, for new flows to start in: a flow's
+    /// start allocates nothing once enough flows have ended.
     spare_paths: Vec<Vec<LinkId>>,
     rates: Vec<f64>,
     timers: BinaryHeap<Reverse<(TimeKey, u64, u64)>>,
@@ -946,8 +946,7 @@ impl<M: FabricModel, S: TelemetrySink> Simulation<M, S> {
             .zip(&self.rates)
             .all(|(f, &r)| finishes(f, r));
         let mut done = Vec::with_capacity(if every { self.active.len() } else { 0 });
-        let mut complete = |mut f: ActiveFlow| {
-            f.path.clear();
+        let mut complete = |f: ActiveFlow| {
             self.spare_paths.push(f.path);
             done.push(CompletedFlow {
                 id: f.id,
