@@ -250,11 +250,6 @@ impl JobRuntime {
         &self.coflows
     }
 
-    /// Drains pending connection-lifecycle events.
-    pub fn drain_events(&mut self) -> Vec<ConnEvent> {
-        std::mem::take(&mut self.events)
-    }
-
     /// Whether `key` is one of this job's timer keys.
     pub fn owns_key(&self, key: u64) -> bool {
         key & !0xFFFF_FFFF == self.key_base
